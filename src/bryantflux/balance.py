@@ -19,7 +19,7 @@ from .errors import DomainError, UnbalanceableError
 from .flux import FluxPolynomial, catenoidal_polynomial, \
     horospherical_polynomial
 from .geometry import INF, ExtendedComplex, Geodesic, IsometrySL2, \
-    boundary_eq, is_inf, mobius_boundary
+    boundary_eq, is_inf, mobius_boundary, parse_complex, parse_point
 
 _TOL = 1e-9
 
@@ -305,22 +305,14 @@ def euclidean_three_end_check(e1: EuclideanEndData, e2: EuclideanEndData,
 
 # -- JSON -------------------------------------------------------------------
 
-def _parse_point(obj) -> ExtendedComplex:
-    if obj == "inf":
-        return INF
-    re, im = obj
-    return complex(re, im)
-
-
 def descriptor_from_json(obj: dict) -> EndDescriptor:
     kind = obj.get("type")
     if kind == "catenoidal":
-        return Catenoidal(float(obj["mu"]), _parse_point(obj["axis"][0]),
-                          _parse_point(obj["axis"][1]))
+        return Catenoidal(float(obj["mu"]), parse_point(obj["axis"][0]),
+                          parse_point(obj["axis"][1]))
     if kind == "horospherical":
-        kappa = obj.get("kappa", [0.0, 0.0])
-        return Horospherical(_parse_point(obj["boundary"]),
-                             complex(kappa[0], kappa[1]))
+        return Horospherical(parse_point(obj["boundary"]),
+                             parse_complex(obj.get("kappa", 0.0)))
     if kind == "horosphere":
         return Horosphere()
     raise DomainError("unknown end type %r" % (kind,))

@@ -15,10 +15,10 @@ from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
                       two_end_solve)
 from .bryant import frame_from_json, frame_to_json, immersion_samples
 from .ends import Catenoidal, build_end
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .flux import (flux_for_geodesic, flux_numeric, flux_result_json,
                    flux_triple)
-from .geometry import INF, Geodesic, is_inf
+from .geometry import INF, Geodesic, is_inf, parse_complex
 from .killing import KillingField
 from .series import DEFAULT_ORDER, QuadratureGrid
 
@@ -29,7 +29,8 @@ def _parse_point(text):
     text = text.strip()
     if text in ("inf", "Inf", "INF"):
         return INF
-    return complex(text.replace("i", "j"))
+    z = complex(text.replace("i", "j"))
+    return parse_complex([z.real, z.imag])
 
 
 def _point_json(z):
@@ -263,7 +264,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OSError, ValueError, KeyError) as exc:
+    except (DomainError, ConsistencyError, OSError, ValueError,
+            KeyError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")

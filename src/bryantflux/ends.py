@@ -6,18 +6,23 @@ boundary points).  Horospherical ends have nu = -2 and integer mu >= 2
 and carry a single boundary point plus a coefficient kappa.  The
 horosphere itself is a separate exact frame.
 
-Frames are built by solving the entry ODEs with the Frobenius method.
-The indicial roots always differ by a positive integer; for admissible
-data the resonance obstruction vanishes and the lower-root solution
-gains a free parameter instead of a logarithm.  A nonzero obstruction
-is reported as a LogTermRequiredError: it means the coefficient data
-violates the admissibility constraints, not that the solver gave up.
+Frames are built by solving the entry ODEs with the Frobenius method,
+once per ODE.  The indicial roots always differ by a positive integer;
+for admissible data the resonance obstruction vanishes and the
+lower-root solutions form the line lower + t * upper (t free) instead
+of needing a logarithm.  The constants that give the frame unit
+determinant, t among them, enter the determinant affinely and are
+fixed by linear least squares, with no further solves.  A nonzero
+obstruction is reported as a LogTermRequiredError: it means the
+coefficient data violates the admissibility constraints, not that the
+solver gave up.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -25,8 +30,8 @@ import numpy as np
 
 from .bryant import BryantFrame, WeierstrassData, one_forms, transform_frame
 from .errors import ConsistencyError, DomainError, LogTermRequiredError
-from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq, is_inf,
-                       standardizing_isometry)
+from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
+                       parse_complex, parse_point, standardizing_isometry)
 from .series import (DEFAULT_ORDER, GeneralizedSeries, differentiate,
                      radius_estimate, residue)
 
@@ -81,15 +86,13 @@ class FrobeniusProblem:
 
     ``coupling`` is the exponent m (m = -2 for catenoidal columns, where
     the coupling term joins the indicial equation; m = mu - 3 for
-    horospherical columns).  ``resonance`` is the free coefficient of
-    the lower-root solution at the resonance order.
+    horospherical columns).
     """
 
     s: float
     coupling: int
     mu: float
     h: GeneralizedSeries
-    resonance: complex = 0.0
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
@@ -116,15 +119,19 @@ class FrobeniusProblem:
         return lo, hi
 
 
-def _log_derivative_coeffs(hc: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of h'/h as a power series, length n."""
+def _ode_coefficients(prob: FrobeniusProblem):
+    """(hc, pc): h to the problem's order and the first ``order``
+    coefficients of h'/h."""
+    n = prob.order
+    hc = np.zeros(n + 1, dtype=complex)
+    hc[:min(len(prob.h.coeffs), n + 1)] = prob.h.coeffs[:n + 1]
     pc = np.zeros(n, dtype=complex)
     for k in range(n):
-        acc = (k + 1) * (hc[k + 1] if k + 1 < len(hc) else 0.0)
+        acc = (k + 1) * hc[k + 1]
         for j in range(k):
             acc -= pc[j] * hc[k - j]
         pc[k] = acc / hc[0]
-    return pc
+    return hc, pc
 
 
 def _solve_at_root(prob: FrobeniusProblem, sigma: float, gap: Optional[int],
@@ -133,6 +140,7 @@ def _solve_at_root(prob: FrobeniusProblem, sigma: float, gap: Optional[int],
 
     ``gap`` is the resonance order when solving at the lower root, None
     at the upper root (where the indicial polynomial never revisits 0).
+    The free coefficient at the resonance order is set to 0.
     """
     lo, hi = prob.indicial_roots
     d = prob.coupling + 2
@@ -151,7 +159,6 @@ def _solve_at_root(prob: FrobeniusProblem, sigma: float, gap: Optional[int],
                 raise LogTermRequiredError(
                     "resonance obstruction %.3e at order %d: the data admits "
                     "no pure power-series solution" % (abs(rhs), n))
-            x[n] = prob.resonance
         else:
             x[n] = rhs / ((sigma + n - lo) * (sigma + n - hi))
     return GeneralizedSeries(sigma, x)
@@ -160,16 +167,15 @@ def _solve_at_root(prob: FrobeniusProblem, sigma: float, gap: Optional[int],
 def frobenius_solve(prob: FrobeniusProblem):
     """Both basis solutions, as (lower-root series, upper-root series).
 
-    The upper-root solution has unit leading coefficient and is unique;
-    the lower-root one has unit leading coefficient and carries the
-    problem's resonance parameter as its free coefficient.
+    Both have unit leading coefficient.  The upper-root solution is
+    unique.  The lower-root one has coefficient 0 at the resonance order
+    (the root gap); the recurrence is linear and that coefficient is
+    free, so every lower-root solution is ``small + t * big``, the sum
+    placing big at the gap, with t its coefficient there.
     """
     lo, hi = prob.indicial_roots
     gap = round(hi - lo)
-    hc = np.zeros(prob.order + 1, dtype=complex)
-    hc[:min(len(prob.h.coeffs), prob.order + 1)] = \
-        prob.h.coeffs[:prob.order + 1]
-    pc = _log_derivative_coeffs(hc, prob.order)
+    hc, pc = _ode_coefficients(prob)
     small = _solve_at_root(prob, lo, gap, pc, hc)
     big = _solve_at_root(prob, hi, None, pc, hc)
     return small, big
@@ -177,9 +183,7 @@ def frobenius_solve(prob: FrobeniusProblem):
 
 def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:
     """Max coefficient of X'' - (q'/q)X' - mu h z^m X for a candidate X."""
-    hc = np.zeros(prob.order + 1, dtype=complex)
-    hc[:min(len(prob.h.coeffs), prob.order + 1)] = prob.h.coeffs[:prob.order + 1]
-    pc = _log_derivative_coeffs(hc, prob.order)
+    hc, pc = _ode_coefficients(prob)
     xp = differentiate(sol)
     xpp = differentiate(xp)
     term_s = GeneralizedSeries(xp.offset - 1.0, prob.s * xp.coeffs)
@@ -215,19 +219,6 @@ def catenoid_cousin_frame(mu: float, order: int = DEFAULT_ORDER) -> BryantFrame:
     )
 
 
-def _check_omega_relation(frame: BryantFrame, nu: float,
-                          h: GeneralizedSeries, tol: float = 1e-8):
-    """A dC - C dA must reproduce the one-form z^nu h dz."""
-    omega = frame.A * differentiate(frame.C) - frame.C * differentiate(frame.A)
-    target = GeneralizedSeries(nu, h.coeffs)
-    diff = omega - target
-    defect = float(np.max(np.abs(diff.coeffs[:-1]))) if diff.order >= 1 else \
-        float(np.max(np.abs(diff.coeffs)))
-    if defect > tol:
-        raise ConsistencyError(
-            "frame violates omega = A dC - C dA (defect %.3e)" % defect)
-
-
 def _validity_from_entries(entries) -> float:
     r = math.inf
     for e in entries:
@@ -237,14 +228,43 @@ def _validity_from_entries(entries) -> float:
     return r if math.isinf(r) else 0.5 * r
 
 
+def _det_residual(A, B, C, D) -> np.ndarray:
+    """Coefficients of A D - B C - 1, the unit-determinant defect."""
+    res = (A * D - B * C).coeffs.copy()
+    res[0] -= 1.0
+    return res
+
+
+def _checked_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
+    """The frame (A, B; C, D) once its determinant is 1 and A dC - C dA
+    reproduces the one-form z^nu h dz; ConsistencyError otherwise."""
+    defect = float(np.max(np.abs(_det_residual(A, B, C, D)[:-1])))
+    if defect > 1e-8:
+        raise ConsistencyError(
+            "determinant matching failed (residual %.3e); the supplied h "
+            "does not define an end of this kind" % defect)
+    frame = BryantFrame(A, B, C, D,
+                        validity_radius=_validity_from_entries((A, B, C, D)))
+    diff = A * differentiate(C) - C * differentiate(A) \
+        - GeneralizedSeries(nu, h.coeffs)
+    defect = float(np.max(np.abs(diff.coeffs[:-1] if diff.order >= 1
+                                 else diff.coeffs)))
+    if defect > 1e-8:
+        raise ConsistencyError(
+            "frame violates omega = A dC - C dA (defect %.3e)" % defect)
+    return frame
+
+
 def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
                                axis_param: complex,
                                order: int = DEFAULT_ORDER) -> BryantFrame:
     """Frame of the catenoidal end with axis (axis_param, infinity).
 
-    Requires h(0) = (1 - mu^2)/(4 mu) and h'(0) = 0.  The one free
-    constant in the D entry is fixed by matching the unit-determinant
-    identity in least squares over all retained orders.
+    Requires h(0) = (1 - mu^2)/(4 mu) and h'(0) = 0.  One Frobenius
+    solve per column ODE gives (f1, f2) and (g1, g2).  The axis fixes
+    C's lower-root solution f1 + zres f2.  D = g1 + t g2 (scaled) makes
+    the determinant residual affine in t, so t is its least-squares
+    zero over all retained orders, in closed form.
     """
     if not mu > 0 or abs(mu - 1.0) <= _MU_ONE_TOL:
         raise DomainError("catenoidal construction needs mu > 0, mu != 1")
@@ -258,38 +278,23 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
     zres = 4.0 * mu * complex(axis_param) / (mu * mu - 1.0)
 
     f1, f2 = frobenius_solve(FrobeniusProblem(
-        s=-1.0 - mu, coupling=-2, mu=mu, h=h, resonance=zres, order=order))
-    g_prob = FrobeniusProblem(s=-1.0 + mu, coupling=-2, mu=mu, h=h, order=order)
+        s=-1.0 - mu, coupling=-2, mu=mu, h=h, order=order))
+    g1, g2 = frobenius_solve(FrobeniusProblem(
+        s=-1.0 + mu, coupling=-2, mu=mu, h=h, order=order))
 
     A = f2
-    B = ((mu - 1.0) / (mu + 1.0)) * frobenius_solve(g_prob)[1]
-    C = ((mu * mu - 1.0) / (4.0 * mu)) * f1
+    B = ((mu - 1.0) / (mu + 1.0)) * g2
+    C = ((mu * mu - 1.0) / (4.0 * mu)) * (f1 + zres * f2)
     scale_d = (1.0 + mu) ** 2 / (4.0 * mu)
 
-    def det_residual(t):
-        g1 = frobenius_solve(FrobeniusProblem(
-            s=-1.0 + mu, coupling=-2, mu=mu, h=h, resonance=t, order=order))[0]
-        D = scale_d * g1
-        det = A * D - B * C
-        res = det.coeffs.copy()
-        res[0] -= 1.0
-        return D, res
+    def d_entry(t):
+        return scale_d * (g1 + t * g2)
 
-    _, r0 = det_residual(0.0)
-    _, r1c = det_residual(1.0)
-    delta = r1c - r0
+    r0 = _det_residual(A, B, C, d_entry(0.0))
+    delta = _det_residual(A, B, C, d_entry(1.0)) - r0
     denom = np.vdot(delta, delta)
     t_best = (-np.vdot(delta, r0) / denom) if abs(denom) > 0 else 0.0
-    D, res = det_residual(complex(t_best))
-    if np.max(np.abs(res[:-1])) > 1e-8:
-        raise ConsistencyError(
-            "determinant matching failed (residual %.3e); the supplied h does "
-            "not define a catenoidal end" % float(np.max(np.abs(res[:-1]))))
-
-    frame = BryantFrame(A, B, C, D,
-                        validity_radius=_validity_from_entries((A, B, C, D)))
-    _check_omega_relation(frame, -1.0 - mu, h)
-    return frame
+    return _checked_frame(A, B, C, d_entry(complex(t_best)), -1.0 - mu, h)
 
 
 # -- horospherical construction ---------------------------------------------
@@ -301,8 +306,10 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     mu is an integer >= 2.  The compatibility constraint on h is
     h'(0) = 2 h(0)^2 when mu = 2 and h'(0) = 0 when mu >= 3; it is
     exactly the condition killing the resonance obstruction of the
-    first-column ODE.  The constants b and the D-entry free coefficient
-    are fixed jointly by least-squares determinant matching.
+    first-column ODE.  One Frobenius solve per column ODE gives
+    (f1, f2) and (g1, g2); with B = b g2 and D = g1 + t g2 the
+    determinant residual is affine in (b, t), which one two-column
+    least-squares solve fixes.
     """
     m = round(float(mu))
     if abs(float(mu) - m) > 1e-9 or m < 2:
@@ -316,50 +323,29 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
         raise DomainError("mu >= 3 requires h'(0) = 0")
     c = -h0
 
-    f_prob = FrobeniusProblem(s=-2.0, coupling=m - 3, mu=float(m), h=h,
-                              order=order)
-    f1, f2 = frobenius_solve(f_prob)
-    g_s = 2.0 * m - 2.0
+    f1, f2 = frobenius_solve(FrobeniusProblem(
+        s=-2.0, coupling=m - 3, mu=float(m), h=h, order=order))
+    g1, g2 = frobenius_solve(FrobeniusProblem(
+        s=2.0 * m - 2.0, coupling=m - 3, mu=float(m), h=h, order=order))
 
     A = f2
     C = c * f1
-    g2 = frobenius_solve(FrobeniusProblem(
-        s=g_s, coupling=m - 3, mu=float(m), h=h, order=order))[1]
 
     def residual(b, t):
-        g1 = frobenius_solve(FrobeniusProblem(
-            s=g_s, coupling=m - 3, mu=float(m), h=h, resonance=t,
-            order=order))[0]
-        B = b * g2
-        det = A * g1 - B * C
-        res = det.coeffs.copy()
-        res[0] -= 1.0
-        return g1, B, res
+        return _det_residual(A, b * g2, C, g1 + t * g2)
 
-    _, _, r00 = residual(0.0, 0.0)
-    _, _, r10 = residual(1.0, 0.0)
-    _, _, r01 = residual(0.0, 1.0)
-    M = np.column_stack((r10 - r00, r01 - r00))
+    r00 = residual(0.0, 0.0)
+    M = np.column_stack((residual(1.0, 0.0) - r00, residual(0.0, 1.0) - r00))
     sol, *_ = np.linalg.lstsq(M, -r00, rcond=None)
-    b_best, t_best = complex(sol[0]), complex(sol[1])
-    g1, B, res = residual(b_best, t_best)
-    if np.max(np.abs(res[:-1])) > 1e-8:
-        raise ConsistencyError(
-            "determinant matching failed (residual %.3e) for horospherical data"
-            % float(np.max(np.abs(res[:-1]))))
-    D = g1
+    B = complex(sol[0]) * g2
+    D = g1 + complex(sol[1]) * g2
 
     f2p = complex(f2.coeffs[1])
-    g1p = complex(g1.coeffs[1])
     if abs(h1 + 2.0 * c * f2p) > 1e-8:
         raise ConsistencyError("post-check h'(0) = -2 c f2'(0) failed")
-    if abs(f2p + g1p) > 1e-8:
+    if abs(f2p + complex(D.coeffs[1])) > 1e-8:
         raise ConsistencyError("post-check f2'(0) + g1'(0) = 0 failed")
-
-    frame = BryantFrame(A, B, C, D,
-                        validity_radius=_validity_from_entries((A, B, C, D)))
-    _check_omega_relation(frame, -2.0, h)
-    return frame
+    return _checked_frame(A, B, C, D, -2.0, h)
 
 
 def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:
@@ -436,13 +422,6 @@ def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
     return GeneralizedSeries(0.0, h0 * coeffs)
 
 
-def _parse_boundary(obj) -> ExtendedComplex:
-    if obj == "inf":
-        return INF
-    re, im = obj
-    return complex(re, im)
-
-
 def _kappa_from_frame(frame: BryantFrame, boundary: ExtendedComplex) -> complex:
     fb, _, fd = one_forms(frame)
     if is_inf(boundary):
@@ -450,25 +429,33 @@ def _kappa_from_frame(frame: BryantFrame, boundary: ExtendedComplex) -> complex:
     return -4.0 * np.pi * residue(fb) / (2.0 * np.pi)
 
 
-def build_end(spec: dict, order: int = DEFAULT_ORDER):
+def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     """(frame, descriptor) from an end-spec mapping (the JSON interface).
 
     Catenoidal specs carry "mu", "axis": [A, B] and an optional
     "h_perturbation" (coefficients p_k of h = h(0)(1 + sum p_k z^k),
     starting at z^1); h(0) is forced by mu.  Horospherical specs carry
     "mu", "boundary" and optionally "h0" (default 1) plus the same
-    perturbation convention.  The constraint on the z^1 coefficient is
+    perturbation convention.  An optional "order" overrides ``order``.
+    Points and coefficients are read by :func:`parse_point` and
+    :func:`parse_complex`.  The constraint on the z^1 coefficient is
     the caller's responsibility and violations are rejected.
     """
+    if not isinstance(spec, Mapping):
+        raise DomainError("an end spec is a JSON object, not %s"
+                          % type(spec).__name__)
     kind = spec.get("type")
     order = int(spec.get("order", order))
     pert = spec.get("h_perturbation", [])
-    pert = [complex(p[0], p[1]) if not isinstance(p, (int, float, complex))
-            else complex(p) for p in pert]
+    if not isinstance(pert, (list, tuple)):
+        raise DomainError("h_perturbation is a list of coefficients")
+    pert = [parse_complex(p) for p in pert]
     if kind == "catenoidal":
         mu = float(spec["mu"])
-        a = _parse_boundary(spec["axis"][0])
-        b = _parse_boundary(spec["axis"][1])
+        axis = spec["axis"]
+        if not isinstance(axis, (list, tuple)) or len(axis) != 2:
+            raise DomainError("a catenoidal axis is a pair of points")
+        a, b = parse_point(axis[0]), parse_point(axis[1])
         if boundary_eq(a, b):
             raise DomainError("catenoidal axis endpoints must be distinct")
         h = _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order)
@@ -481,9 +468,8 @@ def build_end(spec: dict, order: int = DEFAULT_ORDER):
         return frame, Catenoidal(mu, a, b)
     if kind == "horospherical":
         mu = float(spec["mu"])
-        b = _parse_boundary(spec["boundary"])
-        h0 = spec.get("h0", [1.0, 0.0])
-        h = _perturbed_h(complex(h0[0], h0[1]), pert, order)
+        b = parse_point(spec["boundary"])
+        h = _perturbed_h(parse_complex(spec.get("h0", 1.0)), pert, order)
         frame = canonical_horospherical_frame(mu, h, order=order)
         if not is_inf(b):
             # move the boundary from infinity to b; any second anchor works

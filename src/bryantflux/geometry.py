@@ -53,6 +53,24 @@ def is_inf(z: ExtendedComplex) -> bool:
     return isinstance(z, _Infinity)
 
 
+def parse_complex(obj) -> complex:
+    """A finite complex number from its JSON form, a real number or a
+    pair [re, im]; anything else raises DomainError."""
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 \
+        else [obj, 0.0]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               and math.isfinite(x) for x in parts):
+        raise DomainError("expected a finite number or [re, im], got %r"
+                          % (obj,))
+    return complex(*parts)
+
+
+def parse_point(obj) -> ExtendedComplex:
+    """A boundary point from its JSON form: "inf" or a finite complex
+    number as :func:`parse_complex` reads it."""
+    return INF if obj == "inf" else parse_complex(obj)
+
+
 def boundary_eq(z1: ExtendedComplex, z2: ExtendedComplex, tol: float = 0.0) -> bool:
     """Equality of boundary points, exact on the infinity tag."""
     if is_inf(z1) or is_inf(z2):

@@ -167,17 +167,6 @@ class GeneralizedSeries:
         return GeneralizedSeries(self.offset, np.conj(self.coeffs))
 
 
-def combine(a: GeneralizedSeries, b: GeneralizedSeries, op: str) -> GeneralizedSeries:
-    """Dispatch on op in {'add', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError("unknown series operation %r" % (op,))
-
-
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
     """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1)."""
     k = np.arange(len(a.coeffs))

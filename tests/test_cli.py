@@ -9,6 +9,9 @@ from bryantflux.cli import run
 
 CATENOID_SPEC = {"type": "catenoidal", "mu": 0.5,
                  "axis": [[0.0, 0.0], "inf"]}
+# The horospherical example of README.md.
+HOROSPHERICAL_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+                      "h_perturbation": [1.0], "boundary": "inf"}
 
 
 @pytest.fixture
@@ -100,6 +103,13 @@ class TestVerify:
     def test_catenoid_defect_small(self, catenoid_json, capsys):
         code, out = run_json(capsys, ["verify", "--end", catenoid_json,
                                       "--rho", "0.1", "--samples", "1024"])
+        assert code == 0
+        assert out["max_defect"] < 1e-5
+
+    def test_readme_horospherical_example(self, tmp_path, capsys):
+        path = tmp_path / "horospherical.json"
+        path.write_text(json.dumps(HOROSPHERICAL_SPEC))
+        code, out = run_json(capsys, ["verify", "--end", str(path)])
         assert code == 0
         assert out["max_defect"] < 1e-5
 
@@ -203,3 +213,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("spec, argv, error", [
+        (dict(CATENOID_SPEC, axis=5), ["flux"], "DomainError"),
+        ([CATENOID_SPEC], ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, h_perturbation=[0, "x"]), ["flux"],
+         "DomainError"),
+        (dict(CATENOID_SPEC, h_perturbation=[0, 10]), ["flux"],
+         "ConsistencyError"),
+        (CATENOID_SPEC, ["flux", "--geodesic", "0,nan"], "DomainError"),
+        (CATENOID_SPEC, ["flux", "--geodesic", "0,1e400"], "DomainError"),
+        (None, ["crossratio", "0", "1", "2", "nan"], "DomainError"),
+    ], ids=["axis-number", "spec-list", "perturbation-string",
+            "perturbation-refused", "geodesic-nan", "geodesic-overflow",
+            "crossratio-nan"])
+    def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
+                                                   tmp_path, capsys):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = argv + ["--end", str(path)]
+            if "--geodesic" not in argv:
+                argv += ["--geodesic", "0,inf"]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error

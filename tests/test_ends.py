@@ -12,6 +12,7 @@ from bryantflux import (Catenoidal, ConsistencyError, DomainError,
                         classify_end, extract_axis, flux_triple,
                         frame_checks, frobenius_solve, horosphere_frame,
                         is_inf, mobius_boundary, ode_residual, transform_frame)
+from bryantflux import ends
 from bryantflux.series import differentiate, eval_at
 
 from conftest import make_h
@@ -112,12 +113,19 @@ class TestFrobenius:
             numeric = integrate_ode(prob, sol, 0.05, 0.2)
             assert abs(numeric - target) < 1e-8 * max(1.0, abs(target))
 
-    def test_resonance_parameter_is_free_coefficient(self):
+    def test_free_coefficient_spans_small_plus_t_big(self):
+        # Every lower-root solution is small + t * big, t at the root gap.
         mu = 0.5
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu,
-                                h=make_h(mu), resonance=2.5)
-        small, _ = frobenius_solve(prob)
-        assert small.coeffs[1] == pytest.approx(2.5)
+        h = make_h(mu, extra=(0.0, 0.05, 0.01))
+        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h)
+        small, big = frobenius_solve(prob)
+        lo, hi = prob.indicial_roots
+        gap = round(hi - lo)
+        assert small.coeffs[gap] == 0.0
+        sol = small + 2.5 * big
+        assert sol.offset == small.offset and sol.order == small.order
+        assert sol.coeffs[gap] == pytest.approx(2.5)
+        assert ode_residual(prob, sol) < 1e-9
 
     def test_log_term_obstruction_raised(self):
         mu = 0.5
@@ -318,6 +326,25 @@ class TestBuildEnd:
     def test_unknown_type_rejected(self):
         with pytest.raises(DomainError):
             build_end({"type": "helicoidal"})
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "catenoidal", "mu": 0.5, "axis": [[0.3, 0.1], "inf"],
+         "h_perturbation": [0.0, 0.05]},
+        {"type": "catenoidal", "mu": 1.5, "axis": [[0.3, 0.1], [1.0, 0.0]],
+         "h_perturbation": [0.0, 0.05]},
+        {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+         "boundary": [2.0, 0.0], "h_perturbation": [1.0, 0.1]},
+    ], ids=["catenoidal-inf", "catenoidal-finite", "horospherical"])
+    def test_one_frobenius_solve_per_column_ode(self, spec, monkeypatch):
+        calls = []
+
+        def counted(prob):
+            calls.append(prob)
+            return frobenius_solve(prob)
+
+        monkeypatch.setattr(ends, "frobenius_solve", counted)
+        build_end(spec)
+        assert len(calls) == 2
 
 
 class TestHorosphereFrame:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bryantflux import (DomainError, GeneralizedSeries, QuadratureGrid,
                         differentiate, eval_at, eval_branch, residue)
-from bryantflux.series import combine, radius_estimate, trapezoid_residue
+from bryantflux.series import radius_estimate, trapezoid_residue
 
 
 def S(offset, coeffs):
@@ -49,14 +49,6 @@ class TestArithmetic:
         out = S(-1.0, [1.0, 2.0, 3.0]) + S(0.0, [10.0, 20.0])
         assert out.offset == -1.0
         assert np.allclose(out.coeffs, [1.0, 12.0, 23.0])
-
-    def test_combine_dispatch(self):
-        a, b = S(0.0, [1.0, 1.0]), S(0.0, [1.0, 2.0])
-        assert combine(a, b, "add").isclose(a + b)
-        assert combine(a, b, "mul").isclose(a * b)
-        assert combine(a, b, "div").isclose(a / b)
-        with pytest.raises(DomainError):
-            combine(a, b, "pow")
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -108,19 +108,21 @@ def frame_checks(frame: BryantFrame):
     return det_defect, null_defect
 
 
-def immersion_samples(frame: BryantFrame, rho: float, taus: np.ndarray):
-    """(zeta, w) arrays on |z| = rho via branch-tracked evaluation."""
+def _check_radius(frame: BryantFrame, rho: float):
     if rho >= frame.validity_radius:
         raise DomainError("evaluation radius %g outside declared validity %g"
                           % (rho, frame.validity_radius))
-    a = eval_at(frame.A, rho, taus)
-    b = eval_at(frame.B, rho, taus)
-    c = eval_at(frame.C, rho, taus)
-    d = eval_at(frame.D, rho, taus)
-    denom = np.abs(a) ** 2 + np.abs(b) ** 2
-    w = 1.0 / denom
-    zeta = (np.conj(a) * c + np.conj(b) * d) * w
-    return zeta, w
+
+
+def _zeta_w(a, b, c, d):
+    w = 1.0 / (np.abs(a) ** 2 + np.abs(b) ** 2)
+    return (np.conj(a) * c + np.conj(b) * d) * w, w
+
+
+def immersion_samples(frame: BryantFrame, rho: float, taus: np.ndarray):
+    """(zeta, w) arrays on |z| = rho via branch-tracked evaluation."""
+    _check_radius(frame, rho)
+    return _zeta_w(*(eval_at(e, rho, taus) for e in frame.entries()))
 
 
 def immersion(frame: BryantFrame, grid: QuadratureGrid):

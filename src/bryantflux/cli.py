@@ -16,8 +16,8 @@ from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
 from .bryant import frame_from_json, frame_to_json, immersion_samples
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
-from .flux import (flux_for_geodesic, flux_numeric, flux_result_json,
-                   flux_triple)
+from .flux import (circle_samples, flux_for_geodesic, flux_from_samples,
+                   flux_result_json, flux_triple)
 from .geometry import INF, Geodesic, is_inf, parse_complex
 from .killing import KillingField
 from .series import DEFAULT_ORDER, QuadratureGrid
@@ -100,7 +100,7 @@ def _cmd_flux(args):
 def _cmd_verify(args):
     frame = _load_frame(args)
     triple = flux_triple(frame)
-    grid = QuadratureGrid(args.rho, args.samples)
+    samples = circle_samples(frame, QuadratureGrid(args.rho, args.samples))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.geodesics):
@@ -114,7 +114,7 @@ def _cmd_verify(args):
             pts[1] = complex(rng.normal(), rng.normal())
         geod = Geodesic(pts[0], pts[1])
         for kind in ("translation", "rotation"):
-            numeric = flux_numeric(frame, KillingField(kind, geod), grid)
+            numeric = flux_from_samples(samples, KillingField(kind, geod))
             closed = flux_for_geodesic(triple, geod, kind)
             worst = max(worst, abs(numeric - closed))
     _emit({"max_defect": worst, "geodesics": args.geodesics,

@@ -31,7 +31,8 @@ import numpy as np
 from .bryant import BryantFrame, WeierstrassData, one_forms, transform_frame
 from .errors import ConsistencyError, DomainError, LogTermRequiredError
 from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
-                       parse_complex, parse_point, standardizing_isometry)
+                       parse_complex, parse_point, parse_real,
+                       standardizing_isometry)
 from .series import (DEFAULT_ORDER, GeneralizedSeries, differentiate,
                      radius_estimate, residue)
 
@@ -123,15 +124,12 @@ def _ode_coefficients(prob: FrobeniusProblem):
     """(hc, pc): h to the problem's order and the first ``order``
     coefficients of h'/h."""
     n = prob.order
-    hc = np.zeros(n + 1, dtype=complex)
-    hc[:min(len(prob.h.coeffs), n + 1)] = prob.h.coeffs[:n + 1]
-    pc = np.zeros(n, dtype=complex)
-    for k in range(n):
-        acc = (k + 1) * hc[k + 1]
-        for j in range(k):
-            acc -= pc[j] * hc[k - j]
-        pc[k] = acc / hc[0]
-    return hc, pc
+    h = prob.h.pad_to(n)
+    # h'/h = u'/u with u = h / 2^e, |u(0)| in [1/2, 1): exact scaling
+    # that keeps the division from reading a tiny h(0) as zero.
+    u = h * math.ldexp(1.0, -math.frexp(abs(h.coeffs[0]))[1])
+    pc = (differentiate(u) / u).pad_to(n).coeffs[1:n + 1]
+    return h.coeffs[:n + 1], pc
 
 
 def _solve_at_root(prob: FrobeniusProblem, sigma: float, gap: Optional[int],
@@ -436,22 +434,26 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     "h_perturbation" (coefficients p_k of h = h(0)(1 + sum p_k z^k),
     starting at z^1); h(0) is forced by mu.  Horospherical specs carry
     "mu", "boundary" and optionally "h0" (default 1) plus the same
-    perturbation convention.  An optional "order" overrides ``order``.
-    Points and coefficients are read by :func:`parse_point` and
-    :func:`parse_complex`.  The constraint on the z^1 coefficient is
+    perturbation convention.  An optional "order" overrides ``order``;
+    the order used is an integer >= 1.  Points, coefficients and mu are
+    read by :func:`parse_point`, :func:`parse_complex` and
+    :func:`parse_real`.  The constraint on the z^1 coefficient is
     the caller's responsibility and violations are rejected.
     """
     if not isinstance(spec, Mapping):
         raise DomainError("an end spec is a JSON object, not %s"
                           % type(spec).__name__)
     kind = spec.get("type")
-    order = int(spec.get("order", order))
+    order = spec.get("order", order)
+    if parse_real(order) < 1 or order != int(order):
+        raise DomainError("order must be an integer >= 1, got %r" % (order,))
+    order = int(order)
     pert = spec.get("h_perturbation", [])
     if not isinstance(pert, (list, tuple)):
         raise DomainError("h_perturbation is a list of coefficients")
     pert = [parse_complex(p) for p in pert]
     if kind == "catenoidal":
-        mu = float(spec["mu"])
+        mu = parse_real(spec["mu"])
         axis = spec["axis"]
         if not isinstance(axis, (list, tuple)) or len(axis) != 2:
             raise DomainError("a catenoidal axis is a pair of points")
@@ -467,7 +469,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
             frame = transform_frame(p, base)
         return frame, Catenoidal(mu, a, b)
     if kind == "horospherical":
-        mu = float(spec["mu"])
+        mu = parse_real(spec["mu"])
         b = parse_point(spec["boundary"])
         h = _perturbed_h(parse_complex(spec.get("h0", 1.0)), pert, order)
         frame = canonical_horospherical_frame(mu, h, order=order)

@@ -53,16 +53,24 @@ def is_inf(z: ExtendedComplex) -> bool:
     return isinstance(z, _Infinity)
 
 
+def parse_real(obj) -> float:
+    """A finite real number from its JSON form, not a bool; anything
+    else raises DomainError."""
+    try:
+        if (isinstance(obj, (int, float)) and not isinstance(obj, bool)
+                and math.isfinite(obj)):
+            return float(obj)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise DomainError("expected a finite real number, got %r" % (obj,))
+
+
 def parse_complex(obj) -> complex:
     """A finite complex number from its JSON form, a real number or a
     pair [re, im]; anything else raises DomainError."""
-    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 \
-        else [obj, 0.0]
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               and math.isfinite(x) for x in parts):
-        raise DomainError("expected a finite number or [re, im], got %r"
-                          % (obj,))
-    return complex(*parts)
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return complex(parse_real(obj[0]), parse_real(obj[1]))
+    return complex(parse_real(obj))
 
 
 def parse_point(obj) -> ExtendedComplex:

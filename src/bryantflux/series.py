@@ -156,15 +156,8 @@ class GeneralizedSeries:
         q = np.zeros(n + 1, dtype=complex)
         bc = b.coeffs
         for k in range(n + 1):
-            acc = self.coeffs[k] if k < len(self.coeffs) else 0.0
-            lo = max(0, k - (len(bc) - 1))
-            for j in range(lo, k):
-                acc -= q[j] * bc[k - j]
-            q[k] = acc / bc[0]
+            q[k] = (self.coeffs[k] - np.dot(q[:k], bc[k:0:-1])) / bc[0]
         return GeneralizedSeries(self.offset - b.offset, q)
-
-    def conj_coeffs(self) -> "GeneralizedSeries":
-        return GeneralizedSeries(self.offset, np.conj(self.coeffs))
 
 
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:

@@ -67,8 +67,8 @@ def test_01_cousin_axis_flux_three_routes(criteria):
         by_quad = flux_numeric(frame, KillingField("translation", axis), grid)
         ok &= abs(by_triple - target) < 1e-10
         ok &= abs(by_form - by_triple) < 1e-10
-        ok &= abs(by_quad - by_triple) < 1e-5
-        ok &= abs(by_quad - by_form) < 1e-5
+        ok &= abs(by_quad - by_triple) < 1e-9
+        ok &= abs(by_quad - by_form) < 1e-9
     criteria.report(1, "catenoid cousin axis flux, three routes", ok)
 
 
@@ -108,7 +108,7 @@ def test_03_cross_ratio_flux_law(criteria):
             by_triple = flux_for_geodesic(t, g, kind)
             quad = flux_from_samples(samples, KillingField(kind, g))
             ok &= abs(closed - by_triple) < 1e-9
-            ok &= abs(quad - closed) < 1e-5
+            ok &= abs(quad - closed) < 1e-9
     criteria.report(3, "cross-ratio flux law on random geodesics", ok)
 
 

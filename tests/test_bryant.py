@@ -125,6 +125,8 @@ class TestDerivedForms:
     def test_relationab_identity(self, perturbed_frame):
         # (1/w^2) conj(d zeta / d zbar) = A B' - A' B pointwise, with the
         # zbar-derivative assembled as (1/(2 zbar)) (rho d_rho + i d_tau).
+        # d_rho comes from a finite-difference stencil of its own, as a
+        # check on circle_samples that shares none of its chain rule.
         grid = QuadratureGrid(0.1, 128)
         rho, taus = grid.rho, grid.taus
         h = rho / 400.0

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from bryantflux import (Geodesic, INF, build_end, flux_for_geodesic,
-                        flux_triple, frame_from_json, frame_to_json)
+import bryantflux.cli
+import bryantflux.flux
+from bryantflux import (Geodesic, INF, build_end, circle_samples,
+                        flux_for_geodesic, flux_triple, frame_from_json,
+                        frame_to_json)
 from bryantflux.cli import run
 
 CATENOID_SPEC = {"type": "catenoidal", "mu": 0.5,
@@ -104,7 +107,22 @@ class TestVerify:
         code, out = run_json(capsys, ["verify", "--end", catenoid_json,
                                       "--rho", "0.1", "--samples", "1024"])
         assert code == 0
-        assert out["max_defect"] < 1e-5
+        assert out["max_defect"] < 1e-12
+
+    def test_one_circle_per_run(self, catenoid_json, capsys, monkeypatch):
+        calls = []
+
+        def counted(frame, grid):
+            calls.append(grid)
+            return circle_samples(frame, grid)
+
+        monkeypatch.setattr(bryantflux.flux, "circle_samples", counted)
+        monkeypatch.setattr(bryantflux.cli, "circle_samples", counted,
+                            raising=False)
+        code, _ = run_json(capsys, ["verify", "--end", catenoid_json,
+                                    "--geodesics", "5"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_readme_horospherical_example(self, tmp_path, capsys):
         path = tmp_path / "horospherical.json"
@@ -224,9 +242,18 @@ class TestErrors:
         (CATENOID_SPEC, ["flux", "--geodesic", "0,nan"], "DomainError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,1e400"], "DomainError"),
         (None, ["crossratio", "0", "1", "2", "nan"], "DomainError"),
+        (dict(CATENOID_SPEC, mu=None), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, mu=[1]), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, order=-1), ["flux"], "DomainError"),
+        (CATENOID_SPEC, ["flux", "--order", "-1"], "DomainError"),
+        (dict(CATENOID_SPEC, order=0), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, order=True), ["flux"], "DomainError"),
+        (dict(HOROSPHERICAL_SPEC, h0=10 ** 400), ["flux"], "DomainError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
             "perturbation-refused", "geodesic-nan", "geodesic-overflow",
-            "crossratio-nan"])
+            "crossratio-nan", "mu-null", "mu-list", "order-negative",
+            "order-flag-negative", "order-zero", "order-bool",
+            "h0-int-overflow"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         if spec is not None:

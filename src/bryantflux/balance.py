@@ -19,7 +19,8 @@ from .errors import DomainError, UnbalanceableError
 from .flux import FluxPolynomial, catenoidal_polynomial, \
     horospherical_polynomial
 from .geometry import INF, ExtendedComplex, Geodesic, IsometrySL2, \
-    boundary_eq, is_inf, mobius_boundary, parse_complex, parse_point
+    boundary_eq, is_inf, mobius_boundary, parse_axis, parse_complex, \
+    parse_point, parse_real
 
 _TOL = 1e-9
 
@@ -308,8 +309,7 @@ def euclidean_three_end_check(e1: EuclideanEndData, e2: EuclideanEndData,
 def descriptor_from_json(obj: dict) -> EndDescriptor:
     kind = obj.get("type")
     if kind == "catenoidal":
-        return Catenoidal(float(obj["mu"]), parse_point(obj["axis"][0]),
-                          parse_point(obj["axis"][1]))
+        return Catenoidal(parse_real(obj["mu"]), *parse_axis(obj["axis"]))
     if kind == "horospherical":
         return Horospherical(parse_point(obj["boundary"]),
                              parse_complex(obj.get("kappa", 0.0)))

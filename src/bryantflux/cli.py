@@ -18,7 +18,7 @@ from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
 from .flux import (circle_samples, flux_for_geodesic, flux_from_samples,
                    flux_result_json, flux_triple)
-from .geometry import INF, Geodesic, is_inf, parse_complex
+from .geometry import INF, Geodesic, is_inf, parse_complex, parse_real
 from .killing import KillingField
 from .series import DEFAULT_ORDER, QuadratureGrid
 
@@ -39,11 +39,17 @@ def _point_json(z):
     return [z.real, z.imag]
 
 
-def _parse_geodesic(text) -> Geodesic:
+def _split(text, n, what):
+    """The n comma-separated fields of ``text``; DomainError otherwise."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError("geodesic must be given as 'c,d'")
-    return Geodesic(_parse_point(parts[0]), _parse_point(parts[1]))
+    if len(parts) != n:
+        raise DomainError("%s needs %d comma-separated values" % (what, n))
+    return parts
+
+
+def _parse_geodesic(text) -> Geodesic:
+    c, d = _split(text, 2, "a geodesic")
+    return Geodesic(_parse_point(c), _parse_point(d))
 
 
 def _load_frame(args):
@@ -123,8 +129,8 @@ def _cmd_verify(args):
 
 
 def _cmd_balance_two(args):
-    axis = args.axis.split(",")
-    e1 = Catenoidal(args.mu, _parse_point(axis[0]), _parse_point(axis[1]))
+    a, b = _split(args.axis, 2, "--axis")
+    e1 = Catenoidal(parse_real(args.mu), _parse_point(a), _parse_point(b))
     e2 = two_end_solve(e1, _parse_point(args.b2))
     _emit({"type": "catenoidal", "mu": e2.mu,
            "axis": [_point_json(e2.axis_from), _point_json(e2.boundary)]})
@@ -143,12 +149,11 @@ def _concurrency_json(res: ConcurrencyResult):
 
 
 def _cmd_balance_three(args):
-    sigmas = [float(s) for s in args.sigma.split(",")]
-    if len(sigmas) != 3:
-        raise DomainError("--sigma needs three comma-separated values")
+    sigmas = [parse_real(float(s)) for s in _split(args.sigma, 3, "--sigma")]
     boundaries = None
     if args.boundaries:
-        boundaries = [_parse_point(b) for b in args.boundaries.split(",")]
+        boundaries = [_parse_point(b)
+                      for b in _split(args.boundaries, 3, "--boundaries")]
     axes = three_end_axes(*sigmas, boundaries=boundaries)
     bs = boundaries or [-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j]
     geodesics = [Geodesic(a, b) for a, b in zip(axes, bs)]

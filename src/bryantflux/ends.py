@@ -6,16 +6,16 @@ boundary points).  Horospherical ends have nu = -2 and integer mu >= 2
 and carry a single boundary point plus a coefficient kappa.  The
 horosphere itself is a separate exact frame.
 
-Frames are built by solving the entry ODEs with the Frobenius method,
-once per ODE.  The indicial roots always differ by a positive integer;
-for admissible data the resonance obstruction vanishes and the
-lower-root solutions form the line lower + t * upper (t free) instead
-of needing a logarithm.  The constants that give the frame unit
-determinant, t among them, enter the determinant affinely and are
-fixed by linear least squares, with no further solves.  A nonzero
-obstruction is reported as a LogTermRequiredError: it means the
-coefficient data violates the admissibility constraints, not that the
-solver gave up.
+Frames are built from Bryant's representation
+F^-1 dF = (g, -g^2; 1, -g) omega with g = z^mu.  One Frobenius solve
+of the first-column ODE gives A and C.  The indicial roots always
+differ by a positive integer; for admissible data the resonance
+obstruction vanishes and the lower-root solutions form the line
+lower + t * upper (t free) instead of needing a logarithm.  The second
+column then follows term by term from dB = -g dA and dD = -g dC, with
+no further solve and no fitted constant.  A nonzero obstruction is
+reported as a LogTermRequiredError: it means the coefficient data
+violates the admissibility constraints, not that the solver gave up.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bryant import BryantFrame, WeierstrassData, one_forms, transform_frame
+from .bryant import BryantFrame, WeierstrassData, transform_frame
 from .errors import ConsistencyError, DomainError, LogTermRequiredError
+from .flux import flux_triple
 from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
-                       parse_complex, parse_point, parse_real,
+                       parse_axis, parse_complex, parse_point, parse_real,
                        standardizing_isometry)
 from .series import (DEFAULT_ORDER, GeneralizedSeries, differentiate,
-                     radius_estimate, residue)
+                     radius_estimate)
 
 _MU_ONE_TOL = 1e-8
 
@@ -226,17 +227,20 @@ def _validity_from_entries(entries) -> float:
     return r if math.isinf(r) else 0.5 * r
 
 
-def _det_residual(A, B, C, D) -> np.ndarray:
-    """Coefficients of A D - B C - 1, the unit-determinant defect."""
-    res = (A * D - B * C).coeffs.copy()
-    res[0] -= 1.0
-    return res
+def _paired(E: GeneralizedSeries, mu: float) -> GeneralizedSeries:
+    """The second-column partner X of a first-column entry E: dX = -z^mu dE,
+    integrated term by term with no constant (e + mu != 0 for every
+    exponent e of admissible data)."""
+    e = E.offset + np.arange(E.order + 1)
+    return GeneralizedSeries(E.offset + mu, -e / (e + mu) * E.coeffs)
 
 
 def _checked_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
     """The frame (A, B; C, D) once its determinant is 1 and A dC - C dA
     reproduces the one-form z^nu h dz; ConsistencyError otherwise."""
-    defect = float(np.max(np.abs(_det_residual(A, B, C, D)[:-1])))
+    det = (A * D - B * C).coeffs.copy()
+    det[0] -= 1.0
+    defect = float(np.max(np.abs(det[:-1])))
     if defect > 1e-8:
         raise ConsistencyError(
             "determinant matching failed (residual %.3e); the supplied h "
@@ -259,10 +263,9 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
     """Frame of the catenoidal end with axis (axis_param, infinity).
 
     Requires h(0) = (1 - mu^2)/(4 mu) and h'(0) = 0.  One Frobenius
-    solve per column ODE gives (f1, f2) and (g1, g2).  The axis fixes
-    C's lower-root solution f1 + zres f2.  D = g1 + t g2 (scaled) makes
-    the determinant residual affine in t, so t is its least-squares
-    zero over all retained orders, in closed form.
+    solve of the first-column ODE gives (f1, f2): A = f2, and the axis
+    fixes C's lower-root solution f1 + zres f2.  B and D are the paired
+    column of A and C.
     """
     if not mu > 0 or abs(mu - 1.0) <= _MU_ONE_TOL:
         raise DomainError("catenoidal construction needs mu > 0, mu != 1")
@@ -277,22 +280,9 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
 
     f1, f2 = frobenius_solve(FrobeniusProblem(
         s=-1.0 - mu, coupling=-2, mu=mu, h=h, order=order))
-    g1, g2 = frobenius_solve(FrobeniusProblem(
-        s=-1.0 + mu, coupling=-2, mu=mu, h=h, order=order))
-
     A = f2
-    B = ((mu - 1.0) / (mu + 1.0)) * g2
     C = ((mu * mu - 1.0) / (4.0 * mu)) * (f1 + zres * f2)
-    scale_d = (1.0 + mu) ** 2 / (4.0 * mu)
-
-    def d_entry(t):
-        return scale_d * (g1 + t * g2)
-
-    r0 = _det_residual(A, B, C, d_entry(0.0))
-    delta = _det_residual(A, B, C, d_entry(1.0)) - r0
-    denom = np.vdot(delta, delta)
-    t_best = (-np.vdot(delta, r0) / denom) if abs(denom) > 0 else 0.0
-    return _checked_frame(A, B, C, d_entry(complex(t_best)), -1.0 - mu, h)
+    return _checked_frame(A, _paired(A, mu), C, _paired(C, mu), -1.0 - mu, h)
 
 
 # -- horospherical construction ---------------------------------------------
@@ -304,10 +294,9 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     mu is an integer >= 2.  The compatibility constraint on h is
     h'(0) = 2 h(0)^2 when mu = 2 and h'(0) = 0 when mu >= 3; it is
     exactly the condition killing the resonance obstruction of the
-    first-column ODE.  One Frobenius solve per column ODE gives
-    (f1, f2) and (g1, g2); with B = b g2 and D = g1 + t g2 the
-    determinant residual is affine in (b, t), which one two-column
-    least-squares solve fixes.
+    first-column ODE.  One Frobenius solve of that ODE gives (f1, f2):
+    A = f2 and C = -h(0) f1.  B and D are the paired column of A and C,
+    D with the constant D(0) = 1/A(0) = 1 that unit determinant needs.
     """
     m = round(float(mu))
     if abs(float(mu) - m) > 1e-9 or m < 2:
@@ -323,26 +312,16 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
 
     f1, f2 = frobenius_solve(FrobeniusProblem(
         s=-2.0, coupling=m - 3, mu=float(m), h=h, order=order))
-    g1, g2 = frobenius_solve(FrobeniusProblem(
-        s=2.0 * m - 2.0, coupling=m - 3, mu=float(m), h=h, order=order))
-
     A = f2
     C = c * f1
-
-    def residual(b, t):
-        return _det_residual(A, b * g2, C, g1 + t * g2)
-
-    r00 = residual(0.0, 0.0)
-    M = np.column_stack((residual(1.0, 0.0) - r00, residual(0.0, 1.0) - r00))
-    sol, *_ = np.linalg.lstsq(M, -r00, rcond=None)
-    B = complex(sol[0]) * g2
-    D = g1 + complex(sol[1]) * g2
+    B = _paired(A, m)
+    D = GeneralizedSeries.constant(1.0, order + m - 1) + _paired(C, m)
 
     f2p = complex(f2.coeffs[1])
     if abs(h1 + 2.0 * c * f2p) > 1e-8:
         raise ConsistencyError("post-check h'(0) = -2 c f2'(0) failed")
     if abs(f2p + complex(D.coeffs[1])) > 1e-8:
-        raise ConsistencyError("post-check f2'(0) + g1'(0) = 0 failed")
+        raise ConsistencyError("post-check f2'(0) + D'(0) = 0 failed")
     return _checked_frame(A, B, C, D, -2.0, h)
 
 
@@ -421,10 +400,8 @@ def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
 
 
 def _kappa_from_frame(frame: BryantFrame, boundary: ExtendedComplex) -> complex:
-    fb, _, fd = one_forms(frame)
-    if is_inf(boundary):
-        return -4.0 * np.pi * residue(fd) / (2.0 * np.pi)
-    return -4.0 * np.pi * residue(fb) / (2.0 * np.pi)
+    t = flux_triple(frame)
+    return -(t.phi0 if is_inf(boundary) else t.phi2) / (2.0 * np.pi)
 
 
 def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
@@ -454,10 +431,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     pert = [parse_complex(p) for p in pert]
     if kind == "catenoidal":
         mu = parse_real(spec["mu"])
-        axis = spec["axis"]
-        if not isinstance(axis, (list, tuple)) or len(axis) != 2:
-            raise DomainError("a catenoidal axis is a pair of points")
-        a, b = parse_point(axis[0]), parse_point(axis[1])
+        a, b = parse_axis(spec["axis"])
         if boundary_eq(a, b):
             raise DomainError("catenoidal axis endpoints must be distinct")
         h = _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order)

@@ -79,6 +79,14 @@ def parse_point(obj) -> ExtendedComplex:
     return INF if obj == "inf" else parse_complex(obj)
 
 
+def parse_axis(obj):
+    """The pair (A, B) of boundary points of a catenoidal axis from its
+    JSON form [A, B], each read by :func:`parse_point`."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise DomainError("a catenoidal axis is a pair of points")
+    return parse_point(obj[0]), parse_point(obj[1])
+
+
 def boundary_eq(z1: ExtendedComplex, z2: ExtendedComplex, tol: float = 0.0) -> bool:
     """Equality of boundary points, exact on the infinity tag."""
     if is_inf(z1) or is_inf(z2):

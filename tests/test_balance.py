@@ -320,3 +320,12 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(DomainError):
             descriptor_from_json({"type": "planar"})
+
+    @pytest.mark.parametrize("change", [
+        {"mu": None}, {"mu": "0.5"}, {"axis": [[0.0, 0.0]]},
+    ], ids=["mu-null", "mu-string", "axis-one-point"])
+    def test_bad_catenoidal_descriptor_rejected(self, change):
+        obj = dict({"type": "catenoidal", "mu": 0.5,
+                    "axis": [[0.0, 0.0], "inf"]}, **change)
+        with pytest.raises(DomainError):
+            descriptor_from_json(obj)

@@ -249,11 +249,17 @@ class TestErrors:
         (dict(CATENOID_SPEC, order=0), ["flux"], "DomainError"),
         (dict(CATENOID_SPEC, order=True), ["flux"], "DomainError"),
         (dict(HOROSPHERICAL_SPEC, h0=10 ** 400), ["flux"], "DomainError"),
+        (None, ["balance", "two", "--mu", "0.5", "--axis", "0", "--b2", "0"],
+         "DomainError"),
+        (None, ["balance", "three", "--sigma", "nan,1,1"], "DomainError"),
+        (None, ["balance", "two", "--mu", "inf", "--axis", "0,inf",
+                "--b2", "0"], "DomainError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
             "perturbation-refused", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
-            "h0-int-overflow"])
+            "h0-int-overflow", "balance-axis-one-point", "balance-sigma-nan",
+            "balance-mu-inf"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         if spec is not None:

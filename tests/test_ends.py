@@ -214,7 +214,7 @@ class TestCanonicalHorospherical:
         assert c_lead.offset == -1.0
         assert abs(c_lead.coeffs[0] + 1.0) < 1e-12  # c = -h(0)
         det, null = frame_checks(frame)
-        assert det < 1e-8 and null < 1e-7
+        assert det < 1e-8 and null < 1e-12
 
     def test_mu3_constant_h_zero_triple(self):
         h = GeneralizedSeries.constant(1.0, order=32)
@@ -235,6 +235,29 @@ class TestCanonicalHorospherical:
     def test_non_integer_mu_rejected(self):
         with pytest.raises(DomainError):
             canonical_horospherical_frame(2.5, GeneralizedSeries.constant(1.0))
+
+
+class TestPairedColumn:
+    """B and D come from dB = -g dA, dD = -g dC; they must still solve the
+    second-column ODE, which the construction never solves."""
+
+    @pytest.mark.parametrize("mu", [0.5, 1.5])
+    def test_catenoidal_second_column_solves_its_ode(self, mu):
+        h = make_h(mu, extra=(0.0, 0.05, 0.01))
+        frame = canonical_catenoidal_frame(mu, h, 0.3 - 0.7j)
+        prob = FrobeniusProblem(s=-1.0 + mu, coupling=-2, mu=mu, h=h)
+        assert ode_residual(prob, frame.B) < 1e-12
+        assert ode_residual(prob, frame.D) < 1e-12
+
+    @pytest.mark.parametrize("m, first", [(2, 2.0 * 0.7), (3, 0.0)])
+    def test_horospherical_second_column_solves_its_ode(self, m, first):
+        h = GeneralizedSeries.from_coeffs(
+            0.0, 0.7 * np.array([1.0, first, 0.3, -0.2] + [0.0] * 29))
+        frame = canonical_horospherical_frame(m, h)
+        prob = FrobeniusProblem(s=2.0 * m - 2.0, coupling=m - 3,
+                                mu=float(m), h=h)
+        assert ode_residual(prob, frame.B) < 1e-12
+        assert ode_residual(prob, frame.D) < 1e-12
 
 
 class TestExtractAxis:
@@ -335,7 +358,7 @@ class TestBuildEnd:
         {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
          "boundary": [2.0, 0.0], "h_perturbation": [1.0, 0.1]},
     ], ids=["catenoidal-inf", "catenoidal-finite", "horospherical"])
-    def test_one_frobenius_solve_per_column_ode(self, spec, monkeypatch):
+    def test_one_frobenius_solve_per_end(self, spec, monkeypatch):
         calls = []
 
         def counted(prob):
@@ -344,7 +367,7 @@ class TestBuildEnd:
 
         monkeypatch.setattr(ends, "frobenius_solve", counted)
         build_end(spec)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestHorosphereFrame:

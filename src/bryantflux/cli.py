@@ -104,6 +104,8 @@ def _cmd_flux(args):
 
 
 def _cmd_verify(args):
+    if args.geodesics < 1:
+        raise DomainError("--geodesics must be at least 1")
     frame = _load_frame(args)
     triple = flux_triple(frame)
     samples = circle_samples(frame, QuadratureGrid(args.rho, args.samples))
@@ -120,9 +122,13 @@ def _cmd_verify(args):
             pts[1] = complex(rng.normal(), rng.normal())
         geod = Geodesic(pts[0], pts[1])
         for kind in ("translation", "rotation"):
-            numeric = flux_from_samples(samples, KillingField(kind, geod))
-            closed = flux_for_geodesic(triple, geod, kind)
-            worst = max(worst, abs(numeric - closed))
+            with np.errstate(over="ignore", invalid="ignore"):
+                numeric = flux_from_samples(samples, KillingField(kind, geod))
+            defect = abs(numeric - flux_for_geodesic(triple, geod, kind))
+            if not math.isfinite(defect):
+                raise DomainError("quadrature on |z| = %g gave a non-finite "
+                                  "flux" % args.rho)
+            worst = max(worst, defect)
     _emit({"max_defect": worst, "geodesics": args.geodesics,
            "rho": args.rho, "samples": args.samples})
     return 0 if worst < 1e-5 else 1
@@ -195,8 +201,16 @@ def _cmd_mesh(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as DomainError, so they reach run's JSON
+    handler instead of argparse's plain-text usage and exit."""
+
+    def error(self, message):
+        raise DomainError("%s: %s" % (self.prog, message))
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="bryantflux",
         description="Flux of Killing fields through ends of constant mean "
                     "curvature one surfaces in hyperbolic 3-space.")
@@ -265,9 +279,8 @@ def _build_parser():
 def run(argv=None) -> int:
     level = os.environ.get("BRYANTFLUX_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (DomainError, ConsistencyError, OSError, ValueError,
             KeyError) as exc:

@@ -5,9 +5,12 @@ Three equivalent encodings of the flux data of an end are provided: the
 triple (phi0, phi1, phi2) of 4*pi-scaled residues, the quadratic
 polynomial Pi(X) = phi2 X^2 + 2 phi1 X + phi0, and the matrix
 Phi = Res(-(dF) F^-1).  flux_numeric integrates the defining boundary
-integral by quadrature on one circle, with exact derivatives, and shares
-no residue machinery with the other routes; it is the oracle the residue
-formulas are tested against.
+integral by the trapezoid rule on one circle |z| = rho, with exact
+derivatives, and shares no residue machinery with the other routes; it
+is the oracle the residue formulas are tested against.  The nodes are
+rho times the N-th roots of unity, so the four frame entries and their
+term-wise derivatives are evaluated there as one block by one inverse
+FFT (series.eval_branch), in O(N log N) rather than O(N K) per entry.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import ConsistencyError, DomainError
 from .geometry import ExtendedComplex, Geodesic, cross_ratio, is_inf
 from .killing import ROTATION, TRANSLATION, KillingField, potential_samples, \
     vector_samples
-from .series import QuadratureGrid, differentiate, eval_at, residue
+from .series import QuadratureGrid, differentiate, eval_branch, residue
 
 
 @dataclass(frozen=True)
@@ -215,30 +218,36 @@ class CircleSamples:
 def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     """Sample X = (zeta, w) on |z| = rho with radial and angular derivatives.
 
-    Each entry E and its term-wise derivative E' are evaluated once; E
-    moves by e^(i tau) E'(z) along rho and by i z E'(z) along tau, and
-    the chain rule carries this exactly through zeta and w.
+    The four entries E and their term-wise derivatives E' are evaluated
+    as one 8-row block by one inverse FFT on the roots of unity
+    (series.eval_branch).  E moves by e^(i tau) E'(z) along rho and by
+    i z E'(z) along tau, and the chain rule carries this exactly through
+    zeta and w.  A sample that overflows or is not finite raises
+    DomainError.
     """
     rho, taus = grid.rho, grid.taus
     _check_radius(frame, rho)
-    a, b, c, d = (eval_at(e, rho, taus) for e in frame.entries())
-    da, db, dc, dd = (eval_at(differentiate(e), rho, taus)
-                      for e in frame.entries())
-    zeta, w = _zeta_w(a, b, c, d)
+    entries = frame.entries()
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c, d, da, db, dc, dd = eval_branch(
+            entries + tuple(map(differentiate, entries)), grid)
+        zeta, w = _zeta_w(a, b, c, d)
 
-    def moved_by(f):
-        # (d zeta, d w) when each entry E moves by f E'.
-        ua, ub, uc, ud = f * da, f * db, f * dc, f * dd
-        dsum = 2.0 * np.real(np.conj(a) * ua + np.conj(b) * ub)
-        dnum = np.conj(ua) * c + np.conj(a) * uc + np.conj(ub) * d \
-            + np.conj(b) * ud
-        return w * (dnum - zeta * dsum), -w * w * dsum
+        def moved_by(f):
+            # (d zeta, d w) when each entry E moves by f E'.
+            ua, ub, uc, ud = f * da, f * db, f * dc, f * dd
+            dsum = 2.0 * np.real(np.conj(a) * ua + np.conj(b) * ub)
+            dnum = np.conj(ua) * c + np.conj(a) * uc + np.conj(ub) * d \
+                + np.conj(b) * ud
+            return w * (dnum - zeta * dsum), -w * w * dsum
 
-    unit = np.exp(1j * taus)
-    dzeta_drho, dw_drho = moved_by(unit)
-    dzeta_dtau, dw_dtau = moved_by(1j * rho * unit)
-    return CircleSamples(rho, taus, zeta, w, dzeta_drho, dw_drho,
-                         dzeta_dtau, dw_dtau)
+        unit = np.exp(1j * taus)
+        derivs = moved_by(unit) + moved_by(1j * rho * unit)
+    # A non-finite entry value reaches zeta, w or a derivative, so the
+    # returned arrays cover the block as well as overflow after it.
+    if not all(np.isfinite(x).all() for x in (zeta, w) + derivs):
+        raise DomainError("samples on |z| = %g are not finite" % rho)
+    return CircleSamples(rho, taus, zeta, w, *derivs)
 
 
 ShiftFn = Callable[[np.ndarray, np.ndarray], tuple]

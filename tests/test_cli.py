@@ -210,6 +210,13 @@ class TestMesh:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert "usage: bryantflux" in capsys.readouterr().out
+
     def test_missing_file_error_json(self, capsys):
         code = run(["flux", "--end", "/nonexistent/end.json",
                     "--geodesic", "0,inf"])
@@ -254,19 +261,34 @@ class TestErrors:
         (None, ["balance", "three", "--sigma", "nan,1,1"], "DomainError"),
         (None, ["balance", "two", "--mu", "inf", "--axis", "0,inf",
                 "--b2", "0"], "DomainError"),
+        (CATENOID_SPEC, ["verify", "--rho", "1e-160", "--samples", "64"],
+         "DomainError"),
+        (CATENOID_SPEC, ["verify", "--rho", "1e-200"], "DomainError"),
+        (CATENOID_SPEC, ["verify", "--rho", "1e-100"], "DomainError"),
+        (CATENOID_SPEC, ["verify", "--geodesics", "0"], "DomainError"),
+        (CATENOID_SPEC, ["verify", "--geodesics", "-2"], "DomainError"),
+        (None, ["balance", "two", "--mu", "abc", "--axis", "0,inf",
+                "--b2", "0"], "DomainError"),
+        (None, ["verify", "--rho", "x"], "DomainError"),
+        (None, ["verify", "--samples", "1.5"], "DomainError"),
+        (None, ["flux", "--end", "c.json"], "DomainError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
             "perturbation-refused", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "balance-axis-one-point", "balance-sigma-nan",
-            "balance-mu-inf"])
+            "balance-mu-inf", "verify-rho-overflow-samples",
+            "verify-rho-overflow-power", "verify-flux-overflow",
+            "verify-geodesics-zero", "verify-geodesics-negative",
+            "argparse-mu-abc", "argparse-rho-x", "argparse-samples-float",
+            "argparse-flux-no-geodesic"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         if spec is not None:
             path = tmp_path / "spec.json"
             path.write_text(json.dumps(spec))
             argv = argv + ["--end", str(path)]
-            if "--geodesic" not in argv:
+            if argv[0] == "flux" and "--geodesic" not in argv:
                 argv += ["--geodesic", "0,inf"]
         code = run(argv)
         captured = capsys.readouterr()

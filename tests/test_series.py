@@ -59,8 +59,8 @@ class TestArithmetic:
         b = S(float(rng.uniform(-2, 2)),
               rng.normal(size=6) + 1j * rng.normal(size=6))
         grid = QuadratureGrid(0.05, 32)
-        lhs = eval_branch(a * b, grid)
-        rhs = eval_branch(a, grid) * eval_branch(b, grid)
+        lhs, a_vals, b_vals = eval_branch([a * b, a, b], grid)
+        rhs = a_vals * b_vals
         # truncated cross terms are O(rho^(order+1)) relative to the values
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) < 1e-6 * scale
@@ -107,7 +107,45 @@ class TestResidue:
 class TestEvaluation:
     def test_constant_series(self):
         grid = QuadratureGrid(0.3, 16)
-        assert np.allclose(eval_branch(S(0.0, [1.0]), grid), 1.0)
+        assert np.allclose(eval_branch([S(0.0, [1.0])], grid), 1.0)
+
+    @pytest.mark.parametrize("rho", [0.02, 0.5])
+    @pytest.mark.parametrize("samples", [16, 256])
+    def test_fft_rows_match_horner(self, rho, samples):
+        # Order 69 at N = 16 folds 70 coefficients into 16 bins.
+        rng = np.random.default_rng(11)
+        series = [S(offset, rng.normal(size=k + 1)
+                    + 1j * rng.normal(size=k + 1))
+                  for offset, k in [(-2.3, 20), (-2.0, 20), (0.0, 8),
+                                    (3.0, 5), (0.5, 69), (-0.75, 69)]]
+        grid = QuadratureGrid(rho, samples)
+        rows = eval_branch(series, grid)
+        assert rows.shape == (len(series), samples)
+        for row, a in zip(rows, series):
+            ref = eval_at(a, grid.rho, grid.taus)
+            assert np.max(np.abs(row - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    def test_circle_samples_is_one_block_evaluation(self, monkeypatch):
+        import bryantflux.bryant
+        import bryantflux.flux
+        import bryantflux.series
+        from bryantflux import catenoid_cousin_frame, circle_samples
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module in (bryantflux.series, bryantflux.bryant, bryantflux.flux):
+            monkeypatch.setattr(module, "eval_at",
+                                counted("eval_at", eval_at), raising=False)
+        monkeypatch.setattr(bryantflux.flux, "eval_branch",
+                            counted("eval_branch", eval_branch),
+                            raising=False)
+        circle_samples(catenoid_cousin_frame(0.5), QuadratureGrid(0.1, 64))
+        assert calls == ["eval_branch"]
 
     def test_continuous_branch_near_full_turn(self):
         # z^(1/2) at tau just below 2 pi must approach -1, not +1.

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .geometry import HPoint, IsometrySL2
 from .series import (GeneralizedSeries, QuadratureGrid, differentiate,
                      eval_at)
@@ -96,16 +96,24 @@ class HolomorphicForms:
 
 def frame_checks(frame: BryantFrame):
     """(det defect, nullity defect): max residual coefficients of the
-    identities AD - BC = 1 and dA dD - dB dC = 0 within truncation."""
+    identities AD - BC = 1 and dA dD - dB dC = 0 below the truncation top."""
     A, B, C, D = frame.entries()
     det = A * D - B * C
-    one = GeneralizedSeries.constant(1.0, order=det.order + abs(round(det.offset)))
-    det_res = det - one
+    det = det - GeneralizedSeries.constant(
+        1.0, order=det.order + abs(round(det.offset)))
     null = (differentiate(A) * differentiate(D)
             - differentiate(B) * differentiate(C))
-    det_defect = float(np.max(np.abs(det_res.coeffs)))
-    null_defect = float(np.max(np.abs(null.coeffs))) if null.coeffs.size else 0.0
-    return det_defect, null_defect
+    return tuple(float(np.max(np.abs(r.coeffs[:max(r.order, 1)])))
+                 for r in (det, null))
+
+
+def checked_frame(frame: BryantFrame) -> BryantFrame:
+    """``frame``, or ConsistencyError if a frame_checks defect exceeds 1e-8."""
+    det, null = frame_checks(frame)
+    if not max(det, null) <= 1e-8:
+        raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
+                               "= 0 (defects %.3e, %.3e)" % (det, null))
+    return frame
 
 
 def _check_radius(frame: BryantFrame, rho: float):
@@ -205,10 +213,10 @@ def frame_to_json(frame: BryantFrame) -> str:
 
 def frame_from_json(text: str) -> BryantFrame:
     obj = json.loads(text)
-    return BryantFrame(
+    return checked_frame(BryantFrame(
         A=_series_from_json(obj["A"]),
         B=_series_from_json(obj["B"]),
         C=_series_from_json(obj["C"]),
         D=_series_from_json(obj["D"]),
         validity_radius=float(obj["validity_radius"]),
-    )
+    ))

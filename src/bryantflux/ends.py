@@ -7,14 +7,15 @@ and carry a single boundary point plus a coefficient kappa.  The
 horosphere itself is a separate exact frame.
 
 Frames are built from Bryant's representation
-F^-1 dF = (g, -g^2; 1, -g) omega with g = z^mu.  One Frobenius solve
-of the first-column ODE gives A and C.  The indicial roots always
-differ by a positive integer; for admissible data the resonance
-obstruction vanishes and the lower-root solutions form the line
-lower + t * upper (t free) instead of needing a logarithm.  The second
-column then follows term by term from dB = -g dA and dD = -g dC, with
-no further solve and no fitted constant.  A nonzero obstruction is
-reported as a LogTermRequiredError: it means the coefficient data
+F^-1 dF = (g, -g^2; 1, -g) omega, g = z^mu, omega = z^s h dz.  One
+Frobenius solve of X' = z^s h P, P' = mu z^(mu-1) X, for a first-column
+entry X and P = B + gA (or D + gC), gives A and C: its recurrence never
+divides by h, and P carries a constant at the horospherical lower root.
+The indicial roots differ by a positive integer; for admissible data the
+resonance obstruction vanishes and the lower-root solutions form the
+line lower + t * upper (t free) instead of needing a logarithm.  The
+second column follows term by term from dB = -g dA and dD = -g dC.  A
+nonzero obstruction is a LogTermRequiredError: the coefficient data
 violates the admissibility constraints, not that the solver gave up.
 """
 
@@ -28,7 +29,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bryant import BryantFrame, WeierstrassData, transform_frame
+from .bryant import (BryantFrame, WeierstrassData, checked_frame,
+                     transform_frame)
 from .errors import ConsistencyError, DomainError, LogTermRequiredError
 from .flux import flux_triple
 from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
@@ -84,7 +86,8 @@ EndDescriptor = Union[Catenoidal, Horospherical, Horosphere]
 
 @dataclass(frozen=True)
 class FrobeniusProblem:
-    """The entry ODE X'' - (q'/q) X' - mu h z^m X = 0 with q = z^s h.
+    """The entry ODE X'' - (q'/q) X' - mu h z^m X = 0 with q = z^s h, as
+    the first-order system X' = q P, P' = mu z^(m-s) X in P = X'/q.
 
     ``coupling`` is the exponent m (m = -2 for catenoidal columns, where
     the coupling term joins the indicial equation; m = mu - 3 for
@@ -121,50 +124,48 @@ class FrobeniusProblem:
         return lo, hi
 
 
-def _ode_coefficients(prob: FrobeniusProblem):
-    """(hc, pc): h to the problem's order and the first ``order``
-    coefficients of h'/h."""
-    n = prob.order
-    h = prob.h.pad_to(n)
-    # h'/h = u'/u with u = h / 2^e, |u(0)| in [1/2, 1): exact scaling
-    # that keeps the division from reading a tiny h(0) as zero.
-    u = h * math.ldexp(1.0, -math.frexp(abs(h.coeffs[0]))[1])
-    pc = (differentiate(u) / u).pad_to(n).coeffs[1:n + 1]
-    return h.coeffs[:n + 1], pc
+def _solve_at_root(prob: FrobeniusProblem, sigma: float,
+                   gap: Optional[int]) -> GeneralizedSeries:
+    """Run the recurrence of X' = q P, P' = mu z^(m-s) X at one root.
 
-
-def _solve_at_root(prob: FrobeniusProblem, sigma: float, gap: Optional[int],
-                   pc: np.ndarray, hc: np.ndarray) -> GeneralizedSeries:
-    """Run the recurrence at one indicial root.
-
-    ``gap`` is the resonance order when solving at the lower root, None
-    at the upper root (where the indicial polynomial never revisits 0).
-    The free coefficient at the resonance order is set to 0.
+    With X = sum x_k z^(sigma+k), P = sum p_k z^(k-kc), kc = s + 1 - sigma
+    and d = m + 2: (sigma + k) x_k = sum_n h_n p_(k-n) and
+    (k - kc) p_k = mu x_(k-d); for d = 0 h_0 p_k joins the left side.
+    p_kc is P's constant, fixed by the first equation with x_kc = 0 past
+    k = 0; P needs a log unless x_(kc-d) = 0.  ``gap`` is the resonance
+    order at the lower root, where x_gap is free and set to 0, else None.
     """
     lo, hi = prob.indicial_roots
-    d = prob.coupling + 2
-    K = prob.order
-    x = np.zeros(K + 1, dtype=complex)
-    x[0] = 1.0
-    ks = np.arange(K + 1, dtype=float)
-    for n in range(1, K + 1):
-        rhs = np.dot(pc[:n][::-1], (sigma + ks[:n]) * x[:n])
-        kmax = n - d if d > 0 else n - 1
-        if kmax >= 0:
-            rhs += prob.mu * np.dot(hc[n - d - kmax:n - d + 1][::-1], x[:kmax + 1])
-        if gap is not None and n == gap:
-            scale = max(1.0, float(np.max(np.abs(x[:n]))))
-            if abs(rhs) > 1e-9 * scale:
-                raise LogTermRequiredError(
-                    "resonance obstruction %.3e at order %d: the data admits "
-                    "no pure power-series solution" % (abs(rhs), n))
+    d, K, mu = prob.coupling + 2, prob.order, prob.mu
+    kc, h0 = prob.s + 1.0 - sigma, complex(prob.h.coeffs[0])
+    hn = [(n, complex(c)) for n, c in enumerate(prob.h.coeffs[1:K + 1], 1) if c]
+    x, p = [1.0 + 0j] + [0j] * K, [0j] * (K + 1)
+    for k in range(K + 1):
+        e = k - kc
+        rhs = sum(c * p[k - n] for n, c in hn if n <= k)
+        if abs(e) < 1e-9:
+            obstruction = mu * x[k - d] if k >= d else 0.0
+            p[k] = ((sigma + k) * x[k] - rhs) / h0
         else:
-            x[n] = rhs / ((sigma + n - lo) * (sigma + n - hi))
-    return GeneralizedSeries(sigma, x)
+            p[k] = mu * x[k - d] / e if k >= d > 0 else 0.0
+            rhs += h0 * p[k]
+            obstruction = rhs if k == gap else 0.0
+            if 0 < k != gap:
+                x[k] = rhs / ((sigma + k - lo) * (sigma + k - hi) / e
+                              if d == 0 else sigma + k)
+            if d == 0:
+                p[k] = mu * x[k] / e
+        if obstruction and abs(obstruction) > 1e-9 * max([1.0, *map(abs, x[:k])]):
+            raise LogTermRequiredError(
+                "resonance obstruction %.3e at order %d: the data admits "
+                "no pure power-series solution" % (abs(obstruction), k))
+    return GeneralizedSeries(sigma, np.array(x))
 
 
 def frobenius_solve(prob: FrobeniusProblem):
-    """Both basis solutions, as (lower-root series, upper-root series).
+    """Both basis solutions, as (lower-root series, upper-root series), of
+    X' = q P, P' = mu z^(m-s) X; P = X'/q carries the constant sigma / h(0)
+    when X' starts at z^s, as at the horospherical lower root.
 
     Both have unit leading coefficient.  The upper-root solution is
     unique.  The lower-root one has coefficient 0 at the resonance order
@@ -173,25 +174,20 @@ def frobenius_solve(prob: FrobeniusProblem):
     placing big at the gap, with t its coefficient there.
     """
     lo, hi = prob.indicial_roots
-    gap = round(hi - lo)
-    hc, pc = _ode_coefficients(prob)
-    small = _solve_at_root(prob, lo, gap, pc, hc)
-    big = _solve_at_root(prob, hi, None, pc, hc)
-    return small, big
+    return _solve_at_root(prob, lo, round(hi - lo)), _solve_at_root(prob, hi, None)
 
 
 def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:
     """Max coefficient of X'' - (q'/q)X' - mu h z^m X for a candidate X."""
-    hc, pc = _ode_coefficients(prob)
+    h = prob.h.pad_to(prob.order)
     xp = differentiate(sol)
     xpp = differentiate(xp)
     term_s = GeneralizedSeries(xp.offset - 1.0, prob.s * xp.coeffs)
-    term_p = GeneralizedSeries(0.0, pc) * xp if len(pc) else xp * 0.0
-    term_c = prob.mu * (GeneralizedSeries(float(prob.coupling), hc) * sol)
+    term_p = (differentiate(h) / h) * xp
+    term_c = prob.mu * (GeneralizedSeries(float(prob.coupling), h.coeffs) * sol)
     r = xpp - term_s - term_p - term_c
     # The top two coefficients lie beyond the recurrence window.
-    core = r.coeffs[:-2] if r.order >= 2 else r.coeffs
-    return float(np.max(np.abs(core))) if len(core) else 0.0
+    return float(np.max(np.abs(r.coeffs[:-2] if r.order >= 2 else r.coeffs)))
 
 
 # -- catenoidal construction ------------------------------------------------
@@ -235,22 +231,14 @@ def _paired(E: GeneralizedSeries, mu: float) -> GeneralizedSeries:
     return GeneralizedSeries(E.offset + mu, -e / (e + mu) * E.coeffs)
 
 
-def _checked_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
-    """The frame (A, B; C, D) once its determinant is 1 and A dC - C dA
+def _end_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
+    """The frame (A, B; C, D) once it passes checked_frame and A dC - C dA
     reproduces the one-form z^nu h dz; ConsistencyError otherwise."""
-    det = (A * D - B * C).coeffs.copy()
-    det[0] -= 1.0
-    defect = float(np.max(np.abs(det[:-1])))
-    if defect > 1e-8:
-        raise ConsistencyError(
-            "determinant matching failed (residual %.3e); the supplied h "
-            "does not define an end of this kind" % defect)
-    frame = BryantFrame(A, B, C, D,
-                        validity_radius=_validity_from_entries((A, B, C, D)))
+    frame = checked_frame(BryantFrame(
+        A, B, C, D, validity_radius=_validity_from_entries((A, B, C, D))))
     diff = A * differentiate(C) - C * differentiate(A) \
         - GeneralizedSeries(nu, h.coeffs)
-    defect = float(np.max(np.abs(diff.coeffs[:-1] if diff.order >= 1
-                                 else diff.coeffs)))
+    defect = float(np.max(np.abs(diff.coeffs[:max(diff.order, 1)])))
     if defect > 1e-8:
         raise ConsistencyError(
             "frame violates omega = A dC - C dA (defect %.3e)" % defect)
@@ -282,7 +270,7 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
         s=-1.0 - mu, coupling=-2, mu=mu, h=h, order=order))
     A = f2
     C = ((mu * mu - 1.0) / (4.0 * mu)) * (f1 + zres * f2)
-    return _checked_frame(A, _paired(A, mu), C, _paired(C, mu), -1.0 - mu, h)
+    return _end_frame(A, _paired(A, mu), C, _paired(C, mu), -1.0 - mu, h)
 
 
 # -- horospherical construction ---------------------------------------------
@@ -322,7 +310,7 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
         raise ConsistencyError("post-check h'(0) = -2 c f2'(0) failed")
     if abs(f2p + complex(D.coeffs[1])) > 1e-8:
         raise ConsistencyError("post-check f2'(0) + D'(0) = 0 failed")
-    return _checked_frame(A, B, C, D, -2.0, h)
+    return _end_frame(A, B, C, D, -2.0, h)
 
 
 def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:

@@ -17,6 +17,15 @@ HOROSPHERICAL_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
                       "h_perturbation": [1.0], "boundary": "inf"}
 
 
+def _doubled_a_frame():
+    """The frame JSON of CATENOID_SPEC with A's coefficients doubled, so
+    that AD - BC = 1 fails."""
+    frame = json.loads(frame_to_json(build_end(CATENOID_SPEC)[0]))
+    frame["A"]["coeffs"] = [[2.0 * re, 2.0 * im]
+                            for re, im in frame["A"]["coeffs"]]
+    return frame
+
+
 @pytest.fixture
 def catenoid_json(tmp_path):
     path = tmp_path / "catenoid.json"
@@ -244,8 +253,7 @@ class TestErrors:
         ([CATENOID_SPEC], ["flux"], "DomainError"),
         (dict(CATENOID_SPEC, h_perturbation=[0, "x"]), ["flux"],
          "DomainError"),
-        (dict(CATENOID_SPEC, h_perturbation=[0, 10]), ["flux"],
-         "ConsistencyError"),
+        (_doubled_a_frame(), ["flux", "--frame"], "ConsistencyError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,nan"], "DomainError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,1e400"], "DomainError"),
         (None, ["crossratio", "0", "1", "2", "nan"], "DomainError"),
@@ -273,7 +281,7 @@ class TestErrors:
         (None, ["verify", "--samples", "1.5"], "DomainError"),
         (None, ["flux", "--end", "c.json"], "DomainError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
-            "perturbation-refused", "geodesic-nan", "geodesic-overflow",
+            "frame-doubled-a", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "balance-axis-one-point", "balance-sigma-nan",
@@ -287,7 +295,10 @@ class TestErrors:
         if spec is not None:
             path = tmp_path / "spec.json"
             path.write_text(json.dumps(spec))
-            argv = argv + ["--end", str(path)]
+            if argv[-1] == "--frame":
+                argv = argv + [str(path)]
+            else:
+                argv = argv + ["--end", str(path)]
             if argv[0] == "flux" and "--geodesic" not in argv:
                 argv += ["--geodesic", "0,inf"]
         code = run(argv)

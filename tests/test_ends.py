@@ -5,13 +5,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bryantflux import (Catenoidal, ConsistencyError, DomainError,
-                        FrobeniusProblem, GeneralizedSeries, Horosphere,
-                        Horospherical, INF, IsometrySL2, LogTermRequiredError,
-                        WeierstrassData, build_end, canonical_catenoidal_frame,
+                        FluxPolynomial, FrobeniusProblem, GeneralizedSeries,
+                        Horosphere, Horospherical, INF, IsometrySL2,
+                        LogTermRequiredError, WeierstrassData, build_end,
+                        canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
-                        classify_end, extract_axis, flux_triple,
-                        frame_checks, frobenius_solve, horosphere_frame,
-                        is_inf, mobius_boundary, ode_residual, transform_frame)
+                        catenoidal_polynomial, classify_end, extract_axis,
+                        flux_triple, frame_checks, frobenius_solve,
+                        horosphere_frame, horospherical_polynomial, is_inf,
+                        mobius_boundary, ode_residual, transform_frame)
 from bryantflux import ends
 from bryantflux.series import differentiate, eval_at
 
@@ -141,6 +143,30 @@ class TestFrobenius:
         small, big = frobenius_solve(prob)
         assert ode_residual(prob, small) < 1e-9
         assert ode_residual(prob, big) < 1e-9
+
+    @pytest.mark.parametrize("mu, s, coupling, h", [
+        (0.5, -0.5, -2, make_h(0.5, extra=(0.0, 0.05, 0.01))),
+        (3.0, 2.0, -2, make_h(3.0, extra=(0.0, 0.05, 0.01))),
+        (2.0, 2.0, -1, GeneralizedSeries.from_coeffs(
+            0.0, 0.7 * np.array([1.0, 1.4, 0.3, -0.2] + [0.0] * 29))),
+        (3.0, 4.0, 0, GeneralizedSeries.from_coeffs(
+            0.0, 0.7 * np.array([1.0, 0.0, 0.3, -0.2] + [0.0] * 29))),
+    ], ids=["catenoidal-mu0.5", "catenoidal-mu3", "horospherical-mu2",
+            "horospherical-mu3"])
+    def test_second_column_odes_solve(self, mu, s, coupling, h):
+        # Past k = 0 P = X'/q takes its constant where its exponent k - kc
+        # is 0: at the root gap of the horospherical lower root, where
+        # mu x_(gap-d) must vanish, and at k = 2 of catenoidal mu = 3.
+        prob = FrobeniusProblem(s=s, coupling=coupling, mu=mu, h=h)
+        small, big = frobenius_solve(prob)
+        lo, hi = prob.indicial_roots
+        assert small.coeffs[round(hi - lo)] == 0.0
+        assert ode_residual(prob, small) < 1e-12
+        assert ode_residual(prob, big) < 1e-12
+        bad = h + GeneralizedSeries.monomial(1.0, 0.3, h.order - 1)  # h'(0)
+        with pytest.raises(LogTermRequiredError):
+            frobenius_solve(FrobeniusProblem(s=s, coupling=coupling, mu=mu,
+                                             h=bad))
 
     def test_ode_residual_flags_corruption(self):
         mu = 1.5
@@ -313,6 +339,22 @@ class TestDescriptors:
             Catenoidal(0.5, 2.0, 2.0)
 
 
+# h = h(0)(1 + 10 z^2) vanishes at |z| = 0.32, where h'/h has poles that
+# the entire frame entries do not have: a solve through h'/h cannot build it.
+SCALED_H_SPECS = [
+    {"type": "catenoidal", "mu": 0.5, "axis": [[0.3, 0.1], "inf"],
+     "h_perturbation": [0.0, 10.0]},
+    {"type": "catenoidal", "mu": 1.5, "axis": [[0.3, 0.1], [1.0, 0.0]],
+     "h_perturbation": [0.0, 10.0]},
+    {"type": "horospherical", "mu": 2, "h0": [0.7, 0.0],
+     "boundary": [2.0, 0.0], "h_perturbation": [1.4, 10.0]},
+    {"type": "horospherical", "mu": 3, "h0": [1.0, 0.0], "boundary": "inf",
+     "h_perturbation": [0.0, 10.0]},
+]
+SCALED_H_IDS = ["scaled-h-catenoidal-inf", "scaled-h-catenoidal-finite",
+                "scaled-h-horospherical-mu2", "scaled-h-horospherical-mu3"]
+
+
 class TestBuildEnd:
     def test_catenoidal_spec_finite_boundary(self):
         spec = {"type": "catenoidal", "mu": 0.5,
@@ -357,8 +399,15 @@ class TestBuildEnd:
          "h_perturbation": [0.0, 0.05]},
         {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
          "boundary": [2.0, 0.0], "h_perturbation": [1.0, 0.1]},
-    ], ids=["catenoidal-inf", "catenoidal-finite", "horospherical"])
+    ] + [dict(spec, order=order) for spec in SCALED_H_SPECS
+         for order in (32, 64, 128)],
+        ids=["catenoidal-inf", "catenoidal-finite", "horospherical"]
+        + ["%s-%d" % (name, order) for name in SCALED_H_IDS
+           for order in (32, 64, 128)])
     def test_one_frobenius_solve_per_end(self, spec, monkeypatch):
+        """One solve per end, and the frame holds AD - BC = 1,
+        dA dD - dB dC = 0 and A dC - C dA = omega to round-off, with the
+        closed-form residue polynomial."""
         calls = []
 
         def counted(prob):
@@ -366,8 +415,28 @@ class TestBuildEnd:
             return frobenius_solve(prob)
 
         monkeypatch.setattr(ends, "frobenius_solve", counted)
-        build_end(spec)
+        frame, desc = build_end(spec)
         assert len(calls) == 1
+        det, null = frame_checks(frame)
+        assert det <= 1e-12 and null <= 1e-12
+        mu = spec["mu"]
+        if spec["type"] == "catenoidal":
+            nu, h0 = -1.0 - mu, (1.0 - mu * mu) / (4.0 * mu)
+            ref = catenoidal_polynomial(1.0 - mu * mu, desc.axis_from,
+                                        desc.boundary)
+        else:
+            nu, h0 = -2.0, complex(*spec["h0"])
+            kappa = (2.0 * h0) ** 2 if mu == 2 else 0.0
+            ref = horospherical_polynomial(kappa, desc.boundary)
+        h = ends._perturbed_h(h0, spec["h_perturbation"], frame.A.order)
+        omega = (frame.A * differentiate(frame.C)
+                 - frame.C * differentiate(frame.A)
+                 - GeneralizedSeries(nu, h.coeffs))
+        assert np.max(np.abs(omega.coeffs[:-1])) <= 1e-12
+        got = FluxPolynomial.from_triple(flux_triple(frame))
+        for a, b in ((got.quad, ref.quad), (got.lin, ref.lin),
+                     (got.const, ref.const)):
+            assert abs(a - b) <= 1e-12 * max(1.0, ref.max_abs())
 
 
 class TestHorosphereFrame:

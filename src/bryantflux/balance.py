@@ -2,13 +2,17 @@
 
 The sum of the flux polynomials over all ends of a complete n-ended
 surface vanishes.  This module computes that sum for descriptor lists,
-solves the rigid two-end and symmetric three-end cases in closed form,
-checks geodesic concurrency in a vertical plane, and runs the analogous
-force/torque balance for Euclidean minimal three-end data.
+solves the rigid two-end case in closed form and the three-end axes as
+one 3x3 linear system in the polynomial coefficients, checks geodesic
+concurrency in a vertical plane by one cross product of the linear
+trace equations, and runs the analogous force/torque balance for
+Euclidean minimal three-end data.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -18,9 +22,8 @@ from .ends import Catenoidal, EndDescriptor, Horosphere, Horospherical
 from .errors import DomainError, UnbalanceableError
 from .flux import FluxPolynomial, catenoidal_polynomial, \
     horospherical_polynomial
-from .geometry import INF, ExtendedComplex, Geodesic, IsometrySL2, \
-    boundary_eq, is_inf, mobius_boundary, parse_axis, parse_complex, \
-    parse_point, parse_real
+from .geometry import INF, ExtendedComplex, Geodesic, boundary_eq, is_inf, \
+    parse_axis, parse_complex, parse_point, parse_real
 
 _TOL = 1e-9
 
@@ -73,59 +76,62 @@ def _boundary_close(z1: ExtendedComplex, z2: ExtendedComplex) -> bool:
     return boundary_eq(z1, z2, tol=_TOL)
 
 
-# -- three symmetric catenoidal ends ----------------------------------------
+# -- three catenoidal ends ---------------------------------------------------
 
-def _ratio(num: float, den: float) -> ExtendedComplex:
-    if abs(den) <= _TOL * max(1.0, abs(num)):
-        return INF
-    return complex(num / den)
-
-
-def _to_zero_one_inf(z1, z2, z3) -> IsometrySL2:
-    """Isometry whose boundary action sends (z1, z2, z3) to (0, 1, inf)."""
-    # Standard-form matrix for z -> ((z-z1)(z2-z3))/((z-z3)(z2-z1)),
-    # transposed into this package's boundary-action convention.
-    if is_inf(z1):
-        a, b, c, d = 0.0, complex(z2) - complex(z3), 1.0, -complex(z3)
-    elif is_inf(z2):
-        a, b, c, d = 1.0, -complex(z1), 1.0, -complex(z3)
-    elif is_inf(z3):
-        a, b, c, d = 1.0, -complex(z1), 0.0, complex(z2) - complex(z1)
-    else:
-        z1, z2, z3 = complex(z1), complex(z2), complex(z3)
-        a, b = z2 - z3, -z1 * (z2 - z3)
-        c, d = z2 - z1, -z3 * (z2 - z1)
-    return IsometrySL2(d, c, b, a)
+_NORMALIZED = (-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
+# A homogeneous coordinate this small against its unit vector is zero: an
+# axis point at infinity, a common solution at infinity, identical axes.
+# Snapping an axis point A to infinity moves its unit trace row by about
+# 1/|A|, so this sits well below the concurrency tolerance.
+_ZERO_TOL = 1e-12
+_CONCURRENT_TOL = 1e-10
 
 
-def boundary_triple_map(src, dst) -> IsometrySL2:
-    """Isometry taking the boundary triple ``src`` to ``dst`` in order."""
-    return _to_zero_one_inf(*dst).inverse().compose(_to_zero_one_inf(*src))
+def _unit_point(b: ExtendedComplex):
+    """Unit homogeneous coordinates (b0, b1) of b = b0/b1, b1 real >= 0."""
+    if is_inf(b):
+        return 1.0 + 0.0j, 0.0
+    r = math.hypot(1.0, abs(b))
+    return complex(b) / r, 1.0 / r
 
 
 def three_end_axes(sigma1: float, sigma2: float, sigma3: float,
                    boundaries: Optional[Sequence[ExtendedComplex]] = None):
     """Axis points (A1, A2, A3) of the balanced three-end configuration.
 
-    sigma_j = 1 - mu_j^2 are the growth parameters.  Boundaries default
-    to (-1, 0, 1); other (distinct) triples are handled by conjugating
-    with the Mobius map onto the normalized chart and transporting the
-    result back.
+    sigma_j = 1 - mu_j^2 are the growth parameters and the boundaries
+    B_j default to (-1, 0, 1); any distinct triple, infinity and complex
+    points included, is solved directly.  Boundaries whose chordal
+    separation |b0 c1 - b1 c0| is at most 1e-12 count as repeated and
+    raise DomainError.  With B_j = [b0 : b1] in unit
+    homogeneous coordinates, end j's polynomial over 2 pi is
+    sigma_j m_j l_j: m_j = b1 X - b0 vanishes at B_j, and
+    l_j = conj(b0) X + b1 + t_j m_j, the linear form with l_j(B_j) = 1,
+    vanishes at A_j.  The X^2, X and 1 coefficients of the sum vanish:
+    three linear equations in sigma_j t_j, nonsingular for distinct
+    boundaries and scaled by their chordal separations, not by |B_j|.
+    (At a finite B_j, sigma_j t_j is (1 + |B_j|^2) c_j - sigma_j conj(B_j)
+    for c_j = sigma_j/(B_j - A_j).)  A_j is infinity when the X
+    coefficient of l_j is at most 1e-12 times its constant.
     """
-    for s in (sigma1, sigma2, sigma3):
-        if abs(s) <= _TOL:
-            raise DomainError("sigma = 0 is not a catenoidal end")
-    a1 = _ratio(sigma1 - sigma2 + sigma3, 3.0 * sigma1 + sigma2 - sigma3)
-    a2 = _ratio(sigma2, sigma3 - sigma1)
-    a3 = _ratio(sigma1 - sigma2 + sigma3, sigma1 - sigma2 - 3.0 * sigma3)
-    if boundaries is None:
-        return a1, a2, a3
-    b1, b2, b3 = boundaries
-    if boundary_eq(b1, b2) or boundary_eq(b2, b3) or boundary_eq(b1, b3):
+    sigmas = (sigma1, sigma2, sigma3)
+    if any(abs(s) <= _TOL for s in sigmas):
+        raise DomainError("sigma = 0 is not a catenoidal end")
+    bs = _NORMALIZED if boundaries is None else tuple(boundaries)
+    units = [_unit_point(b) for b in bs]
+    if any(abs(b0 * c1 - b1 * c0) <= _ZERO_TOL
+           for (b0, b1), (c0, c1) in itertools.combinations(units, 2)):
         raise DomainError("three-end balancing requires distinct boundaries")
-    p = boundary_triple_map((-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j),
-                            (b1, b2, b3))
-    return tuple(mobius_boundary(p, a) for a in (a1, a2, a3))
+    m_sq = np.array([(b1 * b1, -2.0 * b0 * b1, b0 * b0) for b0, b1 in units])
+    m_l0 = np.array([(b1 * b0.conjugate(), b1 * b1 - abs(b0) ** 2, -b0 * b1)
+                     for b0, b1 in units])
+    st = np.linalg.solve(m_sq.T, -np.dot(sigmas, m_l0))
+    axes = []
+    for s, (b0, b1), stj in zip(sigmas, units, st):
+        t = stj / s
+        p, q = b0.conjugate() + t * b1, b1 - t * b0
+        axes.append(INF if abs(p) <= _ZERO_TOL * abs(q) else complex(-q / p))
+    return tuple(axes)
 
 
 # -- concurrency of coplanar geodesics --------------------------------------
@@ -155,96 +161,83 @@ def _real_endpoint(z: ExtendedComplex) -> Union[float, None]:
     return z.real
 
 
-def _trace(g: Geodesic):
-    """('line', u0) for a vertical half-line, ('circle', p, q) otherwise."""
-    p = _real_endpoint(g.start)
-    q = _real_endpoint(g.end)
-    if p is None and q is None:
-        raise DomainError("geodesic endpoints must be distinct")
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _trace_row(p: Optional[float], q: Optional[float]):
+    """Unit row of the trace equation of the geodesic over (p, q), linear
+    in (S, u, 1) with S = u^2 + w^2: S - (p+q) u + pq = 0 for a
+    semicircle, u - p = 0 for the vertical line over p (q is None)."""
     if p is None:
-        return ("line", q)
-    if q is None:
-        return ("line", p)
-    return ("circle", p, q)
-
-
-def _on_trace(trace, u: float, wsq: float) -> bool:
-    """Whether the point with abscissa u and squared height wsq solves
-    the trace equation.  wsq may be negative; the line equation does not
-    involve w, and a negative-wsq solution of a circle equation marks
-    the circle centered at u orthogonal to the trace."""
-    if trace[0] == "line":
-        return abs(u - trace[1]) <= 1e-9 * max(1.0, abs(u))
-    _, p, q = trace
-    val = (u - p) * (u - q) + wsq
-    scale = max(1.0, abs(p), abs(q), abs(u)) ** 2
-    return abs(val) <= 1e-9 * scale
-
-
-def _pair_candidate(t1, t2):
-    """Common solution (u, w^2) of two trace equations, or None.
-
-    Returns ("infinity",) for two distinct vertical lines, None for
-    concentric semicircles, and otherwise (kind, u, wsq) with kind
-    "interior" (wsq > 0), "boundary" (wsq = 0) or "ultraparallel"
-    (wsq < 0, no real meeting point)."""
-    if t1[0] == "line" and t2[0] == "line":
-        if abs(t1[1] - t2[1]) <= 1e-9:
-            raise DomainError("identical axes are degenerate for concurrency")
-        return ("infinity",)
-    if t2[0] == "line":
-        t1, t2 = t2, t1
-    if t1[0] == "line":
-        u = t1[1]
-        _, p, q = t2
-        wsq = -(u - p) * (u - q)
-    else:
-        _, p1, q1 = t1
-        _, p2, q2 = t2
-        den = (p1 + q1) - (p2 + q2)
-        if abs(den) <= 1e-12 * max(1.0, abs(p1), abs(q1), abs(p2), abs(q2)):
-            return None  # concentric semicircles never meet
-        u = (p1 * q1 - p2 * q2) / den
-        wsq = -(u - p1) * (u - q1)
-    scale = max(1.0, abs(u)) ** 2
-    if wsq > 1e-9 * scale:
-        return ("interior", u, wsq)
-    if wsq >= -1e-9 * scale:
-        return ("boundary", u, 0.0)
-    return ("ultraparallel", u, wsq)
+        p, q = q, p
+    row = (0.0, 1.0, -p) if q is None else (1.0, -(p + q), p * q)
+    n = math.hypot(*row)
+    return row[0] / n, row[1] / n, row[2] / n
 
 
 def concurrency_check(axes: Sequence[Geodesic]) -> ConcurrencyResult:
     """Whether three coplanar geodesics share a common point.
 
-    The three trace equations are solved simultaneously for (u, w^2).
-    The common point may lie on the asymptotic boundary (w = 0 or the
-    point at infinity); these are reported as "boundary" results since
-    they are not points of the hyperbolic space itself.  A common
-    solution with w^2 < 0 means the axes do not meet even at the
-    boundary but admit a common orthogonal geodesic through (u, 0);
-    this still certifies the balance relations and is reported as
-    "common-perpendicular" rather than "not-concurrent".
+    Each trace is a unit row linear in (S, u, 1), S = u^2 + w^2, in
+    coordinates divided by the median finite endpoint magnitude (rounded
+    down to a power of two), so that the tolerances below hold alike
+    for axes near the origin and far from it.  The pair of rows with the largest
+    cross product (S, u, t) gives the common solution, and the axes are
+    concurrent when the third row lies within 1e-10 of that pair's
+    plane.  t = 0 is the point at infinity when u = 0 too (vertical
+    lines) and concentric semicircles, which never meet, otherwise.  A
+    finite solution has abscissa u/t and w^2 = S/t - (u/t)^2.  The
+    common point may lie on the asymptotic boundary (w = 0 or the point
+    at infinity); these are reported as "boundary" results since they
+    are not points of the hyperbolic space itself.  A common solution
+    with w^2 < 0 means the axes do not meet even at the boundary but
+    admit a common orthogonal geodesic through (u, 0); this still
+    certifies the balance relations and is reported as
+    "common-perpendicular" rather than "not-concurrent".  Two coincident
+    axes leave two distinct traces; three whose traces agree to
+    round-off raise DomainError.
     """
     if len(axes) != 3:
         raise DomainError("concurrency check expects exactly three geodesics")
-    t1, t2, t3 = (_trace(g) for g in axes)
-    cand = _pair_candidate(t1, t2)
-    if cand is None:
+    ends = [(_real_endpoint(g.start), _real_endpoint(g.end)) for g in axes]
+    sizes = sorted(abs(p) for pq in ends for p in pq if p is not None)
+    # a power of two, so that dividing by it rounds nothing, and at least
+    # 2^-500 of the largest endpoint, so that no product p q overflows
+    scale = 2.0 ** max(math.frexp(sizes[len(sizes) // 2])[1] - 1,
+                       math.frexp(sizes[-1])[1] - 500)
+    r1, r2, r3 = (_trace_row(*(None if p is None else p / scale for p in pq))
+                  for pq in ends)
+    x, third = max(((_cross(r1, r2), r3), (_cross(r1, r3), r2),
+                    (_cross(r2, r3), r1)),
+                   key=lambda pair: _dot(pair[0], pair[0]))
+    n = math.hypot(*x)
+    if n <= _ZERO_TOL:
+        raise DomainError("three axes that coincide to round-off are "
+                          "degenerate for concurrency")
+    s, u, t = x[0] / n, x[1] / n, x[2] / n
+    if abs(_dot(third, (s, u, t))) > _CONCURRENT_TOL:
         return ConcurrencyResult("not-concurrent")
-    if cand[0] == "infinity":
-        if t3[0] == "line":
+    if abs(t) <= _ZERO_TOL:
+        if abs(u) <= _ZERO_TOL:
             return ConcurrencyResult("boundary", INF)
         return ConcurrencyResult("not-concurrent")
-    kind, u, wsq = cand
-    if not _on_trace(t3, u, wsq):
-        return ConcurrencyResult("not-concurrent")
-    if kind == "interior":
-        return ConcurrencyResult("interior", (u, float(np.sqrt(wsq))))
-    if kind == "boundary":
-        return ConcurrencyResult("boundary", u)
+    # w^2 against 1e-9 max(1, |u|)^2 in unscaled coordinates
+    u = u / t
+    wsq = s / t - u * u
+    m = max(1.0 / scale, abs(u))
+    if wsq > 1e-9 * m * m:
+        return ConcurrencyResult("interior",
+                                 (scale * u, scale * math.sqrt(wsq)))
+    if wsq >= -1e-9 * m * m:
+        return ConcurrencyResult("boundary", scale * u)
     return ConcurrencyResult("common-perpendicular",
-                             (u, float(np.sqrt(-wsq))))
+                             (scale * u, scale * math.sqrt(-wsq)))
 
 
 # -- Euclidean minimal-surface analogue -------------------------------------

@@ -231,9 +231,18 @@ def _paired(E: GeneralizedSeries, mu: float) -> GeneralizedSeries:
     return GeneralizedSeries(E.offset + mu, -e / (e + mu) * E.coeffs)
 
 
+def _check_finite(what: str, *series: GeneralizedSeries):
+    """DomainError naming the overflow when a coefficient is not finite."""
+    if not all(np.isfinite(s.coeffs).all() for s in series):
+        raise DomainError("%s overflows: its coefficients are not finite"
+                          % what)
+
+
 def _end_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
     """The frame (A, B; C, D) once it passes checked_frame and A dC - C dA
-    reproduces the one-form z^nu h dz; ConsistencyError otherwise."""
+    reproduces the one-form z^nu h dz; DomainError when an entry
+    overflows, ConsistencyError otherwise."""
+    _check_finite("the frame", A, B, C, D)
     frame = checked_frame(BryantFrame(
         A, B, C, D, validity_radius=_validity_from_entries((A, B, C, D))))
     diff = A * differentiate(C) - C * differentiate(A) \
@@ -292,7 +301,11 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     h0 = complex(h.coeffs[0])
     h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
     if m == 2:
-        if abs(h1 - 2.0 * h0 * h0) > 1e-10 * max(1.0, abs(h0) ** 2):
+        h0sq = h0 * h0
+        if not cmath.isfinite(h0sq):
+            raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2, which "
+                              "overflows")
+        if abs(h1 - 2.0 * h0sq) > 1e-10 * max(1.0, abs(h0sq)):
             raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2")
     elif abs(h1) > 1e-10:
         raise DomainError("mu >= 3 requires h'(0) = 0")
@@ -303,7 +316,7 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     A = f2
     C = c * f1
     B = _paired(A, m)
-    D = GeneralizedSeries.constant(1.0, order + m - 1) + _paired(C, m)
+    D = GeneralizedSeries.constant(1.0, order) + _paired(C, m)
 
     f2p = complex(f2.coeffs[1])
     if abs(h1 + 2.0 * c * f2p) > 1e-8:
@@ -384,7 +397,9 @@ def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
         if k > order:
             break
         coeffs[k] = p
-    return GeneralizedSeries(0.0, h0 * coeffs)
+    h = GeneralizedSeries(0.0, h0 * coeffs)
+    _check_finite("h", h)
+    return h
 
 
 def _kappa_from_frame(frame: BryantFrame, boundary: ExtendedComplex) -> complex:
@@ -392,6 +407,7 @@ def _kappa_from_frame(frame: BryantFrame, boundary: ExtendedComplex) -> complex:
     return -(t.phi0 if is_inf(boundary) else t.phi2) / (2.0 * np.pi)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     """(frame, descriptor) from an end-spec mapping (the JSON interface).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -250,19 +250,11 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     return CircleSamples(rho, taus, zeta, w, *derivs)
 
 
-ShiftFn = Callable[[np.ndarray, np.ndarray], tuple]
-
-
-def flux_from_samples(samples: CircleSamples, k: KillingField,
-                      potential_shift: Optional[ShiftFn] = None) -> float:
+def flux_from_samples(samples: CircleSamples, k: KillingField) -> float:
     """Trapezoid quadrature of -rho<d_rho X, Y> + 2<d_tau X, Z> over the circle."""
     zeta, w = samples.zeta, samples.w
     ya, yb = vector_samples(k, zeta, w)
     za, zb = potential_samples(k, zeta, w)
-    if potential_shift is not None:
-        sa, sb = potential_shift(zeta, w)
-        za = za + sa
-        zb = zb + sb
     inner_rho = (np.real(np.conj(samples.dzeta_drho) * ya)
                  + samples.dw_drho * yb) / w ** 2
     inner_tau = (np.real(np.conj(samples.dzeta_dtau) * za)
@@ -271,10 +263,10 @@ def flux_from_samples(samples: CircleSamples, k: KillingField,
     return float(np.sum(integrand) * (2.0 * math.pi / len(integrand)))
 
 
-def flux_numeric(frame: BryantFrame, k: KillingField, grid: QuadratureGrid,
-                 potential_shift: Optional[ShiftFn] = None) -> float:
+def flux_numeric(frame: BryantFrame, k: KillingField,
+                 grid: QuadratureGrid) -> float:
     """The quadrature oracle; no residue machinery on this path."""
-    return flux_from_samples(circle_samples(frame, grid), k, potential_shift)
+    return flux_from_samples(circle_samples(frame, grid), k)
 
 
 # -- serialization ----------------------------------------------------------

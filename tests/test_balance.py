@@ -5,16 +5,18 @@ import pytest
 
 from bryantflux import (BalanceProblem, Catenoidal, DomainError,
                         EuclideanEndData, Geodesic, Horosphere, Horospherical,
-                        INF, UnbalanceableError, boundary_eq, build_end,
-                        concurrency_check, euclidean_three_end_check,
-                        flux_triple, is_inf, polynomial_sum, three_end_axes,
-                        two_end_solve)
-from bryantflux.balance import (boundary_triple_map, descriptor_from_json,
-                                end_polynomial, problem_from_json)
+                        INF, IsometrySL2, UnbalanceableError, boundary_eq,
+                        build_end, concurrency_check,
+                        euclidean_three_end_check, flux_triple, is_inf,
+                        polynomial_sum, three_end_axes, two_end_solve)
+from bryantflux.balance import (descriptor_from_json, end_polynomial,
+                                problem_from_json)
 from bryantflux.flux import FluxPolynomial, catenoidal_polynomial
 from bryantflux.geometry import mobius_boundary
 
 NORMALIZED = (-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
+NEAR_SNAP_SIGMAS = (0.42948106837016187, 2.2850178941451444,
+                    0.42948107040746036)
 
 
 def poly_is_zero(poly, tol=1e-10):
@@ -127,13 +129,26 @@ class TestThreeEndAxes:
             assert total.max_abs() < 1e-9 * max(1.0, total_scale(bs))
 
     def test_transport_matches_mobius_image(self):
+        # the axes are covariant: moving the boundaries by an isometry P
+        # moves the balanced axes by P
         sig = (1.2, 0.7, 0.3)
-        bs = (2.0 + 0.0j, -1.0 + 0.0j, 5.0 + 0.0j)
+        p = IsometrySL2(1.0 + 0.5j, 2.0, -0.3, 0.4 - 1.0j)
+        bs = tuple(mobius_boundary(p, b) for b in NORMALIZED)
         direct = three_end_axes(*sig, boundaries=bs)
-        p = boundary_triple_map(NORMALIZED, bs)
         mapped = tuple(mobius_boundary(p, a) for a in three_end_axes(*sig))
         for d, m in zip(direct, mapped):
             assert boundary_eq(d, m, tol=1e-9)
+
+    @pytest.mark.parametrize("far", [1e12, 1e100])
+    def test_far_boundary_tends_to_infinity(self, far):
+        # the solve is scaled by the chordal separation of the boundaries,
+        # so a boundary far out gives the axes of a boundary at infinity
+        # rather than losing |B|^2 digits to cancellation
+        sig = (0.7, 1.3, -0.4)
+        ref = three_end_axes(*sig, boundaries=(-0.5, INF, 2.0))
+        got = three_end_axes(*sig, boundaries=(-0.5, far, 2.0))
+        for a, b in zip(got, ref):
+            assert not is_inf(a) and abs(a - b) < 1e-9
 
     def test_relabeling_consistency(self):
         # reversing the labels (3,2,1)->(1,2,3) with reversed boundaries
@@ -153,6 +168,15 @@ class TestThreeEndAxes:
         with pytest.raises(DomainError):
             three_end_axes(1.0, 1.0, 1.0,
                            boundaries=(0.0 + 0j, 0.0 + 0j, 1.0 + 0j))
+
+    @pytest.mark.parametrize("bs", [
+        (0.0, 1e-13, 1.0), (1e300, 2e300, INF), (1e300, -1e300, 0.0),
+    ], ids=["near-zero", "far-and-infinity", "far-pair"])
+    def test_boundaries_equal_to_round_off_rejected(self, bs):
+        # boundaries within 1e-12 on the Riemann sphere make the system
+        # singular to round-off
+        with pytest.raises(DomainError):
+            three_end_axes(1.0, 1.0, 1.0, boundaries=bs)
 
 
 def total_scale(bs):
@@ -215,6 +239,67 @@ class TestConcurrency:
     def test_concentric_circles_not_concurrent(self):
         axes = [Geodesic(-1.0, 1.0), Geodesic(-2.0, 2.0), Geodesic(0.0, INF)]
         assert concurrency_check(axes).kind == "not-concurrent"
+
+    def test_near_snap_sigmas_stay_concurrent(self):
+        # sigma1 and sigma3 differ by 5e-9 relative, so A2 is about 1.1e9:
+        # a finite axis point that must not be snapped to infinity at a
+        # tolerance the concurrency test can resolve
+        sig = NEAR_SNAP_SIGMAS
+        axes = three_end_axes(*sig)
+        assert not is_inf(axes[1]) and abs(axes[1]) > 1e8
+        assert sum_for_sigmas(sig, NORMALIZED, axes).max_abs() < 1e-9
+        res = concurrency_check(axes_for(sig))
+        assert res.kind == "common-perpendicular"
+        assert res.point[0] == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("ends, point", [
+        ([(-1.0, 0.0), (0.0, -1.0),
+          (0.03786292883009626, -0.005424048556443262)],
+         (-1.989176971e-4, 0.0141024157)),
+        ([(0.0, INF), (INF, 0.0), (1.0, -1.0)], (0.0, 1.0)),
+    ], ids=["two-semicircles", "two-lines"])
+    def test_two_coincident_axes_meet_the_third(self, ends, point):
+        res = concurrency_check([Geodesic(a, b) for a, b in ends])
+        assert res.kind == "interior"
+        assert res.point == pytest.approx(point, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e12, 1e300])
+    def test_far_axes_meet(self, scale):
+        # the check is scaled by the largest endpoint, so axes far from
+        # the origin meet as they do near it, at (scale, scale)
+        ends = [(0.0, 2.0), (0.5, 3.0), (-1.0, 1.5)]
+        res = concurrency_check([Geodesic(scale * a, scale * b)
+                                 for a, b in ends])
+        assert res.kind == "interior"
+        assert res.point == pytest.approx((scale, scale), rel=1e-12)
+        moved = ends[:2] + [(-1.0, 1.6)]
+        res = concurrency_check([Geodesic(scale * a, scale * b)
+                                 for a, b in moved])
+        assert res.kind == "not-concurrent"
+
+    def test_endpoints_600_decades_apart_stay_finite(self):
+        # the scale is kept within 2^500 of the largest endpoint, so the
+        # far semicircle's row does not overflow into NaN
+        res = concurrency_check([Geodesic(1e-300, 1e300),
+                                 Geodesic(0.0, 1e-300),
+                                 Geodesic(2e-300, INF)])
+        assert all(math.isfinite(c) for c in np.atleast_1d(res.point))
+
+    def test_far_axis_point_keeps_check_strict(self):
+        # A2 is about 1.1e9 while the other endpoints are near 1: the
+        # check scales by their median, not by the far point, so moving
+        # A1 by 1e-7 still breaks concurrency
+        sig = NEAR_SNAP_SIGMAS
+        axes = list(three_end_axes(*sig))
+        axes[0] += 1e-7
+        res = concurrency_check([Geodesic(a, b)
+                                 for a, b in zip(axes, NORMALIZED)])
+        assert res.kind == "not-concurrent"
+
+    def test_three_identical_axes_rejected(self):
+        with pytest.raises(DomainError):
+            concurrency_check([Geodesic(1.0, 2.0), Geodesic(2.0, 1.0),
+                               Geodesic(1.0, 2.0)])
 
     def test_complex_endpoint_rejected(self):
         axes = [Geodesic(1.0j, 1.0), Geodesic(-2.0, 2.0), Geodesic(0.0, INF)]

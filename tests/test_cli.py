@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bryantflux.cli
 import bryantflux.flux
@@ -15,6 +17,11 @@ CATENOID_SPEC = {"type": "catenoidal", "mu": 0.5,
 # The horospherical example of README.md.
 HOROSPHERICAL_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
                       "h_perturbation": [1.0], "boundary": "inf"}
+
+# h(0)^2 overflows: mu = 2 cannot meet h'(0) = 2 h(0)^2, and at mu = 3 the
+# frame coefficients overflow.
+H0_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": 1e200,
+                    "boundary": "inf"}
 
 
 def _doubled_a_frame():
@@ -104,6 +111,17 @@ class TestFlux:
         assert code == 0
         assert out["value"] == pytest.approx(0.75 * math.pi)
 
+    def test_huge_horospherical_mu_builds(self, tmp_path, capsys):
+        # D is truncated at the requested order like A, B and C, so its
+        # size does not grow with mu
+        path = tmp_path / "horo.json"
+        path.write_text(json.dumps({"type": "horospherical", "mu": 1e10,
+                                    "boundary": "inf"}))
+        code, out = run_json(capsys, ["flux", "--end", str(path),
+                                      "--geodesic", "0,inf"])
+        assert code == 0
+        assert out["value"] == 0.0
+
     def test_triple_in_output(self, catenoid_json, capsys):
         _, out = run_json(capsys, ["flux", "--end", catenoid_json,
                                    "--geodesic", "0,inf"])
@@ -176,6 +194,15 @@ class TestBalance:
         conc = out["concurrency"]
         assert conc["kind"] == "common-perpendicular"
         assert conc["point"][1] > 0
+
+    def test_three_end_near_snap_stays_concurrent(self, capsys):
+        # A2 is about 1.1e9, finite: the printed axes are concurrent
+        code, out = run_json(capsys, [
+            "balance", "three", "--sigma",
+            "0.42948106837016187,2.2850178941451444,0.42948107040746036"])
+        assert code == 0
+        assert out["axes"][1] != "inf"
+        assert out["concurrency"]["kind"] == "common-perpendicular"
 
     def test_unbalanceable_two_end_errors(self, capsys):
         code = run(["balance", "two", "--mu", "0.5",
@@ -264,9 +291,14 @@ class TestErrors:
         (dict(CATENOID_SPEC, order=0), ["flux"], "DomainError"),
         (dict(CATENOID_SPEC, order=True), ["flux"], "DomainError"),
         (dict(HOROSPHERICAL_SPEC, h0=10 ** 400), ["flux"], "DomainError"),
+        (H0_OVERFLOW_SPEC, ["flux"], "DomainError"),
+        (dict(H0_OVERFLOW_SPEC, mu=3), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, mu=1e300), ["flux"], "DomainError"),
         (None, ["balance", "two", "--mu", "0.5", "--axis", "0", "--b2", "0"],
          "DomainError"),
         (None, ["balance", "three", "--sigma", "nan,1,1"], "DomainError"),
+        (None, ["balance", "three", "--sigma", "1,1,1", "--boundaries",
+                "1e300,2e300,inf"], "DomainError"),
         (None, ["balance", "two", "--mu", "inf", "--axis", "0,inf",
                 "--b2", "0"], "DomainError"),
         (CATENOID_SPEC, ["verify", "--rho", "1e-160", "--samples", "64"],
@@ -284,8 +316,10 @@ class TestErrors:
             "frame-doubled-a", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
-            "h0-int-overflow", "balance-axis-one-point", "balance-sigma-nan",
-            "balance-mu-inf", "verify-rho-overflow-samples",
+            "h0-int-overflow", "h0-squared-overflow", "h0-frame-overflow",
+            "mu-h-overflow", "balance-axis-one-point", "balance-sigma-nan",
+            "balance-boundaries-far", "balance-mu-inf",
+            "verify-rho-overflow-samples",
             "verify-rho-overflow-power", "verify-flux-overflow",
             "verify-geodesics-zero", "verify-geodesics-negative",
             "argparse-mu-abc", "argparse-rho-x", "argparse-samples-float",
@@ -306,3 +340,49 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == error
+
+
+# Malformed or extreme JSON values for one key of a spec.
+BAD_VALUES = [None, True, False, "x", "inf", math.nan, math.inf, -math.inf,
+              10 ** 400, -10 ** 400, [], [1.0, 2.0, 3.0], {}, {"re": 1.0},
+              1e308, -1e308, 1e200]
+# A huge order is a valid but costly request, not malformed input, so
+# "order" draws only small integers and values of the wrong type.
+BAD_ORDERS = [None, True, "x", "inf", math.nan, math.inf, 10 ** 400, 2.5, [],
+              {}]
+README_SPECS = [CATENOID_SPEC, HOROSPHERICAL_SPEC, {"type": "horosphere"}]
+DROP = object()
+
+
+@st.composite
+def mangled_specs(draw):
+    """A README spec with one key dropped or set to a bad value."""
+    spec = dict(draw(st.sampled_from(README_SPECS)))
+    key = draw(st.sampled_from(sorted(spec) + ["order"]))
+    values = BAD_VALUES if key != "order" else \
+        [st.integers(-2, 40)] + BAD_ORDERS
+    value = draw(st.sampled_from([DROP] + values))
+    if isinstance(value, st.SearchStrategy):
+        value = draw(value)
+    if value is DROP:
+        spec.pop(key, None)
+    else:
+        spec[key] = value
+    return spec
+
+
+class TestSpecFuzz:
+    @given(mangled_specs())
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_0_or_2_with_one_json_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = run(["flux", "--end", str(path), "--geodesic", "0,inf"])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}

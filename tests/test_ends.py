@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bryantflux import (Catenoidal, ConsistencyError, DomainError,
-                        FluxPolynomial, FrobeniusProblem, GeneralizedSeries,
+from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
+                        DomainError, FluxPolynomial, FrobeniusProblem, GeneralizedSeries,
                         Horosphere, Horospherical, INF, IsometrySL2,
                         LogTermRequiredError, WeierstrassData, build_end,
                         canonical_catenoidal_frame,
@@ -417,6 +417,9 @@ class TestBuildEnd:
         monkeypatch.setattr(ends, "frobenius_solve", counted)
         frame, desc = build_end(spec)
         assert len(calls) == 1
+        # every entry is truncated at the requested order, D included
+        order = spec.get("order", DEFAULT_ORDER)
+        assert [e.order for e in frame.entries()] == [order] * 4
         det, null = frame_checks(frame)
         assert det <= 1e-12 and null <= 1e-12
         mu = spec["mu"]

@@ -9,8 +9,8 @@ from .geometry import (INF, ExtendedComplex, Geodesic, HPoint, IsometrySL2,
                        cross_ratio, distance, is_inf, metric_inner,
                        mobius_boundary, standardizing_isometry)
 from .series import (DEFAULT_ORDER, GeneralizedSeries, QuadratureGrid,
-                     differentiate, eval_at, eval_branch, radius_estimate,
-                     residue)
+                     differentiate, eval_at, eval_branch, product_residue,
+                     radius_estimate, residue)
 from .killing import (KillingField, ROTATION, TRANSLATION, killing_potential,
                       killing_vector, verify_potential)
 from .bryant import (BryantFrame, HolomorphicForms, WeierstrassData,

@@ -140,7 +140,11 @@ def immersion(frame: BryantFrame, grid: QuadratureGrid):
 
 
 def one_forms(frame: BryantFrame):
-    """dz-coefficients of B dA - A dB, C dB - D dA, D dC - C dD."""
+    """dz-coefficients of B dA - A dB, C dB - D dA, D dC - C dD.
+
+    Formed in full for derived_forms and as the tests' reference for
+    flux.flux_triple, which reads the same residues without forming
+    these products."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
     return (B * dA - A * dB, C * dB - D * dA, D * dC - C * dD)

@@ -142,7 +142,11 @@ def _solve_at_root(prob: FrobeniusProblem, sigma: float,
     x, p = [1.0 + 0j] + [0j] * K, [0j] * (K + 1)
     for k in range(K + 1):
         e = k - kc
-        rhs = sum(c * p[k - n] for n, c in hn if n <= k)
+        rhs = 0
+        for n, c in hn:  # hn ascends in n
+            if n > k:
+                break
+            rhs += c * p[k - n]
         if abs(e) < 1e-9:
             obstruction = mu * x[k - d] if k >= d else 0.0
             p[k] = ((sigma + k) * x[k] - rhs) / h0

@@ -4,29 +4,35 @@ and the independent quadrature route.
 Three equivalent encodings of the flux data of an end are provided: the
 triple (phi0, phi1, phi2) of 4*pi-scaled residues, the quadratic
 polynomial Pi(X) = phi2 X^2 + 2 phi1 X + phi0, and the matrix
-Phi = Res(-(dF) F^-1).  flux_numeric integrates the defining boundary
-integral by the trapezoid rule on one circle |z| = rho, with exact
-derivatives, and shares no residue machinery with the other routes; it
-is the oracle the residue formulas are tested against.  The nodes are
-rho times the N-th roots of unity, so the four frame entries and their
-term-wise derivatives are evaluated there as one block by one inverse
-FFT (series.eval_branch), in O(N log N) rather than O(N K) per entry.
+Phi = Res(-(dF) F^-1).  Each residue of the triple and the matrix is a
+difference of two residues of entry products, and each of those is read
+from the few leading coefficients that reach z^-1
+(series.product_residue): no product series is formed.  flux_numeric
+integrates the defining boundary integral by the trapezoid rule on one
+circle |z| = rho, with exact derivatives, and shares no residue
+machinery with the other routes; it is the oracle the residue formulas
+are tested against.  The nodes are rho times the N-th roots of unity, so
+the four frame entries and their term-wise derivatives are evaluated
+there as one block by one inverse FFT (series.eval_branch), in
+O(N log N) rather than O(N K) per entry.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bryant import BryantFrame, _check_radius, _zeta_w, one_forms
+from .bryant import BryantFrame, _check_radius, _zeta_w
 from .errors import ConsistencyError, DomainError
 from .geometry import ExtendedComplex, Geodesic, cross_ratio, is_inf
 from .killing import ROTATION, TRANSLATION, KillingField, potential_samples, \
     vector_samples
-from .series import QuadratureGrid, differentiate, eval_branch, residue
+from .series import (QuadratureGrid, differentiate, eval_branch,
+                     product_residue)
 
 
 @dataclass(frozen=True)
@@ -82,24 +88,43 @@ class FluxMatrix:
                                    "(trace %.3e)" % abs(self.m11 + self.m22))
 
 
+def _difference_residue(a, b, c, d) -> complex:
+    """residue(a * b - c * d) by product_residue; 0, as from the series
+    difference, when z^-1 lies past either product's truncation."""
+    # Residues first, so that a non-integer offset raises before the test.
+    res = product_residue(a, b) - product_residue(c, d)
+    if -1 - round(a.offset + b.offset) > min(a.order, b.order) \
+            or -1 - round(c.offset + d.offset) > min(c.order, d.order):
+        return 0.0 + 0.0j
+    return res
+
+
 def flux_triple(frame: BryantFrame) -> FluxTriple:
-    """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB."""
-    fb, fm, fd = one_forms(frame)
-    four_pi = 4.0 * math.pi
-    return FluxTriple(four_pi * residue(fd), four_pi * residue(fm),
-                      four_pi * residue(fb))
+    """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB.
+
+    Each residue is read from the few leading coefficients that reach
+    z^-1 (series.product_residue); the one-forms are never formed.  A
+    residue that overflows raises DomainError.
+    """
+    A, B, C, D = frame.entries()
+    dA, dB, dC, dD = map(differentiate, frame.entries())
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = [4.0 * math.pi * _difference_residue(*f) for f in (
+            (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))]
+    if not all(cmath.isfinite(r) for r in res):
+        raise DomainError("the flux residues overflow: they are not finite")
+    return FluxTriple(*res)
 
 
 def flux_matrix(frame: BryantFrame) -> FluxMatrix:
-    """Residue of -(dF) F^-1, computed entry-wise by series algebra."""
+    """Residue of -(dF) F^-1, entry-wise from product_residue."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
     # F^-1 = (D, -B; -C, A) since det F = 1.
-    m11 = -(dA * D - dB * C)
-    m12 = -(dB * A - dA * B)
-    m21 = -(dC * D - dD * C)
-    m22 = -(dD * A - dC * B)
-    return FluxMatrix(residue(m11), residue(m12), residue(m21), residue(m22))
+    return FluxMatrix(-_difference_residue(dA, D, dB, C),
+                      -_difference_residue(dB, A, dA, B),
+                      -_difference_residue(dC, D, dD, C),
+                      -_difference_residue(dD, A, dC, B))
 
 
 def _directional(val: complex, kind: str) -> float:

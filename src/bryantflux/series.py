@@ -8,7 +8,8 @@ eval_at sums by Horner's rule at arbitrary angles.  eval_branch
 evaluates a sequence of series on a QuadratureGrid, whose nodes are rho
 times the N-th roots of unity, as one block by one inverse FFT of the
 scaled coefficients, followed by one branch factor e^(i lambda tau) per
-row.
+row.  product_residue gives residue(a * b) from the coefficient pairs
+that reach z^-1, without forming the product.
 """
 
 from __future__ import annotations
@@ -172,16 +173,39 @@ def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
     return GeneralizedSeries(a.offset - 1.0, (a.offset + k) * a.coeffs)
 
 
-def residue(a: GeneralizedSeries) -> complex:
-    """Coefficient of z^-1; defined only for integer offsets."""
-    frac = a.offset - round(a.offset)
+def _residue_index(offset: float) -> int:
+    """Index of the z^-1 coefficient at this offset, which must be an
+    integer."""
+    frac = offset - round(offset)
     if abs(frac) > _OFFSET_TOL:
         raise DomainError(
             "residue undefined for non-integer offset (fractional part %g)" % frac)
-    idx = -1 - round(a.offset)
+    return -1 - round(offset)
+
+
+def residue(a: GeneralizedSeries) -> complex:
+    """Coefficient of z^-1; defined only for integer offsets."""
+    idx = _residue_index(a.offset)
     if 0 <= idx <= a.order:
         return complex(a.coeffs[idx])
     return 0.0 + 0.0j
+
+
+def product_residue(a: GeneralizedSeries, b: GeneralizedSeries) -> complex:
+    """residue(a * b) from the idx + 1 coefficient pairs it needs, without
+    forming the product; idx = -1 - (a.offset + b.offset).
+
+    The pairs are summed in np.convolve's order (the longer operand
+    first) and + 0j clears a negative zero, as the product's
+    zero-started sums do, so the value is bitwise that of residue(a * b).
+    """
+    idx = _residue_index(a.offset + b.offset)
+    x, y = a.coeffs, b.coeffs
+    if not 0 <= idx < min(len(x), len(y)):
+        return 0.0 + 0.0j
+    if len(y) > len(x):
+        x, y = y, x
+    return complex(np.dot(x[:idx + 1], y[idx::-1]) + 0j)
 
 
 @dataclass(frozen=True)

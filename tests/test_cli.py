@@ -1,5 +1,10 @@
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +27,10 @@ HOROSPHERICAL_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
 # frame coefficients overflow.
 H0_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": 1e200,
                     "boundary": "inf"}
+# The frame builds, but phi0 ~ b^2 overflows.
+RESIDUE_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+                         "h_perturbation": [1.0, 0.5],
+                         "boundary": [0.3, 1e200]}
 
 
 def _doubled_a_frame():
@@ -121,6 +130,17 @@ class TestFlux:
                                       "--geodesic", "0,inf"])
         assert code == 0
         assert out["value"] == 0.0
+
+    def test_huge_finite_axis_point(self, tmp_path, capsys):
+        # phi0 = 2 pi sigma A with sigma = 0.75, A = 1e300, read from the
+        # leading coefficients without overflowing the higher ones.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"type": "catenoidal", "mu": 0.5,
+                                    "axis": [[1e300, 0.0], "inf"]}))
+        code, out = run_json(capsys, ["flux", "--end", str(path),
+                                      "--geodesic", "0,inf"])
+        assert code == 0
+        assert out["phi0"][0] == pytest.approx(2.0 * math.pi * 0.75 * 1e300)
 
     def test_triple_in_output(self, catenoid_json, capsys):
         _, out = run_json(capsys, ["flux", "--end", catenoid_json,
@@ -294,6 +314,7 @@ class TestErrors:
         (H0_OVERFLOW_SPEC, ["flux"], "DomainError"),
         (dict(H0_OVERFLOW_SPEC, mu=3), ["flux"], "DomainError"),
         (dict(CATENOID_SPEC, mu=1e300), ["flux"], "DomainError"),
+        (RESIDUE_OVERFLOW_SPEC, ["flux"], "DomainError"),
         (None, ["balance", "two", "--mu", "0.5", "--axis", "0", "--b2", "0"],
          "DomainError"),
         (None, ["balance", "three", "--sigma", "nan,1,1"], "DomainError"),
@@ -317,8 +338,8 @@ class TestErrors:
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "h0-squared-overflow", "h0-frame-overflow",
-            "mu-h-overflow", "balance-axis-one-point", "balance-sigma-nan",
-            "balance-boundaries-far", "balance-mu-inf",
+            "mu-h-overflow", "residue-overflow", "balance-axis-one-point",
+            "balance-sigma-nan", "balance-boundaries-far", "balance-mu-inf",
             "verify-rho-overflow-samples",
             "verify-rho-overflow-power", "verify-flux-overflow",
             "verify-geodesics-zero", "verify-geodesics-negative",
@@ -354,6 +375,18 @@ README_SPECS = [CATENOID_SPEC, HOROSPHERICAL_SPEC, {"type": "horosphere"}]
 DROP = object()
 
 
+# Specs whose nested lists (axis points, boundary, h0, perturbation
+# entries) are fuzzed one component at a time; the finite axis and
+# boundaries reach the transformed frames.
+NESTED_SPECS = README_SPECS[:2] + [
+    {"type": "catenoidal", "mu": 0.5, "axis": [[0.3, 0.1], [-0.5, 0.2]],
+     "h_perturbation": [0.0, 0.5]},
+    dict(RESIDUE_OVERFLOW_SPEC, boundary=[0.3, 0.2]),
+    {"type": "horospherical", "mu": 3, "h0": [0.5, 0.0],
+     "h_perturbation": [0.0, 0.5], "boundary": [0.3, 0.2]},
+]
+
+
 @st.composite
 def mangled_specs(draw):
     """A README spec with one key dropped or set to a bad value."""
@@ -371,18 +404,74 @@ def mangled_specs(draw):
     return spec
 
 
+def _nested_paths(value, path):
+    """Paths to every entry of the lists inside ``value``, at any depth."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield path + (i,)
+            yield from _nested_paths(item, path + (i,))
+
+
+@st.composite
+def nested_specs(draw):
+    """A spec with one entry of a nested list set to a bad value."""
+    spec = copy.deepcopy(draw(st.sampled_from(NESTED_SPECS)))
+    path = draw(st.sampled_from([p for key in sorted(spec)
+                                 for p in _nested_paths(spec[key], (key,))]))
+    parent = spec
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return spec
+
+
+def _assert_exit_0_or_2(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = run(["flux", "--end", str(path), "--geodesic", "0,inf"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        assert "Infinity" not in captured.out and "NaN" not in captured.out
+    else:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 class TestSpecFuzz:
     @given(mangled_specs())
     @settings(max_examples=150, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_0_or_2_with_one_json_error(self, tmp_path, capsys, spec):
+        _assert_exit_0_or_2(tmp_path, capsys, spec)
+
+    @given(nested_specs())
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_nested_values_exit_0_or_2(self, tmp_path, capsys, spec):
+        _assert_exit_0_or_2(tmp_path, capsys, spec)
+
+
+class TestProcess:
+    """The CLI as a real process.  The in-process tests turn warnings into
+    errors, so they cannot see a warning that a real process prints
+    before it exits."""
+
+    def test_residue_overflow_exits_2_without_warnings(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        code = run(["flux", "--end", str(path), "--geodesic", "0,inf"])
-        captured = capsys.readouterr()
-        assert code in (0, 2)
-        if code == 2:
-            assert captured.out == ""
-            lines = captured.err.splitlines()
-            assert len(lines) == 1
-            assert set(json.loads(lines[0])) == {"error", "message"}
+        path.write_text(json.dumps(RESIDUE_OVERFLOW_SPEC))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bryantflux", "flux", "--end", str(path),
+             "--geodesic", "0,inf"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DomainError"
+        assert "Warning" not in proc.stderr

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from bryantflux import (ConsistencyError, FluxMatrix, FluxPolynomial,
+from bryantflux import (BryantFrame, ConsistencyError, DomainError,
+                        FluxMatrix, FluxPolynomial,
                         FluxTriple, Geodesic, GeneralizedSeries, INF,
                         IsometrySL2, QuadratureGrid, catenoidal_closed_form,
                         catenoidal_polynomial, canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
-                        circle_samples, derived_forms, flux_for_geodesic,
+                        build_end, circle_samples, derived_forms,
+                        flux_for_geodesic,
                         flux_matrix, flux_numeric, flux_triple,
                         horosphere_frame, horospherical_closed_form,
-                        horospherical_polynomial, mobius_boundary, residue,
-                        transform_frame)
+                        horospherical_polynomial, mobius_boundary, one_forms,
+                        residue, transform_frame)
 from bryantflux.flux import flux_from_samples, flux_result_json
 from bryantflux.killing import KillingField
 from bryantflux.series import differentiate, eval_at
@@ -102,6 +104,79 @@ class TestFluxMatrix:
         expect = pm @ phi @ np.linalg.inv(pm)
         got = np.array([[mp.m11, mp.m12], [mp.m21, mp.m22]])
         assert np.max(np.abs(got - expect)) < 1e-10
+
+
+# Built ends away from the canonical position, so every entry is a full
+# series with a nonzero residue in each one-form.
+RESIDUE_ROUTE_SPECS = [
+    {"type": "catenoidal", "mu": 0.5, "axis": [[0.3, 0.1], [-0.5, 0.2]],
+     "h_perturbation": [0.0, 0.5]},
+    {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+     "h_perturbation": [1.0, 0.5], "boundary": [0.3, 0.2]},
+]
+
+
+def _residues_of_forms(frame):
+    """The reference route: form the one-forms, then take residues."""
+    fb, fm, fd = one_forms(frame)
+    return [4.0 * PI * residue(f) for f in (fd, fm, fb)]
+
+
+def _matrix_of_forms(frame):
+    A, B, C, D = frame.entries()
+    dA, dB, dC, dD = map(differentiate, frame.entries())
+    return [residue(-(dA * D - dB * C)), residue(-(dB * A - dA * B)),
+            residue(-(dC * D - dD * C)), residue(-(dD * A - dC * B))]
+
+
+class TestResidueRoute:
+    """flux_triple and flux_matrix read residues from leading coefficients
+    and agree exactly with the residues of the formed series."""
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("spec", RESIDUE_ROUTE_SPECS,
+                             ids=["catenoidal", "horospherical"])
+    def test_equals_formed_one_forms(self, spec, order):
+        frame, _ = build_end(spec, order=order)
+        t = flux_triple(frame)
+        assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(frame)
+        assert abs(t.phi0) > 0 and abs(t.phi2) > 0
+        m = flux_matrix(frame)
+        assert [m.m11, m.m12, m.m21, m.m22] == _matrix_of_forms(frame)
+
+    def test_truncation_past_residue_gives_zero(self):
+        # C (offset -1) kept to order 0: z^-1 of D dC - C dD and of
+        # C dB - D dA lies at index 1, past C's truncation, so those
+        # differences have no residue, as the series differences say.
+        frame, _ = build_end(RESIDUE_ROUTE_SPECS[1])
+        short = BryantFrame(frame.A, frame.B,
+                            GeneralizedSeries(frame.C.offset,
+                                              frame.C.coeffs[:1]),
+                            frame.D, frame.validity_radius)
+        t = flux_triple(short)
+        assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(short)
+        assert t.phi0 == t.phi1 == 0.0
+        assert t.phi2 == flux_triple(frame).phi2 != 0.0
+
+    def test_no_series_products(self, monkeypatch):
+        frame, _ = build_end(RESIDUE_ROUTE_SPECS[1], order=128)
+        calls = []
+        mul = GeneralizedSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(GeneralizedSeries, "__mul__", counted)
+        flux_triple(frame)
+        assert calls == []
+
+    def test_overflowing_residue_raises(self):
+        frame, _ = build_end(RESIDUE_ROUTE_SPECS[0])
+        huge = BryantFrame(frame.A, frame.B, 1e300 * frame.C, 1e300 * frame.D,
+                           frame.validity_radius)
+        with pytest.raises(DomainError, match="overflow"):
+            flux_triple(huge)
 
 
 class TestFluxForGeodesic:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bryantflux import (DomainError, GeneralizedSeries, QuadratureGrid,
-                        differentiate, eval_at, eval_branch, residue)
+                        differentiate, eval_at, eval_branch, product_residue,
+                        residue)
 from bryantflux.series import radius_estimate, trapezoid_residue
 
 
@@ -102,6 +103,42 @@ class TestResidue:
         b = S(-1.0, [3.0, -1.0])
         both = a + 2.0 * b
         assert residue(both) == pytest.approx(residue(a) + 2.0 * residue(b))
+
+
+class TestProductResidue:
+    """product_residue(a, b) is bitwise residue(a * b)."""
+
+    @pytest.mark.parametrize("offsets", [
+        (-1.5, -0.5), (0.25, -3.25), (-3.0, 1.0), (-2.0, -2.0), (1.0, 0.0),
+        (-0.5, -4.5)])
+    def test_matches_residue_of_product(self, offsets):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            na, nb = rng.integers(1, 9, size=2)
+            a, b = (S(o, (rng.normal(size=n) + 1j * rng.normal(size=n))
+                      * 10.0 ** rng.integers(-5, 6, size=n))
+                    for o, n in zip(offsets, (na, nb)))
+            got, want = product_residue(a, b), residue(a * b)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_index_below_zero_gives_zero(self):
+        assert product_residue(S(0.0, [1.0, 2.0]), S(1.0, [3.0])) == 0.0
+
+    def test_index_past_shorter_order_gives_zero(self):
+        # idx = 2 lies within a's order 3 but past b's order 1.
+        a, b = S(-2.0, [1.0, 2.0, 3.0, 4.0]), S(-1.0, [5.0, 6.0])
+        assert residue(a * b) == 0.0
+        assert product_residue(a, b) == 0.0
+        assert product_residue(b, a) == 0.0
+
+    def test_negative_zero_cleared(self):
+        # (-1)(0) - (0)(1) is -0.0; the product's sum reads +0.0.
+        got = product_residue(S(-1.0, [-1.0]), S(0.0, [1j]))
+        assert np.array(got).tobytes() == np.array(0.0 - 1j).tobytes()
+
+    def test_non_integer_offset_rejected(self):
+        with pytest.raises(DomainError, match="non-integer offset"):
+            product_residue(S(0.5, [1.0]), S(-1.0, [1.0]))
 
 
 class TestEvaluation:

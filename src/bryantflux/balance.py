@@ -22,8 +22,8 @@ from .ends import Catenoidal, EndDescriptor, Horosphere, Horospherical
 from .errors import DomainError, UnbalanceableError
 from .flux import FluxPolynomial, catenoidal_polynomial, \
     horospherical_polynomial
-from .geometry import INF, ExtendedComplex, Geodesic, boundary_eq, is_inf, \
-    parse_axis, parse_complex, parse_point, parse_real
+from .geometry import INF, ExtendedComplex, Geodesic, boundary_eq, \
+    homogeneous, is_inf, parse_axis, parse_complex, parse_point, parse_real
 
 _TOL = 1e-9
 
@@ -89,10 +89,9 @@ _CONCURRENT_TOL = 1e-10
 
 def _unit_point(b: ExtendedComplex):
     """Unit homogeneous coordinates (b0, b1) of b = b0/b1, b1 real >= 0."""
-    if is_inf(b):
-        return 1.0 + 0.0j, 0.0
-    r = math.hypot(1.0, abs(b))
-    return complex(b) / r, 1.0 / r
+    b0, b1 = homogeneous(b)
+    r = math.hypot(b1, abs(b0))
+    return b0 / r, b1 / r
 
 
 def three_end_axes(sigma1: float, sigma2: float, sigma3: float,

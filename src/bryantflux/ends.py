@@ -32,7 +32,6 @@ import numpy as np
 from .bryant import (BryantFrame, WeierstrassData, checked_frame,
                      transform_frame)
 from .errors import ConsistencyError, DomainError, LogTermRequiredError
-from .flux import flux_triple
 from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
                        parse_axis, parse_complex, parse_point, parse_real,
                        standardizing_isometry)
@@ -321,12 +320,6 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     C = c * f1
     B = _paired(A, m)
     D = GeneralizedSeries.constant(1.0, order) + _paired(C, m)
-
-    f2p = complex(f2.coeffs[1])
-    if abs(h1 + 2.0 * c * f2p) > 1e-8:
-        raise ConsistencyError("post-check h'(0) = -2 c f2'(0) failed")
-    if abs(f2p + complex(D.coeffs[1])) > 1e-8:
-        raise ConsistencyError("post-check f2'(0) + D'(0) = 0 failed")
     return _end_frame(A, B, C, D, -2.0, h)
 
 
@@ -406,11 +399,6 @@ def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
     return h
 
 
-def _kappa_from_frame(frame: BryantFrame, boundary: ExtendedComplex) -> complex:
-    t = flux_triple(frame)
-    return -(t.phi0 if is_inf(boundary) else t.phi2) / (2.0 * np.pi)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     """(frame, descriptor) from an end-spec mapping (the JSON interface).
@@ -453,14 +441,18 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     if kind == "horospherical":
         mu = parse_real(spec["mu"])
         b = parse_point(spec["boundary"])
-        h = _perturbed_h(parse_complex(spec.get("h0", 1.0)), pert, order)
-        frame = canonical_horospherical_frame(mu, h, order=order)
+        h0 = parse_complex(spec.get("h0", 1.0))
+        frame = canonical_horospherical_frame(
+            mu, _perturbed_h(h0, pert, order), order=order)
         if not is_inf(b):
             # move the boundary from infinity to b; any second anchor works
             aux = complex(b) + 1.0
             p = standardizing_isometry(aux, b).inverse()
             frame = transform_frame(p, frame)
-        return frame, Horospherical(b, _kappa_from_frame(frame, b))
+        # kappa = (mu h(0))^2 at mu = 2; the Hopf differential is
+        # holomorphic at mu >= 3, where kappa = 0.
+        kappa = 4.0 * h0 * h0 if round(mu) == 2 else 0j
+        return frame, Horospherical(b, kappa)
     if kind == "horosphere":
         return horosphere_frame(order), Horosphere()
     raise DomainError("unknown end type %r" % (kind,))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .bryant import BryantFrame, _check_radius, _zeta_w
 from .errors import ConsistencyError, DomainError
-from .geometry import ExtendedComplex, Geodesic, cross_ratio, is_inf
+from .geometry import ExtendedComplex, Geodesic, bracket, cross_ratio, \
+    homogeneous
 from .killing import ROTATION, TRANSLATION, KillingField, potential_samples, \
     vector_samples
 from .series import (QuadratureGrid, differentiate, eval_branch,
@@ -81,9 +82,10 @@ class FluxMatrix:
     m22: complex
 
     def __post_init__(self):
-        scale = max(abs(self.m11), abs(self.m12), abs(self.m21),
-                    abs(self.m22), 1.0)
-        if abs(self.m11 + self.m22) > 1e-10 * scale:
+        # np.max carries a NaN entry into the scale, and the test is
+        # written so that a NaN fails it
+        scale = np.max(np.abs([self.m11, self.m12, self.m21, self.m22, 1.0]))
+        if not abs(self.m11 + self.m22) <= 1e-10 * scale:
             raise ConsistencyError("flux matrix must be trace-free "
                                    "(trace %.3e)" % abs(self.m11 + self.m22))
 
@@ -99,6 +101,16 @@ def _difference_residue(a, b, c, d) -> complex:
     return res
 
 
+def _scaled_residues(scale: float, quads) -> list:
+    """scale * residue(a * b - c * d) for each (a, b, c, d) of ``quads``;
+    DomainError when one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = [scale * _difference_residue(*q) for q in quads]
+    if not all(cmath.isfinite(r) for r in res):
+        raise DomainError("the flux residues overflow: they are not finite")
+    return res
+
+
 def flux_triple(frame: BryantFrame) -> FluxTriple:
     """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB.
 
@@ -108,23 +120,18 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     """
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = [4.0 * math.pi * _difference_residue(*f) for f in (
-            (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))]
-    if not all(cmath.isfinite(r) for r in res):
-        raise DomainError("the flux residues overflow: they are not finite")
-    return FluxTriple(*res)
+    return FluxTriple(*_scaled_residues(4.0 * math.pi, (
+        (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))))
 
 
 def flux_matrix(frame: BryantFrame) -> FluxMatrix:
-    """Residue of -(dF) F^-1, entry-wise from product_residue."""
+    """Residue of -(dF) F^-1, entry-wise from product_residue.  A residue
+    that overflows raises DomainError."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
     # F^-1 = (D, -B; -C, A) since det F = 1.
-    return FluxMatrix(-_difference_residue(dA, D, dB, C),
-                      -_difference_residue(dB, A, dA, B),
-                      -_difference_residue(dC, D, dD, C),
-                      -_difference_residue(dD, A, dC, B))
+    return FluxMatrix(*_scaled_residues(-1.0, (
+        (dA, D, dB, C), (dB, A, dA, B), (dC, D, dD, C), (dD, A, dC, B))))
 
 
 def _directional(val: complex, kind: str) -> float:
@@ -138,18 +145,14 @@ def _directional(val: complex, kind: str) -> float:
 def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
     """Closed-form flux from the residue triple.
 
-    Finite endpoints (C, D) use (phi2 C D + phi1 (C+D) + phi0)/(C-D);
-    an infinite endpoint uses the limit -(phi1 + phi2 C), with the
-    start-at-infinity case resolved by antisymmetry.
+    On the homogeneous endpoints c = (c0, c1) and d = (d0, d1) the
+    value is (phi2 c0 d0 + phi1 (c0 d1 + c1 d0) + phi0 c1 d1) / [c, d]:
+    (phi2 C D + phi1 (C+D) + phi0)/(C-D) for finite C and D, and its
+    limits -(phi1 + phi2 C) at D = inf and phi1 + phi2 D at C = inf.
     """
-    c, d = g.start, g.end
-    if is_inf(c):
-        return -flux_for_geodesic(t, g.reversed(), kind)
-    c = complex(c)
-    if is_inf(d):
-        return _directional(-(t.phi1 + t.phi2 * c), kind)
-    d = complex(d)
-    val = (t.phi2 * c * d + t.phi1 * (c + d) + t.phi0) / (c - d)
+    c, d = homogeneous(g.start), homogeneous(g.end)
+    val = (t.phi2 * c[0] * d[0] + t.phi1 * (c[0] * d[1] + c[1] * d[0])
+           + t.phi0 * c[1] * d[1]) / bracket(c, d)
     return _directional(val, kind)
 
 
@@ -160,67 +163,45 @@ def catenoidal_closed_form(mu: float, axis_from: ExtendedComplex,
                            kind: str) -> float:
     """Flux of a catenoidal end via the cross-ratio (A, C, D, B)."""
     x = cross_ratio(axis_from, g.start, g.end, boundary)
-    sigma = 1.0 - mu * mu
-    if kind == TRANSLATION:
-        return math.pi * sigma * (2.0 * x.real - 1.0)
-    if kind == ROTATION:
-        return -2.0 * math.pi * sigma * x.imag
-    raise DomainError("kind must be 'translation' or 'rotation'")
+    return _directional(math.pi * (1.0 - mu * mu) * (2.0 * x - 1.0), kind)
 
 
 def horospherical_closed_form(kappa: complex, boundary: ExtendedComplex,
                               g: Geodesic, kind: str) -> float:
-    """Flux of a horospherical end with coefficient kappa at ``boundary``."""
-    c, d = g.start, g.end
-    if is_inf(boundary):
-        if is_inf(c) or is_inf(d):
-            val = 0.0 + 0.0j
-        else:
-            val = kappa / (complex(c) - complex(d))
-    else:
-        b = complex(boundary)
-        if is_inf(c):
-            val = kappa * (complex(d) - b)
-        elif is_inf(d):
-            val = -kappa * (complex(c) - b)
-        else:
-            val = kappa * (complex(c) - b) * (complex(d) - b) \
-                / (complex(c) - complex(d))
-    if kind == TRANSLATION:
-        return float(-2.0 * math.pi * val.real)
-    if kind == ROTATION:
-        return float(2.0 * math.pi * val.imag)
-    raise DomainError("kind must be 'translation' or 'rotation'")
+    """Flux of a horospherical end with coefficient kappa at ``boundary``,
+    read by _directional from -2 pi kappa [C, B][D, B] / [C, D] for the
+    geodesic from C to D: kappa [C, B][D, B] / [C, D] is
+    kappa / (C - D) at B = inf and 0 when C or D is B."""
+    b, c, d = map(homogeneous, (boundary, g.start, g.end))
+    val = kappa * bracket(c, b) * bracket(d, b) / bracket(c, d)
+    return _directional(-2.0 * math.pi * val, kind)
+
+
+def _pair_polynomial(f: complex, p, q) -> FluxPolynomial:
+    """f (p1 X - p0)(q1 X - q0) for homogeneous points p and q:
+    f (X - P)(X - Q) for finite P and Q, of lower degree when either is
+    infinite."""
+    return FluxPolynomial(f * p[1] * q[1], -f * (p[0] * q[1] + p[1] * q[0]),
+                          f * p[0] * q[0])
 
 
 def catenoidal_polynomial(sigma: float, axis_from: ExtendedComplex,
                           boundary: ExtendedComplex) -> FluxPolynomial:
-    """Pi(X) = 2 pi sigma (X - A)(X - B)/(B - A), sigma = 1 - mu^2.
-
-    An infinite A or B degrades the degree per the stated limit
-    conventions.
-    """
-    scale = 2.0 * math.pi * sigma
-    a, b = axis_from, boundary
-    if is_inf(a) and is_inf(b):
+    """Pi(X) = 2 pi sigma (X - A)(X - B)/[B, A], sigma = 1 - mu^2:
+    (X - A)(X - B)/(B - A) for finite A and B, X - B at A = inf and
+    -(X - A) at B = inf."""
+    a, b = homogeneous(axis_from), homogeneous(boundary)
+    den = bracket(b, a)
+    if den == 0:
         raise DomainError("catenoidal axis endpoints must be distinct")
-    if is_inf(a):
-        return FluxPolynomial(0.0, scale, -scale * complex(b))
-    if is_inf(b):
-        return FluxPolynomial(0.0, -scale, scale * complex(a))
-    a, b = complex(a), complex(b)
-    f = scale / (b - a)
-    return FluxPolynomial(f, -f * (a + b), f * a * b)
+    return _pair_polynomial(2.0 * math.pi * sigma / den, a, b)
 
 
 def horospherical_polynomial(kappa: complex,
                              boundary: ExtendedComplex) -> FluxPolynomial:
     """Pi(X) = -2 pi kappa (X - B)^2, constant -2 pi kappa when B = inf."""
-    scale = -2.0 * math.pi * kappa
-    if is_inf(boundary):
-        return FluxPolynomial(0.0, 0.0, scale)
-    b = complex(boundary)
-    return FluxPolynomial(scale, -2.0 * scale * b, scale * b * b)
+    b = homogeneous(boundary)
+    return _pair_polynomial(-2.0 * math.pi * kappa, b, b)
 
 
 # -- numerical quadrature route ---------------------------------------------

@@ -9,6 +9,14 @@ induced boundary action used throughout this package is
 
 which differs from the more common (alpha*zeta + beta)/(gamma*zeta + delta);
 callers holding data in the common convention must convert first.
+
+Boundary points are passed as finite complex numbers or INF, and the
+formulas on them are written in homogeneous coordinates: z = z0/z1
+with (z0, z1) = (z, 1) for finite z and (1, 0) for INF
+(:func:`homogeneous`).  The bracket [p, q] = p0 q1 - p1 q0 is p - q for
+finite points, and one formula in brackets covers the point at infinity
+with no case of its own.  The 1 and 0 are real, so on finite points the
+formulas give the same numbers as the plain differences.
 """
 
 from __future__ import annotations
@@ -87,11 +95,23 @@ def parse_axis(obj):
     return parse_point(obj[0]), parse_point(obj[1])
 
 
+def homogeneous(z: ExtendedComplex):
+    """Homogeneous coordinates (z0, z1) of z = z0/z1: (z, 1.0) for a
+    finite point, (1.0, 0.0) for INF."""
+    return (1.0, 0.0) if is_inf(z) else (complex(z), 1.0)
+
+
+def bracket(p, q):
+    """[p, q] = p0 q1 - p1 q0 of homogeneous pairs; p - q when both are
+    finite, zero exactly when p and q are the same point."""
+    return p[0] * q[1] - p[1] * q[0]
+
+
 def boundary_eq(z1: ExtendedComplex, z2: ExtendedComplex, tol: float = 0.0) -> bool:
-    """Equality of boundary points, exact on the infinity tag."""
-    if is_inf(z1) or is_inf(z2):
-        return is_inf(z1) and is_inf(z2)
-    return abs(complex(z1) - complex(z2)) <= tol
+    """|[z1, z2]| <= tol: |z1 - z2| <= tol for finite points, and INF,
+    whose bracket with a finite point is 1, equals only itself for
+    tol < 1."""
+    return abs(bracket(homogeneous(z1), homogeneous(z2))) <= tol
 
 
 @dataclass(frozen=True)
@@ -183,45 +203,31 @@ class IsometrySL2:
 
 def cross_ratio(z1: ExtendedComplex, z2: ExtendedComplex,
                 z3: ExtendedComplex, z4: ExtendedComplex) -> complex:
-    """Cross-ratio (z1,z2,z3,z4) = (z3-z1)/(z3-z2) * (z4-z2)/(z4-z1).
+    """Cross-ratio (z1,z2,z3,z4) = [z3,z1][z4,z2] / ([z3,z2][z4,z1]),
+    that is (z3-z1)/(z3-z2) * (z4-z2)/(z4-z1) for finite points.
 
-    Requires z1 != z4 and z2 != z3.  Infinite arguments are handled by
-    algebraic cancellation of the two factors containing them, never by
-    large-number arithmetic.
+    Requires z1 != z4 and z2 != z3.  An infinite point enters through
+    its homogeneous pair (1, 0), never through large numbers; the value
+    is exactly 0 when z1 = z3 or z2 = z4 and exactly 1 when z1 = z2 or
+    z3 = z4.
     """
-    if boundary_eq(z1, z4) or boundary_eq(z2, z3):
+    p1, p2, p3, p4 = map(homogeneous, (z1, z2, z3, z4))
+    num = bracket(p3, p1) * bracket(p4, p2)
+    den = bracket(p3, p2) * bracket(p4, p1)
+    if den == 0:
         raise DomainError("cross-ratio undefined: needs z1 != z4 and z2 != z3")
-    # Coincidence patterns first; they are exact limits of the formula.
-    if boundary_eq(z1, z3) or boundary_eq(z2, z4):
-        return 0.0 + 0.0j
-    if boundary_eq(z1, z2) or boundary_eq(z3, z4):
-        return 1.0 + 0.0j
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    # Each infinite point sits in exactly one numerator and one denominator
-    # factor; dropping both implements the limit.
-    if not (is_inf(z3) or is_inf(z1)):
-        num *= complex(z3) - complex(z1)
-    if not (is_inf(z4) or is_inf(z2)):
-        num *= complex(z4) - complex(z2)
-    if not (is_inf(z3) or is_inf(z2)):
-        den *= complex(z3) - complex(z2)
-    if not (is_inf(z4) or is_inf(z1)):
-        den *= complex(z4) - complex(z1)
-    return num / den
+    # z1 = z2 or z3 = z4 makes num and den the same product, whose
+    # complex quotient can miss 1 by an ulp.
+    return 1.0 + 0.0j if num == den else num / den
 
 
 def mobius_boundary(p: IsometrySL2, z: ExtendedComplex) -> ExtendedComplex:
-    """Boundary action zeta -> (delta*zeta + gamma)/(beta*zeta + alpha)."""
-    if is_inf(z):
-        if abs(p.beta) == 0.0:
-            return INF
-        return p.delta / p.beta
-    z = complex(z)
-    den = p.beta * z + p.alpha
-    if den == 0:
-        return INF
-    return (p.delta * z + p.gamma) / den
+    """Boundary action zeta -> (delta*zeta + gamma)/(beta*zeta + alpha),
+    on homogeneous pairs
+    (z0, z1) -> (delta z0 + gamma z1, beta z0 + alpha z1)."""
+    z0, z1 = homogeneous(z)
+    w1 = p.beta * z0 + p.alpha * z1
+    return INF if w1 == 0 else (p.delta * z0 + p.gamma * z1) / w1
 
 
 def point_to_hermitian(pt: HPoint):
@@ -254,8 +260,6 @@ def apply_isometry(p: IsometrySL2, pt: HPoint) -> HPoint:
 def standardizing_isometry(a: ExtendedComplex, b: ExtendedComplex) -> IsometrySL2:
     """A direct isometry whose boundary action sends a -> 0 and b -> infinity."""
     if boundary_eq(a, b):
-        raise DomainError("standardizing isometry needs distinct points")
-    if is_inf(a) and is_inf(b):  # unreachable, kept for clarity
         raise DomainError("standardizing isometry needs distinct points")
     if is_inf(b):
         # beta = 0 keeps infinity fixed; delta*a + gamma = 0 kills a.

@@ -383,6 +383,21 @@ class TestBuildEnd:
         assert abs(complex(desc.boundary) - 2.0) < 1e-12
         assert abs(desc.kappa) > 1e-6  # mu = 2 end carries nonzero kappa
 
+    @pytest.mark.parametrize("mu", [2, 3, 4])
+    @pytest.mark.parametrize("boundary", ["inf", [0.4, -1.2]])
+    def test_horospherical_kappa_matches_residues(self, mu, boundary):
+        # kappa = (mu h(0))^2 at mu = 2 and 0 at mu >= 3 is the residue
+        # -phi0/2pi at an infinite boundary and -phi2/2pi at a finite one.
+        h0 = 0.6 - 0.3j
+        spec = {"type": "horospherical", "mu": mu, "h0": [h0.real, h0.imag],
+                "boundary": boundary,
+                "h_perturbation": [[1.2, -0.6] if mu == 2 else 0.0, 0.3]}
+        frame, desc = build_end(spec)
+        assert desc.kappa == ((2.0 * h0) ** 2 if mu == 2 else 0.0)
+        t = flux_triple(frame)
+        res = -(t.phi0 if boundary == "inf" else t.phi2) / (2.0 * math.pi)
+        assert abs(desc.kappa - res) <= 1e-14 * max(1.0, abs(res))
+
     def test_horosphere_spec(self):
         frame, desc = build_end({"type": "horosphere"})
         assert isinstance(desc, Horosphere)

@@ -7,6 +7,7 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         FluxMatrix, FluxPolynomial,
                         FluxTriple, Geodesic, GeneralizedSeries, INF,
                         IsometrySL2, QuadratureGrid, catenoidal_closed_form,
+                        cross_ratio,
                         catenoidal_polynomial, canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
                         build_end, circle_samples, derived_forms,
@@ -178,6 +179,58 @@ class TestResidueRoute:
         with pytest.raises(DomainError, match="overflow"):
             flux_triple(huge)
 
+    def test_overflowing_matrix_residue_raises(self):
+        frame, _ = build_end(RESIDUE_ROUTE_SPECS[0], order=32)
+        huge = BryantFrame(frame.A, frame.B, 1e300 * frame.C, 1e300 * frame.D,
+                           frame.validity_radius)
+        with pytest.raises(DomainError, match="overflow"):
+            flux_matrix(huge)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_entry_fails_trace_check(self, slot):
+        entries = [0.5, 0.0, 0.0, -0.5]
+        entries[slot] = complex("nan+nanj")
+        with pytest.raises(ConsistencyError):
+            FluxMatrix(*entries)
+
+
+def _coefficients(poly):
+    return poly.quad, poly.lin, poly.const
+
+
+_LIMIT_TRIPLE = FluxTriple(0.5 + 0.1j, -0.3 + 0.2j, 0.2 - 0.4j)
+_LIMIT_ISOMETRY = IsometrySL2(1.1, 0.3 - 0.2j, 0.1j, 1.0)
+_C = 0.7 - 0.2j
+# Each case is a function of one boundary point z, continuous at z = inf.
+LIMIT_CASES = {
+    "cross_ratio-z1": lambda z: cross_ratio(z, 1j, -1.0, 0.5 + 0.5j),
+    "cross_ratio-z2": lambda z: cross_ratio(1j, z, -1.0, 0.5 + 0.5j),
+    "cross_ratio-z3": lambda z: cross_ratio(1j, -1.0, z, 0.5 + 0.5j),
+    "cross_ratio-z4": lambda z: cross_ratio(1j, -1.0, 0.5 + 0.5j, z),
+    "mobius_boundary": lambda z: mobius_boundary(_LIMIT_ISOMETRY, z),
+    "flux_for_geodesic-translation": lambda z: flux_for_geodesic(
+        _LIMIT_TRIPLE, Geodesic(_C, z), "translation"),
+    "flux_for_geodesic-rotation": lambda z: flux_for_geodesic(
+        _LIMIT_TRIPLE, Geodesic(_C, z), "rotation"),
+    "horospherical_closed_form-translation": lambda z:
+        horospherical_closed_form(1.5 - 0.5j, 0.3 + 0.2j, Geodesic(_C, z),
+                                  "translation"),
+    "horospherical_closed_form-rotation": lambda z:
+        horospherical_closed_form(1.5 - 0.5j, 0.3 + 0.2j, Geodesic(z, _C),
+                                  "rotation"),
+    "catenoidal_polynomial-A": lambda z: _coefficients(
+        catenoidal_polynomial(0.75, z, 0.3 + 0.2j)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_value_at_infinity_is_the_limit(case, sign):
+    """The value at INF matches the value at +-1e8 to 1e-6 relative."""
+    at_inf = np.atleast_1d(LIMIT_CASES[case](INF))
+    far = np.atleast_1d(LIMIT_CASES[case](sign * 1e8))
+    assert np.max(np.abs(at_inf - far)) <= 1e-6 * np.max(np.abs(at_inf))
+
 
 class TestFluxForGeodesic:
     triple = FluxTriple(0.0, PI * (0.25 - 1.0), 0.0)  # mu = 1/2, Z = 0
@@ -252,6 +305,11 @@ class TestCatenoidalClosedForm:
                 from_triple = flux_for_geodesic(t, g, kind)
                 assert abs(closed - from_triple) < 1e-8 * max(1.0, abs(closed))
 
+    def test_polynomial_repeated_axis_point_rejected(self):
+        for a in (1.0 + 0.5j, INF):
+            with pytest.raises(DomainError):
+                catenoidal_polynomial(0.75, a, a)
+
     def test_polynomial_roots(self):
         poly = catenoidal_polynomial(0.75, 1.0, -2.0)
         roots = sorted(poly.roots(), key=lambda r: r.real)
@@ -296,6 +354,22 @@ class TestHorosphericalClosedForm:
             g = random_geodesic(rng)
             for kind in ("translation", "rotation"):
                 closed = horospherical_closed_form(kappa, INF, g, kind)
+                from_triple = flux_for_geodesic(t, g, kind)
+                assert abs(closed - from_triple) < 1e-8 * max(1.0, abs(closed))
+
+    def test_matches_residue_route_finite_boundary(self):
+        # a built mu = 2 end at a finite boundary, whose kappa is nonzero
+        frame, desc = build_end(RESIDUE_ROUTE_SPECS[1])
+        assert abs(desc.kappa) > 0.5
+        t = flux_triple(frame)
+        b = desc.boundary
+        rng = np.random.default_rng(13)
+        geods = [Geodesic(INF, 1.0 - 0.5j), Geodesic(-0.2 + 0.7j, INF),
+                 Geodesic(b, 1.0), Geodesic(1.0, b), Geodesic(b, INF)]
+        geods += [random_geodesic(rng, p_inf=0.3) for _ in range(25)]
+        for g in geods:
+            for kind in ("translation", "rotation"):
+                closed = horospherical_closed_form(desc.kappa, b, g, kind)
                 from_triple = flux_for_geodesic(t, g, kind)
                 assert abs(closed - from_triple) < 1e-8 * max(1.0, abs(closed))
 

@@ -33,6 +33,18 @@ class TestCrossRatio:
     def test_third_equals_fourth_gives_one(self):
         assert cross_ratio(5, 2, 3, 3) == 1
 
+    def test_coincidences_are_exact(self):
+        # z1 = z2 or z3 = z4 puts the same product above and below, whose
+        # complex quotient can miss 1 by an ulp; the value is exactly 1.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a, b, c = (finite_complex(rng) for _ in range(3))
+            for pts in ((a, a, b, c), (a, b, c, c), (INF, INF, b, c),
+                        (a, b, INF, INF)):
+                assert cross_ratio(*pts) == 1.0
+            for pts in ((a, b, a, c), (a, b, c, b), (INF, b, INF, c)):
+                assert cross_ratio(*pts) == 0.0
+
     def test_infinite_last_argument(self):
         assert cross_ratio(0, 1j, -1j, INF) == pytest.approx(0.5)
 

@@ -22,8 +22,8 @@ from .ends import Catenoidal, EndDescriptor, Horosphere, Horospherical
 from .errors import DomainError, UnbalanceableError
 from .flux import FluxPolynomial, catenoidal_polynomial, \
     horospherical_polynomial
-from .geometry import INF, ExtendedComplex, Geodesic, boundary_eq, \
-    homogeneous, is_inf, parse_axis, parse_complex, parse_point, parse_real
+from .geometry import INF, ExtendedComplex, Geodesic, _homogeneous, \
+    boundary_eq, is_inf, parse_axis, parse_complex, parse_point, parse_real
 
 _TOL = 1e-9
 
@@ -89,7 +89,7 @@ _CONCURRENT_TOL = 1e-10
 
 def _unit_point(b: ExtendedComplex):
     """Unit homogeneous coordinates (b0, b1) of b = b0/b1, b1 real >= 0."""
-    b0, b1 = homogeneous(b)
+    b0, b1 = _homogeneous(b)
     r = math.hypot(b1, abs(b0))
     return b0 / r, b1 / r
 

@@ -15,6 +15,7 @@ in the literature does not satisfy that identity.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +23,10 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geometry import HPoint, IsometrySL2
-from .series import (GeneralizedSeries, QuadratureGrid, differentiate,
-                     eval_at)
+from .series import (GeneralizedSeries, QuadratureGrid, _derivative_terms,
+                     _product_terms, _sum_terms, differentiate, eval_at)
+
+log = logging.getLogger("bryantflux")
 
 
 @dataclass(frozen=True)
@@ -94,25 +97,60 @@ class HolomorphicForms:
     form_d: GeneralizedSeries
 
 
+def _frame_defects(frame: BryantFrame,
+                   omega: Optional[GeneralizedSeries] = None):
+    """(det, null, omega) defects: max residual coefficients below the
+    truncation top of AD - BC = 1, dA dD - dB dC = 0 and, when the one-form
+    ``omega`` is given, A dC - C dA = omega (else None).
+
+    One pass over (offset, coeffs) pairs: each entry's derivative is formed
+    once, and the six products and the differences follow the rules of
+    series arithmetic with the operands in the formulas' order, so each
+    defect is bitwise that of the formula written in GeneralizedSeries.
+    """
+    def times(x, y):
+        return _product_terms(*x, *y)
+
+    def minus(x, y):
+        return _sum_terms(*x, y[0], -y[1])
+
+    def defect(r):
+        return float(np.max(np.abs(r[1][:max(len(r[1]) - 1, 1)])))
+
+    A, B, C, D = ((e.offset, e.coeffs) for e in frame.entries())
+    dA, dB, dC, dD = (_derivative_terms(*x) for x in (A, B, C, D))
+    det = minus(times(A, D), times(B, C))
+    unit = np.zeros(len(det[1]) + abs(round(det[0])), dtype=complex)
+    unit[0] = 1.0
+    det = defect(minus(det, (0.0, unit)))
+    null = defect(minus(times(dA, dD), times(dB, dC)))
+    if omega is None:
+        return det, null, None
+    return det, null, defect(minus(minus(times(A, dC), times(C, dA)),
+                                   (omega.offset, omega.coeffs)))
+
+
 def frame_checks(frame: BryantFrame):
     """(det defect, nullity defect): max residual coefficients of the
     identities AD - BC = 1 and dA dD - dB dC = 0 below the truncation top."""
-    A, B, C, D = frame.entries()
-    det = A * D - B * C
-    det = det - GeneralizedSeries.constant(
-        1.0, order=det.order + abs(round(det.offset)))
-    null = (differentiate(A) * differentiate(D)
-            - differentiate(B) * differentiate(C))
-    return tuple(float(np.max(np.abs(r.coeffs[:max(r.order, 1)])))
-                 for r in (det, null))
+    return _frame_defects(frame)[:2]
 
 
-def checked_frame(frame: BryantFrame) -> BryantFrame:
-    """``frame``, or ConsistencyError if a frame_checks defect exceeds 1e-8."""
-    det, null = frame_checks(frame)
-    if not max(det, null) <= 1e-8:
+def checked_frame(frame: BryantFrame,
+                  omega: Optional[GeneralizedSeries] = None) -> BryantFrame:
+    """``frame``, or ConsistencyError if a frame_checks defect exceeds 1e-8
+    or, when the one-form ``omega`` is given, if the defect of
+    A dC - C dA = omega does."""
+    det, null, om = _frame_defects(frame, omega)
+    if omega is not None:
+        log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
+                  "validity radius %g", det, null, om, frame.validity_radius)
+    if not (det <= 1e-8 and null <= 1e-8):
         raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
                                "= 0 (defects %.3e, %.3e)" % (det, null))
+    if omega is not None and not om <= 1e-8:
+        raise ConsistencyError(
+            "frame violates omega = A dC - C dA (defect %.3e)" % om)
     return frame
 
 
@@ -184,11 +222,17 @@ def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     """Left-multiply the frame by P; the new end is the image of the old
     one under the direct isometry induced by P."""
     A, B, C, D = frame.entries()
+
+    def combine(s, x, t, y):
+        """s x + t y, summed as series addition does, as one series."""
+        return GeneralizedSeries(*_sum_terms(x.offset, x.coeffs * s,
+                                             y.offset, y.coeffs * t))
+
     return BryantFrame(
-        A=p.alpha * A + p.beta * C,
-        B=p.alpha * B + p.beta * D,
-        C=p.gamma * A + p.delta * C,
-        D=p.gamma * B + p.delta * D,
+        A=combine(p.alpha, A, p.beta, C),
+        B=combine(p.alpha, B, p.beta, D),
+        C=combine(p.gamma, A, p.delta, C),
+        D=combine(p.gamma, B, p.delta, D),
         validity_radius=frame.validity_radius,
     )
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .bryant import BryantFrame, _check_radius, _zeta_w
 from .errors import ConsistencyError, DomainError
-from .geometry import ExtendedComplex, Geodesic, bracket, cross_ratio, \
-    homogeneous
+from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
+    cross_ratio
 from .killing import ROTATION, TRANSLATION, KillingField, potential_samples, \
     vector_samples
 from .series import (QuadratureGrid, differentiate, eval_branch,
@@ -150,9 +150,9 @@ def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
     (phi2 C D + phi1 (C+D) + phi0)/(C-D) for finite C and D, and its
     limits -(phi1 + phi2 C) at D = inf and phi1 + phi2 D at C = inf.
     """
-    c, d = homogeneous(g.start), homogeneous(g.end)
+    c, d = _homogeneous(g.start), _homogeneous(g.end)
     val = (t.phi2 * c[0] * d[0] + t.phi1 * (c[0] * d[1] + c[1] * d[0])
-           + t.phi0 * c[1] * d[1]) / bracket(c, d)
+           + t.phi0 * c[1] * d[1]) / _bracket(c, d)
     return _directional(val, kind)
 
 
@@ -172,8 +172,8 @@ def horospherical_closed_form(kappa: complex, boundary: ExtendedComplex,
     read by _directional from -2 pi kappa [C, B][D, B] / [C, D] for the
     geodesic from C to D: kappa [C, B][D, B] / [C, D] is
     kappa / (C - D) at B = inf and 0 when C or D is B."""
-    b, c, d = map(homogeneous, (boundary, g.start, g.end))
-    val = kappa * bracket(c, b) * bracket(d, b) / bracket(c, d)
+    b, c, d = map(_homogeneous, (boundary, g.start, g.end))
+    val = kappa * _bracket(c, b) * _bracket(d, b) / _bracket(c, d)
     return _directional(-2.0 * math.pi * val, kind)
 
 
@@ -190,8 +190,8 @@ def catenoidal_polynomial(sigma: float, axis_from: ExtendedComplex,
     """Pi(X) = 2 pi sigma (X - A)(X - B)/[B, A], sigma = 1 - mu^2:
     (X - A)(X - B)/(B - A) for finite A and B, X - B at A = inf and
     -(X - A) at B = inf."""
-    a, b = homogeneous(axis_from), homogeneous(boundary)
-    den = bracket(b, a)
+    a, b = _homogeneous(axis_from), _homogeneous(boundary)
+    den = _bracket(b, a)
     if den == 0:
         raise DomainError("catenoidal axis endpoints must be distinct")
     return _pair_polynomial(2.0 * math.pi * sigma / den, a, b)
@@ -200,7 +200,7 @@ def catenoidal_polynomial(sigma: float, axis_from: ExtendedComplex,
 def horospherical_polynomial(kappa: complex,
                              boundary: ExtendedComplex) -> FluxPolynomial:
     """Pi(X) = -2 pi kappa (X - B)^2, constant -2 pi kappa when B = inf."""
-    b = homogeneous(boundary)
+    b = _homogeneous(boundary)
     return _pair_polynomial(-2.0 * math.pi * kappa, b, b)
 
 

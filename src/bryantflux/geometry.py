@@ -13,7 +13,7 @@ callers holding data in the common convention must convert first.
 Boundary points are passed as finite complex numbers or INF, and the
 formulas on them are written in homogeneous coordinates: z = z0/z1
 with (z0, z1) = (z, 1) for finite z and (1, 0) for INF
-(:func:`homogeneous`).  The bracket [p, q] = p0 q1 - p1 q0 is p - q for
+(:func:`_homogeneous`).  The bracket [p, q] = p0 q1 - p1 q0 is p - q for
 finite points, and one formula in brackets covers the point at infinity
 with no case of its own.  The 1 and 0 are real, so on finite points the
 formulas give the same numbers as the plain differences.
@@ -95,13 +95,13 @@ def parse_axis(obj):
     return parse_point(obj[0]), parse_point(obj[1])
 
 
-def homogeneous(z: ExtendedComplex):
+def _homogeneous(z: ExtendedComplex):
     """Homogeneous coordinates (z0, z1) of z = z0/z1: (z, 1.0) for a
     finite point, (1.0, 0.0) for INF."""
     return (1.0, 0.0) if is_inf(z) else (complex(z), 1.0)
 
 
-def bracket(p, q):
+def _bracket(p, q):
     """[p, q] = p0 q1 - p1 q0 of homogeneous pairs; p - q when both are
     finite, zero exactly when p and q are the same point."""
     return p[0] * q[1] - p[1] * q[0]
@@ -111,7 +111,7 @@ def boundary_eq(z1: ExtendedComplex, z2: ExtendedComplex, tol: float = 0.0) -> b
     """|[z1, z2]| <= tol: |z1 - z2| <= tol for finite points, and INF,
     whose bracket with a finite point is 1, equals only itself for
     tol < 1."""
-    return abs(bracket(homogeneous(z1), homogeneous(z2))) <= tol
+    return abs(_bracket(_homogeneous(z1), _homogeneous(z2))) <= tol
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,9 @@ def cross_ratio(z1: ExtendedComplex, z2: ExtendedComplex,
     is exactly 0 when z1 = z3 or z2 = z4 and exactly 1 when z1 = z2 or
     z3 = z4.
     """
-    p1, p2, p3, p4 = map(homogeneous, (z1, z2, z3, z4))
-    num = bracket(p3, p1) * bracket(p4, p2)
-    den = bracket(p3, p2) * bracket(p4, p1)
+    p1, p2, p3, p4 = map(_homogeneous, (z1, z2, z3, z4))
+    num = _bracket(p3, p1) * _bracket(p4, p2)
+    den = _bracket(p3, p2) * _bracket(p4, p1)
     if den == 0:
         raise DomainError("cross-ratio undefined: needs z1 != z4 and z2 != z3")
     # z1 = z2 or z3 = z4 makes num and den the same product, whose
@@ -225,7 +225,7 @@ def mobius_boundary(p: IsometrySL2, z: ExtendedComplex) -> ExtendedComplex:
     """Boundary action zeta -> (delta*zeta + gamma)/(beta*zeta + alpha),
     on homogeneous pairs
     (z0, z1) -> (delta z0 + gamma z1, beta z0 + alpha z1)."""
-    z0, z1 = homogeneous(z)
+    z0, z1 = _homogeneous(z)
     w1 = p.beta * z0 + p.alpha * z1
     return INF if w1 == 0 else (p.delta * z0 + p.gamma * z1) / w1
 

@@ -9,7 +9,10 @@ evaluates a sequence of series on a QuadratureGrid, whose nodes are rho
 times the N-th roots of unity, as one block by one inverse FFT of the
 scaled coefficients, followed by one branch factor e^(i lambda tau) per
 row.  product_residue gives residue(a * b) from the coefficient pairs
-that reach z^-1, without forming the product.
+that reach z^-1, without forming the product.  The rules of addition,
+multiplication and differentiation are written once, on bare
+(offset, coeffs) pairs (_sum_terms, _product_terms, _derivative_terms),
+so a caller can apply them without forming intermediate series.
 """
 
 from __future__ import annotations
@@ -32,6 +35,40 @@ def _snap(offset: float) -> float:
     if abs(offset - r) < _OFFSET_TOL:
         return float(r)
     return float(offset)
+
+
+def _sum_terms(x_offset: float, x: np.ndarray, y_offset: float,
+               y: np.ndarray):
+    """(offset, coeffs) of z^x_offset x + z^y_offset y, the rule of series
+    addition on bare coefficient arrays.
+
+    The offsets must differ by an integer d; the sum sits at the lower one.
+    Both operands are accurate through their top retained power, so the sum
+    is accurate through the lower of the two absolute tops.
+    """
+    d = y_offset - x_offset
+    if abs(d - round(d)) > _OFFSET_TOL:
+        raise DomainError(
+            "series addition needs offsets differing by an integer "
+            "(got %g and %g)" % (x_offset, y_offset))
+    d = round(d)
+    offset, a, b = (x_offset, x, y) if d >= 0 else (y_offset, y, x)
+    d = abs(d)
+    n = min(len(a), d + len(b))
+    out = np.zeros(max(n, 1), dtype=complex)
+    out[: min(len(a), n)] += a[:n]
+    hi = min(d + len(b), n)
+    if hi > d:
+        out[d:hi] += b[: hi - d]
+    return offset, out
+
+
+def _product_terms(x_offset: float, x: np.ndarray, y_offset: float,
+                   y: np.ndarray):
+    """(offset, coeffs) of the product of z^x_offset x and z^y_offset y,
+    truncated at the shorter operand's order: one np.convolve."""
+    n = min(len(x), len(y))
+    return _snap(x_offset + y_offset), np.convolve(x, y)[:n]
 
 
 @dataclass(frozen=True)
@@ -117,24 +154,8 @@ class GeneralizedSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        d = other.offset - self.offset
-        if abs(d - round(d)) > _OFFSET_TOL:
-            raise DomainError(
-                "series addition needs offsets differing by an integer "
-                "(got %g and %g)" % (self.offset, other.offset))
-        d = round(d)
-        a, b = (self, other) if d >= 0 else (other, self)
-        d = abs(d)
-        # Both operands are accurate through their top retained power; the
-        # sum is accurate through the lower of the two absolute tops.
-        top = min(a.order, d + b.order)
-        n = top + 1
-        out = np.zeros(max(n, 1), dtype=complex)
-        out[: min(len(a.coeffs), n)] += a.coeffs[:n]
-        hi = min(d + len(b.coeffs), n)
-        if hi > d:
-            out[d:hi] += b.coeffs[: hi - d]
-        return GeneralizedSeries(a.offset, out)
+        return GeneralizedSeries(*_sum_terms(self.offset, self.coeffs,
+                                             other.offset, other.coeffs))
 
     def __neg__(self) -> "GeneralizedSeries":
         return GeneralizedSeries(self.offset, -self.coeffs)
@@ -145,9 +166,8 @@ class GeneralizedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return GeneralizedSeries(self.offset, self.coeffs * other)
-        n = min(self.order, other.order)
-        full = np.convolve(self.coeffs, other.coeffs)
-        return GeneralizedSeries(self.offset + other.offset, full[: n + 1])
+        return GeneralizedSeries(*_product_terms(self.offset, self.coeffs,
+                                                 other.offset, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -167,10 +187,14 @@ class GeneralizedSeries:
         return GeneralizedSeries(self.offset - b.offset, q)
 
 
+def _derivative_terms(offset: float, coeffs: np.ndarray):
+    """(offset, coeffs) of the term-wise derivative of z^offset coeffs."""
+    return _snap(offset - 1.0), (offset + np.arange(len(coeffs))) * coeffs
+
+
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
     """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1)."""
-    k = np.arange(len(a.coeffs))
-    return GeneralizedSeries(a.offset - 1.0, (a.offset + k) * a.coeffs)
+    return GeneralizedSeries(*_derivative_terms(a.offset, a.coeffs))
 
 
 def _residue_index(offset: float) -> int:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
                         flux_triple, frame_checks, frobenius_solve,
                         horosphere_frame, horospherical_polynomial, is_inf,
                         mobius_boundary, ode_residual, transform_frame)
-from bryantflux import ends
-from bryantflux.series import differentiate, eval_at
+from bryantflux import bryant, ends
+from bryantflux.series import differentiate, eval_at, radius_estimate
 
 from conftest import make_h
 
@@ -462,3 +463,156 @@ class TestHorosphereFrame:
         f = horosphere_frame()
         assert frame_checks(f) == (0.0, 0.0)
         assert math.isinf(f.validity_radius)
+
+
+# -- the frame checks of a built end ------------------------------------------
+
+DEFECT_SPECS = [
+    {"type": "catenoidal", "mu": 0.5, "axis": [[0.3, 0.1], "inf"],
+     "h_perturbation": [0.0, 2.0]},
+    {"type": "catenoidal", "mu": 1.5, "axis": [[0.3, 0.1], [1.0, 0.0]],
+     "h_perturbation": [0.0, 0.5]},
+    {"type": "horospherical", "mu": 2, "h0": [0.7, 0.0],
+     "boundary": [2.0, 0.0], "h_perturbation": [1.4, 0.3]},
+    {"type": "horospherical", "mu": 3, "h0": [0.6, -0.3], "boundary": "inf",
+     "h_perturbation": [0.0, 0.3]},
+]
+DEFECT_IDS = ["catenoidal-inf", "catenoidal-finite", "horospherical-mu2",
+              "horospherical-mu3"]
+
+
+def series_defects(frame, omega):
+    """The reference: det, null and omega defects by series arithmetic."""
+    A, B, C, D = frame.entries()
+    dA, dB, dC, dD = map(differentiate, frame.entries())
+    det = A * D - B * C
+    det = det - GeneralizedSeries.constant(
+        1.0, order=det.order + abs(round(det.offset)))
+    return tuple(float(np.max(np.abs(r.coeffs[:max(r.order, 1)])))
+                 for r in (det, dA * dD - dB * dC, A * dC - C * dA - omega))
+
+
+def checked_calls(spec, monkeypatch):
+    """build_end(spec) and the (frame, omega) pairs it passed to
+    checked_frame."""
+    calls = []
+
+    def recording(frame, omega=None):
+        calls.append((frame, omega))
+        return bryant.checked_frame(frame, omega)
+
+    monkeypatch.setattr(ends, "checked_frame", recording)
+    return build_end(spec), calls
+
+
+class TestDefectPass:
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
+    def test_defects_equal_the_series_formulas(self, spec, order,
+                                               monkeypatch):
+        (frame, _), calls = checked_calls(dict(spec, order=order),
+                                          monkeypatch)
+        [(built, omega)] = calls
+        assert omega is not None
+        ref = series_defects(built, omega)
+        assert bryant._frame_defects(built, omega) == ref
+        assert frame_checks(built) == ref[:2]
+        # the frame moved to a finite boundary point, which only
+        # frame_checks sees
+        assert frame_checks(frame) == series_defects(frame, omega)[:2]
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
+    def test_validity_radius_is_half_the_least_root_test(self, spec, order,
+                                                         monkeypatch):
+        (frame, _), [(built, _)] = checked_calls(dict(spec, order=order),
+                                                 monkeypatch)
+        radius = 0.5 * min(radius_estimate(e) for e in built.entries())
+        assert built.validity_radius == radius
+        assert frame.validity_radius == radius
+
+    @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
+    def test_one_pass_forms_no_intermediate_series(self, spec, monkeypatch):
+        """At most 20 series constructions per build (44 with the checks
+        written in series arithmetic) and one np.convolve per product."""
+        counts = {"series": 0, "convolve": 0}
+        post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
+
+        def counted_post_init(self):
+            counts["series"] += 1
+            post_init(self)
+
+        def counted_convolve(*args, **kwargs):
+            counts["convolve"] += 1
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(GeneralizedSeries, "__post_init__",
+                            counted_post_init)
+        monkeypatch.setattr(np, "convolve", counted_convolve)
+        build_end(spec)
+        assert counts["series"] <= 20
+        assert counts["convolve"] == 6
+
+    def test_built_end_logs_its_defects(self, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="bryantflux")
+        (frame, _), [(built, omega)] = checked_calls(DEFECT_SPECS[1],
+                                                     monkeypatch)
+        [record] = [r for r in caplog.records
+                    if r.name == "bryantflux" and r.levelno == logging.DEBUG]
+        assert record.args == (*bryant._frame_defects(built, omega),
+                               built.validity_radius)
+        assert "omega" in record.getMessage()
+
+
+class TestEndFrameRefusals:
+    """_end_frame's refusals, on the canonical catenoidal frame."""
+
+    def parts(self):
+        """Entries, nu and h of a frame that passes; with an infinite axis
+        point build_end returns the frame _end_frame checked."""
+        mu, pert = 0.5, [0.0, 0.5]
+        frame, _ = build_end({"type": "catenoidal", "mu": mu,
+                              "axis": [[0.3, 0.1], "inf"],
+                              "h_perturbation": pert})
+        h = ends._perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert,
+                              frame.A.order)
+        return list(frame.entries()), -1.0 - mu, h
+
+    def test_unchanged_parts_pass(self):
+        entries, nu, h = self.parts()
+        frame = ends._end_frame(*entries, nu, h)
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in zip(frame.entries(), entries))
+
+    def test_nudged_entry_breaks_the_determinant(self):
+        entries, nu, h = self.parts()
+        a = entries[0].coeffs.copy()
+        a[1] += 1e-6
+        entries[0] = GeneralizedSeries(entries[0].offset, a)
+        with pytest.raises(ConsistencyError,
+                           match=r"frame violates AD - BC = 1 or "
+                                 r"dA dD - dB dC = 0 \(defects "):
+            ends._end_frame(*entries, nu, h)
+
+    def test_scaled_h_breaks_omega(self):
+        entries, nu, h = self.parts()
+        scaled = GeneralizedSeries(0.0, h.coeffs * (1.0 + 1e-6))
+        with pytest.raises(ConsistencyError,
+                           match=r"frame violates omega = A dC - C dA "
+                                 r"\(defect "):
+            ends._end_frame(*entries, nu, scaled)
+
+    def test_nan_in_omega_is_refused(self):
+        entries, nu, h = self.parts()
+        bad = h.coeffs.copy()
+        bad[3] = np.nan
+        with pytest.raises(ConsistencyError, match="omega = A dC - C dA"):
+            ends._end_frame(*entries, nu, GeneralizedSeries(0.0, bad))
+
+    def test_non_finite_entry_overflows(self):
+        entries, nu, h = self.parts()
+        c = entries[2].coeffs.copy()
+        c[5] = np.inf
+        entries[2] = GeneralizedSeries(entries[2].offset, c)
+        with pytest.raises(DomainError, match="the frame overflows"):
+            ends._end_frame(*entries, nu, h)

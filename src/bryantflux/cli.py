@@ -17,7 +17,7 @@ from .bryant import frame_from_json, frame_to_json, immersion_samples
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
 from .flux import (circle_samples, flux_for_geodesic, flux_from_samples,
-                   flux_result_json, flux_triple)
+                   flux_result_json, flux_triple, roundoff_bound)
 from .geometry import INF, Geodesic, is_inf, parse_complex, parse_real
 from .killing import KillingField
 from .series import DEFAULT_ORDER, QuadratureGrid
@@ -110,7 +110,7 @@ def _cmd_verify(args):
     triple = flux_triple(frame)
     samples = circle_samples(frame, QuadratureGrid(args.rho, args.samples))
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    worst = bound = 0.0
     for i in range(args.geodesics):
         pts = []
         for _ in range(2):
@@ -122,15 +122,20 @@ def _cmd_verify(args):
             pts[1] = complex(rng.normal(), rng.normal())
         geod = Geodesic(pts[0], pts[1])
         for kind in ("translation", "rotation"):
-            with np.errstate(over="ignore", invalid="ignore"):
-                numeric = flux_from_samples(samples, KillingField(kind, geod))
-            defect = abs(numeric - flux_for_geodesic(triple, geod, kind))
+            k = KillingField(kind, geod)
+            defect = abs(flux_from_samples(samples, k)
+                         - flux_for_geodesic(triple, geod, kind))
             if not math.isfinite(defect):
                 raise DomainError("quadrature on |z| = %g gave a non-finite "
                                   "flux" % args.rho)
             worst = max(worst, defect)
-    _emit({"max_defect": worst, "geodesics": args.geodesics,
-           "rho": args.rho, "samples": args.samples})
+            bound = max(bound, roundoff_bound(samples, k))
+    if not bound < 1e-5:
+        raise DomainError("quadrature on |z| = %g is lost to round-off "
+                          "(bound %.3e)" % (args.rho, bound))
+    _emit({"max_defect": worst, "roundoff_bound": bound,
+           "geodesics": args.geodesics, "rho": args.rho,
+           "samples": args.samples})
     return 0 if worst < 1e-5 else 1
 
 
@@ -175,6 +180,10 @@ def _to_ball(u, v, w):
 
 
 def _cmd_mesh(args):
+    # One ring has no faces, and two nodes per ring give degenerate ones.
+    if args.radial < 2 or args.angular < 3:
+        raise DomainError("--radial must be at least 2 and --angular at "
+                          "least 3")
     frame = _load_frame(args)
     rhos = np.geomspace(args.rho_min, args.rho_max, args.radial)
     taus = 2.0 * math.pi * np.arange(args.angular) / args.angular

@@ -122,8 +122,8 @@ class FrobeniusProblem:
         return lo, hi
 
 
-def _solve_at_root(prob: FrobeniusProblem, sigma: float,
-                   gap: Optional[int]) -> GeneralizedSeries:
+def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
+                   sigma: float, gap: Optional[int]) -> GeneralizedSeries:
     """Run the recurrence of X' = q P, P' = mu z^(m-s) X at one root.
 
     With X = sum x_k z^(sigma+k), P = sum p_k z^(k-kc), kc = s + 1 - sigma
@@ -132,8 +132,8 @@ def _solve_at_root(prob: FrobeniusProblem, sigma: float,
     p_kc is P's constant, fixed by the first equation with x_kc = 0 past
     k = 0; P needs a log unless x_(kc-d) = 0.  ``gap`` is the resonance
     order at the lower root, where x_gap is free and set to 0, else None.
+    (lo, hi) are the problem's indicial roots.
     """
-    lo, hi = prob.indicial_roots
     d, K, mu = prob.coupling + 2, prob.order, prob.mu
     kc, h0 = prob.s + 1.0 - sigma, complex(prob.h.coeffs[0])
     hn = [(n, complex(c)) for n, c in enumerate(prob.h.coeffs[1:K + 1], 1) if c]
@@ -176,7 +176,8 @@ def frobenius_solve(prob: FrobeniusProblem):
     placing big at the gap, with t its coefficient there.
     """
     lo, hi = prob.indicial_roots
-    return _solve_at_root(prob, lo, round(hi - lo)), _solve_at_root(prob, hi, None)
+    return (_solve_at_root(prob, lo, hi, lo, round(hi - lo)),
+            _solve_at_root(prob, lo, hi, hi, None))
 
 
 def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:

@@ -15,6 +15,17 @@ are tested against.  The nodes are rho times the N-th roots of unity, so
 the four frame entries and their term-wise derivatives are evaluated
 there as one block by one inverse FFT (series.eval_branch), in
 O(N log N) rather than O(N K) per entry.
+
+The integrand is linear in the coefficients of the field's quadratic
+V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
+circle_samples sums three complex moments (M0, M1, M2) once per circle
+and flux_from_samples reads every field's flux from them as
+Re(c0 M0 + c1 M1 + c2 M2), in O(1).  Against flux_for_geodesic this
+says that (M2, -M1, M0) is the residue triple (phi0, phi1, phi2): the
+flux of every Killing field is the linear functional of the residues,
+computed here by quadrature.  Each moment carries a bound on the
+round-off of its sum, and roundoff_bound gives the one a field's flux
+inherits.
 """
 
 from __future__ import annotations
@@ -30,8 +41,7 @@ from .bryant import BryantFrame, _check_radius, _zeta_w
 from .errors import ConsistencyError, DomainError
 from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
     cross_ratio
-from .killing import ROTATION, TRANSLATION, KillingField, potential_samples, \
-    vector_samples
+from .killing import ROTATION, TRANSLATION, KillingField, field_polynomial
 from .series import (QuadratureGrid, differentiate, eval_branch,
                      product_residue)
 
@@ -208,8 +218,9 @@ def horospherical_polynomial(kappa: complex,
 
 @dataclass(frozen=True)
 class CircleSamples:
-    """Immersion values and derivatives on one circle, reusable across
-    Killing fields."""
+    """Immersion values and derivatives on one circle, the flux moments
+    (M0, M1, M2) summed from them and the moments' round-off bounds
+    (b0, b1, b2)."""
 
     rho: float
     taus: np.ndarray
@@ -219,10 +230,38 @@ class CircleSamples:
     dw_drho: np.ndarray
     dzeta_dtau: np.ndarray
     dw_dtau: np.ndarray
+    moments: tuple
+    roundoff: tuple
 
 
-def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
-    """Sample X = (zeta, w) on |z| = rho with radial and angular derivatives.
+def _moments(rho, zeta, w, dzeta_drho, dw_drho, dzeta_dtau):
+    """Trapezoid sums (M0, M1, M2) and their round-off bounds.
+
+    With q = (-rho conj(d_rho zeta) + i conj(d_tau zeta)) / w^2 and
+    r = rho d_rho w / w, the integrand -rho<d_rho X, Y> + 2<d_tau X, Z> of
+    the field with polynomial c0 + c1 zeta + c2 zeta^2 is
+    Re(c0 q + c1 (q zeta - r)
+       + c2 (q zeta^2 + rho d_rho zeta - 2 zeta r - 2i log(w) d_tau zeta)),
+    and M_j is the sum of the j-th term times 2 pi / N.  Its bound is
+    eps times the sum of the term's moduli times 2 pi / N.
+    """
+    scale = 2.0 * math.pi / len(w)
+    eps_scale = np.finfo(float).eps * scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = (1j * np.conj(dzeta_dtau) - rho * np.conj(dzeta_drho)) / (w * w)
+        r = rho * dw_drho / w
+        qz = q * zeta
+        terms = (q, qz - r, (qz - 2.0 * r) * zeta + rho * dzeta_drho
+                 - 2j * np.log(w) * dzeta_dtau)
+        sums = tuple(complex(t.sum() * scale) for t in terms)
+        bounds = tuple(float(np.abs(t).sum() * eps_scale) for t in terms)
+    if not all(map(cmath.isfinite, sums + bounds)):
+        raise DomainError("flux moments on |z| = %g are not finite" % rho)
+    return sums, bounds
+
+
+def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
+    """zeta, w and (d_rho zeta, d_rho w, d_tau zeta, d_tau w) on the grid.
 
     The four entries E and their term-wise derivatives E' are evaluated
     as one 8-row block by one inverse FFT on the roots of unity
@@ -232,7 +271,6 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     DomainError.
     """
     rho, taus = grid.rho, grid.taus
-    _check_radius(frame, rho)
     entries = frame.entries()
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, d, da, db, dc, dd = eval_branch(
@@ -253,20 +291,37 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     # returned arrays cover the block as well as overflow after it.
     if not all(np.isfinite(x).all() for x in (zeta, w) + derivs):
         raise DomainError("samples on |z| = %g are not finite" % rho)
-    return CircleSamples(rho, taus, zeta, w, *derivs)
+    return zeta, w, derivs
+
+
+def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
+    """Sample X = (zeta, w) on |z| = rho with radial and angular derivatives
+    (_immersion_derivatives), and sum the three flux moments over the
+    circle (_moments).  A sample or moment that overflows or is not
+    finite raises DomainError.
+    """
+    _check_radius(frame, grid.rho)
+    # The 8-row evaluated block dies when _immersion_derivatives returns,
+    # so it is not held while the moments' temporaries are live.
+    zeta, w, derivs = _immersion_derivatives(frame, grid)
+    return CircleSamples(grid.rho, grid.taus, zeta, w, *derivs,
+                         *_moments(grid.rho, zeta, w, *derivs[:3]))
 
 
 def flux_from_samples(samples: CircleSamples, k: KillingField) -> float:
-    """Trapezoid quadrature of -rho<d_rho X, Y> + 2<d_tau X, Z> over the circle."""
-    zeta, w = samples.zeta, samples.w
-    ya, yb = vector_samples(k, zeta, w)
-    za, zb = potential_samples(k, zeta, w)
-    inner_rho = (np.real(np.conj(samples.dzeta_drho) * ya)
-                 + samples.dw_drho * yb) / w ** 2
-    inner_tau = (np.real(np.conj(samples.dzeta_dtau) * za)
-                 + samples.dw_dtau * zb) / w ** 2
-    integrand = -samples.rho * inner_rho + 2.0 * inner_tau
-    return float(np.sum(integrand) * (2.0 * math.pi / len(integrand)))
+    """Trapezoid quadrature of -rho<d_rho X, Y> + 2<d_tau X, Z> over the
+    circle, as Re(c0 M0 + c1 M1 + c2 M2) from the field's polynomial."""
+    c0, c1, c2 = field_polynomial(k)
+    m0, m1, m2 = samples.moments
+    return float((c0 * m0 + c1 * m1 + c2 * m2).real)
+
+
+def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
+    """|c0| b0 + |c1| b1 + |c2| b2: the round-off that the moments' sums
+    allow in flux_from_samples(samples, k)."""
+    c0, c1, c2 = field_polynomial(k)
+    b0, b1, b2 = samples.roundoff
+    return abs(c0) * b0 + abs(c1) * b1 + abs(c2) * b2
 
 
 def flux_numeric(frame: BryantFrame, k: KillingField,

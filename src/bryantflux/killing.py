@@ -1,9 +1,19 @@
 """Killing fields of translations and rotations, and their potentials.
 
-The closed forms below are exact.  For a geodesic with two finite
-endpoints (C, D) the substitution zeta0 = C - D, zeta1 = D is used;
-an infinite ``start`` endpoint is handled by reversing the geodesic and
-negating (the field of the reversed geodesic is the opposite).
+Each field is fixed by a quadratic V(zeta) = c0 + c1 zeta + c2 zeta^2
+(field_polynomial): the translation along the geodesic from C to D has
+V = (zeta - C)(zeta - D)/(C - D), V = zeta - C when D = inf, and the
+reversed geodesic's V, negated, when C = inf; the rotation has i V.
+The field is Y = (V - w^2 conj(c2), w Re V') and its potential is
+Z = (i (w^2 conj(c2) log w + V/2), 0), so every flux integral is linear
+in (c0, c1, c2), which the quadrature route of flux uses.
+
+The closed forms below are exact, written per field kind and endpoint
+case rather than through V, and the tests check V against them.  For a
+geodesic with two finite endpoints (C, D) the substitution
+zeta0 = C - D, zeta1 = D is used; an infinite ``start`` endpoint is
+handled by reversing the geodesic and negating (the field of the
+reversed geodesic is the opposite).
 
 The potential Z is the vector field whose dual 1-form beta satisfies
 i_Y alpha = d beta, with alpha the hyperbolic volume form w^-3 du dv dw.
@@ -21,7 +31,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Geodesic, HPoint, TangentVector, is_inf
+from .geometry import Geodesic, HPoint, TangentVector, _bracket, \
+    _homogeneous, is_inf
 
 TRANSLATION = "translation"
 ROTATION = "rotation"
@@ -40,6 +51,20 @@ class KillingField:
 
     def reversed(self) -> "KillingField":
         return KillingField(self.kind, self.geodesic.reversed())
+
+
+def field_polynomial(k: KillingField) -> Tuple[complex, complex, complex]:
+    """(c0, c1, c2) of the field's quadratic V(zeta) = c0 + c1 zeta + c2 zeta^2.
+
+    On the homogeneous endpoints c = (c0', c1') and d = (d0', d1') of the
+    geodesic, the translation has V = (c1' zeta - c0')(d1' zeta - d0') / [c, d]:
+    (zeta - C)(zeta - D)/(C - D) for finite C and D, zeta - C at D = inf
+    and -(zeta - D) at C = inf.  The rotation has i times that V.
+    """
+    c, d = _homogeneous(k.geodesic.start), _homogeneous(k.geodesic.end)
+    f = (1j if k.kind == ROTATION else 1.0) / _bracket(c, d)
+    return (f * c[0] * d[0], -f * (c[0] * d[1] + c[1] * d[0]),
+            f * c[1] * d[1])
 
 
 def _components(kind, geod, zeta, w, potential):

@@ -18,6 +18,7 @@ so a caller can apply them without forming intermediate series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -247,9 +248,13 @@ class QuadratureGrid:
             raise DomainError("sample count must be a power of two, >= 16")
         object.__setattr__(self, "samples", n)
 
-    @property
+    @cached_property
     def taus(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.samples) / self.samples
+        """The node angles, formed once per grid and read-only, since every
+        caller shares the one array."""
+        taus = 2.0 * np.pi * np.arange(self.samples) / self.samples
+        taus.flags.writeable = False
+        return taus
 
 
 def eval_at(a: GeneralizedSeries, rho: float, taus: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import bryantflux.cli
 import bryantflux.flux
+import bryantflux.killing
 from bryantflux import (Geodesic, INF, build_end, circle_samples,
                         flux_for_geodesic, flux_triple, frame_from_json,
                         frame_to_json)
@@ -31,6 +32,11 @@ H0_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": 1e200,
 RESIDUE_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
                          "h_perturbation": [1.0, 0.5],
                          "boundary": [0.3, 1e200]}
+
+
+# A mesh run short of its grid flags; nothing is written when it fails.
+MESH_ARGV = ["mesh", "--rho-min", "0.02", "--rho-max", "0.1",
+             "--out", os.devnull]
 
 
 def _doubled_a_frame():
@@ -157,19 +163,38 @@ class TestVerify:
         assert out["max_defect"] < 1e-12
 
     def test_one_circle_per_run(self, catenoid_json, capsys, monkeypatch):
+        # The geodesics are read from the circle's three moments: no field
+        # or potential is sampled.
         calls = []
 
         def counted(frame, grid):
             calls.append(grid)
             return circle_samples(frame, grid)
 
+        def sampled(*args):
+            raise AssertionError("verify sampled a Killing field")
+
         monkeypatch.setattr(bryantflux.flux, "circle_samples", counted)
         monkeypatch.setattr(bryantflux.cli, "circle_samples", counted,
                             raising=False)
+        for module in (bryantflux.killing, bryantflux.flux):
+            for name in ("vector_samples", "potential_samples"):
+                monkeypatch.setattr(module, name, sampled,
+                                    raising=module is bryantflux.killing)
         code, _ = run_json(capsys, ["verify", "--end", catenoid_json,
                                     "--geodesics", "5"])
         assert code == 0
         assert len(calls) == 1
+
+    def test_readme_example(self, catenoid_json, capsys):
+        # README: "about 6e-15 for the catenoidal example above".
+        code, out = run_json(capsys, ["verify", "--end", catenoid_json,
+                                      "--rho", "0.1", "--samples", "1024",
+                                      "--geodesics", "20"])
+        assert code == 0
+        assert out["geodesics"] == 20
+        assert out["max_defect"] < 1e-13
+        assert 0.0 < out["roundoff_bound"] < 1e-13
 
     def test_readme_horospherical_example(self, tmp_path, capsys):
         path = tmp_path / "horospherical.json"
@@ -326,6 +351,8 @@ class TestErrors:
          "DomainError"),
         (CATENOID_SPEC, ["verify", "--rho", "1e-200"], "DomainError"),
         (CATENOID_SPEC, ["verify", "--rho", "1e-100"], "DomainError"),
+        (CATENOID_SPEC, ["verify", "--rho", "1e-12"], "DomainError"),
+        (CATENOID_SPEC, ["verify", "--rho", "1e-60"], "DomainError"),
         (CATENOID_SPEC, ["verify", "--geodesics", "0"], "DomainError"),
         (CATENOID_SPEC, ["verify", "--geodesics", "-2"], "DomainError"),
         (None, ["balance", "two", "--mu", "abc", "--axis", "0,inf",
@@ -333,6 +360,10 @@ class TestErrors:
         (None, ["verify", "--rho", "x"], "DomainError"),
         (None, ["verify", "--samples", "1.5"], "DomainError"),
         (None, ["flux", "--end", "c.json"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--radial", "0"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--radial", "1"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--angular", "-3"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--angular", "2"], "DomainError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
             "frame-doubled-a", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
@@ -342,9 +373,11 @@ class TestErrors:
             "balance-sigma-nan", "balance-boundaries-far", "balance-mu-inf",
             "verify-rho-overflow-samples",
             "verify-rho-overflow-power", "verify-flux-overflow",
+            "verify-roundoff-1e-12", "verify-roundoff-1e-60",
             "verify-geodesics-zero", "verify-geodesics-negative",
             "argparse-mu-abc", "argparse-rho-x", "argparse-samples-float",
-            "argparse-flux-no-geodesic"])
+            "argparse-flux-no-geodesic", "mesh-radial-0", "mesh-radial-1",
+            "mesh-angular-negative", "mesh-angular-2"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         if spec is not None:

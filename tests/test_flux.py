@@ -17,10 +17,12 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         horospherical_polynomial, mobius_boundary, one_forms,
                         residue, transform_frame)
 from bryantflux.flux import flux_from_samples, flux_result_json
-from bryantflux.killing import KillingField
+from bryantflux.killing import (KillingField, field_polynomial,
+                                potential_samples, vector_samples)
 from bryantflux.series import differentiate, eval_at
 
 from conftest import make_h, random_geodesic
+from oracles import per_field_flux
 
 PI = math.pi
 
@@ -496,6 +498,73 @@ class TestOracleEquivalence:
                 before = flux_from_samples(s0, KillingField(kind, g))
                 after = flux_from_samples(s1, KillingField(kind, img))
                 assert abs(before - after) < 1e-6 * max(1.0, abs(before))
+
+
+# Ends and radii for the moment route: the cousin, a perturbed catenoidal
+# end with a finite axis, a horospherical mu = 2 end at a finite boundary
+# point, and the horosphere far from its puncture.
+MOMENT_ENDS = {
+    "cousin": (lambda: catenoid_cousin_frame(0.5), 0.1),
+    "catenoidal-finite-axis": (lambda: build_end(
+        {"type": "catenoidal", "mu": 0.6, "axis": [[0.3, 0.1], [-0.5, 0.2]],
+         "h_perturbation": [0.0, 0.5]})[0], 0.05),
+    "horospherical-finite-boundary": (lambda: build_end(
+        {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+         "h_perturbation": [1.0, 0.3], "boundary": [0.3, -0.2]})[0], 0.05),
+    "horosphere": (horosphere_frame, 32.0),
+}
+
+
+def moment_geodesics(rng, n=30):
+    """Random geodesics, a third of their endpoints infinite, and one
+    geodesic from and one to infinity."""
+    return [random_geodesic(rng, p_inf=0.3) for _ in range(n)] + [
+        Geodesic(INF, 0.4 - 0.7j), Geodesic(-1.2 + 0.3j, INF)]
+
+
+class TestMomentRoute:
+    @pytest.mark.parametrize("end", sorted(MOMENT_ENDS))
+    def test_matches_per_field_integrand(self, end):
+        builder, rho = MOMENT_ENDS[end]
+        samples = circle_samples(builder(), QuadratureGrid(rho, 1024))
+        for g in moment_geodesics(np.random.default_rng(17)):
+            for kind in ("translation", "rotation"):
+                k = KillingField(kind, g)
+                want = per_field_flux(samples, k)
+                got = flux_from_samples(samples, k)
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("end", sorted(MOMENT_ENDS))
+    def test_moments_are_the_residue_triple(self, end):
+        # (M2, -M1, M0) = (phi0, phi1, phi2): the flux of every Killing
+        # field is the linear functional of the residue triple.
+        builder, rho = MOMENT_ENDS[end]
+        frame = builder()
+        m0, m1, m2 = circle_samples(frame, QuadratureGrid(rho, 1024)).moments
+        t = flux_triple(frame)
+        scale = max(1.0, abs(t.phi0), abs(t.phi1), abs(t.phi2))
+        triple_close(t, (m2, -m1, m0), tol=1e-12 * scale)
+
+    def test_polynomial_gives_the_closed_forms(self):
+        # Y = (V - w^2 conj(c2), w Re V') and
+        # Z = (i (w^2 conj(c2) log w + V/2), 0) for V = c0 + c1 z + c2 z^2.
+        rng = np.random.default_rng(29)
+        zeta = 2.0 * (rng.normal(size=64) + 1j * rng.normal(size=64))
+        w = rng.uniform(0.05, 3.0, size=64)
+        for g in moment_geodesics(rng):
+            for kind in ("translation", "rotation"):
+                k = KillingField(kind, g)
+                c0, c1, c2 = field_polynomial(k)
+                v = c0 + (c1 + c2 * zeta) * zeta
+                dv = c1 + 2.0 * c2 * zeta
+                forms = ((v - w * w * np.conj(c2), w * np.real(dv)),
+                         (1j * (w * w * np.conj(c2) * np.log(w) + v / 2.0),
+                          np.zeros_like(w)))
+                for got, want in zip(forms, (vector_samples(k, zeta, w),
+                                             potential_samples(k, zeta, w))):
+                    for x, y in zip(got, want):
+                        assert np.all(np.abs(x - y)
+                                      <= 1e-12 * np.maximum(1.0, np.abs(y)))
 
 
 class TestWhiteBoxIntegrand:

@@ -4,24 +4,18 @@ and closed-form flux laws, quadrature verification, and balancing."""
 
 from .errors import (ConsistencyError, DomainError, LogTermRequiredError,
                      UnbalanceableError)
-from .geometry import (INF, ExtendedComplex, Geodesic, HPoint, IsometrySL2,
-                       TangentVector, apply_isometry, boundary_eq,
-                       cross_ratio, distance, is_inf, metric_inner,
-                       mobius_boundary, standardizing_isometry)
+from .geometry import (INF, ExtendedComplex, Geodesic, IsometrySL2,
+                       boundary_eq, cross_ratio, is_inf, mobius_boundary,
+                       standardizing_isometry)
 from .series import (DEFAULT_ORDER, GeneralizedSeries, QuadratureGrid,
-                     differentiate, eval_at, eval_branch, product_residue,
-                     radius_estimate, residue)
-from .killing import (KillingField, ROTATION, TRANSLATION, killing_potential,
-                      killing_vector, verify_potential)
-from .bryant import (BryantFrame, HolomorphicForms, WeierstrassData,
-                     derived_forms, frame_checks, frame_from_json,
-                     frame_to_json, immersion, immersion_samples, one_forms,
-                     transform_frame)
+                     differentiate, eval_branch, product_residue, residue)
+from .killing import KillingField, ROTATION, TRANSLATION
+from .bryant import (BryantFrame, frame_checks, frame_from_json,
+                     frame_to_json, transform_frame)
 from .ends import (Catenoidal, EndDescriptor, FrobeniusProblem, Horosphere,
                    Horospherical, build_end, canonical_catenoidal_frame,
                    canonical_horospherical_frame, catenoid_cousin_frame,
-                   classify_end, extract_axis, frobenius_solve,
-                   horosphere_frame, ode_residual)
+                   extract_axis, frobenius_solve, horosphere_frame)
 from .flux import (FluxMatrix, FluxPolynomial, FluxTriple,
                    catenoidal_closed_form, catenoidal_polynomial,
                    circle_samples, flux_for_geodesic, flux_matrix,

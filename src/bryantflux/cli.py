@@ -13,14 +13,14 @@ import numpy as np
 
 from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
                       two_end_solve)
-from .bryant import frame_from_json, frame_to_json, immersion_samples
+from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
 from .flux import (circle_samples, flux_for_geodesic, flux_from_samples,
                    flux_result_json, flux_triple, roundoff_bound)
 from .geometry import INF, Geodesic, is_inf, parse_complex, parse_real
 from .killing import KillingField
-from .series import DEFAULT_ORDER, QuadratureGrid
+from .series import DEFAULT_ORDER, QuadratureGrid, _node_angles, eval_branch
 
 log = logging.getLogger("bryantflux")
 
@@ -184,12 +184,17 @@ def _cmd_mesh(args):
     if args.radial < 2 or args.angular < 3:
         raise DomainError("--radial must be at least 2 and --angular at "
                           "least 3")
+    for rho in (args.rho_min, args.rho_max):
+        if not (math.isfinite(rho) and rho > 0):
+            raise DomainError("--rho-min and --rho-max must be finite and "
+                              "positive, got %r" % rho)
     frame = _load_frame(args)
-    rhos = np.geomspace(args.rho_min, args.rho_max, args.radial)
-    taus = 2.0 * math.pi * np.arange(args.angular) / args.angular
     lines = []
-    for rho in rhos:
-        zeta, w = immersion_samples(frame, rho, taus)
+    # Ring nodes are rho times the --angular-th roots of unity.
+    taus = _node_angles(args.angular)
+    for rho in np.geomspace(args.rho_min, args.rho_max, args.radial):
+        _check_radius(frame, rho)
+        zeta, w = _zeta_w(*eval_branch(frame.entries(), rho, taus))
         for z, wv in zip(zeta, w):
             u, v, ww = z.real, z.imag, wv
             if args.model == "ball":
@@ -292,9 +297,10 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except (DomainError, ConsistencyError, OSError, ValueError,
-            KeyError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
+            KeyError, MemoryError) as exc:
+        # numpy refuses an allocation with a private MemoryError subclass.
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        json.dump({"error": kind.__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

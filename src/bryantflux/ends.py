@@ -1,4 +1,4 @@
-"""Construction and classification of surface ends.
+"""Construction of surface ends.
 
 Ends come in three kinds.  Catenoidal ends have Weierstrass exponents
 with mu + nu = -1 and carry a growth 1 - mu and an axis (a pair of
@@ -29,13 +29,12 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bryant import (BryantFrame, WeierstrassData, checked_frame,
-                     transform_frame)
+from .bryant import BryantFrame, checked_frame, transform_frame
 from .errors import DomainError, LogTermRequiredError
 from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
                        parse_axis, parse_complex, parse_point, parse_real,
                        standardizing_isometry)
-from .series import DEFAULT_ORDER, GeneralizedSeries, differentiate
+from .series import DEFAULT_ORDER, GeneralizedSeries
 
 _MU_ONE_TOL = 1e-8
 
@@ -180,19 +179,6 @@ def frobenius_solve(prob: FrobeniusProblem):
             _solve_at_root(prob, lo, hi, hi, None))
 
 
-def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:
-    """Max coefficient of X'' - (q'/q)X' - mu h z^m X for a candidate X."""
-    h = prob.h.pad_to(prob.order)
-    xp = differentiate(sol)
-    xpp = differentiate(xp)
-    term_s = GeneralizedSeries(xp.offset - 1.0, prob.s * xp.coeffs)
-    term_p = (differentiate(h) / h) * xp
-    term_c = prob.mu * (GeneralizedSeries(float(prob.coupling), h.coeffs) * sol)
-    r = xpp - term_s - term_p - term_c
-    # The top two coefficients lie beyond the recurrence window.
-    return float(np.max(np.abs(r.coeffs[:-2] if r.order >= 2 else r.coeffs)))
-
-
 # -- catenoidal construction ------------------------------------------------
 
 def _catenoidal_offsets(mu: float):
@@ -218,9 +204,11 @@ def catenoid_cousin_frame(mu: float, order: int = DEFAULT_ORDER) -> BryantFrame:
 
 
 def _validity_from_entries(entries) -> float:
-    """0.5 times the least radius_estimate of the entries, as one root test
-    over all their coefficients past the constant: the min over entries of
-    1/x is 1/(max over entries of x), bitwise."""
+    """0.5 times the least Cauchy root-test radius of the entries
+    (1 / max_k |a_k|^(1/k), k >= 1), as one root test over all their
+    coefficients past the constant: the min over entries of 1/x is
+    1/(max over entries of x), bitwise.  The tests' radius_estimate is
+    the per-entry reference."""
     mags = np.abs(np.concatenate([e.coeffs[1:] for e in entries]))
     k = np.concatenate([np.arange(1, len(e.coeffs)) for e in entries])
     mask = mags > 0
@@ -331,7 +319,7 @@ def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:
     )
 
 
-# -- axis extraction and classification -------------------------------------
+# -- axis extraction --------------------------------------------------------
 
 def extract_axis(frame: BryantFrame):
     """(axis_from, boundary) of a catenoidal-shaped frame.
@@ -363,22 +351,6 @@ def extract_axis(frame: BryantFrame):
     axis_from = INF if abs(a1) <= tol else c1 / a1
     boundary = INF if abs(a0) <= tol else c0 / a0
     return axis_from, boundary
-
-
-def classify_end(weier: WeierstrassData) -> str:
-    """'catenoidal' or 'horospherical' from the Weierstrass exponents."""
-    d = weier.degree_sum
-    if d == -1:
-        if abs(weier.mu - 1.0) <= _MU_ONE_TOL:
-            raise DomainError("mu = 1 is excluded: the end degenerates to a "
-                              "horosphere")
-        return "catenoidal"
-    if round(weier.nu) != -2 or abs(weier.nu + 2.0) > 1e-9:
-        raise DomainError("mu + nu >= 0 requires nu = -2")
-    m = round(weier.mu)
-    if abs(weier.mu - m) > 1e-9 or m < 2:
-        raise DomainError("mu + nu >= 0 requires integer mu >= 2")
-    return "horospherical"
 
 
 # -- end-spec assembly -------------------------------------------------------

@@ -274,7 +274,7 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
     entries = frame.entries()
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, d, da, db, dc, dd = eval_branch(
-            entries + tuple(map(differentiate, entries)), grid)
+            entries + tuple(map(differentiate, entries)), rho, taus)
         zeta, w = _zeta_w(a, b, c, d)
 
         def moved_by(f):

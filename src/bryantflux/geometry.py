@@ -115,29 +115,6 @@ def boundary_eq(z1: ExtendedComplex, z2: ExtendedComplex, tol: float = 0.0) -> b
 
 
 @dataclass(frozen=True)
-class HPoint:
-    """A point (zeta, w) of the upper half-space, w > 0 strictly."""
-
-    zeta: complex
-    w: float
-
-    def __post_init__(self):
-        if not self.w > 0:
-            raise DomainError("half-space point needs w > 0, got w=%r" % (self.w,))
-        object.__setattr__(self, "zeta", complex(self.zeta))
-        object.__setattr__(self, "w", float(self.w))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at ``base``: horizontal part alpha, vertical part beta."""
-
-    base: HPoint
-    alpha: complex
-    beta: float
-
-
-@dataclass(frozen=True)
 class Geodesic:
     """The oriented geodesic running from ``start`` to ``end`` on the boundary."""
 
@@ -230,33 +207,6 @@ def mobius_boundary(p: IsometrySL2, z: ExtendedComplex) -> ExtendedComplex:
     return INF if w1 == 0 else (p.delta * z0 + p.gamma * z1) / w1
 
 
-def point_to_hermitian(pt: HPoint):
-    """The unit-determinant Hermitian matrix of a half-space point."""
-    z, w = pt.zeta, pt.w
-    return ((1.0 / w, z.conjugate() / w),
-            (z / w, (abs(z) ** 2 + w * w) / w))
-
-
-def hermitian_to_point(n11: complex, n21: complex) -> HPoint:
-    """Inverse of :func:`point_to_hermitian` (only two entries are needed)."""
-    w = 1.0 / n11.real
-    return HPoint(n21 * w, w)
-
-
-def apply_isometry(p: IsometrySL2, pt: HPoint) -> HPoint:
-    """Image of a half-space point under N -> P N P*."""
-    (n11, n12), (n21, n22) = point_to_hermitian(pt)
-    a, b, c, d = p.alpha, p.beta, p.gamma, p.delta
-    # Rows of P N, then columns against P* = conj(P)^T.
-    m11 = a * n11 + b * n21
-    m12 = a * n12 + b * n22
-    m21 = c * n11 + d * n21
-    m22 = c * n12 + d * n22
-    k11 = m11 * a.conjugate() + m12 * b.conjugate()
-    k21 = m21 * a.conjugate() + m22 * b.conjugate()
-    return hermitian_to_point(k11, k21)
-
-
 def standardizing_isometry(a: ExtendedComplex, b: ExtendedComplex) -> IsometrySL2:
     """A direct isometry whose boundary action sends a -> 0 and b -> infinity."""
     if boundary_eq(a, b):
@@ -268,18 +218,3 @@ def standardizing_isometry(a: ExtendedComplex, b: ExtendedComplex) -> IsometrySL
         # delta = 0 sends infinity to 0; beta*b + alpha = 0 sends b to infinity.
         return IsometrySL2(-complex(b), 1.0, -1.0, 0.0)
     return IsometrySL2(-complex(b), 1.0, -complex(a), 1.0)
-
-
-def metric_inner(x1: TangentVector, x2: TangentVector) -> float:
-    """Hyperbolic inner product (Re(conj(a1) a2) + b1 b2) / w^2."""
-    p1, p2 = x1.base, x2.base
-    if abs(p1.zeta - p2.zeta) > 1e-12 or abs(p1.w - p2.w) > 1e-12:
-        raise DomainError("metric_inner needs vectors at the same base point")
-    w = p1.w
-    return ((x1.alpha.conjugate() * x2.alpha).real + x1.beta * x2.beta) / (w * w)
-
-
-def distance(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance in the half-space model."""
-    num = abs(p.zeta - q.zeta) ** 2 + (p.w - q.w) ** 2
-    return math.acosh(1.0 + num / (2.0 * p.w * q.w))

@@ -4,15 +4,16 @@ The exponent offset lambda is an arbitrary real; offsets within 1e-9 of
 an integer are snapped to that integer at construction.  Evaluation on a
 circle uses the continuous branch z^lambda = rho^lambda e^(i lambda tau)
 with tau accumulated monotonically from 0, never reduced mod 2*pi.
-eval_at sums by Horner's rule at arbitrary angles.  eval_branch
-evaluates a sequence of series on a QuadratureGrid, whose nodes are rho
-times the N-th roots of unity, as one block by one inverse FFT of the
-scaled coefficients, followed by one branch factor e^(i lambda tau) per
-row.  product_residue gives residue(a * b) from the coefficient pairs
-that reach z^-1, without forming the product.  The rules of addition,
-multiplication and differentiation are written once, on bare
-(offset, coeffs) pairs (_sum_terms, _product_terms, _derivative_terms),
-so a caller can apply them without forming intermediate series.
+eval_branch, the package's one evaluator, evaluates a sequence of
+series at rho times the N-th roots of unity, for any N >= 1, as one
+block by one inverse FFT of the scaled coefficients, followed by one
+branch factor e^(i lambda tau) per row.  The tests keep a Horner sum at
+arbitrary angles as its reference.  product_residue gives
+residue(a * b) from the coefficient pairs that reach z^-1, without
+forming the product.  The rules of addition, multiplication and
+differentiation are written once, on bare (offset, coeffs) pairs
+(_sum_terms, _product_terms, _derivative_terms), so a caller can apply
+them without forming intermediate series.
 """
 
 from __future__ import annotations
@@ -109,48 +110,14 @@ class GeneralizedSeries:
     def zero(cls, offset: float = 0.0, order: int = 0) -> "GeneralizedSeries":
         return cls(offset, np.zeros(order + 1, dtype=complex))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
-
-    def pad_to(self, order: int) -> "GeneralizedSeries":
-        """Extend with zero coefficients; valid for exactly-known series only."""
-        if order <= self.order:
-            return self
-        c = np.zeros(order + 1, dtype=complex)
-        c[: len(self.coeffs)] = self.coeffs
-        return GeneralizedSeries(self.offset, c)
-
-    def shift_offset(self, k: int) -> "GeneralizedSeries":
-        """Move k leading zero coefficients into the offset (k >= 0)."""
-        if k == 0:
-            return self
-        return GeneralizedSeries(self.offset + k, self.coeffs[k:].copy())
-
     def normalized(self) -> "GeneralizedSeries":
         """Shift the offset so the leading coefficient is significant."""
         mags = np.abs(self.coeffs)
         nz = np.nonzero(mags > _LEAD_TOL)[0]
-        if len(nz) == 0:
+        if len(nz) == 0 or nz[0] == 0:
             return self
-        return self.shift_offset(int(nz[0]))
-
-    def isclose(self, other: "GeneralizedSeries", tol: float = 1e-12) -> bool:
-        """Equality up to an integer offset shift and coefficient tolerance."""
-        a, b = self.normalized(), other.normalized()
-        if a.is_zero(tol) and b.is_zero(tol):
-            return True
-        d = b.offset - a.offset
-        if abs(d - round(d)) > _OFFSET_TOL:
-            return False
-        d = round(d)
-        if d < 0:
-            a, b, d = b, a, -d
-        n = min(a.order - d, b.order)
-        if n < 0:
-            return False
-        if np.any(np.abs(a.coeffs[:d]) > tol):
-            return False
-        return bool(np.all(np.abs(a.coeffs[d:d + n + 1] - b.coeffs[:n + 1]) <= tol))
+        k = int(nz[0])
+        return GeneralizedSeries(self.offset + k, self.coeffs[k:].copy())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -171,21 +138,6 @@ class GeneralizedSeries:
                                                  other.offset, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return GeneralizedSeries(self.offset, self.coeffs / other)
-        b = other.normalized()
-        if abs(b.coeffs[0]) <= _LEAD_TOL:
-            raise DomainError("division by an (effectively) zero series")
-        if self.is_zero():
-            return GeneralizedSeries(self.offset - b.offset, np.zeros(1, dtype=complex))
-        n = min(self.order, b.order)
-        q = np.zeros(n + 1, dtype=complex)
-        bc = b.coeffs
-        for k in range(n + 1):
-            q[k] = (self.coeffs[k] - np.dot(q[:k], bc[k:0:-1])) / bc[0]
-        return GeneralizedSeries(self.offset - b.offset, q)
 
 
 def _derivative_terms(offset: float, coeffs: np.ndarray):
@@ -252,42 +204,41 @@ class QuadratureGrid:
     def taus(self) -> np.ndarray:
         """The node angles, formed once per grid and read-only, since every
         caller shares the one array."""
-        taus = 2.0 * np.pi * np.arange(self.samples) / self.samples
+        taus = _node_angles(self.samples)
         taus.flags.writeable = False
         return taus
 
 
-def eval_at(a: GeneralizedSeries, rho: float, taus: np.ndarray) -> np.ndarray:
-    """Evaluate on |z| = rho at angles tau, continuous branch from tau=0."""
-    taus = np.asarray(taus, dtype=float)
-    z = rho * np.exp(1j * taus)
-    poly = np.zeros_like(z)
-    for c in a.coeffs[::-1]:
-        poly = poly * z + c
-    return (rho ** a.offset) * np.exp(1j * a.offset * taus) * poly
+def _node_angles(n: int) -> np.ndarray:
+    """tau_j = 2 pi j / N, j = 0 .. N - 1."""
+    return 2.0 * np.pi * np.arange(n) / n
 
 
-def eval_branch(series: Sequence[GeneralizedSeries],
-                grid: QuadratureGrid) -> np.ndarray:
-    """Values of each series at the grid's nodes, as a (rows, N) array;
-    same continuous branch from tau = 0 as eval_at.
+def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
+                taus: np.ndarray) -> np.ndarray:
+    """Values of each series at the N = len(taus) nodes rho e^(i tau_j),
+    where taus holds tau_j = 2 pi j / N (_node_angles(N), or a
+    QuadratureGrid's taus), as a (rows, N) array, on the continuous
+    branch z^o = rho^o e^(i o tau) with tau taken from 0 up.
 
-    Node n is rho omega^n with omega = e^(2 pi i / N), so a series of
-    offset o is z^o sum_k a_k rho^k omega^(nk), and the sum is an inverse
+    Node j is rho omega^j with omega = e^(2 pi i / N), so a series of
+    offset o is z^o sum_k a_k rho^k omega^(jk), and the sum is an inverse
     DFT of the a_k rho^k.  Each a_k rho^(o+k) goes into bin k mod N; bins
     are summed when K + 1 > N, which is exact since omega^N = 1.  One
     inverse FFT over the block, scaled by N, sums every row, and a row
-    with o != 0 is then multiplied by e^(i o tau_n), computed once per
-    distinct offset.  Cost O(N log N) per row, against O(N K) for eval_at.
-    The branch factor is applied after the FFT, not as a shift of the
-    bins, because a coefficient placed in bin N - 1 or N - 2 (offsets -1
-    and -2) picks up the rounding of every butterfly stage.
+    with o != 0 is then multiplied by e^(i o tau_j), computed once per
+    distinct offset.  Cost O(N log N) per row, against O(N K) for a
+    Horner sum.  The branch factor is applied after the FFT, not as a
+    shift of the bins, because a coefficient placed in bin N - 1 or
+    N - 2 (offsets -1 and -2) picks up the rounding of every butterfly
+    stage.  N is any positive integer; QuadratureGrid's power-of-two
+    rule belongs to the quadrature, not to this evaluation.
     """
-    n = grid.samples
+    n = len(taus)
     block = np.zeros((len(series), n), dtype=complex)
     for row, a in zip(block, series):
         k = np.arange(len(a.coeffs))
-        vals = a.coeffs * grid.rho ** (a.offset + k)
+        vals = a.coeffs * rho ** (a.offset + k)
         if len(k) > n:
             np.add.at(row, k % n, vals)
         else:
@@ -298,23 +249,6 @@ def eval_branch(series: Sequence[GeneralizedSeries],
     for row, a in zip(block, series):
         if a.offset:
             if a.offset not in phases:
-                phases[a.offset] = np.exp(1j * a.offset * grid.taus)
+                phases[a.offset] = np.exp(1j * a.offset * taus)
             row *= phases[a.offset]
     return block
-
-
-def radius_estimate(a: GeneralizedSeries) -> float:
-    """Advisory Cauchy root-test estimate of the convergence radius."""
-    mags = np.abs(a.coeffs[1:])
-    k = np.arange(1, len(a.coeffs))
-    mask = mags > 0
-    if not np.any(mask):
-        return np.inf
-    return float(1.0 / np.max(mags[mask] ** (1.0 / k[mask])))
-
-
-def trapezoid_residue(a: GeneralizedSeries, grid: QuadratureGrid) -> complex:
-    """Residue via the periodic trapezoid rule; cross-oracle for residue()."""
-    vals = eval_branch([a], grid)[0]
-    z = grid.rho * np.exp(1j * grid.taus)
-    return complex(np.sum(vals * 1j * z) * (2.0 * np.pi / grid.samples) / (2j * np.pi))

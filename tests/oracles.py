@@ -1,10 +1,405 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against,
+and the helpers that only tests use.
+
+Series: eval_at sums by Horner's rule at arbitrary angles, on the same
+continuous branch z^lambda = rho^lambda e^(i lambda tau) (tau taken from
+0 up, never reduced mod 2 pi) as series.eval_branch, so it is the
+reference for the FFT evaluator and for points off the roots of unity.
+series_div and series_isclose are the quotient and the comparison up to
+an integer offset shift.
+
+Frames: one_forms forms the three single-valued one-forms in full, the
+reference for flux.flux_triple, which reads their residues without
+forming them; derived_forms adds the Gauss map and the Hopf differential.
+immersion_samples evaluates the immersion (zeta, w) by Horner's rule.
+
+Killing fields: the vector Y and potential Z of each field in closed
+form, written per field kind and endpoint case rather than through the
+field's quadratic V.  For a geodesic with two finite endpoints (C, D)
+the substitution zeta0 = C - D, zeta1 = D is used; an infinite ``start``
+endpoint is handled by reversing the geodesic and negating (the field of
+the reversed geodesic is the opposite).  Z is fixed here in a specific
+gauge; any shift by the gradient dual of a smooth function leaves fluxes
+over closed loops unchanged, and verify_potential checks d(beta) =
+i_Y(alpha) by finite differences.
+
+Geometry: half-space points and tangent vectors, the action of SL(2, C)
+on points through Hermitian matrices, the metric and the distance.
+"""
 
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
 import numpy as np
 
-from bryantflux.killing import potential_samples, vector_samples
+from bryantflux.bryant import BryantFrame, _check_radius, _zeta_w
+from bryantflux.ends import _MU_ONE_TOL, FrobeniusProblem
+from bryantflux.errors import DomainError
+from bryantflux.geometry import IsometrySL2, is_inf
+from bryantflux.killing import TRANSLATION, KillingField
+from bryantflux.series import (_LEAD_TOL, _OFFSET_TOL, GeneralizedSeries,
+                               QuadratureGrid, differentiate, eval_branch)
+
+
+# -- series -----------------------------------------------------------------
+
+def eval_at(a: GeneralizedSeries, rho: float, taus: np.ndarray) -> np.ndarray:
+    """Evaluate on |z| = rho at angles tau, continuous branch from tau=0."""
+    taus = np.asarray(taus, dtype=float)
+    z = rho * np.exp(1j * taus)
+    poly = np.zeros_like(z)
+    for c in a.coeffs[::-1]:
+        poly = poly * z + c
+    return (rho ** a.offset) * np.exp(1j * a.offset * taus) * poly
+
+
+def radius_estimate(a: GeneralizedSeries) -> float:
+    """Advisory Cauchy root-test estimate of the convergence radius."""
+    mags = np.abs(a.coeffs[1:])
+    k = np.arange(1, len(a.coeffs))
+    mask = mags > 0
+    if not np.any(mask):
+        return np.inf
+    return float(1.0 / np.max(mags[mask] ** (1.0 / k[mask])))
+
+
+def trapezoid_residue(a: GeneralizedSeries, grid: QuadratureGrid) -> complex:
+    """Residue via the periodic trapezoid rule; cross-oracle for residue()."""
+    vals = eval_branch([a], grid.rho, grid.taus)[0]
+    z = grid.rho * np.exp(1j * grid.taus)
+    return complex(np.sum(vals * 1j * z) * (2.0 * np.pi / grid.samples) / (2j * np.pi))
+
+
+def _is_zero(a: GeneralizedSeries, tol: float = 0.0) -> bool:
+    return bool(np.all(np.abs(a.coeffs) <= tol))
+
+
+def series_div(a: GeneralizedSeries, b: GeneralizedSeries) -> GeneralizedSeries:
+    """a / b, truncated at the shorter order; b's leading zeros are moved
+    into its offset first."""
+    b = b.normalized()
+    if abs(b.coeffs[0]) <= _LEAD_TOL:
+        raise DomainError("division by an (effectively) zero series")
+    if _is_zero(a):
+        return GeneralizedSeries(a.offset - b.offset, np.zeros(1, dtype=complex))
+    n = min(a.order, b.order)
+    q = np.zeros(n + 1, dtype=complex)
+    bc = b.coeffs
+    for k in range(n + 1):
+        q[k] = (a.coeffs[k] - np.dot(q[:k], bc[k:0:-1])) / bc[0]
+    return GeneralizedSeries(a.offset - b.offset, q)
+
+
+def series_isclose(a: GeneralizedSeries, b: GeneralizedSeries,
+                   tol: float = 1e-12) -> bool:
+    """Equality up to an integer offset shift and coefficient tolerance."""
+    a, b = a.normalized(), b.normalized()
+    if _is_zero(a, tol) and _is_zero(b, tol):
+        return True
+    d = b.offset - a.offset
+    if abs(d - round(d)) > _OFFSET_TOL:
+        return False
+    d = round(d)
+    if d < 0:
+        a, b, d = b, a, -d
+    n = min(a.order - d, b.order)
+    if n < 0:
+        return False
+    if np.any(np.abs(a.coeffs[:d]) > tol):
+        return False
+    return bool(np.all(np.abs(a.coeffs[d:d + n + 1] - b.coeffs[:n + 1]) <= tol))
+
+
+# -- frames -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeierstrassData:
+    """Holomorphic end data g = z^mu f(z), omega = z^nu h(z) dz."""
+
+    mu: float
+    nu: float
+    h: GeneralizedSeries
+    f: Optional[GeneralizedSeries] = None
+
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise DomainError("admissibility requires mu > 0")
+        if self.nu > -1:
+            raise DomainError("admissibility requires nu <= -1")
+        s = self.mu + self.nu
+        if abs(s - round(s)) > 1e-9:
+            raise DomainError("admissibility requires mu + nu integral")
+        if round(s) < -1:
+            raise DomainError("admissibility requires mu + nu >= -1")
+        if self.h.offset != 0.0 or abs(self.h.coeffs[0]) == 0.0:
+            raise DomainError("h must be holomorphic with h(0) != 0")
+        if self.f is not None:
+            if self.f.offset != 0.0 or abs(self.f.coeffs[0]) == 0.0:
+                raise DomainError("f must be holomorphic with f(0) != 0")
+
+    @property
+    def degree_sum(self) -> int:
+        return round(self.mu + self.nu)
+
+
+def immersion_samples(frame: BryantFrame, rho: float, taus: np.ndarray):
+    """(zeta, w) arrays on |z| = rho via branch-tracked evaluation."""
+    _check_radius(frame, rho)
+    return _zeta_w(*(eval_at(e, rho, taus) for e in frame.entries()))
+
+
+def immersion(frame: BryantFrame, grid: QuadratureGrid):
+    """The immersed loop as half-space points (closed up to truncation)."""
+    zeta, w = immersion_samples(frame, grid.rho, grid.taus)
+    return [HPoint(z, wv) for z, wv in zip(zeta, w)]
+
+
+def one_forms(frame: BryantFrame):
+    """dz-coefficients of B dA - A dB, C dB - D dA, D dC - C dD, formed
+    in full."""
+    A, B, C, D = frame.entries()
+    dA, dB, dC, dD = map(differentiate, frame.entries())
+    return (B * dA - A * dB, C * dB - D * dA, D * dC - C * dD)
+
+
+def derived_forms(frame: BryantFrame,
+                  weier: Optional[WeierstrassData] = None) -> SimpleNamespace:
+    """Gauss map, Hopf differential, omega_sharp and the three one-forms
+    (``form_b``, ``form_m``, ``form_d``: B dA - A dB, C dB - D dA and
+    D dC - C dD).
+
+    The Gauss map is G = dC/dA.  When Weierstrass data is supplied the
+    Hopf differential is built from it (omega dg); otherwise it is
+    recovered from the frame through -(B dA - A dB) dG.
+    """
+    A, B, C, D = frame.entries()
+    dA = differentiate(A)
+    if _is_zero(dA, 1e-300):
+        raise DomainError("Gauss map undefined: dA vanishes identically")
+    gauss = series_div(differentiate(C), dA)
+    fb, fm, fd = one_forms(frame)
+    omega_sharp = -fd
+    if weier is not None:
+        mu, nu = weier.mu, weier.nu
+        if weier.f is None:
+            # omega dg = mu z^(mu+nu-1) h dz^2
+            hopf = GeneralizedSeries(nu + mu - 1.0, mu * weier.h.coeffs)
+        else:
+            dg = differentiate(GeneralizedSeries(mu, weier.f.coeffs))
+            hopf = GeneralizedSeries(nu, weier.h.coeffs) * dg
+    else:
+        # omega dg = omega_sharp dG / G^2 = -(B dA - A dB) dG
+        hopf = -(fb * differentiate(gauss))
+    return SimpleNamespace(gauss=gauss, hopf=hopf, omega_sharp=omega_sharp,
+                           form_b=fb, form_m=fm, form_d=fd)
+
+
+# -- ends -------------------------------------------------------------------
+
+def _pad_to(a: GeneralizedSeries, order: int) -> GeneralizedSeries:
+    """Extend with zero coefficients; valid for exactly-known series only."""
+    if order <= a.order:
+        return a
+    c = np.zeros(order + 1, dtype=complex)
+    c[: len(a.coeffs)] = a.coeffs
+    return GeneralizedSeries(a.offset, c)
+
+
+def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:
+    """Max coefficient of X'' - (q'/q)X' - mu h z^m X for a candidate X."""
+    h = _pad_to(prob.h, prob.order)
+    xp = differentiate(sol)
+    xpp = differentiate(xp)
+    term_s = GeneralizedSeries(xp.offset - 1.0, prob.s * xp.coeffs)
+    term_p = series_div(differentiate(h), h) * xp
+    term_c = prob.mu * (GeneralizedSeries(float(prob.coupling), h.coeffs) * sol)
+    r = xpp - term_s - term_p - term_c
+    # The top two coefficients lie beyond the recurrence window.
+    return float(np.max(np.abs(r.coeffs[:-2] if r.order >= 2 else r.coeffs)))
+
+
+def classify_end(weier: WeierstrassData) -> str:
+    """'catenoidal' or 'horospherical' from the Weierstrass exponents."""
+    d = weier.degree_sum
+    if d == -1:
+        if abs(weier.mu - 1.0) <= _MU_ONE_TOL:
+            raise DomainError("mu = 1 is excluded: the end degenerates to a "
+                              "horosphere")
+        return "catenoidal"
+    if round(weier.nu) != -2 or abs(weier.nu + 2.0) > 1e-9:
+        raise DomainError("mu + nu >= 0 requires nu = -2")
+    m = round(weier.mu)
+    if abs(weier.mu - m) > 1e-9 or m < 2:
+        raise DomainError("mu + nu >= 0 requires integer mu >= 2")
+    return "horospherical"
+
+
+# -- geometry ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HPoint:
+    """A point (zeta, w) of the upper half-space, w > 0 strictly."""
+
+    zeta: complex
+    w: float
+
+    def __post_init__(self):
+        if not self.w > 0:
+            raise DomainError("half-space point needs w > 0, got w=%r" % (self.w,))
+        object.__setattr__(self, "zeta", complex(self.zeta))
+        object.__setattr__(self, "w", float(self.w))
+
+
+@dataclass(frozen=True)
+class TangentVector:
+    """A tangent vector at ``base``: horizontal part alpha, vertical part beta."""
+
+    base: HPoint
+    alpha: complex
+    beta: float
+
+
+def point_to_hermitian(pt: HPoint):
+    """The unit-determinant Hermitian matrix of a half-space point."""
+    z, w = pt.zeta, pt.w
+    return ((1.0 / w, z.conjugate() / w),
+            (z / w, (abs(z) ** 2 + w * w) / w))
+
+
+def hermitian_to_point(n11: complex, n21: complex) -> HPoint:
+    """Inverse of :func:`point_to_hermitian` (only two entries are needed)."""
+    w = 1.0 / n11.real
+    return HPoint(n21 * w, w)
+
+
+def apply_isometry(p: IsometrySL2, pt: HPoint) -> HPoint:
+    """Image of a half-space point under N -> P N P*."""
+    (n11, n12), (n21, n22) = point_to_hermitian(pt)
+    a, b, c, d = p.alpha, p.beta, p.gamma, p.delta
+    # Rows of P N, then columns against P* = conj(P)^T.
+    m11 = a * n11 + b * n21
+    m12 = a * n12 + b * n22
+    m21 = c * n11 + d * n21
+    m22 = c * n12 + d * n22
+    k11 = m11 * a.conjugate() + m12 * b.conjugate()
+    k21 = m21 * a.conjugate() + m22 * b.conjugate()
+    return hermitian_to_point(k11, k21)
+
+
+def metric_inner(x1: TangentVector, x2: TangentVector) -> float:
+    """Hyperbolic inner product (Re(conj(a1) a2) + b1 b2) / w^2."""
+    p1, p2 = x1.base, x2.base
+    if abs(p1.zeta - p2.zeta) > 1e-12 or abs(p1.w - p2.w) > 1e-12:
+        raise DomainError("metric_inner needs vectors at the same base point")
+    w = p1.w
+    return ((x1.alpha.conjugate() * x2.alpha).real + x1.beta * x2.beta) / (w * w)
+
+
+def distance(p: HPoint, q: HPoint) -> float:
+    """Hyperbolic distance in the half-space model."""
+    num = abs(p.zeta - q.zeta) ** 2 + (p.w - q.w) ** 2
+    return math.acosh(1.0 + num / (2.0 * p.w * q.w))
+
+
+# -- Killing fields ---------------------------------------------------------
+
+def _components(kind, geod, zeta, w, potential):
+    """Vectorized (alpha, beta) of the field or its potential at (zeta, w)."""
+    c, d = geod.start, geod.end
+    if is_inf(c):
+        a, b = _components(kind, geod.reversed(), zeta, w, potential)
+        return -a, -b
+    if is_inf(d):
+        z1 = complex(c)
+        if kind == TRANSLATION:
+            if potential:
+                return 0.5j * (zeta - z1), np.zeros_like(w)
+            return zeta - z1, w
+        if potential:
+            return -0.5 * (zeta - z1), np.zeros_like(w)
+        return 1j * (zeta - z1), np.zeros_like(w)
+    z0 = complex(c) - complex(d)
+    z1 = complex(d)
+    s = zeta - z1
+    ratio = s / z0
+    if kind == TRANSLATION:
+        if potential:
+            return (1j * w * w / np.conj(z0) * np.log(w)
+                    + 0.5j * s * ratio - 0.5j * s), np.zeros_like(w)
+        return (-w * w / np.conj(z0) + s * ratio - s,
+                2.0 * w * np.real(ratio) - w)
+    if potential:
+        return (w * w / np.conj(z0) * np.log(w)
+                - 0.5 * s * ratio + 0.5 * s), np.zeros_like(w)
+    return (1j * w * w / np.conj(z0) + 1j * s * ratio - 1j * s,
+            -2.0 * w * np.imag(ratio))
+
+
+def vector_samples(k: KillingField, zeta: np.ndarray, w: np.ndarray):
+    """Y at arrays of half-space points; returns (horizontal, vertical)."""
+    return _components(k.kind, k.geodesic, zeta, w, potential=False)
+
+
+def potential_samples(k: KillingField, zeta: np.ndarray, w: np.ndarray):
+    """Z at arrays of half-space points; returns (horizontal, vertical)."""
+    return _components(k.kind, k.geodesic, zeta, w, potential=True)
+
+
+def killing_vector(k: KillingField, p: HPoint) -> TangentVector:
+    a, b = _components(k.kind, k.geodesic, np.asarray(p.zeta), np.asarray(p.w), False)
+    return TangentVector(p, complex(a), float(b))
+
+
+def killing_potential(k: KillingField, p: HPoint) -> TangentVector:
+    a, b = _components(k.kind, k.geodesic, np.asarray(p.zeta), np.asarray(p.w), True)
+    return TangentVector(p, complex(a), float(b))
+
+
+Box = Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]
+
+
+def verify_potential(k: KillingField, box: Box, n: int,
+                     potential=potential_samples) -> float:
+    """Max defect of d(beta) = i_Y(alpha) over an n^3 grid in ``box``.
+
+    beta is the metric-dual 1-form of the potential Z, alpha the volume
+    form.  Derivatives are central finite differences, so the returned
+    defect shrinks like O(h^2) for a correct potential.
+    """
+    (u0, u1), (v0, v1), (w0, w1) = box
+    if not w0 > 0:
+        raise DomainError("verification box must lie strictly inside w > 0")
+    us = np.linspace(u0, u1, n)
+    vs = np.linspace(v0, v1, n)
+    ws = np.linspace(w0, w1, n)
+    hu, hv, hw = us[1] - us[0], vs[1] - vs[0], ws[1] - ws[0]
+    U, V, W = np.meshgrid(us, vs, ws, indexing="ij")
+    Z = U + 1j * V
+
+    za, zb = potential(k, Z, W)
+    # beta components (dual 1-form of Z in the hyperbolic metric).
+    bu = np.real(za) / W ** 2
+    bv = np.imag(za) / W ** 2
+    bw = zb / W ** 2
+
+    ya, yb = vector_samples(k, Z, W)
+    yu, yv, yw = np.real(ya), np.imag(ya), yb
+
+    def d(arr, axis, h):
+        out = np.gradient(arr, h, axis=axis, edge_order=2)
+        return out
+
+    # d(beta) components against i_Y alpha with alpha = w^-3 du dv dw:
+    #   du^dv: Yw / w^3,  du^dw: -Yv / w^3,  dv^dw: Yu / w^3.
+    duv = d(bv, 0, hu) - d(bu, 1, hv) - yw / W ** 3
+    duw = d(bw, 0, hu) - d(bu, 2, hw) + yv / W ** 3
+    dvw = d(bw, 1, hv) - d(bv, 2, hw) - yu / W ** 3
+    interior = (slice(1, -1),) * 3
+    return float(max(np.max(np.abs(duv[interior])),
+                     np.max(np.abs(duw[interior])),
+                     np.max(np.abs(dvw[interior]))))
 
 
 def per_field_flux(samples, k):

@@ -18,15 +18,15 @@ from bryantflux import (BalanceProblem, Catenoidal, FluxPolynomial,
                         UnbalanceableError, canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
                         catenoidal_closed_form, circle_samples,
-                        concurrency_check, derived_forms, flux_for_geodesic,
+                        concurrency_check, flux_for_geodesic,
                         flux_matrix, flux_numeric, flux_triple, frobenius_solve,
                         horosphere_frame, horospherical_polynomial,
-                        immersion_samples, is_inf, polynomial_sum,
+                        is_inf, polynomial_sum,
                         three_end_axes, two_end_solve)
 from bryantflux.flux import flux_from_samples
-from bryantflux.series import eval_at
 
 from conftest import make_h, random_geodesic
+from oracles import derived_forms, eval_at, immersion_samples
 
 PI = math.pi
 

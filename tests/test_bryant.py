@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from bryantflux import (BryantFrame, DomainError, GeneralizedSeries,
-                        IsometrySL2, QuadratureGrid, WeierstrassData,
-                        apply_isometry, canonical_horospherical_frame,
-                        catenoid_cousin_frame, derived_forms, frame_checks,
+from bryantflux import (BryantFrame, ConsistencyError, DomainError,
+                        GeneralizedSeries, IsometrySL2, QuadratureGrid,
+                        build_end, canonical_horospherical_frame,
+                        catenoid_cousin_frame, frame_checks,
                         frame_from_json, frame_to_json, horosphere_frame,
-                        immersion, residue, transform_frame)
-from bryantflux.bryant import immersion_samples, one_forms
+                        residue, transform_frame)
 from bryantflux.flux import circle_samples
-from bryantflux.series import differentiate, eval_at
+from bryantflux.series import differentiate
 
 from conftest import make_h
+from oracles import (WeierstrassData, apply_isometry, derived_forms,
+                     eval_at, immersion, immersion_samples, one_forms,
+                     series_div, series_isclose)
 
 
 def horo_frame_mu2():
@@ -102,25 +104,27 @@ class TestDerivedForms:
 
     def test_gauss_map_consistency(self, perturbed_frame):
         # dC/dA = dD/dB wherever dB is nonzero
-        g1 = differentiate(perturbed_frame.C) / differentiate(perturbed_frame.A)
-        g2 = differentiate(perturbed_frame.D) / differentiate(perturbed_frame.B)
-        assert g1.isclose(g2, tol=1e-9)
+        g1 = series_div(differentiate(perturbed_frame.C),
+                        differentiate(perturbed_frame.A))
+        g2 = series_div(differentiate(perturbed_frame.D),
+                        differentiate(perturbed_frame.B))
+        assert series_isclose(g1, g2, tol=1e-9)
 
     def test_omega_sharp_identities(self, perturbed_frame):
         forms = derived_forms(perturbed_frame)
         # B dA - A dB = -omega_sharp / G^2
         lhs = forms.form_b * forms.gauss * forms.gauss
-        assert lhs.isclose(-forms.omega_sharp, tol=1e-8)
+        assert series_isclose(lhs, -forms.omega_sharp, tol=1e-8)
         # C dB - D dA = omega_sharp / G
         mid = forms.form_m * forms.gauss
-        assert mid.isclose(forms.omega_sharp, tol=1e-8)
+        assert series_isclose(mid, forms.omega_sharp, tol=1e-8)
 
     def test_hopf_two_routes_agree(self, perturbed_frame):
         mu = 0.5
         weier = WeierstrassData(mu=mu, nu=-1.5, h=make_h(mu, (0.0, 0.05)))
         with_data = derived_forms(perturbed_frame, weier).hopf
         from_frame = derived_forms(perturbed_frame).hopf
-        assert with_data.isclose(from_frame, tol=1e-8)
+        assert series_isclose(with_data, from_frame, tol=1e-8)
 
     def test_relationab_identity(self, perturbed_frame):
         # (1/w^2) conj(d zeta / d zbar) = A B' - A' B pointwise, with the
@@ -151,8 +155,8 @@ class TestDerivedForms:
 class TestTransformFrame:
     def test_identity(self, cousin_half):
         out = transform_frame(IsometrySL2.identity(), cousin_half)
-        assert out.A.isclose(cousin_half.A)
-        assert out.D.isclose(cousin_half.D)
+        assert series_isclose(out.A, cousin_half.A)
+        assert series_isclose(out.D, cousin_half.D)
 
     def test_preserves_frame_identities(self, perturbed_frame):
         p = IsometrySL2(1.0 + 0.5j, 0.25, -0.3j, 1.0)
@@ -191,10 +195,42 @@ class TestWeierstrassData:
             WeierstrassData(mu=0.5, nu=-2.5, h=make_h(0.5))
 
 
+# A horospherical end moved to a far boundary point: the products in its
+# frame identities reach 7e7 (det) and 1e10 (null), and their cancellation
+# leaves a nullity defect of 1.9e-6, above the absolute bar of 1e-8.
+FAR_SPEC = {"type": "horospherical", "mu": 4, "h0": 3,
+            "h_perturbation": [0, 10], "boundary": [3000, 40], "order": 128}
+
+
 class TestJson:
+    def test_far_frame_round_trips(self):
+        frame, _ = build_end(FAR_SPEC)
+        assert frame_checks(frame)[1] > 1e-8
+        back = frame_from_json(frame_to_json(frame))
+        for a, b in zip(back.entries(), frame.entries()):
+            assert a.offset == b.offset
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    # A_0 changed by 1e-6 relative: the defects, 0.86 (det) and 13
+    # (null), are under 1e-8 times the largest coefficients of
+    # |A| |D| + |B| |C| and |dA| |dD| + |dB| |dC|, 1.5e8 and 2.2e10, but
+    # 50 times 1e-8 times the coefficients where they sit.
+    @pytest.mark.parametrize("which, eps", [
+        ("first", 1e-3), ("largest", 1e-3), ("first", 1e-6)],
+        ids=["first", "largest", "first-1e-6"])
+    def test_far_frame_with_nudged_a_refused(self, which, eps):
+        frame, _ = build_end(FAR_SPEC)
+        a = frame.A.coeffs.copy()
+        k = 0 if which == "first" else int(np.argmax(np.abs(a)))
+        a[k] *= 1.0 + eps
+        nudged = BryantFrame(GeneralizedSeries(frame.A.offset, a), frame.B,
+                             frame.C, frame.D, frame.validity_radius)
+        with pytest.raises(ConsistencyError, match="AD - BC = 1"):
+            frame_from_json(frame_to_json(nudged))
+
     def test_round_trip(self, perturbed_frame):
         back = frame_from_json(frame_to_json(perturbed_frame))
         for a, b in zip(back.entries(), perturbed_frame.entries()):
-            assert a.isclose(b, tol=1e-15)
+            assert series_isclose(a, b, tol=1e-15)
         assert back.validity_radius == pytest.approx(
             perturbed_frame.validity_radius)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,9 @@ import bryantflux.killing
 from bryantflux import (Geodesic, INF, build_end, circle_samples,
                         flux_for_geodesic, flux_triple, frame_from_json,
                         frame_to_json)
-from bryantflux.cli import run
+from bryantflux.cli import _to_ball, run
+
+import oracles
 
 CATENOID_SPEC = {"type": "catenoidal", "mu": 0.5,
                  "axis": [[0.0, 0.0], "inf"]}
@@ -37,14 +40,27 @@ RESIDUE_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
 # A mesh run short of its grid flags; nothing is written when it fails.
 MESH_ARGV = ["mesh", "--rho-min", "0.02", "--rho-max", "0.1",
              "--out", os.devnull]
+# Ends whose mesh vertices are checked against the Horner reference: a
+# catenoidal end with a finite axis and a horospherical end at a finite
+# boundary point, both moved off the canonical frame.
+MESH_SPECS = {
+    "catenoidal-finite-axis": {"type": "catenoidal", "mu": 0.5,
+                               "axis": [[0.3, 0.1], [-0.5, 0.2]],
+                               "h_perturbation": [0.0, 0.5]},
+    "horospherical-finite": dict(RESIDUE_OVERFLOW_SPEC, boundary=[0.3, 0.2]),
+}
 
 
-def _doubled_a_frame():
+def _doubled_a_frame(top=None):
     """The frame JSON of CATENOID_SPEC with A's coefficients doubled, so
-    that AD - BC = 1 fails."""
+    that AD - BC = 1 fails, and A's top coefficient set to ``top`` if
+    given.  The defects leave the top coefficient out, so a huge one
+    changes them not at all, but grows the products that cancel in them."""
     frame = json.loads(frame_to_json(build_end(CATENOID_SPEC)[0]))
     frame["A"]["coeffs"] = [[2.0 * re, 2.0 * im]
                             for re, im in frame["A"]["coeffs"]]
+    if top is not None:
+        frame["A"]["coeffs"][-1] = [top, 0.0]
     return frame
 
 
@@ -177,10 +193,11 @@ class TestVerify:
         monkeypatch.setattr(bryantflux.flux, "circle_samples", counted)
         monkeypatch.setattr(bryantflux.cli, "circle_samples", counted,
                             raising=False)
+        # The per-field samplers are test references now; a binding in
+        # either module would be a second route.
         for module in (bryantflux.killing, bryantflux.flux):
             for name in ("vector_samples", "potential_samples"):
-                monkeypatch.setattr(module, name, sampled,
-                                    raising=module is bryantflux.killing)
+                monkeypatch.setattr(module, name, sampled, raising=False)
         code, _ = run_json(capsys, ["verify", "--end", catenoid_json,
                                     "--geodesics", "5"])
         assert code == 0
@@ -289,6 +306,54 @@ class TestMesh:
             x, y, z = (float(t) for t in line.split()[1:])
             assert x * x + y * y + z * z < 1.0 + 1e-12
 
+    @pytest.mark.parametrize("model", ["halfspace", "ball"])
+    @pytest.mark.parametrize("angular", [3, 7, 16])
+    @pytest.mark.parametrize("spec", MESH_SPECS.values(), ids=MESH_SPECS)
+    def test_vertices_match_horner(self, spec, angular, model, tmp_path,
+                                   capsys):
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "end.obj"
+        spec_path.write_text(json.dumps(spec))
+        rho_min, rho_max, radial = 0.02, 0.1, 3
+        code = run(["mesh", "--end", str(spec_path), "--model", model,
+                    "--rho-min", str(rho_min), "--rho-max", str(rho_max),
+                    "--radial", str(radial), "--angular", str(angular),
+                    "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        got = np.array([[float(t) for t in line.split()[1:]]
+                        for line in out_path.read_text().splitlines()
+                        if line.startswith("v ")])
+        frame, _ = build_end(spec)
+        taus = 2.0 * math.pi * np.arange(angular) / angular
+        want = []
+        for rho in np.geomspace(rho_min, rho_max, radial):
+            zeta, w = oracles.immersion_samples(frame, rho, taus)
+            u, v = zeta.real, zeta.imag
+            if model == "ball":
+                u, v, w = _to_ball(u, v, w)
+            want.append(np.column_stack([u, v, w]))
+        want = np.vstack(want)
+        assert got.shape == want.shape == (radial * angular, 3)
+        # 1e-12 of the vertex's size before printing, plus the half unit
+        # in the ninth significant digit that %.9g rounds away.
+        with np.errstate(divide="ignore"):
+            digit = 10.0 ** (np.floor(np.log10(np.maximum(abs(got),
+                                                         abs(want)))) - 8)
+        bar = 1e-12 * np.linalg.norm(want, axis=1, keepdims=True) + digit / 2
+        assert np.all(np.abs(got - want) <= bar)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho-min", "nan"), ("--rho-max", "inf"), ("--rho-min", "-0.01"),
+        ("--rho-max", "0")])
+    def test_bad_radius_writes_no_file(self, flag, value, catenoid_json,
+                                       tmp_path, capsys):
+        out_path = tmp_path / "end.obj"
+        code = run(["mesh", "--end", catenoid_json, "--rho-min", "0.02",
+                    "--rho-max", "0.1", flag, value, "--out", str(out_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not out_path.exists()
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
@@ -326,6 +391,8 @@ class TestErrors:
         (dict(CATENOID_SPEC, h_perturbation=[0, "x"]), ["flux"],
          "DomainError"),
         (_doubled_a_frame(), ["flux", "--frame"], "ConsistencyError"),
+        (_doubled_a_frame(top=1e12), ["flux", "--frame"],
+         "ConsistencyError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,nan"], "DomainError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,1e400"], "DomainError"),
         (None, ["crossratio", "0", "1", "2", "nan"], "DomainError"),
@@ -364,8 +431,15 @@ class TestErrors:
         (CATENOID_SPEC, MESH_ARGV + ["--radial", "1"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--angular", "-3"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--angular", "2"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--rho-min", "nan"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--rho-max", "nan"], "DomainError"),
+        (CATENOID_SPEC, MESH_ARGV + ["--rho-min", "-0.01"], "DomainError"),
+        # TiB-scale requests, which numpy refuses before allocating.
+        (dict(CATENOID_SPEC, order=1e12), ["flux"], "MemoryError"),
+        (CATENOID_SPEC, ["verify", "--samples", str(2 ** 40)],
+         "MemoryError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
-            "frame-doubled-a", "geodesic-nan", "geodesic-overflow",
+            "frame-doubled-a", "frame-doubled-a-huge-top", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "h0-squared-overflow", "h0-frame-overflow",
@@ -377,7 +451,9 @@ class TestErrors:
             "verify-geodesics-zero", "verify-geodesics-negative",
             "argparse-mu-abc", "argparse-rho-x", "argparse-samples-float",
             "argparse-flux-no-geodesic", "mesh-radial-0", "mesh-radial-1",
-            "mesh-angular-negative", "mesh-angular-2"])
+            "mesh-angular-negative", "mesh-angular-2", "mesh-rho-min-nan",
+            "mesh-rho-max-nan", "mesh-rho-min-negative", "order-1e12-memory",
+            "verify-samples-2-40-memory"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         if spec is not None:

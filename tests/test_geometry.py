@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bryantflux import (DomainError, Geodesic, HPoint, INF, IsometrySL2,
-                        TangentVector, apply_isometry, cross_ratio, distance,
-                        is_inf, metric_inner, mobius_boundary,
+from bryantflux import (DomainError, Geodesic, INF, IsometrySL2,
+                        cross_ratio, is_inf, mobius_boundary,
                         standardizing_isometry)
-from bryantflux.geometry import hermitian_to_point, point_to_hermitian
+
+from oracles import (HPoint, TangentVector, apply_isometry, distance,
+                     hermitian_to_point, metric_inner, point_to_hermitian)
 
 
 def finite_complex(rng):

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bryantflux import (DomainError, GeneralizedSeries, QuadratureGrid,
-                        differentiate, eval_at, eval_branch, product_residue,
+                        differentiate, eval_branch, product_residue,
                         residue)
-from bryantflux.series import radius_estimate, trapezoid_residue
+
+from oracles import (eval_at, radius_estimate, series_div, series_isclose,
+                     trapezoid_residue)
 
 
 def S(offset, coeffs):
@@ -29,18 +31,18 @@ class TestArithmetic:
         assert np.allclose(out.coeffs, [1.0])
 
     def test_geometric_series_division(self):
-        out = S(0.0, [1, 0, 0, 0]) / S(0.0, [1, 1, 0, 0])
+        out = series_div(S(0.0, [1, 0, 0, 0]), S(0.0, [1, 1, 0, 0]))
         assert np.allclose(out.coeffs, [1, -1, 1, -1])
 
     def test_division_round_trips(self):
         a = S(0.5, [2.0, -1.0, 0.5, 0.25])
         b = S(-1.0, [1.0, 3.0, -2.0, 1.0])
-        q = a / b
-        assert (q * b).isclose(a, tol=1e-12)
+        q = series_div(a, b)
+        assert series_isclose(q * b, a, tol=1e-12)
 
     def test_division_by_zero_series_rejected(self):
         with pytest.raises(DomainError):
-            S(0.0, [1.0]) / S(0.0, [0.0, 0.0])
+            series_div(S(0.0, [1.0]), S(0.0, [0.0, 0.0]))
 
     def test_addition_needs_integer_offset_gap(self):
         with pytest.raises(DomainError):
@@ -60,7 +62,8 @@ class TestArithmetic:
         b = S(float(rng.uniform(-2, 2)),
               rng.normal(size=6) + 1j * rng.normal(size=6))
         grid = QuadratureGrid(0.05, 32)
-        lhs, a_vals, b_vals = eval_branch([a * b, a, b], grid)
+        lhs, a_vals, b_vals = eval_branch([a * b, a, b], grid.rho,
+                                         grid.taus)
         rhs = a_vals * b_vals
         # truncated cross terms are O(rho^(order+1)) relative to the values
         scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -144,7 +147,8 @@ class TestProductResidue:
 class TestEvaluation:
     def test_constant_series(self):
         grid = QuadratureGrid(0.3, 16)
-        assert np.allclose(eval_branch([S(0.0, [1.0])], grid), 1.0)
+        assert np.allclose(eval_branch([S(0.0, [1.0])], grid.rho,
+                                       grid.taus), 1.0)
 
     @pytest.mark.parametrize("rho", [0.02, 0.5])
     @pytest.mark.parametrize("samples", [16, 256])
@@ -156,7 +160,7 @@ class TestEvaluation:
                   for offset, k in [(-2.3, 20), (-2.0, 20), (0.0, 8),
                                     (3.0, 5), (0.5, 69), (-0.75, 69)]]
         grid = QuadratureGrid(rho, samples)
-        rows = eval_branch(series, grid)
+        rows = eval_branch(series, grid.rho, grid.taus)
         assert rows.shape == (len(series), samples)
         for row, a in zip(rows, series):
             ref = eval_at(a, grid.rho, grid.taus)
@@ -191,7 +195,7 @@ class TestEvaluation:
 
     def test_single_valued_immersion_closes(self):
         from bryantflux import catenoid_cousin_frame
-        from bryantflux.bryant import immersion_samples
+        from oracles import immersion_samples
         frame = catenoid_cousin_frame(0.5)
         taus = np.array([0.0, 2.0 * np.pi])
         zeta, w = immersion_samples(frame, 0.1, taus)
@@ -230,7 +234,7 @@ class TestStructure:
         assert np.allclose(s.coeffs, [2.0, 3.0])
 
     def test_isclose_across_offset_shift(self):
-        assert S(0.0, [0.0, 1.0, 2.0]).isclose(S(1.0, [1.0, 2.0]))
+        assert series_isclose(S(0.0, [0.0, 1.0, 2.0]), S(1.0, [1.0, 2.0]))
 
     def test_radius_estimate_geometric(self):
         # 1/(1 - z/2): coefficients (1/2)^k, radius 2.

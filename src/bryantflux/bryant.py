@@ -58,7 +58,9 @@ def _identity_terms(frame: BryantFrame,
                     omega: Optional[GeneralizedSeries] = None,
                     scale: bool = False):
     """The residual series of AD - BC = 1, dA dD - dB dC = 0 and, when
-    ``omega`` is given, A dC - C dA = omega, as (offset, coeffs) pairs.
+    ``omega`` is given, A dC - C dA = omega, each as its window: the
+    coefficients below the truncation top, which the identities are held
+    to.
 
     One pass over bare arrays: each entry's derivative is formed once,
     and the six products and the differences follow the rules of series
@@ -91,13 +93,14 @@ def _identity_terms(frame: BryantFrame,
     if omega is not None:
         target = np.zeros_like(omega.coeffs) if scale else omega.coeffs
         terms.append(minus(minus(*om[0]), (omega.offset, target)))
-    return terms
+    return [c[:max(len(c) - 1, 1)] for _, c in terms]
 
 
-def _window(terms):
-    """The coefficients below the truncation top, which the identities
-    are held to."""
-    return terms[1][:max(len(terms[1]) - 1, 1)]
+def _defects(windows):
+    """(det, null, omega) defects, the largest modulus in each residual
+    window (_identity_terms); omega is None when its window is absent."""
+    det, null, *om = (float(np.max(np.abs(w))) for w in windows)
+    return det, null, (om[0] if om else None)
 
 
 def _frame_defects(frame: BryantFrame,
@@ -105,9 +108,7 @@ def _frame_defects(frame: BryantFrame,
     """(det, null, omega) defects: max residual coefficients below the
     truncation top of AD - BC = 1, dA dD - dB dC = 0 and, when the one-form
     ``omega`` is given, A dC - C dA = omega (else None)."""
-    det, null, *om = (float(np.max(np.abs(_window(r))))
-                      for r in _identity_terms(frame, omega))
-    return det, null, (om[0] if om else None)
+    return _defects(_identity_terms(frame, omega))
 
 
 def frame_checks(frame: BryantFrame):
@@ -116,24 +117,24 @@ def frame_checks(frame: BryantFrame):
     return _frame_defects(frame)[:2]
 
 
-def _refused(defects, frame: BryantFrame,
+def _refused(defects, windows, frame: BryantFrame,
              omega: Optional[GeneralizedSeries]):
-    """For each defect, whether it fails the bar.  A defect within 1e-8
-    passes.  Past that, each residual coefficient below the truncation
-    top must be within 1e-8 times max(1, the same coefficient of the
-    scale series), the size of the two products that cancel in it
-    (_identity_terms), so no coefficient can excuse another.  The
-    residuals and scales are formed only when a defect exceeds 1e-8, so
-    frames that meet the absolute bar cost nothing more.  A residual or
-    scale that is not finite fails."""
+    """For each defect and its residual window, whether it fails the bar.
+    A defect within 1e-8 passes.  Past that, each residual coefficient in
+    the window must be within 1e-8 times max(1, the same coefficient of
+    the scale series), the size of the two products that cancel in it
+    (_identity_terms), so no coefficient can excuse another.  The scales
+    are formed only when a defect exceeds 1e-8, so frames that meet the
+    absolute bar cost nothing more.  A residual or scale that is not
+    finite fails."""
     if all(d is None or d <= 1e-8 for d in defects):
         return [False] * len(defects)
     out = []
-    for d, r, s in zip(defects, _identity_terms(frame, omega),
+    for d, r, s in zip(defects, windows,
                        _identity_terms(frame, omega, scale=True)):
-        bar = 1e-8 * np.maximum(1.0, _window(s).real)
+        bar = 1e-8 * np.maximum(1.0, s.real)
         out.append(not (d <= 1e-8 or (np.isfinite(bar).all() and bool(
-            (np.abs(_window(r)) <= bar).all()))))
+            (np.abs(r) <= bar).all()))))
     return out
 
 
@@ -146,11 +147,13 @@ def checked_frame(frame: BryantFrame,
     (_refused).  A frame moved far from the origin has products of 1e7
     and more, whose cancellation leaves defects above 1e-8 in round-off
     alone."""
-    det, null, om = _frame_defects(frame, omega)
+    windows = _identity_terms(frame, omega)
+    det, null, om = _defects(windows)
     if omega is not None:
         log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
                   "validity radius %g", det, null, om, frame.validity_radius)
-    bad_det, bad_null, *bad_om = _refused((det, null, om), frame, omega)
+    bad_det, bad_null, *bad_om = _refused((det, null, om), windows, frame,
+                                          omega)
     if bad_det or bad_null:
         raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
                                "= 0 (defects %.3e, %.3e)" % (det, null))
@@ -173,11 +176,17 @@ def _zeta_w(a, b, c, d):
 
 def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     """Left-multiply the frame by P; the new end is the image of the old
-    one under the direct isometry induced by P."""
+    one under the direct isometry induced by P.  An entry whose partner's
+    coefficient is exactly 0 keeps its own offset and order: it is not
+    re-based at the partner's lower offset, which would drop its top
+    coefficient."""
     A, B, C, D = frame.entries()
 
     def combine(s, x, t, y):
-        """s x + t y, summed as series addition does, as one series."""
+        """s x + t y, summed as series addition does, as one series; s x
+        alone, at x's offset and order, when t is 0."""
+        if t == 0:
+            return GeneralizedSeries(x.offset, x.coeffs * s)
         return GeneralizedSeries(*_sum_terms(x.offset, x.coeffs * s,
                                              y.offset, y.coeffs * t))
 

@@ -1,4 +1,13 @@
-"""Command-line front end."""
+"""Command-line front end.
+
+flux, verify and mesh take their frame from exactly one source, --end (an
+end-spec JSON file, built by ends.build_end at --order) or --frame (a
+frame JSON file, checked by bryant.frame_from_json); the parser refuses
+both or neither.  end build and --end read a spec through one reader
+(_build), and every command writes its output, a JSON document, a frame
+or an OBJ mesh, through one writer (_write), to --out or to stdout.  Bad
+input is reported as one JSON object on stderr with exit code 2.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
-                      two_end_solve)
+from .balance import (_NORMALIZED, ConcurrencyResult, concurrency_check,
+                      three_end_axes, two_end_solve)
 from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
@@ -52,25 +61,32 @@ def _parse_geodesic(text) -> Geodesic:
     return Geodesic(_parse_point(c), _parse_point(d))
 
 
+def _build(path, order):
+    """(frame, descriptor) of the end-spec JSON file at ``path``."""
+    with open(path) as fh:
+        return build_end(json.load(fh), order=order)
+
+
 def _load_frame(args):
-    if getattr(args, "end", None):
-        with open(args.end) as fh:
-            spec = json.load(fh)
-        frame, _ = build_end(spec, order=args.order)
-        return frame
-    if getattr(args, "frame", None):
-        with open(args.frame) as fh:
-            return frame_from_json(fh.read())
-    raise DomainError("one of --end or --frame is required")
+    """The frame of --end, built, or of --frame, checked; the parser
+    requires exactly one of them."""
+    if args.end:
+        return _build(args.end, args.order)[0]
+    with open(args.frame) as fh:
+        return frame_from_json(fh.read())
 
 
-def _emit(obj, path=None):
-    text = json.dumps(obj, indent=2)
+def _write(text, path=None):
+    """``text`` and a newline to the file at ``path``, or to stdout."""
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, path=None):
+    _write(json.dumps(obj, indent=2), path)
 
 
 def _cmd_crossratio(args):
@@ -81,15 +97,8 @@ def _cmd_crossratio(args):
 
 
 def _cmd_end_build(args):
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    frame, desc = build_end(spec, order=args.order)
-    text = frame_to_json(frame)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    frame, desc = _build(args.spec, args.order)
+    _write(frame_to_json(frame), args.out)
     log.info("built %s end", type(desc).__name__.lower())
     return 0
 
@@ -161,12 +170,11 @@ def _concurrency_json(res: ConcurrencyResult):
 
 def _cmd_balance_three(args):
     sigmas = [parse_real(float(s)) for s in _split(args.sigma, 3, "--sigma")]
-    boundaries = None
+    bs = _NORMALIZED
     if args.boundaries:
-        boundaries = [_parse_point(b)
-                      for b in _split(args.boundaries, 3, "--boundaries")]
-    axes = three_end_axes(*sigmas, boundaries=boundaries)
-    bs = boundaries or [-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j]
+        bs = [_parse_point(b) for b in _split(args.boundaries, 3,
+                                              "--boundaries")]
+    axes = three_end_axes(*sigmas, boundaries=bs)
     geodesics = [Geodesic(a, b) for a, b in zip(axes, bs)]
     res = concurrency_check(geodesics)
     _emit({"axes": [_point_json(a) for a in axes],
@@ -194,12 +202,15 @@ def _cmd_mesh(args):
     taus = _node_angles(args.angular)
     for rho in np.geomspace(args.rho_min, args.rho_max, args.radial):
         _check_radius(frame, rho)
-        zeta, w = _zeta_w(*eval_branch(frame.entries(), rho, taus))
-        for z, wv in zip(zeta, w):
-            u, v, ww = z.real, z.imag, wv
+        with np.errstate(all="ignore"):
+            zeta, w = _zeta_w(*eval_branch(frame.entries(), rho, taus))
+            ring = (zeta.real, zeta.imag, w)
             if args.model == "ball":
-                u, v, ww = _to_ball(u, v, ww)
-            lines.append("v %.9g %.9g %.9g" % (u, v, ww))
+                ring = _to_ball(*ring)
+        if not np.isfinite(ring).all():
+            raise DomainError("mesh vertices on |z| = %g are not finite"
+                              % rho)
+        lines += ["v %.9g %.9g %.9g" % vertex for vertex in zip(*ring)]
     m = args.angular
     for i in range(args.radial - 1):
         for j in range(m):
@@ -209,8 +220,7 @@ def _cmd_mesh(args):
             d = (i + 1) * m + j + 1
             lines.append("f %d %d %d" % (a, b, c))
             lines.append("f %d %d %d" % (a, c, d))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write("\n".join(lines), args.out)
     log.info("wrote %d vertices to %s", args.radial * m, args.out)
     return 0
 
@@ -221,6 +231,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise DomainError("%s: %s" % (self.prog, message))
+
+
+def _add_frame_source(p):
+    """--end (an end spec, built at --order) or --frame (a frame JSON):
+    exactly one is required."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--end")
+    source.add_argument("--frame")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
 
 
 def _build_parser():
@@ -243,24 +262,20 @@ def _build_parser():
     p.set_defaults(func=_cmd_end_build)
 
     p = sub.add_parser("flux", help="flux along a geodesic")
-    p.add_argument("--end")
-    p.add_argument("--frame")
+    _add_frame_source(p)
     p.add_argument("--geodesic", required=True)
     p.add_argument("--kind", choices=("translation", "rotation"),
                    default="translation")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_flux)
 
     p = sub.add_parser("verify",
                        help="quadrature vs residue route on random geodesics")
-    p.add_argument("--end")
-    p.add_argument("--frame")
+    _add_frame_source(p)
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--geodesics", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.set_defaults(func=_cmd_verify)
 
     p_bal = sub.add_parser("balance", help="balancing problems")
@@ -276,15 +291,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_balance_three)
 
     p = sub.add_parser("mesh", help="OBJ export of the immersed annulus")
-    p.add_argument("--end")
-    p.add_argument("--frame")
+    _add_frame_source(p)
     p.add_argument("--rho-min", type=float, required=True, dest="rho_min")
     p.add_argument("--rho-max", type=float, required=True, dest="rho_max")
     p.add_argument("--radial", type=int, default=32)
     p.add_argument("--angular", type=int, default=64)
     p.add_argument("--model", choices=("halfspace", "ball"),
                    default="halfspace")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mesh)
     return top

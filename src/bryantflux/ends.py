@@ -17,6 +17,13 @@ line lower + t * upper (t free) instead of needing a logarithm.  The
 second column follows term by term from dB = -g dA and dD = -g dC.  A
 nonzero obstruction is a LogTermRequiredError: the coefficient data
 violates the admissibility constraints, not that the solver gave up.
+
+Every end is built at its standard position: the catenoidal axis
+(0, infinity), the horospherical boundary infinity.  An embedded end
+asymptotic to a catenoid cousin has an axis, so every catenoidal end is
+the image of a standard one under an isometry, and so is every
+horospherical end; build_end places the built frame by that one
+isometry (bryant.transform_frame), and its flux moves covariantly.
 """
 
 from __future__ import annotations
@@ -31,15 +38,23 @@ import numpy as np
 
 from .bryant import BryantFrame, checked_frame, transform_frame
 from .errors import DomainError, LogTermRequiredError
-from .geometry import (INF, ExtendedComplex, boundary_eq, is_inf,
-                       parse_axis, parse_complex, parse_point, parse_real,
-                       standardizing_isometry)
+from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq,
+                       is_inf, parse_axis, parse_complex, parse_point,
+                       parse_real, standardizing_isometry)
 from .series import DEFAULT_ORDER, GeneralizedSeries
 
 _MU_ONE_TOL = 1e-8
 
 
 # -- end descriptors --------------------------------------------------------
+
+def _check_catenoidal_mu(mu: float):
+    """DomainError unless mu > 0 and mu != 1, where the growth 1 - mu is
+    zero (the horosphere limit)."""
+    if not mu > 0 or abs(mu - 1.0) <= _MU_ONE_TOL:
+        raise DomainError("a catenoidal end needs mu > 0 and mu != 1, got %r"
+                          % mu)
+
 
 @dataclass(frozen=True)
 class Catenoidal:
@@ -50,11 +65,7 @@ class Catenoidal:
     boundary: ExtendedComplex
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise DomainError("catenoidal end needs mu > 0")
-        if abs(self.mu - 1.0) <= _MU_ONE_TOL:
-            raise DomainError("mu = 1 has growth zero (horosphere limit), "
-                              "not a catenoidal end")
+        _check_catenoidal_mu(self.mu)
         if boundary_eq(self.axis_from, self.boundary):
             raise DomainError("axis endpoints of a catenoidal end are distinct")
 
@@ -189,10 +200,7 @@ def _catenoidal_offsets(mu: float):
 
 def catenoid_cousin_frame(mu: float, order: int = DEFAULT_ORDER) -> BryantFrame:
     """Exact rotational frame: all four entries are single powers of z."""
-    if not mu > 0:
-        raise DomainError("catenoid cousin needs mu > 0")
-    if abs(mu - 1.0) <= _MU_ONE_TOL:
-        raise DomainError("mu = 1 is the horosphere limit, not a catenoid cousin")
+    _check_catenoidal_mu(mu)
     lam1, lam2, r1, r2 = _catenoidal_offsets(mu)
     return BryantFrame(
         A=GeneralizedSeries.monomial(lam2, 1.0, order),
@@ -243,17 +251,15 @@ def _end_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
 
 
 def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
-                               axis_param: complex,
                                order: int = DEFAULT_ORDER) -> BryantFrame:
-    """Frame of the catenoidal end with axis (axis_param, infinity).
+    """Frame of the catenoidal end with axis (0, infinity).
 
     Requires h(0) = (1 - mu^2)/(4 mu) and h'(0) = 0.  One Frobenius
-    solve of the first-column ODE gives (f1, f2): A = f2, and the axis
-    fixes C's lower-root solution f1 + zres f2.  B and D are the paired
-    column of A and C.
+    solve of the first-column ODE gives (f1, f2): A = f2 and
+    C = (mu^2 - 1)/(4 mu) f1.  B and D are the paired column of A and C.
+    build_end places an end with any other axis by an isometry.
     """
-    if not mu > 0 or abs(mu - 1.0) <= _MU_ONE_TOL:
-        raise DomainError("catenoidal construction needs mu > 0, mu != 1")
+    _check_catenoidal_mu(mu)
     h0_target = (1.0 - mu * mu) / (4.0 * mu)
     if abs(complex(h.coeffs[0]) - h0_target) > 1e-10:
         raise DomainError(
@@ -261,12 +267,11 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
     h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
     if abs(h1) > 1e-10:
         raise DomainError("catenoidal data requires h'(0) = 0")
-    zres = 4.0 * mu * complex(axis_param) / (mu * mu - 1.0)
 
     f1, f2 = frobenius_solve(FrobeniusProblem(
         s=-1.0 - mu, coupling=-2, mu=mu, h=h, order=order))
     A = f2
-    C = ((mu * mu - 1.0) / (4.0 * mu)) * (f1 + zres * f2)
+    C = ((mu * mu - 1.0) / (4.0 * mu)) * f1
     return _end_frame(A, _paired(A, mu), C, _paired(C, mu), -1.0 - mu, h)
 
 
@@ -381,6 +386,14 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     read by :func:`parse_point`, :func:`parse_complex` and
     :func:`parse_real`.  The constraint on the z^1 coefficient is
     the caller's responsibility and violations are rejected.
+
+    The descriptor comes first, and its constructor checks mu and the
+    axis.  The frame is built at the standard position, axis (0, infinity)
+    or boundary infinity, and placed by P = standardizing_isometry(anchor,
+    boundary)^-1, which sends 0 to the anchor and infinity to the
+    boundary; the anchor is the axis' other point, and for a
+    horospherical end any point but its boundary.  Flux moves covariantly
+    under P.  No P is applied when it is the identity.
     """
     if not isinstance(spec, Mapping):
         raise DomainError("an end spec is a JSON object, not %s"
@@ -395,33 +408,28 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         raise DomainError("h_perturbation is a list of coefficients")
     pert = [parse_complex(p) for p in pert]
     if kind == "catenoidal":
-        mu = parse_real(spec["mu"])
-        a, b = parse_axis(spec["axis"])
-        if boundary_eq(a, b):
-            raise DomainError("catenoidal axis endpoints must be distinct")
-        h = _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order)
-        if is_inf(b):
-            frame = canonical_catenoidal_frame(mu, h, complex(a), order=order)
-        else:
-            base = canonical_catenoidal_frame(mu, h, 0.0, order=order)
-            p = standardizing_isometry(a, b).inverse()
-            frame = transform_frame(p, base)
-        return frame, Catenoidal(mu, a, b)
-    if kind == "horospherical":
+        end = Catenoidal(parse_real(spec["mu"]), *parse_axis(spec["axis"]))
+        mu = end.mu
+        frame = canonical_catenoidal_frame(
+            mu, _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order),
+            order=order)
+        anchor = end.axis_from
+    elif kind == "horospherical":
         mu = parse_real(spec["mu"])
         b = parse_point(spec["boundary"])
         h0 = parse_complex(spec.get("h0", 1.0))
-        frame = canonical_horospherical_frame(
-            mu, _perturbed_h(h0, pert, order), order=order)
-        if not is_inf(b):
-            # move the boundary from infinity to b; any second anchor works
-            aux = complex(b) + 1.0
-            p = standardizing_isometry(aux, b).inverse()
-            frame = transform_frame(p, frame)
         # kappa = (mu h(0))^2 at mu = 2; the Hopf differential is
         # holomorphic at mu >= 3, where kappa = 0.
-        kappa = 4.0 * h0 * h0 if round(mu) == 2 else 0j
-        return frame, Horospherical(b, kappa)
-    if kind == "horosphere":
+        end = Horospherical(b, 4.0 * h0 * h0 if round(mu) == 2 else 0j)
+        frame = canonical_horospherical_frame(
+            mu, _perturbed_h(h0, pert, order), order=order)
+        # any anchor other than b works; 0 leaves b = infinity in place
+        anchor = 0j if is_inf(b) else complex(b) + 1.0
+    elif kind == "horosphere":
         return horosphere_frame(order), Horosphere()
-    raise DomainError("unknown end type %r" % (kind,))
+    else:
+        raise DomainError("unknown end type %r" % (kind,))
+    q = standardizing_isometry(anchor, end.boundary)
+    if q != IsometrySL2(1.0, 0.0, 0.0, 1.0):
+        frame = transform_frame(q.inverse(), frame)
+    return frame, end

@@ -129,9 +129,6 @@ class Geodesic:
         if not is_inf(self.end):
             object.__setattr__(self, "end", complex(self.end))
 
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.end, self.start)
-
 
 @dataclass(frozen=True)
 class IsometrySL2:
@@ -160,22 +157,9 @@ class IsometrySL2:
         object.__setattr__(self, "gamma", c)
         object.__setattr__(self, "delta", d)
 
-    @classmethod
-    def identity(cls) -> "IsometrySL2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def inverse(self) -> "IsometrySL2":
         # det is 1, so the adjugate is the inverse.
         return IsometrySL2(self.delta, -self.beta, -self.gamma, self.alpha)
-
-    def compose(self, other: "IsometrySL2") -> "IsometrySL2":
-        """Matrix product self @ other (apply ``other`` first)."""
-        return IsometrySL2(
-            self.alpha * other.alpha + self.beta * other.gamma,
-            self.alpha * other.beta + self.beta * other.delta,
-            self.gamma * other.alpha + self.delta * other.gamma,
-            self.gamma * other.beta + self.delta * other.delta,
-        )
 
 
 def cross_ratio(z1: ExtendedComplex, z2: ExtendedComplex,

@@ -40,9 +40,6 @@ class KillingField:
         if self.kind not in (TRANSLATION, ROTATION):
             raise DomainError("kind must be 'translation' or 'rotation'")
 
-    def reversed(self) -> "KillingField":
-        return KillingField(self.kind, self.geodesic.reversed())
-
 
 def field_polynomial(k: KillingField) -> Tuple[complex, complex, complex]:
     """(c0, c1, c2) of the field's quadratic V(zeta) = c0 + c1 zeta + c2 zeta^2.

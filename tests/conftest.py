@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bryantflux import (GeneralizedSeries, Geodesic, INF,
-                        canonical_catenoidal_frame, catenoid_cousin_frame)
+from bryantflux import (GeneralizedSeries, Geodesic, INF, IsometrySL2,
+                        canonical_catenoidal_frame, catenoid_cousin_frame,
+                        transform_frame)
 
 
 def make_h(mu, extra=(), order=32):
@@ -13,6 +14,13 @@ def make_h(mu, extra=(), order=32):
     for k, p in enumerate(extra, start=1):
         coeffs[k] = p
     return GeneralizedSeries(0.0, h0 * coeffs)
+
+
+def translated_catenoidal_frame(mu, h, a):
+    """The catenoidal frame with axis (a, infinity): the standard frame,
+    axis (0, infinity), moved by the translation zeta -> zeta + a."""
+    return transform_frame(IsometrySL2(1.0, 0.0, a, 1.0),
+                           canonical_catenoidal_frame(mu, h))
 
 
 def random_geodesic(rng, p_inf=0.2):
@@ -37,4 +45,4 @@ def perturbed_frame():
     """ODE-built catenoidal frame, mu = 1/2, h = h(0)(1 + 0.05 z^2)."""
     mu = 0.5
     h = make_h(mu, extra=(0.0, 0.05))
-    return canonical_catenoidal_frame(mu, h, axis_param=0.0)
+    return canonical_catenoidal_frame(mu, h)

@@ -24,7 +24,8 @@ over closed loops unchanged, and verify_potential checks d(beta) =
 i_Y(alpha) by finite differences.
 
 Geometry: half-space points and tangent vectors, the action of SL(2, C)
-on points through Hermitian matrices, the metric and the distance.
+on points through Hermitian matrices, the product of two isometries, the
+metric and the distance.
 """
 
 import math
@@ -37,7 +38,7 @@ import numpy as np
 from bryantflux.bryant import BryantFrame, _check_radius, _zeta_w
 from bryantflux.ends import _MU_ONE_TOL, FrobeniusProblem
 from bryantflux.errors import DomainError
-from bryantflux.geometry import IsometrySL2, is_inf
+from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
 from bryantflux.series import (_LEAD_TOL, _OFFSET_TOL, GeneralizedSeries,
                                QuadratureGrid, differentiate, eval_branch)
@@ -274,6 +275,14 @@ def hermitian_to_point(n11: complex, n21: complex) -> HPoint:
     return HPoint(n21 * w, w)
 
 
+def isometry_product(p: IsometrySL2, q: IsometrySL2) -> IsometrySL2:
+    """The matrix product P Q: the isometry of Q followed by that of P."""
+    return IsometrySL2(p.alpha * q.alpha + p.beta * q.gamma,
+                       p.alpha * q.beta + p.beta * q.delta,
+                       p.gamma * q.alpha + p.delta * q.gamma,
+                       p.gamma * q.beta + p.delta * q.delta)
+
+
 def apply_isometry(p: IsometrySL2, pt: HPoint) -> HPoint:
     """Image of a half-space point under N -> P N P*."""
     (n11, n12), (n21, n22) = point_to_hermitian(pt)
@@ -309,7 +318,7 @@ def _components(kind, geod, zeta, w, potential):
     """Vectorized (alpha, beta) of the field or its potential at (zeta, w)."""
     c, d = geod.start, geod.end
     if is_inf(c):
-        a, b = _components(kind, geod.reversed(), zeta, w, potential)
+        a, b = _components(kind, Geodesic(d, c), zeta, w, potential)
         return -a, -b
     if is_inf(d):
         z1 = complex(c)

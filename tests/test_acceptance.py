@@ -25,7 +25,8 @@ from bryantflux import (BalanceProblem, Catenoidal, FluxPolynomial,
                         three_end_axes, two_end_solve)
 from bryantflux.flux import flux_from_samples
 
-from conftest import make_h, random_geodesic
+from conftest import (make_h, random_geodesic,
+                      translated_catenoidal_frame)
 from oracles import derived_forms, eval_at, immersion_samples
 
 PI = math.pi
@@ -76,7 +77,7 @@ def test_02_matrix_polynomial_equivalence(criteria):
     frames = [catenoid_cousin_frame(mu) for mu in (0.5, 0.75, 1.25, 1.5, 2.0)]
     for mu in (0.5, 1.5):
         frames.append(canonical_catenoidal_frame(
-            mu, make_h(mu, (0.0, 0.05)), 0.0))
+            mu, make_h(mu, (0.0, 0.05))))
     frames.append(horo_frame(2, 1.0))
     frames.append(horo_frame(3, 1.0))
     frames.append(horosphere_frame())
@@ -97,7 +98,7 @@ def test_03_cross_ratio_flux_law(criteria):
     rng = np.random.default_rng(33)
     mu = 0.5
     zc = complex(rng.normal(scale=0.5), rng.normal(scale=0.5))
-    frame = canonical_catenoidal_frame(mu, make_h(mu), zc)
+    frame = translated_catenoidal_frame(mu, make_h(mu), zc)
     t = flux_triple(frame)
     samples = circle_samples(frame, QuadratureGrid(0.1, 1024))
     ok = True
@@ -260,7 +261,7 @@ def test_08_frobenius_vs_adaptive_ode(criteria):
 
 
 def test_09_homology_and_gauge_invariance(criteria):
-    frame = canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)), 0.0)
+    frame = canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)))
     k = KillingField("translation", Geodesic(1.0, -1.0))
     vals = [flux_numeric(frame, k, QuadratureGrid(rho, 1024))
             for rho in (0.05, 0.1, 0.15)]
@@ -292,7 +293,7 @@ def test_10_asymptotic_axis(criteria):
     mu = 0.5
     zc = 1.0 + 1.0j
     reference = catenoid_cousin_frame(mu)
-    shifted = canonical_catenoidal_frame(mu, make_h(mu, (0.0, 0.05)), zc)
+    shifted = translated_catenoidal_frame(mu, make_h(mu, (0.0, 0.05)), zc)
 
     taus = 2.0 * PI * np.arange(16) / 16.0
 

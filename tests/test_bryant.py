@@ -154,7 +154,7 @@ class TestDerivedForms:
 
 class TestTransformFrame:
     def test_identity(self, cousin_half):
-        out = transform_frame(IsometrySL2.identity(), cousin_half)
+        out = transform_frame(IsometrySL2(1, 0, 0, 1), cousin_half)
         assert series_isclose(out.A, cousin_half.A)
         assert series_isclose(out.D, cousin_half.D)
 

@@ -40,6 +40,13 @@ RESIDUE_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
 # A mesh run short of its grid flags; nothing is written when it fails.
 MESH_ARGV = ["mesh", "--rho-min", "0.02", "--rho-max", "0.1",
              "--out", os.devnull]
+# Stands for a mesh file under the test's tmp_path, which a refused run
+# must not create.
+MESH_OUT = "<tmp>/end.obj"
+# Radii at which the README catenoid's entries overflow: the half-space
+# vertices would read -inf and 1e160.
+MESH_OVERFLOW_ARGV = ["mesh", "--rho-min", "1e-320", "--rho-max", "1e-310",
+                      "--radial", "2", "--angular", "3", "--out", MESH_OUT]
 # Ends whose mesh vertices are checked against the Horner reference: a
 # catenoidal end with a finite axis and a horospherical end at a finite
 # boundary point, both moved off the canonical frame.
@@ -202,6 +209,18 @@ class TestVerify:
                                     "--geodesics", "5"])
         assert code == 0
         assert len(calls) == 1
+
+    def test_far_translated_cousin(self, tmp_path, capsys):
+        # The exact cousin on the axis (1e3, infinity) keeps the standard
+        # frame's infinite radius, so rho = 0.01 is not refused; its flux
+        # scale is about 5e3, and the defect about 3e-9.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(CATENOID_SPEC,
+                                        axis=[[1e3, 0.0], "inf"])))
+        code, out = run_json(capsys, ["verify", "--end", str(path),
+                                      "--rho", "0.01"])
+        assert code == 0
+        assert out["max_defect"] < 1e-7
 
     def test_readme_example(self, catenoid_json, capsys):
         # README: "about 6e-15 for the catenoidal example above".
@@ -406,6 +425,10 @@ class TestErrors:
         (H0_OVERFLOW_SPEC, ["flux"], "DomainError"),
         (dict(H0_OVERFLOW_SPEC, mu=3), ["flux"], "DomainError"),
         (dict(CATENOID_SPEC, mu=1e300), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, mu=0), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, mu=-0.0), ["flux"], "DomainError"),
+        (CATENOID_SPEC, ["flux", "--frame", os.devnull], "DomainError"),
+        (None, ["flux", "--geodesic", "0,inf"], "DomainError"),
         (RESIDUE_OVERFLOW_SPEC, ["flux"], "DomainError"),
         (None, ["balance", "two", "--mu", "0.5", "--axis", "0", "--b2", "0"],
          "DomainError"),
@@ -434,6 +457,9 @@ class TestErrors:
         (CATENOID_SPEC, MESH_ARGV + ["--rho-min", "nan"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--rho-max", "nan"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--rho-min", "-0.01"], "DomainError"),
+        (CATENOID_SPEC, MESH_OVERFLOW_ARGV, "DomainError"),
+        (CATENOID_SPEC, MESH_OVERFLOW_ARGV + ["--model", "ball"],
+         "DomainError"),
         # TiB-scale requests, which numpy refuses before allocating.
         (dict(CATENOID_SPEC, order=1e12), ["flux"], "MemoryError"),
         (CATENOID_SPEC, ["verify", "--samples", str(2 ** 40)],
@@ -443,7 +469,8 @@ class TestErrors:
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "h0-squared-overflow", "h0-frame-overflow",
-            "mu-h-overflow", "residue-overflow", "balance-axis-one-point",
+            "mu-h-overflow", "mu-zero", "mu-negative-zero", "end-and-frame",
+            "no-end-or-frame", "residue-overflow", "balance-axis-one-point",
             "balance-sigma-nan", "balance-boundaries-far", "balance-mu-inf",
             "verify-rho-overflow-samples",
             "verify-rho-overflow-power", "verify-flux-overflow",
@@ -452,10 +479,13 @@ class TestErrors:
             "argparse-mu-abc", "argparse-rho-x", "argparse-samples-float",
             "argparse-flux-no-geodesic", "mesh-radial-0", "mesh-radial-1",
             "mesh-angular-negative", "mesh-angular-2", "mesh-rho-min-nan",
-            "mesh-rho-max-nan", "mesh-rho-min-negative", "order-1e12-memory",
+            "mesh-rho-max-nan", "mesh-rho-min-negative", "mesh-overflow",
+            "mesh-overflow-ball", "order-1e12-memory",
             "verify-samples-2-40-memory"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
+        mesh_out = tmp_path / "end.obj"
+        argv = [str(mesh_out) if a == MESH_OUT else a for a in argv]
         if spec is not None:
             path = tmp_path / "spec.json"
             path.write_text(json.dumps(spec))
@@ -470,12 +500,13 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == error
+        assert not mesh_out.exists()
 
 
 # Malformed or extreme JSON values for one key of a spec.
 BAD_VALUES = [None, True, False, "x", "inf", math.nan, math.inf, -math.inf,
               10 ** 400, -10 ** 400, [], [1.0, 2.0, 3.0], {}, {"re": 1.0},
-              1e308, -1e308, 1e200]
+              1e308, -1e308, 1e200, 0, -0.0, 1]
 # A huge order is a valid but costly request, not malformed input, so
 # "order" draws only small integers and values of the wrong type.
 BAD_ORDERS = [None, True, "x", "inf", math.nan, math.inf, 10 ** 400, 2.5, [],

@@ -18,7 +18,7 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
 from bryantflux import bryant, ends
 from bryantflux.series import differentiate
 
-from conftest import make_h
+from conftest import make_h, translated_catenoidal_frame
 from oracles import (WeierstrassData, classify_end, eval_at, ode_residual,
                      radius_estimate, series_isclose)
 
@@ -188,14 +188,14 @@ class TestFrobenius:
 class TestCanonicalCatenoidal:
     def test_constant_h_zero_axis_reduces_to_cousin(self):
         mu = 0.5
-        frame = canonical_catenoidal_frame(mu, make_h(mu), 0.0)
+        frame = canonical_catenoidal_frame(mu, make_h(mu))
         cousin = catenoid_cousin_frame(mu)
         for a, b in zip(frame.entries(), cousin.entries()):
             assert series_isclose(a, b, tol=1e-12)
 
     def test_axis_round_trip(self):
         mu = 0.5
-        frame = canonical_catenoidal_frame(mu, make_h(mu), 1.0)
+        frame = translated_catenoidal_frame(mu, make_h(mu), 1.0)
         a, b = extract_axis(frame)
         assert abs(complex(a) - 1.0) < 1e-10
         assert is_inf(b)
@@ -204,7 +204,7 @@ class TestCanonicalCatenoidal:
         rng = np.random.default_rng(4)
         for mu in (0.5, 1.5, 2.0):
             z = complex(rng.normal(), rng.normal())
-            frame = canonical_catenoidal_frame(mu, make_h(mu), z)
+            frame = translated_catenoidal_frame(mu, make_h(mu), z)
             a, b = extract_axis(frame)
             assert abs(complex(a) - z) < 1e-10
             assert is_inf(b)
@@ -217,12 +217,12 @@ class TestCanonicalCatenoidal:
         mu = 0.5
         h = GeneralizedSeries.constant(1.0, order=16)
         with pytest.raises(DomainError):
-            canonical_catenoidal_frame(mu, h, 0.0)
+            canonical_catenoidal_frame(mu, h)
 
     def test_nonzero_h_prime_rejected(self):
         mu = 0.5
         with pytest.raises(DomainError):
-            canonical_catenoidal_frame(mu, make_h(mu, extra=(0.1,)), 0.0)
+            canonical_catenoidal_frame(mu, make_h(mu, extra=(0.1,)))
 
     def test_relation_g_squared_omega(self, perturbed_frame):
         # g^2 omega = B dD - D dB reproduces z^(mu-1) h
@@ -273,7 +273,7 @@ class TestPairedColumn:
     @pytest.mark.parametrize("mu", [0.5, 1.5])
     def test_catenoidal_second_column_solves_its_ode(self, mu):
         h = make_h(mu, extra=(0.0, 0.05, 0.01))
-        frame = canonical_catenoidal_frame(mu, h, 0.3 - 0.7j)
+        frame = translated_catenoidal_frame(mu, h, 0.3 - 0.7j)
         prob = FrobeniusProblem(s=-1.0 + mu, coupling=-2, mu=mu, h=h)
         assert ode_residual(prob, frame.B) < 1e-12
         assert ode_residual(prob, frame.D) < 1e-12
@@ -298,7 +298,7 @@ class TestExtractAxis:
     def test_transform_covariance(self):
         mu = 0.5
         z = 1.0 + 1.0j
-        frame = canonical_catenoidal_frame(mu, make_h(mu), z)
+        frame = translated_catenoidal_frame(mu, make_h(mu), z)
         p = IsometrySL2(1.0, 0.5 - 0.25j, 0.3j, 1.0)
         a, b = extract_axis(transform_frame(p, frame))
         ta = mobius_boundary(p, z)
@@ -377,6 +377,48 @@ class TestBuildEnd:
         a, b = extract_axis(frame)
         assert abs(complex(a) - (0.5 + 0.5j)) < 1e-9
         assert is_inf(b)
+
+    @pytest.mark.parametrize("spec, build", [
+        ({"type": "catenoidal", "mu": 0.5, "axis": [[0.0, 0.0], "inf"],
+          "h_perturbation": [0.0, 0.05]},
+         lambda h: canonical_catenoidal_frame(0.5, h)),
+        ({"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+          "h_perturbation": [1.0, 0.05], "boundary": "inf"},
+         lambda h: canonical_horospherical_frame(2, h)),
+    ], ids=["catenoidal", "horospherical"])
+    def test_standard_position_is_not_moved(self, spec, build):
+        # The placing isometry is the identity: no entry is multiplied by
+        # it, so even the signs of zero coefficients are as built.
+        frame, _ = build_end(spec)
+        h0 = (1.0 - 0.25) / 2.0 if spec["type"] == "catenoidal" else 0.5
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[:3] = [1.0] + spec["h_perturbation"]
+        want = build(GeneralizedSeries(0.0, h0 * coeffs))
+        for got, ref in zip(frame.entries(), want.entries()):
+            assert got.offset == ref.offset
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @pytest.mark.parametrize("a", [0.3 + 0.1j, -2.0j, 1e3])
+    @pytest.mark.parametrize("mu", [0.5, 1.5])
+    def test_axis_to_infinity_translates_the_standard_frame(self, mu, a):
+        """An axis (a, infinity) is the standard axis (0, infinity) moved by
+        zeta -> zeta + a: A and B as built, C = a A + C0, D = a B + D0."""
+        spec = {"type": "catenoidal", "mu": mu, "axis": [[0.0, 0.0], "inf"],
+                "h_perturbation": [0.0, 0.05, 0.01]}
+        std, _ = build_end(spec)
+        frame, desc = build_end(dict(spec, axis=[[a.real, a.imag], "inf"]))
+        assert desc == Catenoidal(mu, a, INF)
+        for got, want in ((frame.A, std.A), (frame.B, std.B)):
+            assert got.offset == want.offset
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert frame.validity_radius == std.validity_radius
+        for got, first, second in ((frame.C, std.A, std.C),
+                                   (frame.D, std.B, std.D)):
+            # the first column sits one power above the second's offset
+            assert got.offset == second.offset == first.offset - 1.0
+            want = second.coeffs.copy()
+            want[1:] += a * first.coeffs[:-1]
+            assert np.all(np.abs(got.coeffs - want) <= 1e-15 * np.abs(want))
 
     def test_horospherical_spec(self):
         spec = {"type": "horospherical", "mu": 2, "boundary": [2.0, 0.0],

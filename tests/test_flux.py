@@ -20,7 +20,8 @@ from bryantflux.flux import flux_from_samples, flux_result_json
 from bryantflux.killing import KillingField, field_polynomial
 from bryantflux.series import differentiate
 
-from conftest import make_h, random_geodesic
+from conftest import (make_h, random_geodesic,
+                      translated_catenoidal_frame)
 from oracles import (derived_forms, eval_at, one_forms, per_field_flux,
                      potential_samples, series_div, vector_samples)
 
@@ -47,7 +48,7 @@ class TestFluxTriple:
     @pytest.mark.parametrize("mu", [0.5, 1.5])
     def test_canonical_catenoidal_with_axis_parameter(self, mu):
         zc = 0.3 + 0.2j
-        frame = canonical_catenoidal_frame(mu, make_h(mu, (0.0, 0.05)), zc)
+        frame = translated_catenoidal_frame(mu, make_h(mu, (0.0, 0.05)), zc)
         triple_close(flux_triple(frame),
                      (2.0 * PI * (1.0 - mu * mu) * zc,
                       PI * (mu * mu - 1.0), 0.0), tol=1e-8)
@@ -85,8 +86,8 @@ class TestFluxMatrix:
     @pytest.mark.parametrize("builder", [
         lambda: catenoid_cousin_frame(0.5),
         lambda: catenoid_cousin_frame(1.5),
-        lambda: canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
-                                           0.3 + 0.2j),
+        lambda: translated_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
+                                            0.3 + 0.2j),
         horo_frame_mu2,
         horosphere_frame,
     ])
@@ -262,7 +263,7 @@ class TestFluxForGeodesic:
             g = random_geodesic(rng)
             for kind in ("translation", "rotation"):
                 a = flux_for_geodesic(t, g, kind)
-                b = flux_for_geodesic(t, g.reversed(), kind)
+                b = flux_for_geodesic(t, Geodesic(g.end, g.start), kind)
                 assert abs(a + b) < 1e-8 * max(1.0, abs(a))
 
     def test_infinite_start_matches_finite_limit(self):
@@ -297,7 +298,7 @@ class TestCatenoidalClosedForm:
 
     @pytest.mark.parametrize("mu", [0.5, 1.5])
     def test_matches_residue_route(self, mu):
-        frame = canonical_catenoidal_frame(mu, make_h(mu, (0.0, 0.04)), 0.0)
+        frame = canonical_catenoidal_frame(mu, make_h(mu, (0.0, 0.04)))
         t = flux_triple(frame)
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -320,7 +321,7 @@ class TestCatenoidalClosedForm:
 
     def test_polynomial_matches_triple(self):
         mu = 0.5
-        frame = canonical_catenoidal_frame(mu, make_h(mu), 0.0)
+        frame = canonical_catenoidal_frame(mu, make_h(mu))
         poly = catenoidal_polynomial(1.0 - mu * mu, 0.0, INF)
         from_triple = FluxPolynomial.from_triple(flux_triple(frame))
         for x in (0.3, -1.2 + 0.5j, 2.0):
@@ -393,8 +394,8 @@ class TestPolynomialRemarkIdentity:
         # Pi(X) = -4 pi Res(omega_sharp (1 - X/G)^2), checked at 3 points.
         # The variant with (X - 1/G)^2 sometimes quoted instead produces
         # the coefficient-reversed polynomial; see the second test.
-        frame = canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
-                                           0.3 + 0.2j)
+        frame = translated_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
+                                            0.3 + 0.2j)
         forms = derived_forms(frame)
         poly = FluxPolynomial.from_triple(flux_triple(frame))
         one = GeneralizedSeries.constant(1.0, order=forms.gauss.order + 4)
@@ -406,8 +407,8 @@ class TestPolynomialRemarkIdentity:
 
     def test_reversed_variant_gives_reversed_polynomial(self):
         # -4 pi Res(omega_sharp (X - 1/G)^2) = phi0 X^2 + 2 phi1 X + phi2
-        frame = canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
-                                           0.3 + 0.2j)
+        frame = translated_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
+                                            0.3 + 0.2j)
         forms = derived_forms(frame)
         t = flux_triple(frame)
         one = GeneralizedSeries.constant(1.0, order=forms.gauss.order + 4)
@@ -457,15 +458,16 @@ class TestFluxNumeric:
         g = Geodesic(0.8, -1.3 + 0.4j)
         for kind in ("translation", "rotation"):
             a = flux_from_samples(samples, KillingField(kind, g))
-            b = flux_from_samples(samples, KillingField(kind, g.reversed()))
+            b = flux_from_samples(samples,
+                                  KillingField(kind, Geodesic(g.end, g.start)))
             assert abs(a + b) < 1e-8 * max(1.0, abs(a))
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("builder,rho", [
         (lambda: catenoid_cousin_frame(0.5), 0.1),
-        (lambda: canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)),
-                                            0.0), 0.1),
+        (lambda: canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05))),
+         0.1),
         # h(0) = 1/2 puts the validity radius at 1/sqrt(2), past rho
         (lambda: canonical_horospherical_frame(
             2, GeneralizedSeries.from_coeffs(

@@ -10,7 +10,8 @@ from bryantflux import (DomainError, Geodesic, INF, IsometrySL2,
                         standardizing_isometry)
 
 from oracles import (HPoint, TangentVector, apply_isometry, distance,
-                     hermitian_to_point, metric_inner, point_to_hermitian)
+                     hermitian_to_point, isometry_product, metric_inner,
+                     point_to_hermitian)
 
 
 def finite_complex(rng):
@@ -79,7 +80,7 @@ class TestCrossRatio:
 
 class TestMobiusBoundary:
     def test_identity(self):
-        assert mobius_boundary(IsometrySL2.identity(), 3 + 1j) == 3 + 1j
+        assert mobius_boundary(IsometrySL2(1, 0, 0, 1), 3 + 1j) == 3 + 1j
 
     def test_diagonal_dilation(self):
         p = IsometrySL2(math.exp(-0.5), 0.0, 0.0, math.exp(0.5))
@@ -103,7 +104,7 @@ class TestMobiusBoundary:
         p = random_isometry(rng)
         g = Geodesic(1.0 + 2.0j, -0.5j)
         img = Geodesic(mobius_boundary(p, g.start), mobius_boundary(p, g.end))
-        rev = g.reversed()
+        rev = Geodesic(g.end, g.start)
         assert mobius_boundary(p, rev.start) == img.end
         assert mobius_boundary(p, rev.end) == img.start
 
@@ -121,14 +122,14 @@ class TestIsometrySL2:
     def test_inverse_composes_to_identity(self):
         rng = np.random.default_rng(1)
         p = random_isometry(rng)
-        q = p.compose(p.inverse())
+        q = isometry_product(p, p.inverse())
         assert abs(q.alpha - 1.0) < 1e-12 and abs(q.delta - 1.0) < 1e-12
         assert abs(q.beta) < 1e-12 and abs(q.gamma) < 1e-12
 
 
 class TestApplyIsometry:
     def test_identity(self):
-        p = apply_isometry(IsometrySL2.identity(), HPoint(1 + 1j, 2.0))
+        p = apply_isometry(IsometrySL2(1, 0, 0, 1), HPoint(1 + 1j, 2.0))
         assert p.zeta == 1 + 1j and p.w == 2.0
 
     def test_dilation_oracle(self):
@@ -155,7 +156,7 @@ class TestApplyIsometry:
         p1, p2 = random_isometry(rng), random_isometry(rng)
         pt = HPoint(0.3 - 0.2j, 1.4)
         via_two = apply_isometry(p2, apply_isometry(p1, pt))
-        direct = apply_isometry(p2.compose(p1), pt)
+        direct = apply_isometry(isometry_product(p2, p1), pt)
         assert abs(via_two.zeta - direct.zeta) < 1e-10
         assert abs(via_two.w - direct.w) < 1e-10
 

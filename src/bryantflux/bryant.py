@@ -1,8 +1,14 @@
 """Bryant frames: their checks, isometries and JSON form.
 
 A frame is a 2x2 matrix of generalized series (A, B; C, D) with
-AD - BC = 1 and dA dD - dB dC = 0.  The immersion into the half-space
-model is
+AD - BC = 1 and dA dD - dB dC = 0.  Left multiplication by P in
+SL(2, C), which moves the end by an isometry, mixes A with C and B with
+D, so a frame's unit is a column: BryantFrame aligns A with C, and B with
+D, at the column's lower offset and truncates both at its lower absolute
+top (the rule of series addition), once, at construction.  Placing a
+frame (transform_frame), checking its identities (_identity_terms) and
+reading its residues (flux) then combine coefficient arrays index by
+index.  The immersion into the half-space model is
 
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
@@ -19,25 +25,44 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .geometry import IsometrySL2
-from .series import (GeneralizedSeries, _derivative_terms, _product_terms,
-                     _sum_terms)
+from .geometry import IsometrySL2, parse_complex, parse_real
+from .series import (_OFFSET_TOL, GeneralizedSeries, _derivative_terms,
+                     _product_terms)
 
 log = logging.getLogger("bryantflux")
+
+
+def _column(name: str, x: GeneralizedSeries, y: GeneralizedSeries):
+    """[x, y] at their lower offset, each truncated at the lower of their
+    absolute tops: the column rule.  An entry already in place is kept
+    as it is.  DomainError naming the column when the offsets do not
+    differ by an integer."""
+    d = y.offset - x.offset
+    if not (math.isfinite(d) and abs(d - round(d)) <= _OFFSET_TOL):
+        raise DomainError("the offsets of column %s, %g and %g, do not "
+                          "differ by an integer" % (name, x.offset, y.offset))
+    lo = min(x.offset, y.offset)
+    n = min(round(e.offset - lo) + len(e.coeffs) for e in (x, y))
+    return [e if e.offset == lo and len(e.coeffs) == n else GeneralizedSeries(
+        lo, np.concatenate([np.zeros(min(round(e.offset - lo), n)),
+                            e.coeffs])[:n]) for e in (x, y)]
 
 
 @dataclass(frozen=True)
 class BryantFrame:
     """Entries of the holomorphic null immersion, plus a declared radius.
 
-    The validity radius is the caller's statement of where the entry
-    series may be evaluated; no convergence estimation is attempted.
+    The columns (A, C) and (B, D) are aligned by the column rule
+    (_column) at construction.  The validity radius is the caller's
+    statement of where the entry series may be evaluated; no convergence
+    estimation is attempted.
     """
 
     A: GeneralizedSeries
@@ -49,6 +74,10 @@ class BryantFrame:
     def __post_init__(self):
         if not self.validity_radius > 0:
             raise DomainError("validity radius must be positive")
+        (A, C), (B, D) = (_column("AC", self.A, self.C),
+                          _column("BD", self.B, self.D))
+        for name, e in zip("ABCD", (A, B, C, D)):
+            object.__setattr__(self, name, e)
 
     def entries(self):
         return self.A, self.B, self.C, self.D
@@ -62,38 +91,38 @@ def _identity_terms(frame: BryantFrame,
     coefficients below the truncation top, which the identities are held
     to.
 
-    One pass over bare arrays: each entry's derivative is formed once,
-    and the six products and the differences follow the rules of series
-    arithmetic with the operands in the formulas' order, so each residual
-    is bitwise that of the formula written in GeneralizedSeries.  With
-    ``scale``, every operand's coefficients are replaced by their moduli,
-    each difference by a sum and the 1 and omega by zeros, which gives,
-    aligned and truncated as the residual, the coefficient-wise size
-    |x| * |y| + |u| * |v| of the two products x y and u v that cancel in
-    it.
+    One pass over bare arrays: each entry's derivative is formed once.
+    The columns are aligned (BryantFrame), so the two products of each
+    identity share an offset and a length and are subtracted coefficient
+    by coefficient, with the operands in the formulas' order; the
+    right-hand side (1, 0 or omega) is then subtracted where it falls in
+    that window, which is widened down to it when it starts lower.  So
+    each residual has the values of the formula written in
+    GeneralizedSeries.  With ``scale``, every operand's coefficients are
+    replaced by their moduli, each difference by a sum and the right-hand
+    side by zeros, which gives, aligned and truncated as the residual, the
+    coefficient-wise size |x| * |y| + |u| * |v| of the two products x y
+    and u v that cancel in it.
     """
     A, B, C, D = ((e.offset, e.coeffs) for e in frame.entries())
     dA, dB, dC, dD = (_derivative_terms(*x) for x in (A, B, C, D))
-    quads = [(A, D, B, C), (dA, dD, dB, dC)]
+    checks = [(A, D, B, C, 0.0, np.ones(1)),
+              (dA, dD, dB, dC, 0.0, np.zeros(1))]
     if omega is not None:
-        quads.append((A, dC, C, dA))
-    if scale:
-        quads = [[(o, np.abs(c)) for o, c in q] for q in quads]
-
-    def minus(x, y):
-        return _sum_terms(*x, y[0], y[1] if scale else -y[1])
-
-    (ad, bc), (dadd, dbdc), *om = [
-        (_product_terms(*w, *x), _product_terms(*y, *z))
-        for w, x, y, z in quads]
-    det = minus(ad, bc)
-    unit = np.zeros(len(det[1]) + abs(round(det[0])), dtype=complex)
-    unit[0] = 0.0 if scale else 1.0
-    terms = [minus(det, (0.0, unit)), minus(dadd, dbdc)]
-    if omega is not None:
-        target = np.zeros_like(omega.coeffs) if scale else omega.coeffs
-        terms.append(minus(minus(*om[0]), (omega.offset, target)))
-    return [c[:max(len(c) - 1, 1)] for _, c in terms]
+        checks.append((A, dC, C, dA, omega.offset, omega.coeffs))
+    windows = []
+    for *quad, t_offset, t in checks:
+        if scale:
+            quad, t = [(o, np.abs(c)) for o, c in quad], np.zeros(len(t))
+        (offset, xy), (_, uv) = (_product_terms(*quad[0], *quad[1]),
+                                 _product_terms(*quad[2], *quad[3]))
+        r = xy + uv if scale else xy - uv
+        k = round(t_offset - offset)
+        if k < 0:
+            r, k = np.concatenate([np.zeros(-k), r]), 0
+        r[k:k + len(t)] -= t[:max(len(r) - k, 0)]
+        windows.append(r[:max(len(r) - 1, 1)])
+    return windows
 
 
 def _defects(windows):
@@ -176,57 +205,49 @@ def _zeta_w(a, b, c, d):
 
 def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     """Left-multiply the frame by P; the new end is the image of the old
-    one under the direct isometry induced by P.  An entry whose partner's
-    coefficient is exactly 0 keeps its own offset and order: it is not
-    re-based at the partner's lower offset, which would drop its top
-    coefficient."""
-    A, B, C, D = frame.entries()
+    one under the direct isometry induced by P.  The columns are aligned,
+    so each new entry is x s + y t coefficient by coefficient.  The
+    operands keep series addition's order (a complex product may fuse
+    its multiply-adds, so x s and s x can differ in the last bit), and
+    + 0.0 clears a negative zero, as that addition's zero-started sums
+    do: the entries are bitwise the sums of the two scaled series."""
+    (A, B, C, D), r = frame.entries(), frame.validity_radius
 
-    def combine(s, x, t, y):
-        """s x + t y, summed as series addition does, as one series; s x
-        alone, at x's offset and order, when t is 0."""
-        if t == 0:
-            return GeneralizedSeries(x.offset, x.coeffs * s)
-        return GeneralizedSeries(*_sum_terms(x.offset, x.coeffs * s,
-                                             y.offset, y.coeffs * t))
+    def row(s, t):
+        return [GeneralizedSeries(x.offset, x.coeffs * s + y.coeffs * t + 0.0)
+                for x, y in ((A, C), (B, D))]
 
-    return BryantFrame(
-        A=combine(p.alpha, A, p.beta, C),
-        B=combine(p.alpha, B, p.beta, D),
-        C=combine(p.gamma, A, p.delta, C),
-        D=combine(p.gamma, B, p.delta, D),
-        validity_radius=frame.validity_radius,
-    )
+    return BryantFrame(*row(p.alpha, p.beta), *row(p.gamma, p.delta), r)
 
 
 # -- JSON interchange -------------------------------------------------------
 
-def _series_to_json(s: GeneralizedSeries):
-    return {"offset": s.offset,
-            "coeffs": [[c.real, c.imag] for c in s.coeffs]}
-
-
 def _series_from_json(obj) -> GeneralizedSeries:
-    coeffs = [complex(re, im) for re, im in obj["coeffs"]]
-    return GeneralizedSeries.from_coeffs(obj["offset"], coeffs)
+    coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+    if not isinstance(coeffs, list):
+        raise DomainError("a frame entry is an object with an offset and a "
+                          "list of coefficients")
+    return GeneralizedSeries.from_coeffs(parse_real(obj["offset"]),
+                                         [parse_complex(c) for c in coeffs])
 
 
 def frame_to_json(frame: BryantFrame) -> str:
-    return json.dumps({
-        "A": _series_to_json(frame.A),
-        "B": _series_to_json(frame.B),
-        "C": _series_to_json(frame.C),
-        "D": _series_to_json(frame.D),
-        "validity_radius": frame.validity_radius,
-    })
+    entries = {k: {"offset": e.offset,
+                   "coeffs": [[c.real, c.imag] for c in e.coeffs]}
+               for k, e in zip("ABCD", frame.entries())}
+    return json.dumps({**entries, "validity_radius": frame.validity_radius})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frame_from_json(text: str) -> BryantFrame:
+    """The frame of a frame JSON document, checked (checked_frame).  Its
+    values are read by parse_real and parse_complex, except that the
+    validity radius may also be Infinity; anything else is a
+    DomainError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise DomainError("a frame is a JSON object")
+    radius = obj["validity_radius"]
     return checked_frame(BryantFrame(
-        A=_series_from_json(obj["A"]),
-        B=_series_from_json(obj["B"]),
-        C=_series_from_json(obj["C"]),
-        D=_series_from_json(obj["D"]),
-        validity_radius=float(obj["validity_radius"]),
-    ))
+        *(_series_from_json(obj[k]) for k in "ABCD"),
+        radius if radius == math.inf else parse_real(radius)))

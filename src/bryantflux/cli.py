@@ -183,8 +183,18 @@ def _cmd_balance_three(args):
 
 
 def _to_ball(u, v, w):
-    den = u * u + v * v + (w + 1.0) ** 2
-    return 2.0 * u / den, 2.0 * v / den, (u * u + v * v + w * w - 1.0) / den
+    """The ball model's point of the half-space point (u + iv, w).  Where
+    the squares of u, v and w + 1 overflow, u, v, w and w + 1 are first
+    divided by the power of two s at or below the largest of |u|, |v|
+    and w + 1, which is exact, and s is folded back into the quotients.
+    Elsewhere s = 1, so those points get the plain formula's bits."""
+    t = w + 1.0
+    s = np.where(np.isfinite(u * u + v * v + t * t), 1.0, np.ldexp(
+        1.0, np.frexp(np.maximum(np.maximum(abs(u), abs(v)), t))[1] - 1))
+    u, v, w, t, one = u / s, v / s, w / s, t / s, 1.0 / s
+    den = u * u + v * v + t * t
+    return (2.0 * u / den / s, 2.0 * v / den / s,
+            (u * u + v * v + w * w - one * one) / den)
 
 
 def _cmd_mesh(args):

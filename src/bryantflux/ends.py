@@ -24,6 +24,9 @@ asymptotic to a catenoid cousin has an axis, so every catenoidal end is
 the image of a standard one under an isometry, and so is every
 horospherical end; build_end places the built frame by that one
 isometry (bryant.transform_frame), and its flux moves covariantly.
+The frame aligns its columns (A, C) and (B, D) when it is made
+(bryant.BryantFrame), so the placement combines them coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import DomainError, LogTermRequiredError
 from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq,
                        is_inf, parse_axis, parse_complex, parse_point,
                        parse_real, standardizing_isometry)
-from .series import DEFAULT_ORDER, GeneralizedSeries
+from .series import _LEAD_TOL, DEFAULT_ORDER, GeneralizedSeries
 
 _MU_ONE_TOL = 1e-8
 
@@ -243,7 +246,10 @@ def _check_finite(what: str, *series: GeneralizedSeries):
 def _end_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
     """The frame (A, B; C, D) once checked_frame finds AD - BC = 1,
     dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError when an entry
-    overflows, ConsistencyError otherwise."""
+    overflows, ConsistencyError otherwise.  The validity radius is read
+    from the entries as solved, each at its own offset, before
+    BryantFrame aligns the columns: a padded entry's leading 0 would
+    move the root test's powers."""
     _check_finite("the frame", A, B, C, D)
     return checked_frame(BryantFrame(
         A, B, C, D, validity_radius=_validity_from_entries((A, B, C, D))),
@@ -329,26 +335,16 @@ def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:
 def extract_axis(frame: BryantFrame):
     """(axis_from, boundary) of a catenoidal-shaped frame.
 
-    Writing the first column as (z^lam1 a(z), z^lam1 c(z)) with a, c
-    holomorphic, the axis is (c'(0)/a'(0), c(0)/a(0)); a vanishing
-    denominator gives the point at infinity.
+    The first column is aligned (BryantFrame), so from its first power
+    with a coefficient of modulus above 1e-13 it reads
+    (z^lam1 a(z), z^lam1 c(z)) with a, c holomorphic; the axis is
+    (c'(0)/a'(0), c(0)/a(0)), and a vanishing denominator gives the point
+    at infinity.
     """
-    a_ser = frame.A.normalized()
-    c_ser = frame.C.normalized()
-    lam1 = min(a_ser.offset, c_ser.offset)
-    ka = round(a_ser.offset - lam1)
-    kc = round(c_ser.offset - lam1)
-
-    def first_two(ser, k):
-        vals = [0.0 + 0.0j, 0.0 + 0.0j]
-        for i in (0, 1):
-            j = i - k
-            if 0 <= j <= ser.order:
-                vals[i] = complex(ser.coeffs[j])
-        return vals
-
-    a0, a1 = first_two(a_ser, ka)
-    c0, c1 = first_two(c_ser, kc)
+    A, C = frame.A.coeffs, frame.C.coeffs
+    k = int(np.argmax(np.maximum(np.abs(A), np.abs(C)) > _LEAD_TOL))
+    a0, a1, c0, c1 = (complex(x[j]) if j < len(x) else 0j
+                      for x in (A, C) for j in (k, k + 1))
     scale = max(abs(a0), abs(a1), abs(c0), abs(c1))
     if scale < 1e-13:
         raise DomainError("degenerate frame: both a and c vanish to order 2")

@@ -102,25 +102,27 @@ class FluxMatrix:
 
 def _difference_residue(a, b, c, d) -> complex:
     """residue(a * b - c * d) by product_residue; 0, as from the series
-    difference, when z^-1 lies past either product's truncation."""
+    difference, when z^-1 lies past the products' truncation.  The frame's
+    columns are aligned, so the two products share their offset and
+    their order."""
     # Residues first, so that a non-integer offset raises before the test.
     res = product_residue(a, b) - product_residue(c, d)
-    if -1 - round(a.offset + b.offset) > min(a.order, b.order) \
-            or -1 - round(c.offset + d.offset) > min(c.order, d.order):
-        return 0.0 + 0.0j
-    return res
+    past = -1 - round(a.offset + b.offset) > min(a.order, b.order)
+    return 0.0 + 0.0j if past else res
 
 
 def _scaled_residues(scale: float, quads) -> list:
     """scale * residue(a * b - c * d) for each (a, b, c, d) of ``quads``;
     DomainError when one overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = [scale * _difference_residue(*q) for q in quads]
+    res = [scale * _difference_residue(*q) for q in quads]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
     return res
 
 
+# Overflow reaches the caller as a residue that is not finite; a
+# derivative coefficient past those that reach z^-1 plays no part.
+@np.errstate(over="ignore", invalid="ignore")
 def flux_triple(frame: BryantFrame) -> FluxTriple:
     """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB.
 
@@ -134,6 +136,7 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
         (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def flux_matrix(frame: BryantFrame) -> FluxMatrix:
     """Residue of -(dF) F^-1, entry-wise from product_residue.  A residue
     that overflows raises DomainError."""

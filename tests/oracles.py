@@ -12,6 +12,9 @@ Frames: one_forms forms the three single-valued one-forms in full, the
 reference for flux.flux_triple, which reads their residues without
 forming them; derived_forms adds the Gauss map and the Hopf differential.
 immersion_samples evaluates the immersion (zeta, w) by Horner's rule.
+placed_by_entries moves a frame by an isometry entry by entry, each new
+entry a series sum of two scaled entries at their own offsets, the
+reference for transform_frame on aligned columns.
 
 Killing fields: the vector Y and potential Z of each field in closed
 form, written per field kind and endpoint case rather than through the
@@ -41,7 +44,8 @@ from bryantflux.errors import DomainError
 from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
 from bryantflux.series import (_LEAD_TOL, _OFFSET_TOL, GeneralizedSeries,
-                               QuadratureGrid, differentiate, eval_branch)
+                               QuadratureGrid, _sum_terms, differentiate,
+                               eval_branch)
 
 
 # -- series -----------------------------------------------------------------
@@ -155,6 +159,20 @@ def immersion(frame: BryantFrame, grid: QuadratureGrid):
     """The immersed loop as half-space points (closed up to truncation)."""
     zeta, w = immersion_samples(frame, grid.rho, grid.taus)
     return [HPoint(z, wv) for z, wv in zip(zeta, w)]
+
+
+def placed_by_entries(p: IsometrySL2, A, B, C, D):
+    """The entries of P F, F = (A, B; C, D), each s x + t y formed by
+    series addition (series._sum_terms) of the two scaled entries at their
+    own offsets: the placement by entries, the reference for
+    bryant.transform_frame, which combines the aligned columns
+    coefficient by coefficient."""
+    def combine(s, x, t, y):
+        return GeneralizedSeries(*_sum_terms(x.offset, x.coeffs * s,
+                                             y.offset, y.coeffs * t))
+
+    return (combine(p.alpha, A, p.beta, C), combine(p.alpha, B, p.beta, D),
+            combine(p.gamma, A, p.delta, C), combine(p.gamma, B, p.delta, D))
 
 
 def one_forms(frame: BryantFrame):

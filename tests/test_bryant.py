@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         GeneralizedSeries, IsometrySL2, QuadratureGrid,
-                        build_end, canonical_horospherical_frame,
+                        build_end, canonical_catenoidal_frame,
+                        canonical_horospherical_frame,
                         catenoid_cousin_frame, frame_checks,
                         frame_from_json, frame_to_json, horosphere_frame,
                         residue, transform_frame)
@@ -150,6 +153,72 @@ class TestDerivedForms:
         # sign: the identity is stated for A B' - A' B
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * scale
+
+
+# Frames whose entries are reshaped below: the cousin frames, the
+# horosphere and two solved frames, at low order.
+COLUMN_BASES = [catenoid_cousin_frame(0.5, 8), catenoid_cousin_frame(2.0, 8),
+                horosphere_frame(8), horo_frame_mu2(),
+                canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05), 8),
+                                           8)]
+
+
+@st.composite
+def reshaped_entries(draw):
+    """(entries, validity radius) of a base frame whose entries each get 0
+    to 3 leading zeros, offset lowered to match, and are cut to a random
+    length: the same series, with integer offset gaps and unequal
+    lengths."""
+    base = draw(st.sampled_from(COLUMN_BASES))
+    entries = []
+    for e in base.entries():
+        pad = draw(st.integers(0, 3))
+        keep = draw(st.integers(1, len(e.coeffs)))
+        entries.append(GeneralizedSeries(
+            e.offset - pad, np.concatenate([np.zeros(pad), e.coeffs[:keep]])))
+    return entries, base.validity_radius
+
+
+def column_reference(x, y):
+    """x and y's coefficients from the lower offset up to the lower
+    absolute top, power by power, 0 below an entry's own offset."""
+    lo = min(x.offset, y.offset)
+    top = min(x.offset + x.order, y.offset + y.order)
+    return [np.array([e.coeffs[k] if 0 <= k <= e.order else 0.0
+                      for k in (round(lo + i - e.offset)
+                                for i in range(round(top - lo) + 1))],
+                     dtype=complex) for e in (x, y)]
+
+
+class TestColumns:
+    @given(reshaped_entries(), st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0),
+        min_size=3, max_size=3))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_constructor_aligns_each_column(self, reshaped, p):
+        entries, radius = reshaped
+        frame = BryantFrame(*entries, radius)
+        A, B, C, D = entries
+        for got, x, y in (((frame.A, frame.C), A, C),
+                          ((frame.B, frame.D), B, D)):
+            lo = min(x.offset, y.offset)
+            for g, want in zip(got, column_reference(x, y)):
+                assert g.offset == lo
+                assert g.coeffs.tobytes() == want.tobytes()
+        text = frame_to_json(frame)
+        assert frame_to_json(frame_from_json(text)) == text
+        # a random P keeps each column where it was
+        a, b, c = p
+        moved = transform_frame(IsometrySL2(a, b, c, (1.0 + b * c) / a), frame)
+        for g, e in zip(moved.entries(), frame.entries()):
+            assert (g.offset, g.order) == (e.offset, e.order)
+
+    def test_offsets_must_differ_by_an_integer(self, cousin_half):
+        with pytest.raises(DomainError, match="column AC"):
+            BryantFrame(GeneralizedSeries(cousin_half.C.offset + 0.5,
+                                          cousin_half.A.coeffs),
+                        cousin_half.B, cousin_half.C, cousin_half.D,
+                        cousin_half.validity_radius)
 
 
 class TestTransformFrame:

@@ -325,6 +325,43 @@ class TestMesh:
             x, y, z = (float(t) for t in line.split()[1:])
             assert x * x + y * y + z * z < 1.0 + 1e-12
 
+    def test_ball_model_far_from_the_origin(self, catenoid_json, tmp_path,
+                                            capsys):
+        # The half-space vertices reach 4e289, whose squares overflow;
+        # scaled by a power of two they map near the pole (0, 0, 1).
+        out_path = tmp_path / "ball.obj"
+        code = run(["mesh", "--end", catenoid_json, "--model", "ball",
+                    "--rho-min", "1e-290", "--rho-max", "1e-289",
+                    "--radial", "2", "--angular", "3",
+                    "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        verts = np.array([[float(t) for t in line.split()[1:]]
+                          for line in out_path.read_text().splitlines()
+                          if line.startswith("v ")])
+        assert verts.shape == (6, 3)
+        assert np.all(np.abs(verts[:, :2]) < 1e-280)
+        assert np.all(verts[:, 2] == 1.0)
+
+    def test_ball_map_is_the_plain_formula_where_it_is_finite(self):
+        rng = np.random.default_rng(5)
+        size = 20000
+        u, v = (rng.normal(size=size) * 10.0 ** rng.uniform(-320, 300, size)
+                for _ in range(2))
+        w = np.abs(rng.normal(size=size)) * 10.0 ** rng.uniform(-320, 300,
+                                                                 size)
+        with np.errstate(all="ignore"):
+            den = u * u + v * v + (w + 1.0) ** 2
+            plain = np.array([2.0 * u / den, 2.0 * v / den,
+                              (u * u + v * v + w * w - 1.0) / den])
+            # mesh calls it under the same errstate
+            got = np.array(_to_ball(u, v, w))
+        finite = np.isfinite(plain).all(axis=0)
+        assert 0 < finite.sum() < size
+        assert got[:, finite].tobytes() == plain[:, finite].tobytes()
+        assert np.isfinite(got).all()
+        assert np.all(np.sum(got * got, axis=0) <= 1.0 + 1e-12)
+
     @pytest.mark.parametrize("model", ["halfspace", "ball"])
     @pytest.mark.parametrize("angular", [3, 7, 16])
     @pytest.mark.parametrize("spec", MESH_SPECS.values(), ids=MESH_SPECS)
@@ -545,11 +582,13 @@ def mangled_specs(draw):
 
 
 def _nested_paths(value, path):
-    """Paths to every entry of the lists inside ``value``, at any depth."""
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            yield path + (i,)
-            yield from _nested_paths(item, path + (i,))
+    """Paths to every entry of the lists and objects inside ``value``, at
+    any depth."""
+    items = (enumerate(value) if isinstance(value, list) else
+             value.items() if isinstance(value, dict) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _nested_paths(item, path + (key,))
 
 
 @st.composite
@@ -565,10 +604,10 @@ def nested_specs(draw):
     return spec
 
 
-def _assert_exit_0_or_2(tmp_path, capsys, spec):
+def _assert_exit_0_or_2(tmp_path, capsys, spec, source="--end"):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code = run(["flux", "--end", str(path), "--geodesic", "0,inf"])
+    code = run(["flux", source, str(path), "--geodesic", "0,inf"])
     captured = capsys.readouterr()
     assert code in (0, 2)
     if code == 0:
@@ -592,6 +631,67 @@ class TestSpecFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_nested_values_exit_0_or_2(self, tmp_path, capsys, spec):
         _assert_exit_0_or_2(tmp_path, capsys, spec)
+
+
+# The README catenoid's frame as `end build` writes it, parsed.
+README_FRAME = json.loads(frame_to_json(build_end(CATENOID_SPEC)[0]))
+
+
+@st.composite
+def mangled_frames(draw):
+    """The README catenoid's frame document with one value at any depth,
+    or the whole document, dropped or set to a bad value."""
+    frame = copy.deepcopy(README_FRAME)
+    path = draw(st.sampled_from([()] + list(_nested_paths(frame, ()))))
+    value = draw(st.sampled_from([DROP] + BAD_VALUES))
+    if not path:
+        return [] if value is DROP else value
+    parent = frame
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DROP:
+        parent.pop(path[-1])
+    else:
+        parent[path[-1]] = value
+    return frame
+
+
+class TestFrameFuzz:
+    @given(mangled_frames())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_0_or_2_with_one_json_error(self, tmp_path, capsys, frame):
+        _assert_exit_0_or_2(tmp_path, capsys, frame, "--frame")
+
+    @pytest.mark.parametrize("frame", [
+        dict(README_FRAME, A=dict(README_FRAME["A"], coeffs=[1.0, 2.0])),
+        dict(README_FRAME, A=dict(README_FRAME["A"], offset=None)),
+        dict(README_FRAME, validity_radius=None),
+        dict(README_FRAME, A=dict(README_FRAME["A"], coeffs=[["a", 0]])),
+        dict(README_FRAME, A=[]),
+        [README_FRAME],
+        dict(README_FRAME, A=dict(README_FRAME["A"], offset=0.0)),
+    ], ids=["real-coefficients", "offset-null", "radius-null",
+            "string-coefficient", "entry-list", "document-list",
+            "column-offsets"])
+    def test_malformed_frame(self, frame, tmp_path, capsys):
+        _assert_exit_0_or_2(tmp_path, capsys, frame, "--frame")
+
+    def test_column_offsets_name_the_column(self, tmp_path, capsys):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(dict(
+            README_FRAME, B=dict(README_FRAME["B"], offset=0.5))))
+        assert run(["flux", "--frame", str(path), "--geodesic", "0,inf"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert "column BD" in err["message"]
+
+    def test_infinite_radius_loads(self, tmp_path, capsys):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(dict(README_FRAME,
+                                        validity_radius=math.inf)))
+        assert run(["flux", "--frame", str(path), "--geodesic", "0,inf"]) == 0
+        capsys.readouterr()
 
 
 class TestProcess:

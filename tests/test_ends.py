@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
                         flux_triple, frame_checks, frobenius_solve,
                         horosphere_frame, horospherical_polynomial, is_inf,
                         mobius_boundary, transform_frame)
-from bryantflux import bryant, ends
+from bryantflux import bryant, ends, series
 from bryantflux.series import differentiate
 
 from conftest import make_h, translated_catenoidal_frame
 from oracles import (WeierstrassData, classify_end, eval_at, ode_residual,
-                     radius_estimate, series_isclose)
+                     placed_by_entries, radius_estimate, series_isclose)
 
 
 def integrate_ode(prob, sol, rho0, rho1):
@@ -50,20 +51,24 @@ def integrate_ode(prob, sol, rho0, rho1):
 
 
 class TestCousinFrame:
+    # Each column sits at its lower offset (BryantFrame), so an entry's
+    # own power is that of its normalized series.
     def test_mu_half_offsets_and_constants(self):
         f = catenoid_cousin_frame(0.5)
-        assert [e.offset for e in f.entries()] == [0.25, 0.75, -0.75, -0.25]
-        assert f.A.coeffs[0] == 1.0
-        assert f.B.coeffs[0] == pytest.approx(-1.0 / 3.0)
-        assert f.C.coeffs[0] == pytest.approx(-3.0 / 8.0)
-        assert f.D.coeffs[0] == pytest.approx(9.0 / 8.0)
+        A, B, C, D = (e.normalized() for e in f.entries())
+        assert [e.offset for e in (A, B, C, D)] == [0.25, 0.75, -0.75, -0.25]
+        assert A.coeffs[0] == 1.0
+        assert B.coeffs[0] == pytest.approx(-1.0 / 3.0)
+        assert C.coeffs[0] == pytest.approx(-3.0 / 8.0)
+        assert D.coeffs[0] == pytest.approx(9.0 / 8.0)
 
     def test_mu_two_offsets_and_constants(self):
         f = catenoid_cousin_frame(2.0)
-        assert [e.offset for e in f.entries()] == [-0.5, 1.5, -1.5, 0.5]
-        assert f.B.coeffs[0] == pytest.approx(1.0 / 3.0)
-        assert f.C.coeffs[0] == pytest.approx(3.0 / 8.0)
-        assert f.D.coeffs[0] == pytest.approx(9.0 / 8.0)
+        A, B, C, D = (e.normalized() for e in f.entries())
+        assert [e.offset for e in (A, B, C, D)] == [-0.5, 1.5, -1.5, 0.5]
+        assert B.coeffs[0] == pytest.approx(1.0 / 3.0)
+        assert C.coeffs[0] == pytest.approx(3.0 / 8.0)
+        assert D.coeffs[0] == pytest.approx(9.0 / 8.0)
 
     def test_determinant_identity(self):
         for mu in (0.5, 1.5, 2.0, 3.0):
@@ -414,10 +419,9 @@ class TestBuildEnd:
         assert frame.validity_radius == std.validity_radius
         for got, first, second in ((frame.C, std.A, std.C),
                                    (frame.D, std.B, std.D)):
-            # the first column sits one power above the second's offset
-            assert got.offset == second.offset == first.offset - 1.0
-            want = second.coeffs.copy()
-            want[1:] += a * first.coeffs[:-1]
+            # A and C, and B and D, share their column's offset
+            assert got.offset == second.offset == first.offset
+            want = a * first.coeffs + second.coeffs
             assert np.all(np.abs(got.coeffs - want) <= 1e-15 * np.abs(want))
 
     def test_horospherical_spec(self):
@@ -549,6 +553,20 @@ def checked_calls(spec, monkeypatch):
     return build_end(spec), calls
 
 
+def recorded_solves(monkeypatch):
+    """The list to which each later _end_frame call appends its (A, B, C,
+    D): the entries as solved, each at its own offset, before BryantFrame
+    aligns the columns."""
+    solved, end_frame = [], ends._end_frame
+
+    def recording(*args):
+        solved.append(args[:4])
+        return end_frame(*args)
+
+    monkeypatch.setattr(ends, "_end_frame", recording)
+    return solved
+
+
 class TestDefectPass:
     @pytest.mark.parametrize("order", [32, 64, 128])
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
@@ -569,18 +587,32 @@ class TestDefectPass:
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
     def test_validity_radius_is_half_the_least_root_test(self, spec, order,
                                                          monkeypatch):
+        # The root test reads the entries as solved, each at its own
+        # offset, before BryantFrame aligns the columns.
+        solved = recorded_solves(monkeypatch)
         (frame, _), [(built, _)] = checked_calls(dict(spec, order=order),
                                                  monkeypatch)
-        radius = 0.5 * min(radius_estimate(e) for e in built.entries())
+        radius = 0.5 * min(radius_estimate(e) for e in solved[0])
         assert built.validity_radius == radius
         assert frame.validity_radius == radius
 
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
     def test_one_pass_forms_no_intermediate_series(self, spec, monkeypatch):
-        """At most 20 series constructions per build (44 with the checks
-        written in series arithmetic) and one np.convolve per product."""
+        """At most 15 series constructions per build (44 with the checks
+        written in series arithmetic), one np.convolve per product, and
+        no _sum_terms call but series addition's: the frame aligns its
+        columns once, so placing and checking it align nothing."""
         counts = {"series": 0, "convolve": 0}
         post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
+        sum_terms, sum_callers = series._sum_terms, []
+
+        def counted_sum_terms(*args):
+            sum_callers.append(sys._getframe(1).f_code)
+            return sum_terms(*args)
+
+        for module in (series, bryant, ends):
+            if hasattr(module, "_sum_terms"):
+                monkeypatch.setattr(module, "_sum_terms", counted_sum_terms)
 
         def counted_post_init(self):
             counts["series"] += 1
@@ -594,8 +626,10 @@ class TestDefectPass:
                             counted_post_init)
         monkeypatch.setattr(np, "convolve", counted_convolve)
         build_end(spec)
-        assert counts["series"] <= 20
+        assert counts["series"] <= 15
         assert counts["convolve"] == 6
+        assert all(code is GeneralizedSeries.__add__.__code__
+                   for code in sum_callers)
 
     def test_built_end_logs_its_defects(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="bryantflux")
@@ -606,6 +640,26 @@ class TestDefectPass:
         assert record.args == (*bryant._frame_defects(built, omega),
                                built.validity_radius)
         assert "omega" in record.getMessage()
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("order", [8, 32, 128])
+    @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
+    def test_columns_place_as_the_entries_did(self, spec, order,
+                                              monkeypatch):
+        """transform_frame on the standard frame, whose columns are
+        aligned, is bitwise the series sums of the scaled entries as
+        solved (placed_by_entries), for isometries with no zero entry."""
+        solved = recorded_solves(monkeypatch)
+        _, [(built, _)] = checked_calls(dict(spec, order=order), monkeypatch)
+        rng = np.random.default_rng(order)
+        for _ in range(8):
+            p = IsometrySL2(*(complex(*rng.normal(size=2)) for _ in range(4)))
+            assert 0 not in (p.alpha, p.beta, p.gamma, p.delta)
+            got = transform_frame(p, built)
+            for g, w in zip(got.entries(), placed_by_entries(p, *solved[0])):
+                assert g.offset == w.offset
+                assert g.coeffs.tobytes() == w.coeffs.tobytes()
 
 
 class TestEndFrameRefusals:

@@ -149,18 +149,25 @@ class TestResidueRoute:
         assert [m.m11, m.m12, m.m21, m.m22] == _matrix_of_forms(frame)
 
     def test_truncation_past_residue_gives_zero(self):
-        # C (offset -1) kept to order 0: z^-1 of D dC - C dD and of
-        # C dB - D dA lies at index 1, past C's truncation, so those
-        # differences have no residue, as the series differences say.
+        # C (offset -1) kept to order 0 or 1 truncates its column, A with
+        # it (BryantFrame), and the residues of all three one-forms sit at
+        # index 1 of products at offset -2: past the truncation at order 0
+        # there is no residue, as the series differences say, and at order
+        # 1 each residue is the full frame's.
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[1])
-        short = BryantFrame(frame.A, frame.B,
-                            GeneralizedSeries(frame.C.offset,
-                                              frame.C.coeffs[:1]),
-                            frame.D, frame.validity_radius)
-        t = flux_triple(short)
-        assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(short)
-        assert t.phi0 == t.phi1 == 0.0
-        assert t.phi2 == flux_triple(frame).phi2 != 0.0
+        for kept in (0, 1):
+            short = BryantFrame(frame.A, frame.B,
+                                GeneralizedSeries(frame.C.offset,
+                                                  frame.C.coeffs[:kept + 1]),
+                                frame.D, frame.validity_radius)
+            assert short.A.order == kept
+            t = flux_triple(short)
+            assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(short)
+            if kept == 0:
+                assert t.phi0 == t.phi1 == t.phi2 == 0.0
+            else:
+                assert t == flux_triple(frame)
+                assert 0.0 not in (t.phi0, t.phi1, t.phi2)
 
     def test_no_series_products(self, monkeypatch):
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[1], order=128)

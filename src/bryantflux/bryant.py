@@ -13,7 +13,10 @@ index.  The immersion into the half-space model is
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
 which _zeta_w forms from the entries' values; flux.circle_samples and
-the CLI's mesh evaluate the entries with series.eval_branch.  The three
+the CLI's mesh evaluate the entries with series.eval_branch, which drops
+each value's branch factor e^(i lambda tau).  zeta and w need none:
+each of their products is of two entries of one column, at one offset,
+whose factors cancel.  The three
 single-valued one-forms B dA - A dB, C dB - D dA and D dC - C dD carry
 all flux information (flux.flux_triple reads their residues).  Note that
 the middle one is C dB - D dA (= omega_sharp / G); the variant
@@ -118,6 +121,11 @@ def _identity_terms(frame: BryantFrame,
                                  _product_terms(*quad[2], *quad[3]))
         r = xy + uv if scale else xy - uv
         k = round(t_offset - offset)
+        if k < -len(r):
+            raise ConsistencyError(
+                "frame identity fails: its right-hand side starts %g powers "
+                "below the %d coefficients of its products, so its leading "
+                "coefficient is left uncancelled" % (-k, len(r)))
         if k < 0:
             r, k = np.concatenate([np.zeros(-k), r]), 0
         r[k:k + len(t)] -= t[:max(len(r) - k, 0)]

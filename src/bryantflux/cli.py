@@ -29,7 +29,7 @@ from .flux import (circle_samples, flux_for_geodesic, flux_from_samples,
                    flux_result_json, flux_triple, roundoff_bound)
 from .geometry import INF, Geodesic, is_inf, parse_complex, parse_real
 from .killing import KillingField
-from .series import DEFAULT_ORDER, QuadratureGrid, _node_angles, eval_branch
+from .series import DEFAULT_ORDER, QuadratureGrid, eval_branch
 
 log = logging.getLogger("bryantflux")
 
@@ -209,11 +209,11 @@ def _cmd_mesh(args):
     frame = _load_frame(args)
     lines = []
     # Ring nodes are rho times the --angular-th roots of unity.
-    taus = _node_angles(args.angular)
     for rho in np.geomspace(args.rho_min, args.rho_max, args.radial):
         _check_radius(frame, rho)
         with np.errstate(all="ignore"):
-            zeta, w = _zeta_w(*eval_branch(frame.entries(), rho, taus))
+            zeta, w = _zeta_w(*eval_branch(frame.entries(), rho,
+                                                args.angular))
             ring = (zeta.real, zeta.imag, w)
             if args.model == "ball":
                 ring = _to_ball(*ring)

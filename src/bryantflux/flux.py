@@ -14,7 +14,11 @@ machinery with the other routes; it is the oracle the residue formulas
 are tested against.  The nodes are rho times the N-th roots of unity, so
 the four frame entries and their term-wise derivatives are evaluated
 there as one block by one inverse FFT (series.eval_branch), in
-O(N log N) rather than O(N K) per entry.
+O(N log N) rather than O(N K) per entry, and without their branch
+factors e^(i lambda tau).  That is exact: the frame's columns are
+aligned (bryant.BryantFrame), and zeta, w and their derivatives are
+made of products conj(x) y of two values from one column, in which the
+factors cancel.
 
 The integrand is linear in the coefficients of the field's quadratic
 V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
@@ -26,6 +30,12 @@ flux of every Killing field is the linear functional of the residues,
 computed here by quadrature.  Each moment carries a bound on the
 round-off of its sum, and roundoff_bound gives the one a field's flux
 inherits.
+
+The moments are formed from zeta, w and their derivatives as they are,
+and are not to be simplified with det F = 1: that identity collapses q
+(_moments) into 2 z (B A' - A B'), the coefficient of B dA - A dB, which
+is the residue route's own one-form, and the quadrature would then no
+longer check that route independently.
 """
 
 from __future__ import annotations
@@ -268,28 +278,33 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
 
     The four entries E and their term-wise derivatives E' are evaluated
     as one 8-row block by one inverse FFT on the roots of unity
-    (series.eval_branch).  E moves by e^(i tau) E'(z) along rho and by
-    i z E'(z) along tau, and the chain rule carries this exactly through
-    zeta and w.  A sample that overflows or is not finite raises
-    DomainError.
+    (series.eval_branch), without branch factors.  E moves by
+    e^(i tau) E'(z) along rho and by i z E'(z) along tau.  The branch
+    factor of E' is that of E divided by e^(i tau), which the move
+    restores, so on the evaluated values E moves by f E' with f = 1
+    along rho and f = i rho along tau.  zeta and w, and their moves, are
+    made of products conj(x) y of two values from one column, where the
+    factors cancel.  A move is linear in f and conj(f), so the three
+    column products s, p and q give both directions.  A sample that
+    overflows or is not finite raises DomainError.
     """
-    rho, taus = grid.rho, grid.taus
-    entries = frame.entries()
+    rho, entries = grid.rho, frame.entries()
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, d, da, db, dc, dd = eval_branch(
-            entries + tuple(map(differentiate, entries)), rho, taus)
+            entries + tuple(map(differentiate, entries)), rho, grid.samples)
         zeta, w = _zeta_w(a, b, c, d)
+        ca, cb = np.conj(a), np.conj(b)
+        s = ca * da + cb * db
+        p = np.conj(da) * c + np.conj(db) * d
+        q = ca * dc + cb * dd
 
-        def moved_by(f):
-            # (d zeta, d w) when each entry E moves by f E'.
-            ua, ub, uc, ud = f * da, f * db, f * dc, f * dd
-            dsum = 2.0 * np.real(np.conj(a) * ua + np.conj(b) * ub)
-            dnum = np.conj(ua) * c + np.conj(a) * uc + np.conj(ub) * d \
-                + np.conj(b) * ud
+        def moved(dsum, dnum):
+            # (d zeta, d w) from the moves of |A|^2 + |B|^2 and of
+            # conj(A) C + conj(B) D.
             return w * (dnum - zeta * dsum), -w * w * dsum
 
-        unit = np.exp(1j * taus)
-        derivs = moved_by(unit) + moved_by(1j * rho * unit)
+        derivs = moved(2.0 * s.real, p + q) \
+            + moved(-2.0 * rho * s.imag, 1j * rho * (q - p))
     # A non-finite entry value reaches zeta, w or a derivative, so the
     # returned arrays cover the block as well as overflow after it.
     if not all(np.isfinite(x).all() for x in (zeta, w) + derivs):

@@ -1,13 +1,17 @@
 """Truncated generalized power series z^lambda * sum a_k z^k.
 
 The exponent offset lambda is an arbitrary real; offsets within 1e-9 of
-an integer are snapped to that integer at construction.  Evaluation on a
-circle uses the continuous branch z^lambda = rho^lambda e^(i lambda tau)
-with tau accumulated monotonically from 0, never reduced mod 2*pi.
-eval_branch, the package's one evaluator, evaluates a sequence of
-series at rho times the N-th roots of unity, for any N >= 1, as one
-block by one inverse FFT of the scaled coefficients, followed by one
-branch factor e^(i lambda tau) per row.  The tests keep a Horner sum at
+an integer are snapped to that integer at construction, and an offset
+that is not finite is a DomainError.  On a circle a series lies on the
+continuous branch z^lambda = rho^lambda e^(i lambda tau), with tau
+accumulated monotonically from 0, never reduced mod 2*pi.  eval_branch,
+the package's one evaluator, evaluates a sequence of series at rho times
+the N-th roots of unity, for any N >= 1, as one block by one inverse FFT
+of the scaled coefficients, and returns the values without their branch
+factors e^(i lambda tau).  That is exact for what the package forms from
+them: a Bryant frame's columns are aligned (bryant.BryantFrame), and
+every product of the immersion is of two values from one column, whose
+factors cancel.  The tests keep a Horner sum with the branch factor at
 arbitrary angles as its reference.  product_residue gives
 residue(a * b) from the coefficient pairs that reach z^-1, without
 forming the product.  The rules of addition, multiplication and
@@ -33,7 +37,10 @@ _LEAD_TOL = 1e-13
 
 
 def _snap(offset: float) -> float:
-    r = round(offset)
+    try:
+        r = round(offset)
+    except (OverflowError, ValueError):
+        raise DomainError("series offset %r is not finite" % offset) from None
     if abs(offset - r) < _OFFSET_TOL:
         return float(r)
     return float(offset)
@@ -109,15 +116,6 @@ class GeneralizedSeries:
     @classmethod
     def zero(cls, offset: float = 0.0, order: int = 0) -> "GeneralizedSeries":
         return cls(offset, np.zeros(order + 1, dtype=complex))
-
-    def normalized(self) -> "GeneralizedSeries":
-        """Shift the offset so the leading coefficient is significant."""
-        mags = np.abs(self.coeffs)
-        nz = np.nonzero(mags > _LEAD_TOL)[0]
-        if len(nz) == 0 or nz[0] == 0:
-            return self
-        k = int(nz[0])
-        return GeneralizedSeries(self.offset + k, self.coeffs[k:].copy())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -204,37 +202,34 @@ class QuadratureGrid:
     def taus(self) -> np.ndarray:
         """The node angles, formed once per grid and read-only, since every
         caller shares the one array."""
-        taus = _node_angles(self.samples)
+        taus = 2.0 * np.pi * np.arange(self.samples) / self.samples
         taus.flags.writeable = False
         return taus
 
 
-def _node_angles(n: int) -> np.ndarray:
-    """tau_j = 2 pi j / N, j = 0 .. N - 1."""
-    return 2.0 * np.pi * np.arange(n) / n
-
-
 def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
-                taus: np.ndarray) -> np.ndarray:
-    """Values of each series at the N = len(taus) nodes rho e^(i tau_j),
-    where taus holds tau_j = 2 pi j / N (_node_angles(N), or a
-    QuadratureGrid's taus), as a (rows, N) array, on the continuous
-    branch z^o = rho^o e^(i o tau) with tau taken from 0 up.
+                n: int) -> np.ndarray:
+    """Values of each series at the n nodes rho omega^j, omega =
+    e^(2 pi i / n), each without its branch factor, as a (rows, n)
+    array: row r holds sum_k a_k rho^(o+k) omega^(jk) for series r of
+    offset o, the value on the continuous branch (tau_j = 2 pi j / n,
+    taken from 0 up) times e^(-i o tau_j).
 
-    Node j is rho omega^j with omega = e^(2 pi i / N), so a series of
-    offset o is z^o sum_k a_k rho^k omega^(jk), and the sum is an inverse
-    DFT of the a_k rho^k.  Each a_k rho^(o+k) goes into bin k mod N; bins
-    are summed when K + 1 > N, which is exact since omega^N = 1.  One
-    inverse FFT over the block, scaled by N, sums every row, and a row
-    with o != 0 is then multiplied by e^(i o tau_j), computed once per
-    distinct offset.  Cost O(N log N) per row, against O(N K) for a
-    Horner sum.  The branch factor is applied after the FFT, not as a
-    shift of the bins, because a coefficient placed in bin N - 1 or
-    N - 2 (offsets -1 and -2) picks up the rounding of every butterfly
-    stage.  N is any positive integer; QuadratureGrid's power-of-two
-    rule belongs to the quadrature, not to this evaluation.
+    The factor is dropped because the package needs none: a product
+    conj(x) y of two values at one offset, as every product within a
+    Bryant frame's column is, carries e^(-i o tau) e^(i o tau) = 1, and a
+    term-wise derivative's row, at offset o - 1, joins its entry's after
+    one factor e^(i tau), which the chain rule supplies (flux).  A
+    caller that needs the values on the branch multiplies row r by
+    e^(i o tau_j) itself.
+
+    The sum is an inverse DFT of the a_k rho^(o+k), unscaled: each goes
+    into bin k mod n, and bins are summed when K + 1 > n, which is exact
+    since omega^n = 1.  One inverse FFT over the block sums every row, in
+    O(n log n) per row, against O(n K) for a Horner sum.  n is any
+    positive integer; QuadratureGrid's power-of-two rule belongs to the
+    quadrature, not to this evaluation.
     """
-    n = len(taus)
     block = np.zeros((len(series), n), dtype=complex)
     for row, a in zip(block, series):
         k = np.arange(len(a.coeffs))
@@ -243,12 +238,4 @@ def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
             np.add.at(row, k % n, vals)
         else:
             row[:len(k)] = vals
-    block = np.fft.ifft(block, axis=1)
-    block *= n
-    phases = {}
-    for row, a in zip(block, series):
-        if a.offset:
-            if a.offset not in phases:
-                phases[a.offset] = np.exp(1j * a.offset * taus)
-            row *= phases[a.offset]
-    return block
+    return np.fft.ifft(block, axis=1, norm="forward")

@@ -1,17 +1,20 @@
 """Reference implementations that the tests compare the package against,
 and the helpers that only tests use.
 
-Series: eval_at sums by Horner's rule at arbitrary angles, on the same
+Series: eval_at sums by Horner's rule at arbitrary angles, on the
 continuous branch z^lambda = rho^lambda e^(i lambda tau) (tau taken from
-0 up, never reduced mod 2 pi) as series.eval_branch, so it is the
-reference for the FFT evaluator and for points off the roots of unity.
-series_div and series_isclose are the quotient and the comparison up to
-an integer offset shift.
+0 up, never reduced mod 2 pi) with the branch factor e^(i lambda tau)
+kept, so it is the reference for the FFT evaluator series.eval_branch,
+whose rows lack that factor, and for points off the roots of unity.
+normalized moves leading zero coefficients into the offset; series_div
+and series_isclose are the quotient and the comparison up to an integer
+offset shift.
 
 Frames: one_forms forms the three single-valued one-forms in full, the
 reference for flux.flux_triple, which reads their residues without
 forming them; derived_forms adds the Gauss map and the Hopf differential.
-immersion_samples evaluates the immersion (zeta, w) by Horner's rule.
+immersion_samples evaluates the immersion (zeta, w) by Horner's rule,
+and immersion_derivatives adds its radial and angular derivatives.
 placed_by_entries moves a frame by an isometry entry by entry, each new
 entry a series sum of two scaled entries at their own offsets, the
 reference for transform_frame on aligned columns.
@@ -71,10 +74,22 @@ def radius_estimate(a: GeneralizedSeries) -> float:
 
 
 def trapezoid_residue(a: GeneralizedSeries, grid: QuadratureGrid) -> complex:
-    """Residue via the periodic trapezoid rule; cross-oracle for residue()."""
-    vals = eval_branch([a], grid.rho, grid.taus)[0]
+    """Residue via the periodic trapezoid rule; cross-oracle for residue().
+    eval_branch drops the branch factor, which is put back here."""
+    vals = eval_branch([a], grid.rho, grid.samples)[0] \
+        * np.exp(1j * a.offset * grid.taus)
     z = grid.rho * np.exp(1j * grid.taus)
     return complex(np.sum(vals * 1j * z) * (2.0 * np.pi / grid.samples) / (2j * np.pi))
+
+
+def normalized(a: GeneralizedSeries) -> GeneralizedSeries:
+    """``a`` with its offset shifted so the leading coefficient is
+    significant (above _LEAD_TOL)."""
+    nz = np.nonzero(np.abs(a.coeffs) > _LEAD_TOL)[0]
+    if len(nz) == 0 or nz[0] == 0:
+        return a
+    k = int(nz[0])
+    return GeneralizedSeries(a.offset + k, a.coeffs[k:].copy())
 
 
 def _is_zero(a: GeneralizedSeries, tol: float = 0.0) -> bool:
@@ -84,7 +99,7 @@ def _is_zero(a: GeneralizedSeries, tol: float = 0.0) -> bool:
 def series_div(a: GeneralizedSeries, b: GeneralizedSeries) -> GeneralizedSeries:
     """a / b, truncated at the shorter order; b's leading zeros are moved
     into its offset first."""
-    b = b.normalized()
+    b = normalized(b)
     if abs(b.coeffs[0]) <= _LEAD_TOL:
         raise DomainError("division by an (effectively) zero series")
     if _is_zero(a):
@@ -100,7 +115,7 @@ def series_div(a: GeneralizedSeries, b: GeneralizedSeries) -> GeneralizedSeries:
 def series_isclose(a: GeneralizedSeries, b: GeneralizedSeries,
                    tol: float = 1e-12) -> bool:
     """Equality up to an integer offset shift and coefficient tolerance."""
-    a, b = a.normalized(), b.normalized()
+    a, b = normalized(a), normalized(b)
     if _is_zero(a, tol) and _is_zero(b, tol):
         return True
     d = b.offset - a.offset
@@ -153,6 +168,25 @@ def immersion_samples(frame: BryantFrame, rho: float, taus: np.ndarray):
     """(zeta, w) arrays on |z| = rho via branch-tracked evaluation."""
     _check_radius(frame, rho)
     return _zeta_w(*(eval_at(e, rho, taus) for e in frame.entries()))
+
+
+def immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
+    """[zeta, w, d_rho zeta, d_rho w, d_tau zeta, d_tau w] on the grid from
+    Horner values that keep the branch factor: each entry E moves by
+    e^(i tau) E' along rho and by i z E' along tau, and the chain rule
+    carries the moves through zeta and w."""
+    rho, taus = grid.rho, grid.taus
+    A, B, C, D = (eval_at(e, rho, taus) for e in frame.entries())
+    zeta, w = _zeta_w(A, B, C, D)
+    out = [zeta, w]
+    for move in (np.exp(1j * taus), 1j * rho * np.exp(1j * taus)):
+        dA, dB, dC, dD = (move * eval_at(differentiate(e), rho, taus)
+                          for e in frame.entries())
+        dsum = 2.0 * np.real(np.conj(A) * dA + np.conj(B) * dB)
+        dnum = (np.conj(dA) * C + np.conj(A) * dC + np.conj(dB) * D
+                + np.conj(B) * dD)
+        out += [w * (dnum - zeta * dsum), -w * w * dsum]
+    return out
 
 
 def immersion(frame: BryantFrame, grid: QuadratureGrid):

@@ -27,7 +27,7 @@ from bryantflux.flux import flux_from_samples
 
 from conftest import (make_h, random_geodesic,
                       translated_catenoidal_frame)
-from oracles import derived_forms, eval_at, immersion_samples
+from oracles import derived_forms, eval_at, immersion_samples, normalized
 
 PI = math.pi
 
@@ -129,7 +129,7 @@ def test_04_horospherical_kappa_law(criteria):
     t3 = flux_triple(f3)
     kappa3 = -t3.phi0 / (2.0 * PI)
     ok &= abs(kappa3) < 1e-8
-    hopf = derived_forms(f3).hopf.normalized()
+    hopf = normalized(derived_forms(f3).hopf)
     ok &= hopf.offset >= 0.0
     samples = circle_samples(f3, QuadratureGrid(0.3, 1024))
     for g in (Geodesic(1.0, -1.0), Geodesic(0.5 + 0.5j, INF)):

@@ -15,8 +15,8 @@ from bryantflux.series import differentiate
 
 from conftest import make_h
 from oracles import (WeierstrassData, apply_isometry, derived_forms,
-                     eval_at, immersion, immersion_samples, one_forms,
-                     series_div, series_isclose)
+                     eval_at, immersion, immersion_samples, normalized,
+                     one_forms, series_div, series_isclose)
 
 
 def horo_frame_mu2():
@@ -42,6 +42,16 @@ class TestFrameChecks:
         det, _ = frame_checks(bad)
         lead_c = abs(frame.C.coeffs[0])
         assert det == pytest.approx(0.01 * lead_c, rel=1e-6)
+
+    @pytest.mark.parametrize("shift", [40.0, 1e300])
+    def test_unit_below_the_whole_window_refused(self, shift):
+        # AD - BC then starts more powers above z^0 than it has
+        # coefficients; the unit is refused, not reached by widening.
+        f = catenoid_cousin_frame(0.5)
+        A, C = (GeneralizedSeries(e.offset + shift, e.coeffs)
+                for e in (f.A, f.C))
+        with pytest.raises(ConsistencyError, match="left uncancelled"):
+            frame_checks(BryantFrame(A, f.B, C, f.D, f.validity_radius))
 
 
 class TestImmersion:
@@ -101,7 +111,7 @@ class TestDerivedForms:
         weier = WeierstrassData(mu=2.0, nu=-2.0, h=h)
         frame = horo_frame_mu2()
         forms = derived_forms(frame, weier)
-        hopf = forms.hopf.normalized()
+        hopf = normalized(forms.hopf)
         assert hopf.offset == -1.0
         assert abs(hopf.coeffs[0] - 2.0) < 1e-12  # q_-1 = 2 h(0)
 

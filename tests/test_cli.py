@@ -677,6 +677,21 @@ class TestFrameFuzz:
     def test_malformed_frame(self, frame, tmp_path, capsys):
         _assert_exit_0_or_2(tmp_path, capsys, frame, "--frame")
 
+    # Offsets near 1e308 sum to infinity in the products; a first column
+    # at 1e300 puts the unit of AD - BC = 1 some 1e300 powers below them.
+    @pytest.mark.parametrize("entries,offset,error", [
+        ("ABCD", 1e308, "DomainError"), ("AC", 1e300, "ConsistencyError")],
+        ids=["offsets-near-1e308", "first-column-at-1e300"])
+    def test_far_offsets_exit_2(self, entries, offset, error, tmp_path,
+                                capsys):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(dict(README_FRAME, **{
+            k: dict(README_FRAME[k], offset=offset) for k in entries})))
+        assert run(["flux", "--frame", str(path), "--geodesic", "0,inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
+
     def test_column_offsets_name_the_column(self, tmp_path, capsys):
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(dict(

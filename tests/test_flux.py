@@ -22,8 +22,9 @@ from bryantflux.series import differentiate
 
 from conftest import (make_h, random_geodesic,
                       translated_catenoidal_frame)
-from oracles import (derived_forms, eval_at, one_forms, per_field_flux,
-                     potential_samples, series_div, vector_samples)
+from oracles import (derived_forms, eval_at, immersion_derivatives,
+                     one_forms, per_field_flux, potential_samples,
+                     series_div, vector_samples)
 
 PI = math.pi
 
@@ -468,6 +469,31 @@ class TestFluxNumeric:
             b = flux_from_samples(samples,
                                   KillingField(kind, Geodesic(g.end, g.start)))
             assert abs(a + b) < 1e-8 * max(1.0, abs(a))
+
+
+class TestSamplesWithoutBranchFactors:
+    """circle_samples works on values without their branch factors; on a
+    placed frame whose columns sit at different non-integer offsets its
+    samples are those of the Horner reference, which keeps them."""
+
+    # Order 32 has 33 coefficients: N = 16 folds them into 16 bins, N = 64
+    # places each in its own.  Offsets (-0.65, -0.35) and (-1.35, 0.35).
+    @pytest.mark.parametrize("mu", [0.3, 1.7])
+    @pytest.mark.parametrize("samples", [16, 64])
+    def test_samples_match_horner_reference(self, mu, samples):
+        frame = build_end({"type": "catenoidal", "mu": mu,
+                           "axis": [[0.3, 0.1], [-0.5, 0.2]],
+                           "h_perturbation": [0.0, 0.5]}, order=32)[0]
+        offsets = {e.offset for e in frame.entries()}
+        assert len(offsets) == 2
+        assert all(o != round(o) for o in offsets)
+        grid = QuadratureGrid(0.5 * frame.validity_radius, samples)
+        s = circle_samples(frame, grid)
+        got = (s.zeta, s.w, s.dzeta_drho, s.dw_drho, s.dzeta_dtau,
+               s.dw_dtau)
+        # Measured at most 7e-15 of each array's largest modulus.
+        for x, ref in zip(got, immersion_derivatives(frame, grid)):
+            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestOracleEquivalence:

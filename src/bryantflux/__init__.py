@@ -10,17 +10,16 @@ from .geometry import (INF, ExtendedComplex, Geodesic, IsometrySL2,
 from .series import (DEFAULT_ORDER, GeneralizedSeries, QuadratureGrid,
                      differentiate, eval_branch, product_residue, residue)
 from .killing import KillingField, ROTATION, TRANSLATION
-from .bryant import (BryantFrame, frame_checks, frame_from_json,
-                     frame_to_json, transform_frame)
+from .bryant import (BryantFrame, frame_from_json, frame_to_json,
+                     transform_frame)
 from .ends import (Catenoidal, EndDescriptor, FrobeniusProblem, Horosphere,
                    Horospherical, build_end, canonical_catenoidal_frame,
                    canonical_horospherical_frame, catenoid_cousin_frame,
                    extract_axis, frobenius_solve, horosphere_frame)
 from .flux import (FluxMatrix, FluxPolynomial, FluxTriple,
                    catenoidal_closed_form, catenoidal_polynomial,
-                   circle_samples, flux_for_geodesic, flux_matrix,
-                   flux_numeric, flux_triple, horospherical_closed_form,
-                   horospherical_polynomial)
+                   circle_samples, flux_for_geodesic, flux_triple,
+                   horospherical_closed_form, horospherical_polynomial)
 from .balance import (BalanceProblem, ConcurrencyResult, EuclideanEndData,
                       concurrency_check, euclidean_three_end_check,
                       polynomial_sum, three_end_axes, two_end_solve)

@@ -23,7 +23,7 @@ from .errors import DomainError, UnbalanceableError
 from .flux import FluxPolynomial, catenoidal_polynomial, \
     horospherical_polynomial
 from .geometry import INF, ExtendedComplex, Geodesic, _homogeneous, \
-    boundary_eq, is_inf, parse_axis, parse_complex, parse_point, parse_real
+    boundary_eq, is_inf
 
 _TOL = 1e-9
 
@@ -294,21 +294,3 @@ def euclidean_three_end_check(e1: EuclideanEndData, e2: EuclideanEndData,
     if dist3 > tol:
         return coplanar, ("violation", None)
     return coplanar, ("concurrent", q)
-
-
-# -- JSON -------------------------------------------------------------------
-
-def descriptor_from_json(obj: dict) -> EndDescriptor:
-    kind = obj.get("type")
-    if kind == "catenoidal":
-        return Catenoidal(parse_real(obj["mu"]), *parse_axis(obj["axis"]))
-    if kind == "horospherical":
-        return Horospherical(parse_point(obj["boundary"]),
-                             parse_complex(obj.get("kappa", 0.0)))
-    if kind == "horosphere":
-        return Horosphere()
-    raise DomainError("unknown end type %r" % (kind,))
-
-
-def problem_from_json(obj: dict) -> BalanceProblem:
-    return BalanceProblem(tuple(descriptor_from_json(e) for e in obj["ends"]))

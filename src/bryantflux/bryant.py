@@ -148,12 +148,6 @@ def _frame_defects(frame: BryantFrame,
     return _defects(_identity_terms(frame, omega))
 
 
-def frame_checks(frame: BryantFrame):
-    """(det defect, nullity defect): max residual coefficients of the
-    identities AD - BC = 1 and dA dD - dB dC = 0 below the truncation top."""
-    return _frame_defects(frame)[:2]
-
-
 def _refused(defects, windows, frame: BryantFrame,
              omega: Optional[GeneralizedSeries]):
     """For each defect and its residual window, whether it fails the bar.
@@ -177,7 +171,7 @@ def _refused(defects, windows, frame: BryantFrame,
 
 def checked_frame(frame: BryantFrame,
                   omega: Optional[GeneralizedSeries] = None) -> BryantFrame:
-    """``frame``, or ConsistencyError if a frame_checks defect or, when
+    """``frame``, or ConsistencyError if the det or nullity defect or, when
     the one-form ``omega`` is given, the defect of A dC - C dA = omega
     exceeds 1e-8 and some residual coefficient also exceeds 1e-8 times
     the same coefficient of the two products that cancel in it

@@ -25,8 +25,8 @@ from .balance import (_NORMALIZED, ConcurrencyResult, concurrency_check,
 from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
-from .flux import (circle_samples, flux_for_geodesic, flux_from_samples,
-                   flux_result_json, flux_triple, roundoff_bound)
+from .flux import (circle_samples, flux_for_geodesic, flux_result_json,
+                   flux_triple, roundoff_bound)
 from .geometry import INF, Geodesic, is_inf, parse_complex, parse_real
 from .killing import KillingField
 from .series import DEFAULT_ORDER, QuadratureGrid, eval_branch
@@ -131,14 +131,14 @@ def _cmd_verify(args):
             pts[1] = complex(rng.normal(), rng.normal())
         geod = Geodesic(pts[0], pts[1])
         for kind in ("translation", "rotation"):
-            k = KillingField(kind, geod)
-            defect = abs(flux_from_samples(samples, k)
+            defect = abs(flux_for_geodesic(samples.triple, geod, kind)
                          - flux_for_geodesic(triple, geod, kind))
             if not math.isfinite(defect):
                 raise DomainError("quadrature on |z| = %g gave a non-finite "
                                   "flux" % args.rho)
             worst = max(worst, defect)
-            bound = max(bound, roundoff_bound(samples, k))
+            bound = max(bound, roundoff_bound(samples,
+                                              KillingField(kind, geod)))
     if not bound < 1e-5:
         raise DomainError("quadrature on |z| = %g is lost to round-off "
                           "(bound %.3e)" % (args.rho, bound))

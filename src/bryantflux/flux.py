@@ -1,35 +1,36 @@
-"""Flux computations: residue triple, polynomial, matrix, closed forms,
-and the independent quadrature route.
+"""Flux computations: residue triple, its polynomial and matrix forms,
+closed forms, and the independent quadrature route.
 
-Three equivalent encodings of the flux data of an end are provided: the
-triple (phi0, phi1, phi2) of 4*pi-scaled residues, the quadratic
-polynomial Pi(X) = phi2 X^2 + 2 phi1 X + phi0, and the matrix
-Phi = Res(-(dF) F^-1).  Each residue of the triple and the matrix is a
-difference of two residues of entry products, and each of those is read
-from the few leading coefficients that reach z^-1
-(series.product_residue): no product series is formed.  flux_numeric
-integrates the defining boundary integral by the trapezoid rule on one
-circle |z| = rho, with exact derivatives, and shares no residue
-machinery with the other routes; it is the oracle the residue formulas
-are tested against.  The nodes are rho times the N-th roots of unity, so
-the four frame entries and their term-wise derivatives are evaluated
-there as one block by one inverse FFT (series.eval_branch), in
-O(N log N) rather than O(N K) per entry, and without their branch
-factors e^(i lambda tau).  That is exact: the frame's columns are
-aligned (bryant.BryantFrame), and zeta, w and their derivatives are
-made of products conj(x) y of two values from one column, in which the
-factors cancel.
+The flux data of an end is one triple (phi0, phi1, phi2) of 4*pi-scaled
+residues (flux_triple).  The quadratic polynomial
+Pi(X) = phi2 X^2 + 2 phi1 X + phi0 and the matrix
+Phi = Res(-(dF) F^-1) = (phi1, phi2; -phi0, -phi1) / 4 pi are derived
+from it (FluxPolynomial.from_triple, FluxMatrix.from_triple).  Each
+residue of the triple is a difference of two residues of entry
+products, and each of those is read from the few leading coefficients
+that reach z^-1 (series.product_residue): no product series is formed.
+
+circle_samples integrates the defining boundary integral by the
+trapezoid rule on one circle |z| = rho, with exact derivatives, and
+shares no residue machinery with flux_triple; it is the oracle the
+residue formulas are tested against.  The nodes are rho times the N-th
+roots of unity, so the four frame entries and their term-wise
+derivatives are evaluated there as one block by one inverse FFT
+(series.eval_branch), in O(N log N) rather than O(N K) per entry, and
+without their branch factors e^(i lambda tau).  That is exact: the
+frame's columns are aligned (bryant.BryantFrame), and zeta, w and their
+derivatives are made of products conj(x) y of two values from one
+column, in which the factors cancel.
 
 The integrand is linear in the coefficients of the field's quadratic
 V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
-circle_samples sums three complex moments (M0, M1, M2) once per circle
-and flux_from_samples reads every field's flux from them as
-Re(c0 M0 + c1 M1 + c2 M2), in O(1).  Against flux_for_geodesic this
-says that (M2, -M1, M0) is the residue triple (phi0, phi1, phi2): the
-flux of every Killing field is the linear functional of the residues,
-computed here by quadrature.  Each moment carries a bound on the
-round-off of its sum, and roundoff_bound gives the one a field's flux
-inherits.
+circle_samples sums three complex moments (M0, M1, M2) once per circle,
+and a field's flux is Re(c0 M0 + c1 M1 + c2 M2).  That is the pairing
+flux_for_geodesic applies to a triple, for the triple (M2, -M1, M0):
+the quadrature gives the residue triple, computed numerically, and
+every field's flux is read from either triple by that one function, in
+O(1).  Each moment carries a bound on the round-off of its sum, and
+roundoff_bound gives the one a field's flux inherits.
 
 The moments are formed from zeta, w and their derivatives as they are,
 and are not to be simplified with det F = 1: that identity collapses q
@@ -48,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .bryant import BryantFrame, _check_radius, _zeta_w
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
     cross_ratio
 from .killing import ROTATION, TRANSLATION, KillingField, field_polynomial
@@ -86,28 +87,30 @@ class FluxPolynomial:
         return max(abs(self.quad), abs(self.lin), abs(self.const))
 
     def roots(self):
-        if abs(self.quad) > 1e-13 * max(1.0, self.max_abs()):
+        """The roots, of the degree that the coefficients above 1e-13 of
+        the largest one give; none for the zero polynomial."""
+        tol = 1e-13 * self.max_abs()
+        if abs(self.quad) > tol:
             return [complex(r) for r in np.roots(
                 [self.quad, self.lin, self.const])]
-        if abs(self.lin) > 1e-13 * max(1.0, self.max_abs()):
+        if abs(self.lin) > tol:
             return [-self.const / self.lin]
         return []
 
 
 @dataclass(frozen=True)
 class FluxMatrix:
+    """Res(-(dF) F^-1), trace-free."""
+
     m11: complex
     m12: complex
     m21: complex
     m22: complex
 
-    def __post_init__(self):
-        # np.max carries a NaN entry into the scale, and the test is
-        # written so that a NaN fails it
-        scale = np.max(np.abs([self.m11, self.m12, self.m21, self.m22, 1.0]))
-        if not abs(self.m11 + self.m22) <= 1e-10 * scale:
-            raise ConsistencyError("flux matrix must be trace-free "
-                                   "(trace %.3e)" % abs(self.m11 + self.m22))
+    @classmethod
+    def from_triple(cls, t: FluxTriple) -> "FluxMatrix":
+        s = 1.0 / (4.0 * math.pi)
+        return cls(s * t.phi1, s * t.phi2, -s * t.phi0, -s * t.phi1)
 
 
 def _difference_residue(a, b, c, d) -> complex:
@@ -119,15 +122,6 @@ def _difference_residue(a, b, c, d) -> complex:
     res = product_residue(a, b) - product_residue(c, d)
     past = -1 - round(a.offset + b.offset) > min(a.order, b.order)
     return 0.0 + 0.0j if past else res
-
-
-def _scaled_residues(scale: float, quads) -> list:
-    """scale * residue(a * b - c * d) for each (a, b, c, d) of ``quads``;
-    DomainError when one overflows."""
-    res = [scale * _difference_residue(*q) for q in quads]
-    if not all(cmath.isfinite(r) for r in res):
-        raise DomainError("the flux residues overflow: they are not finite")
-    return res
 
 
 # Overflow reaches the caller as a residue that is not finite; a
@@ -142,20 +136,29 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     """
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
-    return FluxTriple(*_scaled_residues(4.0 * math.pi, (
-        (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))))
+    res = [4.0 * math.pi * _difference_residue(*q) for q in (
+        (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))]
+    if not all(cmath.isfinite(r) for r in res):
+        raise DomainError("the flux residues overflow: they are not finite")
+    return FluxTriple(*res)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def flux_matrix(frame: BryantFrame) -> FluxMatrix:
-    """Residue of -(dF) F^-1, entry-wise from product_residue.  A residue
-    that overflows raises DomainError."""
-    A, B, C, D = frame.entries()
-    dA, dB, dC, dD = map(differentiate, frame.entries())
-    # F^-1 = (D, -B; -C, A) since det F = 1.
-    return FluxMatrix(*_scaled_residues(-1.0, (
-        (dA, D, dB, C), (dB, A, dA, B), (dC, D, dD, C), (dD, A, dC, B))))
+def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
+    """Flux of the Killing field of ``kind`` along ``g`` from a flux
+    triple: Re(c0 phi2 - c1 phi1 + c2 phi0) for the field's quadratic
+    c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial).
 
+    For a translation that is the real part of
+    (phi2 C D + phi1 (C+D) + phi0)/(C-D) for finite C and D, with limits
+    -(phi1 + phi2 C) at D = inf and phi1 + phi2 D at C = inf; a rotation
+    reads minus the imaginary part.  It serves the residue triple and
+    the quadrature's (CircleSamples.triple) alike.
+    """
+    c0, c1, c2 = field_polynomial(KillingField(kind, g))
+    return float((c0 * t.phi2 - c1 * t.phi1 + c2 * t.phi0).real)
+
+
+# -- end-type closed forms --------------------------------------------------
 
 def _directional(val: complex, kind: str) -> float:
     if kind == TRANSLATION:
@@ -164,22 +167,6 @@ def _directional(val: complex, kind: str) -> float:
         return float(-val.imag)
     raise DomainError("kind must be 'translation' or 'rotation'")
 
-
-def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
-    """Closed-form flux from the residue triple.
-
-    On the homogeneous endpoints c = (c0, c1) and d = (d0, d1) the
-    value is (phi2 c0 d0 + phi1 (c0 d1 + c1 d0) + phi0 c1 d1) / [c, d]:
-    (phi2 C D + phi1 (C+D) + phi0)/(C-D) for finite C and D, and its
-    limits -(phi1 + phi2 C) at D = inf and phi1 + phi2 D at C = inf.
-    """
-    c, d = _homogeneous(g.start), _homogeneous(g.end)
-    val = (t.phi2 * c[0] * d[0] + t.phi1 * (c[0] * d[1] + c[1] * d[0])
-           + t.phi0 * c[1] * d[1]) / _bracket(c, d)
-    return _directional(val, kind)
-
-
-# -- end-type closed forms --------------------------------------------------
 
 def catenoidal_closed_form(mu: float, axis_from: ExtendedComplex,
                            boundary: ExtendedComplex, g: Geodesic,
@@ -231,9 +218,9 @@ def horospherical_polynomial(kappa: complex,
 
 @dataclass(frozen=True)
 class CircleSamples:
-    """Immersion values and derivatives on one circle, the flux moments
-    (M0, M1, M2) summed from them and the moments' round-off bounds
-    (b0, b1, b2)."""
+    """Immersion values and derivatives on one circle, the quadrature's
+    flux triple (M2, -M1, M0) summed from them and the round-off bounds
+    (b2, b1, b0) of its components."""
 
     rho: float
     taus: np.ndarray
@@ -243,12 +230,13 @@ class CircleSamples:
     dw_drho: np.ndarray
     dzeta_dtau: np.ndarray
     dw_dtau: np.ndarray
-    moments: tuple
+    triple: FluxTriple
     roundoff: tuple
 
 
 def _moments(rho, zeta, w, dzeta_drho, dw_drho, dzeta_dtau):
-    """Trapezoid sums (M0, M1, M2) and their round-off bounds.
+    """The triple (M2, -M1, M0) of trapezoid sums and the round-off
+    bounds (b2, b1, b0) of its components.
 
     With q = (-rho conj(d_rho zeta) + i conj(d_tau zeta)) / w^2 and
     r = rho d_rho w / w, the integrand -rho<d_rho X, Y> + 2<d_tau X, Z> of
@@ -270,7 +258,8 @@ def _moments(rho, zeta, w, dzeta_drho, dw_drho, dzeta_dtau):
         bounds = tuple(float(np.abs(t).sum() * eps_scale) for t in terms)
     if not all(map(cmath.isfinite, sums + bounds)):
         raise DomainError("flux moments on |z| = %g are not finite" % rho)
-    return sums, bounds
+    (m0, m1, m2), (b0, b1, b2) = sums, bounds
+    return FluxTriple(m2, -m1, m0), (b2, b1, b0)
 
 
 def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
@@ -315,8 +304,8 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
 def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     """Sample X = (zeta, w) on |z| = rho with radial and angular derivatives
     (_immersion_derivatives), and sum the three flux moments over the
-    circle (_moments).  A sample or moment that overflows or is not
-    finite raises DomainError.
+    circle into the quadrature's flux triple (_moments).  A sample or
+    moment that overflows or is not finite raises DomainError.
     """
     _check_radius(frame, grid.rho)
     # The 8-row evaluated block dies when _immersion_derivatives returns,
@@ -326,26 +315,12 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
                          *_moments(grid.rho, zeta, w, *derivs[:3]))
 
 
-def flux_from_samples(samples: CircleSamples, k: KillingField) -> float:
-    """Trapezoid quadrature of -rho<d_rho X, Y> + 2<d_tau X, Z> over the
-    circle, as Re(c0 M0 + c1 M1 + c2 M2) from the field's polynomial."""
-    c0, c1, c2 = field_polynomial(k)
-    m0, m1, m2 = samples.moments
-    return float((c0 * m0 + c1 * m1 + c2 * m2).real)
-
-
 def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
     """|c0| b0 + |c1| b1 + |c2| b2: the round-off that the moments' sums
-    allow in flux_from_samples(samples, k)."""
+    allow in flux_for_geodesic(samples.triple, ...) for the field k."""
     c0, c1, c2 = field_polynomial(k)
-    b0, b1, b2 = samples.roundoff
+    b2, b1, b0 = samples.roundoff
     return abs(c0) * b0 + abs(c1) * b1 + abs(c2) * b2
-
-
-def flux_numeric(frame: BryantFrame, k: KillingField,
-                 grid: QuadratureGrid) -> float:
-    """The quadrature oracle; no residue machinery on this path."""
-    return flux_from_samples(circle_samples(frame, grid), k)
 
 
 # -- serialization ----------------------------------------------------------

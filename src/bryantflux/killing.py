@@ -6,7 +6,7 @@ V = (zeta - C)(zeta - D)/(C - D), V = zeta - C when D = inf, and the
 reversed geodesic's V, negated, when C = inf; the rotation has i V.
 The field is Y = (V - w^2 conj(c2), w Re V') and its potential is
 Z = (i (w^2 conj(c2) log w + V/2), 0), so every flux integral is linear
-in (c0, c1, c2), which the quadrature route of flux uses.
+in (c0, c1, c2): flux.flux_for_geodesic pairs them with a flux triple.
 
 The potential Z is the vector field whose dual 1-form beta satisfies
 i_Y alpha = d beta, with alpha the hyperbolic volume form w^-3 du dv dw.

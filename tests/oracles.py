@@ -12,7 +12,10 @@ offset shift.
 
 Frames: one_forms forms the three single-valued one-forms in full, the
 reference for flux.flux_triple, which reads their residues without
-forming them; derived_forms adds the Gauss map and the Hopf differential.
+forming them; matrix_of_forms forms the entries of -(dF) F^-1 and takes
+their residues, the paper's flux matrix that flux.FluxMatrix derives
+from the triple; derived_forms adds the Gauss map and the Hopf
+differential.
 immersion_samples evaluates the immersion (zeta, w) by Horner's rule,
 and immersion_derivatives adds its radial and angular derivatives.
 placed_by_entries moves a frame by an isometry entry by entry, each new
@@ -48,7 +51,7 @@ from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
 from bryantflux.series import (_LEAD_TOL, _OFFSET_TOL, GeneralizedSeries,
                                QuadratureGrid, _sum_terms, differentiate,
-                               eval_branch)
+                               eval_branch, residue)
 
 
 # -- series -----------------------------------------------------------------
@@ -215,6 +218,16 @@ def one_forms(frame: BryantFrame):
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
     return (B * dA - A * dB, C * dB - D * dA, D * dC - C * dD)
+
+
+def matrix_of_forms(frame: BryantFrame):
+    """[m11, m12, m21, m22] of Res(-(dF) F^-1), each entry the residue of
+    a formed series, with F^-1 = (D, -B; -C, A) since det F = 1: the
+    Rossman-Umehara-Yamada flux matrix, computed without the triple."""
+    A, B, C, D = frame.entries()
+    dA, dB, dC, dD = map(differentiate, frame.entries())
+    return [residue(-(dA * D - dB * C)), residue(-(dB * A - dA * B)),
+            residue(-(dC * D - dD * C)), residue(-(dD * A - dC * B))]
 
 
 def derived_forms(frame: BryantFrame,

@@ -11,23 +11,23 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from bryantflux import (BalanceProblem, Catenoidal, FluxPolynomial,
-                        FrobeniusProblem, Geodesic, GeneralizedSeries,
-                        Horospherical, INF, KillingField,
+from bryantflux import (BalanceProblem, Catenoidal, FluxMatrix,
+                        FluxPolynomial, FrobeniusProblem, Geodesic,
+                        GeneralizedSeries, Horospherical, INF,
                         LogTermRequiredError, QuadratureGrid,
                         UnbalanceableError, canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
                         catenoidal_closed_form, circle_samples,
                         concurrency_check, flux_for_geodesic,
-                        flux_matrix, flux_numeric, flux_triple, frobenius_solve,
+                        flux_triple, frobenius_solve,
                         horosphere_frame, horospherical_polynomial,
                         is_inf, polynomial_sum,
                         three_end_axes, two_end_solve)
-from bryantflux.flux import flux_from_samples
 
 from conftest import (make_h, random_geodesic,
                       translated_catenoidal_frame)
-from oracles import derived_forms, eval_at, immersion_samples, normalized
+from oracles import (derived_forms, eval_at, immersion_samples,
+                     matrix_of_forms, normalized)
 
 PI = math.pi
 
@@ -65,7 +65,8 @@ def test_01_cousin_axis_flux_three_routes(criteria):
         frame = catenoid_cousin_frame(mu)
         by_triple = flux_for_geodesic(flux_triple(frame), axis, "translation")
         by_form = catenoidal_closed_form(mu, 0.0, INF, axis, "translation")
-        by_quad = flux_numeric(frame, KillingField("translation", axis), grid)
+        by_quad = flux_for_geodesic(circle_samples(frame, grid).triple, axis,
+                                    "translation")
         ok &= abs(by_triple - target) < 1e-10
         ok &= abs(by_form - by_triple) < 1e-10
         ok &= abs(by_quad - by_triple) < 1e-9
@@ -84,13 +85,10 @@ def test_02_matrix_polynomial_equivalence(criteria):
     assert len(frames) == 10
     ok = True
     for frame in frames:
-        t = flux_triple(frame)
-        m = flux_matrix(frame)
-        four_pi = 4.0 * PI
-        ok &= max(abs(four_pi * m.m11 - t.phi1),
-                  abs(four_pi * m.m12 - t.phi2),
-                  abs(four_pi * m.m21 + t.phi0),
-                  abs(four_pi * m.m22 + t.phi1)) < 1e-10
+        # the matrix derived from the triple against Res(-(dF) F^-1)
+        m = FluxMatrix.from_triple(flux_triple(frame))
+        ok &= max(abs(x - y) for x, y in zip(
+            (m.m11, m.m12, m.m21, m.m22), matrix_of_forms(frame))) < 1e-10
     criteria.report(2, "flux matrix equals flux polynomial data", ok)
 
 
@@ -107,7 +105,7 @@ def test_03_cross_ratio_flux_law(criteria):
         for kind in ("translation", "rotation"):
             closed = catenoidal_closed_form(mu, zc, INF, g, kind)
             by_triple = flux_for_geodesic(t, g, kind)
-            quad = flux_from_samples(samples, KillingField(kind, g))
+            quad = flux_for_geodesic(samples.triple, g, kind)
             ok &= abs(closed - by_triple) < 1e-9
             ok &= abs(quad - closed) < 1e-9
     criteria.report(3, "cross-ratio flux law on random geodesics", ok)
@@ -134,7 +132,7 @@ def test_04_horospherical_kappa_law(criteria):
     samples = circle_samples(f3, QuadratureGrid(0.3, 1024))
     for g in (Geodesic(1.0, -1.0), Geodesic(0.5 + 0.5j, INF)):
         for kind in ("translation", "rotation"):
-            ok &= abs(flux_from_samples(samples, KillingField(kind, g))) < 1e-6
+            ok &= abs(flux_for_geodesic(samples.triple, g, kind)) < 1e-6
     criteria.report(4, "horospherical flux coefficient law", ok)
 
 
@@ -146,7 +144,7 @@ def test_05_horosphere_zero_flux(criteria):
     for _ in range(10):
         g = random_geodesic(rng)
         kind = "translation" if rng.random() < 0.5 else "rotation"
-        ok &= abs(flux_from_samples(samples, KillingField(kind, g))) < 1e-7
+        ok &= abs(flux_for_geodesic(samples.triple, g, kind)) < 1e-7
     criteria.report(5, "horosphere flux vanishes", ok)
 
 
@@ -262,8 +260,9 @@ def test_08_frobenius_vs_adaptive_ode(criteria):
 
 def test_09_homology_and_gauge_invariance(criteria):
     frame = canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)))
-    k = KillingField("translation", Geodesic(1.0, -1.0))
-    vals = [flux_numeric(frame, k, QuadratureGrid(rho, 1024))
+    g = Geodesic(1.0, -1.0)
+    vals = [flux_for_geodesic(circle_samples(
+        frame, QuadratureGrid(rho, 1024)).triple, g, "translation")
             for rho in (0.05, 0.1, 0.15)]
     ok = max(vals) - min(vals) < 1e-5
 

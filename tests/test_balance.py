@@ -9,8 +9,7 @@ from bryantflux import (BalanceProblem, Catenoidal, DomainError,
                         build_end, concurrency_check,
                         euclidean_three_end_check, flux_triple, is_inf,
                         polynomial_sum, three_end_axes, two_end_solve)
-from bryantflux.balance import (descriptor_from_json, end_polynomial,
-                                problem_from_json)
+from bryantflux.balance import end_polynomial
 from bryantflux.flux import FluxPolynomial, catenoidal_polynomial
 from bryantflux.geometry import mobius_boundary
 
@@ -379,38 +378,3 @@ class TestFrameLevelBalance:
         for a, b in zip((t1.phi0, t1.phi1, t1.phi2),
                         (t2.phi0, t2.phi1, t2.phi2)):
             assert abs(a + b) < 1e-8
-
-
-class TestJson:
-    def test_problem_round_trip(self):
-        obj = {"ends": [
-            {"type": "catenoidal", "mu": 0.5,
-             "axis": [[0.0, 0.0], "inf"]},
-            {"type": "catenoidal", "mu": 0.5,
-             "axis": ["inf", [0.0, 0.0]]},
-            {"type": "horosphere"},
-        ]}
-        p = problem_from_json(obj)
-        assert len(p.ends) == 3
-        assert poly_is_zero(polynomial_sum(p))
-
-    def test_horospherical_descriptor(self):
-        d = descriptor_from_json({"type": "horospherical",
-                                  "boundary": [2.0, 0.0],
-                                  "kappa": [4.0, 0.0]})
-        assert isinstance(d, Horospherical)
-        assert d.kappa == 4.0
-        assert d.boundary == 2.0
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(DomainError):
-            descriptor_from_json({"type": "planar"})
-
-    @pytest.mark.parametrize("change", [
-        {"mu": None}, {"mu": "0.5"}, {"axis": [[0.0, 0.0]]},
-    ], ids=["mu-null", "mu-string", "axis-one-point"])
-    def test_bad_catenoidal_descriptor_rejected(self, change):
-        obj = dict({"type": "catenoidal", "mu": 0.5,
-                    "axis": [[0.0, 0.0], "inf"]}, **change)
-        with pytest.raises(DomainError):
-            descriptor_from_json(obj)

@@ -13,7 +13,7 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
                         canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
                         catenoidal_polynomial, extract_axis,
-                        flux_triple, frame_checks, frobenius_solve,
+                        flux_triple, frobenius_solve,
                         horosphere_frame, horospherical_polynomial, is_inf,
                         mobius_boundary, transform_frame)
 from bryantflux import bryant, ends, series
@@ -73,7 +73,7 @@ class TestCousinFrame:
 
     def test_determinant_identity(self):
         for mu in (0.5, 1.5, 2.0, 3.0):
-            det, null = frame_checks(catenoid_cousin_frame(mu))
+            det, null = bryant._frame_defects(catenoid_cousin_frame(mu))[:2]
             assert det < 1e-12 and null < 1e-12
 
     def test_mu_one_rejected(self):
@@ -216,7 +216,7 @@ class TestCanonicalCatenoidal:
             assert is_inf(b)
 
     def test_perturbed_h_passes_frame_checks(self, perturbed_frame):
-        det, null = frame_checks(perturbed_frame)
+        det, null = bryant._frame_defects(perturbed_frame)[:2]
         assert det < 1e-9 and null < 1e-9
 
     def test_wrong_h0_rejected(self):
@@ -248,7 +248,7 @@ class TestCanonicalHorospherical:
         c_lead = normalized(frame.C)
         assert c_lead.offset == -1.0
         assert abs(c_lead.coeffs[0] + 1.0) < 1e-12  # c = -h(0)
-        det, null = frame_checks(frame)
+        det, null = bryant._frame_defects(frame)[:2]
         assert det < 1e-8 and null < 1e-12
 
     def test_mu3_constant_h_zero_triple(self):
@@ -373,7 +373,7 @@ class TestBuildEnd:
         a, b = extract_axis(frame)
         assert abs(complex(a) - 1.0) < 1e-8
         assert abs(complex(b) - 1.0j) < 1e-8
-        det, null = frame_checks(frame)
+        det, null = bryant._frame_defects(frame)[:2]
         assert det < 1e-8 and null < 1e-7
 
     def test_catenoidal_spec_with_perturbation(self):
@@ -485,7 +485,7 @@ class TestBuildEnd:
         # every entry is truncated at the requested order, D included
         order = spec.get("order", DEFAULT_ORDER)
         assert [e.order for e in frame.entries()] == [order] * 4
-        det, null = frame_checks(frame)
+        det, null = bryant._frame_defects(frame)[:2]
         assert det <= 1e-12 and null <= 1e-12
         mu = spec["mu"]
         if spec["type"] == "catenoidal":
@@ -510,7 +510,7 @@ class TestBuildEnd:
 class TestHorosphereFrame:
     def test_exact(self):
         f = horosphere_frame()
-        assert frame_checks(f) == (0.0, 0.0)
+        assert bryant._frame_defects(f)[:2] == (0.0, 0.0)
         assert math.isinf(f.validity_radius)
 
 
@@ -579,10 +579,11 @@ class TestDefectPass:
         assert omega is not None
         ref = series_defects(built, omega)
         assert bryant._frame_defects(built, omega) == ref
-        assert frame_checks(built) == ref[:2]
-        # the frame moved to a finite boundary point, which only
-        # frame_checks sees
-        assert frame_checks(frame) == series_defects(frame, omega)[:2]
+        assert bryant._frame_defects(built)[:2] == ref[:2]
+        # the frame moved to a finite boundary point, which checked_frame
+        # does not see
+        assert (bryant._frame_defects(frame)[:2]
+                == series_defects(frame, omega)[:2])
 
     @pytest.mark.parametrize("order", [32, 64, 128])
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bryantflux import (BryantFrame, ConsistencyError, DomainError,
+from bryantflux import (BryantFrame, DomainError,
                         FluxMatrix, FluxPolynomial,
                         FluxTriple, Geodesic, GeneralizedSeries, INF,
                         IsometrySL2, QuadratureGrid, catenoidal_closed_form,
@@ -11,20 +11,19 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         catenoidal_polynomial, canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
                         build_end, circle_samples,
-                        flux_for_geodesic,
-                        flux_matrix, flux_numeric, flux_triple,
+                        flux_for_geodesic, flux_triple,
                         horosphere_frame, horospherical_closed_form,
                         horospherical_polynomial, mobius_boundary,
                         residue, transform_frame)
-from bryantflux.flux import flux_from_samples, flux_result_json
+from bryantflux.flux import flux_result_json
 from bryantflux.killing import KillingField, field_polynomial
 from bryantflux.series import differentiate
 
 from conftest import (make_h, random_geodesic,
                       translated_catenoidal_frame)
 from oracles import (derived_forms, eval_at, immersion_derivatives,
-                     one_forms, per_field_flux, potential_samples,
-                     series_div, vector_samples)
+                     matrix_of_forms, one_forms, per_field_flux,
+                     potential_samples, series_div, vector_samples)
 
 PI = math.pi
 
@@ -64,25 +63,28 @@ class TestFluxTriple:
         triple_close(flux_triple(horosphere_frame()), (0.0, 0.0, 0.0))
 
 
+def derived_matrix(frame):
+    """The flux matrix derived from the residue triple."""
+    m = FluxMatrix.from_triple(flux_triple(frame))
+    return [m.m11, m.m12, m.m21, m.m22]
+
+
 class TestFluxMatrix:
+    """The matrix derived from the triple is the paper's Res(-(dF) F^-1),
+    formed independently (oracles.matrix_of_forms)."""
+
     def matrix_equiv_defect(self, frame):
-        t = flux_triple(frame)
-        m = flux_matrix(frame)
-        four_pi = 4.0 * PI
-        return max(abs(four_pi * m.m11 - t.phi1),
-                   abs(four_pi * m.m12 - t.phi2),
-                   abs(four_pi * m.m21 + t.phi0),
-                   abs(four_pi * m.m22 + t.phi1))
+        return max(abs(x - y) for x, y in zip(derived_matrix(frame),
+                                              matrix_of_forms(frame)))
 
     def test_cousin_value(self):
-        m = flux_matrix(catenoid_cousin_frame(0.5))
+        m = FluxMatrix.from_triple(flux_triple(catenoid_cousin_frame(0.5)))
         assert abs(m.m11 - (-3.0 / 16.0)) < 1e-12
         assert abs(m.m22 - 3.0 / 16.0) < 1e-12
         assert abs(m.m12) < 1e-12 and abs(m.m21) < 1e-12
 
     def test_horosphere_zero(self):
-        m = flux_matrix(horosphere_frame())
-        assert max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22)) == 0.0
+        assert max(map(abs, derived_matrix(horosphere_frame()))) == 0.0
 
     @pytest.mark.parametrize("builder", [
         lambda: catenoid_cousin_frame(0.5),
@@ -95,19 +97,14 @@ class TestFluxMatrix:
     def test_equivalence_with_triple(self, builder):
         assert self.matrix_equiv_defect(builder()) < 1e-10
 
-    def test_trace_defect_rejected(self):
-        with pytest.raises(ConsistencyError):
-            FluxMatrix(1.0, 0.0, 0.0, 1.0)
-
     def test_isometry_covariance(self, perturbed_frame):
         # Phi(P F) = P Phi(F) P^-1 (matrix conjugation by P on the left)
         p = IsometrySL2(1.1, 0.3 - 0.2j, 0.1j, 1.0)
-        m = flux_matrix(perturbed_frame)
-        mp = flux_matrix(transform_frame(p, perturbed_frame))
-        phi = np.array([[m.m11, m.m12], [m.m21, m.m22]])
+        phi = np.reshape(derived_matrix(perturbed_frame), (2, 2))
         pm = np.array([[p.alpha, p.beta], [p.gamma, p.delta]])
         expect = pm @ phi @ np.linalg.inv(pm)
-        got = np.array([[mp.m11, mp.m12], [mp.m21, mp.m22]])
+        got = np.reshape(derived_matrix(transform_frame(p, perturbed_frame)),
+                         (2, 2))
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
@@ -127,16 +124,10 @@ def _residues_of_forms(frame):
     return [4.0 * PI * residue(f) for f in (fd, fm, fb)]
 
 
-def _matrix_of_forms(frame):
-    A, B, C, D = frame.entries()
-    dA, dB, dC, dD = map(differentiate, frame.entries())
-    return [residue(-(dA * D - dB * C)), residue(-(dB * A - dA * B)),
-            residue(-(dC * D - dD * C)), residue(-(dD * A - dC * B))]
-
-
 class TestResidueRoute:
-    """flux_triple and flux_matrix read residues from leading coefficients
-    and agree exactly with the residues of the formed series."""
+    """flux_triple reads residues from leading coefficients and agrees
+    exactly with the residues of the formed series; the matrix derived
+    from it agrees with the formed Res(-(dF) F^-1) to round-off."""
 
     @pytest.mark.parametrize("order", [32, 64, 128])
     @pytest.mark.parametrize("spec", RESIDUE_ROUTE_SPECS,
@@ -146,8 +137,10 @@ class TestResidueRoute:
         t = flux_triple(frame)
         assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(frame)
         assert abs(t.phi0) > 0 and abs(t.phi2) > 0
-        m = flux_matrix(frame)
-        assert [m.m11, m.m12, m.m21, m.m22] == _matrix_of_forms(frame)
+        want = matrix_of_forms(frame)
+        scale = max(map(abs, want))
+        assert max(abs(x - y) for x, y in zip(derived_matrix(frame), want)) \
+            <= 1e-14 * scale
 
     def test_truncation_past_residue_gives_zero(self):
         # C (offset -1) kept to order 0 or 1 truncates its column, A with
@@ -195,14 +188,7 @@ class TestResidueRoute:
         huge = BryantFrame(frame.A, frame.B, 1e300 * frame.C, 1e300 * frame.D,
                            frame.validity_radius)
         with pytest.raises(DomainError, match="overflow"):
-            flux_matrix(huge)
-
-    @pytest.mark.parametrize("slot", range(4))
-    def test_nan_entry_fails_trace_check(self, slot):
-        entries = [0.5, 0.0, 0.0, -0.5]
-        entries[slot] = complex("nan+nanj")
-        with pytest.raises(ConsistencyError):
-            FluxMatrix(*entries)
+            FluxMatrix.from_triple(flux_triple(huge))
 
 
 def _coefficients(poly):
@@ -396,6 +382,27 @@ class TestHorosphericalClosedForm:
         assert poly.quad == 0.0 and poly.lin == 0.0
         assert poly.const == pytest.approx(-8.0 * PI)
 
+    @pytest.mark.parametrize("h0", [10.0 ** -k for k in range(3, 11)])
+    def test_small_end_keeps_its_double_root(self, h0):
+        # The triple is of size (mu h0)^2, down to 1e-19: the root test
+        # reads each coefficient against the polynomial's largest one.
+        frame, _ = build_end({"type": "horospherical", "mu": 2, "h0": h0,
+                              "h_perturbation": [2.0 * h0],
+                              "boundary": [0.5, 0.2]})
+        roots = FluxPolynomial.from_triple(flux_triple(frame)).roots()
+        assert len(roots) == 2
+        for r in roots:
+            assert abs(r - (0.5 + 0.2j)) < 1e-6
+
+    def test_zero_polynomial_has_no_roots(self):
+        # a mu = 3 end has exactly the zero triple
+        frame, _ = build_end({"type": "horospherical", "mu": 3, "h0": 0.7,
+                              "h_perturbation": [0.0, 0.2],
+                              "boundary": [0.5, 0.2]})
+        t = flux_triple(frame)
+        assert t == FluxTriple(0.0, 0.0, 0.0)
+        assert FluxPolynomial.from_triple(t).roots() == []
+
 
 class TestPolynomialRemarkIdentity:
     def test_against_omega_sharp_residue(self):
@@ -429,45 +436,43 @@ class TestPolynomialRemarkIdentity:
             assert abs(rev - rhs) < 1e-8 * max(1.0, abs(rev))
 
 
-def vertical_translation():
-    return KillingField("translation", Geodesic(0.0, INF))
+VERTICAL = Geodesic(0.0, INF)
 
 
 class TestFluxNumeric:
     def test_cousin_vertical_translation(self):
-        grid = QuadratureGrid(0.1, 1024)
-        val = flux_numeric(catenoid_cousin_frame(0.5), vertical_translation(),
-                           grid)
-        assert abs(val - 0.75 * PI) < 1e-6
+        t = circle_samples(catenoid_cousin_frame(0.5),
+                           QuadratureGrid(0.1, 1024)).triple
+        assert abs(flux_for_geodesic(t, VERTICAL, "translation")
+                   - 0.75 * PI) < 1e-6
 
     def test_cousin_vertical_rotation(self):
-        grid = QuadratureGrid(0.1, 1024)
-        k = KillingField("rotation", Geodesic(0.0, INF))
-        assert abs(flux_numeric(catenoid_cousin_frame(0.5), k, grid)) < 1e-8
+        t = circle_samples(catenoid_cousin_frame(0.5),
+                           QuadratureGrid(0.1, 1024)).triple
+        assert abs(flux_for_geodesic(t, VERTICAL, "rotation")) < 1e-8
 
     def test_horosphere_any_field(self):
         # zeta = 1/z is steep near the puncture; the exact derivatives
         # keep the oracle at round-off there too.
-        grid = QuadratureGrid(0.5, 256)
-        frame = horosphere_frame()
-        for k in (vertical_translation(),
-                  KillingField("rotation", Geodesic(1.0, -1.0)),
-                  KillingField("translation", Geodesic(0.5 + 0.5j, 2.0))):
-            assert abs(flux_numeric(frame, k, grid)) < 1e-12
+        t = circle_samples(horosphere_frame(), QuadratureGrid(0.5, 256)).triple
+        for g, kind in ((VERTICAL, "translation"),
+                        (Geodesic(1.0, -1.0), "rotation"),
+                        (Geodesic(0.5 + 0.5j, 2.0), "translation")):
+            assert abs(flux_for_geodesic(t, g, kind)) < 1e-12
 
     def test_rho_independence(self, perturbed_frame):
-        k = KillingField("translation", Geodesic(1.0, -1.0))
-        v1 = flux_numeric(perturbed_frame, k, QuadratureGrid(0.05, 512))
-        v2 = flux_numeric(perturbed_frame, k, QuadratureGrid(0.1, 512))
+        g = Geodesic(1.0, -1.0)
+        v1, v2 = (flux_for_geodesic(circle_samples(
+            perturbed_frame, QuadratureGrid(rho, 512)).triple, g,
+            "translation") for rho in (0.05, 0.1))
         assert abs(v1 - v2) < 1e-6
 
     def test_antisymmetry_numeric(self, perturbed_frame):
-        samples = circle_samples(perturbed_frame, QuadratureGrid(0.1, 512))
+        t = circle_samples(perturbed_frame, QuadratureGrid(0.1, 512)).triple
         g = Geodesic(0.8, -1.3 + 0.4j)
         for kind in ("translation", "rotation"):
-            a = flux_from_samples(samples, KillingField(kind, g))
-            b = flux_from_samples(samples,
-                                  KillingField(kind, Geodesic(g.end, g.start)))
+            a = flux_for_geodesic(t, g, kind)
+            b = flux_for_geodesic(t, Geodesic(g.end, g.start), kind)
             assert abs(a + b) < 1e-8 * max(1.0, abs(a))
 
 
@@ -514,7 +519,7 @@ class TestOracleEquivalence:
         for _ in range(20):
             g = random_geodesic(rng)
             for kind in ("translation", "rotation"):
-                numeric = flux_from_samples(samples, KillingField(kind, g))
+                numeric = flux_for_geodesic(samples.triple, g, kind)
                 closed = flux_for_geodesic(t, g, kind)
                 assert abs(numeric - closed) < 1e-10
 
@@ -530,8 +535,8 @@ class TestOracleEquivalence:
             img = Geodesic(mobius_boundary(p, g.start),
                            mobius_boundary(p, g.end))
             for kind in ("translation", "rotation"):
-                before = flux_from_samples(s0, KillingField(kind, g))
-                after = flux_from_samples(s1, KillingField(kind, img))
+                before = flux_for_geodesic(s0.triple, g, kind)
+                after = flux_for_geodesic(s1.triple, img, kind)
                 assert abs(before - after) < 1e-6 * max(1.0, abs(before))
 
 
@@ -566,19 +571,20 @@ class TestMomentRoute:
             for kind in ("translation", "rotation"):
                 k = KillingField(kind, g)
                 want = per_field_flux(samples, k)
-                got = flux_from_samples(samples, k)
+                got = flux_for_geodesic(samples.triple, g, kind)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("end", sorted(MOMENT_ENDS))
     def test_moments_are_the_residue_triple(self, end):
-        # (M2, -M1, M0) = (phi0, phi1, phi2): the flux of every Killing
-        # field is the linear functional of the residue triple.
+        # The quadrature's triple (M2, -M1, M0) is the residue triple
+        # (phi0, phi1, phi2): the flux of every Killing field is the
+        # linear functional of the residue triple.
         builder, rho = MOMENT_ENDS[end]
         frame = builder()
-        m0, m1, m2 = circle_samples(frame, QuadratureGrid(rho, 1024)).moments
+        q = circle_samples(frame, QuadratureGrid(rho, 1024)).triple
         t = flux_triple(frame)
         scale = max(1.0, abs(t.phi0), abs(t.phi1), abs(t.phi2))
-        triple_close(t, (m2, -m1, m0), tol=1e-12 * scale)
+        triple_close(t, (q.phi0, q.phi1, q.phi2), tol=1e-12 * scale)
 
     def test_polynomial_gives_the_closed_forms(self):
         # Y = (V - w^2 conj(c2), w Re V') and

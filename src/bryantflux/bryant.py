@@ -140,14 +140,6 @@ def _defects(windows):
     return det, null, (om[0] if om else None)
 
 
-def _frame_defects(frame: BryantFrame,
-                   omega: Optional[GeneralizedSeries] = None):
-    """(det, null, omega) defects: max residual coefficients below the
-    truncation top of AD - BC = 1, dA dD - dB dC = 0 and, when the one-form
-    ``omega`` is given, A dC - C dA = omega (else None)."""
-    return _defects(_identity_terms(frame, omega))
-
-
 def _refused(defects, windows, frame: BryantFrame,
              omega: Optional[GeneralizedSeries]):
     """For each defect and its residual window, whether it fails the bar.

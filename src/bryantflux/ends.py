@@ -17,6 +17,15 @@ line lower + t * upper (t free) instead of needing a logarithm.  The
 second column follows term by term from dB = -g dA and dD = -g dC.  A
 nonzero obstruction is a LogTermRequiredError: the coefficient data
 violates the admissibility constraints, not that the solver gave up.
+The obstruction is logged at DEBUG whether or not it is refused.
+
+A catenoidal column whose h has a single term past h(0),
+h = h(0)(1 + p_n z^n), is a generalized hypergeometric series in z^n:
+its term ratio is rational in k (DLMF 16.2), so when no k up to the
+order meets the index of P's constant the solve is one cumulative
+product of those ratios.  The branch is read from the data; every
+other system (horospherical columns, two or more terms, that index in
+range) runs the recurrence term by term.
 
 Every end is built at its standard position: the catenoidal axis
 (0, infinity), the horospherical boundary infinity.  An embedded end
@@ -32,6 +41,7 @@ coefficient.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -47,6 +57,11 @@ from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq,
 from .series import _LEAD_TOL, DEFAULT_ORDER, GeneralizedSeries
 
 _MU_ONE_TOL = 1e-8
+# Horospherical boundary points from this modulus on are placed without
+# forming the anchor b + 1, which rounds near 2^53 (build_end).
+_FAR_BOUNDARY = 2.0 ** 52
+
+log = logging.getLogger("bryantflux")
 
 
 # -- end descriptors --------------------------------------------------------
@@ -135,8 +150,51 @@ class FrobeniusProblem:
         return lo, hi
 
 
+def _check_obstruction(obstruction, k: int, x) -> None:
+    """Log the resonance obstruction at order k; LogTermRequiredError when
+    it exceeds 1e-9 times the largest of 1 and the moduli of x_0..x_(k-1)."""
+    bar = 1e-9 * max([1.0, *map(abs, x[:k])])
+    log.debug("resonance obstruction %.3e at order %d (bar %.3e)",
+              abs(obstruction), k, bar)
+    if abs(obstruction) > bar:
+        raise LogTermRequiredError(
+            "resonance obstruction %.3e at order %d: the data admits "
+            "no pure power-series solution" % (abs(obstruction), k))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _product_at_root(prob: FrobeniusProblem, lo: float, hi: float,
+                     sigma: float, gap: Optional[int], hn) -> np.ndarray:
+    """x of a catenoidal column (d = 0) whose h has at most one term h_n
+    past h_0, when no k up to the order meets P's constant index kc.
+
+    The recurrence of _solve_at_root then couples only k and k - n:
+    x_k = r_k x_(k-n) with r_k = mu h_n e_k / ((sigma + k - lo)
+    (sigma + k - hi) e_(k-n)) and e_k = k - kc, a term ratio rational in
+    k (the series is hypergeometric in z^n).  So the class k = 0 mod n is
+    one cumulative product and every other class is 0.  x is 0 at the
+    root gap, as in the loop, so its class stays 0 from there on; the
+    obstruction at the gap is h_n p_(gap-n) = h_n mu x_(gap-n) /
+    e_(gap-n).  Overflow is left as inf or nan for the frame's
+    finiteness check.
+    """
+    K, mu = prob.order, prob.mu
+    kc = prob.s + 1.0 - sigma
+    n, c = hn[0] if hn else (K + 1, 0j)
+    top = min(gap - 1 if gap is not None and gap % n == 0 else K, K)
+    k = np.arange(n, top + 1, n, dtype=float)
+    x = np.zeros(K + 1, dtype=complex)
+    x[0] = 1.0
+    x[n:top + 1:n] = np.cumprod((mu * c) * ((k - kc) / (
+        (k + (sigma - lo)) * (k + (sigma - hi)) * (k - (n + kc)))))
+    if gap is not None and gap <= K:
+        _check_obstruction(c * (mu * x[gap - n] / (gap - n - kc))
+                           if gap >= n else 0.0, gap, x)
+    return x
+
+
 def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
-                   sigma: float, gap: Optional[int]) -> GeneralizedSeries:
+                   sigma: float, gap: Optional[int], hn) -> GeneralizedSeries:
     """Run the recurrence of X' = q P, P' = mu z^(m-s) X at one root.
 
     With X = sum x_k z^(sigma+k), P = sum p_k z^(k-kc), kc = s + 1 - sigma
@@ -145,11 +203,17 @@ def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
     p_kc is P's constant, fixed by the first equation with x_kc = 0 past
     k = 0; P needs a log unless x_(kc-d) = 0.  ``gap`` is the resonance
     order at the lower root, where x_gap is free and set to 0, else None.
-    (lo, hi) are the problem's indicial roots.
+    (lo, hi) are the problem's indicial roots and ``hn`` the pairs
+    (n, h_n) of h's nonzero coefficients past h_0, ascending in n.  A
+    catenoidal column (d = 0) with at most one such pair and no kc in
+    [0, order] is one product of term ratios (_product_at_root).
     """
     d, K, mu = prob.coupling + 2, prob.order, prob.mu
     kc, h0 = prob.s + 1.0 - sigma, complex(prob.h.coeffs[0])
-    hn = [(n, complex(c)) for n, c in enumerate(prob.h.coeffs[1:K + 1], 1) if c]
+    meets_kc = abs(kc - round(kc)) < 1e-9 and 0 <= round(kc) <= K
+    if d == 0 and len(hn) <= 1 and not meets_kc:
+        return GeneralizedSeries(sigma, _product_at_root(prob, lo, hi, sigma,
+                                                         gap, hn))
     x, p = [1.0 + 0j] + [0j] * K, [0j] * (K + 1)
     for k in range(K + 1):
         e = k - kc
@@ -170,10 +234,8 @@ def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
                               if d == 0 else sigma + k)
             if d == 0:
                 p[k] = mu * x[k] / e
-        if obstruction and abs(obstruction) > 1e-9 * max([1.0, *map(abs, x[:k])]):
-            raise LogTermRequiredError(
-                "resonance obstruction %.3e at order %d: the data admits "
-                "no pure power-series solution" % (abs(obstruction), k))
+        if k == gap or obstruction:
+            _check_obstruction(obstruction, k, x)
     return GeneralizedSeries(sigma, np.array(x))
 
 
@@ -186,11 +248,21 @@ def frobenius_solve(prob: FrobeniusProblem):
     unique.  The lower-root one has coefficient 0 at the resonance order
     (the root gap); the recurrence is linear and that coefficient is
     free, so every lower-root solution is ``small + t * big``, the sum
-    placing big at the gap, with t its coefficient there.
+    placing big at the gap, with t its coefficient there.  The
+    obstruction at the gap is logged at DEBUG on the ``bryantflux``
+    logger.
+
+    A catenoidal column (coupling -2) whose h has at most one nonzero
+    coefficient h_n past h(0) up to the order, with P's constant index
+    kc outside [0, order], is solved as one cumulative product of term
+    ratios over k = 0 mod n; every other system runs the recurrence term
+    by term.  Both give the same coefficients to round-off.
     """
     lo, hi = prob.indicial_roots
-    return (_solve_at_root(prob, lo, hi, lo, round(hi - lo)),
-            _solve_at_root(prob, lo, hi, hi, None))
+    hn = [(n, c) for n, c in
+          enumerate(prob.h.coeffs[1:prob.order + 1].tolist(), 1) if c]
+    return (_solve_at_root(prob, lo, hi, lo, round(hi - lo), hn),
+            _solve_at_root(prob, lo, hi, hi, None, hn))
 
 
 # -- catenoidal construction ------------------------------------------------
@@ -388,8 +460,12 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     or boundary infinity, and placed by P = standardizing_isometry(anchor,
     boundary)^-1, which sends 0 to the anchor and infinity to the
     boundary; the anchor is the axis' other point, and for a
-    horospherical end any point but its boundary.  Flux moves covariantly
-    under P.  No P is applied when it is the identity.
+    horospherical end at a finite b it is b + 1, which fixes the scale
+    that kappa is read at: P(z) = b - 1/(z - 1), so P moves the end
+    from infinity to b at unit scale.  From |b| >= 2^52 on, where b + 1
+    rounds, P is applied as its two exact factors, z -> 1/(1 - z) and
+    then z -> z + b.  Flux moves covariantly under P.  No P is applied
+    when it is the identity.
     """
     if not isinstance(spec, Mapping):
         raise DomainError("an end spec is a JSON object, not %s"
@@ -419,7 +495,11 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         end = Horospherical(b, 4.0 * h0 * h0 if round(mu) == 2 else 0j)
         frame = canonical_horospherical_frame(
             mu, _perturbed_h(h0, pert, order), order=order)
-        # any anchor other than b works; 0 leaves b = infinity in place
+        # The anchor b + 1 fixes the scale kappa is read at; 0 leaves
+        # b = infinity in place.  Where b + 1 rounds, P's exact factors.
+        if not is_inf(b) and abs(b) >= _FAR_BOUNDARY:
+            frame = transform_frame(IsometrySL2(1.0, -1.0, 1.0, 0.0), frame)
+            return transform_frame(IsometrySL2(1.0, 0.0, b, 1.0), frame), end
         anchor = 0j if is_inf(b) else complex(b) + 1.0
     elif kind == "horosphere":
         return horosphere_frame(order), Horosphere()

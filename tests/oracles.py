@@ -22,6 +22,12 @@ placed_by_entries moves a frame by an isometry entry by entry, each new
 entry a series sum of two scaled entries at their own offsets, the
 reference for transform_frame on aligned columns.
 
+Ends: frobenius_mp runs the catenoidal Frobenius recurrence with
+mpmath at 50 digits, the reference for both paths of
+ends.frobenius_solve; ode_residual is the residual of a candidate
+solution in the entry ODE; classify_end reads the end type from the
+Weierstrass exponents.
+
 Killing fields: the vector Y and potential Z of each field in closed
 form, written per field kind and endpoint case rather than through the
 field's quadratic V.  For a geodesic with two finite endpoints (C, D)
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Tuple
 
+import mpmath
 import numpy as np
 
 from bryantflux.bryant import BryantFrame, _check_radius, _zeta_w
@@ -284,6 +291,48 @@ def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:
     r = xpp - term_s - term_p - term_c
     # The top two coefficients lie beyond the recurrence window.
     return float(np.max(np.abs(r.coeffs[:-2] if r.order >= 2 else r.coeffs)))
+
+
+def frobenius_mp(prob: FrobeniusProblem, dps: int = 50):
+    """(lower, upper) Frobenius coefficient lists of a catenoidal entry
+    system (coupling -2) at ``dps`` digits, the reference for
+    frobenius_solve.
+
+    With X = sum x_k z^(sigma+k) and P = X'/q = sum p_k z^(k-kc),
+    kc = s + 1 - sigma, the system X' = q P, P' = mu z^(-2-s) X reads
+    (sigma + k) x_k = sum_n h_n p_(k-n) and (k - kc) p_k = mu x_k, so
+    x_k = sum_(n>=1) h_n p_(k-n) / (sigma + k - mu h_0 / (k - kc)).  The
+    denominator vanishes at the indicial roots; at the lower one's root
+    gap x is set to 0, as in the package.  No k up to the order may meet
+    kc.  The data are the problem's doubles, read exactly, and the roots
+    are recomputed at ``dps`` digits.  (The second-order ODE's three-term
+    recurrence is not used: run forward it loses digits to the growing
+    solution on every step.)
+    """
+    assert prob.coupling == -2
+    K = prob.order
+    with mpmath.workdps(dps):
+        mu, s = mpmath.mpf(prob.mu), mpmath.mpf(prob.s)
+        h = {n: mpmath.mpc(complex(c))
+             for n, c in enumerate(prob.h.coeffs[:K + 1]) if c}
+        b = 1 + s
+        disc = mpmath.sqrt(b * b + 4 * mu * h[0])
+        lo, hi = sorted(((b - disc) / 2, (b + disc) / 2), key=mpmath.re)
+        gap = int(mpmath.nint(mpmath.re(hi - lo)))
+        out = []
+        for sigma, free in ((lo, gap), (hi, None)):
+            kc = s + 1 - sigma
+            x = [mpmath.mpc(1)] + [mpmath.mpc(0)] * K
+            p = [mu / (0 - kc)] + [mpmath.mpc(0)] * K
+            for k in range(1, K + 1):
+                assert abs(k - kc) > 1e-9
+                if k != free:
+                    x[k] = (mpmath.fsum(c * p[k - n] for n, c in h.items()
+                                        if 0 < n <= k)
+                            / (sigma + k - mu * h[0] / (k - kc)))
+                p[k] = mu * x[k] / (k - kc)
+            out.append(x)
+        return out
 
 
 def classify_end(weier: WeierstrassData) -> str:

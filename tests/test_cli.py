@@ -441,6 +441,18 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_single_term_overflow_exits_2(self, tmp_path, capsys):
+        # a catenoidal h with one term past h(0) takes the product form
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(CATENOID_SPEC,
+                                        h_perturbation=[0, 1e200])))
+        code = run(["end", "build", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "DomainError",
+            "message": "the frame overflows: its coefficients are not finite"}
+
     @pytest.mark.parametrize("spec, argv, error", [
         (dict(CATENOID_SPEC, axis=5), ["flux"], "DomainError"),
         ([CATENOID_SPEC], ["flux"], "DomainError"),

@@ -17,12 +17,13 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
                         horosphere_frame, horospherical_polynomial, is_inf,
                         mobius_boundary, transform_frame)
 from bryantflux import bryant, ends, series
+from bryantflux.bryant import _defects, _identity_terms
 from bryantflux.series import differentiate
 
 from conftest import make_h, translated_catenoidal_frame
-from oracles import (WeierstrassData, classify_end, eval_at, normalized,
-                     ode_residual, placed_by_entries, radius_estimate,
-                     series_isclose)
+from oracles import (WeierstrassData, classify_end, eval_at, frobenius_mp,
+                     normalized, ode_residual, placed_by_entries,
+                     radius_estimate, series_isclose)
 
 
 def integrate_ode(prob, sol, rho0, rho1):
@@ -73,7 +74,8 @@ class TestCousinFrame:
 
     def test_determinant_identity(self):
         for mu in (0.5, 1.5, 2.0, 3.0):
-            det, null = bryant._frame_defects(catenoid_cousin_frame(mu))[:2]
+            frame = catenoid_cousin_frame(mu)
+            det, null = _defects(_identity_terms(frame))[:2]
             assert det < 1e-12 and null < 1e-12
 
     def test_mu_one_rejected(self):
@@ -191,6 +193,128 @@ class TestFrobenius:
                              h=GeneralizedSeries.constant(1.0))
 
 
+def product_calls(monkeypatch):
+    """The roots at which frobenius_solve takes the product form, as a
+    list that each solve appends its sigmas to."""
+    calls = []
+    product = ends._product_at_root
+
+    def counted(prob, lo, hi, sigma, gap, hn):
+        calls.append(sigma)
+        return product(prob, lo, hi, sigma, gap, hn)
+
+    monkeypatch.setattr(ends, "_product_at_root", counted)
+    return calls
+
+
+def assert_matches_mpmath(prob):
+    """Every coefficient of both roots above 1e-280 within 1e-13 relative
+    of the 50-digit recurrence, and every zero of it exactly zero."""
+    for got, ref in zip(frobenius_solve(prob), frobenius_mp(prob)):
+        ref = np.array([complex(v) for v in ref])
+        big = np.abs(ref) > 1e-280
+        assert np.all(np.abs(got.coeffs - ref)[big]
+                      <= 1e-13 * np.abs(ref)[big])
+        assert np.all(got.coeffs[ref == 0] == 0)
+
+
+class TestProductForm:
+    """A catenoidal column whose h has one term h_n past h(0) is solved as
+    one product of term ratios; everything else runs the loop."""
+
+    @pytest.mark.parametrize("order", [32, 128])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("mu", [0.32, 0.6, 0.83, 1.7])
+    def test_single_term_matches_mpmath(self, mu, n, order, monkeypatch):
+        calls = product_calls(monkeypatch)
+        for p in (0.013, 0.42, 7.5):
+            extra = [0.0] * (n - 1) + [p]
+            assert_matches_mpmath(FrobeniusProblem(
+                s=-1.0 - mu, coupling=-2, mu=mu,
+                h=make_h(mu, extra=extra, order=order), order=order))
+        assert len(calls) == 3 * 2
+
+    @pytest.mark.parametrize("order", [32, 128])
+    def test_two_terms_match_mpmath_on_the_loop(self, order, monkeypatch):
+        calls = product_calls(monkeypatch)
+        for mu in (0.32, 0.6, 0.83, 1.7):
+            assert_matches_mpmath(FrobeniusProblem(
+                s=-1.0 - mu, coupling=-2, mu=mu,
+                h=make_h(mu, extra=(0.0, 0.42, 0.1), order=order),
+                order=order))
+        assert calls == []
+
+    @pytest.mark.parametrize("mu, s, coupling, h, roots", [
+        (0.5, -1.5, -2, make_h(0.5), 2),
+        (0.5, -1.5, -2, make_h(0.5, extra=(0.0, 0.05)), 2),
+        (0.5, -1.5, -2, make_h(0.5, extra=(0.0, 0.05, 0.01)), 0),
+        # kc = 2 at the lower root and 1 at the upper one
+        (3.0, 2.0, -2, make_h(3.0, extra=(0.0, 0.05)), 0),
+        (2.0, -2.0, -1, GeneralizedSeries.from_coeffs(
+            0.0, 0.5 * np.array([1.0, 1.0, 0.1] + [0.0] * 30)), 0),
+        (3.0, -2.0, 0, GeneralizedSeries.from_coeffs(
+            0.0, np.array([1.0, 0.0, 0.3] + [0.0] * 30)), 0),
+    ], ids=["constant-h", "single-term", "two-terms", "kc-in-range",
+            "horospherical-mu2", "horospherical-mu3"])
+    def test_branch_is_chosen_from_the_data(self, mu, s, coupling, h, roots,
+                                            monkeypatch):
+        calls = product_calls(monkeypatch)
+        prob = FrobeniusProblem(s=s, coupling=coupling, mu=mu, h=h)
+        small, big = frobenius_solve(prob)
+        assert len(calls) == roots
+        lo, hi = prob.indicial_roots
+        assert small.coeffs[round(hi - lo)] == 0.0
+        assert ode_residual(prob, small) < 1e-12
+        assert ode_residual(prob, big) < 1e-12
+
+    def test_lone_h1_raises_the_loops_error(self, monkeypatch):
+        # The obstruction at the gap, k = 1, is h_1 p_0 = 0.0375 * -2 on
+        # both paths; a far second term sends the same data to the loop.
+        calls = product_calls(monkeypatch)
+        errors = []
+        for extra in ((0.1,), (0.1, 0.0, 0.0, 0.0, 1e-3)):
+            prob = FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+                                    h=make_h(0.5, extra=extra))
+            with pytest.raises(LogTermRequiredError) as exc:
+                frobenius_solve(prob)
+            errors.append(str(exc.value))
+        assert calls == [prob.indicial_roots[0]]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("resonance obstruction 7.500e-02 at "
+                                    "order 1:")
+
+    def test_overflow_is_left_to_the_frame_check(self):
+        # pytest turns a RuntimeWarning into an error
+        prob = FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+                                h=make_h(0.5, extra=(0.0, 1e200)))
+        small, big = frobenius_solve(prob)
+        assert not np.isfinite(small.coeffs).all()
+        assert not np.isfinite(big.coeffs).all()
+
+    def test_obstruction_is_logged_on_both_paths(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bryantflux")
+        p1 = 1e-12  # obstructions below the 1e-9 bar
+        # product form: h_1 = 0.375 p1, obstruction h_1 p_0, p_0 = mu / -kc
+        cat = FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+                               h=make_h(0.5, extra=(p1,)))
+        # loop: h'(0) = 2 h0^2 + p1, obstruction h_1 p_0 + h_0 p_1 = -p1/h0
+        h0 = 0.5
+        horo = FrobeniusProblem(s=-2.0, coupling=-1, mu=2.0,
+                                h=GeneralizedSeries.from_coeffs(
+                                    0.0, [h0, 2.0 * h0 * h0 + p1, 0.1]))
+        small, _ = frobenius_solve(cat)
+        assert not small.coeffs[1:].any()  # 0 from the gap on, as in the loop
+        frobenius_solve(horo)
+        records = [r for r in caplog.records if r.name == "bryantflux"
+                   and r.msg.startswith("resonance obstruction")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        (cat_ob, k, bar), (horo_ob, k2, _) = (r.args for r in records)
+        assert (k, k2, bar) == (1, 1, 1e-9)
+        kc = cat.s + 1.0 - cat.indicial_roots[0]
+        assert cat_ob == pytest.approx(0.375 * p1 * 0.5 / abs(kc), rel=1e-12)
+        assert horo_ob == pytest.approx(p1 / h0, rel=1e-3)
+
+
 class TestCanonicalCatenoidal:
     def test_constant_h_zero_axis_reduces_to_cousin(self):
         mu = 0.5
@@ -216,7 +340,7 @@ class TestCanonicalCatenoidal:
             assert is_inf(b)
 
     def test_perturbed_h_passes_frame_checks(self, perturbed_frame):
-        det, null = bryant._frame_defects(perturbed_frame)[:2]
+        det, null = _defects(_identity_terms(perturbed_frame))[:2]
         assert det < 1e-9 and null < 1e-9
 
     def test_wrong_h0_rejected(self):
@@ -248,7 +372,7 @@ class TestCanonicalHorospherical:
         c_lead = normalized(frame.C)
         assert c_lead.offset == -1.0
         assert abs(c_lead.coeffs[0] + 1.0) < 1e-12  # c = -h(0)
-        det, null = bryant._frame_defects(frame)[:2]
+        det, null = _defects(_identity_terms(frame))[:2]
         assert det < 1e-8 and null < 1e-12
 
     def test_mu3_constant_h_zero_triple(self):
@@ -373,7 +497,7 @@ class TestBuildEnd:
         a, b = extract_axis(frame)
         assert abs(complex(a) - 1.0) < 1e-8
         assert abs(complex(b) - 1.0j) < 1e-8
-        det, null = bryant._frame_defects(frame)[:2]
+        det, null = _defects(_identity_terms(frame))[:2]
         assert det < 1e-8 and null < 1e-7
 
     def test_catenoidal_spec_with_perturbation(self):
@@ -448,6 +572,35 @@ class TestBuildEnd:
         res = -(t.phi0 if boundary == "inf" else t.phi2) / (2.0 * math.pi)
         assert abs(desc.kappa - res) <= 1e-14 * max(1.0, abs(res))
 
+    @pytest.mark.parametrize("boundary", [[1e16, 0.0], [-1e16, 0.0],
+                                          [3e20, 1e20]])
+    def test_far_horospherical_boundary_keeps_its_polynomial(self, boundary):
+        # b + 1 rounds to b or b + 2 here, so the end is placed by the
+        # anchor's two exact factors
+        spec = {"type": "horospherical", "mu": 2, "h0": 0.5,
+                "h_perturbation": [1.0, 0.1], "boundary": boundary}
+        frame, desc = build_end(spec)
+        got = FluxPolynomial.from_triple(flux_triple(frame))
+        ref = horospherical_polynomial(desc.kappa, desc.boundary)
+        for a, b in ((got.quad, ref.quad), (got.lin, ref.lin),
+                     (got.const, ref.const)):
+            assert abs(a - b) <= 1e-8 * abs(b)
+
+    def test_far_placement_factors_are_the_anchors_isometry(self):
+        # Below 2^52 the end is placed from the anchor b + 1; the two
+        # exact factors used beyond it place it the same way.
+        b = 1e15 + 0.5j
+        spec = {"type": "horospherical", "mu": 2, "h0": 0.5,
+                "h_perturbation": [1.0, 0.1], "boundary": [b.real, b.imag]}
+        frame, _ = build_end(spec)
+        std, _ = build_end(dict(spec, boundary="inf"))
+        two = transform_frame(IsometrySL2(1.0, 0.0, b, 1.0), transform_frame(
+            IsometrySL2(1.0, -1.0, 1.0, 0.0), std))
+        for got, want in zip(frame.entries(), two.entries()):
+            assert got.offset == want.offset
+            assert np.all(np.abs(got.coeffs - want.coeffs)
+                          <= 1e-15 * np.abs(want.coeffs).max())
+
     def test_horosphere_spec(self):
         frame, desc = build_end({"type": "horosphere"})
         assert isinstance(desc, Horosphere)
@@ -485,7 +638,7 @@ class TestBuildEnd:
         # every entry is truncated at the requested order, D included
         order = spec.get("order", DEFAULT_ORDER)
         assert [e.order for e in frame.entries()] == [order] * 4
-        det, null = bryant._frame_defects(frame)[:2]
+        det, null = _defects(_identity_terms(frame))[:2]
         assert det <= 1e-12 and null <= 1e-12
         mu = spec["mu"]
         if spec["type"] == "catenoidal":
@@ -510,7 +663,7 @@ class TestBuildEnd:
 class TestHorosphereFrame:
     def test_exact(self):
         f = horosphere_frame()
-        assert bryant._frame_defects(f)[:2] == (0.0, 0.0)
+        assert _defects(_identity_terms(f))[:2] == (0.0, 0.0)
         assert math.isinf(f.validity_radius)
 
 
@@ -578,11 +731,11 @@ class TestDefectPass:
         [(built, omega)] = calls
         assert omega is not None
         ref = series_defects(built, omega)
-        assert bryant._frame_defects(built, omega) == ref
-        assert bryant._frame_defects(built)[:2] == ref[:2]
+        assert _defects(_identity_terms(built, omega)) == ref
+        assert _defects(_identity_terms(built))[:2] == ref[:2]
         # the frame moved to a finite boundary point, which checked_frame
         # does not see
-        assert (bryant._frame_defects(frame)[:2]
+        assert (_defects(_identity_terms(frame))[:2]
                 == series_defects(frame, omega)[:2])
 
     @pytest.mark.parametrize("order", [32, 64, 128])
@@ -638,8 +791,9 @@ class TestDefectPass:
         (frame, _), [(built, omega)] = checked_calls(DEFECT_SPECS[1],
                                                      monkeypatch)
         [record] = [r for r in caplog.records
-                    if r.name == "bryantflux" and r.levelno == logging.DEBUG]
-        assert record.args == (*bryant._frame_defects(built, omega),
+                    if r.name == "bryantflux" and r.levelno == logging.DEBUG
+                    and r.msg.startswith("frame defects")]
+        assert record.args == (*_defects(_identity_terms(built, omega)),
                                built.validity_radius)
         assert "omega" in record.getMessage()
 

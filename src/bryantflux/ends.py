@@ -11,21 +11,25 @@ F^-1 dF = (g, -g^2; 1, -g) omega, g = z^mu, omega = z^s h dz.  One
 Frobenius solve of X' = z^s h P, P' = mu z^(mu-1) X, for a first-column
 entry X and P = B + gA (or D + gC), gives A and C: its recurrence never
 divides by h, and P carries a constant at the horospherical lower root.
-The indicial roots differ by a positive integer; for admissible data the
-resonance obstruction vanishes and the lower-root solutions form the
-line lower + t * upper (t free) instead of needing a logarithm.  The
-second column follows term by term from dB = -g dA and dD = -g dC.  A
-nonzero obstruction is a LogTermRequiredError: the coefficient data
-violates the admissibility constraints, not that the solver gave up.
-The obstruction is logged at DEBUG whether or not it is refused.
+FrobeniusProblem accepts only the two first columns that ends have,
+catenoidal (s = -1 - mu) and horospherical (s = -2, integer mu >= 2),
+and checks their data once.  On both the indicial roots differ by 1 and
+the index of P's constant never reaches an order k >= 1, so that
+constant is set before the recurrence runs.  For admissible data the
+resonance obstruction at the gap vanishes and the lower-root solutions
+form the line lower + t * upper (t free) instead of needing a
+logarithm.  The second column follows term by term from dB = -g dA and
+dD = -g dC.  A nonzero obstruction is a LogTermRequiredError: the
+coefficient data violates the admissibility constraints, not that the
+solver gave up.  The obstruction is logged at DEBUG whether or not it
+is refused.
 
 A catenoidal column whose h has a single term past h(0),
 h = h(0)(1 + p_n z^n), is a generalized hypergeometric series in z^n:
-its term ratio is rational in k (DLMF 16.2), so when no k up to the
-order meets the index of P's constant the solve is one cumulative
-product of those ratios.  The branch is read from the data; every
-other system (horospherical columns, two or more terms, that index in
-range) runs the recurrence term by term.
+its term ratio is rational in k (DLMF 16.2), so the solve is one
+cumulative product of those ratios.  The branch is read from the data;
+horospherical columns and catenoidal ones with two or more terms run
+the recurrence term by term.
 
 Every end is built at its standard position: the catenoidal axis
 (0, infinity), the horospherical boundary infinity.  An embedded end
@@ -112,42 +116,60 @@ EndDescriptor = Union[Catenoidal, Horospherical, Horosphere]
 
 @dataclass(frozen=True)
 class FrobeniusProblem:
-    """The entry ODE X'' - (q'/q) X' - mu h z^m X = 0 with q = z^s h, as
-    the first-order system X' = q P, P' = mu z^(m-s) X in P = X'/q.
+    """The first column X' = q P, P' = mu z^(mu-1) X, q = z^s h, of an
+    end's frame, the system of the entry ODE X'' - (q'/q) X' -
+    mu h z^(d-2) X = 0 in P = X'/q, with d = s + mu + 1.
 
-    ``coupling`` is the exponent m (m = -2 for catenoidal columns, where
-    the coupling term joins the indicial equation; m = mu - 3 for
-    horospherical columns).
+    Two columns are accepted, each checked here once: a catenoidal one,
+    s = -1 - mu (d = 0) with mu > 0, mu != 1, h(0) within 1e-10 of
+    (1 - mu^2)/(4 mu) and the indicial roots 1 apart within 1e-9 as
+    computed, and a horospherical one, s = -2 (d = mu - 1) with mu an
+    integer >= 2 within 1e-9, stored as that integer.  Any other
+    (s, mu) is a DomainError.  h is holomorphic with h(0) != 0.
     """
 
     s: float
-    coupling: int
     mu: float
     h: GeneralizedSeries
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
+        mu = self.mu
+        if self.s == -1.0 - mu:
+            _check_catenoidal_mu(mu)
+            h0 = complex(self.h.coeffs[0])
+            target = (1.0 - mu * mu) / (4.0 * mu)
+            if abs(h0 - target) > 1e-10:
+                raise DomainError("h(0) must equal (1-mu^2)/(4mu) = %g for a "
+                                  "catenoidal end" % target)
+            # mu h(0) joins the indicial equation; from mu about 1.6e5
+            # on, rounding can move its roots off their gap of 1.
+            if abs(cmath.sqrt((1.0 + self.s) ** 2 + 4.0 * mu * h0) - 1) > 1e-9:
+                raise DomainError("mu = %g rounds the indicial roots" % mu)
+        elif self.s == -2.0:
+            m = round(float(mu))
+            if abs(float(mu) - m) > 1e-9 or m < 2:
+                raise DomainError("horospherical construction needs integer mu >= 2")
+            object.__setattr__(self, "mu", float(m))
+        else:
+            raise DomainError("s = %g, mu = %g: no end's column" % (self.s, mu))
         if self.h.offset != 0.0 or abs(self.h.coeffs[0]) == 0.0:
             raise DomainError("ODE coefficient h must be holomorphic with h(0) != 0")
-        if self.coupling < -2:
-            raise DomainError("coupling exponent below -2 is an irregular "
-                              "singularity, out of scope")
+
+    @property
+    def d(self) -> int:
+        """s + mu + 1, the shift in (k - kc) p_k = mu x_(k-d): 0 on a
+        catenoidal column, mu - 1 on a horospherical one."""
+        return int(self.mu) - 1 if self.s == -2.0 else 0
 
     @property
     def indicial_roots(self) -> Tuple[float, float]:
-        """(sigma1, sigma2) with sigma1 < sigma2, sigma2 - sigma1 a positive integer."""
-        c0 = self.mu * complex(self.h.coeffs[0]) if self.coupling == -2 else 0.0
+        """(sigma1, sigma2) with sigma2 = sigma1 + 1: ((-1 - mu)/2, (1 - mu)/2)
+        catenoidal, (-1, 0) horospherical."""
+        c0 = self.mu * complex(self.h.coeffs[0]) if self.d == 0 else 0.0
         b = 1.0 + self.s
         disc = cmath.sqrt(b * b + 4.0 * c0)
-        r1, r2 = (b - disc) / 2.0, (b + disc) / 2.0
-        if abs(r1.imag) > 1e-9 or abs(r2.imag) > 1e-9:
-            raise DomainError("indicial roots are not real for this data")
-        lo, hi = sorted((r1.real, r2.real))
-        gap = hi - lo
-        if abs(gap - round(gap)) > 1e-9 or round(gap) < 1:
-            raise DomainError("indicial roots must differ by a positive integer "
-                              "(got gap %g)" % gap)
-        return lo, hi
+        return ((b - disc) / 2.0).real, ((b + disc) / 2.0).real
 
 
 def _check_obstruction(obstruction, k: int, x) -> None:
@@ -164,105 +186,98 @@ def _check_obstruction(obstruction, k: int, x) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _product_at_root(prob: FrobeniusProblem, lo: float, hi: float,
-                     sigma: float, gap: Optional[int], hn) -> np.ndarray:
-    """x of a catenoidal column (d = 0) whose h has at most one term h_n
-    past h_0, when no k up to the order meets P's constant index kc.
+                     sigma: float, gap: Optional[int], hn) -> GeneralizedSeries:
+    """X of a catenoidal column whose h has at most one term h_n past h_0,
+    at one root, with the arguments of _solve_at_root.
 
     The recurrence of _solve_at_root then couples only k and k - n:
     x_k = r_k x_(k-n) with r_k = mu h_n e_k / ((sigma + k - lo)
     (sigma + k - hi) e_(k-n)) and e_k = k - kc, a term ratio rational in
     k (the series is hypergeometric in z^n).  So the class k = 0 mod n is
-    one cumulative product and every other class is 0.  x is 0 at the
-    root gap, as in the loop, so its class stays 0 from there on; the
-    obstruction at the gap is h_n p_(gap-n) = h_n mu x_(gap-n) /
-    e_(gap-n).  Overflow is left as inf or nan for the frame's
-    finiteness check.
+    one cumulative product and every other class is 0.  At the lower
+    root x is 0 at the gap, k = 1, as in the loop: for n = 1 the class
+    stays 0 from there on and the obstruction there is h_1 p_0, for
+    n >= 2 the gap is off the class and the obstruction is 0.  Overflow
+    is left as inf or nan for the frame's finiteness check.
     """
     K, mu = prob.order, prob.mu
     kc = prob.s + 1.0 - sigma
     n, c = hn[0] if hn else (K + 1, 0j)
-    top = min(gap - 1 if gap is not None and gap % n == 0 else K, K)
+    top = 0 if gap == n else K
     k = np.arange(n, top + 1, n, dtype=float)
     x = np.zeros(K + 1, dtype=complex)
     x[0] = 1.0
     x[n:top + 1:n] = np.cumprod((mu * c) * ((k - kc) / (
         (k + (sigma - lo)) * (k + (sigma - hi)) * (k - (n + kc)))))
     if gap is not None and gap <= K:
-        _check_obstruction(c * (mu * x[gap - n] / (gap - n - kc))
-                           if gap >= n else 0.0, gap, x)
-    return x
+        _check_obstruction(c * (mu * x[0] / -kc) if gap == n else 0.0, gap, x)
+    return GeneralizedSeries(sigma, x)
 
 
 def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
                    sigma: float, gap: Optional[int], hn) -> GeneralizedSeries:
-    """Run the recurrence of X' = q P, P' = mu z^(m-s) X at one root.
+    """Run the recurrence of X' = q P, P' = mu z^(mu-1) X at one root.
 
     With X = sum x_k z^(sigma+k), P = sum p_k z^(k-kc), kc = s + 1 - sigma
-    and d = m + 2: (sigma + k) x_k = sum_n h_n p_(k-n) and
+    and d = prob.d: (sigma + k) x_k = sum_n h_n p_(k-n) and
     (k - kc) p_k = mu x_(k-d); for d = 0 h_0 p_k joins the left side.
-    p_kc is P's constant, fixed by the first equation with x_kc = 0 past
-    k = 0; P needs a log unless x_(kc-d) = 0.  ``gap`` is the resonance
-    order at the lower root, where x_gap is free and set to 0, else None.
+    kc is (1 - mu)/2 and -(1 + mu)/2 on a catenoidal column, 0 and -1 on a
+    horospherical one, so P's constant p_0 is set before the loop:
+    mu / -kc catenoidal, sigma / h(0) at the horospherical lower root and
+    0 at its upper root.  ``gap`` is 1 at the lower root, where x_1 is
+    free and set to 0 and the obstruction is checked, else None.
     (lo, hi) are the problem's indicial roots and ``hn`` the pairs
-    (n, h_n) of h's nonzero coefficients past h_0, ascending in n.  A
-    catenoidal column (d = 0) with at most one such pair and no kc in
-    [0, order] is one product of term ratios (_product_at_root).
+    (n, h_n) of h's nonzero coefficients past h_0, ascending in n.
     """
-    d, K, mu = prob.coupling + 2, prob.order, prob.mu
+    d, K, mu = prob.d, prob.order, prob.mu
     kc, h0 = prob.s + 1.0 - sigma, complex(prob.h.coeffs[0])
-    meets_kc = abs(kc - round(kc)) < 1e-9 and 0 <= round(kc) <= K
-    if d == 0 and len(hn) <= 1 and not meets_kc:
-        return GeneralizedSeries(sigma, _product_at_root(prob, lo, hi, sigma,
-                                                         gap, hn))
     x, p = [1.0 + 0j] + [0j] * K, [0j] * (K + 1)
-    for k in range(K + 1):
+    p[0] = mu * x[0] / -kc if d == 0 else sigma / h0 if kc == 0 else 0.0
+    for k in range(1, K + 1):
         e = k - kc
+        if d:
+            p[k] = mu * x[k - d] / e if k >= d else 0.0
         rhs = 0
         for n, c in hn:  # hn ascends in n
             if n > k:
                 break
             rhs += c * p[k - n]
-        if abs(e) < 1e-9:
-            obstruction = mu * x[k - d] if k >= d else 0.0
-            p[k] = ((sigma + k) * x[k] - rhs) / h0
+        # The n = 0 term: 0 on a catenoidal column, where h_0 p_k sits in
+        # x_k's divisor instead.
+        rhs += h0 * p[k]
+        if k == gap:
+            _check_obstruction(rhs, k, x)
         else:
-            p[k] = mu * x[k - d] / e if k >= d > 0 else 0.0
-            rhs += h0 * p[k]
-            obstruction = rhs if k == gap else 0.0
-            if 0 < k != gap:
-                x[k] = rhs / ((sigma + k - lo) * (sigma + k - hi) / e
-                              if d == 0 else sigma + k)
-            if d == 0:
-                p[k] = mu * x[k] / e
-        if k == gap or obstruction:
-            _check_obstruction(obstruction, k, x)
+            x[k] = rhs / ((sigma + k - lo) * (sigma + k - hi) / e
+                          if d == 0 else sigma + k)
+        if d == 0:
+            p[k] = mu * x[k] / e
     return GeneralizedSeries(sigma, np.array(x))
 
 
 def frobenius_solve(prob: FrobeniusProblem):
     """Both basis solutions, as (lower-root series, upper-root series), of
-    X' = q P, P' = mu z^(m-s) X; P = X'/q carries the constant sigma / h(0)
-    when X' starts at z^s, as at the horospherical lower root.
+    X' = q P, P' = mu z^(mu-1) X; P = X'/q carries the constant
+    sigma / h(0) at the horospherical lower root, where X' starts at z^s.
 
     Both have unit leading coefficient.  The upper-root solution is
-    unique.  The lower-root one has coefficient 0 at the resonance order
-    (the root gap); the recurrence is linear and that coefficient is
-    free, so every lower-root solution is ``small + t * big``, the sum
-    placing big at the gap, with t its coefficient there.  The
-    obstruction at the gap is logged at DEBUG on the ``bryantflux``
-    logger.
+    unique.  The roots differ by 1, and the lower-root one has
+    coefficient 0 at that order (the root gap); the recurrence is linear
+    and that coefficient is free, so every lower-root solution is
+    ``small + t * big``, the sum placing big at the gap, with t its
+    coefficient there.  The obstruction at the gap is logged at DEBUG on
+    the ``bryantflux`` logger.
 
-    A catenoidal column (coupling -2) whose h has at most one nonzero
-    coefficient h_n past h(0) up to the order, with P's constant index
-    kc outside [0, order], is solved as one cumulative product of term
-    ratios over k = 0 mod n; every other system runs the recurrence term
+    A catenoidal column whose h has at most one nonzero coefficient h_n
+    past h(0) up to the order is solved as one cumulative product of term
+    ratios over k = 0 mod n; every other column runs the recurrence term
     by term.  Both give the same coefficients to round-off.
     """
     lo, hi = prob.indicial_roots
     hn = [(n, c) for n, c in
           enumerate(prob.h.coeffs[1:prob.order + 1].tolist(), 1) if c]
-    return (_solve_at_root(prob, lo, hi, lo, round(hi - lo), hn),
-            _solve_at_root(prob, lo, hi, hi, None, hn))
+    solve = _product_at_root if prob.d == 0 and len(hn) <= 1 else _solve_at_root
+    return solve(prob, lo, hi, lo, 1, hn), solve(prob, lo, hi, hi, None, hn)
 
 
 # -- catenoidal construction ------------------------------------------------
@@ -332,24 +347,18 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
                                order: int = DEFAULT_ORDER) -> BryantFrame:
     """Frame of the catenoidal end with axis (0, infinity).
 
-    Requires h(0) = (1 - mu^2)/(4 mu) and h'(0) = 0.  One Frobenius
-    solve of the first-column ODE gives (f1, f2): A = f2 and
-    C = (mu^2 - 1)/(4 mu) f1.  B and D are the paired column of A and C.
-    build_end places an end with any other axis by an isometry.
+    Requires h(0) = (1 - mu^2)/(4 mu), which the problem checks, and
+    h'(0) = 0.  One Frobenius solve of the first-column system gives
+    (f1, f2): A = f2 and C = (mu^2 - 1)/(4 mu) f1.  B and D are the
+    paired column of A and C.  build_end places an end with any other
+    axis by an isometry.
     """
-    _check_catenoidal_mu(mu)
-    h0_target = (1.0 - mu * mu) / (4.0 * mu)
-    if abs(complex(h.coeffs[0]) - h0_target) > 1e-10:
-        raise DomainError(
-            "h(0) must equal (1-mu^2)/(4mu) = %g for a catenoidal end" % h0_target)
+    prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h, order=order)
     h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
     if abs(h1) > 1e-10:
         raise DomainError("catenoidal data requires h'(0) = 0")
-
-    f1, f2 = frobenius_solve(FrobeniusProblem(
-        s=-1.0 - mu, coupling=-2, mu=mu, h=h, order=order))
-    A = f2
-    C = ((mu * mu - 1.0) / (4.0 * mu)) * f1
+    f1, f2 = frobenius_solve(prob)
+    A, C = f2, ((mu * mu - 1.0) / (4.0 * mu)) * f1
     return _end_frame(A, _paired(A, mu), C, _paired(C, mu), -1.0 - mu, h)
 
 
@@ -359,19 +368,18 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
                                   order: int = DEFAULT_ORDER) -> BryantFrame:
     """Frame of the horospherical end with boundary at infinity.
 
-    mu is an integer >= 2.  The compatibility constraint on h is
-    h'(0) = 2 h(0)^2 when mu = 2 and h'(0) = 0 when mu >= 3; it is
-    exactly the condition killing the resonance obstruction of the
-    first-column ODE.  One Frobenius solve of that ODE gives (f1, f2):
-    A = f2 and C = -h(0) f1.  B and D are the paired column of A and C,
-    D with the constant D(0) = 1/A(0) = 1 that unit determinant needs.
+    mu is an integer >= 2, which the problem checks.  The compatibility
+    constraint on h is h'(0) = 2 h(0)^2 when mu = 2 and h'(0) = 0 when
+    mu >= 3; it is exactly the condition killing the resonance
+    obstruction of the first-column system.  One Frobenius solve of that
+    system gives (f1, f2): A = f2 and C = -h(0) f1.  B and D are the
+    paired column of A and C, D with the constant D(0) = 1/A(0) = 1 that
+    unit determinant needs.
     """
-    m = round(float(mu))
-    if abs(float(mu) - m) > 1e-9 or m < 2:
-        raise DomainError("horospherical construction needs integer mu >= 2")
+    prob = FrobeniusProblem(s=-2.0, mu=mu, h=h, order=order)
     h0 = complex(h.coeffs[0])
     h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
-    if m == 2:
+    if prob.mu == 2:
         h0sq = h0 * h0
         if not cmath.isfinite(h0sq):
             raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2, which "
@@ -380,14 +388,10 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
             raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2")
     elif abs(h1) > 1e-10:
         raise DomainError("mu >= 3 requires h'(0) = 0")
-    c = -h0
-
-    f1, f2 = frobenius_solve(FrobeniusProblem(
-        s=-2.0, coupling=m - 3, mu=float(m), h=h, order=order))
-    A = f2
-    C = c * f1
-    B = _paired(A, m)
-    D = GeneralizedSeries.constant(1.0, order) + _paired(C, m)
+    f1, f2 = frobenius_solve(prob)
+    A, C = f2, -h0 * f1
+    B = _paired(A, prob.mu)
+    D = GeneralizedSeries.constant(1.0, order) + _paired(C, prob.mu)
     return _end_frame(A, B, C, D, -2.0, h)
 
 
@@ -465,7 +469,8 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     from infinity to b at unit scale.  From |b| >= 2^52 on, where b + 1
     rounds, P is applied as its two exact factors, z -> 1/(1 - z) and
     then z -> z + b.  Flux moves covariantly under P.  No P is applied
-    when it is the identity.
+    when it is the identity.  A placed frame whose coefficients overflow
+    is a DomainError, as a standard one is.
     """
     if not isinstance(spec, Mapping):
         raise DomainError("an end spec is a JSON object, not %s"
@@ -485,7 +490,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         frame = canonical_catenoidal_frame(
             mu, _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order),
             order=order)
-        anchor = end.axis_from
+        anchor, b = end.axis_from, end.boundary
     elif kind == "horospherical":
         mu = parse_real(spec["mu"])
         b = parse_point(spec["boundary"])
@@ -496,16 +501,19 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         frame = canonical_horospherical_frame(
             mu, _perturbed_h(h0, pert, order), order=order)
         # The anchor b + 1 fixes the scale kappa is read at; 0 leaves
-        # b = infinity in place.  Where b + 1 rounds, P's exact factors.
+        # b = infinity in place.  Where b + 1 rounds, P's exact factors
+        # place the end, and b = infinity then leaves it where it is.
         if not is_inf(b) and abs(b) >= _FAR_BOUNDARY:
             frame = transform_frame(IsometrySL2(1.0, -1.0, 1.0, 0.0), frame)
-            return transform_frame(IsometrySL2(1.0, 0.0, b, 1.0), frame), end
+            frame = transform_frame(IsometrySL2(1.0, 0.0, b, 1.0), frame)
+            b = INF
         anchor = 0j if is_inf(b) else complex(b) + 1.0
     elif kind == "horosphere":
         return horosphere_frame(order), Horosphere()
     else:
         raise DomainError("unknown end type %r" % (kind,))
-    q = standardizing_isometry(anchor, end.boundary)
+    q = standardizing_isometry(anchor, b)
     if q != IsometrySL2(1.0, 0.0, 0.0, 1.0):
         frame = transform_frame(q.inverse(), frame)
+    _check_finite("the placed frame", *frame.entries())
     return frame, end

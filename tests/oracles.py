@@ -22,11 +22,11 @@ placed_by_entries moves a frame by an isometry entry by entry, each new
 entry a series sum of two scaled entries at their own offsets, the
 reference for transform_frame on aligned columns.
 
-Ends: frobenius_mp runs the catenoidal Frobenius recurrence with
-mpmath at 50 digits, the reference for both paths of
-ends.frobenius_solve; ode_residual is the residual of a candidate
-solution in the entry ODE; classify_end reads the end type from the
-Weierstrass exponents.
+Ends: frobenius_mp runs the Frobenius recurrence of a catenoidal or
+horospherical first column with mpmath at 50 digits, the reference for
+both paths of ends.frobenius_solve; ode_residual is the residual of a
+candidate solution in an entry ODE given by its exponents;
+classify_end reads the end type from the Weierstrass exponents.
 
 Killing fields: the vector Y and potential Z of each field in closed
 form, written per field kind and endpoint case rather than through the
@@ -280,57 +280,67 @@ def _pad_to(a: GeneralizedSeries, order: int) -> GeneralizedSeries:
     return GeneralizedSeries(a.offset, c)
 
 
-def ode_residual(prob: FrobeniusProblem, sol: GeneralizedSeries) -> float:
-    """Max coefficient of X'' - (q'/q)X' - mu h z^m X for a candidate X."""
-    h = _pad_to(prob.h, prob.order)
+def ode_residual(sol: GeneralizedSeries, s: float, m: float, mu: float,
+                 h: GeneralizedSeries) -> float:
+    """Max coefficient of X'' - (q'/q)X' - mu h z^m X, q = z^s h, for a
+    candidate X.  A first column has m = s + mu - 1 (-2 catenoidal,
+    mu - 3 horospherical)."""
+    h = _pad_to(h, sol.order)
     xp = differentiate(sol)
     xpp = differentiate(xp)
-    term_s = GeneralizedSeries(xp.offset - 1.0, prob.s * xp.coeffs)
+    term_s = GeneralizedSeries(xp.offset - 1.0, s * xp.coeffs)
     term_p = series_div(differentiate(h), h) * xp
-    term_c = prob.mu * (GeneralizedSeries(float(prob.coupling), h.coeffs) * sol)
+    term_c = mu * (GeneralizedSeries(float(m), h.coeffs) * sol)
     r = xpp - term_s - term_p - term_c
     # The top two coefficients lie beyond the recurrence window.
     return float(np.max(np.abs(r.coeffs[:-2] if r.order >= 2 else r.coeffs)))
 
 
 def frobenius_mp(prob: FrobeniusProblem, dps: int = 50):
-    """(lower, upper) Frobenius coefficient lists of a catenoidal entry
-    system (coupling -2) at ``dps`` digits, the reference for
-    frobenius_solve.
+    """(lower, upper) Frobenius coefficient lists of a first column at
+    ``dps`` digits, the reference for frobenius_solve.
 
-    With X = sum x_k z^(sigma+k) and P = X'/q = sum p_k z^(k-kc),
-    kc = s + 1 - sigma, the system X' = q P, P' = mu z^(-2-s) X reads
-    (sigma + k) x_k = sum_n h_n p_(k-n) and (k - kc) p_k = mu x_k, so
-    x_k = sum_(n>=1) h_n p_(k-n) / (sigma + k - mu h_0 / (k - kc)).  The
-    denominator vanishes at the indicial roots; at the lower one's root
-    gap x is set to 0, as in the package.  No k up to the order may meet
-    kc.  The data are the problem's doubles, read exactly, and the roots
-    are recomputed at ``dps`` digits.  (The second-order ODE's three-term
-    recurrence is not used: run forward it loses digits to the growing
-    solution on every step.)
+    With X = sum x_k z^(sigma+k), P = X'/q = sum p_k z^(k-kc),
+    kc = s + 1 - sigma and d = s + mu + 1, the system X' = q P,
+    P' = mu z^(mu-1) X reads (sigma + k) x_k = sum_n h_n p_(k-n) and
+    (k - kc) p_k = mu x_(k-d).  On a catenoidal column (d = 0) that is
+    x_k = sum_(n>=1) h_n p_(k-n) / (sigma + k - mu h_0 / (k - kc)) from
+    p_0 = mu / -kc.  On a horospherical one (d = mu - 1) p_k is
+    mu x_(k-d) / (k - kc), 0 for k < d, from p_0 = sigma / h_0 at the
+    lower root (kc = 0) and 0 at the upper one, and x_k follows.  At the
+    lower root's gap x is set to 0, as in the package.  The data are the
+    problem's doubles, read exactly, and the roots are recomputed at
+    ``dps`` digits.  (The second-order ODE's three-term recurrence is not
+    used: run forward it loses digits to the growing solution on every
+    step.)
     """
-    assert prob.coupling == -2
-    K = prob.order
+    K, d = prob.order, prob.d
     with mpmath.workdps(dps):
         mu, s = mpmath.mpf(prob.mu), mpmath.mpf(prob.s)
         h = {n: mpmath.mpc(complex(c))
              for n, c in enumerate(prob.h.coeffs[:K + 1]) if c}
         b = 1 + s
-        disc = mpmath.sqrt(b * b + 4 * mu * h[0])
+        disc = mpmath.sqrt(b * b + (4 * mu * h[0] if d == 0 else 0))
         lo, hi = sorted(((b - disc) / 2, (b + disc) / 2), key=mpmath.re)
         gap = int(mpmath.nint(mpmath.re(hi - lo)))
         out = []
         for sigma, free in ((lo, gap), (hi, None)):
             kc = s + 1 - sigma
             x = [mpmath.mpc(1)] + [mpmath.mpc(0)] * K
-            p = [mu / (0 - kc)] + [mpmath.mpc(0)] * K
+            p = ([mu / -kc if d == 0 else sigma / h[0] if kc == 0 else 0]
+                 + [mpmath.mpc(0)] * K)
             for k in range(1, K + 1):
-                assert abs(k - kc) > 1e-9
-                if k != free:
-                    x[k] = (mpmath.fsum(c * p[k - n] for n, c in h.items()
-                                        if 0 < n <= k)
-                            / (sigma + k - mu * h[0] / (k - kc)))
-                p[k] = mu * x[k] / (k - kc)
+                if d:
+                    p[k] = mu * x[k - d] / (k - kc) if k >= d else 0
+                    if k != free:
+                        x[k] = (mpmath.fsum(c * p[k - n] for n, c in h.items()
+                                            if n <= k) / (sigma + k))
+                else:
+                    if k != free:
+                        x[k] = (mpmath.fsum(c * p[k - n] for n, c in h.items()
+                                            if 0 < n <= k)
+                                / (sigma + k - mu * h[0] / (k - kc)))
+                    p[k] = mu * x[k] / (k - kc)
             out.append(x)
         return out
 

@@ -210,9 +210,10 @@ def test_07_two_end_rigidity(criteria):
     criteria.report(7, "two-end rigidity and impossibility", ok)
 
 
-def integrate_ode(prob, sol, rho0, rho1):
-    """Adaptive ODE oracle along the positive real ray."""
-    hc = prob.h.coeffs
+def integrate_ode(sol, s, m, mu, h, rho0, rho1):
+    """Adaptive ODE oracle for X'' = (s/z + h'/h) X' + mu h z^m X along
+    the positive real ray."""
+    hc = h.coeffs
 
     def h_of(t):
         return np.polyval(hc[::-1], t)
@@ -223,8 +224,8 @@ def integrate_ode(prob, sol, rho0, rho1):
 
     def rhs(t, y):
         x, xp = y
-        coef = prob.s / t + hp_of(t) / h_of(t)
-        return [xp, coef * xp + prob.mu * h_of(t) * t ** prob.coupling * x]
+        coef = s / t + hp_of(t) / h_of(t)
+        return [xp, coef * xp + mu * h_of(t) * t ** m * x]
 
     x0 = eval_at(sol, rho0, np.array([0.0]))[0]
     from bryantflux.series import differentiate
@@ -238,9 +239,9 @@ def test_08_frobenius_vs_adaptive_ode(criteria):
     ok = True
     for mu in (0.5, 1.5):
         h = make_h(mu, (0.0, 0.1))
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h)
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h)
         for sol in frobenius_solve(prob):
-            run = integrate_ode(prob, sol, 0.05, 0.2)
+            run = integrate_ode(sol, -1.0 - mu, -2, mu, h, 0.05, 0.2)
             for rho in (0.08, 0.12, 0.2):
                 series_val = eval_at(sol, rho, np.array([0.0]))[0]
                 ode_val = run.sol(rho)[0]
@@ -250,7 +251,7 @@ def test_08_frobenius_vs_adaptive_ode(criteria):
     bad_h = GeneralizedSeries.from_coeffs(
         0.0, [(1.0 - 0.25) / 2.0, 0.1] + [0.0] * 20)
     try:
-        frobenius_solve(FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+        frobenius_solve(FrobeniusProblem(s=-1.5, mu=0.5,
                                          h=bad_h))
         ok = False
     except LogTermRequiredError:

@@ -119,6 +119,27 @@ class TestEndBuild:
         assert code == 0
         frame_from_json(out)
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "catenoidal", "mu": 0.5, "axis": [[1.5e308, 0], "inf"],
+         "h_perturbation": [0, 100]},
+        # placed by the two exact factors, from |b| >= 2^52
+        {"type": "horospherical", "mu": 2, "h0": 1e10,
+         "h_perturbation": [2e10], "boundary": [1e300, 0]},
+    ], ids=["catenoidal", "horospherical-far"])
+    def test_placed_frame_overflow_writes_no_file(self, spec, tmp_path,
+                                                  capsys):
+        # The standard frame is finite; placing it overflows.
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "frame.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run(["end", "build", "--spec", str(spec_path),
+                    "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "DomainError", "message": "the placed frame overflows: "
+            "its coefficients are not finite"}
+        assert not out_path.exists()
+
 
 class TestFlux:
     def test_catenoid_vertical_translation(self, catenoid_json, capsys):

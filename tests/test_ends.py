@@ -26,11 +26,12 @@ from oracles import (WeierstrassData, classify_end, eval_at, frobenius_mp,
                      radius_estimate, series_isclose)
 
 
-def integrate_ode(prob, sol, rho0, rho1):
-    """Independent oracle: integrate the entry ODE along the real ray with
-    an adaptive Runge-Kutta scheme, seeded from the series at rho0, and
-    return the value at rho1."""
-    hc = prob.h.coeffs
+def integrate_ode(sol, s, m, mu, h, rho0, rho1):
+    """Independent oracle: integrate the entry ODE
+    X'' = (s/z + h'/h) X' + mu h z^m X along the real ray with an adaptive
+    Runge-Kutta scheme, seeded from the series at rho0, and return the
+    value at rho1."""
+    hc = h.coeffs
 
     def h_val(t):
         return np.polyval(hc[::-1], t)
@@ -41,8 +42,8 @@ def integrate_ode(prob, sol, rho0, rho1):
 
     def rhs(t, y):
         x, xp = y
-        qq = prob.s / t + h_der(t) / h_val(t)
-        return [xp, qq * xp + prob.mu * h_val(t) * t ** prob.coupling * x]
+        qq = s / t + h_der(t) / h_val(t)
+        return [xp, qq * xp + mu * h_val(t) * t ** m * x]
 
     x0 = complex(eval_at(sol, rho0, np.array([0.0]))[0])
     xp0 = complex(eval_at(differentiate(sol), rho0, np.array([0.0]))[0])
@@ -90,7 +91,7 @@ class TestCousinFrame:
 class TestFrobenius:
     def test_constant_h_gives_pure_powers(self):
         mu = 0.5
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=make_h(mu))
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=make_h(mu))
         lo, hi = prob.indicial_roots
         assert lo == pytest.approx((-1.0 - mu) / 2.0)
         assert hi == pytest.approx((1.0 - mu) / 2.0)
@@ -98,39 +99,29 @@ class TestFrobenius:
         assert np.max(np.abs(small.coeffs[1:])) < 1e-14
         assert np.max(np.abs(big.coeffs[1:])) < 1e-14
 
-    def test_g_equation_roots(self):
-        mu = 0.5
-        prob = FrobeniusProblem(s=-1.0 + mu, coupling=-2, mu=mu, h=make_h(mu))
-        lo, hi = prob.indicial_roots
-        assert lo == pytest.approx((mu - 1.0) / 2.0)
-        assert hi == pytest.approx((mu + 1.0) / 2.0)
-
     def test_horospherical_roots(self):
         m = 3
         h = GeneralizedSeries.constant(1.0, order=16)
-        f_prob = FrobeniusProblem(s=-2.0, coupling=m - 3, mu=float(m), h=h)
+        f_prob = FrobeniusProblem(s=-2.0, mu=float(m), h=h)
         assert f_prob.indicial_roots == (-1.0, 0.0)
-        g_prob = FrobeniusProblem(s=2.0 * m - 2.0, coupling=m - 3,
-                                  mu=float(m), h=h)
-        assert g_prob.indicial_roots == (0.0, 2.0 * m - 1.0)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5])
     def test_series_matches_numerical_integration(self, mu):
         h = make_h(mu, extra=(0.0, 0.1))
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h,
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h,
                                 order=48)
         small, big = frobenius_solve(prob)
         assert abs(big.coeffs[2]) > 1e-4  # the perturbation is picked up
         for sol in (small, big):
             target = complex(eval_at(sol, 0.2, np.array([0.0]))[0])
-            numeric = integrate_ode(prob, sol, 0.05, 0.2)
+            numeric = integrate_ode(sol, -1.0 - mu, -2, mu, h, 0.05, 0.2)
             assert abs(numeric - target) < 1e-8 * max(1.0, abs(target))
 
     def test_free_coefficient_spans_small_plus_t_big(self):
         # Every lower-root solution is small + t * big, t at the root gap.
         mu = 0.5
         h = make_h(mu, extra=(0.0, 0.05, 0.01))
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h)
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h)
         small, big = frobenius_solve(prob)
         lo, hi = prob.indicial_roots
         gap = round(hi - lo)
@@ -138,59 +129,62 @@ class TestFrobenius:
         sol = small + 2.5 * big
         assert sol.offset == small.offset and sol.order == small.order
         assert sol.coeffs[gap] == pytest.approx(2.5)
-        assert ode_residual(prob, sol) < 1e-9
+        assert ode_residual(sol, -1.0 - mu, -2, mu, h) < 1e-9
 
     def test_log_term_obstruction_raised(self):
         mu = 0.5
         h = make_h(mu, extra=(0.1,))  # h'(0) = 0.1 h(0) != 0
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h)
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h)
         with pytest.raises(LogTermRequiredError):
             frobenius_solve(prob)
 
     def test_ode_residual_small_for_solutions(self):
         mu = 1.5
         h = make_h(mu, extra=(0.0, 0.05, 0.01))
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h)
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h)
         small, big = frobenius_solve(prob)
-        assert ode_residual(prob, small) < 1e-9
-        assert ode_residual(prob, big) < 1e-9
+        assert ode_residual(small, -1.0 - mu, -2, mu, h) < 1e-9
+        assert ode_residual(big, -1.0 - mu, -2, mu, h) < 1e-9
 
-    @pytest.mark.parametrize("mu, s, coupling, h", [
-        (0.5, -0.5, -2, make_h(0.5, extra=(0.0, 0.05, 0.01))),
-        (3.0, 2.0, -2, make_h(3.0, extra=(0.0, 0.05, 0.01))),
-        (2.0, 2.0, -1, GeneralizedSeries.from_coeffs(
+    @pytest.mark.parametrize("s, mu, h", [
+        (-1.5, 0.5, make_h(0.5, extra=(0.0, 0.05, 0.01))),
+        (-2.5, 1.5, make_h(1.5, extra=(0.0, 0.05, 0.01))),
+        (-2.0, 2.0, GeneralizedSeries.from_coeffs(
             0.0, 0.7 * np.array([1.0, 1.4, 0.3, -0.2] + [0.0] * 29))),
-        (3.0, 4.0, 0, GeneralizedSeries.from_coeffs(
+        (-2.0, 3.0, GeneralizedSeries.from_coeffs(
             0.0, 0.7 * np.array([1.0, 0.0, 0.3, -0.2] + [0.0] * 29))),
-    ], ids=["catenoidal-mu0.5", "catenoidal-mu3", "horospherical-mu2",
+    ], ids=["catenoidal-mu0.5", "catenoidal-mu1.5", "horospherical-mu2",
             "horospherical-mu3"])
-    def test_second_column_odes_solve(self, mu, s, coupling, h):
-        # Past k = 0 P = X'/q takes its constant where its exponent k - kc
-        # is 0: at the root gap of the horospherical lower root, where
-        # mu x_(gap-d) must vanish, and at k = 2 of catenoidal mu = 3.
-        prob = FrobeniusProblem(s=s, coupling=coupling, mu=mu, h=h)
+    def test_second_column_odes_solve(self, s, mu, h):
+        # Each end type's first column solves its ODE, m = s + mu - 1,
+        # with x_1 = 0 at the root gap; an h'(0) off the constraint is a
+        # resonance obstruction there.
+        prob = FrobeniusProblem(s=s, mu=mu, h=h)
         small, big = frobenius_solve(prob)
-        lo, hi = prob.indicial_roots
-        assert small.coeffs[round(hi - lo)] == 0.0
-        assert ode_residual(prob, small) < 1e-12
-        assert ode_residual(prob, big) < 1e-12
+        assert small.coeffs[1] == 0.0
+        assert ode_residual(small, s, s + mu - 1.0, mu, h) < 1e-12
+        assert ode_residual(big, s, s + mu - 1.0, mu, h) < 1e-12
         bad = h + GeneralizedSeries.monomial(1.0, 0.3, h.order - 1)  # h'(0)
         with pytest.raises(LogTermRequiredError):
-            frobenius_solve(FrobeniusProblem(s=s, coupling=coupling, mu=mu,
-                                             h=bad))
+            frobenius_solve(FrobeniusProblem(s=s, mu=mu, h=bad))
 
     def test_ode_residual_flags_corruption(self):
         mu = 1.5
         h = make_h(mu, extra=(0.0, 0.05))
-        prob = FrobeniusProblem(s=-1.0 - mu, coupling=-2, mu=mu, h=h)
+        prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h)
         _, big = frobenius_solve(prob)
         bad = GeneralizedSeries(big.offset, big.coeffs + 0.01)
-        assert ode_residual(prob, bad) > 1e-4
+        assert ode_residual(bad, -1.0 - mu, -2, mu, h) > 1e-4
 
-    def test_irregular_singularity_rejected(self):
-        with pytest.raises(DomainError):
-            FrobeniusProblem(s=-2.0, coupling=-3, mu=2.0,
-                             h=GeneralizedSeries.constant(1.0))
+    def test_other_columns_rejected(self):
+        # Neither a catenoidal (s = -1 - mu) nor a horospherical (s = -2,
+        # integer mu >= 2) first column, then a catenoidal column whose
+        # h(0) is not (1 - mu^2)/(4 mu).
+        one = GeneralizedSeries.constant(1.0)
+        for s, mu, h in ((-2.0, 2.5, one), (-1.2, 0.5, make_h(0.5)),
+                         (2.0, 3.0, one), (-1.5, 0.5, one)):
+            with pytest.raises(DomainError):
+                FrobeniusProblem(s=s, mu=mu, h=h)
 
 
 def product_calls(monkeypatch):
@@ -207,14 +201,15 @@ def product_calls(monkeypatch):
     return calls
 
 
-def assert_matches_mpmath(prob):
-    """Every coefficient of both roots above 1e-280 within 1e-13 relative
-    of the 50-digit recurrence, and every zero of it exactly zero."""
+def assert_matches_mpmath(prob, rtol=1e-13):
+    """Every coefficient of both roots above 1e-280 within ``rtol``
+    relative of the 50-digit recurrence, and every zero of it exactly
+    zero."""
     for got, ref in zip(frobenius_solve(prob), frobenius_mp(prob)):
         ref = np.array([complex(v) for v in ref])
         big = np.abs(ref) > 1e-280
         assert np.all(np.abs(got.coeffs - ref)[big]
-                      <= 1e-13 * np.abs(ref)[big])
+                      <= rtol * np.abs(ref)[big])
         assert np.all(got.coeffs[ref == 0] == 0)
 
 
@@ -230,7 +225,7 @@ class TestProductForm:
         for p in (0.013, 0.42, 7.5):
             extra = [0.0] * (n - 1) + [p]
             assert_matches_mpmath(FrobeniusProblem(
-                s=-1.0 - mu, coupling=-2, mu=mu,
+                s=-1.0 - mu, mu=mu,
                 h=make_h(mu, extra=extra, order=order), order=order))
         assert len(calls) == 3 * 2
 
@@ -239,33 +234,58 @@ class TestProductForm:
         calls = product_calls(monkeypatch)
         for mu in (0.32, 0.6, 0.83, 1.7):
             assert_matches_mpmath(FrobeniusProblem(
-                s=-1.0 - mu, coupling=-2, mu=mu,
+                s=-1.0 - mu, mu=mu,
                 h=make_h(mu, extra=(0.0, 0.42, 0.1), order=order),
                 order=order))
         assert calls == []
 
-    @pytest.mark.parametrize("mu, s, coupling, h, roots", [
-        (0.5, -1.5, -2, make_h(0.5), 2),
-        (0.5, -1.5, -2, make_h(0.5, extra=(0.0, 0.05)), 2),
-        (0.5, -1.5, -2, make_h(0.5, extra=(0.0, 0.05, 0.01)), 0),
-        # kc = 2 at the lower root and 1 at the upper one
-        (3.0, 2.0, -2, make_h(3.0, extra=(0.0, 0.05)), 0),
-        (2.0, -2.0, -1, GeneralizedSeries.from_coeffs(
+    @pytest.mark.parametrize("order", [32, 128])
+    @pytest.mark.parametrize("mu", [2, 3, 4])
+    def test_horospherical_columns_match_mpmath(self, mu, order,
+                                                monkeypatch):
+        # h = h0 (1 + p_1 z + p_2 z^2), p_1 = 2 h0 at mu = 2 (h'(0) =
+        # 2 h(0)^2) and 0 above; the loop runs with d = mu - 1.
+        calls = product_calls(monkeypatch)
+        for h0 in (0.329, 0.6, 1.0):
+            for p2 in (0.0133, 0.42, 4.0):
+                first = 2.0 * h0 if mu == 2 else 0.0
+                h = GeneralizedSeries(0.0, h0 * np.array(
+                    [1.0, first, p2] + [0.0] * (order - 2), dtype=complex))
+                assert_matches_mpmath(FrobeniusProblem(
+                    s=-2.0, mu=mu, h=h, order=order), rtol=1e-11)
+        assert calls == []
+
+    @pytest.mark.parametrize("h0", [0.6 - 0.3j, 0.329 + 0.2j],
+                             ids=["0.6-0.3i", "0.329+0.2i"])
+    @pytest.mark.parametrize("mu", [2, 3])
+    def test_complex_horospherical_columns_match_mpmath(self, mu, h0):
+        first = 2.0 * h0 if mu == 2 else 0.0
+        h = GeneralizedSeries(0.0, h0 * np.array(
+            [1.0, first, 0.42, -0.3, 0.1] + [0.0] * 124, dtype=complex))
+        assert_matches_mpmath(FrobeniusProblem(s=-2.0, mu=mu, h=h,
+                                               order=128), rtol=1e-11)
+
+    @pytest.mark.parametrize("mu, s, h, roots", [
+        (0.5, -1.5, make_h(0.5), 2),
+        (0.5, -1.5, make_h(0.5, extra=(0.0, 0.05)), 2),
+        (0.5, -1.5, make_h(0.5, extra=(0.0, 0.05, 0.01)), 0),
+        (2.0, -2.0, GeneralizedSeries.from_coeffs(
             0.0, 0.5 * np.array([1.0, 1.0, 0.1] + [0.0] * 30)), 0),
-        (3.0, -2.0, 0, GeneralizedSeries.from_coeffs(
+        (3.0, -2.0, GeneralizedSeries.from_coeffs(
             0.0, np.array([1.0, 0.0, 0.3] + [0.0] * 30)), 0),
-    ], ids=["constant-h", "single-term", "two-terms", "kc-in-range",
-            "horospherical-mu2", "horospherical-mu3"])
-    def test_branch_is_chosen_from_the_data(self, mu, s, coupling, h, roots,
+    ], ids=["constant-h", "single-term", "two-terms", "horospherical-mu2",
+            "horospherical-mu3"])
+    def test_branch_is_chosen_from_the_data(self, mu, s, h, roots,
                                             monkeypatch):
         calls = product_calls(monkeypatch)
-        prob = FrobeniusProblem(s=s, coupling=coupling, mu=mu, h=h)
+        prob = FrobeniusProblem(s=s, mu=mu, h=h)
         small, big = frobenius_solve(prob)
         assert len(calls) == roots
         lo, hi = prob.indicial_roots
         assert small.coeffs[round(hi - lo)] == 0.0
-        assert ode_residual(prob, small) < 1e-12
-        assert ode_residual(prob, big) < 1e-12
+        m = s + mu - 1.0
+        assert ode_residual(small, s, m, mu, h) < 1e-12
+        assert ode_residual(big, s, m, mu, h) < 1e-12
 
     def test_lone_h1_raises_the_loops_error(self, monkeypatch):
         # The obstruction at the gap, k = 1, is h_1 p_0 = 0.0375 * -2 on
@@ -273,7 +293,7 @@ class TestProductForm:
         calls = product_calls(monkeypatch)
         errors = []
         for extra in ((0.1,), (0.1, 0.0, 0.0, 0.0, 1e-3)):
-            prob = FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+            prob = FrobeniusProblem(s=-1.5, mu=0.5,
                                     h=make_h(0.5, extra=extra))
             with pytest.raises(LogTermRequiredError) as exc:
                 frobenius_solve(prob)
@@ -285,7 +305,7 @@ class TestProductForm:
 
     def test_overflow_is_left_to_the_frame_check(self):
         # pytest turns a RuntimeWarning into an error
-        prob = FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+        prob = FrobeniusProblem(s=-1.5, mu=0.5,
                                 h=make_h(0.5, extra=(0.0, 1e200)))
         small, big = frobenius_solve(prob)
         assert not np.isfinite(small.coeffs).all()
@@ -295,11 +315,11 @@ class TestProductForm:
         caplog.set_level(logging.DEBUG, logger="bryantflux")
         p1 = 1e-12  # obstructions below the 1e-9 bar
         # product form: h_1 = 0.375 p1, obstruction h_1 p_0, p_0 = mu / -kc
-        cat = FrobeniusProblem(s=-1.5, coupling=-2, mu=0.5,
+        cat = FrobeniusProblem(s=-1.5, mu=0.5,
                                h=make_h(0.5, extra=(p1,)))
         # loop: h'(0) = 2 h0^2 + p1, obstruction h_1 p_0 + h_0 p_1 = -p1/h0
         h0 = 0.5
-        horo = FrobeniusProblem(s=-2.0, coupling=-1, mu=2.0,
+        horo = FrobeniusProblem(s=-2.0, mu=2.0,
                                 h=GeneralizedSeries.from_coeffs(
                                     0.0, [h0, 2.0 * h0 * h0 + p1, 0.1]))
         small, _ = frobenius_solve(cat)
@@ -404,19 +424,16 @@ class TestPairedColumn:
     def test_catenoidal_second_column_solves_its_ode(self, mu):
         h = make_h(mu, extra=(0.0, 0.05, 0.01))
         frame = translated_catenoidal_frame(mu, h, 0.3 - 0.7j)
-        prob = FrobeniusProblem(s=-1.0 + mu, coupling=-2, mu=mu, h=h)
-        assert ode_residual(prob, frame.B) < 1e-12
-        assert ode_residual(prob, frame.D) < 1e-12
+        assert ode_residual(frame.B, -1.0 + mu, -2, mu, h) < 1e-12
+        assert ode_residual(frame.D, -1.0 + mu, -2, mu, h) < 1e-12
 
     @pytest.mark.parametrize("m, first", [(2, 2.0 * 0.7), (3, 0.0)])
     def test_horospherical_second_column_solves_its_ode(self, m, first):
         h = GeneralizedSeries.from_coeffs(
             0.0, 0.7 * np.array([1.0, first, 0.3, -0.2] + [0.0] * 29))
         frame = canonical_horospherical_frame(m, h)
-        prob = FrobeniusProblem(s=2.0 * m - 2.0, coupling=m - 3,
-                                mu=float(m), h=h)
-        assert ode_residual(prob, frame.B) < 1e-12
-        assert ode_residual(prob, frame.D) < 1e-12
+        assert ode_residual(frame.B, 2.0 * m - 2.0, m - 3, m, h) < 1e-12
+        assert ode_residual(frame.D, 2.0 * m - 2.0, m - 3, m, h) < 1e-12
 
 
 class TestExtractAxis:

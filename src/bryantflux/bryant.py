@@ -5,10 +5,11 @@ AD - BC = 1 and dA dD - dB dC = 0.  Left multiplication by P in
 SL(2, C), which moves the end by an isometry, mixes A with C and B with
 D, so a frame's unit is a column: BryantFrame aligns A with C, and B with
 D, at the column's lower offset and truncates both at its lower absolute
-top (the rule of series addition), once, at construction.  Placing a
-frame (transform_frame), checking its identities (_identity_terms) and
-reading its residues (flux) then combine coefficient arrays index by
-index.  The immersion into the half-space model is
+top (the rule of series addition, series._aligned), once, at
+construction.  Placing a frame (transform_frame), checking its
+identities (_identity_terms) and reading its residues (flux) then
+combine coefficient arrays index by index.  The immersion into the
+half-space model is
 
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
@@ -36,36 +37,21 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geometry import IsometrySL2, parse_complex, parse_real
-from .series import (_OFFSET_TOL, GeneralizedSeries, _derivative_terms,
+from .series import (GeneralizedSeries, _aligned, _derivative_terms,
                      _product_terms)
 
 log = logging.getLogger("bryantflux")
-
-
-def _column(name: str, x: GeneralizedSeries, y: GeneralizedSeries):
-    """[x, y] at their lower offset, each truncated at the lower of their
-    absolute tops: the column rule.  An entry already in place is kept
-    as it is.  DomainError naming the column when the offsets do not
-    differ by an integer."""
-    d = y.offset - x.offset
-    if not (math.isfinite(d) and abs(d - round(d)) <= _OFFSET_TOL):
-        raise DomainError("the offsets of column %s, %g and %g, do not "
-                          "differ by an integer" % (name, x.offset, y.offset))
-    lo = min(x.offset, y.offset)
-    n = min(round(e.offset - lo) + len(e.coeffs) for e in (x, y))
-    return [e if e.offset == lo and len(e.coeffs) == n else GeneralizedSeries(
-        lo, np.concatenate([np.zeros(min(round(e.offset - lo), n)),
-                            e.coeffs])[:n]) for e in (x, y)]
 
 
 @dataclass(frozen=True)
 class BryantFrame:
     """Entries of the holomorphic null immersion, plus a declared radius.
 
-    The columns (A, C) and (B, D) are aligned by the column rule
-    (_column) at construction.  The validity radius is the caller's
-    statement of where the entry series may be evaluated; no convergence
-    estimation is attempted.
+    The columns (A, C) and (B, D) are aligned at construction by the rule
+    of series addition (series._aligned); an entry is replaced only where
+    its array moved.  The validity radius is the caller's statement of
+    where the entry series may be evaluated; no convergence estimation
+    is attempted.
     """
 
     A: GeneralizedSeries
@@ -77,10 +63,12 @@ class BryantFrame:
     def __post_init__(self):
         if not self.validity_radius > 0:
             raise DomainError("validity radius must be positive")
-        (A, C), (B, D) = (_column("AC", self.A, self.C),
-                          _column("BD", self.B, self.D))
-        for name, e in zip("ABCD", (A, B, C, D)):
-            object.__setattr__(self, name, e)
+        for names, column in (("AC", (self.A, self.C)),
+                              ("BD", (self.B, self.D))):
+            offset, arrays = _aligned(*column, "column " + names)
+            for k, e, c in zip(names, column, arrays):
+                if c is not e.coeffs:
+                    object.__setattr__(self, k, GeneralizedSeries(offset, c))
 
     def entries(self):
         return self.A, self.B, self.C, self.D
@@ -203,8 +191,8 @@ def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     so each new entry is x s + y t coefficient by coefficient.  The
     operands keep series addition's order (a complex product may fuse
     its multiply-adds, so x s and s x can differ in the last bit), and
-    + 0.0 clears a negative zero, as that addition's zero-started sums
-    do: the entries are bitwise the sums of the two scaled series."""
+    + 0.0 clears a negative zero, as that addition's 0.0 + does: the
+    entries are bitwise the sums of the two scaled series."""
     (A, B, C, D), r = frame.entries(), frame.validity_radius
 
     def row(s, t):
@@ -221,8 +209,8 @@ def _series_from_json(obj) -> GeneralizedSeries:
     if not isinstance(coeffs, list):
         raise DomainError("a frame entry is an object with an offset and a "
                           "list of coefficients")
-    return GeneralizedSeries.from_coeffs(parse_real(obj["offset"]),
-                                         [parse_complex(c) for c in coeffs])
+    return GeneralizedSeries(parse_real(obj["offset"]),
+                             [parse_complex(c) for c in coeffs])
 
 
 def frame_to_json(frame: BryantFrame) -> str:

@@ -172,16 +172,16 @@ class FrobeniusProblem:
         return ((b - disc) / 2.0).real, ((b + disc) / 2.0).real
 
 
-def _check_obstruction(obstruction, k: int, x) -> None:
-    """Log the resonance obstruction at order k; LogTermRequiredError when
-    it exceeds 1e-9 times the largest of 1 and the moduli of x_0..x_(k-1)."""
-    bar = 1e-9 * max([1.0, *map(abs, x[:k])])
+def _check_obstruction(obstruction) -> None:
+    """Log the resonance obstruction at the root gap, order 1;
+    LogTermRequiredError when it exceeds 1e-9, the bar 1e-9 times the
+    largest of 1 and |x_0| = 1."""
     log.debug("resonance obstruction %.3e at order %d (bar %.3e)",
-              abs(obstruction), k, bar)
-    if abs(obstruction) > bar:
+              abs(obstruction), 1, 1e-9)
+    if abs(obstruction) > 1e-9:
         raise LogTermRequiredError(
-            "resonance obstruction %.3e at order %d: the data admits "
-            "no pure power-series solution" % (abs(obstruction), k))
+            "resonance obstruction %.3e at order 1: the data admits "
+            "no pure power-series solution" % abs(obstruction))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -210,7 +210,7 @@ def _product_at_root(prob: FrobeniusProblem, lo: float, hi: float,
     x[n:top + 1:n] = np.cumprod((mu * c) * ((k - kc) / (
         (k + (sigma - lo)) * (k + (sigma - hi)) * (k - (n + kc)))))
     if gap is not None and gap <= K:
-        _check_obstruction(c * (mu * x[0] / -kc) if gap == n else 0.0, gap, x)
+        _check_obstruction(c * (mu * x[0] / -kc) if gap == n else 0.0)
     return GeneralizedSeries(sigma, x)
 
 
@@ -246,7 +246,7 @@ def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
         # x_k's divisor instead.
         rhs += h0 * p[k]
         if k == gap:
-            _check_obstruction(rhs, k, x)
+            _check_obstruction(rhs)
         else:
             x[k] = rhs / ((sigma + k - lo) * (sigma + k - hi) / e
                           if d == 0 else sigma + k)
@@ -399,7 +399,7 @@ def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:
     """The exact frame [[1, 0], [z^-1, 1]]; immersion (1/z, 1)."""
     return BryantFrame(
         A=GeneralizedSeries.monomial(0.0, 1.0, order),
-        B=GeneralizedSeries.zero(0.0, order),
+        B=GeneralizedSeries.monomial(0.0, 0.0, order),
         C=GeneralizedSeries.monomial(-1.0, 1.0, order),
         D=GeneralizedSeries.monomial(0.0, 1.0, order),
         validity_radius=math.inf,

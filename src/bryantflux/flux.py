@@ -113,31 +113,24 @@ class FluxMatrix:
         return cls(s * t.phi1, s * t.phi2, -s * t.phi0, -s * t.phi1)
 
 
-def _difference_residue(a, b, c, d) -> complex:
-    """residue(a * b - c * d) by product_residue; 0, as from the series
-    difference, when z^-1 lies past the products' truncation.  The frame's
-    columns are aligned, so the two products share their offset and
-    their order."""
-    # Residues first, so that a non-integer offset raises before the test.
-    res = product_residue(a, b) - product_residue(c, d)
-    past = -1 - round(a.offset + b.offset) > min(a.order, b.order)
-    return 0.0 + 0.0j if past else res
-
-
 # Overflow reaches the caller as a residue that is not finite; a
 # derivative coefficient past those that reach z^-1 plays no part.
 @np.errstate(over="ignore", invalid="ignore")
 def flux_triple(frame: BryantFrame) -> FluxTriple:
     """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB.
 
-    Each residue is read from the few leading coefficients that reach
-    z^-1 (series.product_residue); the one-forms are never formed.  A
-    residue that overflows raises DomainError.
+    Each residue is the difference of two product residues, each read
+    from the few leading coefficients that reach z^-1
+    (series.product_residue); the one-forms are never formed.  The
+    frame's columns are aligned, so the two products of a one-form share
+    their offset and their length, and z^-1 lies past the truncation of
+    both or of neither.  A residue that overflows, or an offset sum that
+    is not finite, raises DomainError.
     """
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
-    res = [4.0 * math.pi * _difference_residue(*q) for q in (
-        (D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))]
+    res = [4.0 * math.pi * (product_residue(a, b) - product_residue(c, d))
+           for a, b, c, d in ((D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
     return FluxTriple(*res)

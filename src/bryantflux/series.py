@@ -15,13 +15,15 @@ factors cancel.  The tests keep a Horner sum with the branch factor at
 arbitrary angles as its reference.  product_residue gives
 residue(a * b) from the coefficient pairs that reach z^-1, without
 forming the product.  The rules of addition, multiplication and
-differentiation are written once, on bare (offset, coeffs) pairs
-(_sum_terms, _product_terms, _derivative_terms), so a caller can apply
-them without forming intermediate series.
+differentiation are written once, on bare coefficient arrays (_aligned,
+_product_terms, _derivative_terms), so a caller can apply them without
+forming intermediate series; _integer is the one test that an offset, or
+a gap between two, is an integer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -46,30 +48,34 @@ def _snap(offset: float) -> float:
     return float(offset)
 
 
-def _sum_terms(x_offset: float, x: np.ndarray, y_offset: float,
-               y: np.ndarray):
-    """(offset, coeffs) of z^x_offset x + z^y_offset y, the rule of series
-    addition on bare coefficient arrays.
+def _integer(x: float, message: str, *args) -> int:
+    """round(x) when x is finite and within 1e-9 of an integer, else
+    DomainError(message % args): the one test that two offsets differ by
+    an integer, or that an offset is one.  The message is formatted only
+    on refusal."""
+    if math.isfinite(x) and abs(x - round(x)) <= _OFFSET_TOL:
+        return round(x)
+    raise DomainError(message % args)
 
-    The offsets must differ by an integer d; the sum sits at the lower one.
-    Both operands are accurate through their top retained power, so the sum
-    is accurate through the lower of the two absolute tops.
+
+def _aligned(x: GeneralizedSeries, y: GeneralizedSeries, what: str):
+    """(offset, [x's coeffs, y's coeffs]) with both arrays at the lower
+    offset, each truncated at the lower of the two absolute tops: the rule
+    of series addition and of a frame's columns.
+
+    Both operands are accurate through their top retained power, so the
+    pair is accurate through the lower top.  An array already in place is
+    returned as it is.  DomainError naming ``what`` when the offsets do
+    not differ by an integer.
     """
-    d = y_offset - x_offset
-    if abs(d - round(d)) > _OFFSET_TOL:
-        raise DomainError(
-            "series addition needs offsets differing by an integer "
-            "(got %g and %g)" % (x_offset, y_offset))
-    d = round(d)
-    offset, a, b = (x_offset, x, y) if d >= 0 else (y_offset, y, x)
-    d = abs(d)
-    n = min(len(a), d + len(b))
-    out = np.zeros(max(n, 1), dtype=complex)
-    out[: min(len(a), n)] += a[:n]
-    hi = min(d + len(b), n)
-    if hi > d:
-        out[d:hi] += b[: hi - d]
-    return offset, out
+    d = _integer(y.offset - x.offset, "the offsets of %s, %g and %g, do not "
+                 "differ by an integer", what, x.offset, y.offset)
+    lo = min(x.offset, y.offset)
+    kx, ky = max(-d, 0), max(d, 0)
+    n = min(kx + len(x.coeffs), ky + len(y.coeffs))
+    return lo, [e.coeffs if e.offset == lo and len(e.coeffs) == n else
+                np.concatenate([np.zeros(min(k, n)), e.coeffs])[:n]
+                for k, e in ((kx, x), (ky, y))]
 
 
 def _product_terms(x_offset: float, x: np.ndarray, y_offset: float,
@@ -100,10 +106,6 @@ class GeneralizedSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def from_coeffs(cls, offset, coeffs) -> "GeneralizedSeries":
-        return cls(offset, np.asarray(coeffs, dtype=complex))
-
-    @classmethod
     def monomial(cls, offset, value=1.0, order: int = 0) -> "GeneralizedSeries":
         c = np.zeros(order + 1, dtype=complex)
         c[0] = value
@@ -113,15 +115,12 @@ class GeneralizedSeries:
     def constant(cls, value, order: int = 0) -> "GeneralizedSeries":
         return cls.monomial(0.0, value, order)
 
-    @classmethod
-    def zero(cls, offset: float = 0.0, order: int = 0) -> "GeneralizedSeries":
-        return cls(offset, np.zeros(order + 1, dtype=complex))
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        return GeneralizedSeries(*_sum_terms(self.offset, self.coeffs,
-                                             other.offset, other.coeffs))
+        # 0.0 + turns a -0.0 sum into +0.0, as a sum into zeros does.
+        offset, (x, y) = _aligned(self, other, "series addition")
+        return GeneralizedSeries(offset, 0.0 + x + y)
 
     def __neg__(self) -> "GeneralizedSeries":
         return GeneralizedSeries(self.offset, -self.coeffs)
@@ -151,11 +150,8 @@ def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
 def _residue_index(offset: float) -> int:
     """Index of the z^-1 coefficient at this offset, which must be an
     integer."""
-    frac = offset - round(offset)
-    if abs(frac) > _OFFSET_TOL:
-        raise DomainError(
-            "residue undefined for non-integer offset (fractional part %g)" % frac)
-    return -1 - round(offset)
+    return -1 - _integer(offset, "residue undefined for non-integer "
+                         "offset %g", offset)
 
 
 def residue(a: GeneralizedSeries) -> complex:

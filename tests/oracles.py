@@ -8,7 +8,8 @@ kept, so it is the reference for the FFT evaluator series.eval_branch,
 whose rows lack that factor, and for points off the roots of unity.
 normalized moves leading zero coefficients into the offset; series_div
 and series_isclose are the quotient and the comparison up to an integer
-offset shift.
+offset shift; series_sum adds two series by index arithmetic, the
+reference for series addition.
 
 Frames: one_forms forms the three single-valued one-forms in full, the
 reference for flux.flux_triple, which reads their residues without
@@ -19,7 +20,7 @@ differential.
 immersion_samples evaluates the immersion (zeta, w) by Horner's rule,
 and immersion_derivatives adds its radial and angular derivatives.
 placed_by_entries moves a frame by an isometry entry by entry, each new
-entry a series sum of two scaled entries at their own offsets, the
+entry the series_sum of two scaled entries at their own offsets, the
 reference for transform_frame on aligned columns.
 
 Ends: frobenius_mp runs the Frobenius recurrence of a catenoidal or
@@ -57,8 +58,8 @@ from bryantflux.errors import DomainError
 from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
 from bryantflux.series import (_LEAD_TOL, _OFFSET_TOL, GeneralizedSeries,
-                               QuadratureGrid, _sum_terms, differentiate,
-                               eval_branch, residue)
+                               QuadratureGrid, differentiate, eval_branch,
+                               residue)
 
 
 # -- series -----------------------------------------------------------------
@@ -71,6 +72,21 @@ def eval_at(a: GeneralizedSeries, rho: float, taus: np.ndarray) -> np.ndarray:
     for c in a.coeffs[::-1]:
         poly = poly * z + c
     return (rho ** a.offset) * np.exp(1j * a.offset * taus) * poly
+
+
+def series_sum(x: GeneralizedSeries, y: GeneralizedSeries):
+    """x + y by index arithmetic, the reference for series addition: the
+    sum starts as zeros at the lower offset, as long as the lower absolute
+    top allows, and the lower operand is added in first, then the other
+    from its shift d on.  The offsets must differ by an integer."""
+    d = round(y.offset - x.offset)
+    lower, upper = (x, y) if d >= 0 else (y, x)
+    d, a, b = abs(d), lower.coeffs, upper.coeffs
+    n = min(len(a), d + len(b))
+    out = np.zeros(n, dtype=complex)
+    out += a[:n]
+    out[d:] += b[:max(n - d, 0)]
+    return GeneralizedSeries(lower.offset, out)
 
 
 def radius_estimate(a: GeneralizedSeries) -> float:
@@ -207,13 +223,12 @@ def immersion(frame: BryantFrame, grid: QuadratureGrid):
 
 def placed_by_entries(p: IsometrySL2, A, B, C, D):
     """The entries of P F, F = (A, B; C, D), each s x + t y formed by
-    series addition (series._sum_terms) of the two scaled entries at their
-    own offsets: the placement by entries, the reference for
-    bryant.transform_frame, which combines the aligned columns
-    coefficient by coefficient."""
+    series_sum of the two scaled entries at their own offsets: the
+    placement by entries, the reference for bryant.transform_frame, which
+    combines the aligned columns coefficient by coefficient."""
     def combine(s, x, t, y):
-        return GeneralizedSeries(*_sum_terms(x.offset, x.coeffs * s,
-                                             y.offset, y.coeffs * t))
+        return series_sum(GeneralizedSeries(x.offset, x.coeffs * s),
+                          GeneralizedSeries(y.offset, y.coeffs * t))
 
     return (combine(p.alpha, A, p.beta, C), combine(p.alpha, B, p.beta, D),
             combine(p.gamma, A, p.delta, C), combine(p.gamma, B, p.delta, D))

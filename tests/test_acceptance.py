@@ -53,7 +53,7 @@ def criteria(capsys):
 def horo_frame(mu, h0):
     coeffs = [h0, 2.0 * h0 * h0 if mu == 2 else 0.0] + [0.0] * 31
     return canonical_horospherical_frame(
-        mu, GeneralizedSeries.from_coeffs(0.0, coeffs))
+        mu, GeneralizedSeries(0.0, coeffs))
 
 
 def test_01_cousin_axis_flux_three_routes(criteria):
@@ -248,7 +248,7 @@ def test_08_frobenius_vs_adaptive_ode(criteria):
                 scale = max(1.0, abs(series_val))
                 ok &= abs(series_val - ode_val) < 1e-8 * scale
     # inadmissible data: h'(0) != 0 forces a logarithmic solution
-    bad_h = GeneralizedSeries.from_coeffs(
+    bad_h = GeneralizedSeries(
         0.0, [(1.0 - 0.25) / 2.0, 0.1] + [0.0] * 20)
     try:
         frobenius_solve(FrobeniusProblem(s=-1.5, mu=0.5,

@@ -21,7 +21,7 @@ from oracles import (WeierstrassData, apply_isometry, derived_forms,
 
 
 def horo_frame_mu2():
-    h = GeneralizedSeries.from_coeffs(0.0, [1.0, 2.0] + [0.0] * 31)
+    h = GeneralizedSeries(0.0, [1.0, 2.0] + [0.0] * 31)
     return canonical_horospherical_frame(2, h)
 
 
@@ -36,7 +36,7 @@ class TestFrameChecks:
 
     def test_perturbed_entry_detected(self):
         frame = catenoid_cousin_frame(0.5)
-        bad_b = frame.B + GeneralizedSeries.from_coeffs(
+        bad_b = frame.B + GeneralizedSeries(
             frame.B.offset + 1.0, [0.01] + [0.0] * (frame.B.order - 1))
         bad = BryantFrame(frame.A, bad_b, frame.C, frame.D,
                           validity_radius=frame.validity_radius)
@@ -109,7 +109,7 @@ class TestDerivedForms:
         assert abs(residue(fm) - (-3.0 / 16.0)) < 1e-12
 
     def test_hopf_leading_term_mu2(self):
-        h = GeneralizedSeries.from_coeffs(0.0, [1.0, 2.0, 0.0])
+        h = GeneralizedSeries(0.0, [1.0, 2.0, 0.0])
         weier = WeierstrassData(mu=2.0, nu=-2.0, h=h)
         frame = horo_frame_mu2()
         forms = derived_forms(frame, weier)

@@ -29,7 +29,7 @@ PI = math.pi
 
 
 def horo_frame_mu2():
-    h = GeneralizedSeries.from_coeffs(0.0, [1.0, 2.0] + [0.0] * 31)
+    h = GeneralizedSeries(0.0, [1.0, 2.0] + [0.0] * 31)
     return canonical_horospherical_frame(2, h)
 
 
@@ -508,7 +508,7 @@ class TestOracleEquivalence:
          0.1),
         # h(0) = 1/2 puts the validity radius at 1/sqrt(2), past rho
         (lambda: canonical_horospherical_frame(
-            2, GeneralizedSeries.from_coeffs(
+            2, GeneralizedSeries(
                 0.0, [0.5, 0.5] + [0.0] * 31)), 0.3),
     ])
     def test_numeric_matches_closed_form(self, builder, rho):

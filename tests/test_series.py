@@ -3,16 +3,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bryantflux import (DomainError, GeneralizedSeries, QuadratureGrid,
-                        differentiate, eval_branch, product_residue,
-                        residue)
+from bryantflux import (BryantFrame, DomainError, GeneralizedSeries,
+                        QuadratureGrid, differentiate, eval_branch,
+                        flux_triple, product_residue, residue)
 
 from oracles import (eval_at, normalized, radius_estimate, series_div,
-                     series_isclose, trapezoid_residue)
+                     series_isclose, series_sum, trapezoid_residue)
 
 
 def S(offset, coeffs):
-    return GeneralizedSeries.from_coeffs(offset, coeffs)
+    return GeneralizedSeries(offset, coeffs)
+
+
+# Coefficient lists whose parts include 0.0 and -0.0, whose signs a sum
+# must keep as a zero-started sum does.
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25e-3, 7e10, -1e-300])
+COEFFS = st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1,
+                  max_size=7)
 
 
 class TestArithmetic:
@@ -47,6 +54,36 @@ class TestArithmetic:
     def test_addition_needs_integer_offset_gap(self):
         with pytest.raises(DomainError):
             S(0.5, [1.0]) + S(0.0, [1.0])
+
+    def test_addition_refusal_names_series_addition(self):
+        with pytest.raises(DomainError, match="series addition"):
+            S(0.0, [1.0, 2.0]) + S(1.3, [1.0])
+
+    @given(st.sampled_from([0.0, 0.25, -1.5]), st.integers(-5, 5),
+           COEFFS, COEFFS)
+    @example(0.0, 5, [1.0], [2.0])        # gap beyond the lower operand
+    @example(0.0, -1, [-0.0], [-0.0])     # length 1, negative zeros
+    @example(0.25, 3, [1.0, 2.0, 3.0], [-0.0j, 1.0])   # gap at its length
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_addition_is_the_index_sum(self, base, gap, xs, ys):
+        """x + y, in either order, bytewise series_sum(x, y): the lower
+        operand from the lower offset, the other from its shift on, up to
+        the lower absolute top."""
+        x, y = S(base, xs), S(base + gap, ys)
+        for u, v in ((x, y), (y, x)):
+            got, want = u + v, series_sum(u, v)
+            assert got.offset == want.offset == min(u.offset, v.offset)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("run", [
+        lambda: S(1e308, [1.0]) + S(-1e308, [1.0]),
+        lambda: product_residue(S(1e308, [1.0]), S(1e308, [1.0, 2.0])),
+        lambda: flux_triple(BryantFrame(
+            *(S(1e308, [1.0, 0.5]) for _ in range(4)), 1.0)),
+    ], ids=["sum", "product-residue", "flux-triple"])
+    def test_offset_gap_or_sum_not_finite_refused(self, run):
+        with pytest.raises(DomainError):
+            run()
 
     def test_addition_aligns_offsets(self):
         out = S(-1.0, [1.0, 2.0, 3.0]) + S(0.0, [10.0, 20.0])

@@ -6,9 +6,13 @@ SL(2, C), which moves the end by an isometry, mixes A with C and B with
 D, so a frame's unit is a column: BryantFrame aligns A with C, and B with
 D, at the column's lower offset and truncates both at its lower absolute
 top (the rule of series addition, series._aligned), once, at
-construction.  Placing a frame (transform_frame), checking its
-identities (_identity_terms) and reading its residues (flux) then
-combine coefficient arrays index by index.  The immersion into the
+construction.  Placing a frame (_placed, behind transform_frame),
+checking its identities (_identity_terms and _checked, behind
+checked_frame) and reading its residues (flux) then combine coefficient
+arrays index by index.  Those rules take a frame's columns as bare
+arrays, ((offset, A, C), (offset, B, D)), so ends.build_end applies
+them from the solve to the placed end and makes one BryantFrame, the
+placed one (_frame).  The immersion into the
 half-space model is
 
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
@@ -48,7 +52,7 @@ class BryantFrame:
     """Entries of the holomorphic null immersion, plus a declared radius.
 
     The columns (A, C) and (B, D) are aligned at construction by the rule
-    of series addition (series._aligned); an entry is replaced only where
+    of series addition (_frame_columns); an entry is replaced only where
     its array moved.  The validity radius is the caller's statement of
     where the entry series may be evaluated; no convergence estimation
     is attempted.
@@ -63,44 +67,81 @@ class BryantFrame:
     def __post_init__(self):
         if not self.validity_radius > 0:
             raise DomainError("validity radius must be positive")
-        for names, column in (("AC", (self.A, self.C)),
-                              ("BD", (self.B, self.D))):
-            offset, arrays = _aligned(*column, "column " + names)
-            for k, e, c in zip(names, column, arrays):
-                if c is not e.coeffs:
-                    object.__setattr__(self, k, GeneralizedSeries(offset, c))
+        (o1, a, c), (o2, b, d) = _frame_columns(
+            *((e.offset, e.coeffs) for e in self.entries()))
+        for k, o, x in (("A", o1, a), ("B", o2, b), ("C", o1, c),
+                        ("D", o2, d)):
+            if x is not getattr(self, k).coeffs:
+                object.__setattr__(self, k, GeneralizedSeries(o, x))
 
     def entries(self):
         return self.A, self.B, self.C, self.D
 
 
-def _identity_terms(frame: BryantFrame,
-                    omega: Optional[GeneralizedSeries] = None,
-                    scale: bool = False):
-    """The residual series of AD - BC = 1, dA dD - dB dC = 0 and, when
-    ``omega`` is given, A dC - C dA = omega, each as its window: the
-    coefficients below the truncation top, which the identities are held
-    to.
+# A frame's columns as bare arrays: ((offset, A, C), (offset, B, D)), each
+# pair of one length at one offset.  Building, checking and placing a frame
+# work on these; a BryantFrame is made once, from the result (_frame).
 
-    One pass over bare arrays: each entry's derivative is formed once.
-    The columns are aligned (BryantFrame), so the two products of each
-    identity share an offset and a length and are subtracted coefficient
-    by coefficient, with the operands in the formulas' order; the
-    right-hand side (1, 0 or omega) is then subtracted where it falls in
-    that window, which is widened down to it when it starts lower.  So
-    each residual has the values of the formula written in
-    GeneralizedSeries.  With ``scale``, every operand's coefficients are
-    replaced by their moduli, each difference by a sum and the right-hand
-    side by zeros, which gives, aligned and truncated as the residual, the
-    coefficient-wise size |x| * |y| + |u| * |v| of the two products x y
-    and u v that cancel in it.
+def _frame_columns(A, B, C, D):
+    """The columns of four entries given as (offset, coeffs) pairs, each
+    aligned by the rule of series addition (series._aligned)."""
+    (o1, (a, c)), (o2, (b, d)) = (_aligned(*A, *C, "column AC"),
+                                  _aligned(*B, *D, "column BD"))
+    return (o1, a, c), (o2, b, d)
+
+
+def _columns(frame: BryantFrame):
+    """The columns of a frame, which are aligned already."""
+    A, B, C, D = frame.entries()
+    return (A.offset, A.coeffs, C.coeffs), (B.offset, B.coeffs, D.coeffs)
+
+
+def _frame(columns, validity_radius: float) -> BryantFrame:
+    """The BryantFrame of aligned columns."""
+    (o1, a, c), (o2, b, d) = columns
+    return BryantFrame(GeneralizedSeries(o1, a), GeneralizedSeries(o2, b),
+                       GeneralizedSeries(o1, c), GeneralizedSeries(o2, d),
+                       validity_radius)
+
+
+def _placed(p: IsometrySL2, columns):
+    """The columns of P F: each new entry is x s + y t coefficient by
+    coefficient.  The operands keep series addition's order (a complex
+    product may fuse its multiply-adds, so x s and s x can differ in the
+    last bit), and + 0.0 clears a negative zero, as that addition's 0.0 +
+    does: the entries are bitwise the sums of the two scaled series."""
+    return tuple((o, x * p.alpha + y * p.beta + 0.0,
+                  x * p.gamma + y * p.delta + 0.0) for o, x, y in columns)
+
+
+def _identity_terms(columns, omega=None, scale: bool = False):
+    """The residual series of AD - BC = 1, dA dD - dB dC = 0 and, when
+    ``omega``, an (offset, coeffs) pair, is given, A dC - C dA = omega,
+    each as its window: the coefficients below the truncation top, which
+    the identities are held to.
+
+    One pass over the columns' bare arrays: each entry's derivative is
+    formed once, with one factor per column.  The columns are aligned, so
+    the two products of each identity share an offset and a length and
+    are subtracted coefficient by coefficient, with the operands in the
+    formulas' order; the right-hand side (1, 0 or omega) is then
+    subtracted where it falls in that window, which is widened down to it
+    when it starts lower.  So each residual has the values of the formula
+    written in GeneralizedSeries.  With ``scale``, every operand's
+    coefficients are replaced by their moduli, each difference by a sum
+    and the right-hand side by zeros, which gives, aligned and truncated
+    as the residual, the coefficient-wise size |x| * |y| + |u| * |v| of
+    the two products x y and u v that cancel in it.
     """
-    A, B, C, D = ((e.offset, e.coeffs) for e in frame.entries())
-    dA, dB, dC, dD = (_derivative_terms(*x) for x in (A, B, C, D))
+    (o1, a, c), (o2, b, d) = columns
+    (d1, (da, dc)), (d2, (db, dd)) = (_derivative_terms(o1, a, c),
+                                      _derivative_terms(o2, b, d))
+    A, B, C, D = (o1, a), (o2, b), (o1, c), (o2, d)
+    dA, dB, dC, dD = (d1, da), (d2, db), (d1, dc), (d2, dd)
     checks = [(A, D, B, C, 0.0, np.ones(1)),
               (dA, dD, dB, dC, 0.0, np.zeros(1))]
     if omega is not None:
-        checks.append((A, dC, C, dA, omega.offset, omega.coeffs))
+        checks.append((A, dC, C, dA, *omega))
     windows = []
     for *quad, t_offset, t in checks:
         if scale:
@@ -124,12 +165,11 @@ def _identity_terms(frame: BryantFrame,
 def _defects(windows):
     """(det, null, omega) defects, the largest modulus in each residual
     window (_identity_terms); omega is None when its window is absent."""
-    det, null, *om = (float(np.max(np.abs(w))) for w in windows)
+    det, null, *om = (float(np.abs(w).max()) for w in windows)
     return det, null, (om[0] if om else None)
 
 
-def _refused(defects, windows, frame: BryantFrame,
-             omega: Optional[GeneralizedSeries]):
+def _refused(defects, windows, columns, omega):
     """For each defect and its residual window, whether it fails the bar.
     A defect within 1e-8 passes.  Past that, each residual coefficient in
     the window must be within 1e-8 times max(1, the same coefficient of
@@ -142,11 +182,31 @@ def _refused(defects, windows, frame: BryantFrame,
         return [False] * len(defects)
     out = []
     for d, r, s in zip(defects, windows,
-                       _identity_terms(frame, omega, scale=True)):
+                       _identity_terms(columns, omega, scale=True)):
         bar = 1e-8 * np.maximum(1.0, s.real)
         out.append(not (d <= 1e-8 or (np.isfinite(bar).all() and bool(
             (np.abs(r) <= bar).all()))))
     return out
+
+
+def _checked(columns, omega, validity_radius: float):
+    """``columns``, or ConsistencyError on the terms of checked_frame;
+    ``omega`` is an (offset, coeffs) pair or None.  With omega, the
+    defects and the validity radius are logged at DEBUG."""
+    windows = _identity_terms(columns, omega)
+    det, null, om = _defects(windows)
+    if omega is not None:
+        log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
+                  "validity radius %g", det, null, om, validity_radius)
+    bad_det, bad_null, *bad_om = _refused((det, null, om), windows, columns,
+                                          omega)
+    if bad_det or bad_null:
+        raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
+                               "= 0 (defects %.3e, %.3e)" % (det, null))
+    if any(bad_om):
+        raise ConsistencyError(
+            "frame violates omega = A dC - C dA (defect %.3e)" % om)
+    return columns
 
 
 def checked_frame(frame: BryantFrame,
@@ -158,19 +218,8 @@ def checked_frame(frame: BryantFrame,
     (_refused).  A frame moved far from the origin has products of 1e7
     and more, whose cancellation leaves defects above 1e-8 in round-off
     alone."""
-    windows = _identity_terms(frame, omega)
-    det, null, om = _defects(windows)
-    if omega is not None:
-        log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
-                  "validity radius %g", det, null, om, frame.validity_radius)
-    bad_det, bad_null, *bad_om = _refused((det, null, om), windows, frame,
-                                          omega)
-    if bad_det or bad_null:
-        raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
-                               "= 0 (defects %.3e, %.3e)" % (det, null))
-    if any(bad_om):
-        raise ConsistencyError(
-            "frame violates omega = A dC - C dA (defect %.3e)" % om)
+    _checked(_columns(frame), None if omega is None else
+             (omega.offset, omega.coeffs), frame.validity_radius)
     return frame
 
 
@@ -188,18 +237,8 @@ def _zeta_w(a, b, c, d):
 def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     """Left-multiply the frame by P; the new end is the image of the old
     one under the direct isometry induced by P.  The columns are aligned,
-    so each new entry is x s + y t coefficient by coefficient.  The
-    operands keep series addition's order (a complex product may fuse
-    its multiply-adds, so x s and s x can differ in the last bit), and
-    + 0.0 clears a negative zero, as that addition's 0.0 + does: the
-    entries are bitwise the sums of the two scaled series."""
-    (A, B, C, D), r = frame.entries(), frame.validity_radius
-
-    def row(s, t):
-        return [GeneralizedSeries(x.offset, x.coeffs * s + y.coeffs * t + 0.0)
-                for x, y in ((A, C), (B, D))]
-
-    return BryantFrame(*row(p.alpha, p.beta), *row(p.gamma, p.delta), r)
+    so each new entry is x s + y t coefficient by coefficient (_placed)."""
+    return _frame(_placed(p, _columns(frame)), frame.validity_radius)
 
 
 # -- JSON interchange -------------------------------------------------------

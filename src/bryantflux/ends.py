@@ -13,33 +13,41 @@ entry X and P = B + gA (or D + gC), gives A and C: its recurrence never
 divides by h, and P carries a constant at the horospherical lower root.
 FrobeniusProblem accepts only the two first columns that ends have,
 catenoidal (s = -1 - mu) and horospherical (s = -2, integer mu >= 2),
-and checks their data once.  On both the indicial roots differ by 1 and
-the index of P's constant never reaches an order k >= 1, so that
-constant is set before the recurrence runs.  For admissible data the
-resonance obstruction at the gap vanishes and the lower-root solutions
-form the line lower + t * upper (t free) instead of needing a
-logarithm.  The second column follows term by term from dB = -g dA and
-dD = -g dC.  A nonzero obstruction is a LogTermRequiredError: the
-coefficient data violates the admissibility constraints, not that the
-solver gave up.  The obstruction is logged at DEBUG whether or not it
-is refused.
+and checks their data once.  On both the indicial roots differ by 1
+(catenoidal ones at mu > 1 are taken in closed form, where the
+discriminant cancels); the index of P's constant never
+reaches an order k >= 1, so that constant is set before the recurrence
+runs.  For admissible data the resonance obstruction at the gap
+vanishes and the lower-root solutions form the line lower + t * upper
+(t free) instead of needing a logarithm.  The second column follows
+term by term from dB = -g dA and dD = -g dC.  A nonzero obstruction is
+a LogTermRequiredError: the coefficient data violates the admissibility
+constraints, not that the solver gave up.  The obstruction is logged at
+DEBUG whether or not it is refused.
 
 A catenoidal column whose h has a single term past h(0),
 h = h(0)(1 + p_n z^n), is a generalized hypergeometric series in z^n:
 its term ratio is rational in k (DLMF 16.2), so the solve is one
-cumulative product of those ratios.  The branch is read from the data;
-horospherical columns and catenoidal ones with two or more terms run
-the recurrence term by term.
+cumulative product of those ratios, for both roots at once.  The branch
+is read from the data; horospherical columns and catenoidal ones with
+two or more terms run the recurrence term by term at each root.
 
 Every end is built at its standard position: the catenoidal axis
 (0, infinity), the horospherical boundary infinity.  An embedded end
 asymptotic to a catenoid cousin has an axis, so every catenoidal end is
 the image of a standard one under an isometry, and so is every
-horospherical end; build_end places the built frame by that one
-isometry (bryant.transform_frame), and its flux moves covariantly.
-The frame aligns its columns (A, C) and (B, D) when it is made
-(bryant.BryantFrame), so the placement combines them coefficient by
-coefficient.
+horospherical end; build_end places the built end by that one
+isometry, and its flux moves covariantly.
+
+From the solve to the placed end the build works on bare coefficient
+arrays: the solve gives both roots as the rows of one array
+(_solve), the paired column follows row-wise, the four entries as
+solved are checked finite and give the validity radius in one root
+test, their columns (A, C) and (B, D) are aligned and checked
+(bryant._frame_columns, bryant._checked) and placed coefficient by
+coefficient (bryant._placed).  The rules are those that BryantFrame,
+checked_frame and transform_frame apply, and build_end makes one
+BryantFrame, the placed one.
 """
 
 from __future__ import annotations
@@ -53,12 +61,14 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bryant import BryantFrame, checked_frame, transform_frame
+from .bryant import (BryantFrame, _checked, _frame, _frame_columns,
+                     _placed)
 from .errors import DomainError, LogTermRequiredError
 from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq,
                        is_inf, parse_axis, parse_complex, parse_point,
                        parse_real, standardizing_isometry)
-from .series import _LEAD_TOL, DEFAULT_ORDER, GeneralizedSeries
+from .series import (_LEAD_TOL, DEFAULT_ORDER, GeneralizedSeries, _aligned,
+                     _snap)
 
 _MU_ONE_TOL = 1e-8
 # Horospherical boundary points from this modulus on are placed without
@@ -121,11 +131,14 @@ class FrobeniusProblem:
     mu h z^(d-2) X = 0 in P = X'/q, with d = s + mu + 1.
 
     Two columns are accepted, each checked here once: a catenoidal one,
-    s = -1 - mu (d = 0) with mu > 0, mu != 1, h(0) within 1e-10 of
-    (1 - mu^2)/(4 mu) and the indicial roots 1 apart within 1e-9 as
-    computed, and a horospherical one, s = -2 (d = mu - 1) with mu an
-    integer >= 2 within 1e-9, stored as that integer.  Any other
-    (s, mu) is a DomainError.  h is holomorphic with h(0) != 0.
+    s = -1 - mu (d = 0) with mu > 0, mu != 1 and h(0) within 1e-10 of
+    (1 - mu^2)/(4 mu), and a horospherical one, s = -2 (d = mu - 1) with
+    mu an integer >= 2 within 1e-9, stored as that integer.  Any other
+    (s, mu) is a DomainError.  h is holomorphic with h(0) != 0.  The
+    solve reads h(0) only through the indicial roots.  A mu whose two
+    rounded roots are not 1 apart within 1e-9 is a DomainError: every mu
+    from about 2^53 on, and from about 2^23 a mu just under a power of
+    two, where 1 + mu rounds by more than that.
     """
 
     s: float
@@ -142,9 +155,8 @@ class FrobeniusProblem:
             if abs(h0 - target) > 1e-10:
                 raise DomainError("h(0) must equal (1-mu^2)/(4mu) = %g for a "
                                   "catenoidal end" % target)
-            # mu h(0) joins the indicial equation; from mu about 1.6e5
-            # on, rounding can move its roots off their gap of 1.
-            if abs(cmath.sqrt((1.0 + self.s) ** 2 + 4.0 * mu * h0) - 1) > 1e-9:
+            lo, hi = self.indicial_roots
+            if abs(hi - lo - 1.0) > 1e-9:
                 raise DomainError("mu = %g rounds the indicial roots" % mu)
         elif self.s == -2.0:
             m = round(float(mu))
@@ -164,11 +176,22 @@ class FrobeniusProblem:
 
     @property
     def indicial_roots(self) -> Tuple[float, float]:
-        """(sigma1, sigma2) with sigma2 = sigma1 + 1: ((-1 - mu)/2, (1 - mu)/2)
-        catenoidal, (-1, 0) horospherical."""
-        c0 = self.mu * complex(self.h.coeffs[0]) if self.d == 0 else 0.0
+        """(sigma1, sigma2) with sigma2 = sigma1 + 1: (-1, 0) horospherical,
+        ((-1 - mu)/2, (1 - mu)/2) catenoidal.  For mu < 1 they are the
+        roots of the indicial equation of the double h(0), the h(0) that
+        also scales C; its discriminant mu^2 + 4 mu h(0) is then near 1.
+        For mu > 1 that discriminant cancels mu^2 against 1 - mu^2, and its
+        roots drift off their gap of 1 (valid data was refused from mu
+        about 1.6e5 on), so they are taken in closed form, each correctly
+        rounded: the column solved is the one whose h(0) is exactly
+        (1 - mu^2)/(4 mu)."""
+        mu = self.mu
+        if self.d:
+            return -1.0, 0.0
+        if mu > 1.0:
+            return (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0
         b = 1.0 + self.s
-        disc = cmath.sqrt(b * b + 4.0 * c0)
+        disc = cmath.sqrt(b * b + 4.0 * (mu * complex(self.h.coeffs[0])))
         return ((b - disc) / 2.0).real, ((b + disc) / 2.0).real
 
 
@@ -185,38 +208,43 @@ def _check_obstruction(obstruction) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _product_at_root(prob: FrobeniusProblem, lo: float, hi: float,
-                     sigma: float, gap: Optional[int], hn) -> GeneralizedSeries:
+def _product_rows(prob: FrobeniusProblem, lo: float, hi: float,
+                  hn) -> np.ndarray:
     """X of a catenoidal column whose h has at most one term h_n past h_0,
-    at one root, with the arguments of _solve_at_root.
+    at both roots, as the rows of one (2, K + 1) array; ``hn`` is as in
+    _solve_at_root.
 
     The recurrence of _solve_at_root then couples only k and k - n:
     x_k = r_k x_(k-n) with r_k = mu h_n e_k / ((sigma + k - lo)
     (sigma + k - hi) e_(k-n)) and e_k = k - kc, a term ratio rational in
     k (the series is hypergeometric in z^n).  So the class k = 0 mod n is
-    one cumulative product and every other class is 0.  At the lower
-    root x is 0 at the gap, k = 1, as in the loop: for n = 1 the class
-    stays 0 from there on and the obstruction there is h_1 p_0, for
+    one cumulative product, taken for both roots at once, and every other
+    class is 0; each row is bitwise the product of its root alone.  At
+    the lower root x is 0 at the gap, k = 1, as in the loop: for n = 1 the
+    class stays 0 from there on and the obstruction there is h_1 p_0, for
     n >= 2 the gap is off the class and the obstruction is 0.  Overflow
     is left as inf or nan for the frame's finiteness check.
     """
     K, mu = prob.order, prob.mu
-    kc = prob.s + 1.0 - sigma
     n, c = hn[0] if hn else (K + 1, 0j)
-    top = 0 if gap == n else K
-    k = np.arange(n, top + 1, n, dtype=float)
-    x = np.zeros(K + 1, dtype=complex)
-    x[0] = 1.0
-    x[n:top + 1:n] = np.cumprod((mu * c) * ((k - kc) / (
-        (k + (sigma - lo)) * (k + (sigma - hi)) * (k - (n + kc)))))
-    if gap is not None and gap <= K:
-        _check_obstruction(c * (mu * x[0] / -kc) if gap == n else 0.0)
-    return GeneralizedSeries(sigma, x)
+    sigma = np.array([[lo], [hi]])
+    kc = prob.s + 1.0 - sigma
+    x = np.zeros((2, K + 1), dtype=complex)
+    x[:, 0] = 1.0
+    if K >= 1:
+        _check_obstruction(c * (mu * x[0, 0] / -kc[0, 0]) if n == 1 else 0.0)
+    r = 1 if n == 1 else 0  # at n = 1 the lower root's class stays 0
+    k = np.arange(n, K + 1, n, dtype=float)
+    sigma, kc = sigma[r:], kc[r:]
+    x[r:, n::n] = np.cumprod((mu * c) * ((k - kc) / (
+        (k + (sigma - lo)) * (k + (sigma - hi)) * (k - (n + kc)))), axis=1)
+    return x
 
 
 def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
-                   sigma: float, gap: Optional[int], hn) -> GeneralizedSeries:
-    """Run the recurrence of X' = q P, P' = mu z^(mu-1) X at one root.
+                   sigma: float, gap: Optional[int], hn) -> list:
+    """Run the recurrence of X' = q P, P' = mu z^(mu-1) X at one root,
+    and return X's coefficients as a list.
 
     With X = sum x_k z^(sigma+k), P = sum p_k z^(k-kc), kc = s + 1 - sigma
     and d = prob.d: (sigma + k) x_k = sum_n h_n p_(k-n) and
@@ -252,7 +280,23 @@ def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
                           if d == 0 else sigma + k)
         if d == 0:
             p[k] = mu * x[k] / e
-    return GeneralizedSeries(sigma, np.array(x))
+    return x
+
+
+def _solve(prob: FrobeniusProblem):
+    """((lower offset, upper offset), x): frobenius_solve's two solutions
+    as the rows of one (2, K + 1) coefficient array, at the snapped
+    indicial roots."""
+    lo, hi = prob.indicial_roots
+    h = prob.h.coeffs[:prob.order + 1]
+    n = np.flatnonzero(h[1:]) + 1
+    hn = list(zip(n.tolist(), h[n].tolist()))
+    if prob.d == 0 and len(hn) <= 1:
+        x = _product_rows(prob, lo, hi, hn)
+    else:
+        x = np.array([_solve_at_root(prob, lo, hi, lo, 1, hn),
+                      _solve_at_root(prob, lo, hi, hi, None, hn)])
+    return (_snap(lo), _snap(hi)), x
 
 
 def frobenius_solve(prob: FrobeniusProblem):
@@ -270,14 +314,12 @@ def frobenius_solve(prob: FrobeniusProblem):
 
     A catenoidal column whose h has at most one nonzero coefficient h_n
     past h(0) up to the order is solved as one cumulative product of term
-    ratios over k = 0 mod n; every other column runs the recurrence term
-    by term.  Both give the same coefficients to round-off.
+    ratios over k = 0 mod n, for both roots at once; every other column
+    runs the recurrence term by term at each root.  Both give the same
+    coefficients to round-off.
     """
-    lo, hi = prob.indicial_roots
-    hn = [(n, c) for n, c in
-          enumerate(prob.h.coeffs[1:prob.order + 1].tolist(), 1) if c]
-    solve = _product_at_root if prob.d == 0 and len(hn) <= 1 else _solve_at_root
-    return solve(prob, lo, hi, lo, 1, hn), solve(prob, lo, hi, hi, None, hn)
+    (lo, hi), x = _solve(prob)
+    return GeneralizedSeries(lo, x[0]), GeneralizedSeries(hi, x[1])
 
 
 # -- catenoidal construction ------------------------------------------------
@@ -301,46 +343,62 @@ def catenoid_cousin_frame(mu: float, order: int = DEFAULT_ORDER) -> BryantFrame:
     )
 
 
-def _validity_from_entries(entries) -> float:
-    """0.5 times the least Cauchy root-test radius of the entries
-    (1 / max_k |a_k|^(1/k), k >= 1), as one root test over all their
-    coefficients past the constant: the min over entries of 1/x is
-    1/(max over entries of x), bitwise.  The tests' radius_estimate is
-    the per-entry reference."""
-    mags = np.abs(np.concatenate([e.coeffs[1:] for e in entries]))
-    k = np.concatenate([np.arange(1, len(e.coeffs)) for e in entries])
-    mask = mags > 0
-    if not mask.any():
-        return math.inf
-    return 0.5 * float(1.0 / np.max(mags[mask] ** (1.0 / k[mask])))
+def _validity_from_entries(rows: np.ndarray) -> float:
+    """0.5 times the least Cauchy root-test radius of the entries, given
+    as the rows of one array (1 / max_k |a_k|^(1/k), k >= 1), as one root
+    test over all their coefficients past the constant: the min over
+    entries of 1/x is 1/(max over entries of x), bitwise.  A zero
+    coefficient adds 0 to that max.  The tests' radius_estimate is the
+    per-entry reference."""
+    m = np.max(np.abs(rows[:, 1:]) ** (1.0 / np.arange(1, rows.shape[1])),
+               initial=0.0)
+    return math.inf if m == 0 else 0.5 * float(1.0 / m)
 
 
-def _paired(E: GeneralizedSeries, mu: float) -> GeneralizedSeries:
-    """The second-column partner X of a first-column entry E: dX = -z^mu dE,
-    integrated term by term with no constant (e + mu != 0 for every
-    exponent e of admissible data)."""
-    e = E.offset + np.arange(E.order + 1)
-    return GeneralizedSeries(E.offset + mu, -e / (e + mu) * E.coeffs)
+def _solved_rows(prob: FrobeniusProblem, scale: complex):
+    """(offsets, rows) of the entries A, B, C, D as solved: A = f2 and
+    C = scale f1 from one Frobenius solve, and their partners B and D,
+    dX = -z^mu dE integrated term by term with no constant (e + mu != 0
+    for every exponent e of admissible data), as the rows of one array."""
+    (lo, hi), f = _solve(prob)
+    rows = np.empty((4, prob.order + 1), dtype=complex)
+    rows[0], rows[2] = f[1], f[0] * scale
+    e = np.array([[hi], [lo]]) + np.arange(prob.order + 1)
+    rows[1::2] = -e / (e + prob.mu) * rows[0::2]
+    return [hi, _snap(hi + prob.mu), lo, _snap(lo + prob.mu)], rows
 
 
-def _check_finite(what: str, *series: GeneralizedSeries):
+def _check_finite(what: str, *arrays: np.ndarray):
     """DomainError naming the overflow when a coefficient is not finite."""
-    if not np.isfinite(np.concatenate([s.coeffs for s in series])).all():
+    if not np.isfinite(np.concatenate(arrays)).all():
         raise DomainError("%s overflows: its coefficients are not finite"
                           % what)
 
 
-def _end_frame(A, B, C, D, nu: float, h: GeneralizedSeries) -> BryantFrame:
-    """The frame (A, B; C, D) once checked_frame finds AD - BC = 1,
-    dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError when an entry
-    overflows, ConsistencyError otherwise.  The validity radius is read
-    from the entries as solved, each at its own offset, before
-    BryantFrame aligns the columns: a padded entry's leading 0 would
-    move the root test's powers."""
-    _check_finite("the frame", A, B, C, D)
-    return checked_frame(BryantFrame(
-        A, B, C, D, validity_radius=_validity_from_entries((A, B, C, D))),
-        GeneralizedSeries(nu, h.coeffs))
+def _end_columns(offsets, rows: np.ndarray, nu: float,
+                 h: GeneralizedSeries):
+    """(columns, validity radius) of the entries A, B, C, D given as the
+    rows of one array at ``offsets``, once bryant._checked finds
+    AD - BC = 1, dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError
+    when an entry overflows, ConsistencyError otherwise.  The validity
+    radius is read from the entries as solved, each at its own offset,
+    before the columns are aligned: a padded entry's leading 0 would move
+    the root test's powers."""
+    _check_finite("the frame", *rows)
+    radius = _validity_from_entries(rows)
+    columns = _frame_columns(*zip(offsets, rows))
+    return _checked(columns, (_snap(nu), h.coeffs), radius), radius
+
+
+def _catenoidal_columns(mu: float, h: GeneralizedSeries, order: int):
+    """The checked columns and validity radius of
+    canonical_catenoidal_frame."""
+    prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h, order=order)
+    h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
+    if abs(h1) > 1e-10:
+        raise DomainError("catenoidal data requires h'(0) = 0")
+    offsets, rows = _solved_rows(prob, (mu * mu - 1.0) / (4.0 * mu))
+    return _end_columns(offsets, rows, -1.0 - mu, h)
 
 
 def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
@@ -353,16 +411,35 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
     paired column of A and C.  build_end places an end with any other
     axis by an isometry.
     """
-    prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h, order=order)
-    h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
-    if abs(h1) > 1e-10:
-        raise DomainError("catenoidal data requires h'(0) = 0")
-    f1, f2 = frobenius_solve(prob)
-    A, C = f2, ((mu * mu - 1.0) / (4.0 * mu)) * f1
-    return _end_frame(A, _paired(A, mu), C, _paired(C, mu), -1.0 - mu, h)
+    return _frame(*_catenoidal_columns(mu, h, order))
 
 
 # -- horospherical construction ---------------------------------------------
+
+def _horospherical_columns(mu, h: GeneralizedSeries, order: int):
+    """The checked columns and validity radius of
+    canonical_horospherical_frame."""
+    prob = FrobeniusProblem(s=-2.0, mu=mu, h=h, order=order)
+    h0 = complex(h.coeffs[0])
+    h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
+    if prob.mu == 2:
+        h0sq = h0 * h0
+        if not cmath.isfinite(h0sq):
+            raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2, which "
+                              "overflows")
+        if abs(h1 - 2.0 * h0sq) > 1e-10 * max(1.0, abs(h0sq)):
+            raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2")
+    elif abs(h1) > 1e-10:
+        raise DomainError("mu >= 3 requires h'(0) = 0")
+    offsets, rows = _solved_rows(prob, -h0)
+    # D = 1 + the partner of C, by the rule of series addition
+    one = np.zeros(order + 1, dtype=complex)
+    one[0] = 1.0
+    offsets[3], (x, y) = _aligned(0.0, one, offsets[3], rows[3],
+                                  "series addition")
+    rows[3] = 0.0 + x + y
+    return _end_columns(offsets, rows, -2.0, h)
+
 
 def canonical_horospherical_frame(mu, h: GeneralizedSeries,
                                   order: int = DEFAULT_ORDER) -> BryantFrame:
@@ -376,23 +453,7 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     paired column of A and C, D with the constant D(0) = 1/A(0) = 1 that
     unit determinant needs.
     """
-    prob = FrobeniusProblem(s=-2.0, mu=mu, h=h, order=order)
-    h0 = complex(h.coeffs[0])
-    h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
-    if prob.mu == 2:
-        h0sq = h0 * h0
-        if not cmath.isfinite(h0sq):
-            raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2, which "
-                              "overflows")
-        if abs(h1 - 2.0 * h0sq) > 1e-10 * max(1.0, abs(h0sq)):
-            raise DomainError("mu = 2 requires h'(0) = 2 h(0)^2")
-    elif abs(h1) > 1e-10:
-        raise DomainError("mu >= 3 requires h'(0) = 0")
-    f1, f2 = frobenius_solve(prob)
-    A, C = f2, -h0 * f1
-    B = _paired(A, prob.mu)
-    D = GeneralizedSeries.constant(1.0, order) + _paired(C, prob.mu)
-    return _end_frame(A, B, C, D, -2.0, h)
+    return _frame(*_horospherical_columns(mu, h, order))
 
 
 def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:
@@ -441,7 +502,7 @@ def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
             break
         coeffs[k] = p
     h = GeneralizedSeries(0.0, h0 * coeffs)
-    _check_finite("h", h)
+    _check_finite("h", h.coeffs)
     return h
 
 
@@ -487,9 +548,9 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     if kind == "catenoidal":
         end = Catenoidal(parse_real(spec["mu"]), *parse_axis(spec["axis"]))
         mu = end.mu
-        frame = canonical_catenoidal_frame(
+        columns, radius = _catenoidal_columns(
             mu, _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order),
-            order=order)
+            order)
         anchor, b = end.axis_from, end.boundary
     elif kind == "horospherical":
         mu = parse_real(spec["mu"])
@@ -498,14 +559,14 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         # kappa = (mu h(0))^2 at mu = 2; the Hopf differential is
         # holomorphic at mu >= 3, where kappa = 0.
         end = Horospherical(b, 4.0 * h0 * h0 if round(mu) == 2 else 0j)
-        frame = canonical_horospherical_frame(
-            mu, _perturbed_h(h0, pert, order), order=order)
+        columns, radius = _horospherical_columns(
+            mu, _perturbed_h(h0, pert, order), order)
         # The anchor b + 1 fixes the scale kappa is read at; 0 leaves
         # b = infinity in place.  Where b + 1 rounds, P's exact factors
         # place the end, and b = infinity then leaves it where it is.
         if not is_inf(b) and abs(b) >= _FAR_BOUNDARY:
-            frame = transform_frame(IsometrySL2(1.0, -1.0, 1.0, 0.0), frame)
-            frame = transform_frame(IsometrySL2(1.0, 0.0, b, 1.0), frame)
+            columns = _placed(IsometrySL2(1.0, -1.0, 1.0, 0.0), columns)
+            columns = _placed(IsometrySL2(1.0, 0.0, b, 1.0), columns)
             b = INF
         anchor = 0j if is_inf(b) else complex(b) + 1.0
     elif kind == "horosphere":
@@ -514,6 +575,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         raise DomainError("unknown end type %r" % (kind,))
     q = standardizing_isometry(anchor, b)
     if q != IsometrySL2(1.0, 0.0, 0.0, 1.0):
-        frame = transform_frame(q.inverse(), frame)
-    _check_finite("the placed frame", *frame.entries())
-    return frame, end
+        columns = _placed(q.inverse(), columns)
+    (_, a, c), (_, b, d) = columns
+    _check_finite("the placed frame", a, b, c, d)
+    return _frame(columns, radius), end

@@ -6,9 +6,12 @@ residues (flux_triple).  The quadratic polynomial
 Pi(X) = phi2 X^2 + 2 phi1 X + phi0 and the matrix
 Phi = Res(-(dF) F^-1) = (phi1, phi2; -phi0, -phi1) / 4 pi are derived
 from it (FluxPolynomial.from_triple, FluxMatrix.from_triple).  Each
-residue of the triple is a difference of two residues of entry
-products, and each of those is read from the few leading coefficients
-that reach z^-1 (series.product_residue): no product series is formed.
+residue of the triple is a difference of two residues of products of an
+entry and a derivative.  The frame's columns are aligned, so the six
+products share one index of z^-1, and each residue is read from the
+idx + 1 leading coefficients and the derivatives of only those
+(series._pair_sum): no product or derivative series is formed, and the
+cost does not grow with the order.
 
 circle_samples integrates the defining boundary integral by the
 trapezoid rule on one circle |z| = rho, with exact derivatives, and
@@ -53,8 +56,8 @@ from .errors import DomainError
 from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
     cross_ratio
 from .killing import ROTATION, TRANSLATION, KillingField, field_polynomial
-from .series import (QuadratureGrid, differentiate, eval_branch,
-                     product_residue)
+from .series import (QuadratureGrid, _derivative_terms, _pair_sum,
+                     _residue_index, _snap, differentiate, eval_branch)
 
 
 @dataclass(frozen=True)
@@ -113,24 +116,36 @@ class FluxMatrix:
         return cls(s * t.phi1, s * t.phi2, -s * t.phi0, -s * t.phi1)
 
 
-# Overflow reaches the caller as a residue that is not finite; a
-# derivative coefficient past those that reach z^-1 plays no part.
 @np.errstate(over="ignore", invalid="ignore")
 def flux_triple(frame: BryantFrame) -> FluxTriple:
     """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB.
 
-    Each residue is the difference of two product residues, each read
-    from the few leading coefficients that reach z^-1
-    (series.product_residue); the one-forms are never formed.  The
-    frame's columns are aligned, so the two products of a one-form share
-    their offset and their length, and z^-1 lies past the truncation of
-    both or of neither.  A residue that overflows, or an offset sum that
-    is not finite, raises DomainError.
+    The frame's columns (A, C) and (B, D) are aligned, so all six
+    products share one offset and one length: one index idx of z^-1, and
+    z^-1 lies past the truncation of all six or of none.  Each residue is
+    then the difference of two sums over the idx + 1 leading coefficient
+    pairs (series._pair_sum), and only those leading coefficients are
+    differentiated: neither the one-forms nor the derivative series are
+    formed, so the cost does not grow with the order.  The values are
+    bitwise those of the residues of the formed products.  A residue that
+    overflows, or an offset sum that is not finite, raises DomainError.
     """
     A, B, C, D = frame.entries()
-    dA, dB, dC, dD = map(differentiate, frame.entries())
-    res = [4.0 * math.pi * (product_residue(a, b) - product_residue(c, d))
-           for a, b, c, d in ((D, dC, C, dD), (C, dB, D, dA), (B, dA, A, dB))]
+    n1, n2 = len(A.coeffs), len(B.coeffs)
+    # The offset of D dC, with dC's offset as _derivative_terms forms it.
+    idx = _residue_index(D.offset + _snap(C.offset - 1.0), min(n1, n2))
+    if idx is None:
+        return FluxTriple(0j, 0j, 0j)
+    a, b, c, d = (e.coeffs[:idx + 1] for e in frame.entries())
+    (_, (da, dc)), (_, (db, dd)) = (_derivative_terms(C.offset, a, c),
+                                    _derivative_terms(D.offset, b, d))
+    # The AC column's entries have n1 coefficients, the BD column's n2.
+    res = [4.0 * math.pi * (_pair_sum(d, dc, n2, n1)
+                            - _pair_sum(c, dd, n1, n2)),
+           4.0 * math.pi * (_pair_sum(c, db, n1, n2)
+                            - _pair_sum(d, da, n2, n1)),
+           4.0 * math.pi * (_pair_sum(b, da, n2, n1)
+                            - _pair_sum(a, db, n1, n2))]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
     return FluxTriple(*res)

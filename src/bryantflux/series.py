@@ -13,12 +13,13 @@ them: a Bryant frame's columns are aligned (bryant.BryantFrame), and
 every product of the immersion is of two values from one column, whose
 factors cancel.  The tests keep a Horner sum with the branch factor at
 arbitrary angles as its reference.  product_residue gives
-residue(a * b) from the coefficient pairs that reach z^-1, without
-forming the product.  The rules of addition, multiplication and
-differentiation are written once, on bare coefficient arrays (_aligned,
-_product_terms, _derivative_terms), so a caller can apply them without
-forming intermediate series; _integer is the one test that an offset, or
-a gap between two, is an integer.
+residue(a * b) from the coefficient pairs that reach z^-1, summed in
+the product's own order (_pair_sum), without forming the product.  The
+rules of addition, multiplication and differentiation are written once,
+on bare coefficient arrays (_aligned, _product_terms, _derivative_terms),
+so a caller can apply them without forming intermediate series;
+_integer is the one test that an offset, or a gap between two, is an
+integer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,24 +59,25 @@ def _integer(x: float, message: str, *args) -> int:
     raise DomainError(message % args)
 
 
-def _aligned(x: GeneralizedSeries, y: GeneralizedSeries, what: str):
-    """(offset, [x's coeffs, y's coeffs]) with both arrays at the lower
-    offset, each truncated at the lower of the two absolute tops: the rule
-    of series addition and of a frame's columns.
+def _aligned(x_offset: float, x: np.ndarray, y_offset: float, y: np.ndarray,
+             what: str):
+    """(offset, [x, y]) with both coefficient arrays at the lower offset,
+    each truncated at the lower of the two absolute tops: the rule of
+    series addition and of a frame's columns.
 
     Both operands are accurate through their top retained power, so the
     pair is accurate through the lower top.  An array already in place is
     returned as it is.  DomainError naming ``what`` when the offsets do
     not differ by an integer.
     """
-    d = _integer(y.offset - x.offset, "the offsets of %s, %g and %g, do not "
-                 "differ by an integer", what, x.offset, y.offset)
-    lo = min(x.offset, y.offset)
+    d = _integer(y_offset - x_offset, "the offsets of %s, %g and %g, do not "
+                 "differ by an integer", what, x_offset, y_offset)
+    lo = min(x_offset, y_offset)
     kx, ky = max(-d, 0), max(d, 0)
-    n = min(kx + len(x.coeffs), ky + len(y.coeffs))
-    return lo, [e.coeffs if e.offset == lo and len(e.coeffs) == n else
-                np.concatenate([np.zeros(min(k, n)), e.coeffs])[:n]
-                for k, e in ((kx, x), (ky, y))]
+    n = min(kx + len(x), ky + len(y))
+    return lo, [c if o == lo and len(c) == n else
+                np.concatenate([np.zeros(min(k, n)), c])[:n]
+                for k, o, c in ((kx, x_offset, x), (ky, y_offset, y))]
 
 
 def _product_terms(x_offset: float, x: np.ndarray, y_offset: float,
@@ -119,7 +121,8 @@ class GeneralizedSeries:
 
     def __add__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
         # 0.0 + turns a -0.0 sum into +0.0, as a sum into zeros does.
-        offset, (x, y) = _aligned(self, other, "series addition")
+        offset, (x, y) = _aligned(self.offset, self.coeffs, other.offset,
+                                  other.coeffs, "series addition")
         return GeneralizedSeries(offset, 0.0 + x + y)
 
     def __neg__(self) -> "GeneralizedSeries":
@@ -137,46 +140,54 @@ class GeneralizedSeries:
     __rmul__ = __mul__
 
 
-def _derivative_terms(offset: float, coeffs: np.ndarray):
-    """(offset, coeffs) of the term-wise derivative of z^offset coeffs."""
-    return _snap(offset - 1.0), (offset + np.arange(len(coeffs))) * coeffs
+def _derivative_terms(offset: float, *coeffs: np.ndarray):
+    """(offset, [c', ...]) of the term-wise derivatives of z^offset c for
+    arrays c of one length at one offset, such as a frame's column: one
+    factor (offset + k) serves them all."""
+    e = offset + np.arange(len(coeffs[0]))
+    return _snap(offset - 1.0), [e * c for c in coeffs]
 
 
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
     """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1)."""
-    return GeneralizedSeries(*_derivative_terms(a.offset, a.coeffs))
+    offset, (c,) = _derivative_terms(a.offset, a.coeffs)
+    return GeneralizedSeries(offset, c)
 
 
-def _residue_index(offset: float) -> int:
+def _residue_index(offset: float, n: int) -> Optional[int]:
     """Index of the z^-1 coefficient at this offset, which must be an
-    integer."""
-    return -1 - _integer(offset, "residue undefined for non-integer "
-                         "offset %g", offset)
+    integer, among n coefficients; None when it lies outside them."""
+    idx = -1 - _integer(offset, "residue undefined for non-integer "
+                        "offset %g", offset)
+    return idx if 0 <= idx < n else None
 
 
 def residue(a: GeneralizedSeries) -> complex:
     """Coefficient of z^-1; defined only for integer offsets."""
-    idx = _residue_index(a.offset)
-    if 0 <= idx <= a.order:
-        return complex(a.coeffs[idx])
-    return 0.0 + 0.0j
+    idx = _residue_index(a.offset, len(a.coeffs))
+    return 0.0 + 0.0j if idx is None else complex(a.coeffs[idx])
+
+
+def _pair_sum(x: np.ndarray, y: np.ndarray, nx: int, ny: int) -> complex:
+    """sum_j x_j y_(idx-j) over the idx + 1 leading coefficients x and y
+    of two operands of nx and ny coefficients, in np.convolve's order:
+    the longer operand first, which is y when ny > nx.  + 0j clears a
+    negative zero, as the product's zero-started sums do, so the value is
+    bitwise the z^-1 coefficient of the formed product."""
+    if ny > nx:
+        x, y = y, x
+    return complex(np.dot(x, y[::-1]) + 0j)
 
 
 def product_residue(a: GeneralizedSeries, b: GeneralizedSeries) -> complex:
     """residue(a * b) from the idx + 1 coefficient pairs it needs, without
-    forming the product; idx = -1 - (a.offset + b.offset).
-
-    The pairs are summed in np.convolve's order (the longer operand
-    first) and + 0j clears a negative zero, as the product's
-    zero-started sums do, so the value is bitwise that of residue(a * b).
-    """
-    idx = _residue_index(a.offset + b.offset)
+    forming the product; idx = -1 - (a.offset + b.offset).  The value is
+    bitwise that of residue(a * b) (_pair_sum)."""
     x, y = a.coeffs, b.coeffs
-    if not 0 <= idx < min(len(x), len(y)):
+    idx = _residue_index(a.offset + b.offset, min(len(x), len(y)))
+    if idx is None:
         return 0.0 + 0.0j
-    if len(y) > len(x):
-        x, y = y, x
-    return complex(np.dot(x[:idx + 1], y[idx::-1]) + 0j)
+    return _pair_sum(x[:idx + 1], y[:idx + 1], len(x), len(y))
 
 
 @dataclass(frozen=True)

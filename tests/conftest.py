@@ -4,6 +4,7 @@ import pytest
 from bryantflux import (GeneralizedSeries, Geodesic, INF, IsometrySL2,
                         canonical_catenoidal_frame, catenoid_cousin_frame,
                         transform_frame)
+from bryantflux.bryant import _columns, _defects, _identity_terms
 
 
 def make_h(mu, extra=(), order=32):
@@ -14,6 +15,13 @@ def make_h(mu, extra=(), order=32):
     for k, p in enumerate(extra, start=1):
         coeffs[k] = p
     return GeneralizedSeries(0.0, h0 * coeffs)
+
+
+def frame_defects(frame, omega=None):
+    """(det, null, omega) defects of a frame by the package's identity
+    pass on its columns; ``omega`` is a GeneralizedSeries or None."""
+    return _defects(_identity_terms(_columns(frame), None if omega is None
+                                    else (omega.offset, omega.coeffs)))
 
 
 def translated_catenoidal_frame(mu, h, a):

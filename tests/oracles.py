@@ -324,16 +324,21 @@ def frobenius_mp(prob: FrobeniusProblem, dps: int = 50):
     mu x_(k-d) / (k - kc), 0 for k < d, from p_0 = sigma / h_0 at the
     lower root (kc = 0) and 0 at the upper one, and x_k follows.  At the
     lower root's gap x is set to 0, as in the package.  The data are the
-    problem's doubles, read exactly, and the roots are recomputed at
-    ``dps`` digits.  (The second-order ODE's three-term recurrence is not
-    used: run forward it loses digits to the growing solution on every
-    step.)
+    problem's doubles, read exactly, except that a catenoidal h(0) at
+    mu > 1 is the exact (1 - mu^2)/(4 mu) of the double mu, the column
+    whose indicial roots are the package's closed-form ones; the roots
+    are recomputed at ``dps`` digits.  (The second-order ODE's three-term
+    recurrence is not used: run forward it loses digits to the growing
+    solution on every step.)
     """
     K, d = prob.order, prob.d
     with mpmath.workdps(dps):
         mu, s = mpmath.mpf(prob.mu), mpmath.mpf(prob.s)
         h = {n: mpmath.mpc(complex(c))
              for n, c in enumerate(prob.h.coeffs[:K + 1]) if c}
+        if d == 0 and mu > 1:
+            # the column of the closed-form roots, which the package solves
+            h[0] = (1 - mu * mu) / (4 * mu)
         b = 1 + s
         disc = mpmath.sqrt(b * b + (4 * mu * h[0] if d == 0 else 0))
         lo, hi = sorted(((b - disc) / 2, (b + disc) / 2), key=mpmath.re)

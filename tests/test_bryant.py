@@ -10,11 +10,10 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         catenoid_cousin_frame,
                         frame_from_json, frame_to_json, horosphere_frame,
                         residue, transform_frame)
-from bryantflux.bryant import _defects, _identity_terms
 from bryantflux.flux import circle_samples
 from bryantflux.series import differentiate
 
-from conftest import make_h
+from conftest import frame_defects, make_h
 from oracles import (WeierstrassData, apply_isometry, derived_forms,
                      eval_at, immersion, immersion_samples, normalized,
                      one_forms, series_div, series_isclose)
@@ -27,11 +26,11 @@ def horo_frame_mu2():
 
 class TestFrameChecks:
     def test_cousin_exact(self):
-        det, null = _defects(_identity_terms(catenoid_cousin_frame(0.5)))[:2]
+        det, null = frame_defects(catenoid_cousin_frame(0.5))[:2]
         assert det < 1e-12 and null < 1e-12
 
     def test_horosphere_exact(self):
-        det, null = _defects(_identity_terms(horosphere_frame()))[:2]
+        det, null = frame_defects(horosphere_frame())[:2]
         assert det < 1e-12 and null < 1e-12
 
     def test_perturbed_entry_detected(self):
@@ -40,7 +39,7 @@ class TestFrameChecks:
             frame.B.offset + 1.0, [0.01] + [0.0] * (frame.B.order - 1))
         bad = BryantFrame(frame.A, bad_b, frame.C, frame.D,
                           validity_radius=frame.validity_radius)
-        det, _ = _defects(_identity_terms(bad))[:2]
+        det, _ = frame_defects(bad)[:2]
         lead_c = abs(frame.C.coeffs[0])
         assert det == pytest.approx(0.01 * lead_c, rel=1e-6)
 
@@ -52,8 +51,7 @@ class TestFrameChecks:
         A, C = (GeneralizedSeries(e.offset + shift, e.coeffs)
                 for e in (f.A, f.C))
         with pytest.raises(ConsistencyError, match="left uncancelled"):
-            _defects(_identity_terms(BryantFrame(A, f.B, C, f.D,
-                                                 f.validity_radius)))
+            frame_defects(BryantFrame(A, f.B, C, f.D, f.validity_radius))
 
 
 class TestImmersion:
@@ -242,7 +240,7 @@ class TestTransformFrame:
     def test_preserves_frame_identities(self, perturbed_frame):
         p = IsometrySL2(1.0 + 0.5j, 0.25, -0.3j, 1.0)
         out = transform_frame(p, perturbed_frame)
-        det, null = _defects(_identity_terms(out))[:2]
+        det, null = frame_defects(out)[:2]
         assert det < 1e-8 and null < 1e-8
 
     def test_immersion_covariance(self, perturbed_frame):
@@ -286,7 +284,7 @@ FAR_SPEC = {"type": "horospherical", "mu": 4, "h0": 3,
 class TestJson:
     def test_far_frame_round_trips(self):
         frame, _ = build_end(FAR_SPEC)
-        assert _defects(_identity_terms(frame))[1] > 1e-8
+        assert frame_defects(frame)[1] > 1e-8
         back = frame_from_json(frame_to_json(frame))
         for a, b in zip(back.entries(), frame.entries()):
             assert a.offset == b.offset

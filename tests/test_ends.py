@@ -17,10 +17,10 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
                         horosphere_frame, horospherical_polynomial, is_inf,
                         mobius_boundary, transform_frame)
 from bryantflux import bryant, ends, series
-from bryantflux.bryant import _defects, _identity_terms
 from bryantflux.series import differentiate
 
-from conftest import make_h, translated_catenoidal_frame
+from conftest import (frame_defects, make_h,
+                      translated_catenoidal_frame)
 from oracles import (WeierstrassData, classify_end, eval_at, frobenius_mp,
                      normalized, ode_residual, placed_by_entries,
                      radius_estimate, series_isclose)
@@ -76,7 +76,7 @@ class TestCousinFrame:
     def test_determinant_identity(self):
         for mu in (0.5, 1.5, 2.0, 3.0):
             frame = catenoid_cousin_frame(mu)
-            det, null = _defects(_identity_terms(frame))[:2]
+            det, null = frame_defects(frame)[:2]
             assert det < 1e-12 and null < 1e-12
 
     def test_mu_one_rejected(self):
@@ -104,6 +104,42 @@ class TestFrobenius:
         h = GeneralizedSeries.constant(1.0, order=16)
         f_prob = FrobeniusProblem(s=-2.0, mu=float(m), h=h)
         assert f_prob.indicial_roots == (-1.0, 0.0)
+
+    def test_large_mu_builds_with_the_closed_form_flux(self):
+        """400 log-spaced catenoidal mu in [1e5, 1e10] all build, with
+        phi1 within 2.8e-16 relative of -pi (1 - mu^2).  Roots computed
+        from the double h(0) drift off their gap of 1 there, which
+        refused 181 of them; the closed-form roots are 1 apart."""
+        worst = 0.0
+        for mu in np.logspace(5, 10, 400):
+            frame, _ = build_end({"type": "catenoidal", "mu": float(mu),
+                                  "axis": [0, "inf"]})
+            want = -math.pi * (1.0 - mu * mu)
+            worst = max(worst, abs(flux_triple(frame).phi1 - want)
+                        / abs(want))
+        assert worst <= 2.8e-16
+
+    @pytest.mark.parametrize("mu", [1.05, 1.3, 1.8, 3.1])
+    def test_roots_an_ulp_off_their_gap_build(self, mu):
+        """-1 - mu rounds for these mu while 1 - mu does not, so the
+        rounded closed-form roots are 1 - 2^-53 or 1 - 2^-52 apart: the
+        end builds, with phi1 within 1e-14 of -pi (1 - mu^2)."""
+        lo, hi = (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0
+        assert hi - lo != 1.0
+        frame, _ = build_end({"type": "catenoidal", "mu": mu,
+                              "axis": [0, "inf"]})
+        want = -math.pi * (1.0 - mu * mu)
+        assert abs(flux_triple(frame).phi1 - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("mu", [2.0 ** 33 - 2.0 ** -20, 1e16, 1e20])
+    def test_roots_not_one_apart_refused(self, mu):
+        """Where the rounded closed-form roots are more than 1e-9 off a gap
+        of 1 (1 + mu rounds below 2^33, or mu absorbs the 1), the problem
+        refuses mu; at 1e20 both roots round to one value, and the frame
+        built on them gives phi1 = 0."""
+        h = GeneralizedSeries.constant((1.0 - mu * mu) / (4.0 * mu))
+        with pytest.raises(DomainError, match="rounds the indicial roots"):
+            FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5])
     def test_series_matches_numerical_integration(self, mu):
@@ -188,16 +224,16 @@ class TestFrobenius:
 
 
 def product_calls(monkeypatch):
-    """The roots at which frobenius_solve takes the product form, as a
-    list that each solve appends its sigmas to."""
+    """The problems that frobenius_solve solves by the product form, both
+    roots in one call, as a list that each such solve appends to."""
     calls = []
-    product = ends._product_at_root
+    product = ends._product_rows
 
-    def counted(prob, lo, hi, sigma, gap, hn):
-        calls.append(sigma)
-        return product(prob, lo, hi, sigma, gap, hn)
+    def counted(prob, lo, hi, hn):
+        calls.append(prob)
+        return product(prob, lo, hi, hn)
 
-    monkeypatch.setattr(ends, "_product_at_root", counted)
+    monkeypatch.setattr(ends, "_product_rows", counted)
     return calls
 
 
@@ -227,7 +263,7 @@ class TestProductForm:
             assert_matches_mpmath(FrobeniusProblem(
                 s=-1.0 - mu, mu=mu,
                 h=make_h(mu, extra=extra, order=order), order=order))
-        assert len(calls) == 3 * 2
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("order", [32, 128])
     def test_two_terms_match_mpmath_on_the_loop(self, order, monkeypatch):
@@ -265,9 +301,9 @@ class TestProductForm:
         assert_matches_mpmath(FrobeniusProblem(s=-2.0, mu=mu, h=h,
                                                order=128), rtol=1e-11)
 
-    @pytest.mark.parametrize("mu, s, h, roots", [
-        (0.5, -1.5, make_h(0.5), 2),
-        (0.5, -1.5, make_h(0.5, extra=(0.0, 0.05)), 2),
+    @pytest.mark.parametrize("mu, s, h, products", [
+        (0.5, -1.5, make_h(0.5), 1),
+        (0.5, -1.5, make_h(0.5, extra=(0.0, 0.05)), 1),
         (0.5, -1.5, make_h(0.5, extra=(0.0, 0.05, 0.01)), 0),
         (2.0, -2.0, GeneralizedSeries(
             0.0, 0.5 * np.array([1.0, 1.0, 0.1] + [0.0] * 30)), 0),
@@ -275,12 +311,12 @@ class TestProductForm:
             0.0, np.array([1.0, 0.0, 0.3] + [0.0] * 30)), 0),
     ], ids=["constant-h", "single-term", "two-terms", "horospherical-mu2",
             "horospherical-mu3"])
-    def test_branch_is_chosen_from_the_data(self, mu, s, h, roots,
+    def test_branch_is_chosen_from_the_data(self, mu, s, h, products,
                                             monkeypatch):
         calls = product_calls(monkeypatch)
         prob = FrobeniusProblem(s=s, mu=mu, h=h)
         small, big = frobenius_solve(prob)
-        assert len(calls) == roots
+        assert len(calls) == products
         lo, hi = prob.indicial_roots
         assert small.coeffs[round(hi - lo)] == 0.0
         m = s + mu - 1.0
@@ -291,14 +327,14 @@ class TestProductForm:
         # The obstruction at the gap, k = 1, is h_1 p_0 = 0.0375 * -2 on
         # both paths; a far second term sends the same data to the loop.
         calls = product_calls(monkeypatch)
-        errors = []
+        errors, probs = [], []
         for extra in ((0.1,), (0.1, 0.0, 0.0, 0.0, 1e-3)):
-            prob = FrobeniusProblem(s=-1.5, mu=0.5,
-                                    h=make_h(0.5, extra=extra))
+            probs.append(FrobeniusProblem(s=-1.5, mu=0.5,
+                                          h=make_h(0.5, extra=extra)))
             with pytest.raises(LogTermRequiredError) as exc:
-                frobenius_solve(prob)
+                frobenius_solve(probs[-1])
             errors.append(str(exc.value))
-        assert calls == [prob.indicial_roots[0]]
+        assert len(calls) == 1 and calls[0] is probs[0]
         assert errors[0] == errors[1]
         assert errors[0].startswith("resonance obstruction 7.500e-02 at "
                                     "order 1:")
@@ -360,7 +396,7 @@ class TestCanonicalCatenoidal:
             assert is_inf(b)
 
     def test_perturbed_h_passes_frame_checks(self, perturbed_frame):
-        det, null = _defects(_identity_terms(perturbed_frame))[:2]
+        det, null = frame_defects(perturbed_frame)[:2]
         assert det < 1e-9 and null < 1e-9
 
     def test_wrong_h0_rejected(self):
@@ -392,7 +428,7 @@ class TestCanonicalHorospherical:
         c_lead = normalized(frame.C)
         assert c_lead.offset == -1.0
         assert abs(c_lead.coeffs[0] + 1.0) < 1e-12  # c = -h(0)
-        det, null = _defects(_identity_terms(frame))[:2]
+        det, null = frame_defects(frame)[:2]
         assert det < 1e-8 and null < 1e-12
 
     def test_mu3_constant_h_zero_triple(self):
@@ -514,7 +550,7 @@ class TestBuildEnd:
         a, b = extract_axis(frame)
         assert abs(complex(a) - 1.0) < 1e-8
         assert abs(complex(b) - 1.0j) < 1e-8
-        det, null = _defects(_identity_terms(frame))[:2]
+        det, null = frame_defects(frame)[:2]
         assert det < 1e-8 and null < 1e-7
 
     def test_catenoidal_spec_with_perturbation(self):
@@ -643,19 +679,19 @@ class TestBuildEnd:
         """One solve per end, and the frame holds AD - BC = 1,
         dA dD - dB dC = 0 and A dC - C dA = omega to round-off, with the
         closed-form residue polynomial."""
-        calls = []
+        calls, solve = [], ends._solve
 
         def counted(prob):
             calls.append(prob)
-            return frobenius_solve(prob)
+            return solve(prob)
 
-        monkeypatch.setattr(ends, "frobenius_solve", counted)
+        monkeypatch.setattr(ends, "_solve", counted)
         frame, desc = build_end(spec)
         assert len(calls) == 1
         # every entry is truncated at the requested order, D included
         order = spec.get("order", DEFAULT_ORDER)
         assert [e.order for e in frame.entries()] == [order] * 4
-        det, null = _defects(_identity_terms(frame))[:2]
+        det, null = frame_defects(frame)[:2]
         assert det <= 1e-12 and null <= 1e-12
         mu = spec["mu"]
         if spec["type"] == "catenoidal":
@@ -680,7 +716,7 @@ class TestBuildEnd:
 class TestHorosphereFrame:
     def test_exact(self):
         f = horosphere_frame()
-        assert _defects(_identity_terms(f))[:2] == (0.0, 0.0)
+        assert frame_defects(f)[:2] == (0.0, 0.0)
         assert math.isinf(f.validity_radius)
 
 
@@ -712,29 +748,32 @@ def series_defects(frame, omega):
 
 
 def checked_calls(spec, monkeypatch):
-    """build_end(spec) and the (frame, omega) pairs it passed to
-    checked_frame."""
-    calls = []
+    """build_end(spec) and, for each set of columns it passed to
+    bryant._checked, the (frame, omega) of those columns, with their
+    validity radius, and of the one-form."""
+    calls, checked = [], bryant._checked
 
-    def recording(frame, omega=None):
-        calls.append((frame, omega))
-        return bryant.checked_frame(frame, omega)
+    def recording(columns, omega, radius):
+        calls.append((bryant._frame(columns, radius),
+                      GeneralizedSeries(*omega)))
+        return checked(columns, omega, radius)
 
-    monkeypatch.setattr(ends, "checked_frame", recording)
+    monkeypatch.setattr(ends, "_checked", recording)
     return build_end(spec), calls
 
 
 def recorded_solves(monkeypatch):
-    """The list to which each later _end_frame call appends its (A, B, C,
-    D): the entries as solved, each at its own offset, before BryantFrame
-    aligns the columns."""
-    solved, end_frame = [], ends._end_frame
+    """The list to which each later _end_columns call appends its (A, B,
+    C, D) as series: the entries as solved, each at its own offset,
+    before their columns are aligned."""
+    solved, end_columns = [], ends._end_columns
 
-    def recording(*args):
-        solved.append(args[:4])
-        return end_frame(*args)
+    def recording(offsets, rows, nu, h):
+        solved.append([GeneralizedSeries(o, r.copy())
+                       for o, r in zip(offsets, rows)])
+        return end_columns(offsets, rows, nu, h)
 
-    monkeypatch.setattr(ends, "_end_frame", recording)
+    monkeypatch.setattr(ends, "_end_columns", recording)
     return solved
 
 
@@ -748,11 +787,11 @@ class TestDefectPass:
         [(built, omega)] = calls
         assert omega is not None
         ref = series_defects(built, omega)
-        assert _defects(_identity_terms(built, omega)) == ref
-        assert _defects(_identity_terms(built))[:2] == ref[:2]
+        assert frame_defects(built, omega) == ref
+        assert frame_defects(built)[:2] == ref[:2]
         # the frame moved to a finite boundary point, which checked_frame
         # does not see
-        assert (_defects(_identity_terms(frame))[:2]
+        assert (frame_defects(frame)[:2]
                 == series_defects(frame, omega)[:2])
 
     @pytest.mark.parametrize("order", [32, 64, 128])
@@ -770,13 +809,16 @@ class TestDefectPass:
 
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
     def test_one_pass_forms_no_intermediate_series(self, spec, monkeypatch):
-        """At most 15 series constructions per build (44 with the checks
-        written in series arithmetic), one np.convolve per product, and
-        no _aligned call but series addition's and the frame
-        constructor's: the frame aligns its columns once, so placing and
-        checking it align nothing more."""
-        counts = {"series": 0, "convolve": 0}
+        """Five series constructions per build, h and the four placed
+        entries (44 with the checks written in series arithmetic), one
+        BryantFrame, the placed one, one np.convolve per product, and
+        columns aligned by _frame_columns alone: once on the entries as
+        solved, and once, with nothing left to move, in the placed frame's
+        constructor.  A horospherical build aligns D = 1 + the partner of
+        C once before, by the rule of series addition."""
+        counts = {"series": 0, "frames": 0, "convolve": 0}
         post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
+        frame_init = bryant.BryantFrame.__post_init__
         aligned, aligned_callers = series._aligned, []
 
         def counted_aligned(*args):
@@ -787,23 +829,22 @@ class TestDefectPass:
             if hasattr(module, "_aligned"):
                 monkeypatch.setattr(module, "_aligned", counted_aligned)
 
-        def counted_post_init(self):
-            counts["series"] += 1
-            post_init(self)
-
-        def counted_convolve(*args, **kwargs):
-            counts["convolve"] += 1
-            return convolve(*args, **kwargs)
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(GeneralizedSeries, "__post_init__",
-                            counted_post_init)
-        monkeypatch.setattr(np, "convolve", counted_convolve)
+                            counted("series", post_init))
+        monkeypatch.setattr(bryant.BryantFrame, "__post_init__",
+                            counted("frames", frame_init))
+        monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
         build_end(spec)
-        assert counts["series"] <= 15
-        assert counts["convolve"] == 6
-        assert all(code in (GeneralizedSeries.__add__.__code__,
-                            bryant.BryantFrame.__post_init__.__code__)
-                   for code in aligned_callers)
+        assert counts == {"series": 5, "frames": 1, "convolve": 6}
+        first = ([ends._horospherical_columns.__code__]
+                 if spec["type"] == "horospherical" else [])
+        assert aligned_callers == first + [bryant._frame_columns.__code__] * 4
 
     def test_built_end_logs_its_defects(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="bryantflux")
@@ -812,7 +853,7 @@ class TestDefectPass:
         [record] = [r for r in caplog.records
                     if r.name == "bryantflux" and r.levelno == logging.DEBUG
                     and r.msg.startswith("frame defects")]
-        assert record.args == (*_defects(_identity_terms(built, omega)),
+        assert record.args == (*frame_defects(built, omega),
                                built.validity_radius)
         assert "omega" in record.getMessage()
 
@@ -838,54 +879,52 @@ class TestPlacement:
 
 
 class TestEndFrameRefusals:
-    """_end_frame's refusals, on the canonical catenoidal frame."""
+    """_end_columns' refusals, on the canonical catenoidal frame."""
 
     def parts(self):
-        """Entries, nu and h of a frame that passes; with an infinite axis
-        point build_end returns the frame _end_frame checked."""
+        """Offsets and rows of the entries, nu and h of a frame that
+        passes: the frame build_end places at an axis (a, infinity), a
+        translation, which leaves A dC - C dA unchanged."""
         mu, pert = 0.5, [0.0, 0.5]
         frame, _ = build_end({"type": "catenoidal", "mu": mu,
                               "axis": [[0.3, 0.1], "inf"],
                               "h_perturbation": pert})
         h = ends._perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert,
                               frame.A.order)
-        return list(frame.entries()), -1.0 - mu, h
+        return ([e.offset for e in frame.entries()],
+                np.array([e.coeffs for e in frame.entries()]), -1.0 - mu, h)
 
     def test_unchanged_parts_pass(self):
-        entries, nu, h = self.parts()
-        frame = ends._end_frame(*entries, nu, h)
-        assert all(np.array_equal(a.coeffs, b.coeffs)
-                   for a, b in zip(frame.entries(), entries))
+        offsets, rows, nu, h = self.parts()
+        (o1, a, c), (o2, b, d) = ends._end_columns(offsets, rows, nu, h)[0]
+        assert (o1, o2) == (offsets[0], offsets[1])
+        assert all(np.array_equal(x, r) for x, r in zip((a, b, c, d), rows))
 
     def test_nudged_entry_breaks_the_determinant(self):
-        entries, nu, h = self.parts()
-        a = entries[0].coeffs.copy()
-        a[1] += 1e-6
-        entries[0] = GeneralizedSeries(entries[0].offset, a)
+        offsets, rows, nu, h = self.parts()
+        rows[0, 1] += 1e-6
         with pytest.raises(ConsistencyError,
                            match=r"frame violates AD - BC = 1 or "
                                  r"dA dD - dB dC = 0 \(defects "):
-            ends._end_frame(*entries, nu, h)
+            ends._end_columns(offsets, rows, nu, h)
 
     def test_scaled_h_breaks_omega(self):
-        entries, nu, h = self.parts()
+        offsets, rows, nu, h = self.parts()
         scaled = GeneralizedSeries(0.0, h.coeffs * (1.0 + 1e-6))
         with pytest.raises(ConsistencyError,
                            match=r"frame violates omega = A dC - C dA "
                                  r"\(defect "):
-            ends._end_frame(*entries, nu, scaled)
+            ends._end_columns(offsets, rows, nu, scaled)
 
     def test_nan_in_omega_is_refused(self):
-        entries, nu, h = self.parts()
+        offsets, rows, nu, h = self.parts()
         bad = h.coeffs.copy()
         bad[3] = np.nan
         with pytest.raises(ConsistencyError, match="omega = A dC - C dA"):
-            ends._end_frame(*entries, nu, GeneralizedSeries(0.0, bad))
+            ends._end_columns(offsets, rows, nu, GeneralizedSeries(0.0, bad))
 
     def test_non_finite_entry_overflows(self):
-        entries, nu, h = self.parts()
-        c = entries[2].coeffs.copy()
-        c[5] = np.inf
-        entries[2] = GeneralizedSeries(entries[2].offset, c)
+        offsets, rows, nu, h = self.parts()
+        rows[2, 5] = np.inf
         with pytest.raises(DomainError, match="the frame overflows"):
-            ends._end_frame(*entries, nu, h)
+            ends._end_columns(offsets, rows, nu, h)

@@ -163,6 +163,51 @@ class TestResidueRoute:
                 assert t == flux_triple(frame)
                 assert 0.0 not in (t.phi0, t.phi1, t.phi2)
 
+    @staticmethod
+    def _unequal_columns(spec, n1, n2, shift):
+        """The built frame's columns cut to n1 (A, C) and n2 (B, D)
+        coefficients, A and C moved down by ``shift`` powers, which moves
+        z^-1 to index 1 + shift of every product."""
+        frame, _ = build_end(spec, order=32)
+        A, B, C, D = frame.entries()
+        return BryantFrame(*(GeneralizedSeries(e.offset - s, e.coeffs[:n])
+                             for e, n, s in ((A, n1, shift), (B, n2, 0),
+                                             (C, n1, shift), (D, n2, 0))),
+                           frame.validity_radius), 1 + shift
+
+    @pytest.mark.parametrize("n1, n2", [(20, 33), (33, 20), (33, 33)],
+                             ids=["BD-longer", "BD-shorter", "equal"])
+    @pytest.mark.parametrize("spec", RESIDUE_ROUTE_SPECS,
+                             ids=["catenoidal", "horospherical"])
+    def test_unequal_columns_equal_formed_one_forms(self, spec, n1, n2):
+        """Bitwise the residues of the formed one-forms when the columns
+        differ in length, with z^-1 at index 1 and at index 9 of the
+        products, where the sums' order (the longer operand first)
+        decides the last bits."""
+        for shift in (0, 8):
+            frame, _ = self._unequal_columns(spec, n1, n2, shift)
+            t = flux_triple(frame)
+            assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(frame)
+            assert 0.0 not in (t.phi0, t.phi1, t.phi2)
+
+    @pytest.mark.parametrize("n1, n2", [(20, 33), (33, 20)],
+                             ids=["BD-longer", "BD-shorter"])
+    def test_reads_only_the_leading_coefficients(self, n1, n2):
+        """Every coefficient past the residue index set to NaN leaves the
+        triple unchanged and finite: no later coefficient, and no
+        derivative of one, is read."""
+        for shift in (0, 8):
+            frame, idx = self._unequal_columns(RESIDUE_ROUTE_SPECS[0], n1,
+                                               n2, shift)
+            poisoned = []
+            for e in frame.entries():
+                c = e.coeffs.copy()
+                c[idx + 1:] = np.nan
+                poisoned.append(GeneralizedSeries(e.offset, c))
+            t = flux_triple(BryantFrame(*poisoned, frame.validity_radius))
+            assert t == flux_triple(frame)
+            assert all(map(np.isfinite, (t.phi0, t.phi1, t.phi2)))
+
     def test_no_series_products(self, monkeypatch):
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[1], order=128)
         calls = []

@@ -1,11 +1,15 @@
-"""tools/code_lines.py, run as a script on small packages."""
+"""The scripts under tools/, run as scripts: code_lines.py on small
+packages, same_outputs.py on the package's own source tree."""
 
+import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "code_lines.py"
+SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
 
 
 def count(tmp_path, **modules):
@@ -68,3 +72,31 @@ def test_one_row_per_module_and_a_total(tmp_path):
     rows = count(tmp_path, b="y = 2\n", a="x = 1\n\n\nz = 3\n",
                  c='"""Only a docstring."""\n')
     assert rows == [("a", 2), ("b", 1), ("c", 0), ("total", 3)]
+
+
+def same_outputs(parent, change):
+    """(exit code, stdout) of same_outputs.py on two source trees."""
+    out = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(parent),
+                          str(change)], capture_output=True, text=True)
+    return out.returncode, out.stdout
+
+
+def test_same_outputs_of_the_tree_and_itself():
+    code, out = same_outputs(ROOT / "src", ROOT / "src")
+    assert code == 0
+    assert out.endswith("builds: every output bitwise equal\n")
+
+
+def test_same_outputs_reports_a_changed_constant(tmp_path):
+    """A copy whose residue scale 4 pi is one ulp of 4 larger differs in
+    its first flux triple, after equal frames."""
+    shutil.copytree(ROOT / "src" / "bryantflux", tmp_path / "bryantflux",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    flux = tmp_path / "bryantflux" / "flux.py"
+    text = flux.read_text()
+    assert "4.0 * math.pi" in text
+    flux.write_text(text.replace("4.0 * math.pi", "4.000000000000001 * "
+                                 "math.pi"))
+    code, out = same_outputs(ROOT / "src", tmp_path)
+    assert code == 1
+    assert out.startswith("first difference: flux_triple of ")

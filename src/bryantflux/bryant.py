@@ -3,17 +3,17 @@
 A frame is a 2x2 matrix of generalized series (A, B; C, D) with
 AD - BC = 1 and dA dD - dB dC = 0.  Left multiplication by P in
 SL(2, C), which moves the end by an isometry, mixes A with C and B with
-D, so a frame's unit is a column: BryantFrame aligns A with C, and B with
-D, at the column's lower offset and truncates both at its lower absolute
-top (the rule of series addition, series._aligned), once, at
-construction.  Placing a frame (_placed, behind transform_frame),
-checking its identities (_identity_terms and _checked, behind
-checked_frame) and reading its residues (flux) then combine coefficient
-arrays index by index.  Those rules take a frame's columns as bare
-arrays, ((offset, A, C), (offset, B, D)), so ends.build_end applies
-them from the solve to the placed end and makes one BryantFrame, the
-placed one (_frame).  The immersion into the
-half-space model is
+D, so a frame's unit is a column, and BryantFrame stores its two
+columns, ((offset, A, C), (offset, B, D)), as bare coefficient arrays:
+each pair at the column's lower offset and truncated at its lower
+absolute top, the rule of series addition (series._aligned).  The
+constructor, which takes the four entries as series, is the one place
+that aligns; from_columns takes columns that are aligned already, and
+A to D are series on the columns' arrays.  Placing a frame
+(transform_frame), checking its identities (checked_frame, by
+_identity_terms) and reading its residues (flux.flux_triple) then
+combine the columns' arrays index by index, with no intermediate
+series.  The immersion into the half-space model is
 
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
@@ -21,12 +21,11 @@ which _zeta_w forms from the entries' values; flux.circle_samples and
 the CLI's mesh evaluate the entries with series.eval_branch, which drops
 each value's branch factor e^(i lambda tau).  zeta and w need none:
 each of their products is of two entries of one column, at one offset,
-whose factors cancel.  The three
-single-valued one-forms B dA - A dB, C dB - D dA and D dC - C dD carry
-all flux information (flux.flux_triple reads their residues).  Note that
-the middle one is C dB - D dA (= omega_sharp / G); the variant
-C dB - B dA sometimes seen in the literature does not satisfy that
-identity.
+whose factors cancel.  The three single-valued one-forms B dA - A dB,
+C dB - D dA and D dC - C dD carry all flux information
+(flux.flux_triple reads their residues).  Note that the middle one is
+C dB - D dA (= omega_sharp / G); the variant C dB - B dA sometimes seen
+in the literature does not satisfy that identity.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,76 +45,53 @@ from .series import (GeneralizedSeries, _aligned, _derivative_terms,
 log = logging.getLogger("bryantflux")
 
 
-@dataclass(frozen=True)
 class BryantFrame:
-    """Entries of the holomorphic null immersion, plus a declared radius.
+    """A frame's two columns, ((offset, A, C), (offset, B, D)), each pair
+    of coefficient arrays of one length at one offset, plus a declared
+    radius.
 
-    The columns (A, C) and (B, D) are aligned at construction by the rule
-    of series addition (_frame_columns); an entry is replaced only where
-    its array moved.  The validity radius is the caller's statement of
-    where the entry series may be evaluated; no convergence estimation
-    is attempted.
+    The constructor takes the entries as series and aligns each column
+    by the rule of series addition (series._aligned): an entry already in
+    place keeps its array.  from_columns takes columns that are aligned
+    already, as they are.  A to D and entries() are series on the
+    columns' arrays, not copies.  The validity radius is the caller's
+    statement of where the entry series may be evaluated; no convergence
+    estimation is attempted.  Frames compare and hash by identity.
     """
 
-    A: GeneralizedSeries
-    B: GeneralizedSeries
-    C: GeneralizedSeries
-    D: GeneralizedSeries
-    validity_radius: float
+    __slots__ = ("columns", "validity_radius")
 
-    def __post_init__(self):
-        if not self.validity_radius > 0:
+    def __init__(self, A, B, C, D, validity_radius: float):
+        if not validity_radius > 0:
             raise DomainError("validity radius must be positive")
-        (o1, a, c), (o2, b, d) = _frame_columns(
-            *((e.offset, e.coeffs) for e in self.entries()))
-        for k, o, x in (("A", o1, a), ("B", o2, b), ("C", o1, c),
-                        ("D", o2, d)):
-            if x is not getattr(self, k).coeffs:
-                object.__setattr__(self, k, GeneralizedSeries(o, x))
+        (o1, (a, c)), (o2, (b, d)) = (
+            _aligned(A.offset, A.coeffs, C.offset, C.coeffs, "column AC"),
+            _aligned(B.offset, B.coeffs, D.offset, D.coeffs, "column BD"))
+        self.columns = (o1, a, c), (o2, b, d)
+        self.validity_radius = validity_radius
+
+    @classmethod
+    def from_columns(cls, columns, validity_radius: float) -> "BryantFrame":
+        """The frame of aligned ``columns`` and a positive radius, with
+        neither copied nor checked."""
+        frame = cls.__new__(cls)
+        frame.columns, frame.validity_radius = columns, validity_radius
+        return frame
+
+    # An entry is its column's offset with the column's first or second
+    # array: (o, x, y)[:2] is (o, x) and (o, x, y)[::2] is (o, y).
+    A = property(lambda self: GeneralizedSeries(*self.columns[0][:2]))
+    B = property(lambda self: GeneralizedSeries(*self.columns[1][:2]))
+    C = property(lambda self: GeneralizedSeries(*self.columns[0][::2]))
+    D = property(lambda self: GeneralizedSeries(*self.columns[1][::2]))
 
     def entries(self):
         return self.A, self.B, self.C, self.D
 
 
-# A frame's columns as bare arrays: ((offset, A, C), (offset, B, D)), each
-# pair of one length at one offset.  Building, checking and placing a frame
-# work on these; a BryantFrame is made once, from the result (_frame).
-
-def _frame_columns(A, B, C, D):
-    """The columns of four entries given as (offset, coeffs) pairs, each
-    aligned by the rule of series addition (series._aligned)."""
-    (o1, (a, c)), (o2, (b, d)) = (_aligned(*A, *C, "column AC"),
-                                  _aligned(*B, *D, "column BD"))
-    return (o1, a, c), (o2, b, d)
-
-
-def _columns(frame: BryantFrame):
-    """The columns of a frame, which are aligned already."""
-    A, B, C, D = frame.entries()
-    return (A.offset, A.coeffs, C.coeffs), (B.offset, B.coeffs, D.coeffs)
-
-
-def _frame(columns, validity_radius: float) -> BryantFrame:
-    """The BryantFrame of aligned columns."""
-    (o1, a, c), (o2, b, d) = columns
-    return BryantFrame(GeneralizedSeries(o1, a), GeneralizedSeries(o2, b),
-                       GeneralizedSeries(o1, c), GeneralizedSeries(o2, d),
-                       validity_radius)
-
-
-def _placed(p: IsometrySL2, columns):
-    """The columns of P F: each new entry is x s + y t coefficient by
-    coefficient.  The operands keep series addition's order (a complex
-    product may fuse its multiply-adds, so x s and s x can differ in the
-    last bit), and + 0.0 clears a negative zero, as that addition's 0.0 +
-    does: the entries are bitwise the sums of the two scaled series."""
-    return tuple((o, x * p.alpha + y * p.beta + 0.0,
-                  x * p.gamma + y * p.delta + 0.0) for o, x, y in columns)
-
-
 def _identity_terms(columns, omega=None, scale: bool = False):
     """The residual series of AD - BC = 1, dA dD - dB dC = 0 and, when
-    ``omega``, an (offset, coeffs) pair, is given, A dC - C dA = omega,
+    the series ``omega`` is given, A dC - C dA = omega,
     each as its window: the coefficients below the truncation top, which
     the identities are held to.
 
@@ -141,7 +116,7 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     checks = [(A, D, B, C, 0.0, np.ones(1)),
               (dA, dD, dB, dC, 0.0, np.zeros(1))]
     if omega is not None:
-        checks.append((A, dC, C, dA, *omega))
+        checks.append((A, dC, C, dA, omega.offset, omega.coeffs))
     windows = []
     for *quad, t_offset, t in checks:
         if scale:
@@ -189,26 +164,6 @@ def _refused(defects, windows, columns, omega):
     return out
 
 
-def _checked(columns, omega, validity_radius: float):
-    """``columns``, or ConsistencyError on the terms of checked_frame;
-    ``omega`` is an (offset, coeffs) pair or None.  With omega, the
-    defects and the validity radius are logged at DEBUG."""
-    windows = _identity_terms(columns, omega)
-    det, null, om = _defects(windows)
-    if omega is not None:
-        log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
-                  "validity radius %g", det, null, om, validity_radius)
-    bad_det, bad_null, *bad_om = _refused((det, null, om), windows, columns,
-                                          omega)
-    if bad_det or bad_null:
-        raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
-                               "= 0 (defects %.3e, %.3e)" % (det, null))
-    if any(bad_om):
-        raise ConsistencyError(
-            "frame violates omega = A dC - C dA (defect %.3e)" % om)
-    return columns
-
-
 def checked_frame(frame: BryantFrame,
                   omega: Optional[GeneralizedSeries] = None) -> BryantFrame:
     """``frame``, or ConsistencyError if the det or nullity defect or, when
@@ -217,9 +172,21 @@ def checked_frame(frame: BryantFrame,
     the same coefficient of the two products that cancel in it
     (_refused).  A frame moved far from the origin has products of 1e7
     and more, whose cancellation leaves defects above 1e-8 in round-off
-    alone."""
-    _checked(_columns(frame), None if omega is None else
-             (omega.offset, omega.coeffs), frame.validity_radius)
+    alone.  With omega, the defects and the validity radius are logged
+    at DEBUG."""
+    windows = _identity_terms(frame.columns, omega)
+    det, null, om = _defects(windows)
+    if omega is not None:
+        log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
+                  "validity radius %g", det, null, om, frame.validity_radius)
+    bad_det, bad_null, *bad_om = _refused((det, null, om), windows,
+                                          frame.columns, omega)
+    if bad_det or bad_null:
+        raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
+                               "= 0 (defects %.3e, %.3e)" % (det, null))
+    if any(bad_om):
+        raise ConsistencyError(
+            "frame violates omega = A dC - C dA (defect %.3e)" % om)
     return frame
 
 
@@ -237,8 +204,15 @@ def _zeta_w(a, b, c, d):
 def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     """Left-multiply the frame by P; the new end is the image of the old
     one under the direct isometry induced by P.  The columns are aligned,
-    so each new entry is x s + y t coefficient by coefficient (_placed)."""
-    return _frame(_placed(p, _columns(frame)), frame.validity_radius)
+    so each new entry is x s + y t coefficient by coefficient.  The
+    operands keep series addition's order (a complex product may fuse its
+    multiply-adds, so x s and s x can differ in the last bit), and + 0.0
+    clears a negative zero, as that addition's 0.0 + does: the entries are
+    bitwise the sums of the two scaled series."""
+    return BryantFrame.from_columns(
+        tuple((o, x * p.alpha + y * p.beta + 0.0,
+               x * p.gamma + y * p.delta + 0.0) for o, x, y in frame.columns),
+        frame.validity_radius)
 
 
 # -- JSON interchange -------------------------------------------------------

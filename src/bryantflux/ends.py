@@ -39,15 +39,17 @@ the image of a standard one under an isometry, and so is every
 horospherical end; build_end places the built end by that one
 isometry, and its flux moves covariantly.
 
-From the solve to the placed end the build works on bare coefficient
-arrays: the solve gives both roots as the rows of one array
-(_solve), the paired column follows row-wise, the four entries as
-solved are checked finite and give the validity radius in one root
-test, their columns (A, C) and (B, D) are aligned and checked
-(bryant._frame_columns, bryant._checked) and placed coefficient by
-coefficient (bryant._placed).  The rules are those that BryantFrame,
-checked_frame and transform_frame apply, and build_end makes one
-BryantFrame, the placed one.
+build_end runs three public steps.  canonical_catenoidal_frame or
+canonical_horospherical_frame makes the standard frame: one
+frobenius_solve gives both roots' coefficients as the rows of one
+array, the paired column follows row-wise, the four entries as solved
+are checked finite and give the validity radius in one root test, and
+BryantFrame aligns their columns, which checked_frame then checks
+against AD - BC = 1, dA dD - dB dC = 0 and A dC - C dA = omega.  Then
+transform_frame places that frame, coefficient by coefficient: not at
+all at the standard position, once for a general axis or boundary
+point, and twice, by P's two exact factors, for a boundary point of
+modulus >= 2^52.
 """
 
 from __future__ import annotations
@@ -61,16 +63,17 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bryant import (BryantFrame, _checked, _frame, _frame_columns,
-                     _placed)
+from .bryant import BryantFrame, checked_frame, transform_frame
 from .errors import DomainError, LogTermRequiredError
 from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq,
                        is_inf, parse_axis, parse_complex, parse_point,
                        parse_real, standardizing_isometry)
-from .series import (_LEAD_TOL, DEFAULT_ORDER, GeneralizedSeries, _aligned,
-                     _snap)
+from .series import DEFAULT_ORDER, GeneralizedSeries, _aligned, _snap
 
 _MU_ONE_TOL = 1e-8
+# A coefficient of a frame's first column counts for its axis from this
+# modulus on (extract_axis).
+_LEAD_TOL = 1e-13
 # Horospherical boundary points from this modulus on are placed without
 # forming the anchor b + 1, which rounds near 2^53 (build_end).
 _FAR_BOUNDARY = 2.0 ** 52
@@ -283,22 +286,6 @@ def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
     return x
 
 
-def _solve(prob: FrobeniusProblem):
-    """((lower offset, upper offset), x): frobenius_solve's two solutions
-    as the rows of one (2, K + 1) coefficient array, at the snapped
-    indicial roots."""
-    lo, hi = prob.indicial_roots
-    h = prob.h.coeffs[:prob.order + 1]
-    n = np.flatnonzero(h[1:]) + 1
-    hn = list(zip(n.tolist(), h[n].tolist()))
-    if prob.d == 0 and len(hn) <= 1:
-        x = _product_rows(prob, lo, hi, hn)
-    else:
-        x = np.array([_solve_at_root(prob, lo, hi, lo, 1, hn),
-                      _solve_at_root(prob, lo, hi, hi, None, hn)])
-    return (_snap(lo), _snap(hi)), x
-
-
 def frobenius_solve(prob: FrobeniusProblem):
     """Both basis solutions, as (lower-root series, upper-root series), of
     X' = q P, P' = mu z^(mu-1) X; P = X'/q carries the constant
@@ -316,24 +303,28 @@ def frobenius_solve(prob: FrobeniusProblem):
     past h(0) up to the order is solved as one cumulative product of term
     ratios over k = 0 mod n, for both roots at once; every other column
     runs the recurrence term by term at each root.  Both give the same
-    coefficients to round-off.
+    coefficients to round-off.  The two series' coefficients are the rows
+    of one (2, K + 1) array.
     """
-    (lo, hi), x = _solve(prob)
+    lo, hi = prob.indicial_roots
+    h = prob.h.coeffs[:prob.order + 1]
+    n = np.flatnonzero(h[1:]) + 1
+    hn = list(zip(n.tolist(), h[n].tolist()))
+    if prob.d == 0 and len(hn) <= 1:
+        x = _product_rows(prob, lo, hi, hn)
+    else:
+        x = np.array([_solve_at_root(prob, lo, hi, lo, 1, hn),
+                      _solve_at_root(prob, lo, hi, hi, None, hn)])
     return GeneralizedSeries(lo, x[0]), GeneralizedSeries(hi, x[1])
 
 
 # -- catenoidal construction ------------------------------------------------
 
-def _catenoidal_offsets(mu: float):
-    lam1, lam2 = (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0
-    r1, r2 = (mu - 1.0) / 2.0, (mu + 1.0) / 2.0
-    return lam1, lam2, r1, r2
-
-
 def catenoid_cousin_frame(mu: float, order: int = DEFAULT_ORDER) -> BryantFrame:
     """Exact rotational frame: all four entries are single powers of z."""
     _check_catenoidal_mu(mu)
-    lam1, lam2, r1, r2 = _catenoidal_offsets(mu)
+    lam1, lam2 = (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0
+    r1, r2 = (mu - 1.0) / 2.0, (mu + 1.0) / 2.0
     return BryantFrame(
         A=GeneralizedSeries.monomial(lam2, 1.0, order),
         B=GeneralizedSeries.monomial(r2, (mu - 1.0) / (mu + 1.0), order),
@@ -355,14 +346,17 @@ def _validity_from_entries(rows: np.ndarray) -> float:
     return math.inf if m == 0 else 0.5 * float(1.0 / m)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solved_rows(prob: FrobeniusProblem, scale: complex):
     """(offsets, rows) of the entries A, B, C, D as solved: A = f2 and
     C = scale f1 from one Frobenius solve, and their partners B and D,
     dX = -z^mu dE integrated term by term with no constant (e + mu != 0
-    for every exponent e of admissible data), as the rows of one array."""
-    (lo, hi), f = _solve(prob)
+    for every exponent e of admissible data), as the rows of one array.
+    Overflow is left as inf or nan for _end_frame's finiteness check."""
+    small, big = frobenius_solve(prob)
+    lo, hi = small.offset, big.offset
     rows = np.empty((4, prob.order + 1), dtype=complex)
-    rows[0], rows[2] = f[1], f[0] * scale
+    rows[0], rows[2] = big.coeffs, small.coeffs * scale
     e = np.array([[hi], [lo]]) + np.arange(prob.order + 1)
     rows[1::2] = -e / (e + prob.mu) * rows[0::2]
     return [hi, _snap(hi + prob.mu), lo, _snap(lo + prob.mu)], rows
@@ -375,30 +369,19 @@ def _check_finite(what: str, *arrays: np.ndarray):
                           % what)
 
 
-def _end_columns(offsets, rows: np.ndarray, nu: float,
-                 h: GeneralizedSeries):
-    """(columns, validity radius) of the entries A, B, C, D given as the
-    rows of one array at ``offsets``, once bryant._checked finds
-    AD - BC = 1, dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError
-    when an entry overflows, ConsistencyError otherwise.  The validity
-    radius is read from the entries as solved, each at its own offset,
-    before the columns are aligned: a padded entry's leading 0 would move
+def _end_frame(offsets, rows: np.ndarray, nu: float,
+               h: GeneralizedSeries) -> BryantFrame:
+    """The frame of the entries A, B, C, D given as the rows of one array
+    at ``offsets``, once checked_frame finds AD - BC = 1,
+    dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError when an entry
+    overflows, ConsistencyError otherwise.  The validity radius is read
+    from the entries as solved, each at its own offset, before
+    BryantFrame aligns the columns: a padded entry's leading 0 would move
     the root test's powers."""
     _check_finite("the frame", *rows)
-    radius = _validity_from_entries(rows)
-    columns = _frame_columns(*zip(offsets, rows))
-    return _checked(columns, (_snap(nu), h.coeffs), radius), radius
-
-
-def _catenoidal_columns(mu: float, h: GeneralizedSeries, order: int):
-    """The checked columns and validity radius of
-    canonical_catenoidal_frame."""
-    prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h, order=order)
-    h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
-    if abs(h1) > 1e-10:
-        raise DomainError("catenoidal data requires h'(0) = 0")
-    offsets, rows = _solved_rows(prob, (mu * mu - 1.0) / (4.0 * mu))
-    return _end_columns(offsets, rows, -1.0 - mu, h)
+    frame = BryantFrame(*map(GeneralizedSeries, offsets, rows),
+                        _validity_from_entries(rows))
+    return checked_frame(frame, GeneralizedSeries(nu, h.coeffs))
 
 
 def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
@@ -411,14 +394,28 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
     paired column of A and C.  build_end places an end with any other
     axis by an isometry.
     """
-    return _frame(*_catenoidal_columns(mu, h, order))
+    prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h, order=order)
+    h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
+    if abs(h1) > 1e-10:
+        raise DomainError("catenoidal data requires h'(0) = 0")
+    offsets, rows = _solved_rows(prob, (mu * mu - 1.0) / (4.0 * mu))
+    return _end_frame(offsets, rows, -1.0 - mu, h)
 
 
 # -- horospherical construction ---------------------------------------------
 
-def _horospherical_columns(mu, h: GeneralizedSeries, order: int):
-    """The checked columns and validity radius of
-    canonical_horospherical_frame."""
+def canonical_horospherical_frame(mu, h: GeneralizedSeries,
+                                  order: int = DEFAULT_ORDER) -> BryantFrame:
+    """Frame of the horospherical end with boundary at infinity.
+
+    mu is an integer >= 2, which the problem checks.  The compatibility
+    constraint on h is h'(0) = 2 h(0)^2 when mu = 2 and h'(0) = 0 when
+    mu >= 3; it is exactly the condition killing the resonance
+    obstruction of the first-column system.  One Frobenius solve of that
+    system gives (f1, f2): A = f2 and C = -h(0) f1.  B and D are the
+    paired column of A and C, D with the constant D(0) = 1/A(0) = 1 that
+    unit determinant needs.
+    """
     prob = FrobeniusProblem(s=-2.0, mu=mu, h=h, order=order)
     h0 = complex(h.coeffs[0])
     h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
@@ -438,22 +435,7 @@ def _horospherical_columns(mu, h: GeneralizedSeries, order: int):
     offsets[3], (x, y) = _aligned(0.0, one, offsets[3], rows[3],
                                   "series addition")
     rows[3] = 0.0 + x + y
-    return _end_columns(offsets, rows, -2.0, h)
-
-
-def canonical_horospherical_frame(mu, h: GeneralizedSeries,
-                                  order: int = DEFAULT_ORDER) -> BryantFrame:
-    """Frame of the horospherical end with boundary at infinity.
-
-    mu is an integer >= 2, which the problem checks.  The compatibility
-    constraint on h is h'(0) = 2 h(0)^2 when mu = 2 and h'(0) = 0 when
-    mu >= 3; it is exactly the condition killing the resonance
-    obstruction of the first-column system.  One Frobenius solve of that
-    system gives (f1, f2): A = f2 and C = -h(0) f1.  B and D are the
-    paired column of A and C, D with the constant D(0) = 1/A(0) = 1 that
-    unit determinant needs.
-    """
-    return _frame(*_horospherical_columns(mu, h, order))
+    return _end_frame(offsets, rows, -2.0, h)
 
 
 def horosphere_frame(order: int = DEFAULT_ORDER) -> BryantFrame:
@@ -478,7 +460,7 @@ def extract_axis(frame: BryantFrame):
     (c'(0)/a'(0), c(0)/a(0)), and a vanishing denominator gives the point
     at infinity.
     """
-    A, C = frame.A.coeffs, frame.C.coeffs
+    _, A, C = frame.columns[0]
     k = int(np.argmax(np.maximum(np.abs(A), np.abs(C)) > _LEAD_TOL))
     a0, a1, c0, c1 = (complex(x[j]) if j < len(x) else 0j
                       for x in (A, C) for j in (k, k + 1))
@@ -548,7 +530,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     if kind == "catenoidal":
         end = Catenoidal(parse_real(spec["mu"]), *parse_axis(spec["axis"]))
         mu = end.mu
-        columns, radius = _catenoidal_columns(
+        frame = canonical_catenoidal_frame(
             mu, _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order),
             order)
         anchor, b = end.axis_from, end.boundary
@@ -559,14 +541,14 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         # kappa = (mu h(0))^2 at mu = 2; the Hopf differential is
         # holomorphic at mu >= 3, where kappa = 0.
         end = Horospherical(b, 4.0 * h0 * h0 if round(mu) == 2 else 0j)
-        columns, radius = _horospherical_columns(
+        frame = canonical_horospherical_frame(
             mu, _perturbed_h(h0, pert, order), order)
         # The anchor b + 1 fixes the scale kappa is read at; 0 leaves
         # b = infinity in place.  Where b + 1 rounds, P's exact factors
         # place the end, and b = infinity then leaves it where it is.
         if not is_inf(b) and abs(b) >= _FAR_BOUNDARY:
-            columns = _placed(IsometrySL2(1.0, -1.0, 1.0, 0.0), columns)
-            columns = _placed(IsometrySL2(1.0, 0.0, b, 1.0), columns)
+            frame = transform_frame(IsometrySL2(1.0, -1.0, 1.0, 0.0), frame)
+            frame = transform_frame(IsometrySL2(1.0, 0.0, b, 1.0), frame)
             b = INF
         anchor = 0j if is_inf(b) else complex(b) + 1.0
     elif kind == "horosphere":
@@ -575,7 +557,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         raise DomainError("unknown end type %r" % (kind,))
     q = standardizing_isometry(anchor, b)
     if q != IsometrySL2(1.0, 0.0, 0.0, 1.0):
-        columns = _placed(q.inverse(), columns)
-    (_, a, c), (_, b, d) = columns
+        frame = transform_frame(q.inverse(), frame)
+    (_, a, c), (_, b, d) = frame.columns
     _check_finite("the placed frame", a, b, c, d)
-    return _frame(columns, radius), end
+    return frame, end

@@ -7,11 +7,13 @@ Pi(X) = phi2 X^2 + 2 phi1 X + phi0 and the matrix
 Phi = Res(-(dF) F^-1) = (phi1, phi2; -phi0, -phi1) / 4 pi are derived
 from it (FluxPolynomial.from_triple, FluxMatrix.from_triple).  Each
 residue of the triple is a difference of two residues of products of an
-entry and a derivative.  The frame's columns are aligned, so the six
-products share one index of z^-1, and each residue is read from the
-idx + 1 leading coefficients and the derivatives of only those
-(series._pair_sum): no product or derivative series is formed, and the
-cost does not grow with the order.
+entry and a derivative.  flux_triple reads the frame's columns
+(BryantFrame.columns), which are aligned, so the six products share one
+index of z^-1, and each residue is read from the idx + 1 leading
+coefficients and the derivatives of only those (series._pair_sum): no
+product or derivative series is formed, and the cost does not grow with
+the order.  A frame whose columns stop before that index is refused, not
+read as a zero triple.
 
 circle_samples integrates the defining boundary integral by the
 trapezoid rule on one circle |z| = rho, with exact derivatives, and
@@ -127,25 +129,31 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     pairs (series._pair_sum), and only those leading coefficients are
     differentiated: neither the one-forms nor the derivative series are
     formed, so the cost does not grow with the order.  The values are
-    bitwise those of the residues of the formed products.  A residue that
-    overflows, or an offset sum that is not finite, raises DomainError.
+    bitwise those of the residues of the formed products.  When idx < 0
+    all three one-forms are holomorphic and the triple is exactly 0.  A
+    frame truncated before idx, a residue that overflows, or an offset
+    sum that is not finite raises DomainError.
     """
-    A, B, C, D = frame.entries()
-    n1, n2 = len(A.coeffs), len(B.coeffs)
+    (o1, a, c), (o2, b, d) = frame.columns
+    n1, n2 = len(a), len(b)
     # The offset of D dC, with dC's offset as _derivative_terms forms it.
-    idx = _residue_index(D.offset + _snap(C.offset - 1.0), min(n1, n2))
-    if idx is None:
+    idx = _residue_index(o2 + _snap(o1 - 1.0))
+    if idx < 0:
         return FluxTriple(0j, 0j, 0j)
-    a, b, c, d = (e.coeffs[:idx + 1] for e in frame.entries())
-    (_, (da, dc)), (_, (db, dd)) = (_derivative_terms(C.offset, a, c),
-                                    _derivative_terms(D.offset, b, d))
-    # The AC column's entries have n1 coefficients, the BD column's n2.
-    res = [4.0 * math.pi * (_pair_sum(d, dc, n2, n1)
-                            - _pair_sum(c, dd, n1, n2)),
-           4.0 * math.pi * (_pair_sum(c, db, n1, n2)
-                            - _pair_sum(d, da, n2, n1)),
-           4.0 * math.pi * (_pair_sum(b, da, n2, n1)
-                            - _pair_sum(a, db, n1, n2))]
+    if idx >= min(n1, n2):
+        raise DomainError("the frame is truncated before the residues of "
+                          "its one-forms: z^-1 is at index %d of columns of "
+                          "%d and %d coefficients" % (idx, n1, n2))
+    a, b, c, d = (x[:idx + 1] for x in (a, b, c, d))
+    (_, (da, dc)), (_, (db, dd)) = (_derivative_terms(o1, a, c),
+                                    _derivative_terms(o2, b, d))
+    # Each residue is that of x dy - y dx, with x and y from different
+    # columns, of nx and ny coefficients (AC has n1, BD n2).
+    res = [4.0 * math.pi * (_pair_sum(x, dy, nx, ny)
+                            - _pair_sum(y, dx, ny, nx))
+           for x, dy, y, dx, nx, ny in ((d, dc, c, dd, n2, n1),
+                                        (c, db, d, da, n1, n2),
+                                        (b, da, a, db, n2, n1))]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
     return FluxTriple(*res)
@@ -334,13 +342,10 @@ def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
 # -- serialization ----------------------------------------------------------
 
 def flux_result_json(t: FluxTriple, value: Optional[float] = None) -> dict:
-    poly = FluxPolynomial.from_triple(t)
-    out = {
-        "phi0": [t.phi0.real, t.phi0.imag],
-        "phi1": [t.phi1.real, t.phi1.imag],
-        "phi2": [t.phi2.real, t.phi2.imag],
-        "polynomial_roots": [[r.real, r.imag] for r in poly.roots()],
-    }
+    out = {"phi%d" % k: [v.real, v.imag]
+           for k, v in enumerate((t.phi0, t.phi1, t.phi2))}
+    out["polynomial_roots"] = [[r.real, r.imag] for r in
+                               FluxPolynomial.from_triple(t).roots()]
     if value is not None:
         out["value"] = value
     return out

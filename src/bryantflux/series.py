@@ -17,9 +17,10 @@ residue(a * b) from the coefficient pairs that reach z^-1, summed in
 the product's own order (_pair_sum), without forming the product.  The
 rules of addition, multiplication and differentiation are written once,
 on bare coefficient arrays (_aligned, _product_terms, _derivative_terms),
-so a caller can apply them without forming intermediate series;
-_integer is the one test that an offset, or a gap between two, is an
-integer.
+so a caller can apply them without forming intermediate series:
+bryant.BryantFrame aligns a frame's columns by _aligned, and the frame
+checks and the flux residues read those columns' arrays.  _integer is
+the one test that an offset, or a gap between two, is an integer.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .errors import DomainError
 DEFAULT_ORDER = 32
 
 _OFFSET_TOL = 1e-9
-_LEAD_TOL = 1e-13
 
 
 def _snap(offset: float) -> float:
@@ -154,18 +154,18 @@ def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
     return GeneralizedSeries(offset, c)
 
 
-def _residue_index(offset: float, n: int) -> Optional[int]:
+def _residue_index(offset: float) -> int:
     """Index of the z^-1 coefficient at this offset, which must be an
-    integer, among n coefficients; None when it lies outside them."""
-    idx = -1 - _integer(offset, "residue undefined for non-integer "
-                        "offset %g", offset)
-    return idx if 0 <= idx < n else None
+    integer; it may lie outside the coefficients."""
+    return -1 - _integer(offset, "residue undefined for non-integer "
+                         "offset %g", offset)
 
 
 def residue(a: GeneralizedSeries) -> complex:
-    """Coefficient of z^-1; defined only for integer offsets."""
-    idx = _residue_index(a.offset, len(a.coeffs))
-    return 0.0 + 0.0j if idx is None else complex(a.coeffs[idx])
+    """Coefficient of z^-1; defined only for integer offsets, and 0 when
+    z^-1 lies outside the coefficients."""
+    idx = _residue_index(a.offset)
+    return complex(a.coeffs[idx]) if 0 <= idx < len(a.coeffs) else 0j
 
 
 def _pair_sum(x: np.ndarray, y: np.ndarray, nx: int, ny: int) -> complex:
@@ -184,9 +184,9 @@ def product_residue(a: GeneralizedSeries, b: GeneralizedSeries) -> complex:
     forming the product; idx = -1 - (a.offset + b.offset).  The value is
     bitwise that of residue(a * b) (_pair_sum)."""
     x, y = a.coeffs, b.coeffs
-    idx = _residue_index(a.offset + b.offset, min(len(x), len(y)))
-    if idx is None:
-        return 0.0 + 0.0j
+    idx = _residue_index(a.offset + b.offset)
+    if not 0 <= idx < min(len(x), len(y)):
+        return 0j
     return _pair_sum(x[:idx + 1], y[:idx + 1], len(x), len(y))
 
 

@@ -4,7 +4,7 @@ import pytest
 from bryantflux import (GeneralizedSeries, Geodesic, INF, IsometrySL2,
                         canonical_catenoidal_frame, catenoid_cousin_frame,
                         transform_frame)
-from bryantflux.bryant import _columns, _defects, _identity_terms
+from bryantflux.bryant import _defects, _identity_terms
 
 
 def make_h(mu, extra=(), order=32):
@@ -20,8 +20,7 @@ def make_h(mu, extra=(), order=32):
 def frame_defects(frame, omega=None):
     """(det, null, omega) defects of a frame by the package's identity
     pass on its columns; ``omega`` is a GeneralizedSeries or None."""
-    return _defects(_identity_terms(_columns(frame), None if omega is None
-                                    else (omega.offset, omega.coeffs)))
+    return _defects(_identity_terms(frame.columns, omega))
 
 
 def translated_catenoidal_frame(mu, h, a):

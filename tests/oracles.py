@@ -53,13 +53,12 @@ import mpmath
 import numpy as np
 
 from bryantflux.bryant import BryantFrame, _check_radius, _zeta_w
-from bryantflux.ends import _MU_ONE_TOL, FrobeniusProblem
+from bryantflux.ends import _LEAD_TOL, _MU_ONE_TOL, FrobeniusProblem
 from bryantflux.errors import DomainError
 from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
-from bryantflux.series import (_LEAD_TOL, _OFFSET_TOL, GeneralizedSeries,
-                               QuadratureGrid, differentiate, eval_branch,
-                               residue)
+from bryantflux.series import (_OFFSET_TOL, GeneralizedSeries, QuadratureGrid,
+                               differentiate, eval_branch, residue)
 
 
 # -- series -----------------------------------------------------------------

@@ -231,6 +231,24 @@ class TestColumns:
                         cousin_half.validity_radius)
 
 
+    def test_entries_are_views_of_the_columns(self, perturbed_frame):
+        """A to D are series on the columns' own arrays, and from_columns
+        takes aligned columns as they are."""
+        (o1, a, c), (o2, b, d) = perturbed_frame.columns
+        for e, o, x in zip(perturbed_frame.entries(), (o1, o2, o1, o2),
+                           (a, b, c, d)):
+            assert e.offset == o and e.coeffs is x
+        same = BryantFrame.from_columns(perturbed_frame.columns,
+                                        perturbed_frame.validity_radius)
+        assert same.columns is perturbed_frame.columns
+
+    def test_frames_compare_and_hash_by_identity(self):
+        f, g = catenoid_cousin_frame(0.5), catenoid_cousin_frame(0.5)
+        assert f == f and f != g
+        assert hash(f) == hash(f)
+        assert len({f, g, f}) == 2
+
+
 class TestTransformFrame:
     def test_identity(self, cousin_half):
         out = transform_frame(IsometrySL2(1, 0, 0, 1), cousin_half)

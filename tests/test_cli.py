@@ -734,6 +734,32 @@ class TestFrameFuzz:
         assert err["error"] == "DomainError"
         assert "column BD" in err["message"]
 
+    @pytest.mark.parametrize("argv", [["flux", "--geodesic", "0,inf"],
+                                      ["verify"]], ids=["flux", "verify"])
+    def test_frame_cut_before_its_residues_exits_2(self, argv, tmp_path,
+                                                   capsys):
+        """C cut to one coefficient cuts A with it, and z^-1 of the
+        one-forms, at index 1, lies past the columns: the run is refused
+        with a JSON error instead of reading a zero triple."""
+        frame, _ = build_end({"type": "catenoidal", "mu": 0.5,
+                              "axis": [[0.3, 0.2], [2.0, 1.0]],
+                              "h_perturbation": [0.0, 0.3]}, order=8)
+        doc = json.loads(frame_to_json(frame))
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(doc))
+        assert run(argv + ["--frame", str(path)]) == 0
+        capsys.readouterr()
+        doc["C"]["coeffs"] = doc["C"]["coeffs"][:1]
+        path.write_text(json.dumps(doc))
+        assert run(argv + ["--frame", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "DomainError",
+            "message": "the frame is truncated before the residues of its "
+                       "one-forms: z^-1 is at index 1 of columns of 1 and 9 "
+                       "coefficients"}
+
     def test_infinite_radius_loads(self, tmp_path, capsys):
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(dict(README_FRAME,

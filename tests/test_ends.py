@@ -679,15 +679,9 @@ class TestBuildEnd:
         """One solve per end, and the frame holds AD - BC = 1,
         dA dD - dB dC = 0 and A dC - C dA = omega to round-off, with the
         closed-form residue polynomial."""
-        calls, solve = [], ends._solve
-
-        def counted(prob):
-            calls.append(prob)
-            return solve(prob)
-
-        monkeypatch.setattr(ends, "_solve", counted)
+        calls = build_steps(monkeypatch)
         frame, desc = build_end(spec)
-        assert len(calls) == 1
+        assert len(calls["frobenius_solve"]) == 1
         # every entry is truncated at the requested order, D included
         order = spec.get("order", DEFAULT_ORDER)
         assert [e.order for e in frame.entries()] == [order] * 4
@@ -711,6 +705,37 @@ class TestBuildEnd:
         for a, b in ((got.quad, ref.quad), (got.lin, ref.lin),
                      (got.const, ref.const)):
             assert abs(a - b) <= 1e-12 * max(1.0, ref.max_abs())
+
+    @pytest.mark.parametrize("spec, placements", [
+        ({"type": "catenoidal", "mu": 0.5, "axis": [[0.0, 0.0], "inf"],
+          "h_perturbation": [0.0, 0.3]}, 0),
+        ({"type": "horospherical", "mu": 3, "h0": [0.6, -0.3],
+          "boundary": "inf", "h_perturbation": [0.0, 0.3]}, 0),
+        ({"type": "catenoidal", "mu": 1.5, "axis": [[0.3, 0.1], [1.0, 0.0]],
+          "h_perturbation": [0.0, 0.3]}, 1),
+        ({"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+          "boundary": [2.0, 0.0], "h_perturbation": [1.0, 0.1]}, 1),
+        ({"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+          "boundary": [2.0 ** 53, 3.0], "h_perturbation": [1.0, 0.1]}, 2),
+    ], ids=["catenoidal-standard", "horospherical-inf", "catenoidal-general",
+            "horospherical-finite", "horospherical-far"])
+    def test_build_steps(self, spec, placements, monkeypatch):
+        """build_end is one frobenius_solve, one checked_frame with omega
+        on the standard frame, and 0, 1 or 2 transform_frame calls: none
+        at the standard position, one for a general axis or boundary, and
+        P's two exact factors from |b| >= 2^52 on.  The first placement
+        takes the checked standard frame."""
+        calls = build_steps(monkeypatch)
+        frame, _ = build_end(spec)
+        assert len(calls["frobenius_solve"]) == 1
+        [(standard, omega)] = calls["checked_frame"]
+        assert omega is not None
+        moves = calls["transform_frame"]
+        assert len(moves) == placements
+        if moves:
+            assert moves[0][1] is standard and frame is not standard
+        else:
+            assert frame is standard
 
 
 class TestHorosphereFrame:
@@ -748,33 +773,44 @@ def series_defects(frame, omega):
 
 
 def checked_calls(spec, monkeypatch):
-    """build_end(spec) and, for each set of columns it passed to
-    bryant._checked, the (frame, omega) of those columns, with their
-    validity radius, and of the one-form."""
-    calls, checked = [], bryant._checked
-
-    def recording(columns, omega, radius):
-        calls.append((bryant._frame(columns, radius),
-                      GeneralizedSeries(*omega)))
-        return checked(columns, omega, radius)
-
-    monkeypatch.setattr(ends, "_checked", recording)
-    return build_end(spec), calls
+    """build_end(spec) and the (frame, omega) of each checked_frame call
+    it makes."""
+    calls = build_steps(monkeypatch)
+    return build_end(spec), calls["checked_frame"]
 
 
 def recorded_solves(monkeypatch):
-    """The list to which each later _end_columns call appends its (A, B,
-    C, D) as series: the entries as solved, each at its own offset,
-    before their columns are aligned."""
-    solved, end_columns = [], ends._end_columns
+    """The list to which each later BryantFrame made in ends appends its
+    (A, B, C, D), copied: the entries as solved, each at its own offset,
+    before the constructor aligns their columns."""
+    solved, frame = [], ends.BryantFrame
 
-    def recording(offsets, rows, nu, h):
-        solved.append([GeneralizedSeries(o, r.copy())
-                       for o, r in zip(offsets, rows)])
-        return end_columns(offsets, rows, nu, h)
+    def recording(A, B, C, D, validity_radius):
+        solved.append([GeneralizedSeries(e.offset, e.coeffs.copy())
+                       for e in (A, B, C, D)])
+        return frame(A, B, C, D, validity_radius)
 
-    monkeypatch.setattr(ends, "_end_columns", recording)
+    monkeypatch.setattr(ends, "BryantFrame", recording)
     return solved
+
+
+def build_steps(monkeypatch):
+    """A dict that lists, by name, the arguments of every later call of
+    frobenius_solve, checked_frame and transform_frame made in ends."""
+    calls = {}
+
+    def spy(name):
+        fn, calls[name] = getattr(ends, name), []
+
+        def recording(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(ends, name, recording)
+
+    for name in ("frobenius_solve", "checked_frame", "transform_frame"):
+        spy(name)
+    return calls
 
 
 class TestDefectPass:
@@ -809,16 +845,14 @@ class TestDefectPass:
 
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
     def test_one_pass_forms_no_intermediate_series(self, spec, monkeypatch):
-        """Five series constructions per build, h and the four placed
-        entries (44 with the checks written in series arithmetic), one
-        BryantFrame, the placed one, one np.convolve per product, and
-        columns aligned by _frame_columns alone: once on the entries as
-        solved, and once, with nothing left to move, in the placed frame's
-        constructor.  A horospherical build aligns D = 1 + the partner of
-        C once before, by the rule of series addition."""
+        """Eight series constructions per build: h, the solve's two, the
+        four entries as solved and omega.  One BryantFrame constructed, the
+        standard one, whose columns it aligns, and no other alignment but
+        a horospherical build's D = 1 + the partner of C, by the rule of
+        series addition; one np.convolve per product of the checks."""
         counts = {"series": 0, "frames": 0, "convolve": 0}
         post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
-        frame_init = bryant.BryantFrame.__post_init__
+        frame_init = bryant.BryantFrame.__init__
         aligned, aligned_callers = series._aligned, []
 
         def counted_aligned(*args):
@@ -837,14 +871,14 @@ class TestDefectPass:
 
         monkeypatch.setattr(GeneralizedSeries, "__post_init__",
                             counted("series", post_init))
-        monkeypatch.setattr(bryant.BryantFrame, "__post_init__",
+        monkeypatch.setattr(bryant.BryantFrame, "__init__",
                             counted("frames", frame_init))
         monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
         build_end(spec)
-        assert counts == {"series": 5, "frames": 1, "convolve": 6}
-        first = ([ends._horospherical_columns.__code__]
+        assert counts == {"series": 8, "frames": 1, "convolve": 6}
+        first = ([ends.canonical_horospherical_frame.__code__]
                  if spec["type"] == "horospherical" else [])
-        assert aligned_callers == first + [bryant._frame_columns.__code__] * 4
+        assert aligned_callers == first + [frame_init.__code__] * 2
 
     def test_built_end_logs_its_defects(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="bryantflux")
@@ -879,7 +913,7 @@ class TestPlacement:
 
 
 class TestEndFrameRefusals:
-    """_end_columns' refusals, on the canonical catenoidal frame."""
+    """_end_frame's refusals, on the canonical catenoidal frame."""
 
     def parts(self):
         """Offsets and rows of the entries, nu and h of a frame that
@@ -896,7 +930,7 @@ class TestEndFrameRefusals:
 
     def test_unchanged_parts_pass(self):
         offsets, rows, nu, h = self.parts()
-        (o1, a, c), (o2, b, d) = ends._end_columns(offsets, rows, nu, h)[0]
+        (o1, a, c), (o2, b, d) = ends._end_frame(offsets, rows, nu, h).columns
         assert (o1, o2) == (offsets[0], offsets[1])
         assert all(np.array_equal(x, r) for x, r in zip((a, b, c, d), rows))
 
@@ -906,7 +940,7 @@ class TestEndFrameRefusals:
         with pytest.raises(ConsistencyError,
                            match=r"frame violates AD - BC = 1 or "
                                  r"dA dD - dB dC = 0 \(defects "):
-            ends._end_columns(offsets, rows, nu, h)
+            ends._end_frame(offsets, rows, nu, h)
 
     def test_scaled_h_breaks_omega(self):
         offsets, rows, nu, h = self.parts()
@@ -914,17 +948,29 @@ class TestEndFrameRefusals:
         with pytest.raises(ConsistencyError,
                            match=r"frame violates omega = A dC - C dA "
                                  r"\(defect "):
-            ends._end_columns(offsets, rows, nu, scaled)
+            ends._end_frame(offsets, rows, nu, scaled)
 
     def test_nan_in_omega_is_refused(self):
         offsets, rows, nu, h = self.parts()
         bad = h.coeffs.copy()
         bad[3] = np.nan
         with pytest.raises(ConsistencyError, match="omega = A dC - C dA"):
-            ends._end_columns(offsets, rows, nu, GeneralizedSeries(0.0, bad))
+            ends._end_frame(offsets, rows, nu, GeneralizedSeries(0.0, bad))
+
+    @pytest.mark.parametrize("make, mu, h", [
+        (canonical_catenoidal_frame, 0.5, make_h(0.5, (0.0, 1e150))),
+        (canonical_horospherical_frame, 3,
+         GeneralizedSeries(0.0, [0.5, 0.0, 1e200] + [0.0] * 30))],
+        ids=["catenoidal", "horospherical"])
+    def test_overflow_refused_without_warnings(self, make, mu, h):
+        """Called directly, as build_end calls them, the standard frames
+        refuse an overflowing solve with DomainError and no numpy warning
+        (which the test settings turn into errors)."""
+        with pytest.raises(DomainError, match="the frame overflows"):
+            make(mu, h)
 
     def test_non_finite_entry_overflows(self):
         offsets, rows, nu, h = self.parts()
         rows[2, 5] = np.inf
         with pytest.raises(DomainError, match="the frame overflows"):
-            ends._end_columns(offsets, rows, nu, h)
+            ends._end_frame(offsets, rows, nu, h)

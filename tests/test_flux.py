@@ -142,12 +142,13 @@ class TestResidueRoute:
         assert max(abs(x - y) for x, y in zip(derived_matrix(frame), want)) \
             <= 1e-14 * scale
 
-    def test_truncation_past_residue_gives_zero(self):
+    def test_truncation_past_residue_is_refused(self):
         # C (offset -1) kept to order 0 or 1 truncates its column, A with
         # it (BryantFrame), and the residues of all three one-forms sit at
-        # index 1 of products at offset -2: past the truncation at order 0
-        # there is no residue, as the series differences say, and at order
-        # 1 each residue is the full frame's.
+        # index 1 of products at offset -2.  At order 0 the columns stop
+        # before it: the formed series have no z^-1 coefficient to read,
+        # and flux_triple refuses the frame rather than return 0.  At
+        # order 1 each residue is the full frame's.
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[1])
         for kept in (0, 1):
             short = BryantFrame(frame.A, frame.B,
@@ -155,13 +156,26 @@ class TestResidueRoute:
                                                   frame.C.coeffs[:kept + 1]),
                                 frame.D, frame.validity_radius)
             assert short.A.order == kept
+            if kept == 0:
+                with pytest.raises(DomainError, match=r"truncated before "
+                                   r"the residues .* z\^-1 is at index 1 of "
+                                   r"columns of 1 and 33 coefficients"):
+                    flux_triple(short)
+                continue
             t = flux_triple(short)
             assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(short)
-            if kept == 0:
-                assert t.phi0 == t.phi1 == t.phi2 == 0.0
-            else:
-                assert t == flux_triple(frame)
-                assert 0.0 not in (t.phi0, t.phi1, t.phi2)
+            assert t == flux_triple(frame)
+            assert 0.0 not in (t.phi0, t.phi1, t.phi2)
+
+    def test_holomorphic_forms_give_an_exact_zero(self):
+        """Entries moved up by z^3 make all three one-forms holomorphic
+        (z^-1 at index -5): the triple is exactly 0, as the formed
+        series' residues are, and nothing is refused."""
+        frame, _ = build_end(RESIDUE_ROUTE_SPECS[0])
+        up = BryantFrame(*(GeneralizedSeries(e.offset + 3.0, e.coeffs)
+                           for e in frame.entries()), frame.validity_radius)
+        t = flux_triple(up)
+        assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(up) == [0j] * 3
 
     @staticmethod
     def _unequal_columns(spec, n1, n2, shift):

@@ -84,19 +84,36 @@ def same_outputs(parent, change):
 def test_same_outputs_of_the_tree_and_itself():
     code, out = same_outputs(ROOT / "src", ROOT / "src")
     assert code == 0
-    assert out.endswith("builds: every output bitwise equal\n")
+    assert out.endswith("specs: every output bitwise equal\n")
+
+
+def changed_copy(tmp_path, module, old, new):
+    """A copy of the package with ``old`` replaced by ``new`` in one
+    module, where ``old`` must occur."""
+    shutil.copytree(ROOT / "src" / "bryantflux", tmp_path / "bryantflux",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "bryantflux" / (module + ".py")
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return tmp_path
 
 
 def test_same_outputs_reports_a_changed_constant(tmp_path):
     """A copy whose residue scale 4 pi is one ulp of 4 larger differs in
     its first flux triple, after equal frames."""
-    shutil.copytree(ROOT / "src" / "bryantflux", tmp_path / "bryantflux",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    flux = tmp_path / "bryantflux" / "flux.py"
-    text = flux.read_text()
-    assert "4.0 * math.pi" in text
-    flux.write_text(text.replace("4.0 * math.pi", "4.000000000000001 * "
-                                 "math.pi"))
-    code, out = same_outputs(ROOT / "src", tmp_path)
+    change = changed_copy(tmp_path, "flux", "4.0 * math.pi",
+                          "4.000000000000001 * math.pi")
+    code, out = same_outputs(ROOT / "src", change)
     assert code == 1
     assert out.startswith("first difference: flux_triple of ")
+
+
+def test_same_outputs_reports_a_changed_quadrature(tmp_path):
+    """A copy whose trapezoid weight 2 pi / N is one ulp of 2 larger
+    differs in its first quadrature triple, after equal residues."""
+    change = changed_copy(tmp_path, "flux", "scale = 2.0 * math.pi / len(w)",
+                          "scale = 2.0000000000000004 * math.pi / len(w)")
+    code, out = same_outputs(ROOT / "src", change)
+    assert code == 1
+    assert out.startswith("first difference: circle_samples of ")

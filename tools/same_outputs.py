@@ -14,13 +14,24 @@ Every end spec of a fixed grid is built by both at several orders:
 catenoidal ends with a finite or an infinite axis point, with one and
 with two perturbation terms; horospherical ends with mu 2-4 at a finite
 boundary point, at infinity and at one of modulus >= 2^52; orders 8 to
-128; perturbations 1e-2 to 10.  For each build it compares, bit for bit,
-the frame's JSON (frame_to_json, which holds the validity radius), the
-validity radius, the JSON of the frame read back (frame_from_json), the
-flux triple (flux_triple) and the det, null and omega defects that the
-build logs at DEBUG, or the class and message of the error raised.  It
-prints the first difference and exits 1, or prints the number of builds
-compared and exits 0.
+128; perturbations 1e-2 to 10.  For each spec it compares, bit for bit:
+
+- the JSON of the standard frame of its mu and h, made by
+  canonical_catenoidal_frame or canonical_horospherical_frame;
+- the built frame's JSON (frame_to_json, which holds the validity
+  radius) and its validity radius;
+- the JSON of the frame read back (frame_from_json), and of that frame
+  moved by one fixed isometry (transform_frame);
+- the flux triple (flux_triple), and the axis (extract_axis) of a
+  catenoidal end;
+- the quadrature's triple and round-off bounds (circle_samples) on 64
+  nodes of one circle inside the validity radius;
+- the det, null and omega defects that the builds log at DEBUG.
+
+Each output that raises is compared as the class and message of its
+error.  Only public names are used, so any two trees of the package can
+be compared.  It prints the first difference and exits 1, or prints the
+number of specs compared and exits 0.
 """
 
 import importlib
@@ -30,10 +41,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 CATENOIDAL_AXES = ([[0.0, 0.0], "inf"], [[0.3, 0.1], "inf"],
                    ["inf", [0.4, -0.2]], [[0.3, 0.1], [-0.5, 0.2]])
 HOROSPHERICAL_BOUNDARIES = ([2.0, -0.5], "inf", [2.0 ** 53, 3.0])
 ORDERS = (8, 32, 128)
+# The isometry that moves each reloaded frame, and the circle sampled.
+MOVE = (1.2 + 0.3j, 0.25 - 0.5j, -0.4j, 0.7 + 0.1j)
+SAMPLES, MAX_RHO = 64, 0.1
 PERTURBATIONS = (1e-2, 0.3, 10.0)
 # Specs that every order refuses: overflow of the frame and of the placed
 # frame, and a z^1 coefficient that violates the constraint.
@@ -90,20 +106,79 @@ def _bits(x) -> str:
     return float(x).hex()
 
 
-def outputs(pkg, handler, spec, order):
-    """(name, value) pairs of everything compared for one build."""
-    handler.args = []
+def _triple_bits(t) -> list:
+    """A flux triple's three components as exact hex."""
+    return [_bits(complex(v)) for v in (t.phi0, t.phi1, t.phi2)]
+
+
+def _point_bits(x) -> str:
+    """A boundary point as exact hex, or as the repr of infinity."""
+    return _bits(x) if isinstance(x, complex) else repr(x)
+
+
+def _complex(x) -> complex:
+    """A spec's number, [re, im] or a real."""
+    return complex(*x) if isinstance(x, list) else complex(x)
+
+
+def _attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the class and message of the error it
+    raises: a refusal is itself an output."""
     try:
-        frame, _ = pkg.build_end(spec, order=order)
-        text = pkg.frame_to_json(frame)
-        out = [("frame_to_json", text),
-               ("validity_radius", _bits(frame.validity_radius)),
-               ("reloaded", pkg.frame_to_json(pkg.frame_from_json(text)))]
-        t = pkg.flux_triple(frame)
-        out.append(("flux_triple", [_bits(complex(v)) for v in
-                                    (t.phi0, t.phi1, t.phi2)]))
-    except Exception as exc:  # the refusal is itself an output
-        out = [("error", "%s: %s" % (type(exc).__name__, exc))]
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def canonical(pkg, spec, order):
+    """The JSON of the standard frame of the spec's mu and h =
+    h(0)(1 + sum p_k z^k), p as the spec's perturbation."""
+    mu = spec["mu"]
+    if spec["type"] == "catenoidal":
+        h0, make = (1.0 - mu * mu) / (4.0 * mu), pkg.canonical_catenoidal_frame
+    else:
+        h0, make = _complex(spec["h0"]), pkg.canonical_horospherical_frame
+    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs[0] = 1.0
+    pert = [_complex(p) for p in spec["h_perturbation"]][:order]
+    coeffs[1:len(pert) + 1] = pert
+    return pkg.frame_to_json(make(mu, pkg.GeneralizedSeries(0.0, h0 * coeffs),
+                                  order))
+
+
+def samples(pkg, frame):
+    """The quadrature's triple and round-off bounds on one circle."""
+    rho = min(MAX_RHO, 0.5 * frame.validity_radius)
+    s = pkg.circle_samples(frame, pkg.QuadratureGrid(rho, SAMPLES))
+    return _triple_bits(s.triple) + [_bits(b) for b in s.roundoff]
+
+
+def outputs(pkg, handler, spec, order):
+    """(name, value) pairs of everything compared for one spec."""
+    handler.args = []
+    out = [("canonical frame", _attempt(canonical, pkg, spec, order))]
+    built = _attempt(pkg.build_end, spec, order=order)
+    if isinstance(built, str):
+        out.append(("build_end", built))
+    else:
+        frame = built[0]
+
+        def reloaded():
+            return pkg.frame_from_json(pkg.frame_to_json(frame))
+
+        for name, fn in (
+                ("frame_to_json", lambda: pkg.frame_to_json(frame)),
+                ("validity_radius", lambda: _bits(frame.validity_radius)),
+                ("reloaded", lambda: pkg.frame_to_json(reloaded())),
+                ("transform_frame", lambda: pkg.frame_to_json(
+                    pkg.transform_frame(pkg.IsometrySL2(*MOVE),
+                                        reloaded()))),
+                ("flux_triple", lambda: _triple_bits(pkg.flux_triple(frame))),
+                ("circle_samples", lambda: samples(pkg, frame))):
+            out.append((name, _attempt(fn)))
+        if spec["type"] == "catenoidal":
+            out.append(("extract_axis", _attempt(lambda: [
+                _point_bits(x) for x in pkg.extract_axis(frame)])))
     out.append(("defects", [[_bits(v) for v in a] for a in handler.args]))
     return out
 
@@ -133,16 +208,17 @@ def main(argv=None) -> int:
         n = 0
         for spec, order in specs():
             got = [outputs(pkg, handler, spec, order) for pkg in pkgs]
-            # Every output list ends with the defects, and an error
-            # replaces all the others, so the first unequal pair exists
+            # Both lists start with the canonical frame and end with the
+            # defects, and a refused build differs from a built one in the
+            # name of its second output, so the first unequal pair exists
             # whenever the lists differ.
-            for (name, a), (_, b) in zip(*got):
-                if a != b:
+            for (name, a), (other, b) in zip(*got):
+                if (name, a) != (other, b):
                     print("first difference: %s of %r at order %d\n"
                           "parent: %s\nchange: %s" % (name, spec, order, a, b))
                     return 1
             n += 1
-    print("%d builds: every output bitwise equal" % n)
+    print("%d specs: every output bitwise equal" % n)
     return 0
 
 

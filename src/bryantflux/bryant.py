@@ -10,10 +10,15 @@ absolute top, the rule of series addition (series._aligned).  The
 constructor, which takes the four entries as series, is the one place
 that aligns; from_columns takes columns that are aligned already, and
 A to D are series on the columns' arrays.  Placing a frame
-(transform_frame), checking its identities (checked_frame, by
-_identity_terms) and reading its residues (flux.flux_triple) then
+(transform_frame) and reading its residues (flux.flux_triple) then
 combine the columns' arrays index by index, with no intermediate
-series.  The immersion into the half-space model is
+series.  Checking its identities (checked_frame, by _identity_terms)
+forms, for each product of an identity, only the coefficients that the
+identity's window keeps, each by one np.convolve of zero-padded
+leading coefficients: the residuals agree with the same formulas in
+series arithmetic within the round-off of a dot product, since the
+same terms are summed in another order, and are not bitwise equal to
+them.  The immersion into the half-space model is
 
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
@@ -39,8 +44,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geometry import IsometrySL2, parse_complex, parse_real
-from .series import (GeneralizedSeries, _aligned, _derivative_terms,
-                     _product_terms)
+from .series import GeneralizedSeries, _aligned, _snap
 
 log = logging.getLogger("bryantflux")
 
@@ -95,46 +99,83 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     each as its window: the coefficients below the truncation top, which
     the identities are held to.
 
-    One pass over the columns' bare arrays: each entry's derivative is
-    formed once, with one factor per column.  The columns are aligned, so
+    One pass over the columns' bare arrays: the columns' arrays and their
+    derivatives are padded once, with n - 1 zeros in front, into one
+    block, so that each product is one np.convolve(pad(x), y, "valid")
+    of the leading coefficients it needs (_leading_product) and forms
+    only the coefficients its window keeps.  The columns are aligned, so
     the two products of each identity share an offset and a length and
     are subtracted coefficient by coefficient, with the operands in the
     formulas' order; the right-hand side (1, 0 or omega) is then
     subtracted where it falls in that window, which is widened down to it
-    when it starts lower.  So each residual has the values of the formula
-    written in GeneralizedSeries.  With ``scale``, every operand's
-    coefficients are replaced by their moduli, each difference by a sum
-    and the right-hand side by zeros, which gives, aligned and truncated
-    as the residual, the coefficient-wise size |x| * |y| + |u| * |v| of
-    the two products x y and u v that cancel in it.
+    when it starts lower.  Each residual coefficient sums the products of
+    the formula written in GeneralizedSeries, and products with the
+    padding's zeros, in another order, so the two agree within the
+    round-off of a dot product of the product's length, not bitwise.
+    With ``scale``, every operand's coefficients are replaced by their
+    moduli, each difference by a sum and the right-hand side by zeros,
+    which gives, aligned and truncated as the residual, the
+    coefficient-wise size |x| * |y| + |u| * |v| of the two products x y
+    and u v that cancel in it, from the same products.
     """
     (o1, a, c), (o2, b, d) = columns
-    (d1, (da, dc)), (d2, (db, dd)) = (_derivative_terms(o1, a, c),
-                                      _derivative_terms(o2, b, d))
-    A, B, C, D = (o1, a), (o2, b), (o1, c), (o2, d)
-    dA, dB, dC, dD = (d1, da), (d2, db), (d1, dc), (d2, dd)
+    n1, n2 = len(a), len(b)
+    n = max(n1, n2)
+    # Rows A, C, B, D and then their derivatives, each after n - 1 zeros;
+    # a shorter column's rows end in zeros, which no window reads.  Each
+    # derivative row is its entry's times the factors (offset + k) of
+    # series._derivative_terms.
+    block = np.zeros((8, 2 * n - 1), dtype=complex)
+    pads = block[:, n - 1:]
+    pads[:2, :n1], pads[2:4, :n2] = (a, c), (b, d)
+    np.multiply(np.array([[o1], [o1], [o2], [o2]]) + np.arange(n), pads[:4],
+                out=pads[4:])
+    if scale:
+        block = np.abs(block)
+    d1, d2 = _snap(o1 - 1.0), _snap(o2 - 1.0)
+    # Each entry as (offset, length, padded row).
+    A, C, B, D, dA, dC, dB, dD = zip((o1, o1, o2, o2, d1, d1, d2, d2),
+                                     (n1, n1, n2, n2) * 2, block)
     checks = [(A, D, B, C, 0.0, np.ones(1)),
               (dA, dD, dB, dC, 0.0, np.zeros(1))]
     if omega is not None:
         checks.append((A, dC, C, dA, omega.offset, omega.coeffs))
     windows = []
-    for *quad, t_offset, t in checks:
-        if scale:
-            quad, t = [(o, np.abs(c)) for o, c in quad], np.zeros(len(t))
-        (offset, xy), (_, uv) = (_product_terms(*quad[0], *quad[1]),
-                                 _product_terms(*quad[2], *quad[3]))
-        r = xy + uv if scale else xy - uv
-        k = round(t_offset - offset)
-        if k < -len(r):
+    for (ox, nx, x), (oy, ny, y), (_, _, u), (_, _, v), t_offset, t in checks:
+        m = min(nx, ny)
+        k = round(t_offset - _snap(ox + oy))
+        if k < -m:
             raise ConsistencyError(
                 "frame identity fails: its right-hand side starts %g powers "
                 "below the %d coefficients of its products, so its leading "
-                "coefficient is left uncancelled" % (-k, len(r)))
-        if k < 0:
-            r, k = np.concatenate([np.zeros(-k), r]), 0
-        r[k:k + len(t)] -= t[:max(len(r) - k, 0)]
-        windows.append(r[:max(len(r) - 1, 1)])
+                "coefficient is left uncancelled" % (-k, m))
+        # The window: the -k zeros that widen it down to the right-hand
+        # side, then the p product coefficients below the top (m - 1, or
+        # the one when m = 1 and nothing widens).
+        w = max(-k, 0)
+        p = max(m + w - 1, 1) - w
+        r = np.zeros(0, dtype=block.dtype)
+        if p:
+            xy, uv = (_leading_product(x, y, p, n),
+                      _leading_product(u, v, p, n))
+            r = xy + uv if scale else xy - uv
+        if w:
+            r = np.concatenate([np.zeros(w), r])
+        if not scale:
+            k = max(k, 0)
+            r[k:k + len(t)] -= t[:max(len(r) - k, 0)]
+        windows.append(r)
     return windows
+
+
+def _leading_product(x: np.ndarray, y: np.ndarray, p: int,
+                     n: int) -> np.ndarray:
+    """The p <= n leading coefficients of the product of two entries, each
+    a row of n - 1 zeros and then its coefficients: one np.convolve of
+    x's p leading coefficients after p - 1 of its zeros with y's p
+    leading coefficients, in "valid" mode, which forms those p and no
+    more."""
+    return np.convolve(x[n - p:n - 1 + p], y[n - 1:n - 1 + p], "valid")
 
 
 def _defects(windows):
@@ -172,8 +213,10 @@ def checked_frame(frame: BryantFrame,
     the same coefficient of the two products that cancel in it
     (_refused).  A frame moved far from the origin has products of 1e7
     and more, whose cancellation leaves defects above 1e-8 in round-off
-    alone.  With omega, the defects and the validity radius are logged
-    at DEBUG."""
+    alone.  Each residual is formed from the leading coefficients its
+    window reads (_identity_terms), so its defects are those of the
+    series formulas to round-off, not bitwise.  With omega, the defects
+    and the validity radius are logged at DEBUG."""
     windows = _identity_terms(frame.columns, omega)
     det, null, om = _defects(windows)
     if omega is not None:

@@ -14,13 +14,18 @@ every product of the immersion is of two values from one column, whose
 factors cancel.  The tests keep a Horner sum with the branch factor at
 arbitrary angles as its reference.  product_residue gives
 residue(a * b) from the coefficient pairs that reach z^-1, summed in
-the product's own order (_pair_sum), without forming the product.  The
-rules of addition, multiplication and differentiation are written once,
-on bare coefficient arrays (_aligned, _product_terms, _derivative_terms),
-so a caller can apply them without forming intermediate series:
-bryant.BryantFrame aligns a frame's columns by _aligned, and the frame
-checks and the flux residues read those columns' arrays.  _integer is
-the one test that an offset, or a gap between two, is an integer.
+the product's own order (_pair_sum), without forming the product.  A
+residue is 0 when z^-1 lies below the leading power and refused
+(DomainError) when it lies past the retained coefficients.  The rules
+of addition and differentiation are written once, on bare coefficient
+arrays (_aligned, _derivative_terms), so a caller can apply them without
+forming intermediate series: bryant.BryantFrame aligns a frame's columns
+by _aligned, and the frame checks and the flux residues read those
+columns' arrays.  A product series is np.convolve's full product,
+truncated; the frame checks form only the leading coefficients of each
+product that they keep (bryant._identity_terms), which agree with the
+product series' within round-off, not bitwise.  _integer is the one
+test that an offset, or a gap between two, is an integer.
 """
 
 from __future__ import annotations
@@ -80,14 +85,6 @@ def _aligned(x_offset: float, x: np.ndarray, y_offset: float, y: np.ndarray,
                 for k, o, c in ((kx, x_offset, x), (ky, y_offset, y))]
 
 
-def _product_terms(x_offset: float, x: np.ndarray, y_offset: float,
-                   y: np.ndarray):
-    """(offset, coeffs) of the product of z^x_offset x and z^y_offset y,
-    truncated at the shorter operand's order: one np.convolve."""
-    n = min(len(x), len(y))
-    return _snap(x_offset + y_offset), np.convolve(x, y)[:n]
-
-
 @dataclass(frozen=True)
 class GeneralizedSeries:
     """z^offset times a truncated power series with complex coefficients."""
@@ -132,10 +129,14 @@ class GeneralizedSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, truncated at the shorter operand's order: the
+        leading coefficients of np.convolve's full product, so that
+        residue(a * b) is bitwise product_residue(a, b)."""
         if isinstance(other, (int, float, complex)):
             return GeneralizedSeries(self.offset, self.coeffs * other)
-        return GeneralizedSeries(*_product_terms(self.offset, self.coeffs,
-                                                 other.offset, other.coeffs))
+        n = min(len(self.coeffs), len(other.coeffs))
+        return GeneralizedSeries(self.offset + other.offset,
+                                 np.convolve(self.coeffs, other.coeffs)[:n])
 
     __rmul__ = __mul__
 
@@ -162,10 +163,23 @@ def _residue_index(offset: float) -> int:
 
 
 def residue(a: GeneralizedSeries) -> complex:
-    """Coefficient of z^-1; defined only for integer offsets, and 0 when
-    z^-1 lies outside the coefficients."""
+    """Coefficient of z^-1; defined only for integer offsets.  It is 0
+    when z^-1 lies below the leading power, and DomainError when it lies
+    past the retained coefficients, where it is unknown."""
     idx = _residue_index(a.offset)
-    return complex(a.coeffs[idx]) if 0 <= idx < len(a.coeffs) else 0j
+    if idx < 0:
+        return 0j
+    _check_retained(idx, len(a.coeffs))
+    return complex(a.coeffs[idx])
+
+
+def _check_retained(idx: int, *lengths: int):
+    """DomainError when the z^-1 index ``idx`` lies past the retained
+    coefficients of an operand of one of the ``lengths``."""
+    if idx >= min(lengths):
+        raise DomainError("the series is truncated before its residue: z^-1 "
+                          "is at index %d of %s coefficients"
+                          % (idx, " and ".join(map(str, lengths))))
 
 
 def _pair_sum(x: np.ndarray, y: np.ndarray, nx: int, ny: int) -> complex:
@@ -182,11 +196,14 @@ def _pair_sum(x: np.ndarray, y: np.ndarray, nx: int, ny: int) -> complex:
 def product_residue(a: GeneralizedSeries, b: GeneralizedSeries) -> complex:
     """residue(a * b) from the idx + 1 coefficient pairs it needs, without
     forming the product; idx = -1 - (a.offset + b.offset).  The value is
-    bitwise that of residue(a * b) (_pair_sum)."""
+    bitwise that of residue(a * b) (_pair_sum): 0 when idx < 0, and
+    DomainError when idx lies past the shorter operand, where the
+    product is truncated."""
     x, y = a.coeffs, b.coeffs
     idx = _residue_index(a.offset + b.offset)
-    if not 0 <= idx < min(len(x), len(y)):
+    if idx < 0:
         return 0j
+    _check_retained(idx, len(x), len(y))
     return _pair_sum(x[:idx + 1], y[:idx + 1], len(x), len(y))
 
 

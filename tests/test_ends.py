@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import sys
@@ -13,8 +14,9 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
                         canonical_catenoidal_frame,
                         canonical_horospherical_frame, catenoid_cousin_frame,
                         catenoidal_polynomial, extract_axis,
-                        flux_triple, frobenius_solve,
-                        horosphere_frame, horospherical_polynomial, is_inf,
+                        flux_triple, frame_from_json, frame_to_json,
+                        frobenius_solve, horosphere_frame,
+                        horospherical_polynomial, is_inf,
                         mobius_boundary, transform_frame)
 from bryantflux import bryant, ends, series
 from bryantflux.series import differentiate
@@ -761,15 +763,41 @@ DEFECT_IDS = ["catenoidal-inf", "catenoidal-finite", "horospherical-mu2",
               "horospherical-mu3"]
 
 
-def series_defects(frame, omega):
-    """The reference: det, null and omega defects by series arithmetic."""
+def series_windows(frame, omega):
+    """The reference: the det, null and, when ``omega`` is given, omega
+    residual windows by series arithmetic, each to the extent the
+    identity pass keeps."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
     det = A * D - B * C
-    det = det - GeneralizedSeries.constant(
-        1.0, order=det.order + abs(round(det.offset)))
-    return tuple(float(np.max(np.abs(r.coeffs[:max(r.order, 1)])))
-                 for r in (det, dA * dD - dB * dC, A * dC - C * dA - omega))
+    residuals = [det - GeneralizedSeries.constant(
+        1.0, order=det.order + abs(round(det.offset))), dA * dD - dB * dC]
+    if omega is not None:
+        residuals.append(A * dC - C * dA - omega)
+    return [r.coeffs[:max(r.order, 1)] for r in residuals]
+
+
+def gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), u = 2^-53 (Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1)."""
+    u = 2.0 ** -53
+    return m * u / (1.0 - m * u)
+
+
+def assert_windows_within_roundoff(frame, omega, count=3):
+    """The pass's first ``count`` residual windows (det, null, omega)
+    have the extents of the series formulas', and each coefficient lies
+    within 2 gamma_(n+2) s_k of the formula's, for the product length n
+    and the scale s_k of the two products that cancel in it: the bound
+    on two sums of the same products in two orders."""
+    (_, a, _), (_, b, _) = frame.columns
+    lengths = (min(len(a), len(b)),) * 2 + (len(a),)
+    got = bryant._identity_terms(frame.columns, omega)
+    scales = bryant._identity_terms(frame.columns, omega, scale=True)
+    for r, want, s, n in list(zip(got, series_windows(frame, omega), scales,
+                                  lengths))[:count]:
+        assert len(r) == len(want) == len(s)
+        assert (np.abs(r - want) <= 2.0 * gamma(n + 2) * s).all()
 
 
 def checked_calls(spec, monkeypatch):
@@ -818,17 +846,18 @@ class TestDefectPass:
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
     def test_defects_equal_the_series_formulas(self, spec, order,
                                                monkeypatch):
+        """Each residual coefficient equals the series formula's to the
+        round-off of a dot product; the det and null windows do not
+        depend on whether omega is checked."""
         (frame, _), calls = checked_calls(dict(spec, order=order),
                                           monkeypatch)
         [(built, omega)] = calls
         assert omega is not None
-        ref = series_defects(built, omega)
-        assert frame_defects(built, omega) == ref
-        assert frame_defects(built)[:2] == ref[:2]
+        assert_windows_within_roundoff(built, omega)
+        assert frame_defects(built)[:2] == frame_defects(built, omega)[:2]
         # the frame moved to a finite boundary point, which checked_frame
         # does not see
-        assert (frame_defects(frame)[:2]
-                == series_defects(frame, omega)[:2])
+        assert_windows_within_roundoff(frame, omega, count=2)
 
     @pytest.mark.parametrize("order", [32, 64, 128])
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
@@ -849,9 +878,11 @@ class TestDefectPass:
         four entries as solved and omega.  One BryantFrame constructed, the
         standard one, whose columns it aligns, and no other alignment but
         a horospherical build's D = 1 + the partner of C, by the rule of
-        series addition; one np.convolve per product of the checks."""
+        series addition; one np.convolve per product of the checks, which
+        forms exactly the coefficients of its identity's window."""
         counts = {"series": 0, "frames": 0, "convolve": 0}
         post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
+        formed = []
         frame_init = bryant.BryantFrame.__init__
         aligned, aligned_callers = series._aligned, []
 
@@ -869,16 +900,27 @@ class TestDefectPass:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def recorded_convolve(*args):
+            out = convolve(*args)
+            formed.append(len(out))
+            return out
+
         monkeypatch.setattr(GeneralizedSeries, "__post_init__",
                             counted("series", post_init))
         monkeypatch.setattr(bryant.BryantFrame, "__init__",
                             counted("frames", frame_init))
-        monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
+        monkeypatch.setattr(np, "convolve",
+                            counted("convolve", recorded_convolve))
+        calls = build_steps(monkeypatch)
         build_end(spec)
         assert counts == {"series": 8, "frames": 1, "convolve": 6}
         first = ([ends.canonical_horospherical_frame.__code__]
                  if spec["type"] == "horospherical" else [])
         assert aligned_callers == first + [frame_init.__code__] * 2
+        [(built, omega)] = calls["checked_frame"]
+        monkeypatch.setattr(np, "convolve", convolve)
+        windows = bryant._identity_terms(built.columns, omega)
+        assert formed == [len(w) for w in windows for _ in range(2)]
 
     def test_built_end_logs_its_defects(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="bryantflux")
@@ -890,6 +932,108 @@ class TestDefectPass:
         assert record.args == (*frame_defects(built, omega),
                                built.validity_radius)
         assert "omega" in record.getMessage()
+
+
+def one_term_frame(offset, a, b, c, d):
+    """The frame of four one-term series at one offset, radius 1."""
+    return bryant.BryantFrame(*(GeneralizedSeries(offset, [x])
+                                for x in (a, b, c, d)), 1.0)
+
+
+def outcome(frame, omega=None):
+    """The lengths of the frame's residual windows and checked_frame's
+    verdict: "accepted", or the class and message of its refusal."""
+    lengths = [len(w) for w in bryant._identity_terms(frame.columns, omega)]
+    try:
+        bryant.checked_frame(frame, omega)
+    except ConsistencyError as exc:
+        return lengths, "ConsistencyError: %s" % exc
+    return lengths, "accepted"
+
+
+def standard_frame(monkeypatch, order=16):
+    """The standard frame of DEFECT_SPECS[1] at ``order`` and its omega,
+    as build_end checks them."""
+    _, [(built, omega)] = checked_calls(dict(DEFECT_SPECS[1], order=order),
+                                        monkeypatch)
+    return built, omega
+
+
+DET_REFUSED = ("ConsistencyError: frame violates AD - BC = 1 or "
+               "dA dD - dB dC = 0 ")
+OMEGA_REFUSED = "ConsistencyError: frame violates omega = A dC - C dA "
+
+
+class TestIdentityWindowEdges:
+    """Edges of the identity pass, each with the window lengths and the
+    verdict of the pass that formed every full product."""
+
+    def test_columns_of_unequal_length(self, monkeypatch):
+        # B and D cut to 10 of the 17 coefficients of A and C
+        built, _ = standard_frame(monkeypatch)
+        obj = json.loads(frame_to_json(built))
+        for k in "BD":
+            obj[k]["coeffs"] = obj[k]["coeffs"][:10]
+        frame = frame_from_json(json.dumps(obj))
+        assert [len(x) for _, x, _ in frame.columns] == [17, 10]
+        assert outcome(frame) == ([9, 9], "accepted")
+        assert_windows_within_roundoff(frame, None, count=2)
+
+    def test_one_coefficient_columns(self):
+        # [[1, 0], [z^-1, 1]] of order 0: each column is one coefficient
+        # at offset -1 and 0, and each window one coefficient below the
+        # unit
+        frame = horosphere_frame(0)
+        assert outcome(frame) == ([1, 1], "accepted")
+        assert [list(w) for w in bryant._identity_terms(frame.columns)] \
+            == [[0.0], [0.0]]
+        bad = one_term_frame(0.0, 2.0, 0.0, 1.0, 1.0)
+        assert outcome(bad) == ([1, 1], DET_REFUSED + "(defects 1.000e+00, "
+                                "0.000e+00)")
+
+    def test_omega_below_the_products_widens_the_window(self, monkeypatch):
+        built, omega = standard_frame(monkeypatch)
+        for shift, lengths in ((1.0, [16, 16, 16]), (3.0, [16, 16, 18]),
+                               (17.0, [16, 16, 32])):
+            low = GeneralizedSeries(omega.offset - shift, omega.coeffs)
+            assert outcome(built, low) == (
+                lengths, OMEGA_REFUSED + "(defect 2.083e-01)")
+
+    def test_widened_window_of_no_product_coefficient(self):
+        # One coefficient per column: A dC at z^-1 is past the window of
+        # one coefficient that omega's z^-2 opens, as AD at z^1 is past
+        # the one that the unit opens.
+        frame = one_term_frame(0.0, 1.0, 0.0, 1.0, 1.0)
+        low = GeneralizedSeries(-2.0, [1.0, 0.0])
+        assert outcome(frame, low) == ([1, 1, 1],
+                                       OMEGA_REFUSED + "(defect 1.000e+00)")
+        assert list(bryant._identity_terms(frame.columns, low)[2]) == [-1.0]
+        high = one_term_frame(0.5, 1.0, 0.0, 1.0, 1.0)
+        assert outcome(high) == ([1, 1], DET_REFUSED + "(defects 1.000e+00, "
+                                 "2.500e-01)")
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(np.inf, 1.0)],
+                             ids=["inf", "nan", "complex-inf"])
+    @pytest.mark.parametrize("entry, index, verdict", [
+        (0, 3, DET_REFUSED), (3, 14, DET_REFUSED), (3, 15, DET_REFUSED),
+        (1, 0, DET_REFUSED), (3, 16, "accepted"), (2, 16, "accepted")],
+        ids=["A3", "D14", "D15", "C0", "D16", "B16"])
+    def test_non_finite_coefficient(self, monkeypatch, entry, index,
+                                    verdict, value):
+        """A coefficient that is not finite refuses the frame when the
+        windows read it, whatever the padding's zeros make of it, and is
+        not read past the windows (index 16 of 17).  The derivative of a
+        complex infinity warns in any pass, so warnings are off."""
+        built, omega = standard_frame(monkeypatch)
+        (o1, a, c), (o2, b, d) = built.columns
+        arrays = [x.copy() for x in (a, c, b, d)]
+        arrays[entry][index] = value
+        frame = bryant.BryantFrame.from_columns(
+            ((o1, *arrays[:2]), (o2, *arrays[2:])), 1.0)
+        with np.errstate(all="ignore"):
+            lengths, got = outcome(frame, omega)
+        assert lengths == [16, 16, 16]
+        assert got.startswith(verdict)
 
 
 class TestPlacement:

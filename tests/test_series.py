@@ -144,6 +144,11 @@ class TestResidue:
     def test_no_minus_one_term(self):
         assert residue(S(0.0, [1.0, 2.0])) == 0.0
 
+    def test_index_past_the_coefficients_refused(self):
+        # z^-1 is at index 3 of a series of 3 coefficients
+        with pytest.raises(DomainError, match="index 3 of 3 coefficients"):
+            residue(S(-4.0, [1.0, 2.0, 3.0]))
+
     def test_fractional_offset_rejected(self):
         with pytest.raises(DomainError):
             residue(S(0.5, [1.0]))
@@ -168,18 +173,28 @@ class TestProductResidue:
             a, b = (S(o, (rng.normal(size=n) + 1j * rng.normal(size=n))
                       * 10.0 ** rng.integers(-5, 6, size=n))
                     for o, n in zip(offsets, (na, nb)))
+            if -1 - round(offsets[0] + offsets[1]) >= min(na, nb):
+                # z^-1 lies past the truncation: both refuse
+                for fn in (lambda: product_residue(a, b),
+                           lambda: residue(a * b)):
+                    with pytest.raises(DomainError, match="truncated"):
+                        fn()
+                continue
             got, want = product_residue(a, b), residue(a * b)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_index_below_zero_gives_zero(self):
         assert product_residue(S(0.0, [1.0, 2.0]), S(1.0, [3.0])) == 0.0
 
-    def test_index_past_shorter_order_gives_zero(self):
+    def test_index_past_shorter_order_is_refused(self):
         # idx = 2 lies within a's order 3 but past b's order 1.
         a, b = S(-2.0, [1.0, 2.0, 3.0, 4.0]), S(-1.0, [5.0, 6.0])
-        assert residue(a * b) == 0.0
-        assert product_residue(a, b) == 0.0
-        assert product_residue(b, a) == 0.0
+        for fn, lengths in ((lambda: residue(a * b), "2"),
+                            (lambda: product_residue(a, b), "4 and 2"),
+                            (lambda: product_residue(b, a), "2 and 4")):
+            with pytest.raises(DomainError, match="index 2 of %s coeff"
+                               % lengths):
+                fn()
 
     def test_negative_zero_cleared(self):
         # (-1)(0) - (0)(1) is -0.0; the product's sum reads +0.0.

@@ -1,11 +1,14 @@
 """The scripts under tools/, run as scripts: code_lines.py on small
 packages, same_outputs.py on the package's own source tree."""
 
+import re
 import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "code_lines.py"
@@ -99,14 +102,30 @@ def changed_copy(tmp_path, module, old, new):
     return tmp_path
 
 
-def test_same_outputs_reports_a_changed_constant(tmp_path):
-    """A copy whose residue scale 4 pi is one ulp of 4 larger differs in
-    its first flux triple, after equal frames."""
-    change = changed_copy(tmp_path, "flux", "4.0 * math.pi",
-                          "4.000000000000001 * math.pi")
-    code, out = same_outputs(ROOT / "src", change)
+@pytest.fixture(scope="module")
+def four_pi_report(tmp_path_factory):
+    """same_outputs.py's (exit code, stdout) on a copy whose residue scale
+    4 pi is one ulp of 4 larger."""
+    change = changed_copy(tmp_path_factory.mktemp("four_pi"), "flux",
+                          "4.0 * math.pi", "4.000000000000001 * math.pi")
+    return same_outputs(ROOT / "src", change)
+
+
+def test_same_outputs_reports_a_changed_constant(four_pi_report):
+    """The copy differs in its first flux triple, after equal frames."""
+    code, out = four_pi_report
     assert code == 1
     assert out.startswith("first difference: flux_triple of ")
+
+
+def test_same_outputs_counts_every_output_that_differs(four_pi_report):
+    """After the first difference (three lines), one count per output
+    that differs anywhere: the copy's triples, and not its frames."""
+    code, out = four_pi_report
+    assert code == 1
+    [tally] = out.splitlines()[3:]
+    assert re.fullmatch(r"flux_triple: [1-9]\d* of [1-9]\d* specs", tally)
+    assert "frame_to_json" not in out
 
 
 def test_same_outputs_reports_a_changed_quadrature(tmp_path):

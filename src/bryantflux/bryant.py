@@ -6,14 +6,17 @@ SL(2, C), which moves the end by an isometry, mixes A with C and B with
 D, so a frame's unit is a column, and BryantFrame stores its two
 columns, ((offset, A, C), (offset, B, D)), as bare coefficient arrays:
 each pair at the column's lower offset and truncated at its lower
-absolute top, the rule of series addition (series._aligned).  The
-constructor, which takes the four entries as series, is the one place
-that aligns; from_columns takes columns that are aligned already, and
-A to D are series on the columns' arrays.  Placing a frame
+absolute top, the rule of series addition (series._aligned).
+_columns is the one place that aligns, from the entries' bare arrays:
+the constructor, which takes the four entries as series, aligns by it,
+and so does ends, from the rows of a solve, with no series for an
+entry; from_columns takes columns that are aligned already, and A to D
+are series on the columns' arrays.  Placing a frame
 (transform_frame) and reading its residues (flux.flux_triple) then
 combine the columns' arrays index by index, with no intermediate
-series.  Checking its identities (checked_frame, by _identity_terms)
-forms, for each product of an identity, only the coefficients that the
+series.  Checking a frame (checked_frame, by _identity_terms) refuses
+a coefficient that is not finite, wherever it lies, and then forms,
+for each product of an identity, only the coefficients that the
 identity's window keeps, each by one np.convolve of zero-padded
 leading coefficients: the residuals agree with the same formulas in
 series arithmetic within the round-off of a dot product, since the
@@ -68,10 +71,9 @@ class BryantFrame:
     def __init__(self, A, B, C, D, validity_radius: float):
         if not validity_radius > 0:
             raise DomainError("validity radius must be positive")
-        (o1, (a, c)), (o2, (b, d)) = (
-            _aligned(A.offset, A.coeffs, C.offset, C.coeffs, "column AC"),
-            _aligned(B.offset, B.coeffs, D.offset, D.coeffs, "column BD"))
-        self.columns = (o1, a, c), (o2, b, d)
+        entries = A, B, C, D
+        self.columns = _columns([e.offset for e in entries],
+                                [e.coeffs for e in entries])
         self.validity_radius = validity_radius
 
     @classmethod
@@ -93,11 +95,34 @@ class BryantFrame:
         return self.A, self.B, self.C, self.D
 
 
+def _columns(offsets, entries):
+    """The columns ((offset, A, C), (offset, B, D)) of the entries A, B,
+    C, D, given as coefficient arrays at ``offsets``: each pair aligned
+    by the rule of series addition (series._aligned), where an entry
+    already in place keeps its array."""
+    (o1, (a, c)), (o2, (b, d)) = (
+        _aligned(offsets[0], entries[0], offsets[2], entries[2], "column AC"),
+        _aligned(offsets[1], entries[1], offsets[3], entries[3], "column BD"))
+    return (o1, a, c), (o2, b, d)
+
+
+def _check_finite(what: str, *arrays: np.ndarray):
+    """DomainError naming the overflow when a coefficient of the arrays
+    is not finite.  Several arrays are checked as one: one concatenation
+    costs less than a check per array at the lengths of a frame."""
+    x = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    if not np.isfinite(x).all():
+        raise DomainError("%s overflows: its coefficients are not finite"
+                          % what)
+
+
 def _identity_terms(columns, omega=None, scale: bool = False):
     """The residual series of AD - BC = 1, dA dD - dB dC = 0 and, when
     the series ``omega`` is given, A dC - C dA = omega,
     each as its window: the coefficients below the truncation top, which
-    the identities are held to.
+    the identities are held to.  A coefficient of the columns that is not
+    finite, wherever it lies, is a DomainError (_check_finite): the
+    windows need not read it, and no residual of it means anything.
 
     One pass over the columns' bare arrays: the columns' arrays and their
     derivatives are padded once, with n - 1 zeros in front, into one
@@ -120,30 +145,31 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     """
     (o1, a, c), (o2, b, d) = columns
     n1, n2 = len(a), len(b)
-    n = max(n1, n2)
+    n, m = max(n1, n2), min(n1, n2)
     # Rows A, C, B, D and then their derivatives, each after n - 1 zeros;
     # a shorter column's rows end in zeros, which no window reads.  Each
     # derivative row is its entry's times the factors (offset + k) of
-    # series._derivative_terms.
+    # series.differentiate.
     block = np.zeros((8, 2 * n - 1), dtype=complex)
     pads = block[:, n - 1:]
-    pads[:2, :n1], pads[2:4, :n2] = (a, c), (b, d)
-    np.multiply(np.array([[o1], [o1], [o2], [o2]]) + np.arange(n), pads[:4],
-                out=pads[4:])
+    pads[0, :n1], pads[1, :n1], pads[2, :n2], pads[3, :n2] = a, c, b, d
+    _check_finite("the frame", block[:4])
+    # The factors are complex, as float ones would be cast, at a cost.
+    np.multiply(np.arange(n) + np.array((o1, o1, o2, o2), dtype=complex)[
+        :, None], pads[:4], out=pads[4:])
     if scale:
         block = np.abs(block)
-    d1, d2 = _snap(o1 - 1.0), _snap(o2 - 1.0)
-    # Each entry as (offset, length, padded row).
-    A, C, B, D, dA, dC, dB, dD = zip((o1, o1, o2, o2, d1, d1, d2, d2),
-                                     (n1, n1, n2, n2) * 2, block)
-    checks = [(A, D, B, C, 0.0, np.ones(1)),
-              (dA, dD, dB, dC, 0.0, np.zeros(1))]
+    d1 = _snap(o1 - 1.0)
+    # Each identity as the offset of its products, their length, the rows
+    # x, y, u and v of x y - u v, and the offset and coefficients of its
+    # right-hand side; 0 is subtracted as nothing, since x - 0 is x.
+    checks = [(o1 + o2, m, 0, 3, 2, 1, 0.0, np.ones(1)),
+              (d1 + _snap(o2 - 1.0), m, 4, 7, 6, 5, 0.0, None)]
     if omega is not None:
-        checks.append((A, dC, C, dA, omega.offset, omega.coeffs))
+        checks.append((o1 + d1, n1, 0, 5, 1, 4, omega.offset, omega.coeffs))
     windows = []
-    for (ox, nx, x), (oy, ny, y), (_, _, u), (_, _, v), t_offset, t in checks:
-        m = min(nx, ny)
-        k = round(t_offset - _snap(ox + oy))
+    for offset, m, x, y, u, v, t_offset, t in checks:
+        k = round(t_offset - _snap(offset))
         if k < -m:
             raise ConsistencyError(
                 "frame identity fails: its right-hand side starts %g powers "
@@ -154,28 +180,27 @@ def _identity_terms(columns, omega=None, scale: bool = False):
         # the one when m = 1 and nothing widens).
         w = max(-k, 0)
         p = max(m + w - 1, 1) - w
-        r = np.zeros(0, dtype=block.dtype)
+        r = np.zeros(w + p, dtype=block.dtype)
         if p:
-            xy, uv = (_leading_product(x, y, p, n),
-                      _leading_product(u, v, p, n))
-            r = xy + uv if scale else xy - uv
-        if w:
-            r = np.concatenate([np.zeros(w), r])
-        if not scale:
-            k = max(k, 0)
+            (np.add if scale else np.subtract)(
+                _leading_product(block, x, y, p, n),
+                _leading_product(block, u, v, p, n), out=r[w:])
+        k = max(k, 0)
+        if not scale and t is not None:
             r[k:k + len(t)] -= t[:max(len(r) - k, 0)]
         windows.append(r)
     return windows
 
 
-def _leading_product(x: np.ndarray, y: np.ndarray, p: int,
+def _leading_product(block: np.ndarray, x: int, y: int, p: int,
                      n: int) -> np.ndarray:
-    """The p <= n leading coefficients of the product of two entries, each
-    a row of n - 1 zeros and then its coefficients: one np.convolve of
-    x's p leading coefficients after p - 1 of its zeros with y's p
-    leading coefficients, in "valid" mode, which forms those p and no
-    more."""
-    return np.convolve(x[n - p:n - 1 + p], y[n - 1:n - 1 + p], "valid")
+    """The p <= n leading coefficients of the product of two entries, rows
+    x and y of ``block``, each n - 1 zeros and then its coefficients: one
+    np.convolve of x's p leading coefficients after p - 1 of its zeros
+    with y's p leading coefficients, in "valid" mode, which forms those p
+    and no more."""
+    return np.convolve(block[x, n - p:n - 1 + p], block[y, n - 1:n - 1 + p],
+                       "valid")
 
 
 def _defects(windows):
@@ -207,16 +232,18 @@ def _refused(defects, windows, columns, omega):
 
 def checked_frame(frame: BryantFrame,
                   omega: Optional[GeneralizedSeries] = None) -> BryantFrame:
-    """``frame``, or ConsistencyError if the det or nullity defect or, when
-    the one-form ``omega`` is given, the defect of A dC - C dA = omega
-    exceeds 1e-8 and some residual coefficient also exceeds 1e-8 times
-    the same coefficient of the two products that cancel in it
-    (_refused).  A frame moved far from the origin has products of 1e7
-    and more, whose cancellation leaves defects above 1e-8 in round-off
-    alone.  Each residual is formed from the leading coefficients its
-    window reads (_identity_terms), so its defects are those of the
-    series formulas to round-off, not bitwise.  With omega, the defects
-    and the validity radius are logged at DEBUG."""
+    """``frame``, or DomainError if a coefficient of its columns is not
+    finite, wherever it lies (also past every residual window, where no
+    identity reads it), or ConsistencyError if the det or nullity defect
+    or, when the one-form ``omega`` is given, the defect of
+    A dC - C dA = omega exceeds 1e-8 and some residual coefficient also
+    exceeds 1e-8 times the same coefficient of the two products that
+    cancel in it (_refused).  A frame moved far from the origin has
+    products of 1e7 and more, whose cancellation leaves defects above
+    1e-8 in round-off alone.  Each residual is formed from the leading
+    coefficients its window reads (_identity_terms), so its defects are
+    those of the series formulas to round-off, not bitwise.  With omega,
+    the defects and the validity radius are logged at DEBUG."""
     windows = _identity_terms(frame.columns, omega)
     det, null, om = _defects(windows)
     if omega is not None:

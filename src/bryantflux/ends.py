@@ -43,13 +43,15 @@ build_end runs three public steps.  canonical_catenoidal_frame or
 canonical_horospherical_frame makes the standard frame: one
 frobenius_solve gives both roots' coefficients as the rows of one
 array, the paired column follows row-wise, the four entries as solved
-are checked finite and give the validity radius in one root test, and
-BryantFrame aligns their columns, which checked_frame then checks
-against AD - BC = 1, dA dD - dB dC = 0 and A dC - C dA = omega.  Then
+give the validity radius in one root test, and their columns are
+aligned straight from the bare rows (bryant._columns, no series for an
+entry), which checked_frame then checks: finite, and then against
+AD - BC = 1, dA dD - dB dC = 0 and A dC - C dA = omega.  Then
 transform_frame places that frame, coefficient by coefficient: not at
 all at the standard position, once for a general axis or boundary
 point, and twice, by P's two exact factors, for a boundary point of
-modulus >= 2^52.
+modulus >= 2^52; a placed frame is checked finite once, after its last
+placement.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bryant import BryantFrame, checked_frame, transform_frame
+from .bryant import (BryantFrame, _check_finite, _columns, checked_frame,
+                     transform_frame)
 from .errors import DomainError, LogTermRequiredError
 from .geometry import (INF, ExtendedComplex, IsometrySL2, boundary_eq,
                        is_inf, parse_axis, parse_complex, parse_point,
                        parse_real, standardizing_isometry)
-from .series import DEFAULT_ORDER, GeneralizedSeries, _aligned, _snap
+from .series import DEFAULT_ORDER, GeneralizedSeries, _snap
 
 _MU_ONE_TOL = 1e-8
 # A coefficient of a frame's first column counts for its axis from this
@@ -134,14 +137,15 @@ class FrobeniusProblem:
     mu h z^(d-2) X = 0 in P = X'/q, with d = s + mu + 1.
 
     Two columns are accepted, each checked here once: a catenoidal one,
-    s = -1 - mu (d = 0) with mu > 0, mu != 1 and h(0) within 1e-10 of
-    (1 - mu^2)/(4 mu), and a horospherical one, s = -2 (d = mu - 1) with
-    mu an integer >= 2 within 1e-9, stored as that integer.  Any other
-    (s, mu) is a DomainError.  h is holomorphic with h(0) != 0.  The
-    solve reads h(0) only through the indicial roots.  A mu whose two
-    rounded roots are not 1 apart within 1e-9 is a DomainError: every mu
-    from about 2^53 on, and from about 2^23 a mu just under a power of
-    two, where 1 + mu rounds by more than that.
+    s = -1 - mu (d = 0) with mu > 0, mu != 1 and h(0) within
+    1e-10 max(1, |t|) of t = (1 - mu^2)/(4 mu), a bar on t's own scale
+    (|t| grows as 1/(4 mu) at small mu), and a horospherical one,
+    s = -2 (d = mu - 1) with mu an integer >= 2 within 1e-9, stored as
+    that integer.  Any other (s, mu) is a DomainError.  h is holomorphic
+    with h(0) != 0.  The solve reads h(0) only through the indicial
+    roots.  A mu whose two rounded roots are not 1 apart within 1e-9 is a
+    DomainError: every mu from about 2^53 on, and from about 2^23 a mu
+    just under a power of two, where 1 + mu rounds by more than that.
     """
 
     s: float
@@ -155,7 +159,7 @@ class FrobeniusProblem:
             _check_catenoidal_mu(mu)
             h0 = complex(self.h.coeffs[0])
             target = (1.0 - mu * mu) / (4.0 * mu)
-            if abs(h0 - target) > 1e-10:
+            if abs(h0 - target) > 1e-10 * max(1.0, abs(target)):
                 raise DomainError("h(0) must equal (1-mu^2)/(4mu) = %g for a "
                                   "catenoidal end" % target)
             lo, hi = self.indicial_roots
@@ -230,17 +234,19 @@ def _product_rows(prob: FrobeniusProblem, lo: float, hi: float,
     """
     K, mu = prob.order, prob.mu
     n, c = hn[0] if hn else (K + 1, 0j)
-    sigma = np.array([[lo], [hi]])
-    kc = prob.s + 1.0 - sigma
     x = np.zeros((2, K + 1), dtype=complex)
     x[:, 0] = 1.0
     if K >= 1:
-        _check_obstruction(c * (mu * x[0, 0] / -kc[0, 0]) if n == 1 else 0.0)
+        _check_obstruction(c * (mu * x[0, 0] / -(prob.s + 1.0 - lo))
+                           if n == 1 else 0.0)
     r = 1 if n == 1 else 0  # at n = 1 the lower root's class stays 0
+    # kc, sigma - lo and sigma - hi of each root of the product, each a
+    # column against the row of k.
+    kc, dlo, dhi = np.array([(prob.s + 1.0 - sigma, sigma - lo, sigma - hi)
+                             for sigma in (lo, hi)[r:]]).T[:, :, None]
     k = np.arange(n, K + 1, n, dtype=float)
-    sigma, kc = sigma[r:], kc[r:]
     x[r:, n::n] = np.cumprod((mu * c) * ((k - kc) / (
-        (k + (sigma - lo)) * (k + (sigma - hi)) * (k - (n + kc)))), axis=1)
+        (k + dlo) * (k + dhi) * (k - (n + kc)))), axis=1)
     return x
 
 
@@ -308,7 +314,7 @@ def frobenius_solve(prob: FrobeniusProblem):
     """
     lo, hi = prob.indicial_roots
     h = prob.h.coeffs[:prob.order + 1]
-    n = np.flatnonzero(h[1:]) + 1
+    n = h[1:].nonzero()[0] + 1
     hn = list(zip(n.tolist(), h[n].tolist()))
     if prob.d == 0 and len(hn) <= 1:
         x = _product_rows(prob, lo, hi, hn)
@@ -341,49 +347,46 @@ def _validity_from_entries(rows: np.ndarray) -> float:
     entries of 1/x is 1/(max over entries of x), bitwise.  A zero
     coefficient adds 0 to that max.  The tests' radius_estimate is the
     per-entry reference."""
-    m = np.max(np.abs(rows[:, 1:]) ** (1.0 / np.arange(1, rows.shape[1])),
-               initial=0.0)
+    m = (np.abs(rows[:, 1:]) ** (1.0 / np.arange(1, rows.shape[1]))).max(
+        initial=0.0)
     return math.inf if m == 0 else 0.5 * float(1.0 / m)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _solved_rows(prob: FrobeniusProblem, scale: complex):
     """(offsets, rows) of the entries A, B, C, D as solved: A = f2 and
     C = scale f1 from one Frobenius solve, and their partners B and D,
     dX = -z^mu dE integrated term by term with no constant (e + mu != 0
     for every exponent e of admissible data), as the rows of one array.
-    Overflow is left as inf or nan for _end_frame's finiteness check."""
+    Overflow is left as inf or nan, without warnings under the caller's
+    np.errstate, for checked_frame's finiteness check."""
     small, big = frobenius_solve(prob)
     lo, hi = small.offset, big.offset
     rows = np.empty((4, prob.order + 1), dtype=complex)
-    rows[0], rows[2] = big.coeffs, small.coeffs * scale
-    e = np.array([[hi], [lo]]) + np.arange(prob.order + 1)
-    rows[1::2] = -e / (e + prob.mu) * rows[0::2]
+    rows[0] = big.coeffs
+    np.multiply(small.coeffs, scale, out=rows[2])
+    e = np.arange(prob.order + 1) + np.array((hi, lo))[:, None]
+    np.multiply(-e / (e + prob.mu), rows[0::2], out=rows[1::2])
     return [hi, _snap(hi + prob.mu), lo, _snap(lo + prob.mu)], rows
-
-
-def _check_finite(what: str, *arrays: np.ndarray):
-    """DomainError naming the overflow when a coefficient is not finite."""
-    if not np.isfinite(np.concatenate(arrays)).all():
-        raise DomainError("%s overflows: its coefficients are not finite"
-                          % what)
 
 
 def _end_frame(offsets, rows: np.ndarray, nu: float,
                h: GeneralizedSeries) -> BryantFrame:
     """The frame of the entries A, B, C, D given as the rows of one array
-    at ``offsets``, once checked_frame finds AD - BC = 1,
-    dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError when an entry
-    overflows, ConsistencyError otherwise.  The validity radius is read
-    from the entries as solved, each at its own offset, before
-    BryantFrame aligns the columns: a padded entry's leading 0 would move
-    the root test's powers."""
-    _check_finite("the frame", *rows)
-    frame = BryantFrame(*map(GeneralizedSeries, offsets, rows),
-                        _validity_from_entries(rows))
+    at ``offsets``, once checked_frame finds its coefficients finite and
+    AD - BC = 1, dA dD - dB dC = 0 and A dC - C dA = z^nu h; DomainError
+    when an entry overflows, ConsistencyError otherwise.  The columns are
+    aligned from the bare rows (bryant._columns) and no series is formed
+    for an entry.  The validity radius is read from the entries as
+    solved, each at its own offset, before the columns are aligned: a
+    padded entry's leading 0 would move the root test's powers.  Rows
+    that overflow give a radius that is not positive, which no one reads:
+    checked_frame refuses their frame first."""
+    frame = BryantFrame.from_columns(_columns(offsets, rows),
+                                     _validity_from_entries(rows))
     return checked_frame(frame, GeneralizedSeries(nu, h.coeffs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
                                order: int = DEFAULT_ORDER) -> BryantFrame:
     """Frame of the catenoidal end with axis (0, infinity).
@@ -392,11 +395,12 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
     h'(0) = 0.  One Frobenius solve of the first-column system gives
     (f1, f2): A = f2 and C = (mu^2 - 1)/(4 mu) f1.  B and D are the
     paired column of A and C.  build_end places an end with any other
-    axis by an isometry.
+    axis by an isometry.  h'(0) is held to 1e-10 max(1, |h(0)|), on h's
+    own scale, as h(0) is to its target.
     """
     prob = FrobeniusProblem(s=-1.0 - mu, mu=mu, h=h, order=order)
     h1 = complex(h.coeffs[1]) if h.order >= 1 else 0.0
-    if abs(h1) > 1e-10:
+    if abs(h1) > 1e-10 * max(1.0, abs(h.coeffs[0])):
         raise DomainError("catenoidal data requires h'(0) = 0")
     offsets, rows = _solved_rows(prob, (mu * mu - 1.0) / (4.0 * mu))
     return _end_frame(offsets, rows, -1.0 - mu, h)
@@ -404,6 +408,7 @@ def canonical_catenoidal_frame(mu: float, h: GeneralizedSeries,
 
 # -- horospherical construction ---------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def canonical_horospherical_frame(mu, h: GeneralizedSeries,
                                   order: int = DEFAULT_ORDER) -> BryantFrame:
     """Frame of the horospherical end with boundary at infinity.
@@ -429,12 +434,15 @@ def canonical_horospherical_frame(mu, h: GeneralizedSeries,
     elif abs(h1) > 1e-10:
         raise DomainError("mu >= 3 requires h'(0) = 0")
     offsets, rows = _solved_rows(prob, -h0)
-    # D = 1 + the partner of C, by the rule of series addition
-    one = np.zeros(order + 1, dtype=complex)
-    one[0] = 1.0
-    offsets[3], (x, y) = _aligned(0.0, one, offsets[3], rows[3],
-                                  "series addition")
-    rows[3] = 0.0 + x + y
+    # D = 1 + the partner of C by the rule of series addition: the
+    # partner starts at z^(mu - 1), mu - 1 >= 1, so it moves up by mu - 1
+    # places to offset 0 and is cut at the order, and + 0.0 clears a
+    # negative zero, as that addition's 0.0 + does.
+    m = round(offsets[3])
+    d = np.zeros(order + 1, dtype=complex)
+    d[m:] = rows[3, :max(order + 1 - m, 0)] + 0.0
+    d[0] = 1.0
+    offsets[3], rows[3] = 0.0, d
     return _end_frame(offsets, rows, -2.0, h)
 
 
@@ -477,12 +485,10 @@ def extract_axis(frame: BryantFrame):
 
 def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
     """h(z) = h0 (1 + sum_k p_k z^k), p given from the z^1 coefficient up."""
+    p = perturbation[:order]
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[0] = 1.0
-    for k, p in enumerate(perturbation, start=1):
-        if k > order:
-            break
-        coeffs[k] = p
+    coeffs[1:len(p) + 1] = p
     h = GeneralizedSeries(0.0, h0 * coeffs)
     _check_finite("h", h.coeffs)
     return h
@@ -514,6 +520,13 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     then z -> z + b.  Flux moves covariantly under P.  No P is applied
     when it is the identity.  A placed frame whose coefficients overflow
     is a DomainError, as a standard one is.
+
+    One np.errstate, entered here, leaves overflow to those checks for
+    the whole build; the standard-frame steps hold their own for callers
+    that call them directly.  The standard frame's coefficients are
+    checked finite once, by checked_frame, and a placed frame's once,
+    after its last placement: a frame left at the standard position is
+    not checked again.
     """
     if not isinstance(spec, Mapping):
         raise DomainError("an end spec is a JSON object, not %s"
@@ -530,7 +543,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     if kind == "catenoidal":
         end = Catenoidal(parse_real(spec["mu"]), *parse_axis(spec["axis"]))
         mu = end.mu
-        frame = canonical_catenoidal_frame(
+        standard = frame = canonical_catenoidal_frame(
             mu, _perturbed_h((1.0 - mu * mu) / (4.0 * mu), pert, order),
             order)
         anchor, b = end.axis_from, end.boundary
@@ -541,7 +554,7 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
         # kappa = (mu h(0))^2 at mu = 2; the Hopf differential is
         # holomorphic at mu >= 3, where kappa = 0.
         end = Horospherical(b, 4.0 * h0 * h0 if round(mu) == 2 else 0j)
-        frame = canonical_horospherical_frame(
+        standard = frame = canonical_horospherical_frame(
             mu, _perturbed_h(h0, pert, order), order)
         # The anchor b + 1 fixes the scale kappa is read at; 0 leaves
         # b = infinity in place.  Where b + 1 rounds, P's exact factors
@@ -556,8 +569,9 @@ def build_end(spec: Mapping, order: int = DEFAULT_ORDER):
     else:
         raise DomainError("unknown end type %r" % (kind,))
     q = standardizing_isometry(anchor, b)
-    if q != IsometrySL2(1.0, 0.0, 0.0, 1.0):
+    if (q.alpha, q.beta, q.gamma, q.delta) != (1.0, 0.0, 0.0, 1.0):
         frame = transform_frame(q.inverse(), frame)
-    (_, a, c), (_, b, d) = frame.columns
-    _check_finite("the placed frame", a, b, c, d)
+    if frame is not standard:
+        (_, a, c), (_, b, d) = frame.columns
+        _check_finite("the placed frame", a, c, b, d)
     return frame, end

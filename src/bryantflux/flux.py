@@ -10,10 +10,11 @@ residue of the triple is a difference of two residues of products of an
 entry and a derivative.  flux_triple reads the frame's columns
 (BryantFrame.columns), which are aligned, so the six products share one
 index of z^-1, and each residue is read from the idx + 1 leading
-coefficients and the derivatives of only those (series._pair_sum): no
-product or derivative series is formed, and the cost does not grow with
-the order.  A frame whose columns stop before that index is refused, not
-read as a zero triple.
+coefficients and the derivatives of only those, all six sums as one
+np.matmul in the summation order of the formed products
+(series._pair_sum): no product or derivative series is formed, and the
+cost does not grow with the order.  A frame whose columns stop before
+that index is refused, not read as a zero triple.
 
 circle_samples integrates the defining boundary integral by the
 trapezoid rule on one circle |z| = rho, with exact derivatives, and
@@ -58,8 +59,8 @@ from .errors import DomainError
 from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
     cross_ratio
 from .killing import ROTATION, TRANSLATION, KillingField, field_polynomial
-from .series import (QuadratureGrid, _derivative_terms, _pair_sum,
-                     _residue_index, _snap, differentiate, eval_branch)
+from .series import (QuadratureGrid, _residue_index, _snap, differentiate,
+                     eval_branch)
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,18 @@ class FluxMatrix:
         return cls(s * t.phi1, s * t.phi2, -s * t.phi0, -s * t.phi1)
 
 
+# The rows of flux_triple's block are A, C, B, D and then dA, dC, dB, dD.
+# Its six sums, x dy and then y dx for each of D dC - C dD, C dB - D dA
+# and B dA - A dB, are the dot products of these row pairs (x, dy), but
+# np.convolve sums with the longer operand ascending (x on a tie), so a
+# pair swaps where dy's column is the longer: _SUM_ROWS gives the (left,
+# right) rows for n1 > n2, n1 = n2 and n1 < n2 by the sign of n1 - n2.
+_PAIRS = ((3, 5), (1, 7), (1, 6), (3, 4), (2, 4), (0, 6))
+_SUM_ROWS = {sign: np.array([(y, x) if sign and (y < 6) == (sign > 0)
+                             else (x, y) for x, y in _PAIRS]).T
+             for sign in (-1, 0, 1)}
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def flux_triple(frame: BryantFrame) -> FluxTriple:
     """4*pi residues of D dC - C dD, C dB - D dA, B dA - A dB.
@@ -126,17 +139,22 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     products share one offset and one length: one index idx of z^-1, and
     z^-1 lies past the truncation of all six or of none.  Each residue is
     then the difference of two sums over the idx + 1 leading coefficient
-    pairs (series._pair_sum), and only those leading coefficients are
-    differentiated: neither the one-forms nor the derivative series are
-    formed, so the cost does not grow with the order.  The values are
-    bitwise those of the residues of the formed products.  When idx < 0
+    pairs, and only those leading coefficients are differentiated: neither
+    the one-forms nor the derivative series are formed, so the cost does
+    not grow with the order.  The leading coefficients and their
+    derivatives are the rows of one block, and the six sums are one
+    np.matmul of a stack of its rows with a stack of its rows reversed,
+    each sum one dot product of two rows in np.convolve's order
+    (series._pair_sum: the operand of the longer column ascending), as
+    the formed product's z^-1 coefficient is, so the values are bitwise
+    those of the residues of the formed products.  When idx < 0
     all three one-forms are holomorphic and the triple is exactly 0.  A
     frame truncated before idx, a residue that overflows, or an offset
     sum that is not finite raises DomainError.
     """
     (o1, a, c), (o2, b, d) = frame.columns
     n1, n2 = len(a), len(b)
-    # The offset of D dC, with dC's offset as _derivative_terms forms it.
+    # The offset of D dC, with dC's offset as differentiate forms it.
     idx = _residue_index(o2 + _snap(o1 - 1.0))
     if idx < 0:
         return FluxTriple(0j, 0j, 0j)
@@ -144,16 +162,18 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
         raise DomainError("the frame is truncated before the residues of "
                           "its one-forms: z^-1 is at index %d of columns of "
                           "%d and %d coefficients" % (idx, n1, n2))
-    a, b, c, d = (x[:idx + 1] for x in (a, b, c, d))
-    (_, (da, dc)), (_, (db, dd)) = (_derivative_terms(o1, a, c),
-                                    _derivative_terms(o2, b, d))
-    # Each residue is that of x dy - y dx, with x and y from different
-    # columns, of nx and ny coefficients (AC has n1, BD n2).
-    res = [4.0 * math.pi * (_pair_sum(x, dy, nx, ny)
-                            - _pair_sum(y, dx, ny, nx))
-           for x, dy, y, dx, nx, ny in ((d, dc, c, dd, n2, n1),
-                                        (c, db, d, da, n1, n2),
-                                        (b, da, a, db, n2, n1))]
+    m = idx + 1
+    block = np.empty((8, m), dtype=complex)
+    block[0], block[1], block[2], block[3] = a[:m], c[:m], b[:m], d[:m]
+    # The factors (offset + k) of series.differentiate, complex, as float
+    # ones would be cast, at a cost.
+    np.multiply(np.arange(m) + np.array((o1, o1, o2, o2), dtype=complex)[
+        :, None], block[:4], out=block[4:])
+    left, right = _SUM_ROWS[(n1 > n2) - (n1 < n2)]
+    # + 0j clears a negative zero, as the product's zero-started sums do.
+    s = (np.matmul(block[left, None], block[right, ::-1, None])
+         + 0j).ravel().tolist()
+    res = [4.0 * math.pi * (s[i] - s[i + 1]) for i in (0, 2, 4)]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
     return FluxTriple(*res)

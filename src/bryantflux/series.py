@@ -16,15 +16,16 @@ arbitrary angles as its reference.  product_residue gives
 residue(a * b) from the coefficient pairs that reach z^-1, summed in
 the product's own order (_pair_sum), without forming the product.  A
 residue is 0 when z^-1 lies below the leading power and refused
-(DomainError) when it lies past the retained coefficients.  The rules
-of addition and differentiation are written once, on bare coefficient
-arrays (_aligned, _derivative_terms), so a caller can apply them without
-forming intermediate series: bryant.BryantFrame aligns a frame's columns
-by _aligned, and the frame checks and the flux residues read those
-columns' arrays.  A product series is np.convolve's full product,
-truncated; the frame checks form only the leading coefficients of each
-product that they keep (bryant._identity_terms), which agree with the
-product series' within round-off, not bitwise.  _integer is the one
+(DomainError) when it lies past the retained coefficients.  The rule
+of addition is written once, on bare coefficient arrays (_aligned), so
+a caller can apply it without forming intermediate series: bryant
+aligns a frame's columns by it, and the frame checks and the flux
+residues read those columns' arrays and differentiate them term by
+term with the factors (offset + k) of differentiate.  A product series
+is np.convolve's full product, truncated; the frame checks form only
+the leading coefficients of each product that they keep
+(bryant._identity_terms), which agree with the product series' within
+round-off, not bitwise.  _integer is the one
 test that an offset, or a gap between two, is an integer.
 """
 
@@ -141,18 +142,12 @@ class GeneralizedSeries:
     __rmul__ = __mul__
 
 
-def _derivative_terms(offset: float, *coeffs: np.ndarray):
-    """(offset, [c', ...]) of the term-wise derivatives of z^offset c for
-    arrays c of one length at one offset, such as a frame's column: one
-    factor (offset + k) serves them all."""
-    e = offset + np.arange(len(coeffs[0]))
-    return _snap(offset - 1.0), [e * c for c in coeffs]
-
-
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
-    """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1)."""
-    offset, (c,) = _derivative_terms(a.offset, a.coeffs)
-    return GeneralizedSeries(offset, c)
+    """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1), the factors
+    (l + k) formed as l + np.arange, as the frame checks and the flux
+    residues form them on bare arrays."""
+    return GeneralizedSeries(a.offset - 1.0,
+                             (a.offset + np.arange(len(a.coeffs))) * a.coeffs)
 
 
 def _residue_index(offset: float) -> int:

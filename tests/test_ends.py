@@ -412,6 +412,29 @@ class TestCanonicalCatenoidal:
         with pytest.raises(DomainError):
             canonical_catenoidal_frame(mu, make_h(mu, extra=(0.1,)))
 
+    @pytest.mark.parametrize("mu", [1e-7, 1e-8])
+    def test_small_mu_bars_scale_with_h0(self, mu):
+        """At small mu the target h(0) = (1 - mu^2)/(4 mu) is 2.5e6 or
+        2.5e7, an ulp of which exceeds 1e-10: h(0) an ulp above it, and
+        h'(0) = 1e-9, both past the absolute bar 1e-10, build a frame
+        that passes every identity (checked_frame, with omega, inside the
+        build).  The bars are 1e-10 max(1, |target|) and
+        1e-10 max(1, |h(0)|), so h'(0) at twice the latter is refused."""
+        target = (1.0 - mu * mu) / (4.0 * mu)
+        h0 = np.nextafter(target, np.inf)
+        assert 1e-10 < h0 - target <= 1e-10 * target
+
+        def h(first):
+            coeffs = np.zeros(17, dtype=complex)
+            coeffs[:3] = h0, first, 0.3 * h0
+            return GeneralizedSeries(0.0, coeffs)
+
+        frame = canonical_catenoidal_frame(mu, h(1e-9), order=16)
+        om = GeneralizedSeries(-1.0 - mu, h(1e-9).coeffs)
+        assert max(frame_defects(frame, om)) <= 1e-8
+        with pytest.raises(DomainError, match=r"requires h'\(0\) = 0"):
+            canonical_catenoidal_frame(mu, h(2e-10 * h0), order=16)
+
     def test_relation_g_squared_omega(self, perturbed_frame):
         # g^2 omega = B dD - D dB reproduces z^(mu-1) h
         mu = 0.5
@@ -808,17 +831,17 @@ def checked_calls(spec, monkeypatch):
 
 
 def recorded_solves(monkeypatch):
-    """The list to which each later BryantFrame made in ends appends its
-    (A, B, C, D), copied: the entries as solved, each at its own offset,
-    before the constructor aligns their columns."""
-    solved, frame = [], ends.BryantFrame
+    """The list to which each later ends._end_frame call appends its
+    (A, B, C, D) as copied series: the entries as solved, each at its own
+    offset, before their columns are aligned."""
+    solved, end_frame = [], ends._end_frame
 
-    def recording(A, B, C, D, validity_radius):
-        solved.append([GeneralizedSeries(e.offset, e.coeffs.copy())
-                       for e in (A, B, C, D)])
-        return frame(A, B, C, D, validity_radius)
+    def recording(offsets, rows, nu, h):
+        solved.append([GeneralizedSeries(o, r.copy())
+                       for o, r in zip(offsets, rows)])
+        return end_frame(offsets, rows, nu, h)
 
-    monkeypatch.setattr(ends, "BryantFrame", recording)
+    monkeypatch.setattr(ends, "_end_frame", recording)
     return solved
 
 
@@ -874,12 +897,12 @@ class TestDefectPass:
 
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
     def test_one_pass_forms_no_intermediate_series(self, spec, monkeypatch):
-        """Eight series constructions per build: h, the solve's two, the
-        four entries as solved and omega.  One BryantFrame constructed, the
-        standard one, whose columns it aligns, and no other alignment but
-        a horospherical build's D = 1 + the partner of C, by the rule of
-        series addition; one np.convolve per product of the checks, which
-        forms exactly the coefficients of its identity's window."""
+        """Four series constructions per build: h, the solve's two and
+        omega; none for an entry.  No BryantFrame is constructed: the
+        standard frame's columns are aligned from the bare rows, by the
+        two alignments of bryant._columns, and no other alignment runs;
+        one np.convolve per product of the checks, which forms exactly
+        the coefficients of its identity's window."""
         counts = {"series": 0, "frames": 0, "convolve": 0}
         post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
         formed = []
@@ -913,10 +936,8 @@ class TestDefectPass:
                             counted("convolve", recorded_convolve))
         calls = build_steps(monkeypatch)
         build_end(spec)
-        assert counts == {"series": 8, "frames": 1, "convolve": 6}
-        first = ([ends.canonical_horospherical_frame.__code__]
-                 if spec["type"] == "horospherical" else [])
-        assert aligned_callers == first + [frame_init.__code__] * 2
+        assert counts == {"series": 4, "frames": 0, "convolve": 6}
+        assert aligned_callers == [bryant._columns.__code__] * 2
         [(built, omega)] = calls["checked_frame"]
         monkeypatch.setattr(np, "convolve", convolve)
         windows = bryant._identity_terms(built.columns, omega)
@@ -1014,26 +1035,57 @@ class TestIdentityWindowEdges:
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, complex(np.inf, 1.0)],
                              ids=["inf", "nan", "complex-inf"])
-    @pytest.mark.parametrize("entry, index, verdict", [
-        (0, 3, DET_REFUSED), (3, 14, DET_REFUSED), (3, 15, DET_REFUSED),
-        (1, 0, DET_REFUSED), (3, 16, "accepted"), (2, 16, "accepted")],
+    @pytest.mark.parametrize("entry, index", [
+        (0, 3), (3, 14), (3, 15), (1, 0), (3, 16), (2, 16)],
         ids=["A3", "D14", "D15", "C0", "D16", "B16"])
-    def test_non_finite_coefficient(self, monkeypatch, entry, index,
-                                    verdict, value):
-        """A coefficient that is not finite refuses the frame when the
-        windows read it, whatever the padding's zeros make of it, and is
-        not read past the windows (index 16 of 17).  The derivative of a
-        complex infinity warns in any pass, so warnings are off."""
+    def test_non_finite_coefficient(self, monkeypatch, entry, index, value):
+        """A coefficient that is not finite refuses the frame, with or
+        without omega, as the overflow of a build is refused: where the
+        windows read it and past every window (index 16 of 17), where no
+        residual reads it.  The pass refuses it before forming a
+        derivative or a product of it, so no numpy warning is raised."""
         built, omega = standard_frame(monkeypatch)
         (o1, a, c), (o2, b, d) = built.columns
         arrays = [x.copy() for x in (a, c, b, d)]
         arrays[entry][index] = value
         frame = bryant.BryantFrame.from_columns(
             ((o1, *arrays[:2]), (o2, *arrays[2:])), 1.0)
-        with np.errstate(all="ignore"):
-            lengths, got = outcome(frame, omega)
-        assert lengths == [16, 16, 16]
-        assert got.startswith(verdict)
+        for om in (omega, None):
+            with pytest.raises(DomainError, match=r"^the frame overflows: "
+                               r"its coefficients are not finite$"):
+                bryant.checked_frame(frame, om)
+
+
+class TestStandardFrame:
+    @pytest.mark.parametrize("order", [8, 32, 128])
+    @pytest.mark.parametrize("spec", [
+        {"type": "catenoidal", "mu": 0.5, "axis": [[0.0, 0.0], "inf"],
+         "h_perturbation": [0.0, 0.7]},
+        {"type": "catenoidal", "mu": 1.5, "axis": [[0.3, 0.1], [1.0, 0.0]],
+         "h_perturbation": [0.0, 0.4, -0.2]},
+        {"type": "horospherical", "mu": 2, "h0": [0.7, 0.0],
+         "boundary": [2.0, 0.0], "h_perturbation": [1.4, 0.3]},
+        {"type": "horospherical", "mu": 3, "h0": [0.6, -0.3],
+         "boundary": "inf", "h_perturbation": [0.0, 0.3]},
+        {"type": "horospherical", "mu": 4, "h0": [0.5, 0.0],
+         "boundary": [-1.0, 2.0], "h_perturbation": [0.0, -0.6]}],
+        ids=["catenoidal-one-term", "catenoidal-two-terms",
+             "horospherical-mu2", "horospherical-mu3", "horospherical-mu4"])
+    def test_is_the_constructors_frame(self, spec, order, monkeypatch):
+        """The standard frame build_end checks, its columns aligned from
+        the bare rows, is bitwise BryantFrame(A, B, C, D, r) of the same
+        entries as solved, which aligns them by the constructor's path,
+        and r is half the least root-test radius of those entries."""
+        solved = recorded_solves(monkeypatch)
+        _, [(built, _)] = checked_calls(dict(spec, order=order), monkeypatch)
+        [entries] = solved
+        radius = 0.5 * min(radius_estimate(e) for e in entries)
+        assert built.validity_radius == radius
+        ref = bryant.BryantFrame(*entries, radius)
+        for got, want in zip(built.columns, ref.columns):
+            assert got[0] == want[0]
+            for x, y in zip(got[1:], want[1:]):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestPlacement:

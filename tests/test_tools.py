@@ -1,6 +1,9 @@
 """The scripts under tools/, run as scripts: code_lines.py on small
-packages, same_outputs.py on the package's own source tree."""
+packages, same_outputs.py on the package's own source tree; the
+outputs same_outputs.py compares for one spec are also read in
+process."""
 
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -88,6 +91,27 @@ def test_same_outputs_of_the_tree_and_itself():
     code, out = same_outputs(ROOT / "src", ROOT / "src")
     assert code == 0
     assert out.endswith("specs: every output bitwise equal\n")
+
+
+def test_same_outputs_compares_the_descriptor():
+    """Each built spec's descriptor is an output: its type and the exact
+    bits of its fields, a finite point in hex and infinity by its repr."""
+    import bryantflux
+
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  SAME_OUTPUTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    handler = tool._Defects()
+    horo = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+            "boundary": [2.0, 0.0], "h_perturbation": [[1.0, 0.0], 0.3]}
+    cat = {"type": "catenoidal", "mu": 0.5, "axis": [[0.3, 0.1], "inf"],
+           "h_perturbation": [0.0, 0.3]}
+    assert 64 in tool.ORDERS
+    assert dict(tool.outputs(bryantflux, handler, horo, 8))["descriptor"] \
+        == ["Horospherical", tool._bits(2 + 0j), tool._bits(1 + 0j)]
+    assert dict(tool.outputs(bryantflux, handler, cat, 8))["descriptor"] \
+        == ["Catenoidal", tool._bits(0.5), tool._bits(0.3 + 0.1j), "INF"]
 
 
 def changed_copy(tmp_path, module, old, new):

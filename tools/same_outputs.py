@@ -13,13 +13,16 @@ copy sees the other.
 Every end spec of a fixed grid is built by both at several orders:
 catenoidal ends with a finite or an infinite axis point, with one and
 with two perturbation terms; horospherical ends with mu 2-4 at a finite
-boundary point, at infinity and at one of modulus >= 2^52; orders 8 to
-128; perturbations 1e-2 to 10.  For each spec it compares, bit for bit:
+boundary point, at infinity and at one of modulus >= 2^52; orders 8, 32,
+64 (the survey benchmark's middle order) and 128; perturbations 1e-2 to
+10.  For each spec it compares, bit for bit:
 
 - the JSON of the standard frame of its mu and h, made by
   canonical_catenoidal_frame or canonical_horospherical_frame;
 - the built frame's JSON (frame_to_json, which holds the validity
   radius) and its validity radius;
+- the descriptor that build_end returns with it, as its type and the
+  exact bits of each field;
 - the JSON of the frame read back (frame_from_json), and of that frame
   moved by one fixed isometry (transform_frame);
 - the flux triple (flux_triple), and the axis (extract_axis) of a
@@ -32,7 +35,7 @@ Each output that raises is compared as the class and message of its
 error.  Only public names are used, so any two trees of the package can
 be compared.  When the trees differ it prints the first difference, then
 one line per output name that differs anywhere, with the number of specs
-where it differs of those where either tree has it (``defects: 12 of 462
+where it differs of those where either tree has it (``defects: 12 of 616
 specs``), and exits 1; otherwise it prints the number of specs compared
 and exits 0.  A change that moves one output on purpose so shows that no
 other moved.
@@ -50,7 +53,7 @@ import numpy as np
 CATENOIDAL_AXES = ([[0.0, 0.0], "inf"], [[0.3, 0.1], "inf"],
                    ["inf", [0.4, -0.2]], [[0.3, 0.1], [-0.5, 0.2]])
 HOROSPHERICAL_BOUNDARIES = ([2.0, -0.5], "inf", [2.0 ** 53, 3.0])
-ORDERS = (8, 32, 128)
+ORDERS = (8, 32, 64, 128)
 # The isometry that moves each reloaded frame, and the circle sampled.
 MOVE = (1.2 + 0.3j, 0.25 - 0.5j, -0.4j, 0.7 + 0.1j)
 SAMPLES, MAX_RHO = 64, 0.1
@@ -123,6 +126,15 @@ def _point_bits(x) -> str:
     return _bits(x) if isinstance(x, complex) else repr(x)
 
 
+def _descriptor_bits(end) -> list:
+    """An end descriptor as its type name and the exact bits of each
+    field: mu, kappa and finite boundary points as hex, infinity by its
+    repr."""
+    return [type(end).__name__] + [
+        _bits(v) if isinstance(v, (float, complex)) else repr(v)
+        for v in vars(end).values()]
+
+
 def _complex(x) -> complex:
     """A spec's number, [re, im] or a real."""
     return complex(*x) if isinstance(x, list) else complex(x)
@@ -169,6 +181,7 @@ def outputs(pkg, handler, spec, order):
         out.append(("build_end", built))
     else:
         frame = built[0]
+        out.append(("descriptor", _descriptor_bits(built[1])))
 
         def reloaded():
             return pkg.frame_from_json(pkg.frame_to_json(frame))

@@ -14,14 +14,17 @@ entry; from_columns takes columns that are aligned already, and A to D
 are series on the columns' arrays.  Placing a frame
 (transform_frame) and reading its residues (flux.flux_triple) then
 combine the columns' arrays index by index, with no intermediate
-series.  Checking a frame (checked_frame, by _identity_terms) refuses
-a coefficient that is not finite, wherever it lies, and then forms,
-for each product of an identity, only the coefficients that the
-identity's window keeps, each by one np.convolve of zero-padded
-leading coefficients: the residuals agree with the same formulas in
-series arithmetic within the round-off of a dot product, since the
-same terms are summed in another order, and are not bitwise equal to
-them.  The immersion into the half-space model is
+series: transform_frame places each column by one broadcast of P's two
+columns against the column's two arrays.  Checking a frame
+(checked_frame, by _identity_terms) refuses a coefficient that is not
+finite, wherever it lies, and then forms, for each product of an
+identity, only the coefficients that the identity's window keeps, each
+by one np.convolve of zero-padded leading coefficients, into one
+residual array that holds the three windows end to end, from which one
+reduction reads the three defects (_defects): the residuals agree with
+the same formulas in series arithmetic within the round-off of a dot
+product, since the same terms are summed in another order, and are not
+bitwise equal to them.  The immersion into the half-space model is
 
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
@@ -116,13 +119,21 @@ def _check_finite(what: str, *arrays: np.ndarray):
                           % what)
 
 
+# The right-hand side of AD - BC = 1, read-only; complex, as the
+# residual is, so that subtracting it casts nothing.
+_ONE = np.ones(1, dtype=complex)
+_ONE.flags.writeable = False
+
+
 def _identity_terms(columns, omega=None, scale: bool = False):
-    """The residual series of AD - BC = 1, dA dD - dB dC = 0 and, when
-    the series ``omega`` is given, A dC - C dA = omega,
-    each as its window: the coefficients below the truncation top, which
-    the identities are held to.  A coefficient of the columns that is not
-    finite, wherever it lies, is a DomainError (_check_finite): the
-    windows need not read it, and no residual of it means anything.
+    """(residual, starts): the residual series of AD - BC = 1,
+    dA dD - dB dC = 0 and, when the series ``omega`` is given,
+    A dC - C dA = omega, each as its window, the coefficients below the
+    truncation top, which the identities are held to, laid end to end in
+    one array, window i from index starts[i] on.  A coefficient of the
+    columns that is not finite, wherever it lies, is a DomainError
+    (_check_finite): the windows need not read it, and no residual of it
+    means anything.
 
     One pass over the columns' bare arrays: the columns' arrays and their
     derivatives are padded once, with n - 1 zeros in front, into one
@@ -131,17 +142,17 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     only the coefficients its window keeps.  The columns are aligned, so
     the two products of each identity share an offset and a length and
     are subtracted coefficient by coefficient, with the operands in the
-    formulas' order; the right-hand side (1, 0 or omega) is then
-    subtracted where it falls in that window, which is widened down to it
-    when it starts lower.  Each residual coefficient sums the products of
-    the formula written in GeneralizedSeries, and products with the
-    padding's zeros, in another order, so the two agree within the
-    round-off of a dot product of the product's length, not bitwise.
-    With ``scale``, every operand's coefficients are replaced by their
-    moduli, each difference by a sum and the right-hand side by zeros,
-    which gives, aligned and truncated as the residual, the
-    coefficient-wise size |x| * |y| + |u| * |v| of the two products x y
-    and u v that cancel in it, from the same products.
+    formulas' order, by one np.subtract into the window; the right-hand
+    side (1, 0 or omega) is then subtracted in place where it falls in
+    that window, which is widened down to it when it starts lower.  Each
+    residual coefficient sums the products of the formula written in
+    GeneralizedSeries, and products with the padding's zeros, in another
+    order, so the two agree within the round-off of a dot product of the
+    product's length, not bitwise.  With ``scale``, every operand's
+    coefficients are replaced by their moduli, each difference by a sum
+    and the right-hand side by zeros, which gives, in the same layout,
+    the coefficient-wise size |x| * |y| + |u| * |v| of the two products
+    x y and u v that cancel in each residual coefficient.
     """
     (o1, a, c), (o2, b, d) = columns
     n1, n2 = len(a), len(b)
@@ -155,41 +166,45 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     pads[0, :n1], pads[1, :n1], pads[2, :n2], pads[3, :n2] = a, c, b, d
     _check_finite("the frame", block[:4])
     # The factors are complex, as float ones would be cast, at a cost.
-    np.multiply(np.arange(n) + np.array((o1, o1, o2, o2), dtype=complex)[
-        :, None], pads[:4], out=pads[4:])
+    np.multiply(np.arange(n, dtype=complex) + np.array(
+        (o1, o1, o2, o2), dtype=complex)[:, None], pads[:4], out=pads[4:])
     if scale:
         block = np.abs(block)
     d1 = _snap(o1 - 1.0)
-    # Each identity as the offset of its products, their length, the rows
-    # x, y, u and v of x y - u v, and the offset and coefficients of its
-    # right-hand side; 0 is subtracted as nothing, since x - 0 is x.
-    checks = [(o1 + o2, m, 0, 3, 2, 1, 0.0, np.ones(1)),
-              (d1 + _snap(o2 - 1.0), m, 4, 7, 6, 5, 0.0, None)]
+    # Each identity as the offset of its products, their length and the
+    # offset of its right-hand side, and then as the rows x, y, u and v of
+    # x y - u v and the coefficients of that side; 0 is subtracted as
+    # nothing, since x - 0 is x.
+    heads = [(o1 + o2, m, 0.0), (d1 + _snap(o2 - 1.0), m, 0.0)]
+    terms = [(0, 3, 2, 1, _ONE), (4, 7, 6, 5, None)]
     if omega is not None:
-        checks.append((o1 + d1, n1, 0, 5, 1, 4, omega.offset, omega.coeffs))
-    windows = []
-    for offset, m, x, y, u, v, t_offset, t in checks:
+        heads.append((o1 + d1, n1, omega.offset))
+        terms.append((0, 5, 1, 4, omega.coeffs))
+    # Each window as its start, its size, the w zeros that widen it down
+    # to the right-hand side when that starts lower, and where that side
+    # starts in it: the products' coefficients follow the w zeros, up to
+    # the top (m - 1 of them, or the one when m = 1 and nothing widens).
+    windows, end = [], 0
+    for offset, m, t_offset in heads:
         k = round(t_offset - _snap(offset))
         if k < -m:
             raise ConsistencyError(
                 "frame identity fails: its right-hand side starts %g powers "
                 "below the %d coefficients of its products, so its leading "
                 "coefficient is left uncancelled" % (-k, m))
-        # The window: the -k zeros that widen it down to the right-hand
-        # side, then the p product coefficients below the top (m - 1, or
-        # the one when m = 1 and nothing widens).
         w = max(-k, 0)
-        p = max(m + w - 1, 1) - w
-        r = np.zeros(w + p, dtype=block.dtype)
-        if p:
+        windows.append((end, max(m + w - 1, 1), w, max(k, 0)))
+        end += windows[-1][1]
+    residual = np.zeros(end, dtype=block.dtype)
+    for (start, size, w, k), (x, y, u, v, t) in zip(windows, terms):
+        r = residual[start:start + size]
+        if size > w:
             (np.add if scale else np.subtract)(
-                _leading_product(block, x, y, p, n),
-                _leading_product(block, u, v, p, n), out=r[w:])
-        k = max(k, 0)
+                _leading_product(block, x, y, size - w, n),
+                _leading_product(block, u, v, size - w, n), out=r[w:])
         if not scale and t is not None:
-            r[k:k + len(t)] -= t[:max(len(r) - k, 0)]
-        windows.append(r)
-    return windows
+            r[k:k + len(t)] -= t[:max(size - k, 0)]
+    return residual, [start for start, *_ in windows]
 
 
 def _leading_product(block: np.ndarray, x: int, y: int, p: int,
@@ -203,31 +218,30 @@ def _leading_product(block: np.ndarray, x: int, y: int, p: int,
                        "valid")
 
 
-def _defects(windows):
+def _defects(residual: np.ndarray, starts) -> tuple:
     """(det, null, omega) defects, the largest modulus in each residual
-    window (_identity_terms); omega is None when its window is absent."""
-    det, null, *om = (float(np.abs(w).max()) for w in windows)
+    window (_identity_terms), read by one reduction over their array;
+    omega is None when its window is absent."""
+    det, null, *om = np.maximum.reduceat(np.abs(residual), starts).tolist()
     return det, null, (om[0] if om else None)
 
 
-def _refused(defects, windows, columns, omega):
+def _refused(defects, residual: np.ndarray, starts, columns, omega):
     """For each defect and its residual window, whether it fails the bar.
     A defect within 1e-8 passes.  Past that, each residual coefficient in
     the window must be within 1e-8 times max(1, the same coefficient of
     the scale series), the size of the two products that cancel in it
-    (_identity_terms), so no coefficient can excuse another.  The scales
-    are formed only when a defect exceeds 1e-8, so frames that meet the
-    absolute bar cost nothing more.  A residual or scale that is not
-    finite fails."""
+    (_identity_terms, in the residual's layout), so no coefficient can
+    excuse another.  The scales are formed only when a defect exceeds
+    1e-8, so frames that meet the absolute bar cost nothing more.  A
+    residual or scale that is not finite fails."""
     if all(d is None or d <= 1e-8 for d in defects):
         return [False] * len(defects)
-    out = []
-    for d, r, s in zip(defects, windows,
-                       _identity_terms(columns, omega, scale=True)):
-        bar = 1e-8 * np.maximum(1.0, s.real)
-        out.append(not (d <= 1e-8 or (np.isfinite(bar).all() and bool(
-            (np.abs(r) <= bar).all()))))
-    return out
+    scale, _ = _identity_terms(columns, omega, scale=True)
+    bar = 1e-8 * np.maximum(1.0, scale)
+    held = np.logical_and.reduceat(
+        np.isfinite(bar) & (np.abs(residual) <= bar), starts).tolist()
+    return [not (d <= 1e-8 or ok) for d, ok in zip(defects, held)]
 
 
 def checked_frame(frame: BryantFrame,
@@ -242,14 +256,16 @@ def checked_frame(frame: BryantFrame,
     products of 1e7 and more, whose cancellation leaves defects above
     1e-8 in round-off alone.  Each residual is formed from the leading
     coefficients its window reads (_identity_terms), so its defects are
-    those of the series formulas to round-off, not bitwise.  With omega,
-    the defects and the validity radius are logged at DEBUG."""
-    windows = _identity_terms(frame.columns, omega)
-    det, null, om = _defects(windows)
+    those of the series formulas to round-off, not bitwise; the three
+    windows share one array, and the three defects are one reduction over
+    it (_defects).  With omega, the defects and the validity radius are
+    logged at DEBUG."""
+    residual, starts = _identity_terms(frame.columns, omega)
+    det, null, om = _defects(residual, starts)
     if omega is not None:
         log.debug("frame defects: det %.3e, null %.3e, omega %.3e; "
                   "validity radius %g", det, null, om, frame.validity_radius)
-    bad_det, bad_null, *bad_om = _refused((det, null, om), windows,
+    bad_det, bad_null, *bad_om = _refused((det, null, om), residual, starts,
                                           frame.columns, omega)
     if bad_det or bad_null:
         raise ConsistencyError("frame violates AD - BC = 1 or dA dD - dB dC "
@@ -274,15 +290,23 @@ def _zeta_w(a, b, c, d):
 def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:
     """Left-multiply the frame by P; the new end is the image of the old
     one under the direct isometry induced by P.  The columns are aligned,
-    so each new entry is x s + y t coefficient by coefficient.  The
-    operands keep series addition's order (a complex product may fuse its
-    multiply-adds, so x s and s x can differ in the last bit), and + 0.0
-    clears a negative zero, as that addition's 0.0 + does: the entries are
-    bitwise the sums of the two scaled series."""
-    return BryantFrame.from_columns(
-        tuple((o, x * p.alpha + y * p.beta + 0.0,
-               x * p.gamma + y * p.delta + 0.0) for o, x, y in frame.columns),
-        frame.validity_radius)
+    so each new column is x s + y t coefficient by coefficient, for P's
+    two columns s = (alpha, gamma) and t = (beta, delta): one broadcast
+    of each against the column's two arrays, x and y, forms both new
+    arrays as the rows of one.  The operands keep series addition's order
+    (a complex product may fuse its multiply-adds, so x s and s x can
+    differ in the last bit), and + 0.0 clears a negative zero, as that
+    addition's 0.0 + does: the entries are bitwise the sums of the two
+    scaled series."""
+    s = np.array(((p.alpha,), (p.gamma,)))
+    t = np.array(((p.beta,), (p.delta,)))
+    columns = []
+    for o, x, y in frame.columns:
+        new = x * s
+        new += y * t
+        new += 0.0
+        columns.append((o, new[0], new[1]))
+    return BryantFrame.from_columns(tuple(columns), frame.validity_radius)
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -20,8 +20,9 @@ reaches an order k >= 1, so that constant is set before the recurrence
 runs.  For admissible data the resonance obstruction at the gap
 vanishes and the lower-root solutions form the line lower + t * upper
 (t free) instead of needing a logarithm.  The second column follows
-term by term from dB = -g dA and dD = -g dC.  A nonzero obstruction is
-a LogTermRequiredError: the coefficient data violates the admissibility
+term by term from dB = -g dA and dD = -g dC.  An obstruction past
+1e-9 / max(1, |h(0)|), the bar 1e-9 on the scale of C = -h(0) f1, is a
+LogTermRequiredError: the coefficient data violates the admissibility
 constraints, not that the solver gave up.  The obstruction is logged at
 DEBUG whether or not it is refused.
 
@@ -202,13 +203,18 @@ class FrobeniusProblem:
         return ((b - disc) / 2.0).real, ((b + disc) / 2.0).real
 
 
-def _check_obstruction(obstruction) -> None:
+def _check_obstruction(prob: FrobeniusProblem, obstruction) -> None:
     """Log the resonance obstruction at the root gap, order 1;
-    LogTermRequiredError when it exceeds 1e-9, the bar 1e-9 times the
-    largest of 1 and |x_0| = 1."""
+    LogTermRequiredError when it exceeds 1e-9 / max(1, |h(0)|), the bar
+    1e-9 on the scale of C = -h(0) f1, which carries the lower-root
+    solution f1 (unit leading coefficient) times h(0), so that an
+    obstruction C would carry past 1e-9 is refused: at small catenoidal
+    mu, |h(0)| is about 1/(4 mu).  The bar is 1e-9 wherever
+    |h(0)| <= 1."""
+    bar = 1e-9 / max(1.0, abs(prob.h.coeffs[0]))
     log.debug("resonance obstruction %.3e at order %d (bar %.3e)",
-              abs(obstruction), 1, 1e-9)
-    if abs(obstruction) > 1e-9:
+              abs(obstruction), 1, bar)
+    if abs(obstruction) > bar:
         raise LogTermRequiredError(
             "resonance obstruction %.3e at order 1: the data admits "
             "no pure power-series solution" % abs(obstruction))
@@ -237,16 +243,19 @@ def _product_rows(prob: FrobeniusProblem, lo: float, hi: float,
     x = np.zeros((2, K + 1), dtype=complex)
     x[:, 0] = 1.0
     if K >= 1:
-        _check_obstruction(c * (mu * x[0, 0] / -(prob.s + 1.0 - lo))
+        _check_obstruction(prob, c * (mu * x[0, 0] / -(prob.s + 1.0 - lo))
                            if n == 1 else 0.0)
     r = 1 if n == 1 else 0  # at n = 1 the lower root's class stays 0
-    # kc, sigma - lo and sigma - hi of each root of the product, each a
-    # column against the row of k.
-    kc, dlo, dhi = np.array([(prob.s + 1.0 - sigma, sigma - lo, sigma - hi)
-                             for sigma in (lo, hi)[r:]]).T[:, :, None]
-    k = np.arange(n, K + 1, n, dtype=float)
-    x[r:, n::n] = np.cumprod((mu * c) * ((k - kc) / (
-        (k + dlo) * (k + dhi) * (k - (n + kc)))), axis=1)
+    sigma = (lo, hi)[r:]
+    kc = [prob.s + 1.0 - y for y in sigma]
+    # k - kc, k + (sigma - lo), k + (sigma - hi) and k - (n + kc) at each
+    # root of the product, as the row of k plus one column of shifts per
+    # factor and root (k - y is k + -y, bitwise).
+    t = np.arange(n, K + 1, n, dtype=float) + np.array((
+        [-y for y in kc], [y - lo for y in sigma], [y - hi for y in sigma],
+        [-(n + y) for y in kc]))[:, :, None]
+    np.multiply.accumulate((mu * c) * (t[0] / (t[1] * t[2] * t[3])),
+                           axis=1, out=x[r:, n::n])
     return x
 
 
@@ -283,7 +292,7 @@ def _solve_at_root(prob: FrobeniusProblem, lo: float, hi: float,
         # x_k's divisor instead.
         rhs += h0 * p[k]
         if k == gap:
-            _check_obstruction(rhs)
+            _check_obstruction(prob, rhs)
         else:
             x[k] = rhs / ((sigma + k - lo) * (sigma + k - hi) / e
                           if d == 0 else sigma + k)
@@ -314,7 +323,7 @@ def frobenius_solve(prob: FrobeniusProblem):
     """
     lo, hi = prob.indicial_roots
     h = prob.h.coeffs[:prob.order + 1]
-    n = h[1:].nonzero()[0] + 1
+    n = h.nonzero()[0][1:]  # h(0) != 0, which the problem checks
     hn = list(zip(n.tolist(), h[n].tolist()))
     if prob.d == 0 and len(hn) <= 1:
         x = _product_rows(prob, lo, hi, hn)
@@ -347,8 +356,8 @@ def _validity_from_entries(rows: np.ndarray) -> float:
     entries of 1/x is 1/(max over entries of x), bitwise.  A zero
     coefficient adds 0 to that max.  The tests' radius_estimate is the
     per-entry reference."""
-    m = (np.abs(rows[:, 1:]) ** (1.0 / np.arange(1, rows.shape[1]))).max(
-        initial=0.0)
+    m = np.maximum.reduce(np.abs(rows[:, 1:]) ** (1.0 / np.arange(
+        1, rows.shape[1], dtype=float)), axis=None, initial=0.0)
     return math.inf if m == 0 else 0.5 * float(1.0 / m)
 
 
@@ -364,8 +373,9 @@ def _solved_rows(prob: FrobeniusProblem, scale: complex):
     rows = np.empty((4, prob.order + 1), dtype=complex)
     rows[0] = big.coeffs
     np.multiply(small.coeffs, scale, out=rows[2])
-    e = np.arange(prob.order + 1) + np.array((hi, lo))[:, None]
-    np.multiply(-e / (e + prob.mu), rows[0::2], out=rows[1::2])
+    # -e / (e + mu) as e / (-mu - e), bitwise: negation is exact.
+    e = np.add.outer((hi, lo), np.arange(prob.order + 1))
+    np.multiply(e / (-prob.mu - e), rows[0::2], out=rows[1::2])
     return [hi, _snap(hi + prob.mu), lo, _snap(lo + prob.mu)], rows
 
 
@@ -487,8 +497,7 @@ def _perturbed_h(h0: complex, perturbation, order: int) -> GeneralizedSeries:
     """h(z) = h0 (1 + sum_k p_k z^k), p given from the z^1 coefficient up."""
     p = perturbation[:order]
     coeffs = np.zeros(order + 1, dtype=complex)
-    coeffs[0] = 1.0
-    coeffs[1:len(p) + 1] = p
+    coeffs[:len(p) + 1] = (1.0, *p)
     h = GeneralizedSeries(0.0, h0 * coeffs)
     _check_finite("h", h.coeffs)
     return h

@@ -167,13 +167,13 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     block[0], block[1], block[2], block[3] = a[:m], c[:m], b[:m], d[:m]
     # The factors (offset + k) of series.differentiate, complex, as float
     # ones would be cast, at a cost.
-    np.multiply(np.arange(m) + np.array((o1, o1, o2, o2), dtype=complex)[
-        :, None], block[:4], out=block[4:])
+    np.multiply(np.arange(m, dtype=complex) + np.array(
+        (o1, o1, o2, o2), dtype=complex)[:, None], block[:4], out=block[4:])
     left, right = _SUM_ROWS[(n1 > n2) - (n1 < n2)]
+    s = np.matmul(block[left, None],
+                  block[right, ::-1, None]).ravel().tolist()
     # + 0j clears a negative zero, as the product's zero-started sums do.
-    s = (np.matmul(block[left, None], block[right, ::-1, None])
-         + 0j).ravel().tolist()
-    res = [4.0 * math.pi * (s[i] - s[i + 1]) for i in (0, 2, 4)]
+    res = [4.0 * math.pi * ((s[i] + 0j) - (s[i + 1] + 0j)) for i in (0, 2, 4)]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
     return FluxTriple(*res)

@@ -81,9 +81,12 @@ def _aligned(x_offset: float, x: np.ndarray, y_offset: float, y: np.ndarray,
     lo = min(x_offset, y_offset)
     kx, ky = max(-d, 0), max(d, 0)
     n = min(kx + len(x), ky + len(y))
-    return lo, [c if o == lo and len(c) == n else
-                np.concatenate([np.zeros(min(k, n)), c])[:n]
-                for k, o, c in ((kx, x_offset, x), (ky, y_offset, y))]
+    out = [x, y]
+    for i, (k, o, c) in enumerate(((kx, x_offset, x), (ky, y_offset, y))):
+        if o != lo or len(c) != n:
+            out[i] = np.zeros(n, dtype=c.dtype)
+            out[i][k:] = c[:max(n - k, 0)]
+    return lo, out
 
 
 @dataclass(frozen=True)

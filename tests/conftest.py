@@ -20,7 +20,15 @@ def make_h(mu, extra=(), order=32):
 def frame_defects(frame, omega=None):
     """(det, null, omega) defects of a frame by the package's identity
     pass on its columns; ``omega`` is a GeneralizedSeries or None."""
-    return _defects(_identity_terms(frame.columns, omega))
+    return _defects(*_identity_terms(frame.columns, omega))
+
+
+def pass_windows(columns, omega=None, scale=False):
+    """The residual (or, with ``scale``, scale) windows of the package's
+    identity pass on ``columns``, each a view of the one array they are
+    laid out in."""
+    residual, starts = _identity_terms(columns, omega, scale)
+    return np.split(residual, starts[1:])
 
 
 def translated_catenoidal_frame(mu, h, a):

@@ -15,7 +15,9 @@ Frames: one_forms forms the three single-valued one-forms in full, the
 reference for flux.flux_triple, which reads their residues without
 forming them; matrix_of_forms forms the entries of -(dF) F^-1 and takes
 their residues, the paper's flux matrix that flux.FluxMatrix derives
-from the triple; derived_forms adds the Gauss map and the Hopf
+from the triple; identity_windows forms the residual windows of the
+frame identities one product at a time, the bitwise reference for
+bryant._identity_terms; derived_forms adds the Gauss map and the Hopf
 differential.
 immersion_samples evaluates the immersion (zeta, w) by Horner's rule,
 and immersion_derivatives adds its radial and angular derivatives.
@@ -54,7 +56,7 @@ import numpy as np
 
 from bryantflux.bryant import BryantFrame, _check_radius, _zeta_w
 from bryantflux.ends import _LEAD_TOL, _MU_ONE_TOL, FrobeniusProblem
-from bryantflux.errors import DomainError
+from bryantflux.errors import ConsistencyError, DomainError
 from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
 from bryantflux.series import (_OFFSET_TOL, GeneralizedSeries, QuadratureGrid,
@@ -249,6 +251,60 @@ def matrix_of_forms(frame: BryantFrame):
     dA, dB, dC, dD = map(differentiate, frame.entries())
     return [residue(-(dA * D - dB * C)), residue(-(dB * A - dA * B)),
             residue(-(dC * D - dD * C)), residue(-(dD * A - dC * B))]
+
+
+def identity_windows(columns, omega: Optional[GeneralizedSeries] = None,
+                     scale: bool = False) -> list:
+    """The residual windows of AD - BC = 1, dA dD - dB dC = 0 and, when
+    ``omega`` is given, A dC - C dA = omega on a frame's ``columns``,
+    formed one product at a time, each window its own array: the
+    reference for bryant._identity_terms, which lays them end to end in
+    one array.
+
+    Each identity x y - u v = t is read on its window, the m - 1 leading
+    coefficients of its products (m the shorter operand's length; one
+    when m = 1), widened down to t's leading power when t starts lower.
+    Each product's p leading coefficients are np.convolve, in "valid"
+    mode, of p - 1 zeros and x's p leading coefficients with y's, and the
+    derivatives are those of series.differentiate, so the operands are
+    the identity pass's and the windows equal its windows bitwise.  t (1,
+    0 or omega, each a series from its own offset, 1 and 0 from z^0) is
+    then subtracted where it falls in the window.  With ``scale`` every
+    operand is replaced by its moduli, the difference by the sum, and t
+    by nothing."""
+    (o1, a, c), (o2, b, d) = columns
+    A, C, B, D = (GeneralizedSeries(o, x)
+                  for o, x in ((o1, a), (o1, c), (o2, b), (o2, d)))
+    dA, dC, dB, dD = map(differentiate, (A, C, B, D))
+    identities = [(A, D, B, C, GeneralizedSeries.constant(1.0)),
+                  (dA, dD, dB, dC, GeneralizedSeries.constant(0.0))]
+    if omega is not None:
+        identities.append((A, dC, C, dA, omega))
+    mod = np.abs if scale else np.asarray
+
+    def leading(x, y, p):
+        pad = np.concatenate([np.zeros(p - 1), mod(x.coeffs[:p])])
+        return np.convolve(pad, mod(y.coeffs[:p]), "valid")
+
+    windows = []
+    for x, y, u, v, t in identities:
+        m = min(len(x.coeffs), len(y.coeffs))
+        offset = GeneralizedSeries(x.offset + y.offset, [0.0]).offset
+        k = round(t.offset - offset)
+        if k < -m:
+            raise ConsistencyError("the right-hand side starts below the "
+                                   "products")
+        w = max(-k, 0)
+        p = max(m + w - 1, 1) - w
+        r = np.zeros(w + p, dtype=float if scale else complex)
+        if p:
+            xy, uv = leading(x, y, p), leading(u, v, p)
+            r[w:] = xy + uv if scale else xy - uv
+        if not scale:
+            k = max(k, 0)
+            r[k:k + len(t.coeffs)] -= t.coeffs[:max(len(r) - k, 0)]
+        windows.append(r)
+    return windows
 
 
 def derived_forms(frame: BryantFrame,

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
@@ -21,11 +23,11 @@ from bryantflux import (DEFAULT_ORDER, Catenoidal, ConsistencyError,
 from bryantflux import bryant, ends, series
 from bryantflux.series import differentiate
 
-from conftest import (frame_defects, make_h,
+from conftest import (frame_defects, make_h, pass_windows,
                       translated_catenoidal_frame)
 from oracles import (WeierstrassData, classify_end, eval_at, frobenius_mp,
-                     normalized, ode_residual, placed_by_entries,
-                     radius_estimate, series_isclose)
+                     identity_windows, normalized, ode_residual,
+                     placed_by_entries, radius_estimate, series_isclose)
 
 
 def integrate_ode(sol, s, m, mu, h, rho0, rho1):
@@ -435,6 +437,24 @@ class TestCanonicalCatenoidal:
         with pytest.raises(DomainError, match=r"requires h'\(0\) = 0"):
             canonical_catenoidal_frame(mu, h(2e-10 * h0), order=16)
 
+    @pytest.mark.parametrize("mu", [1e-7, 1e-8])
+    def test_small_mu_obstruction_on_the_scale_of_c(self, mu):
+        """h = h0 (1 + 1e-4/h0 z + 0.3 z^2), h0 an ulp above its target:
+        h'(0) = 1e-4 is within the bar 1e-10 |h(0)|, and the obstruction
+        h_1 p_0, about 2e-4 mu, is within an absolute 1e-9, but
+        C = -h(0) f1 carries it times |h(0)| ~ 1/(4 mu).  It is refused
+        against 1e-9 / |h(0)|, the bar on C's scale, as a resonance or an
+        h'(0) DomainError, not left to checked_frame's omega check."""
+        target = (1.0 - mu * mu) / (4.0 * mu)
+        h0 = np.nextafter(target, np.inf)
+        coeffs = np.zeros(17, dtype=complex)
+        coeffs[:3] = 1.0, 1e-4 / h0, 0.3
+        with pytest.raises(DomainError) as refused:
+            canonical_catenoidal_frame(mu, GeneralizedSeries(0.0, h0 * coeffs),
+                                       order=16)
+        assert (refused.type is LogTermRequiredError
+                or "requires h'(0) = 0" in str(refused.value))
+
     def test_relation_g_squared_omega(self, perturbed_frame):
         # g^2 omega = B dD - D dB reproduces z^(mu-1) h
         mu = 0.5
@@ -815,8 +835,8 @@ def assert_windows_within_roundoff(frame, omega, count=3):
     on two sums of the same products in two orders."""
     (_, a, _), (_, b, _) = frame.columns
     lengths = (min(len(a), len(b)),) * 2 + (len(a),)
-    got = bryant._identity_terms(frame.columns, omega)
-    scales = bryant._identity_terms(frame.columns, omega, scale=True)
+    got = pass_windows(frame.columns, omega)
+    scales = pass_windows(frame.columns, omega, scale=True)
     for r, want, s, n in list(zip(got, series_windows(frame, omega), scales,
                                   lengths))[:count]:
         assert len(r) == len(want) == len(s)
@@ -940,7 +960,7 @@ class TestDefectPass:
         assert aligned_callers == [bryant._columns.__code__] * 2
         [(built, omega)] = calls["checked_frame"]
         monkeypatch.setattr(np, "convolve", convolve)
-        windows = bryant._identity_terms(built.columns, omega)
+        windows = pass_windows(built.columns, omega)
         assert formed == [len(w) for w in windows for _ in range(2)]
 
     def test_built_end_logs_its_defects(self, caplog, monkeypatch):
@@ -964,7 +984,7 @@ def one_term_frame(offset, a, b, c, d):
 def outcome(frame, omega=None):
     """The lengths of the frame's residual windows and checked_frame's
     verdict: "accepted", or the class and message of its refusal."""
-    lengths = [len(w) for w in bryant._identity_terms(frame.columns, omega)]
+    lengths = [len(w) for w in pass_windows(frame.columns, omega)]
     try:
         bryant.checked_frame(frame, omega)
     except ConsistencyError as exc:
@@ -983,6 +1003,55 @@ def standard_frame(monkeypatch, order=16):
 DET_REFUSED = ("ConsistencyError: frame violates AD - BC = 1 or "
                "dA dD - dB dC = 0 ")
 OMEGA_REFUSED = "ConsistencyError: frame violates omega = A dC - C dA "
+
+
+@st.composite
+def identity_operands(draw):
+    """(columns, omega) for the identity pass: columns of 1 to 40
+    coefficients at offsets whose sum is an integer, coefficients of
+    scales 1e-3 to 1e3 with negative zeros among their parts, and no
+    omega or one whose offset puts it below, inside or above its
+    window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def array(n):
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** (
+            rng.uniform(-3.0, 3.0))
+        x.real[rng.random(n) < 0.2] = -0.0
+        x.imag[rng.random(n) < 0.2] = -0.0
+        return x
+
+    o1 = draw(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 1.5]))
+    o2 = draw(st.integers(-3, 3)) - o1
+    n1, n2 = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    columns = ((o1, array(n1), array(n1)), (o2, array(n2), array(n2)))
+    omega = None
+    if draw(st.booleans()):
+        omega = GeneralizedSeries(2.0 * o1 - 1.0
+                                  + draw(st.integers(-n1 - 2, n1 + 2)),
+                                  array(draw(st.integers(1, 40))))
+    return columns, omega
+
+
+class TestIdentityLayout:
+    @given(identity_operands(), st.booleans())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_windows_are_the_products_formed_one_at_a_time(self, operands,
+                                                           scale):
+        """The pass's windows, laid end to end in one array, are bitwise
+        the reference's, each formed as its own array one product at a
+        time, with and without ``scale``; a right-hand side below every
+        product coefficient is refused by both."""
+        columns, omega = operands
+        try:
+            want = identity_windows(columns, omega, scale)
+        except ConsistencyError:
+            with pytest.raises(ConsistencyError, match="below the"):
+                bryant._identity_terms(columns, omega, scale)
+            return
+        got = pass_windows(columns, omega, scale)
+        assert [w.dtype for w in got] == [w.dtype for w in want]
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
 
 
 class TestIdentityWindowEdges:
@@ -1006,7 +1075,7 @@ class TestIdentityWindowEdges:
         # unit
         frame = horosphere_frame(0)
         assert outcome(frame) == ([1, 1], "accepted")
-        assert [list(w) for w in bryant._identity_terms(frame.columns)] \
+        assert [list(w) for w in pass_windows(frame.columns)] \
             == [[0.0], [0.0]]
         bad = one_term_frame(0.0, 2.0, 0.0, 1.0, 1.0)
         assert outcome(bad) == ([1, 1], DET_REFUSED + "(defects 1.000e+00, "
@@ -1028,7 +1097,7 @@ class TestIdentityWindowEdges:
         low = GeneralizedSeries(-2.0, [1.0, 0.0])
         assert outcome(frame, low) == ([1, 1, 1],
                                        OMEGA_REFUSED + "(defect 1.000e+00)")
-        assert list(bryant._identity_terms(frame.columns, low)[2]) == [-1.0]
+        assert list(pass_windows(frame.columns, low)[2]) == [-1.0]
         high = one_term_frame(0.5, 1.0, 0.0, 1.0, 1.0)
         assert outcome(high) == ([1, 1], DET_REFUSED + "(defects 1.000e+00, "
                                  "2.500e-01)")
@@ -1088,6 +1157,24 @@ class TestStandardFrame:
                 assert x.tobytes() == y.tobytes()
 
 
+def assert_placed_as_entries(p, frame, entries):
+    """transform_frame(p, frame) is bitwise the series sums of the scaled
+    ``entries`` (placed_by_entries): the same offsets and coefficients."""
+    got = transform_frame(p, frame)
+    for g, w in zip(got.entries(), placed_by_entries(p, *entries)):
+        assert g.offset == w.offset
+        assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+def random_isometries(seed, count=8):
+    """``count`` isometries with random entries, none of them zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = IsometrySL2(*(complex(*rng.normal(size=2)) for _ in range(4)))
+        assert 0 not in (p.alpha, p.beta, p.gamma, p.delta)
+        yield p
+
+
 class TestPlacement:
     @pytest.mark.parametrize("order", [8, 32, 128])
     @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=DEFECT_IDS)
@@ -1098,14 +1185,37 @@ class TestPlacement:
         solved (placed_by_entries), for isometries with no zero entry."""
         solved = recorded_solves(monkeypatch)
         _, [(built, _)] = checked_calls(dict(spec, order=order), monkeypatch)
-        rng = np.random.default_rng(order)
-        for _ in range(8):
-            p = IsometrySL2(*(complex(*rng.normal(size=2)) for _ in range(4)))
-            assert 0 not in (p.alpha, p.beta, p.gamma, p.delta)
-            got = transform_frame(p, built)
-            for g, w in zip(got.entries(), placed_by_entries(p, *solved[0])):
-                assert g.offset == w.offset
-                assert g.coeffs.tobytes() == w.coeffs.tobytes()
+        for p in random_isometries(order):
+            assert_placed_as_entries(p, built, solved[0])
+
+    def test_columns_of_unequal_length(self, monkeypatch):
+        """B and D cut to 10 of the 17 coefficients of A and C: each
+        column is placed at its own length, bitwise the series sums of the
+        frame's scaled entries."""
+        built, _ = standard_frame(monkeypatch)
+        obj = json.loads(frame_to_json(built))
+        for k in "BD":
+            obj[k]["coeffs"] = obj[k]["coeffs"][:10]
+        frame = frame_from_json(json.dumps(obj))
+        assert [len(x) for _, x, _ in frame.columns] == [17, 10]
+        for p in random_isometries(10):
+            assert_placed_as_entries(p, frame, frame.entries())
+
+    @pytest.mark.parametrize("order", [8, 32, 128])
+    def test_far_boundary_factors(self, order, monkeypatch):
+        """A horospherical end at |b| >= 2^52 is placed by P's two exact
+        factors, z -> 1/(1 - z) and z -> z + b, whose zero entries leave
+        products of 0 in the sums: each placement is bitwise the series
+        sums of its frame's scaled entries."""
+        calls = build_steps(monkeypatch)
+        build_end({"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
+                   "boundary": [2.0 ** 53, 3.0], "h_perturbation": [1.0, 0.1],
+                   "order": order})
+        moves = calls["transform_frame"]
+        assert [(p.alpha, p.beta, p.delta) for p, _ in moves] == [
+            (1.0, -1.0, 0.0), (1.0, 0.0, 1.0)]
+        for p, frame in moves:
+            assert_placed_as_entries(p, frame, frame.entries())
 
 
 class TestEndFrameRefusals:

@@ -1,7 +1,7 @@
 """The scripts under tools/, run as scripts: code_lines.py on small
-packages, same_outputs.py on the package's own source tree; the
-outputs same_outputs.py compares for one spec are also read in
-process."""
+packages, same_outputs.py and ab_builds.py on the package's own source
+tree; the outputs same_outputs.py compares for one spec are also read
+in process."""
 
 import importlib.util
 import re
@@ -16,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "code_lines.py"
 SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
+AB_BUILDS = ROOT / "tools" / "ab_builds.py"
 
 
 def count(tmp_path, **modules):
@@ -160,3 +161,19 @@ def test_same_outputs_reports_a_changed_quadrature(tmp_path):
     code, out = same_outputs(ROOT / "src", change)
     assert code == 1
     assert out.startswith("first difference: circle_samples of ")
+
+
+def test_ab_builds_times_one_pass_of_each_tree():
+    """One pass of the survey pool's builds and triples per tree: the
+    pool's size, each tree's best pass with its build_end and
+    flux_triple times, and their ratio."""
+    out = subprocess.run([sys.executable, str(AB_BUILDS), str(ROOT / "src"),
+                          str(ROOT / "src"), "--seed", "1", "--passes", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    first, parent, change, ratio = out.splitlines()
+    assert re.fullmatch(r"seed 1: [1-9]\d* builds per pass, 1 passes per "
+                        r"tree", first)
+    for name, line in (("parent", parent), ("change", change)):
+        assert re.fullmatch(name + r": best pass \d+\.\d\d ms \(build_end "
+                            r"\d+\.\d\d, flux_triple \d+\.\d\d\)", line)
+    assert re.fullmatch(r"change / parent: \d+\.\d{3}", ratio)

@@ -8,7 +8,7 @@ from .geometry import (INF, ExtendedComplex, Geodesic, IsometrySL2,
                        boundary_eq, cross_ratio, is_inf, mobius_boundary,
                        standardizing_isometry)
 from .series import (DEFAULT_ORDER, GeneralizedSeries, QuadratureGrid,
-                     differentiate, eval_branch, product_residue, residue)
+                     differentiate, eval_branch)
 from .killing import KillingField, ROTATION, TRANSLATION
 from .bryant import (BryantFrame, frame_from_json, frame_to_json,
                      transform_frame)

@@ -103,9 +103,31 @@ def _cmd_end_build(args):
     return 0
 
 
+# A residue triple is refused when its round-off bound exceeds this
+# fraction of max(1, the largest modulus of its components).
+RESIDUE_BOUND_FRACTION = 1e-6
+
+
+def _triple_scale(t):
+    return max(1.0, abs(t.phi0), abs(t.phi1), abs(t.phi2))
+
+
+def _certified_triple(frame):
+    """flux_triple(frame), or DomainError when its residue bound exceeds
+    RESIDUE_BOUND_FRACTION of its scale: the triple is then lost to the
+    cancellation in its residue sums."""
+    t = flux_triple(frame)
+    scale = _triple_scale(t)
+    if not t.residue_bound <= RESIDUE_BOUND_FRACTION * scale:
+        raise DomainError("the residue triple is lost to round-off: its bound "
+                          "%.3e exceeds %g of its scale %.3e"
+                          % (t.residue_bound, RESIDUE_BOUND_FRACTION, scale))
+    return t
+
+
 def _cmd_flux(args):
     frame = _load_frame(args)
-    triple = flux_triple(frame)
+    triple = _certified_triple(frame)
     geod = _parse_geodesic(args.geodesic)
     value = flux_for_geodesic(triple, geod, args.kind)
     _emit(flux_result_json(triple, value), args.out)
@@ -116,7 +138,7 @@ def _cmd_verify(args):
     if args.geodesics < 1:
         raise DomainError("--geodesics must be at least 1")
     frame = _load_frame(args)
-    triple = flux_triple(frame)
+    triple = _certified_triple(frame)
     samples = circle_samples(frame, QuadratureGrid(args.rho, args.samples))
     rng = np.random.default_rng(args.seed)
     worst = bound = 0.0
@@ -142,9 +164,15 @@ def _cmd_verify(args):
     if not bound < 1e-5:
         raise DomainError("quadrature on |z| = %g is lost to round-off "
                           "(bound %.3e)" % (args.rho, bound))
+    quad = samples.triple
+    triple_defect = max(abs(quad.phi0 - triple.phi0),
+                        abs(quad.phi1 - triple.phi1),
+                        abs(quad.phi2 - triple.phi2))
     _emit({"max_defect": worst, "roundoff_bound": bound,
            "geodesics": args.geodesics, "rho": args.rho,
-           "samples": args.samples})
+           "samples": args.samples, "residue_bound": triple.residue_bound,
+           "triple_defect": triple_defect,
+           "triple_defect_relative": triple_defect / _triple_scale(triple)})
     return 0 if worst < 1e-5 else 1
 
 

@@ -11,10 +11,14 @@ entry and a derivative.  flux_triple reads the frame's columns
 (BryantFrame.columns), which are aligned, so the six products share one
 index of z^-1, and each residue is read from the idx + 1 leading
 coefficients and the derivatives of only those, all six sums as one
-np.matmul in the summation order of the formed products
-(series._pair_sum): no product or derivative series is formed, and the
+np.matmul in np.convolve's summation order, so the triple is bitwise
+the residues of the formed products, which the tests form in series
+arithmetic: no product or derivative series is formed here, and the
 cost does not grow with the order.  A frame whose columns stop before
-that index is refused, not read as a zero triple.
+that index is refused, not read as a zero triple.  The triple carries
+a bound on its round-off (FluxTriple.residue_bound), large where a
+residue's two sums cancel; the CLI refuses a triple whose bound is not
+small next to it.
 
 circle_samples integrates the defining boundary integral by the
 trapezoid rule on one circle |z| = rho, with exact derivatives, and
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,9 +69,14 @@ from .series import (QuadratureGrid, _residue_index, _snap, differentiate,
 
 @dataclass(frozen=True)
 class FluxTriple:
+    """(phi0, phi1, phi2) and, for a residue triple, the bound on the
+    round-off of its components (flux_triple), which equality ignores;
+    None where no bound was formed."""
+
     phi0: complex
     phi1: complex
     phi2: complex
+    residue_bound: Optional[float] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,11 +133,25 @@ class FluxMatrix:
 # and B dA - A dB, are the dot products of these row pairs (x, dy), but
 # np.convolve sums with the longer operand ascending (x on a tie), so a
 # pair swaps where dy's column is the longer: _SUM_ROWS gives the (left,
-# right) rows for n1 > n2, n1 = n2 and n1 < n2 by the sign of n1 - n2.
+# right) rows for n1 > n2, n1 = n2 and n1 < n2 by the sign of n1 - n2,
+# and then the same pairs of rows 8-15, the moduli of rows 0-7, whose
+# sums the residue bound reads.
 _PAIRS = ((3, 5), (1, 7), (1, 6), (3, 4), (2, 4), (0, 6))
-_SUM_ROWS = {sign: np.array([(y, x) if sign and (y < 6) == (sign > 0)
-                             else (x, y) for x, y in _PAIRS]).T
-             for sign in (-1, 0, 1)}
+
+
+def _sum_rows(sign: int) -> np.ndarray:
+    rows = np.array([(y, x) if sign and (y < 6) == (sign > 0) else (x, y)
+                     for x, y in _PAIRS]).T
+    return np.hstack([rows, rows + 8])
+
+
+_SUM_ROWS = {sign: _sum_rows(sign) for sign in (-1, 0, 1)}
+_U = 2.0 ** -53
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u) for the unit round-off u."""
+    return n * _U / (1.0 - n * _U)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -144,31 +167,45 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     not grow with the order.  The leading coefficients and their
     derivatives are the rows of one block, and the six sums are one
     np.matmul of a stack of its rows with a stack of its rows reversed,
-    each sum one dot product of two rows in np.convolve's order
-    (series._pair_sum: the operand of the longer column ascending), as
-    the formed product's z^-1 coefficient is, so the values are bitwise
-    those of the residues of the formed products.  When idx < 0
-    all three one-forms are holomorphic and the triple is exactly 0.  A
-    frame truncated before idx, a residue that overflows, or an offset
-    sum that is not finite raises DomainError.
+    each sum one dot product of two rows in np.convolve's order (the
+    operand of the longer column ascending), as the formed product's
+    z^-1 coefficient is, so the values are bitwise those of the residues
+    of the formed products.  When idx < 0 all three one-forms are
+    holomorphic and the triple is exactly 0, with a bound of 0.  A frame
+    truncated before idx, a residue that overflows, or an offset sum
+    that is not finite raises DomainError.
+
+    The triple carries residue_bound, the largest over its components of
+    the bound on their round-off (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sections 3.1 and 3.6): gamma_(idx+8)
+    times 4 pi times the same two sums taken on the moduli of the rows,
+    which the block holds as its rows 8-15, so that the one np.matmul
+    forms them with the six sums.  The index counts the idx + 1 terms of a complex
+    dot product (gamma_(n+2) for n terms), the difference of the two,
+    the two roundings in each derivative row's factors and the two of
+    the scaling by 4 pi.  It bounds the rounding of the sums from the
+    frame's coefficients, not errors already in those coefficients;
+    where the two sums cancel, as phi1's do at small catenoidal mu, it
+    is large next to the triple.
     """
     (o1, a, c), (o2, b, d) = frame.columns
     n1, n2 = len(a), len(b)
     # The offset of D dC, with dC's offset as differentiate forms it.
     idx = _residue_index(o2 + _snap(o1 - 1.0))
     if idx < 0:
-        return FluxTriple(0j, 0j, 0j)
+        return FluxTriple(0j, 0j, 0j, 0.0)
     if idx >= min(n1, n2):
         raise DomainError("the frame is truncated before the residues of "
                           "its one-forms: z^-1 is at index %d of columns of "
                           "%d and %d coefficients" % (idx, n1, n2))
     m = idx + 1
-    block = np.empty((8, m), dtype=complex)
+    block = np.empty((16, m), dtype=complex)
     block[0], block[1], block[2], block[3] = a[:m], c[:m], b[:m], d[:m]
     # The factors (offset + k) of series.differentiate, complex, as float
     # ones would be cast, at a cost.
     np.multiply(np.arange(m, dtype=complex) + np.array(
-        (o1, o1, o2, o2), dtype=complex)[:, None], block[:4], out=block[4:])
+        (o1, o1, o2, o2), dtype=complex)[:, None], block[:4], out=block[4:8])
+    block[8:] = np.abs(block[:8])
     left, right = _SUM_ROWS[(n1 > n2) - (n1 < n2)]
     s = np.matmul(block[left, None],
                   block[right, ::-1, None]).ravel().tolist()
@@ -176,7 +213,9 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     res = [4.0 * math.pi * ((s[i] + 0j) - (s[i + 1] + 0j)) for i in (0, 2, 4)]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
-    return FluxTriple(*res)
+    bound = 4.0 * math.pi * _gamma(idx + 8) * max(
+        s[6].real + s[7].real, s[8].real + s[9].real, s[10].real + s[11].real)
+    return FluxTriple(*res, bound)
 
 
 def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
@@ -364,6 +403,7 @@ def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
 def flux_result_json(t: FluxTriple, value: Optional[float] = None) -> dict:
     out = {"phi%d" % k: [v.real, v.imag]
            for k, v in enumerate((t.phi0, t.phi1, t.phi2))}
+    out["residue_bound"] = t.residue_bound
     out["polynomial_roots"] = [[r.real, r.imag] for r in
                                FluxPolynomial.from_triple(t).roots()]
     if value is not None:

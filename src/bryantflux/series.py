@@ -12,21 +12,16 @@ factors e^(i lambda tau).  That is exact for what the package forms from
 them: a Bryant frame's columns are aligned (bryant.BryantFrame), and
 every product of the immersion is of two values from one column, whose
 factors cancel.  The tests keep a Horner sum with the branch factor at
-arbitrary angles as its reference.  product_residue gives
-residue(a * b) from the coefficient pairs that reach z^-1, summed in
-the product's own order (_pair_sum), without forming the product.  A
-residue is 0 when z^-1 lies below the leading power and refused
-(DomainError) when it lies past the retained coefficients.  The rule
-of addition is written once, on bare coefficient arrays (_aligned), so
-a caller can apply it without forming intermediate series: bryant
-aligns a frame's columns by it, and the frame checks and the flux
-residues read those columns' arrays and differentiate them term by
-term with the factors (offset + k) of differentiate.  A product series
-is np.convolve's full product, truncated; the frame checks form only
-the leading coefficients of each product that they keep
-(bryant._identity_terms), which agree with the product series' within
-round-off, not bitwise.  _integer is the one
-test that an offset, or a gap between two, is an integer.
+arbitrary angles as its reference.  A series has no arithmetic: the
+package combines bare coefficient arrays.  The rule of series addition
+is written once, on those arrays (_aligned): bryant aligns a frame's
+columns by it, and the frame checks and the flux residues read those
+columns' arrays and differentiate them term by term with the factors
+(offset + k) of differentiate.  _residue_index gives the index of z^-1
+at an integer offset to flux.flux_triple, the package's one residue
+reader.  Sums, products and the residues of formed series are the
+tests' oracle, which those readings are compared with.  _integer is
+the one test that an offset, or a gap between two, is an integer.
 """
 
 from __future__ import annotations
@@ -118,32 +113,6 @@ class GeneralizedSeries:
     def constant(cls, value, order: int = 0) -> "GeneralizedSeries":
         return cls.monomial(0.0, value, order)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        # 0.0 + turns a -0.0 sum into +0.0, as a sum into zeros does.
-        offset, (x, y) = _aligned(self.offset, self.coeffs, other.offset,
-                                  other.coeffs, "series addition")
-        return GeneralizedSeries(offset, 0.0 + x + y)
-
-    def __neg__(self) -> "GeneralizedSeries":
-        return GeneralizedSeries(self.offset, -self.coeffs)
-
-    def __sub__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        """The product, truncated at the shorter operand's order: the
-        leading coefficients of np.convolve's full product, so that
-        residue(a * b) is bitwise product_residue(a, b)."""
-        if isinstance(other, (int, float, complex)):
-            return GeneralizedSeries(self.offset, self.coeffs * other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return GeneralizedSeries(self.offset + other.offset,
-                                 np.convolve(self.coeffs, other.coeffs)[:n])
-
-    __rmul__ = __mul__
-
 
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
     """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1), the factors
@@ -158,51 +127,6 @@ def _residue_index(offset: float) -> int:
     integer; it may lie outside the coefficients."""
     return -1 - _integer(offset, "residue undefined for non-integer "
                          "offset %g", offset)
-
-
-def residue(a: GeneralizedSeries) -> complex:
-    """Coefficient of z^-1; defined only for integer offsets.  It is 0
-    when z^-1 lies below the leading power, and DomainError when it lies
-    past the retained coefficients, where it is unknown."""
-    idx = _residue_index(a.offset)
-    if idx < 0:
-        return 0j
-    _check_retained(idx, len(a.coeffs))
-    return complex(a.coeffs[idx])
-
-
-def _check_retained(idx: int, *lengths: int):
-    """DomainError when the z^-1 index ``idx`` lies past the retained
-    coefficients of an operand of one of the ``lengths``."""
-    if idx >= min(lengths):
-        raise DomainError("the series is truncated before its residue: z^-1 "
-                          "is at index %d of %s coefficients"
-                          % (idx, " and ".join(map(str, lengths))))
-
-
-def _pair_sum(x: np.ndarray, y: np.ndarray, nx: int, ny: int) -> complex:
-    """sum_j x_j y_(idx-j) over the idx + 1 leading coefficients x and y
-    of two operands of nx and ny coefficients, in np.convolve's order:
-    the longer operand first, which is y when ny > nx.  + 0j clears a
-    negative zero, as the product's zero-started sums do, so the value is
-    bitwise the z^-1 coefficient of the formed product."""
-    if ny > nx:
-        x, y = y, x
-    return complex(np.dot(x, y[::-1]) + 0j)
-
-
-def product_residue(a: GeneralizedSeries, b: GeneralizedSeries) -> complex:
-    """residue(a * b) from the idx + 1 coefficient pairs it needs, without
-    forming the product; idx = -1 - (a.offset + b.offset).  The value is
-    bitwise that of residue(a * b) (_pair_sum): 0 when idx < 0, and
-    DomainError when idx lies past the shorter operand, where the
-    product is truncated."""
-    x, y = a.coeffs, b.coeffs
-    idx = _residue_index(a.offset + b.offset)
-    if idx < 0:
-        return 0j
-    _check_retained(idx, len(x), len(y))
-    return _pair_sum(x[:idx + 1], y[:idx + 1], len(x), len(y))
 
 
 @dataclass(frozen=True)

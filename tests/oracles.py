@@ -1,6 +1,16 @@
 """Reference implementations that the tests compare the package against,
 and the helpers that only tests use.
 
+Series algebra: the package's series have no arithmetic, so the sums
+and products that the tests form are here, as functions of series (an
+offset and a coefficient array): add, by the package's one alignment
+rule (series._aligned), neg, sub, and mul, np.convolve's full product
+truncated at the shorter operand, or a series times a number.  residue
+reads z^-1 of a formed series, and product_residue reads it from the
+pairs of two operands without forming their product, bitwise the
+formed product's, the summation order flux.flux_triple keeps.  These
+are the second residue route, which only the tests run.
+
 Series: eval_at sums by Horner's rule at arbitrary angles, on the
 continuous branch z^lambda = rho^lambda e^(i lambda tau) (tau taken from
 0 up, never reduced mod 2 pi) with the branch factor e^(i lambda tau)
@@ -9,7 +19,7 @@ whose rows lack that factor, and for points off the roots of unity.
 normalized moves leading zero coefficients into the offset; series_div
 and series_isclose are the quotient and the comparison up to an integer
 offset shift; series_sum adds two series by index arithmetic, the
-reference for series addition.
+reference for add.
 
 Frames: one_forms forms the three single-valued one-forms in full, the
 reference for flux.flux_triple, which reads their residues without
@@ -60,10 +70,71 @@ from bryantflux.errors import ConsistencyError, DomainError
 from bryantflux.geometry import Geodesic, IsometrySL2, is_inf
 from bryantflux.killing import TRANSLATION, KillingField
 from bryantflux.series import (_OFFSET_TOL, GeneralizedSeries, QuadratureGrid,
-                               differentiate, eval_branch, residue)
+                               _aligned, _residue_index, differentiate,
+                               eval_branch)
 
 
 # -- series -----------------------------------------------------------------
+
+def add(x: GeneralizedSeries, y: GeneralizedSeries) -> GeneralizedSeries:
+    """x + y by the rule of series addition (series._aligned); 0.0 +
+    turns a -0.0 sum into +0.0, as a sum into zeros does."""
+    offset, (a, b) = _aligned(x.offset, x.coeffs, y.offset, y.coeffs,
+                              "series addition")
+    return GeneralizedSeries(offset, 0.0 + a + b)
+
+
+def neg(x: GeneralizedSeries) -> GeneralizedSeries:
+    return GeneralizedSeries(x.offset, -x.coeffs)
+
+
+def sub(x: GeneralizedSeries, y: GeneralizedSeries) -> GeneralizedSeries:
+    return add(x, neg(y))
+
+
+def mul(x: GeneralizedSeries, y) -> GeneralizedSeries:
+    """x times a number, or the product of two series truncated at the
+    shorter operand's order: the leading coefficients of np.convolve's
+    full product, so that residue(mul(a, b)) is bitwise
+    product_residue(a, b)."""
+    if isinstance(y, (int, float, complex)):
+        return GeneralizedSeries(x.offset, x.coeffs * y)
+    n = min(len(x.coeffs), len(y.coeffs))
+    return GeneralizedSeries(x.offset + y.offset,
+                             np.convolve(x.coeffs, y.coeffs)[:n])
+
+
+def _residue_at(offset: float, *lengths: int) -> int:
+    """The index of z^-1 at an integer ``offset`` (series._residue_index),
+    negative below the leading power; DomainError when it lies past the
+    retained coefficients of an operand of one of the ``lengths``."""
+    idx = _residue_index(offset)
+    if idx >= min(lengths):
+        raise DomainError("the series is truncated before its residue: z^-1 "
+                          "is at index %d of %s coefficients"
+                          % (idx, " and ".join(map(str, lengths))))
+    return idx
+
+
+def residue(a: GeneralizedSeries) -> complex:
+    """Coefficient of z^-1, the residue of a formed series: 0 when z^-1
+    lies below the leading power, refused past the retained
+    coefficients (_residue_at)."""
+    idx = _residue_at(a.offset, len(a.coeffs))
+    return complex(a.coeffs[idx]) if idx >= 0 else 0j
+
+
+def product_residue(a: GeneralizedSeries, b: GeneralizedSeries) -> complex:
+    """residue(mul(a, b)) from the idx + 1 coefficient pairs that reach
+    z^-1, without forming the product: one np.dot in np.convolve's order,
+    the longer operand ascending (a on a tie, sorted being stable), where
+    + 0j clears a negative zero as the product's zero-started sums do, so
+    the value is bitwise the formed product's residue, its refusals
+    included."""
+    idx = _residue_at(a.offset + b.offset, len(a.coeffs), len(b.coeffs))
+    x, y = sorted((a.coeffs, b.coeffs), key=len, reverse=True)
+    return complex(np.dot(x[:idx + 1], y[idx::-1]) + 0j) if idx >= 0 else 0j
+
 
 def eval_at(a: GeneralizedSeries, rho: float, taus: np.ndarray) -> np.ndarray:
     """Evaluate on |z| = rho at angles tau, continuous branch from tau=0."""
@@ -240,7 +311,11 @@ def one_forms(frame: BryantFrame):
     in full."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
-    return (B * dA - A * dB, C * dB - D * dA, D * dC - C * dD)
+
+    def form(x, dy, y, dx):
+        return sub(mul(x, dy), mul(y, dx))
+
+    return form(B, dA, A, dB), form(C, dB, D, dA), form(D, dC, C, dD)
 
 
 def matrix_of_forms(frame: BryantFrame):
@@ -249,8 +324,8 @@ def matrix_of_forms(frame: BryantFrame):
     Rossman-Umehara-Yamada flux matrix, computed without the triple."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
-    return [residue(-(dA * D - dB * C)), residue(-(dB * A - dA * B)),
-            residue(-(dC * D - dD * C)), residue(-(dD * A - dC * B))]
+    return [residue(neg(sub(mul(x, y), mul(u, v)))) for x, y, u, v in
+            ((dA, D, dB, C), (dB, A, dA, B), (dC, D, dD, C), (dD, A, dC, B))]
 
 
 def identity_windows(columns, omega: Optional[GeneralizedSeries] = None,
@@ -323,7 +398,7 @@ def derived_forms(frame: BryantFrame,
         raise DomainError("Gauss map undefined: dA vanishes identically")
     gauss = series_div(differentiate(C), dA)
     fb, fm, fd = one_forms(frame)
-    omega_sharp = -fd
+    omega_sharp = neg(fd)
     if weier is not None:
         mu, nu = weier.mu, weier.nu
         if weier.f is None:
@@ -331,10 +406,10 @@ def derived_forms(frame: BryantFrame,
             hopf = GeneralizedSeries(nu + mu - 1.0, mu * weier.h.coeffs)
         else:
             dg = differentiate(GeneralizedSeries(mu, weier.f.coeffs))
-            hopf = GeneralizedSeries(nu, weier.h.coeffs) * dg
+            hopf = mul(GeneralizedSeries(nu, weier.h.coeffs), dg)
     else:
         # omega dg = omega_sharp dG / G^2 = -(B dA - A dB) dG
-        hopf = -(fb * differentiate(gauss))
+        hopf = neg(mul(fb, differentiate(gauss)))
     return SimpleNamespace(gauss=gauss, hopf=hopf, omega_sharp=omega_sharp,
                            form_b=fb, form_m=fm, form_d=fd)
 
@@ -359,9 +434,9 @@ def ode_residual(sol: GeneralizedSeries, s: float, m: float, mu: float,
     xp = differentiate(sol)
     xpp = differentiate(xp)
     term_s = GeneralizedSeries(xp.offset - 1.0, s * xp.coeffs)
-    term_p = series_div(differentiate(h), h) * xp
-    term_c = mu * (GeneralizedSeries(float(m), h.coeffs) * sol)
-    r = xpp - term_s - term_p - term_c
+    term_p = mul(series_div(differentiate(h), h), xp)
+    term_c = mul(mul(GeneralizedSeries(float(m), h.coeffs), sol), mu)
+    r = sub(sub(sub(xpp, term_s), term_p), term_c)
     # The top two coefficients lie beyond the recurrence window.
     return float(np.max(np.abs(r.coeffs[:-2] if r.order >= 2 else r.coeffs)))
 

@@ -9,14 +9,15 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         canonical_horospherical_frame,
                         catenoid_cousin_frame,
                         frame_from_json, frame_to_json, horosphere_frame,
-                        residue, transform_frame)
+                        transform_frame)
 from bryantflux.flux import circle_samples
 from bryantflux.series import differentiate
 
 from conftest import frame_defects, make_h
-from oracles import (WeierstrassData, apply_isometry, derived_forms,
-                     eval_at, immersion, immersion_samples, normalized,
-                     one_forms, series_div, series_isclose)
+from oracles import (WeierstrassData, add, apply_isometry, derived_forms,
+                     eval_at, immersion, immersion_samples, mul, neg,
+                     normalized, one_forms, residue, series_div,
+                     series_isclose)
 
 
 def horo_frame_mu2():
@@ -35,8 +36,8 @@ class TestFrameChecks:
 
     def test_perturbed_entry_detected(self):
         frame = catenoid_cousin_frame(0.5)
-        bad_b = frame.B + GeneralizedSeries(
-            frame.B.offset + 1.0, [0.01] + [0.0] * (frame.B.order - 1))
+        bad_b = add(frame.B, GeneralizedSeries(
+            frame.B.offset + 1.0, [0.01] + [0.0] * (frame.B.order - 1)))
         bad = BryantFrame(frame.A, bad_b, frame.C, frame.D,
                           validity_radius=frame.validity_radius)
         det, _ = frame_defects(bad)[:2]
@@ -126,10 +127,10 @@ class TestDerivedForms:
     def test_omega_sharp_identities(self, perturbed_frame):
         forms = derived_forms(perturbed_frame)
         # B dA - A dB = -omega_sharp / G^2
-        lhs = forms.form_b * forms.gauss * forms.gauss
-        assert series_isclose(lhs, -forms.omega_sharp, tol=1e-8)
+        lhs = mul(mul(forms.form_b, forms.gauss), forms.gauss)
+        assert series_isclose(lhs, neg(forms.omega_sharp), tol=1e-8)
         # C dB - D dA = omega_sharp / G
-        mid = forms.form_m * forms.gauss
+        mid = mul(forms.form_m, forms.gauss)
         assert series_isclose(mid, forms.omega_sharp, tol=1e-8)
 
     def test_hopf_two_routes_agree(self, perturbed_frame):

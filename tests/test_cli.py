@@ -197,6 +197,7 @@ class TestFlux:
                                    "--geodesic", "0,inf"])
         assert out["phi1"][0] == pytest.approx(-0.75 * math.pi)
         assert out["phi2"][0] == pytest.approx(0.0)
+        assert 0.0 < out["residue_bound"] < 1e-14
 
 
 class TestVerify:
@@ -252,6 +253,9 @@ class TestVerify:
         assert out["geodesics"] == 20
         assert out["max_defect"] < 1e-13
         assert 0.0 < out["roundoff_bound"] < 1e-13
+        assert 0.0 < out["residue_bound"] < 1e-14
+        # the triple's scale is 3 pi / 4 > 1, so relative is below absolute
+        assert out["triple_defect_relative"] < out["triple_defect"] < 1e-13
 
     def test_readme_horospherical_example(self, tmp_path, capsys):
         path = tmp_path / "horospherical.json"
@@ -500,6 +504,9 @@ class TestErrors:
         (CATENOID_SPEC, ["flux", "--frame", os.devnull], "DomainError"),
         (None, ["flux", "--geodesic", "0,inf"], "DomainError"),
         (RESIDUE_OVERFLOW_SPEC, ["flux"], "DomainError"),
+        # phi1's residue sums cancel: bound 3.1e5 on a triple of scale pi
+        (dict(CATENOID_SPEC, mu=1e-20), ["flux"], "DomainError"),
+        (dict(CATENOID_SPEC, mu=1e-20), ["verify"], "DomainError"),
         (None, ["balance", "two", "--mu", "0.5", "--axis", "0", "--b2", "0"],
          "DomainError"),
         (None, ["balance", "three", "--sigma", "nan,1,1"], "DomainError"),
@@ -540,7 +547,8 @@ class TestErrors:
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "h0-squared-overflow", "h0-frame-overflow",
             "mu-h-overflow", "mu-zero", "mu-negative-zero", "end-and-frame",
-            "no-end-or-frame", "residue-overflow", "balance-axis-one-point",
+            "no-end-or-frame", "residue-overflow", "residue-bound-flux",
+            "residue-bound-verify", "balance-axis-one-point",
             "balance-sigma-nan", "balance-boundaries-far", "balance-mu-inf",
             "verify-rho-overflow-samples",
             "verify-rho-overflow-power", "verify-flux-overflow",

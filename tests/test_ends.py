@@ -25,9 +25,10 @@ from bryantflux.series import differentiate
 
 from conftest import (frame_defects, make_h, pass_windows,
                       translated_catenoidal_frame)
-from oracles import (WeierstrassData, classify_end, eval_at, frobenius_mp,
-                     identity_windows, normalized, ode_residual,
-                     placed_by_entries, radius_estimate, series_isclose)
+from oracles import (WeierstrassData, add, classify_end, eval_at,
+                     frobenius_mp, identity_windows, mul, normalized,
+                     ode_residual, placed_by_entries, radius_estimate,
+                     series_isclose, sub)
 
 
 def integrate_ode(sol, s, m, mu, h, rho0, rho1):
@@ -166,7 +167,7 @@ class TestFrobenius:
         lo, hi = prob.indicial_roots
         gap = round(hi - lo)
         assert small.coeffs[gap] == 0.0
-        sol = small + 2.5 * big
+        sol = add(small, mul(big, 2.5))
         assert sol.offset == small.offset and sol.order == small.order
         assert sol.coeffs[gap] == pytest.approx(2.5)
         assert ode_residual(sol, -1.0 - mu, -2, mu, h) < 1e-9
@@ -204,7 +205,8 @@ class TestFrobenius:
         assert small.coeffs[1] == 0.0
         assert ode_residual(small, s, s + mu - 1.0, mu, h) < 1e-12
         assert ode_residual(big, s, s + mu - 1.0, mu, h) < 1e-12
-        bad = h + GeneralizedSeries.monomial(1.0, 0.3, h.order - 1)  # h'(0)
+        # an h'(0) term
+        bad = add(h, GeneralizedSeries.monomial(1.0, 0.3, h.order - 1))
         with pytest.raises(LogTermRequiredError):
             frobenius_solve(FrobeniusProblem(s=s, mu=mu, h=bad))
 
@@ -459,10 +461,10 @@ class TestCanonicalCatenoidal:
         # g^2 omega = B dD - D dB reproduces z^(mu-1) h
         mu = 0.5
         h = make_h(mu, (0.0, 0.05))
-        lhs = (perturbed_frame.B * differentiate(perturbed_frame.D)
-               - perturbed_frame.D * differentiate(perturbed_frame.B))
+        lhs = sub(mul(perturbed_frame.B, differentiate(perturbed_frame.D)),
+                  mul(perturbed_frame.D, differentiate(perturbed_frame.B)))
         target = GeneralizedSeries(mu - 1.0, h.coeffs)
-        diff = lhs - target
+        diff = sub(lhs, target)
         assert np.max(np.abs(diff.coeffs[:-2])) < 1e-8
 
 
@@ -742,9 +744,9 @@ class TestBuildEnd:
             kappa = (2.0 * h0) ** 2 if mu == 2 else 0.0
             ref = horospherical_polynomial(kappa, desc.boundary)
         h = ends._perturbed_h(h0, spec["h_perturbation"], frame.A.order)
-        omega = (frame.A * differentiate(frame.C)
-                 - frame.C * differentiate(frame.A)
-                 - GeneralizedSeries(nu, h.coeffs))
+        omega = sub(sub(mul(frame.A, differentiate(frame.C)),
+                        mul(frame.C, differentiate(frame.A))),
+                    GeneralizedSeries(nu, h.coeffs))
         assert np.max(np.abs(omega.coeffs[:-1])) <= 1e-12
         got = FluxPolynomial.from_triple(flux_triple(frame))
         for a, b in ((got.quad, ref.quad), (got.lin, ref.lin),
@@ -812,11 +814,12 @@ def series_windows(frame, omega):
     identity pass keeps."""
     A, B, C, D = frame.entries()
     dA, dB, dC, dD = map(differentiate, frame.entries())
-    det = A * D - B * C
-    residuals = [det - GeneralizedSeries.constant(
-        1.0, order=det.order + abs(round(det.offset))), dA * dD - dB * dC]
+    det = sub(mul(A, D), mul(B, C))
+    residuals = [sub(det, GeneralizedSeries.constant(
+        1.0, order=det.order + abs(round(det.offset)))),
+        sub(mul(dA, dD), mul(dB, dC))]
     if omega is not None:
-        residuals.append(A * dC - C * dA - omega)
+        residuals.append(sub(sub(mul(A, dC), mul(C, dA)), omega))
     return [r.coeffs[:max(r.order, 1)] for r in residuals]
 
 

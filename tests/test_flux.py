@@ -14,7 +14,7 @@ from bryantflux import (BryantFrame, DomainError,
                         flux_for_geodesic, flux_triple,
                         horosphere_frame, horospherical_closed_form,
                         horospherical_polynomial, mobius_boundary,
-                        residue, transform_frame)
+                        transform_frame)
 from bryantflux.flux import flux_result_json
 from bryantflux.killing import KillingField, field_polynomial
 from bryantflux.series import differentiate
@@ -22,8 +22,9 @@ from bryantflux.series import differentiate
 from conftest import (make_h, random_geodesic,
                       translated_catenoidal_frame)
 from oracles import (derived_forms, eval_at, immersion_derivatives,
-                     matrix_of_forms, one_forms, per_field_flux,
-                     potential_samples, series_div, vector_samples)
+                     matrix_of_forms, mul, one_forms, per_field_flux,
+                     potential_samples, residue, series_div, sub,
+                     vector_samples)
 
 PI = math.pi
 
@@ -223,29 +224,50 @@ class TestResidueRoute:
             assert all(map(np.isfinite, (t.phi0, t.phi1, t.phi2)))
 
     def test_no_series_products(self, monkeypatch):
+        """flux_triple forms no series at all, so no product or
+        derivative series either."""
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[1], order=128)
         calls = []
-        mul = GeneralizedSeries.__mul__
+        post_init = GeneralizedSeries.__post_init__
 
-        def counted(self, other):
+        def counted(self):
             calls.append(1)
-            return mul(self, other)
+            post_init(self)
 
-        monkeypatch.setattr(GeneralizedSeries, "__mul__", counted)
+        monkeypatch.setattr(GeneralizedSeries, "__post_init__", counted)
         flux_triple(frame)
         assert calls == []
 
+    @pytest.mark.parametrize("axis", [[0.0, "inf"], [[0.3, 0.1], [-0.5, 0.2]]],
+                             ids=["standard", "finite"])
+    def test_residue_bound_covers_the_error_at_small_mu(self, axis):
+        """One mu per decade from 1e-16 to 0.1: the triple's error
+        against the closed-form polynomial is within its residue bound,
+        also where phi1's two sums of about 1/(8 mu) cancel; the bound
+        stays below 1e-6 of the triple's scale from 1e-8 up."""
+        for mu in 10.0 ** np.arange(-16, 0):
+            frame, end = build_end({"type": "catenoidal", "mu": mu,
+                                    "axis": axis})
+            t = flux_triple(frame)
+            ref = catenoidal_polynomial(1.0 - mu * mu, end.axis_from,
+                                        end.boundary)
+            assert max(abs(t.phi2 - ref.quad), abs(t.phi1 - ref.lin / 2.0),
+                       abs(t.phi0 - ref.const)) <= t.residue_bound
+            if mu >= 1e-8:
+                assert t.residue_bound < 1e-6 * max(
+                    1.0, abs(t.phi0), abs(t.phi1), abs(t.phi2))
+
     def test_overflowing_residue_raises(self):
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[0])
-        huge = BryantFrame(frame.A, frame.B, 1e300 * frame.C, 1e300 * frame.D,
-                           frame.validity_radius)
+        huge = BryantFrame(frame.A, frame.B, mul(frame.C, 1e300),
+                           mul(frame.D, 1e300), frame.validity_radius)
         with pytest.raises(DomainError, match="overflow"):
             flux_triple(huge)
 
     def test_overflowing_matrix_residue_raises(self):
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[0], order=32)
-        huge = BryantFrame(frame.A, frame.B, 1e300 * frame.C, 1e300 * frame.D,
-                           frame.validity_radius)
+        huge = BryantFrame(frame.A, frame.B, mul(frame.C, 1e300),
+                           mul(frame.D, 1e300), frame.validity_radius)
         with pytest.raises(DomainError, match="overflow"):
             FluxMatrix.from_triple(flux_triple(huge))
 
@@ -475,8 +497,9 @@ class TestPolynomialRemarkIdentity:
         one = GeneralizedSeries.constant(1.0, order=forms.gauss.order + 4)
         inv_g = series_div(one, forms.gauss)
         for x in (0.7, -0.4 + 0.9j, 2.3):
-            diff = one - x * inv_g
-            rhs = -4.0 * PI * residue(forms.omega_sharp * diff * diff)
+            diff = sub(one, mul(inv_g, x))
+            rhs = -4.0 * PI * residue(mul(mul(forms.omega_sharp, diff),
+                                          diff))
             assert abs(poly(x) - rhs) < 1e-8 * max(1.0, abs(poly(x)))
 
     def test_reversed_variant_gives_reversed_polynomial(self):
@@ -489,8 +512,9 @@ class TestPolynomialRemarkIdentity:
         inv_g = series_div(one, forms.gauss)
         for x in (0.7, -0.4 + 0.9j, 2.3):
             xs = GeneralizedSeries.constant(x, order=inv_g.order + 2)
-            diff = xs - inv_g
-            rhs = -4.0 * PI * residue(forms.omega_sharp * diff * diff)
+            diff = sub(xs, inv_g)
+            rhs = -4.0 * PI * residue(mul(mul(forms.omega_sharp, diff),
+                                          diff))
             rev = t.phi0 * x * x + 2.0 * t.phi1 * x + t.phi2
             assert abs(rev - rhs) < 1e-8 * max(1.0, abs(rev))
 

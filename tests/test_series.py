@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from bryantflux import (BryantFrame, DomainError, GeneralizedSeries,
                         QuadratureGrid, differentiate, eval_branch,
-                        flux_triple, product_residue, residue)
+                        flux_triple)
 
-from oracles import (eval_at, normalized, radius_estimate, series_div,
-                     series_isclose, series_sum, trapezoid_residue)
+from oracles import (add, eval_at, mul, normalized, product_residue,
+                     radius_estimate, residue, series_div, series_isclose,
+                     series_sum, trapezoid_residue)
 
 
 def S(offset, coeffs):
@@ -24,16 +25,16 @@ COEFFS = st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1,
 
 class TestArithmetic:
     def test_product(self):
-        out = S(0.0, [1, 1]) * S(0.0, [1, -1])
+        out = mul(S(0.0, [1, 1]), S(0.0, [1, -1]))
         assert out.offset == 0.0
         assert np.allclose(out.coeffs, [1, 0])
 
     def test_product_with_enough_order(self):
-        out = S(0.0, [1, 1, 0]) * S(0.0, [1, -1, 0])
+        out = mul(S(0.0, [1, 1, 0]), S(0.0, [1, -1, 0]))
         assert np.allclose(out.coeffs, [1, 0, -1])
 
     def test_offsets_cancel_in_product(self):
-        out = S(0.5, [1.0]) * S(-0.5, [1.0])
+        out = mul(S(0.5, [1.0]), S(-0.5, [1.0]))
         assert out.offset == 0.0
         assert np.allclose(out.coeffs, [1.0])
 
@@ -45,7 +46,7 @@ class TestArithmetic:
         a = S(0.5, [2.0, -1.0, 0.5, 0.25])
         b = S(-1.0, [1.0, 3.0, -2.0, 1.0])
         q = series_div(a, b)
-        assert series_isclose(q * b, a, tol=1e-12)
+        assert series_isclose(mul(q, b), a, tol=1e-12)
 
     def test_division_by_zero_series_rejected(self):
         with pytest.raises(DomainError):
@@ -53,11 +54,11 @@ class TestArithmetic:
 
     def test_addition_needs_integer_offset_gap(self):
         with pytest.raises(DomainError):
-            S(0.5, [1.0]) + S(0.0, [1.0])
+            add(S(0.5, [1.0]), S(0.0, [1.0]))
 
     def test_addition_refusal_names_series_addition(self):
         with pytest.raises(DomainError, match="series addition"):
-            S(0.0, [1.0, 2.0]) + S(1.3, [1.0])
+            add(S(0.0, [1.0, 2.0]), S(1.3, [1.0]))
 
     @given(st.sampled_from([0.0, 0.25, -1.5]), st.integers(-5, 5),
            COEFFS, COEFFS)
@@ -66,17 +67,17 @@ class TestArithmetic:
     @example(0.25, 3, [1.0, 2.0, 3.0], [-0.0j, 1.0])   # gap at its length
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_addition_is_the_index_sum(self, base, gap, xs, ys):
-        """x + y, in either order, bytewise series_sum(x, y): the lower
+        """add(x, y), in either order, bytewise series_sum(x, y): the lower
         operand from the lower offset, the other from its shift on, up to
         the lower absolute top."""
         x, y = S(base, xs), S(base + gap, ys)
         for u, v in ((x, y), (y, x)):
-            got, want = u + v, series_sum(u, v)
+            got, want = add(u, v), series_sum(u, v)
             assert got.offset == want.offset == min(u.offset, v.offset)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     @pytest.mark.parametrize("run", [
-        lambda: S(1e308, [1.0]) + S(-1e308, [1.0]),
+        lambda: add(S(1e308, [1.0]), S(-1e308, [1.0])),
         lambda: product_residue(S(1e308, [1.0]), S(1e308, [1.0, 2.0])),
         lambda: flux_triple(BryantFrame(
             *(S(1e308, [1.0, 0.5]) for _ in range(4)), 1.0)),
@@ -86,7 +87,7 @@ class TestArithmetic:
             run()
 
     def test_addition_aligns_offsets(self):
-        out = S(-1.0, [1.0, 2.0, 3.0]) + S(0.0, [10.0, 20.0])
+        out = add(S(-1.0, [1.0, 2.0, 3.0]), S(0.0, [10.0, 20.0]))
         assert out.offset == -1.0
         assert np.allclose(out.coeffs, [1.0, 12.0, 23.0])
 
@@ -101,10 +102,10 @@ class TestArithmetic:
               rng.normal(size=6) + 1j * rng.normal(size=6))
         grid = QuadratureGrid(0.05, 32)
         # Rows lack their branch factors, and the factors of a and b
-        # multiply to that of a * b, so the rows compare directly.
-        lhs, a_vals, b_vals = eval_branch([a * b, a, b], grid.rho,
+        # multiply to that of their product, so the rows compare directly.
+        lhs, a_vals, b_vals = eval_branch([mul(a, b), a, b], grid.rho,
                                          grid.samples)
-        # a * b keeps the terms a_i b_j with i + j <= K = 5, so the defect
+        # mul(a, b) keeps the terms a_i b_j with i + j <= K = 5, so the defect
         # is at most the size of the others, sum |a_i| |b_j| rho^(o+i+j)
         # over i + j > K, plus round-off: 64 eps times the size of all
         # terms covers the 6-term convolution, the powers of rho and the
@@ -156,12 +157,12 @@ class TestResidue:
     def test_linearity(self):
         a = S(-2.0, [1.0, 2.0, 0.5])
         b = S(-1.0, [3.0, -1.0])
-        both = a + 2.0 * b
+        both = add(a, mul(b, 2.0))
         assert residue(both) == pytest.approx(residue(a) + 2.0 * residue(b))
 
 
 class TestProductResidue:
-    """product_residue(a, b) is bitwise residue(a * b)."""
+    """product_residue(a, b) is bitwise residue(mul(a, b))."""
 
     @pytest.mark.parametrize("offsets", [
         (-1.5, -0.5), (0.25, -3.25), (-3.0, 1.0), (-2.0, -2.0), (1.0, 0.0),
@@ -176,11 +177,11 @@ class TestProductResidue:
             if -1 - round(offsets[0] + offsets[1]) >= min(na, nb):
                 # z^-1 lies past the truncation: both refuse
                 for fn in (lambda: product_residue(a, b),
-                           lambda: residue(a * b)):
+                           lambda: residue(mul(a, b))):
                     with pytest.raises(DomainError, match="truncated"):
                         fn()
                 continue
-            got, want = product_residue(a, b), residue(a * b)
+            got, want = product_residue(a, b), residue(mul(a, b))
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_index_below_zero_gives_zero(self):
@@ -189,7 +190,7 @@ class TestProductResidue:
     def test_index_past_shorter_order_is_refused(self):
         # idx = 2 lies within a's order 3 but past b's order 1.
         a, b = S(-2.0, [1.0, 2.0, 3.0, 4.0]), S(-1.0, [5.0, 6.0])
-        for fn, lengths in ((lambda: residue(a * b), "2"),
+        for fn, lengths in ((lambda: residue(mul(a, b)), "2"),
                             (lambda: product_residue(a, b), "4 and 2"),
                             (lambda: product_residue(b, a), "2 and 4")):
             with pytest.raises(DomainError, match="index 2 of %s coeff"
@@ -286,6 +287,34 @@ class TestTrapezoidResidue:
 
 
 class TestStructure:
+    def test_public_names_and_no_series_arithmetic(self):
+        """The package exports no residue of a formed series, and a series
+        has no arithmetic: sums, products and their residues are the
+        tests' oracle (oracles.add, mul, residue, product_residue)."""
+        import bryantflux
+        assert bryantflux.__all__ == """
+            BalanceProblem BryantFrame Catenoidal ConcurrencyResult
+            ConsistencyError DEFAULT_ORDER DomainError EndDescriptor
+            EuclideanEndData ExtendedComplex FluxMatrix FluxPolynomial
+            FluxTriple FrobeniusProblem GeneralizedSeries Geodesic Horosphere
+            Horospherical INF IsometrySL2 KillingField LogTermRequiredError
+            QuadratureGrid ROTATION TRANSLATION UnbalanceableError balance
+            boundary_eq bryant build_end canonical_catenoidal_frame
+            canonical_horospherical_frame catenoid_cousin_frame
+            catenoidal_closed_form catenoidal_polynomial circle_samples
+            concurrency_check cross_ratio differentiate ends errors
+            euclidean_three_end_check eval_branch extract_axis flux
+            flux_for_geodesic flux_triple frame_from_json frame_to_json
+            frobenius_solve geometry horosphere_frame
+            horospherical_closed_form horospherical_polynomial is_inf killing
+            mobius_boundary polynomial_sum series standardizing_isometry
+            three_end_axes transform_frame two_end_solve""".split()
+        a, b = S(-1.0, [1.0, 2.0]), S(0.0, [3.0])
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+                   lambda: 2.0 * a, lambda: -a):
+            with pytest.raises(TypeError):
+                op()
+
     def test_offset_snapping(self):
         s = S(1.0 + 1e-12, [1.0])
         assert s.offset == 1.0
@@ -297,7 +326,7 @@ class TestStructure:
 
     def test_product_offset_overflow_rejected(self):
         with pytest.raises(DomainError, match="not finite"):
-            S(1e308, [1.0]) * S(1e308, [1.0])
+            mul(S(1e308, [1.0]), S(1e308, [1.0]))
 
     def test_normalized_shifts_leading_zeros(self):
         s = normalized(S(1.0, [0.0, 0.0, 2.0, 3.0]))

@@ -81,6 +81,18 @@ def test_one_row_per_module_and_a_total(tmp_path):
     assert rows == [("a", 2), ("b", 1), ("c", 0), ("total", 3)]
 
 
+def test_several_directories_and_a_grand_total(tmp_path):
+    for name, source in (("one", "x = 1\n"), ("two", "y = 2\nz = 3\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "mod.py").write_text(source)
+    out = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "one"),
+                          str(tmp_path / "two")], capture_output=True,
+                         text=True, check=True).stdout
+    assert [line.split() for line in out.splitlines()] == [
+        ["one/mod", "1"], ["one/total", "1"], ["two/mod", "2"],
+        ["two/total", "2"], ["total", "3"]]
+
+
 def same_outputs(parent, change):
     """(exit code, stdout) of same_outputs.py on two source trees."""
     out = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(parent),
@@ -145,11 +157,13 @@ def test_same_outputs_reports_a_changed_constant(four_pi_report):
 
 def test_same_outputs_counts_every_output_that_differs(four_pi_report):
     """After the first difference (three lines), one count per output
-    that differs anywhere: the copy's triples, and not its frames."""
+    that differs anywhere: the copy's triples and their residue bounds,
+    which 4 pi scales too, and not its frames."""
     code, out = four_pi_report
     assert code == 1
-    [tally] = out.splitlines()[3:]
-    assert re.fullmatch(r"flux_triple: [1-9]\d* of [1-9]\d* specs", tally)
+    for name, tally in zip(("flux_triple", "residue_bound"),
+                           out.splitlines()[3:], strict=True):
+        assert re.fullmatch(name + r": [1-9]\d* of [1-9]\d* specs", tally)
     assert "frame_to_json" not in out
 
 

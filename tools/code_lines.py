@@ -1,4 +1,5 @@
-"""Count the code lines of each module of ``src/bryantflux/``.
+"""Count the code lines of each module of ``src/bryantflux/`` or of
+other directories.
 
 A code line is a line that holds a token other than a comment or a
 docstring, where a docstring is the first string statement of a module,
@@ -7,9 +8,17 @@ count; a string token spanning several lines counts on each of them.
 
 Run from the repository root:
 
-    python tools/code_lines.py [package_dir]
+    python tools/code_lines.py [dir ...]
 
-It prints one row per module and the total.
+It prints one row per module of a directory (``src/bryantflux/`` when
+none is given) and the total.  Given several directories, as in
+
+    python tools/code_lines.py src/bryantflux tests
+
+it names each row ``<dir>/<module>``, ends each directory's rows with
+its ``<dir>/total`` and prints the total of all of them last, so a
+change that moves code from one directory to another shows whether
+anything shrank.
 """
 
 import ast
@@ -49,14 +58,23 @@ def code_lines(path: Path) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0] if argv else
-                Path(__file__).resolve().parent.parent / "src" / "bryantflux")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print("%-10s %6d" % (path.stem, n))
-    print("%-10s %6s" % ("total", format(total, ",")))
+    roots = [Path(a) for a in argv] or [
+        Path(__file__).resolve().parent.parent / "src" / "bryantflux"]
+    rows, grand = [], 0
+    for root in roots:
+        prefix = root.resolve().name + "/" if len(roots) > 1 else ""
+        total = 0
+        for path in sorted(root.glob("*.py")):
+            n = code_lines(path)
+            total += n
+            rows.append((prefix + path.stem, n))
+        if prefix:
+            rows.append((prefix + "total", total))
+        grand += total
+    rows.append(("total", grand))
+    width = max(10, *(len(name) for name, _ in rows))
+    for name, n in rows:
+        print("%-*s %6s" % (width, name, format(n, ",")))
     return 0
 
 

@@ -27,6 +27,8 @@ boundary point, at infinity and at one of modulus >= 2^52; orders 8, 32,
   moved by one fixed isometry (transform_frame);
 - the flux triple (flux_triple), and the axis (extract_axis) of a
   catenoidal end;
+- the triple's residue bound (FluxTriple.residue_bound), where both
+  trees' FluxTriple has one;
 - the quadrature's triple and round-off bounds (circle_samples) on 64
   nodes of one circle inside the validity radius;
 - the det, null and omega defects that the builds log at DEBUG.
@@ -172,8 +174,9 @@ def samples(pkg, frame):
     return _triple_bits(s.triple) + [_bits(b) for b in s.roundoff]
 
 
-def outputs(pkg, handler, spec, order):
-    """(name, value) pairs of everything compared for one spec."""
+def outputs(pkg, handler, spec, order, bound=False):
+    """(name, value) pairs of everything compared for one spec; with
+    ``bound``, the flux triple's residue bound too."""
     handler.args = []
     out = [("canonical frame", _attempt(canonical, pkg, spec, order))]
     built = _attempt(pkg.build_end, spec, order=order)
@@ -196,6 +199,9 @@ def outputs(pkg, handler, spec, order):
                 ("flux_triple", lambda: _triple_bits(pkg.flux_triple(frame))),
                 ("circle_samples", lambda: samples(pkg, frame))):
             out.append((name, _attempt(fn)))
+        if bound:
+            out.append(("residue_bound", _attempt(
+                lambda: _bits(pkg.flux_triple(frame).residue_bound))))
         if spec["type"] == "catenoidal":
             out.append(("extract_axis", _attempt(lambda: [
                 _point_bits(x) for x in pkg.extract_axis(frame)])))
@@ -225,11 +231,12 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         pkgs = [load(Path(src), name, Path(tmp)) for src, name in
                 zip(argv, ("bryantflux_parent", "bryantflux_change"))]
+        bound = all(hasattr(pkg.FluxTriple, "residue_bound") for pkg in pkgs)
         n, first = 0, None
         # For each output name: [specs where it differs, specs that have it]
         tally = {}
         for spec, order in specs():
-            got = [outputs(pkg, handler, spec, order) for pkg in pkgs]
+            got = [outputs(pkg, handler, spec, order, bound) for pkg in pkgs]
             # Both lists start with the canonical frame and end with the
             # defects, and a refused build differs from a built one in the
             # name of its second output, so the first unequal pair exists

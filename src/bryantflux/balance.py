@@ -64,16 +64,12 @@ def two_end_solve(e1: Catenoidal, b2: ExtendedComplex) -> Catenoidal:
     """
     if boundary_eq(b2, e1.boundary):
         raise DomainError("second boundary must differ from the first")
-    if not _boundary_close(b2, e1.axis_from):
+    if not boundary_eq(b2, e1.axis_from, tol=_TOL):
         raise UnbalanceableError(
             "no catenoidal end with boundary %r balances an end with axis "
             "point %r: the polynomial roots cannot cancel"
             % (b2, e1.axis_from))
     return Catenoidal(e1.mu, e1.boundary, b2)
-
-
-def _boundary_close(z1: ExtendedComplex, z2: ExtendedComplex) -> bool:
-    return boundary_eq(z1, z2, tol=_TOL)
 
 
 # -- three catenoidal ends ---------------------------------------------------

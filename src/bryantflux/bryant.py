@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geometry import IsometrySL2, parse_complex, parse_real
-from .series import GeneralizedSeries, _aligned, _snap
+from .series import GeneralizedSeries, _aligned, _derivative_factors, _snap
 
 log = logging.getLogger("bryantflux")
 
@@ -158,16 +158,13 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     n1, n2 = len(a), len(b)
     n, m = max(n1, n2), min(n1, n2)
     # Rows A, C, B, D and then their derivatives, each after n - 1 zeros;
-    # a shorter column's rows end in zeros, which no window reads.  Each
-    # derivative row is its entry's times the factors (offset + k) of
-    # series.differentiate.
+    # a shorter column's rows end in zeros, which no window reads.
     block = np.zeros((8, 2 * n - 1), dtype=complex)
     pads = block[:, n - 1:]
     pads[0, :n1], pads[1, :n1], pads[2, :n2], pads[3, :n2] = a, c, b, d
     _check_finite("the frame", block[:4])
-    # The factors are complex, as float ones would be cast, at a cost.
-    np.multiply(np.arange(n, dtype=complex) + np.array(
-        (o1, o1, o2, o2), dtype=complex)[:, None], pads[:4], out=pads[4:])
+    np.multiply(_derivative_factors((o1, o1, o2, o2), n), pads[:4],
+                out=pads[4:])
     if scale:
         block = np.abs(block)
     d1 = _snap(o1 - 1.0)

@@ -186,13 +186,11 @@ def _cmd_balance_two(args):
 
 
 def _concurrency_json(res: ConcurrencyResult):
-    if res.kind == "interior":
-        return {"kind": "interior", "point": list(res.point)}
+    if res.kind in ("interior", "common-perpendicular"):
+        return {"kind": res.kind, "point": list(res.point)}
     if res.kind == "boundary":
         return {"kind": "boundary",
                 "point": "inf" if is_inf(res.point) else res.point}
-    if res.kind == "common-perpendicular":
-        return {"kind": "common-perpendicular", "point": list(res.point)}
     return {"kind": "not-concurrent"}
 
 

@@ -13,9 +13,10 @@ entry X and P = B + gA (or D + gC), gives A and C: its recurrence never
 divides by h, and P carries a constant at the horospherical lower root.
 FrobeniusProblem accepts only the two first columns that ends have,
 catenoidal (s = -1 - mu) and horospherical (s = -2, integer mu >= 2),
-and checks their data once.  On both the indicial roots differ by 1
-(catenoidal ones at mu > 1 are taken in closed form, where the
-discriminant cancels); the index of P's constant never
+and checks their data once.  On both the indicial roots differ by 1,
+and both are read from mu alone: (-1, 0) horospherical and
+((-1 - mu)/2, (1 - mu)/2) catenoidal, the roots of the column whose
+h(0) is exactly (1 - mu^2)/(4 mu).  The index of P's constant never
 reaches an order k >= 1, so that constant is set before the recurrence
 runs.  For admissible data the resonance obstruction at the gap
 vanishes and the lower-root solutions form the line lower + t * upper
@@ -27,11 +28,11 @@ constraints, not that the solver gave up.  The obstruction is logged at
 DEBUG whether or not it is refused.
 
 A catenoidal column whose h has a single term past h(0),
-h = h(0)(1 + p_n z^n), is a generalized hypergeometric series in z^n:
-its term ratio is rational in k (DLMF 16.2), so the solve is one
-cumulative product of those ratios, for both roots at once.  The branch
-is read from the data; horospherical columns and catenoidal ones with
-two or more terms run the recurrence term by term at each root.
+h = h(0)(1 + p_n z^n) with n >= 2, is a generalized hypergeometric
+series in z^n: its term ratio is rational in k (DLMF 16.2), so the solve
+is one cumulative product of those ratios, for both roots at once.  The
+branch is read from the data; every other column runs the recurrence
+term by term at each root.
 
 Every end is built at its standard position: the catenoidal axis
 (0, infinity), the horospherical boundary infinity.  An embedded end
@@ -143,10 +144,11 @@ class FrobeniusProblem:
     (|t| grows as 1/(4 mu) at small mu), and a horospherical one,
     s = -2 (d = mu - 1) with mu an integer >= 2 within 1e-9, stored as
     that integer.  Any other (s, mu) is a DomainError.  h is holomorphic
-    with h(0) != 0.  The solve reads h(0) only through the indicial
-    roots.  A mu whose two rounded roots are not 1 apart within 1e-9 is a
-    DomainError: every mu from about 2^53 on, and from about 2^23 a mu
-    just under a power of two, where 1 + mu rounds by more than that.
+    with h(0) != 0.  The indicial roots are read from mu alone
+    (indicial_roots).  A mu whose two rounded roots are not 1 apart
+    within 1e-9 is a DomainError: every mu from about 2^53 on, and from
+    about 2^23 a mu just under a power of two, where 1 + mu rounds by
+    more than that.
     """
 
     s: float
@@ -185,22 +187,13 @@ class FrobeniusProblem:
     @property
     def indicial_roots(self) -> Tuple[float, float]:
         """(sigma1, sigma2) with sigma2 = sigma1 + 1: (-1, 0) horospherical,
-        ((-1 - mu)/2, (1 - mu)/2) catenoidal.  For mu < 1 they are the
-        roots of the indicial equation of the double h(0), the h(0) that
-        also scales C; its discriminant mu^2 + 4 mu h(0) is then near 1.
-        For mu > 1 that discriminant cancels mu^2 against 1 - mu^2, and its
-        roots drift off their gap of 1 (valid data was refused from mu
-        about 1.6e5 on), so they are taken in closed form, each correctly
-        rounded: the column solved is the one whose h(0) is exactly
-        (1 - mu^2)/(4 mu)."""
+        ((-1 - mu)/2, (1 - mu)/2) catenoidal, each correctly rounded and
+        read from mu alone: the column solved is the one whose h(0) is
+        exactly (1 - mu^2)/(4 mu)."""
         mu = self.mu
         if self.d:
             return -1.0, 0.0
-        if mu > 1.0:
-            return (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0
-        b = 1.0 + self.s
-        disc = cmath.sqrt(b * b + 4.0 * (mu * complex(self.h.coeffs[0])))
-        return ((b - disc) / 2.0).real, ((b + disc) / 2.0).real
+        return (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0
 
 
 def _check_obstruction(prob: FrobeniusProblem, obstruction) -> None:
@@ -223,39 +216,36 @@ def _check_obstruction(prob: FrobeniusProblem, obstruction) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def _product_rows(prob: FrobeniusProblem, lo: float, hi: float,
                   hn) -> np.ndarray:
-    """X of a catenoidal column whose h has at most one term h_n past h_0,
-    at both roots, as the rows of one (2, K + 1) array; ``hn`` is as in
-    _solve_at_root.
+    """X of a catenoidal column whose h has no term past h_0 or one term
+    h_n, n >= 2, at both roots, as the rows of one (2, K + 1) array;
+    ``hn`` is as in _solve_at_root.
 
     The recurrence of _solve_at_root then couples only k and k - n:
     x_k = r_k x_(k-n) with r_k = mu h_n e_k / ((sigma + k - lo)
     (sigma + k - hi) e_(k-n)) and e_k = k - kc, a term ratio rational in
     k (the series is hypergeometric in z^n).  So the class k = 0 mod n is
     one cumulative product, taken for both roots at once, and every other
-    class is 0; each row is bitwise the product of its root alone.  At
-    the lower root x is 0 at the gap, k = 1, as in the loop: for n = 1 the
-    class stays 0 from there on and the obstruction there is h_1 p_0, for
-    n >= 2 the gap is off the class and the obstruction is 0.  Overflow
-    is left as inf or nan for the frame's finiteness check.
+    class is 0; each row is bitwise the product of its root alone.  The
+    gap, k = 1, is off the class, so x is 0 there at the lower root, as
+    in the loop, and the obstruction there is 0.  Overflow is left as inf
+    or nan for the frame's finiteness check.
     """
     K, mu = prob.order, prob.mu
     n, c = hn[0] if hn else (K + 1, 0j)
     x = np.zeros((2, K + 1), dtype=complex)
     x[:, 0] = 1.0
     if K >= 1:
-        _check_obstruction(prob, c * (mu * x[0, 0] / -(prob.s + 1.0 - lo))
-                           if n == 1 else 0.0)
-    r = 1 if n == 1 else 0  # at n = 1 the lower root's class stays 0
-    sigma = (lo, hi)[r:]
+        _check_obstruction(prob, 0.0)
+    sigma = (lo, hi)
     kc = [prob.s + 1.0 - y for y in sigma]
     # k - kc, k + (sigma - lo), k + (sigma - hi) and k - (n + kc) at each
-    # root of the product, as the row of k plus one column of shifts per
-    # factor and root (k - y is k + -y, bitwise).
+    # root, as the row of k plus one column of shifts per factor and root
+    # (k - y is k + -y, bitwise).
     t = np.arange(n, K + 1, n, dtype=float) + np.array((
         [-y for y in kc], [y - lo for y in sigma], [y - hi for y in sigma],
         [-(n + y) for y in kc]))[:, :, None]
     np.multiply.accumulate((mu * c) * (t[0] / (t[1] * t[2] * t[3])),
-                           axis=1, out=x[r:, n::n])
+                           axis=1, out=x[:, n::n])
     return x
 
 
@@ -314,18 +304,18 @@ def frobenius_solve(prob: FrobeniusProblem):
     coefficient there.  The obstruction at the gap is logged at DEBUG on
     the ``bryantflux`` logger.
 
-    A catenoidal column whose h has at most one nonzero coefficient h_n
-    past h(0) up to the order is solved as one cumulative product of term
-    ratios over k = 0 mod n, for both roots at once; every other column
-    runs the recurrence term by term at each root.  Both give the same
-    coefficients to round-off.  The two series' coefficients are the rows
-    of one (2, K + 1) array.
+    A catenoidal column whose h has no nonzero coefficient past h(0) up
+    to the order, or one h_n with n >= 2, is solved as one cumulative
+    product of term ratios over k = 0 mod n, for both roots at once; every
+    other column, a lone h_1 among them, runs the recurrence term by term
+    at each root.  Both give the same coefficients to round-off.  The two
+    series' coefficients are the rows of one (2, K + 1) array.
     """
     lo, hi = prob.indicial_roots
     h = prob.h.coeffs[:prob.order + 1]
     n = h.nonzero()[0][1:]  # h(0) != 0, which the problem checks
     hn = list(zip(n.tolist(), h[n].tolist()))
-    if prob.d == 0 and len(hn) <= 1:
+    if prob.d == 0 and len(hn) <= 1 and (not hn or hn[0][0] >= 2):
         x = _product_rows(prob, lo, hi, hn)
     else:
         x = np.array([_solve_at_root(prob, lo, hi, lo, 1, hn),

@@ -63,8 +63,8 @@ from .errors import DomainError
 from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
     cross_ratio
 from .killing import ROTATION, TRANSLATION, KillingField, field_polynomial
-from .series import (QuadratureGrid, _residue_index, _snap, differentiate,
-                     eval_branch)
+from .series import (QuadratureGrid, _derivative_factors, _residue_index,
+                     _snap, differentiate, eval_branch)
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,8 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     m = idx + 1
     block = np.empty((16, m), dtype=complex)
     block[0], block[1], block[2], block[3] = a[:m], c[:m], b[:m], d[:m]
-    # The factors (offset + k) of series.differentiate, complex, as float
-    # ones would be cast, at a cost.
-    np.multiply(np.arange(m, dtype=complex) + np.array(
-        (o1, o1, o2, o2), dtype=complex)[:, None], block[:4], out=block[4:8])
+    np.multiply(_derivative_factors((o1, o1, o2, o2), m), block[:4],
+                out=block[4:8])
     block[8:] = np.abs(block[:8])
     left, right = _SUM_ROWS[(n1 > n2) - (n1 < n2)]
     s = np.matmul(block[left, None],

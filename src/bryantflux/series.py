@@ -17,11 +17,12 @@ package combines bare coefficient arrays.  The rule of series addition
 is written once, on those arrays (_aligned): bryant aligns a frame's
 columns by it, and the frame checks and the flux residues read those
 columns' arrays and differentiate them term by term with the factors
-(offset + k) of differentiate.  _residue_index gives the index of z^-1
-at an integer offset to flux.flux_triple, the package's one residue
-reader.  Sums, products and the residues of formed series are the
-tests' oracle, which those readings are compared with.  _integer is
-the one test that an offset, or a gap between two, is an integer.
+(offset + k) that _derivative_factors forms, as differentiate does.
+_residue_index gives the index of z^-1 at an integer offset to
+flux.flux_triple, the package's one residue reader.  Sums, products and
+the residues of formed series are the tests' oracle, which those
+readings are compared with.  _integer is the one test that an offset,
+or a gap between two, is an integer.
 """
 
 from __future__ import annotations
@@ -109,17 +110,22 @@ class GeneralizedSeries:
         c[0] = value
         return cls(offset, c)
 
-    @classmethod
-    def constant(cls, value, order: int = 0) -> "GeneralizedSeries":
-        return cls.monomial(0.0, value, order)
+
+def _derivative_factors(offsets, n: int) -> np.ndarray:
+    """The factors (offset + k), k < n, of a term-wise derivative, one row
+    per offset, complex: a product with complex coefficients would cast
+    float factors, at a cost.  The one place that forms them, for
+    differentiate and for the frame checks and the flux residues on bare
+    arrays; a caller that must not warn checks its coefficients finite
+    before it multiplies."""
+    return np.arange(n, dtype=complex) + np.array(offsets,
+                                                  dtype=complex)[:, None]
 
 
 def differentiate(a: GeneralizedSeries) -> GeneralizedSeries:
-    """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1), the factors
-    (l + k) formed as l + np.arange, as the frame checks and the flux
-    residues form them on bare arrays."""
-    return GeneralizedSeries(a.offset - 1.0,
-                             (a.offset + np.arange(len(a.coeffs))) * a.coeffs)
+    """Term-wise d/dz: a_k z^(l+k) -> (l+k) a_k z^(l+k-1)."""
+    return GeneralizedSeries(a.offset - 1.0, _derivative_factors(
+        (a.offset,), len(a.coeffs))[0] * a.coeffs)
 
 
 def _residue_index(offset: float) -> int:

@@ -351,8 +351,8 @@ def identity_windows(columns, omega: Optional[GeneralizedSeries] = None,
     A, C, B, D = (GeneralizedSeries(o, x)
                   for o, x in ((o1, a), (o1, c), (o2, b), (o2, d)))
     dA, dC, dB, dD = map(differentiate, (A, C, B, D))
-    identities = [(A, D, B, C, GeneralizedSeries.constant(1.0)),
-                  (dA, dD, dB, dC, GeneralizedSeries.constant(0.0))]
+    identities = [(A, D, B, C, GeneralizedSeries.monomial(0.0, 1.0)),
+                  (dA, dD, dB, dC, GeneralizedSeries.monomial(0.0, 0.0))]
     if omega is not None:
         identities.append((A, dC, C, dA, omega))
     mod = np.abs if scale else np.asarray

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 import bryantflux.cli
 import bryantflux.flux
 import bryantflux.killing
-from bryantflux import (Geodesic, INF, build_end, circle_samples,
-                        flux_for_geodesic, flux_triple, frame_from_json,
-                        frame_to_json)
+from bryantflux import (ConcurrencyResult, Geodesic, INF, build_end,
+                        circle_samples, flux_for_geodesic, flux_triple,
+                        frame_from_json, frame_to_json)
 from bryantflux.cli import _to_ball, run
 
 import oracles
@@ -56,6 +56,10 @@ MESH_SPECS = {
                                "h_perturbation": [0.0, 0.5]},
     "horospherical-finite": dict(RESIDUE_OVERFLOW_SPEC, boundary=[0.3, 0.2]),
 }
+
+
+# The README catenoid's frame as `end build` writes it, parsed.
+README_FRAME = json.loads(frame_to_json(build_end(CATENOID_SPEC)[0]))
 
 
 def _doubled_a_frame(top=None):
@@ -245,7 +249,7 @@ class TestVerify:
         assert out["max_defect"] < 1e-7
 
     def test_readme_example(self, catenoid_json, capsys):
-        # README: "about 6e-15 for the catenoidal example above".
+        # README: "about 6e-18 for the catenoidal example above".
         code, out = run_json(capsys, ["verify", "--end", catenoid_json,
                                       "--rho", "0.1", "--samples", "1024",
                                       "--geodesics", "20"])
@@ -309,6 +313,28 @@ class TestBalance:
         assert code == 0
         assert out["axes"][1] != "inf"
         assert out["concurrency"]["kind"] == "common-perpendicular"
+
+    @pytest.mark.parametrize("res, want", [
+        (ConcurrencyResult("interior", (0.25, 0.5)),
+         {"kind": "interior", "point": [0.25, 0.5]}),
+        (ConcurrencyResult("boundary", -1.5),
+         {"kind": "boundary", "point": -1.5}),
+        (ConcurrencyResult("boundary", INF),
+         {"kind": "boundary", "point": "inf"}),
+        (ConcurrencyResult("common-perpendicular", (0.25, 1.5)),
+         {"kind": "common-perpendicular", "point": [0.25, 1.5]}),
+        (ConcurrencyResult("not-concurrent"), {"kind": "not-concurrent"}),
+    ], ids=["interior", "boundary", "boundary-inf", "common-perpendicular",
+            "not-concurrent"])
+    def test_three_end_concurrency_json(self, res, want, monkeypatch,
+                                        capsys):
+        # Each kind of concurrency result as `balance three` prints it.
+        monkeypatch.setattr(bryantflux.cli, "concurrency_check",
+                            lambda geodesics: res)
+        code, out = run_json(capsys, ["balance", "three",
+                                      "--sigma", "1,1,1"])
+        assert code == 0
+        assert out["concurrency"] == want
 
     def test_unbalanceable_two_end_errors(self, capsys):
         code = run(["balance", "two", "--mu", "0.5",
@@ -486,6 +512,12 @@ class TestErrors:
         (_doubled_a_frame(), ["flux", "--frame"], "ConsistencyError"),
         (_doubled_a_frame(top=1e12), ["flux", "--frame"],
          "ConsistencyError"),
+        (dict(README_FRAME, validity_radius=0), ["flux", "--frame"],
+         "DomainError"),
+        (dict(README_FRAME, validity_radius=-1), ["flux", "--frame"],
+         "DomainError"),
+        (dict(README_FRAME, A=dict(README_FRAME["A"], coeffs=[])),
+         ["flux", "--frame"], "DomainError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,nan"], "DomainError"),
         (CATENOID_SPEC, ["flux", "--geodesic", "0,1e400"], "DomainError"),
         (None, ["crossratio", "0", "1", "2", "nan"], "DomainError"),
@@ -542,7 +574,9 @@ class TestErrors:
         (CATENOID_SPEC, ["verify", "--samples", str(2 ** 40)],
          "MemoryError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
-            "frame-doubled-a", "frame-doubled-a-huge-top", "geodesic-nan", "geodesic-overflow",
+            "frame-doubled-a", "frame-doubled-a-huge-top",
+            "frame-radius-zero", "frame-radius-negative",
+            "frame-coeffs-empty", "geodesic-nan", "geodesic-overflow",
             "crossratio-nan", "mu-null", "mu-list", "order-negative",
             "order-flag-negative", "order-zero", "order-bool",
             "h0-int-overflow", "h0-squared-overflow", "h0-frame-overflow",
@@ -672,10 +706,6 @@ class TestSpecFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_nested_values_exit_0_or_2(self, tmp_path, capsys, spec):
         _assert_exit_0_or_2(tmp_path, capsys, spec)
-
-
-# The README catenoid's frame as `end build` writes it, parsed.
-README_FRAME = json.loads(frame_to_json(build_end(CATENOID_SPEC)[0]))
 
 
 @st.composite

@@ -485,6 +485,19 @@ class TestHorosphericalClosedForm:
         assert FluxPolynomial.from_triple(t).roots() == []
 
 
+@pytest.mark.parametrize("kind", ["dilation", "Translation"])
+@pytest.mark.parametrize("closed_form", [
+    lambda kind: catenoidal_closed_form(0.5, 0.0, INF, Geodesic(1.0, -1.0),
+                                        kind),
+    lambda kind: horospherical_closed_form(4.0, INF, Geodesic(1.0, -1.0),
+                                           kind),
+], ids=["catenoidal", "horospherical"])
+def test_closed_forms_refuse_other_kinds(closed_form, kind):
+    with pytest.raises(DomainError, match="kind must be 'translation' or "
+                                          "'rotation'"):
+        closed_form(kind)
+
+
 class TestPolynomialRemarkIdentity:
     def test_against_omega_sharp_residue(self):
         # Pi(X) = -4 pi Res(omega_sharp (1 - X/G)^2), checked at 3 points.
@@ -494,7 +507,8 @@ class TestPolynomialRemarkIdentity:
                                             0.3 + 0.2j)
         forms = derived_forms(frame)
         poly = FluxPolynomial.from_triple(flux_triple(frame))
-        one = GeneralizedSeries.constant(1.0, order=forms.gauss.order + 4)
+        one = GeneralizedSeries.monomial(0.0, 1.0,
+                                         order=forms.gauss.order + 4)
         inv_g = series_div(one, forms.gauss)
         for x in (0.7, -0.4 + 0.9j, 2.3):
             diff = sub(one, mul(inv_g, x))
@@ -508,10 +522,11 @@ class TestPolynomialRemarkIdentity:
                                             0.3 + 0.2j)
         forms = derived_forms(frame)
         t = flux_triple(frame)
-        one = GeneralizedSeries.constant(1.0, order=forms.gauss.order + 4)
+        one = GeneralizedSeries.monomial(0.0, 1.0,
+                                         order=forms.gauss.order + 4)
         inv_g = series_div(one, forms.gauss)
         for x in (0.7, -0.4 + 0.9j, 2.3):
-            xs = GeneralizedSeries.constant(x, order=inv_g.order + 2)
+            xs = GeneralizedSeries.monomial(0.0, x, order=inv_g.order + 2)
             diff = sub(xs, inv_g)
             rhs = -4.0 * PI * residue(mul(mul(forms.omega_sharp, diff),
                                           diff))

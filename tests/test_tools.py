@@ -103,7 +103,16 @@ def same_outputs(parent, change):
 def test_same_outputs_of_the_tree_and_itself():
     code, out = same_outputs(ROOT / "src", ROOT / "src")
     assert code == 0
-    assert out.endswith("specs: every output bitwise equal\n")
+    assert out == "712 specs: every output bitwise equal\n"
+
+
+def load_tool():
+    """same_outputs.py imported as a module."""
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  SAME_OUTPUTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_same_outputs_compares_the_descriptor():
@@ -111,10 +120,7 @@ def test_same_outputs_compares_the_descriptor():
     bits of its fields, a finite point in hex and infinity by its repr."""
     import bryantflux
 
-    spec = importlib.util.spec_from_file_location("same_outputs",
-                                                  SAME_OUTPUTS)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     handler = tool._Defects()
     horo = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
             "boundary": [2.0, 0.0], "h_perturbation": [[1.0, 0.0], 0.3]}
@@ -175,6 +181,28 @@ def test_same_outputs_reports_a_changed_quadrature(tmp_path):
     code, out = same_outputs(ROOT / "src", change)
     assert code == 1
     assert out.startswith("first difference: circle_samples of ")
+
+
+def test_same_outputs_grid_sees_the_root_formula(tmp_path, monkeypatch):
+    """The grid holds mu = 0.6, where the upper catenoidal root read from
+    the discriminant of the double h(0) is one ulp off (1 - mu)/2: a copy
+    that reads the roots so builds another standard frame there."""
+    import bryantflux
+
+    tool = load_tool()
+    spec = {"type": "catenoidal", "mu": 0.6, "axis": [[0.0, 0.0], "inf"],
+            "h_perturbation": [0.0, 0.01]}
+    assert (spec, 8) in tool.specs()
+    change = changed_copy(
+        tmp_path / "src", "ends", "return (-1.0 - mu) / 2.0, (1.0 - mu) / 2.0",
+        "b = 1.0 + self.s\n"
+        "        disc = cmath.sqrt(b * b + 4.0 * (mu * complex("
+        "self.h.coeffs[0])))\n"
+        "        return ((b - disc) / 2.0).real, ((b + disc) / 2.0).real")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    discriminant = tool.load(change, "bryantflux_discriminant", tmp_path)
+    assert tool.canonical(discriminant, spec, 8) \
+        != tool.canonical(bryantflux, spec, 8)
 
 
 def test_ab_builds_times_one_pass_of_each_tree():

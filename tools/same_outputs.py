@@ -11,11 +11,12 @@ the package imports its own modules by relative imports only, so neither
 copy sees the other.
 
 Every end spec of a fixed grid is built by both at several orders:
-catenoidal ends with a finite or an infinite axis point, with one and
-with two perturbation terms; horospherical ends with mu 2-4 at a finite
-boundary point, at infinity and at one of modulus >= 2^52; orders 8, 32,
-64 (the survey benchmark's middle order) and 128; perturbations 1e-2 to
-10.  For each spec it compares, bit for bit:
+catenoidal ends at five mu, one of them (0.6) a mu where a root formula
+that is off by one ulp moves the frame, with a finite or an infinite
+axis point, with one and with two perturbation terms; horospherical
+ends with mu 2-4 at a finite boundary point, at infinity and at one of
+modulus >= 2^52; orders 8, 32, 64 (the survey benchmark's middle order)
+and 128; perturbations 1e-2 to 10.  For each spec it compares, bit for bit:
 
 - the JSON of the standard frame of its mu and h, made by
   canonical_catenoidal_frame or canonical_horospherical_frame;
@@ -81,8 +82,9 @@ def specs():
     """The grid: (spec, order) pairs."""
     for order in ORDERS:
         for p in PERTURBATIONS:
-            # at mu = 1.3, -1 - mu rounds and 1 - mu does not
-            for mu in (0.35, 0.8, 1.3, 1.7):
+            # at mu = 1.3, -1 - mu rounds and 1 - mu does not; at mu = 0.6,
+            # a root off (1 - mu)/2 by one ulp moves every frame
+            for mu in (0.35, 0.6, 0.8, 1.3, 1.7):
                 for axis in CATENOIDAL_AXES:
                     for pert in ([0.0, p], [0.0, p, 0.5 * p]):
                         yield {"type": "catenoidal", "mu": mu, "axis": axis,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,12 +28,14 @@ from .geometry import INF, ExtendedComplex, Geodesic, _homogeneous, \
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class BalanceProblem:
-    ends: Tuple[EndDescriptor, ...]
+    """The ends of one configuration, as a tuple.  Problems compare and
+    hash by identity."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(self.ends))
+    __slots__ = ("ends",)
+
+    def __init__(self, ends: Sequence[EndDescriptor]):
+        self.ends = tuple(ends)
         if len(self.ends) < 2:
             raise DomainError("a balance problem needs at least two ends")
 
@@ -237,22 +239,20 @@ def concurrency_check(axes: Sequence[Geodesic]) -> ConcurrencyResult:
 
 # -- Euclidean minimal-surface analogue -------------------------------------
 
-@dataclass(frozen=True)
 class EuclideanEndData:
-    """Flux vector F and a point P on the axis of a Euclidean minimal end."""
+    """Flux vector F and a point P on the axis of a Euclidean minimal end.
+    End data compare and hash by identity."""
 
-    flux: np.ndarray
-    point: np.ndarray
+    __slots__ = ("flux", "point")
 
-    def __post_init__(self):
-        f = np.asarray(self.flux, dtype=float)
-        p = np.asarray(self.point, dtype=float)
+    def __init__(self, flux: np.ndarray, point: np.ndarray):
+        f = np.asarray(flux, dtype=float)
+        p = np.asarray(point, dtype=float)
         if f.shape != (3,) or p.shape != (3,):
             raise DomainError("flux and point must be 3-vectors")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(p))):
             raise DomainError("flux and point must be finite")
-        object.__setattr__(self, "flux", f)
-        object.__setattr__(self, "point", p)
+        self.flux, self.point = f, p
 
 
 def euclidean_three_end_check(e1: EuclideanEndData, e2: EuclideanEndData,

@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .balance import (_NORMALIZED, ConcurrencyResult, concurrency_check,
-                      three_end_axes, two_end_solve)
+from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
+                      two_end_solve)
 from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
@@ -196,10 +196,7 @@ def _concurrency_json(res: ConcurrencyResult):
 
 def _cmd_balance_three(args):
     sigmas = [parse_real(float(s)) for s in _split(args.sigma, 3, "--sigma")]
-    bs = _NORMALIZED
-    if args.boundaries:
-        bs = [_parse_point(b) for b in _split(args.boundaries, 3,
-                                              "--boundaries")]
+    bs = [_parse_point(b) for b in _split(args.boundaries, 3, "--boundaries")]
     axes = three_end_axes(*sigmas, boundaries=bs)
     geodesics = [Geodesic(a, b) for a, b in zip(axes, bs)]
     res = concurrency_check(geodesics)
@@ -323,7 +320,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_balance_two)
     p = sub_bal.add_parser("three", help="symmetric three-end axes")
     p.add_argument("--sigma", required=True, help="'s1,s2,s3'")
-    p.add_argument("--boundaries", help="'b1,b2,b3' (default -1,0,1)")
+    p.add_argument("--boundaries", default="-1,0,1",
+                   help="'b1,b2,b3' (default -1,0,1)")
     p.set_defaults(func=_cmd_balance_three)
 
     p = sub.add_parser("mesh", help="OBJ export of the immersed annulus")

@@ -132,7 +132,6 @@ EndDescriptor = Union[Catenoidal, Horospherical, Horosphere]
 
 # -- Frobenius machinery ----------------------------------------------------
 
-@dataclass(frozen=True)
 class FrobeniusProblem:
     """The first column X' = q P, P' = mu z^(mu-1) X, q = z^s h, of an
     end's frame, the system of the entry ODE X'' - (q'/q) X' -
@@ -148,34 +147,33 @@ class FrobeniusProblem:
     (indicial_roots).  A mu whose two rounded roots are not 1 apart
     within 1e-9 is a DomainError: every mu from about 2^53 on, and from
     about 2^23 a mu just under a power of two, where 1 + mu rounds by
-    more than that.
+    more than that.  Problems compare and hash by identity.
     """
 
-    s: float
-    mu: float
-    h: GeneralizedSeries
-    order: int = DEFAULT_ORDER
+    __slots__ = ("s", "mu", "h", "order")
 
-    def __post_init__(self):
-        mu = self.mu
-        if self.s == -1.0 - mu:
+    def __init__(self, s: float, mu: float, h: GeneralizedSeries,
+                 order: int = DEFAULT_ORDER):
+        if s == -1.0 - mu:
             _check_catenoidal_mu(mu)
-            h0 = complex(self.h.coeffs[0])
+            h0 = complex(h.coeffs[0])
             target = (1.0 - mu * mu) / (4.0 * mu)
             if abs(h0 - target) > 1e-10 * max(1.0, abs(target)):
                 raise DomainError("h(0) must equal (1-mu^2)/(4mu) = %g for a "
                                   "catenoidal end" % target)
-            lo, hi = self.indicial_roots
-            if abs(hi - lo - 1.0) > 1e-9:
-                raise DomainError("mu = %g rounds the indicial roots" % mu)
-        elif self.s == -2.0:
+        elif s == -2.0:
             m = round(float(mu))
             if abs(float(mu) - m) > 1e-9 or m < 2:
                 raise DomainError("horospherical construction needs integer mu >= 2")
-            object.__setattr__(self, "mu", float(m))
+            mu = float(m)
         else:
-            raise DomainError("s = %g, mu = %g: no end's column" % (self.s, mu))
-        if self.h.offset != 0.0 or abs(self.h.coeffs[0]) == 0.0:
+            raise DomainError("s = %g, mu = %g: no end's column" % (s, mu))
+        self.s, self.mu, self.h, self.order = s, mu, h, order
+        # the horospherical roots (-1, 0) are exactly 1 apart
+        lo, hi = self.indicial_roots
+        if abs(hi - lo - 1.0) > 1e-9:
+            raise DomainError("mu = %g rounds the indicial roots" % mu)
+        if h.offset != 0.0 or abs(h.coeffs[0]) == 0.0:
             raise DomainError("ODE coefficient h must be holomorphic with h(0) != 0")
 
     @property

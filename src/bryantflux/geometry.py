@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
@@ -32,7 +31,9 @@ _DET_TOL = 1e-12
 
 
 class _Infinity:
-    """The point at infinity of the extended complex plane (singleton)."""
+    """The point at infinity of the extended complex plane (singleton).
+    __new__ returns the one instance, also to copy and pickle, so it
+    compares and hashes by identity."""
 
     _instance = None
 
@@ -43,12 +44,6 @@ class _Infinity:
 
     def __repr__(self):
         return "INF"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("bryantflux-INF")
 
 
 INF = _Infinity()
@@ -114,48 +109,40 @@ def boundary_eq(z1: ExtendedComplex, z2: ExtendedComplex, tol: float = 0.0) -> b
     return abs(_bracket(_homogeneous(z1), _homogeneous(z2))) <= tol
 
 
-@dataclass(frozen=True)
 class Geodesic:
-    """The oriented geodesic running from ``start`` to ``end`` on the boundary."""
+    """The oriented geodesic running from ``start`` to ``end`` on the
+    boundary.  Geodesics compare and hash by identity."""
 
-    start: ExtendedComplex
-    end: ExtendedComplex
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if boundary_eq(self.start, self.end):
+    def __init__(self, start: ExtendedComplex, end: ExtendedComplex):
+        if boundary_eq(start, end):
             raise DomainError("geodesic endpoints must be distinct")
-        if not is_inf(self.start):
-            object.__setattr__(self, "start", complex(self.start))
-        if not is_inf(self.end):
-            object.__setattr__(self, "end", complex(self.end))
+        self.start = start if is_inf(start) else complex(start)
+        self.end = end if is_inf(end) else complex(end)
 
 
-@dataclass(frozen=True)
 class IsometrySL2:
     """A direct isometry, stored as the entries of P in SL(2, C).
 
     The matrix is normalized to determinant one at construction (the P
     vs -P ambiguity is irrelevant: both induce the same isometry).
+    Isometries compare and hash by identity.
     """
 
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
+    __slots__ = ("alpha", "beta", "gamma", "delta")
 
-    def __post_init__(self):
-        a, b, c, d = (complex(self.alpha), complex(self.beta),
-                      complex(self.gamma), complex(self.delta))
+    def __init__(self, alpha: complex, beta: complex, gamma: complex,
+                 delta: complex):
+        a, b, c, d = (complex(alpha), complex(beta), complex(gamma),
+                      complex(delta))
         det = a * d - b * c
         if abs(det) < _DET_TOL:
             raise DomainError("isometry matrix is singular (|det|=%g)" % abs(det))
         if abs(det - 1.0) > _DET_TOL:
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", c)
-        object.__setattr__(self, "delta", d)
+        self.alpha, self.beta, self.gamma, self.delta = a, b, c, d
 
     def inverse(self) -> "IsometrySL2":
         # det is 1, so the adjugate is the inverse.

@@ -28,7 +28,6 @@ or a gap between two, is an integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -85,19 +84,18 @@ def _aligned(x_offset: float, x: np.ndarray, y_offset: float, y: np.ndarray,
     return lo, out
 
 
-@dataclass(frozen=True)
 class GeneralizedSeries:
-    """z^offset times a truncated power series with complex coefficients."""
+    """z^offset times a truncated power series with complex coefficients.
+    Series compare and hash by identity."""
 
-    offset: float
-    coeffs: np.ndarray
+    __slots__ = ("offset", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "offset", _snap(float(self.offset)))
-        c = np.asarray(self.coeffs, dtype=complex)
+    def __init__(self, offset: float, coeffs: np.ndarray):
+        self.offset = _snap(float(offset))
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise DomainError("coefficient array must be 1-d and non-empty")
-        object.__setattr__(self, "coeffs", c)
+        self.coeffs = c
 
     @property
     def order(self) -> int:
@@ -135,20 +133,17 @@ def _residue_index(offset: float) -> int:
                          "offset %g", offset)
 
 
-@dataclass(frozen=True)
 class QuadratureGrid:
-    """Equispaced nodes tau_n = 2 pi n / N on the circle |z| = rho."""
+    """Equispaced nodes tau_n = 2 pi n / N on the circle |z| = rho.  Grids
+    compare and hash by identity."""
 
-    rho: float
-    samples: int
-
-    def __post_init__(self):
-        if not self.rho > 0:
+    def __init__(self, rho: float, samples: int):
+        if not rho > 0:
             raise DomainError("grid radius must be positive")
-        n = int(self.samples)
+        n = int(samples)
         if n < 16 or (n & (n - 1)) != 0:
             raise DomainError("sample count must be a power of two, >= 16")
-        object.__setattr__(self, "samples", n)
+        self.rho, self.samples = rho, n
 
     @cached_property
     def taus(self) -> np.ndarray:

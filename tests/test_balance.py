@@ -55,6 +55,10 @@ class TestPolynomialSum:
         with pytest.raises(DomainError):
             BalanceProblem((Catenoidal(0.5, 0.0, INF),))
 
+    def test_unknown_descriptor_refused(self):
+        with pytest.raises(DomainError, match="unknown end descriptor"):
+            end_polynomial(object())
+
 
 class TestTwoEndSolve:
     def test_cousin_pair(self):
@@ -237,6 +241,12 @@ class TestConcurrency:
 
     def test_concentric_circles_not_concurrent(self):
         axes = [Geodesic(-1.0, 1.0), Geodesic(-2.0, 2.0), Geodesic(0.0, INF)]
+        assert concurrency_check(axes).kind == "not-concurrent"
+
+    def test_three_concentric_semicircles_not_concurrent(self):
+        # every trace's cross product has t = 0 and u != 0: the traces
+        # share the plane, but concentric semicircles never meet
+        axes = [Geodesic(-1.0, 1.0), Geodesic(-2.0, 2.0), Geodesic(-3.0, 3.0)]
         assert concurrency_check(axes).kind == "not-concurrent"
 
     def test_near_snap_sigmas_stay_concurrent(self):

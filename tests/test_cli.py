@@ -544,6 +544,8 @@ class TestErrors:
         (None, ["balance", "three", "--sigma", "nan,1,1"], "DomainError"),
         (None, ["balance", "three", "--sigma", "1,1,1", "--boundaries",
                 "1e300,2e300,inf"], "DomainError"),
+        (None, ["balance", "three", "--sigma", "1,1,1", "--boundaries", ""],
+         "DomainError"),
         (None, ["balance", "two", "--mu", "inf", "--axis", "0,inf",
                 "--b2", "0"], "DomainError"),
         (CATENOID_SPEC, ["verify", "--rho", "1e-160", "--samples", "64"],
@@ -583,7 +585,8 @@ class TestErrors:
             "mu-h-overflow", "mu-zero", "mu-negative-zero", "end-and-frame",
             "no-end-or-frame", "residue-overflow", "residue-bound-flux",
             "residue-bound-verify", "balance-axis-one-point",
-            "balance-sigma-nan", "balance-boundaries-far", "balance-mu-inf",
+            "balance-sigma-nan", "balance-boundaries-far",
+            "balance-boundaries-empty", "balance-mu-inf",
             "verify-rho-overflow-samples",
             "verify-rho-overflow-power", "verify-flux-overflow",
             "verify-roundoff-1e-12", "verify-roundoff-1e-60",

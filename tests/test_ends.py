@@ -539,6 +539,13 @@ class TestExtractAxis:
         assert abs(complex(a) - complex(ta)) < 1e-9
         assert abs(complex(b) - complex(tb)) < 1e-9
 
+    def test_zero_first_column_refused(self):
+        zero = GeneralizedSeries(0.0, [0.0, 0.0])
+        one = GeneralizedSeries(0.0, [1.0, 0.0])
+        frame = bryant.BryantFrame(zero, one, zero, one, 1.0)
+        with pytest.raises(DomainError, match="degenerate frame"):
+            extract_axis(frame)
+
 
 class TestClassifyEnd:
     def test_catenoidal(self):
@@ -930,7 +937,7 @@ class TestDefectPass:
         one np.convolve per product of the checks, which forms exactly
         the coefficients of its identity's window."""
         counts = {"series": 0, "frames": 0, "convolve": 0}
-        post_init, convolve = GeneralizedSeries.__post_init__, np.convolve
+        series_init, convolve = GeneralizedSeries.__init__, np.convolve
         formed = []
         frame_init = bryant.BryantFrame.__init__
         aligned, aligned_callers = series._aligned, []
@@ -954,8 +961,8 @@ class TestDefectPass:
             formed.append(len(out))
             return out
 
-        monkeypatch.setattr(GeneralizedSeries, "__post_init__",
-                            counted("series", post_init))
+        monkeypatch.setattr(GeneralizedSeries, "__init__",
+                            counted("series", series_init))
         monkeypatch.setattr(bryant.BryantFrame, "__init__",
                             counted("frames", frame_init))
         monkeypatch.setattr(np, "convolve",

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,15 @@ def random_isometry(rng):
         a, b, c, d = (finite_complex(rng) for _ in range(4))
         if abs(a * d - b * c) > 0.1:
             return IsometrySL2(a, b, c, d)
+
+
+class TestInfinity:
+    def test_one_instance_through_copy_and_pickle(self):
+        """INF compares and hashes by identity, which holds because
+        every way of making one returns the one instance."""
+        assert copy.deepcopy(INF) is INF
+        assert pickle.loads(pickle.dumps(INF)) is INF
+        assert {INF: 1}[INF] == 1
 
 
 class TestCrossRatio:

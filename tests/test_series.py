@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -314,6 +317,22 @@ class TestStructure:
                    lambda: 2.0 * a, lambda: -a):
             with pytest.raises(TypeError):
                 op()
+
+    def test_no_object_setattr(self):
+        """No class of the package writes its fields past its own
+        __setattr__: a type that normalizes its fields assigns each once
+        in __init__."""
+        import bryantflux
+        calls = []
+        for path in sorted(Path(bryantflux.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__setattr__"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "object"):
+                    calls.append("%s:%d" % (path.name, node.lineno))
+        assert calls == []
 
     def test_offset_snapping(self):
         s = S(1.0 + 1e-12, [1.0])

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -258,9 +259,20 @@ def _cmd_mesh(args):
     return 0
 
 
+# A token that starts with "-" and a digit, or with "-." and a digit, such
+# as -1,inf or -1+1i, is a value: no option of this CLI starts so.
+_VALUE = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports bad arguments as DomainError, so they reach run's JSON
-    handler instead of argparse's plain-text usage and exit."""
+    handler instead of argparse's plain-text usage and exit, and reads
+    every token that _VALUE matches as a value, where argparse's own rule
+    reads only plain numbers such as -1 so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _VALUE
 
     def error(self, message):
         raise DomainError("%s: %s" % (self.prog, message))

@@ -291,18 +291,10 @@ def horospherical_polynomial(kappa: complex,
 
 @dataclass(frozen=True)
 class CircleSamples:
-    """Immersion values and derivatives on one circle, the quadrature's
-    flux triple (M2, -M1, M0) summed from them and the round-off bounds
-    (b2, b1, b0) of its components."""
+    """The quadrature's flux triple (M2, -M1, M0) on one circle and the
+    round-off bounds (b2, b1, b0) of its components.  The samples it is
+    summed from are not kept: _immersion_derivatives forms them."""
 
-    rho: float
-    taus: np.ndarray
-    zeta: np.ndarray
-    w: np.ndarray
-    dzeta_drho: np.ndarray
-    dw_drho: np.ndarray
-    dzeta_dtau: np.ndarray
-    dw_dtau: np.ndarray
     triple: FluxTriple
     roundoff: tuple
 
@@ -377,15 +369,15 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
 def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     """Sample X = (zeta, w) on |z| = rho with radial and angular derivatives
     (_immersion_derivatives), and sum the three flux moments over the
-    circle into the quadrature's flux triple (_moments).  A sample or
-    moment that overflows or is not finite raises DomainError.
+    circle into the quadrature's flux triple and its round-off bounds
+    (_moments), which are all the record keeps.  A sample or moment that
+    overflows or is not finite raises DomainError.
     """
     _check_radius(frame, grid.rho)
     # The 8-row evaluated block dies when _immersion_derivatives returns,
     # so it is not held while the moments' temporaries are live.
     zeta, w, derivs = _immersion_derivatives(frame, grid)
-    return CircleSamples(grid.rho, grid.taus, zeta, w, *derivs,
-                         *_moments(grid.rho, zeta, w, *derivs[:3]))
+    return CircleSamples(*_moments(grid.rho, zeta, w, *derivs[:3]))
 
 
 def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
@@ -398,12 +390,11 @@ def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
 
 # -- serialization ----------------------------------------------------------
 
-def flux_result_json(t: FluxTriple, value: Optional[float] = None) -> dict:
+def flux_result_json(t: FluxTriple, value: float) -> dict:
     out = {"phi%d" % k: [v.real, v.imag]
            for k, v in enumerate((t.phi0, t.phi1, t.phi2))}
     out["residue_bound"] = t.residue_bound
     out["polynomial_roots"] = [[r.real, r.imag] for r in
                                FluxPolynomial.from_triple(t).roots()]
-    if value is not None:
-        out["value"] = value
+    out["value"] = value
     return out

@@ -28,7 +28,6 @@ or a gap between two, is an integer.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +136,8 @@ class QuadratureGrid:
     """Equispaced nodes tau_n = 2 pi n / N on the circle |z| = rho.  Grids
     compare and hash by identity."""
 
+    __slots__ = ("rho", "samples")
+
     def __init__(self, rho: float, samples: int):
         if not rho > 0:
             raise DomainError("grid radius must be positive")
@@ -145,13 +146,10 @@ class QuadratureGrid:
             raise DomainError("sample count must be a power of two, >= 16")
         self.rho, self.samples = rho, n
 
-    @cached_property
+    @property
     def taus(self) -> np.ndarray:
-        """The node angles, formed once per grid and read-only, since every
-        caller shares the one array."""
-        taus = 2.0 * np.pi * np.arange(self.samples) / self.samples
-        taus.flags.writeable = False
-        return taus
+        """The node angles, a fresh array on each read."""
+        return 2.0 * np.pi * np.arange(self.samples) / self.samples
 
 
 def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
@@ -170,17 +168,19 @@ def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
     caller that needs the values on the branch multiplies row r by
     e^(i o tau_j) itself.
 
-    The sum is an inverse DFT of the a_k rho^(o+k), unscaled: each goes
-    into bin k mod n, and bins are summed when K + 1 > n, which is exact
-    since omega^n = 1.  One inverse FFT over the block sums every row, in
+    The sum is an inverse DFT of the a_k rho^(o+k), unscaled, up to the
+    last nonzero a_k, so that an exact frame's zero tail adds no nan
+    where its powers overflow: each goes into bin k mod n, and bins are
+    summed when K + 1 > n, which is exact since omega^n = 1.  One inverse FFT over the block sums every row, in
     O(n log n) per row, against O(n K) for a Horner sum.  n is any
     positive integer; QuadratureGrid's power-of-two rule belongs to the
     quadrature, not to this evaluation.
     """
     block = np.zeros((len(series), n), dtype=complex)
     for row, a in zip(block, series):
-        k = np.arange(len(a.coeffs))
-        vals = a.coeffs * rho ** (a.offset + k)
+        nonzero = np.flatnonzero(a.coeffs)
+        k = np.arange(nonzero[-1] + 1 if len(nonzero) else 0)
+        vals = a.coeffs[:len(k)] * rho ** (a.offset + k)
         if len(k) > n:
             np.add.at(row, k % n, vals)
         else:

@@ -685,15 +685,17 @@ def verify_potential(k: KillingField, box: Box, n: int,
                      np.max(np.abs(dvw[interior]))))
 
 
-def per_field_flux(samples, k):
+def per_field_flux(immersion, rho, k):
     """Trapezoid quadrature of -rho<d_rho X, Y> + 2<d_tau X, Z> over the
-    circle, with the field Y and its potential Z sampled at every node."""
-    zeta, w = samples.zeta, samples.w
+    circle |z| = rho, with the field Y and its potential Z sampled at every
+    node, from the samples (zeta, w, (d_rho zeta, d_rho w, d_tau zeta,
+    d_tau w)) that flux._immersion_derivatives forms."""
+    zeta, w, (dzeta_drho, dw_drho, dzeta_dtau, dw_dtau) = immersion
     ya, yb = vector_samples(k, zeta, w)
     za, zb = potential_samples(k, zeta, w)
-    inner_rho = (np.real(np.conj(samples.dzeta_drho) * ya)
-                 + samples.dw_drho * yb) / w ** 2
-    inner_tau = (np.real(np.conj(samples.dzeta_dtau) * za)
-                 + samples.dw_dtau * zb) / w ** 2
-    integrand = -samples.rho * inner_rho + 2.0 * inner_tau
+    inner_rho = (np.real(np.conj(dzeta_drho) * ya)
+                 + dw_drho * yb) / w ** 2
+    inner_tau = (np.real(np.conj(dzeta_dtau) * za)
+                 + dw_dtau * zb) / w ** 2
+    integrand = -rho * inner_rho + 2.0 * inner_tau
     return float(np.sum(integrand) * (2.0 * math.pi / len(integrand)))

@@ -10,7 +10,7 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         catenoid_cousin_frame,
                         frame_from_json, frame_to_json, horosphere_frame,
                         transform_frame)
-from bryantflux.flux import circle_samples
+from bryantflux.flux import _immersion_derivatives
 from bryantflux.series import differentiate
 
 from conftest import frame_defects, make_h
@@ -144,7 +144,8 @@ class TestDerivedForms:
         # (1/w^2) conj(d zeta / d zbar) = A B' - A' B pointwise, with the
         # zbar-derivative assembled as (1/(2 zbar)) (rho d_rho + i d_tau).
         # d_rho comes from a finite-difference stencil of its own, as a
-        # check on circle_samples that shares none of its chain rule.
+        # check on _immersion_derivatives that shares none of its chain
+        # rule.
         grid = QuadratureGrid(0.1, 128)
         rho, taus = grid.rho, grid.taus
         h = rho / 400.0
@@ -152,10 +153,11 @@ class TestDerivedForms:
                 for j in (-2, -1, 0, 1, 2)}
         dzeta_drho = (ring[-2] - 8.0 * ring[-1]
                       + 8.0 * ring[1] - ring[2]) / (12.0 * h)
-        s = circle_samples(perturbed_frame, grid)
+        _, w, (_, _, dzeta_dtau, _) = _immersion_derivatives(
+            perturbed_frame, grid)
         z = rho * np.exp(1j * taus)
-        dzbar = (rho * dzeta_drho + 1j * s.dzeta_dtau) / (2.0 * np.conj(z))
-        lhs = np.conj(dzbar) / s.w ** 2
+        dzbar = (rho * dzeta_drho + 1j * dzeta_dtau) / (2.0 * np.conj(z))
+        lhs = np.conj(dzbar) / w ** 2
         A, B = perturbed_frame.A, perturbed_frame.B
         rhs = (eval_at(A, grid.rho, grid.taus)
                * eval_at(differentiate(B), grid.rho, grid.taus)

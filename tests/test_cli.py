@@ -15,8 +15,8 @@ import bryantflux.cli
 import bryantflux.flux
 import bryantflux.killing
 from bryantflux import (ConcurrencyResult, Geodesic, INF, build_end,
-                        circle_samples, flux_for_geodesic, flux_triple,
-                        frame_from_json, frame_to_json)
+                        circle_samples, cross_ratio, flux_for_geodesic,
+                        flux_triple, frame_from_json, frame_to_json)
 from bryantflux.cli import _to_ball, run
 
 import oracles
@@ -616,6 +616,73 @@ class TestErrors:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == error
         assert not mesh_out.exists()
+
+
+class TestLeadingMinus:
+    @pytest.mark.parametrize("argv, want", [
+        (["balance", "two", "--mu", "0.5", "--axis", "-1,inf", "--b2", "-1"],
+         ["balance", "two", "--mu", "0.5", "--axis=-1,inf", "--b2=-1"]),
+        (["balance", "three", "--sigma", "1,2,1.5", "--boundaries", "-1,0,1"],
+         ["balance", "three", "--sigma", "1,2,1.5", "--boundaries=-1,0,1"]),
+        (["flux", "--geodesic", "-1,1"], ["flux", "--geodesic=-1,1"]),
+        (["crossratio", "-1+1i", "0", "1", "2"], None),
+    ], ids=["balance-two-axis", "balance-three-boundaries", "flux-geodesic",
+            "crossratio"])
+    def test_value_read_as_a_value(self, argv, want, catenoid_json, capsys):
+        """A token that starts with "-" and a digit is a value: an option
+        prints what its --opt=value spelling prints, and crossratio the
+        library's cross_ratio."""
+        if argv[0] == "flux":
+            argv, want = (a + ["--end", catenoid_json] for a in (argv, want))
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        if want is None:
+            val = cross_ratio(-1 + 1j, 0j, 1 + 0j, 2 + 0j)
+            assert json.loads(out) == {"value": [val.real, val.imag]}
+        else:
+            assert run(want) == 0
+            assert out == capsys.readouterr().out
+
+
+# An exact frame: its validity radius is inf and each entry is one power
+# of z, stored with 128 zeros after it.
+EXACT_SPEC = dict(CATENOID_SPEC, order=128)
+
+
+class TestLargeRadius:
+    """Exact frames are read at radii where the powers of their zero
+    tails overflow."""
+
+    def test_verify_exact_frame(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(EXACT_SPEC))
+        code, out = run_json(capsys, ["verify", "--end", str(path), "--rho",
+                                      "1000", "--samples", "1024"])
+        assert code == 0
+        assert out["max_defect"] < 1e-12
+
+    @pytest.mark.parametrize("spec, rho_max", [
+        ({"type": "horosphere"}, "1e12"), (EXACT_SPEC, "1e3")],
+        ids=["horosphere", "catenoidal"])
+    def test_mesh_exact_frame(self, spec, rho_max, tmp_path, capsys):
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "end.obj"
+        spec_path.write_text(json.dumps(spec))
+        code = run(["mesh", "--end", str(spec_path), "--rho-min", "1",
+                    "--rho-max", rho_max, "--radial", "4", "--angular", "8",
+                    "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        got = np.array([[float(t) for t in line.split()[1:]]
+                        for line in out_path.read_text().splitlines()
+                        if line.startswith("v ")])
+        assert got.shape == (32, 3) and np.isfinite(got).all()
+        if spec["type"] == "horosphere":
+            # The horosphere is X = (1/z, 1), printed to 9 digits.
+            z = np.outer(np.geomspace(1.0, 1e12, 4),
+                         np.exp(2j * math.pi * np.arange(8) / 8)).ravel()
+            assert np.all(np.abs(got[:, 0] + 1j * got[:, 1] - 1.0 / z)
+                          <= 1e-8 / np.abs(z))
+            assert np.all(np.abs(got[:, 2] - 1.0) <= 1e-8)
 
 
 # Malformed or extreme JSON values for one key of a spec.

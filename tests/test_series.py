@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,13 @@ class TestEvaluation:
     def test_constant_series(self):
         assert np.allclose(eval_branch([S(0.0, [1.0])], 0.3, 16), 1.0)
 
+    def test_zero_tail_past_overflow(self):
+        # rho^(o+k) overflows from k = 104 on, where the coefficients are
+        # zeros: they add nothing, not 0 * inf = nan.
+        row = eval_branch([GeneralizedSeries.monomial(-0.5, 2.0, order=128)],
+                          1e3, 16)[0]
+        assert np.allclose(row, 2.0 * 1e3 ** -0.5, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("rho", [0.02, 0.5])
     @pytest.mark.parametrize("samples", [16, 256])
     def test_fft_rows_match_horner(self, rho, samples):
@@ -333,6 +341,14 @@ class TestStructure:
                         and node.func.value.id == "object"):
                     calls.append("%s:%d" % (path.name, node.lineno))
         assert calls == []
+
+    def test_quadrature_record_and_slotted_grid(self):
+        """The quadrature's record keeps its triple and round-off bounds,
+        and a grid has no __dict__."""
+        from bryantflux import flux
+        assert [f.name for f in dataclasses.fields(flux.CircleSamples)] \
+            == ["triple", "roundoff"]
+        assert not hasattr(QuadratureGrid(0.1, 64), "__dict__")
 
     def test_offset_snapping(self):
         s = S(1.0 + 1e-12, [1.0])

@@ -164,12 +164,15 @@ def test_same_outputs_reports_a_changed_constant(four_pi_report):
 def test_same_outputs_counts_every_output_that_differs(four_pi_report):
     """After the first difference (three lines), one count per output
     that differs anywhere: the copy's triples and their residue bounds,
-    which 4 pi scales too, and not its frames."""
+    which 4 pi scales too, the verify runs, which print the triple's
+    bound and defects, and not its frames."""
     code, out = four_pi_report
     assert code == 1
-    for name, tally in zip(("flux_triple", "residue_bound"),
+    for name, tally in zip(("flux_triple", "residue_bound",
+                            "verify --rho 0.02", "verify --rho 0.1"),
                            out.splitlines()[3:], strict=True):
-        assert re.fullmatch(name + r": [1-9]\d* of [1-9]\d* specs", tally)
+        assert re.fullmatch(re.escape(name) + r": [1-9]\d* of [1-9]\d* specs",
+                            tally)
     assert "frame_to_json" not in out
 
 
@@ -181,6 +184,21 @@ def test_same_outputs_reports_a_changed_quadrature(tmp_path):
     code, out = same_outputs(ROOT / "src", change)
     assert code == 1
     assert out.startswith("first difference: circle_samples of ")
+
+
+def test_same_outputs_reports_a_changed_geodesic_draw(tmp_path):
+    """A copy whose verify draws its geodesics from the next seed differs
+    in the CLI's verify output at both radii, and in no other output."""
+    change = changed_copy(tmp_path, "cli",
+                          "np.random.default_rng(args.seed)",
+                          "np.random.default_rng(args.seed + 1)")
+    code, out = same_outputs(ROOT / "src", change)
+    assert code == 1
+    assert out.startswith("first difference: verify --rho 0.02 of ")
+    for rho, tally in zip(("0.02", "0.1"), out.splitlines()[3:],
+                          strict=True):
+        assert re.fullmatch(r"verify --rho %s: [1-9] of 3 specs"
+                            % re.escape(rho), tally)
 
 
 def test_same_outputs_grid_sees_the_root_formula(tmp_path, monkeypatch):

@@ -34,6 +34,15 @@ and 128; perturbations 1e-2 to 10.  For each spec it compares, bit for bit:
   nodes of one circle inside the validity radius;
 - the det, null and omega defects that the builds log at DEBUG.
 
+It also runs the CLI's verify (cli.run) of both trees on three specs
+shaped like the verify benchmark's pool, a catenoidal end with one axis
+point at infinity, one with two finite axis points and a perturbed
+horospherical end of mu 2 at a finite point, with --samples 256
+--geodesics 4 --seed 7 at --rho 0.02 and 0.1, and compares each run's
+exit code and standard output, bit for bit, as the output named
+``verify --rho R``: the benchmark's digits read those numbers, which
+ulp-level changes to the samples move.
+
 Each output that raises is compared as the class and message of its
 error.  Only public names are used, so any two trees of the package can
 be compared.  When the trees differ it prints the first difference, then
@@ -44,7 +53,10 @@ and exits 0.  A change that moves one output on purpose so shows that no
 other moved.
 """
 
+import contextlib
 import importlib
+import io
+import json
 import logging
 import shutil
 import sys
@@ -73,6 +85,17 @@ REFUSED = (
     {"type": "horospherical", "mu": 3, "h0": 0.5, "boundary": [1e300, 0.0],
      "h_perturbation": [0.0, 1e10]},
 )
+
+# Specs shaped like the verify benchmark's pool, and the CLI's verify
+# arguments past --end and --rho.
+VERIFY_SPECS = (
+    {"type": "catenoidal", "mu": 0.55, "axis": [[0.3, 0.1], "inf"]},
+    {"type": "catenoidal", "mu": 0.65, "axis": [[-0.2, 0.4], [0.5, -0.1]]},
+    {"type": "horospherical", "mu": 2, "h0": [0.6, 0.0],
+     "boundary": [0.2, -0.3], "h_perturbation": [1.2, 0.25]},
+)
+VERIFY_RHOS = (0.02, 0.1)
+VERIFY_ARGV = ["--samples", "256", "--geodesics", "4", "--seed", "7"]
 
 # An output that one tree has for a spec and the other has not.
 MISSING = object()
@@ -211,6 +234,20 @@ def outputs(pkg, handler, spec, order, bound=False):
     return out
 
 
+def verify_outputs(pkg, path):
+    """(name, value) pairs of the CLI's verify on the spec file at
+    ``path``, one per radius: its exit code and standard output."""
+    run = importlib.import_module(pkg.__name__ + ".cli").run
+    out = []
+    for rho in VERIFY_RHOS:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = run(["verify", "--end", path, "--rho", repr(rho)]
+                       + VERIFY_ARGV)
+        out.append(("verify --rho %r" % rho, (code, text.getvalue())))
+    return out
+
+
 def load(src: Path, name: str, into: Path):
     """The package under ``src`` imported as ``name``."""
     shutil.copytree(src / "bryantflux", into / name,
@@ -237,17 +274,18 @@ def main(argv=None) -> int:
         n, first = 0, None
         # For each output name: [specs where it differs, specs that have it]
         tally = {}
-        for spec, order in specs():
-            got = [outputs(pkg, handler, spec, order, bound) for pkg in pkgs]
-            # Both lists start with the canonical frame and end with the
-            # defects, and a refused build differs from a built one in the
-            # name of its second output, so the first unequal pair exists
-            # whenever the lists differ.
+
+        def compare(where, got):
+            """Record the two trees' (name, value) lists of one spec."""
+            nonlocal first
+            # Both lists of a grid spec start with the canonical frame and
+            # end with the defects, and a refused build differs from a
+            # built one in the name of its second output, so the first
+            # unequal pair exists whenever the lists differ.
             if first is None:
-                first = next(("first difference: %s of %r at order %d\n"
-                              "parent: %s\nchange: %s"
-                              % (name, spec, order, a, b) for (name, a),
-                              (other, b) in zip(*got)
+                first = next(("first difference: %s of %s\nparent: %s\n"
+                              "change: %s" % (name, where, a, b)
+                              for (name, a), (other, b) in zip(*got)
                               if (name, a) != (other, b)), None)
             parent, change = map(dict, got)
             for name in {**parent, **change}:
@@ -255,7 +293,17 @@ def main(argv=None) -> int:
                 count[0] += (parent.get(name, MISSING)
                              != change.get(name, MISSING))
                 count[1] += 1
+
+        for spec, order in specs():
+            compare("%r at order %d" % (spec, order),
+                    [outputs(pkg, handler, spec, order, bound)
+                     for pkg in pkgs])
             n += 1
+        for i, spec in enumerate(VERIFY_SPECS):
+            path = Path(tmp) / ("verify%d.json" % i)
+            path.write_text(json.dumps(spec))
+            compare(repr(spec), [verify_outputs(pkg, str(path))
+                                 for pkg in pkgs])
     if first is None:
         print("%d specs: every output bitwise equal" % n)
         return 0

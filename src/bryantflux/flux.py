@@ -30,7 +30,9 @@ derivatives are evaluated there as one block by one inverse FFT
 without their branch factors e^(i lambda tau).  That is exact: the
 frame's columns are aligned (bryant.BryantFrame), and zeta, w and their
 derivatives are made of products conj(x) y of two values from one
-column, in which the factors cancel.
+column, in which the factors cancel.  The samples, and the sums formed
+from them, are taken one slice of nodes of that block at a time
+(_SLICE), so that a call holds the block and one slice's temporaries.
 
 The integrand is linear in the coefficients of the field's quadratic
 V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
@@ -52,6 +54,7 @@ longer check that route independently.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -299,42 +302,78 @@ class CircleSamples:
     roundoff: tuple
 
 
-def _moments(rho, zeta, w, dzeta_drho, dw_drho, dzeta_dtau):
-    """The triple (M2, -M1, M0) of trapezoid sums and the round-off
-    bounds (b2, b1, b0) of its components.
+# Nodes per slice of circle_samples.  A slice's samples and moment
+# temporaries peak at about 13 arrays of 16 bytes a node, 0.2 MB at 1024
+# nodes.  Over in-process verify ops at N = 4096 (x86-64 Linux, glibc),
+# the whole circle's 0.8 MB of temporaries next to its 0.5 MB block cost
+# about 118 minor faults an op, as freed memory went back to the system
+# and was faulted in again on the next call; slices of 1024 or 2048 nodes
+# cost none.  Each slice adds about 80 numpy calls (about 0.08 ms), and
+# 1024 keeps a slice's temporaries a quarter of the size that faulted.
+_SLICE = 1024
+
+
+def _moment_sums(rho, zeta, w, derivs):
+    """The sums, over the nodes given, of the three terms of the flux
+    moments and of their moduli, unscaled, as one complex array
+    (S0, S1, S2, A0, A1, A2), S_j the sum of term j and A_j that of its
+    modulus: the sums of slices add up to those of the circle.
 
     With q = (-rho conj(d_rho zeta) + i conj(d_tau zeta)) / w^2 and
     r = rho d_rho w / w, the integrand -rho<d_rho X, Y> + 2<d_tau X, Z> of
     the field with polynomial c0 + c1 zeta + c2 zeta^2 is
     Re(c0 q + c1 (q zeta - r)
        + c2 (q zeta^2 + rho d_rho zeta - 2 zeta r - 2i log(w) d_tau zeta)),
-    and M_j is the sum of the j-th term times 2 pi / N.  Its bound is
-    eps times the sum of the term's moduli times 2 pi / N.
+    and term j is the j-th of these three.
     """
-    scale = 2.0 * math.pi / len(w)
-    eps_scale = np.finfo(float).eps * scale
+    dzeta_drho, dw_drho, dzeta_dtau, _ = derivs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = (1j * np.conj(dzeta_dtau) - rho * np.conj(dzeta_drho)) / (w * w)
         r = rho * dw_drho / w
         qz = q * zeta
         terms = (q, qz - r, (qz - 2.0 * r) * zeta + rho * dzeta_drho
                  - 2j * np.log(w) * dzeta_dtau)
-        sums = tuple(complex(t.sum() * scale) for t in terms)
-        bounds = tuple(float(np.abs(t).sum() * eps_scale) for t in terms)
-    if not all(map(cmath.isfinite, sums + bounds)):
+        return np.array([t.sum() for t in terms]
+                        + [np.abs(t).sum() for t in terms])
+
+
+def _moments(rho, n, parts):
+    """The triple (M2, -M1, M0) of trapezoid sums over n nodes and the
+    round-off bounds (b2, b1, b0) of its components, from the _moment_sums
+    of the circle's slices, added in order: M_j is the sum of the j-th
+    term times 2 pi / n, and its bound eps times the sum of the term's
+    moduli times 2 pi / n.
+    """
+    scale = 2.0 * math.pi / n
+    eps_scale = np.finfo(float).eps * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = functools.reduce(np.add, parts)
+        m0, m1, m2 = (complex(s * scale) for s in sums[:3])
+        bounds = tuple(float(s.real * eps_scale) for s in sums[3:])
+    if not all(map(cmath.isfinite, (m0, m1, m2) + bounds)):
         raise DomainError("flux moments on |z| = %g are not finite" % rho)
-    (m0, m1, m2), (b0, b1, b2) = sums, bounds
-    return FluxTriple(m2, -m1, m0), (b2, b1, b0)
+    return FluxTriple(m2, -m1, m0), bounds[::-1]
 
 
-def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
-    """zeta, w and (d_rho zeta, d_rho w, d_tau zeta, d_tau w) on the grid.
-
-    The four entries E and their term-wise derivatives E' are evaluated
+@np.errstate(over="ignore", invalid="ignore")
+def _entry_block(frame: BryantFrame, grid: QuadratureGrid) -> np.ndarray:
+    """The four entries E and their term-wise derivatives E' on the grid,
     as one 8-row block by one inverse FFT on the roots of unity
-    (series.eval_branch), without branch factors.  E moves by
-    e^(i tau) E'(z) along rho and by i z E'(z) along tau.  The branch
-    factor of E' is that of E divided by e^(i tau), which the move
+    (series.eval_branch), without branch factors.  A value that overflows
+    is left to the samples' check (_immersion_derivatives)."""
+    entries = frame.entries()
+    return eval_branch(entries + tuple(map(differentiate, entries)),
+                       grid.rho, grid.samples)
+
+
+def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid,
+                           block: Optional[np.ndarray] = None):
+    """zeta, w and (d_rho zeta, d_rho w, d_tau zeta, d_tau w) at the nodes
+    of ``block``, columns of the grid's _entry_block; by default the whole
+    circle's, evaluated here.
+
+    E moves by e^(i tau) E'(z) along rho and by i z E'(z) along tau.  The
+    branch factor of E' is that of E divided by e^(i tau), which the move
     restores, so on the evaluated values E moves by f E' with f = 1
     along rho and f = i rho along tau.  zeta and w, and their moves, are
     made of products conj(x) y of two values from one column, where the
@@ -342,10 +381,11 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid):
     column products s, p and q give both directions.  A sample that
     overflows or is not finite raises DomainError.
     """
-    rho, entries = grid.rho, frame.entries()
+    rho = grid.rho
+    if block is None:
+        block = _entry_block(frame, grid)
+    a, b, c, d, da, db, dc, dd = block
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c, d, da, db, dc, dd = eval_branch(
-            entries + tuple(map(differentiate, entries)), rho, grid.samples)
         zeta, w = _zeta_w(a, b, c, d)
         ca, cb = np.conj(a), np.conj(b)
         s = ca * da + cb * db
@@ -372,12 +412,19 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     circle into the quadrature's flux triple and its round-off bounds
     (_moments), which are all the record keeps.  A sample or moment that
     overflows or is not finite raises DomainError.
+
+    The entries are evaluated once, as one block that eval_branch inverts
+    in place; the samples and the moments' sums are formed one slice of
+    at most _SLICE nodes at a time, and the slices' sums added, so the
+    call holds the block and one slice's temporaries.  At N <= _SLICE
+    the one slice is the circle.
     """
     _check_radius(frame, grid.rho)
-    # The 8-row evaluated block dies when _immersion_derivatives returns,
-    # so it is not held while the moments' temporaries are live.
-    zeta, w, derivs = _immersion_derivatives(frame, grid)
-    return CircleSamples(*_moments(grid.rho, zeta, w, *derivs[:3]))
+    block = _entry_block(frame, grid)
+    return CircleSamples(*_moments(grid.rho, grid.samples, (
+        _moment_sums(grid.rho, *_immersion_derivatives(
+            frame, grid, block[:, start:start + _SLICE]))
+        for start in range(0, grid.samples, _SLICE))))
 
 
 def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:

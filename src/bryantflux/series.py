@@ -7,17 +7,18 @@ continuous branch z^lambda = rho^lambda e^(i lambda tau), with tau
 accumulated monotonically from 0, never reduced mod 2*pi.  eval_branch,
 the package's one evaluator, evaluates a sequence of series at rho times
 the N-th roots of unity, for any N >= 1, as one block by one inverse FFT
-of the scaled coefficients, and returns the values without their branch
-factors e^(i lambda tau).  That is exact for what the package forms from
-them: a Bryant frame's columns are aligned (bryant.BryantFrame), and
-every product of the immersion is of two values from one column, whose
-factors cancel.  The tests keep a Horner sum with the branch factor at
-arbitrary angles as its reference.  A series has no arithmetic: the
-package combines bare coefficient arrays.  The rule of series addition
-is written once, on those arrays (_aligned): bryant aligns a frame's
-columns by it, and the frame checks and the flux residues read those
-columns' arrays and differentiate them term by term with the factors
-(offset + k) that _derivative_factors forms, as differentiate does.
+of the scaled coefficients, in place, and returns the values without
+their branch factors e^(i lambda tau).  That is exact for what the
+package forms from them: a Bryant frame's columns are aligned
+(bryant.BryantFrame), and every product of the immersion is of two
+values from one column, whose factors cancel.  The tests keep a Horner
+sum with the branch factor at arbitrary angles as its reference.  A
+series has no arithmetic: the package combines bare coefficient arrays.
+The rule of series addition is written once, on those arrays (_aligned):
+bryant aligns a frame's columns by it, and the frame checks and the flux
+residues read those columns' arrays and differentiate them term by term
+with the factors (offset + k) that _derivative_factors forms, as
+differentiate does.
 _residue_index gives the index of z^-1 at an integer offset to
 flux.flux_triple, the package's one residue reader.  Sums, products and
 the residues of formed series are the tests' oracle, which those
@@ -171,9 +172,13 @@ def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
     The sum is an inverse DFT of the a_k rho^(o+k), unscaled, up to the
     last nonzero a_k, so that an exact frame's zero tail adds no nan
     where its powers overflow: each goes into bin k mod n, and bins are
-    summed when K + 1 > n, which is exact since omega^n = 1.  One inverse FFT over the block sums every row, in
-    O(n log n) per row, against O(n K) for a Horner sum.  n is any
-    positive integer; QuadratureGrid's power-of-two rule belongs to the
+    summed when K + 1 > n, which is exact since omega^n = 1.  One inverse
+    FFT over the block sums every row, in O(n log n) per row, against
+    O(n K) for a Horner sum, and writes the values over the scaled
+    coefficients (out=, numpy 2.0 or later), bitwise as a fresh result
+    would hold them: the block is the call's one array of n columns, so
+    a large n costs one buffer of (rows, n), not two.  n is any positive
+    integer; QuadratureGrid's power-of-two rule belongs to the
     quadrature, not to this evaluation.
     """
     block = np.zeros((len(series), n), dtype=complex)
@@ -185,4 +190,4 @@ def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
             np.add.at(row, k % n, vals)
         else:
             row[:len(k)] = vals
-    return np.fft.ifft(block, axis=1, norm="forward")
+    return np.fft.ifft(block, axis=1, norm="forward", out=block)

@@ -1,7 +1,7 @@
 """The scripts under tools/, run as scripts: code_lines.py on small
-packages, same_outputs.py and ab_builds.py on the package's own source
-tree; the outputs same_outputs.py compares for one spec are also read
-in process."""
+packages, same_outputs.py, ab_builds.py and ab_quadrature.py on the
+package's own source tree; the outputs same_outputs.py compares for one
+spec are also read in process."""
 
 import importlib.util
 import re
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "code_lines.py"
 SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
 AB_BUILDS = ROOT / "tools" / "ab_builds.py"
+AB_QUADRATURE = ROOT / "tools" / "ab_quadrature.py"
 
 
 def count(tmp_path, **modules):
@@ -169,7 +170,8 @@ def test_same_outputs_counts_every_output_that_differs(four_pi_report):
     code, out = four_pi_report
     assert code == 1
     for name, tally in zip(("flux_triple", "residue_bound",
-                            "verify --rho 0.02", "verify --rho 0.1"),
+                            "verify --rho 0.02", "verify --rho 0.1",
+                            "verify --samples 4096"),
                            out.splitlines()[3:], strict=True):
         assert re.fullmatch(re.escape(name) + r": [1-9]\d* of [1-9]\d* specs",
                             tally)
@@ -179,8 +181,8 @@ def test_same_outputs_counts_every_output_that_differs(four_pi_report):
 def test_same_outputs_reports_a_changed_quadrature(tmp_path):
     """A copy whose trapezoid weight 2 pi / N is one ulp of 2 larger
     differs in its first quadrature triple, after equal residues."""
-    change = changed_copy(tmp_path, "flux", "scale = 2.0 * math.pi / len(w)",
-                          "scale = 2.0000000000000004 * math.pi / len(w)")
+    change = changed_copy(tmp_path, "flux", "scale = 2.0 * math.pi / n",
+                          "scale = 2.0000000000000004 * math.pi / n")
     code, out = same_outputs(ROOT / "src", change)
     assert code == 1
     assert out.startswith("first difference: circle_samples of ")
@@ -188,17 +190,18 @@ def test_same_outputs_reports_a_changed_quadrature(tmp_path):
 
 def test_same_outputs_reports_a_changed_geodesic_draw(tmp_path):
     """A copy whose verify draws its geodesics from the next seed differs
-    in the CLI's verify output at both radii, and in no other output."""
+    in the CLI's verify output of every run, and in no other output."""
     change = changed_copy(tmp_path, "cli",
                           "np.random.default_rng(args.seed)",
                           "np.random.default_rng(args.seed + 1)")
     code, out = same_outputs(ROOT / "src", change)
     assert code == 1
     assert out.startswith("first difference: verify --rho 0.02 of ")
-    for rho, tally in zip(("0.02", "0.1"), out.splitlines()[3:],
-                          strict=True):
-        assert re.fullmatch(r"verify --rho %s: [1-9] of 3 specs"
-                            % re.escape(rho), tally)
+    for name, tally in zip(("verify --rho 0.02", "verify --rho 0.1",
+                            "verify --samples 4096"), out.splitlines()[3:],
+                           strict=True):
+        assert re.fullmatch(r"%s: [1-9] of 3 specs" % re.escape(name),
+                            tally)
 
 
 def test_same_outputs_grid_sees_the_root_formula(tmp_path, monkeypatch):
@@ -237,3 +240,21 @@ def test_ab_builds_times_one_pass_of_each_tree():
         assert re.fullmatch(name + r": best pass \d+\.\d\d ms \(build_end "
                             r"\d+\.\d\d, flux_triple \d+\.\d\d\)", line)
     assert re.fullmatch(r"change / parent: \d+\.\d{3}", ratio)
+
+
+def test_ab_quadrature_times_one_pass_of_each_tree():
+    """One pass of the verify pool's circle_samples calls per tree: the
+    pool's size, then for each of its N each tree's best pass with its
+    faults per call, and their ratio."""
+    out = subprocess.run([sys.executable, str(AB_QUADRATURE),
+                          str(ROOT / "src"), str(ROOT / "src"), "--seed", "1",
+                          "--passes", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    first, *rows = out.splitlines()
+    assert re.fullmatch(r"seed 1: [1-9]\d* calls per pass, 1 passes per "
+                        r"tree", first)
+    tree = r"%s best pass \d+\.\d\d ms, \d+\.\d faults per call"
+    for n, row in zip((256, 1024, 4096), rows, strict=True):
+        assert re.fullmatch(r"N %d, [1-9]\d* calls: %s, %s, change / parent "
+                            r"\d+\.\d{3}" % (n, tree % "parent",
+                                              tree % "change"), row)

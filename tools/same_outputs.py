@@ -37,11 +37,13 @@ and 128; perturbations 1e-2 to 10.  For each spec it compares, bit for bit:
 It also runs the CLI's verify (cli.run) of both trees on three specs
 shaped like the verify benchmark's pool, a catenoidal end with one axis
 point at infinity, one with two finite axis points and a perturbed
-horospherical end of mu 2 at a finite point, with --samples 256
---geodesics 4 --seed 7 at --rho 0.02 and 0.1, and compares each run's
-exit code and standard output, bit for bit, as the output named
-``verify --rho R``: the benchmark's digits read those numbers, which
-ulp-level changes to the samples move.
+horospherical end of mu 2 at a finite point, with --geodesics 4 --seed 7:
+with --samples 256 at --rho 0.02 and 0.1, as the outputs named
+``verify --rho R``, and with --samples 4096 at --rho 0.1, where the
+quadrature sums its moments over several slices of nodes, as
+``verify --samples 4096``.  It compares each run's exit code and
+standard output, bit for bit: the benchmark's digits read those numbers,
+which ulp-level changes to the samples move.
 
 Each output that raises is compared as the class and message of its
 error.  Only public names are used, so any two trees of the package can
@@ -94,8 +96,14 @@ VERIFY_SPECS = (
     {"type": "horospherical", "mu": 2, "h0": [0.6, 0.0],
      "boundary": [0.2, -0.3], "h_perturbation": [1.2, 0.25]},
 )
-VERIFY_RHOS = (0.02, 0.1)
-VERIFY_ARGV = ["--samples", "256", "--geodesics", "4", "--seed", "7"]
+VERIFY_ARGV = ["--geodesics", "4", "--seed", "7"]
+# Each spec's verify runs: (output name, --rho and --samples).  N = 4096
+# sums circle_samples's moments over more than one slice of nodes.
+VERIFY_RUNS = (
+    ("verify --rho 0.02", ["--rho", "0.02", "--samples", "256"]),
+    ("verify --rho 0.1", ["--rho", "0.1", "--samples", "256"]),
+    ("verify --samples 4096", ["--rho", "0.1", "--samples", "4096"]),
+)
 
 # An output that one tree has for a spec and the other has not.
 MISSING = object()
@@ -236,15 +244,15 @@ def outputs(pkg, handler, spec, order, bound=False):
 
 def verify_outputs(pkg, path):
     """(name, value) pairs of the CLI's verify on the spec file at
-    ``path``, one per radius: its exit code and standard output."""
+    ``path``, one per run of VERIFY_RUNS: its exit code and standard
+    output."""
     run = importlib.import_module(pkg.__name__ + ".cli").run
     out = []
-    for rho in VERIFY_RHOS:
+    for name, argv in VERIFY_RUNS:
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            code = run(["verify", "--end", path, "--rho", repr(rho)]
-                       + VERIFY_ARGV)
-        out.append(("verify --rho %r" % rho, (code, text.getvalue())))
+            code = run(["verify", "--end", path] + argv + VERIFY_ARGV)
+        out.append((name, (code, text.getvalue())))
     return out
 
 

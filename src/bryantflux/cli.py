@@ -1,5 +1,12 @@
 """Command-line front end.
 
+One table, _COMMANDS, keyed by the words that name each command, holds
+its summary, its handler and its options.  run looks up argv's leading
+words there and builds one parser, with only that command's options; an
+argv that names no command gets a parser with no options, whose help
+lists the commands and which refuses anything else.  No parser outlives
+its run.
+
 flux, verify and mesh take their frame from exactly one source, --end (an
 end-spec JSON file, built by ends.build_end at --order) or --frame (a
 frame JSON file, checked by bryant.frame_from_json); the parser refuses
@@ -28,7 +35,8 @@ from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
 from .flux import (circle_samples, flux_for_geodesic, flux_result_json,
                    flux_triple, roundoff_bound)
-from .geometry import INF, Geodesic, is_inf, parse_complex, parse_real
+from .geometry import (INF, Geodesic, cross_ratio, is_inf, parse_complex,
+                       parse_real)
 from .killing import KillingField
 from .series import DEFAULT_ORDER, QuadratureGrid, eval_branch
 
@@ -36,11 +44,27 @@ log = logging.getLogger("bryantflux")
 
 
 def _parse_point(text):
+    """The boundary point written as ``text``: inf, or a complex number
+    such as 1+2i or -1.  Other text raises DomainError naming it."""
     text = text.strip()
     if text in ("inf", "Inf", "INF"):
         return INF
-    z = complex(text.replace("i", "j"))
+    try:
+        z = complex(text.replace("i", "j"))
+    except ValueError:
+        raise DomainError("expected a point such as 1+2i, -1 or inf, got %r"
+                          % text) from None
     return parse_complex([z.real, z.imag])
+
+
+def _parse_real(text):
+    """The finite real number written as ``text``; other text raises
+    DomainError naming it."""
+    try:
+        return parse_real(float(text))
+    except ValueError:
+        raise DomainError("expected a finite real number, got %r"
+                          % text) from None
 
 
 def _point_json(z):
@@ -49,17 +73,13 @@ def _point_json(z):
     return [z.real, z.imag]
 
 
-def _split(text, n, what):
-    """The n comma-separated fields of ``text``; DomainError otherwise."""
+def _split(text, n, what, read=_parse_point):
+    """The n comma-separated fields of ``text``, each read by ``read``;
+    DomainError when there are not n."""
     parts = text.split(",")
     if len(parts) != n:
         raise DomainError("%s needs %d comma-separated values" % (what, n))
-    return parts
-
-
-def _parse_geodesic(text) -> Geodesic:
-    c, d = _split(text, 2, "a geodesic")
-    return Geodesic(_parse_point(c), _parse_point(d))
+    return [read(part) for part in parts]
 
 
 def _build(path, order):
@@ -91,7 +111,6 @@ def _emit(obj, path=None):
 
 
 def _cmd_crossratio(args):
-    from .geometry import cross_ratio
     val = cross_ratio(*(_parse_point(z) for z in args.points))
     _emit({"value": [val.real, val.imag]})
     return 0
@@ -129,7 +148,7 @@ def _certified_triple(frame):
 def _cmd_flux(args):
     frame = _load_frame(args)
     triple = _certified_triple(frame)
-    geod = _parse_geodesic(args.geodesic)
+    geod = Geodesic(*_split(args.geodesic, 2, "a geodesic"))
     value = flux_for_geodesic(triple, geod, args.kind)
     _emit(flux_result_json(triple, value), args.out)
     return 0
@@ -178,8 +197,7 @@ def _cmd_verify(args):
 
 
 def _cmd_balance_two(args):
-    a, b = _split(args.axis, 2, "--axis")
-    e1 = Catenoidal(parse_real(args.mu), _parse_point(a), _parse_point(b))
+    e1 = Catenoidal(parse_real(args.mu), *_split(args.axis, 2, "--axis"))
     e2 = two_end_solve(e1, _parse_point(args.b2))
     _emit({"type": "catenoidal", "mu": e2.mu,
            "axis": [_point_json(e2.axis_from), _point_json(e2.boundary)]})
@@ -196,8 +214,8 @@ def _concurrency_json(res: ConcurrencyResult):
 
 
 def _cmd_balance_three(args):
-    sigmas = [parse_real(float(s)) for s in _split(args.sigma, 3, "--sigma")]
-    bs = [_parse_point(b) for b in _split(args.boundaries, 3, "--boundaries")]
+    sigmas = _split(args.sigma, 3, "--sigma", _parse_real)
+    bs = _split(args.boundaries, 3, "--boundaries")
     axes = three_end_axes(*sigmas, boundaries=bs)
     geodesics = [Geodesic(a, b) for a, b in zip(axes, bs)]
     res = concurrency_check(geodesics)
@@ -278,83 +296,74 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError("%s: %s" % (self.prog, message))
 
 
-def _add_frame_source(p):
-    """--end (an end spec, built at --order) or --frame (a frame JSON):
-    exactly one is required."""
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--end")
-    source.add_argument("--frame")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+# Stands in a command's options for its frame source: --end (an end spec,
+# built at --order) or --frame (a frame JSON), exactly one of them.
+_FRAME_SOURCE = ("--end", "--frame")
+_ORDER = ("--order", dict(type=int, default=DEFAULT_ORDER))
+_REQUIRED = dict(required=True)
+_REQUIRED_REAL = dict(type=float, required=True)
 
-
-def _build_parser():
-    top = _Parser(
-        prog="bryantflux",
-        description="Flux of Killing fields through ends of constant mean "
-                    "curvature one surfaces in hyperbolic 3-space.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("crossratio", help="cross-ratio of four boundary points")
-    p.add_argument("points", nargs=4, metavar="Z")
-    p.set_defaults(func=_cmd_crossratio)
-
-    p_end = sub.add_parser("end", help="end construction")
-    sub_end = p_end.add_subparsers(dest="end_command", required=True)
-    p = sub_end.add_parser("build", help="end-spec JSON to frame JSON")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.set_defaults(func=_cmd_end_build)
-
-    p = sub.add_parser("flux", help="flux along a geodesic")
-    _add_frame_source(p)
-    p.add_argument("--geodesic", required=True)
-    p.add_argument("--kind", choices=("translation", "rotation"),
-                   default="translation")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_flux)
-
-    p = sub.add_parser("verify",
-                       help="quadrature vs residue route on random geodesics")
-    _add_frame_source(p)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=1024)
-    p.add_argument("--geodesics", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
-
-    p_bal = sub.add_parser("balance", help="balancing problems")
-    sub_bal = p_bal.add_subparsers(dest="balance_command", required=True)
-    p = sub_bal.add_parser("two", help="solve the rigid two-end case")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--axis", required=True, help="'a,b' of the first end")
-    p.add_argument("--b2", required=True, help="boundary of the second end")
-    p.set_defaults(func=_cmd_balance_two)
-    p = sub_bal.add_parser("three", help="symmetric three-end axes")
-    p.add_argument("--sigma", required=True, help="'s1,s2,s3'")
-    p.add_argument("--boundaries", default="-1,0,1",
-                   help="'b1,b2,b3' (default -1,0,1)")
-    p.set_defaults(func=_cmd_balance_three)
-
-    p = sub.add_parser("mesh", help="OBJ export of the immersed annulus")
-    _add_frame_source(p)
-    p.add_argument("--rho-min", type=float, required=True, dest="rho_min")
-    p.add_argument("--rho-max", type=float, required=True, dest="rho_max")
-    p.add_argument("--radial", type=int, default=32)
-    p.add_argument("--angular", type=int, default=64)
-    p.add_argument("--model", choices=("halfspace", "ball"),
-                   default="halfspace")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mesh)
-    return top
+# Each command, keyed by the words that name it: its summary, its handler
+# and its options, each a name and the keywords of its add_argument call.
+_COMMANDS = {
+    ("crossratio",): ("cross-ratio of four boundary points", _cmd_crossratio, [
+        ("points", dict(nargs=4, metavar="Z"))]),
+    ("end", "build"): ("end-spec JSON to frame JSON", _cmd_end_build, [
+        ("--spec", _REQUIRED), ("--out", {}), _ORDER]),
+    ("flux",): ("flux along a geodesic", _cmd_flux, [
+        _FRAME_SOURCE, _ORDER, ("--geodesic", _REQUIRED),
+        ("--kind", dict(choices=("translation", "rotation"),
+                        default="translation")), ("--out", {})]),
+    ("verify",): ("quadrature vs residue route on random geodesics",
+                  _cmd_verify, [
+        _FRAME_SOURCE, _ORDER, ("--rho", dict(type=float, default=0.1)),
+        ("--samples", dict(type=int, default=1024)),
+        ("--geodesics", dict(type=int, default=20)),
+        ("--seed", dict(type=int, default=0))]),
+    ("balance", "two"): ("solve the rigid two-end case", _cmd_balance_two, [
+        ("--mu", _REQUIRED_REAL),
+        ("--axis", dict(required=True, help="'a,b' of the first end")),
+        ("--b2", dict(required=True, help="boundary of the second end"))]),
+    ("balance", "three"): ("symmetric three-end axes", _cmd_balance_three, [
+        ("--sigma", dict(required=True, help="'s1,s2,s3'")),
+        ("--boundaries", dict(default="-1,0,1",
+                              help="'b1,b2,b3' (default -1,0,1)"))]),
+    ("mesh",): ("OBJ export of the immersed annulus", _cmd_mesh, [
+        _FRAME_SOURCE, _ORDER,
+        ("--rho-min", _REQUIRED_REAL), ("--rho-max", _REQUIRED_REAL),
+        ("--radial", dict(type=int, default=32)),
+        ("--angular", dict(type=int, default=64)),
+        ("--model", dict(choices=("halfspace", "ball"), default="halfspace")),
+        ("--out", _REQUIRED)]),
+}
 
 
 def run(argv=None) -> int:
+    """Runs the command that argv names; returns its exit code.  Only that
+    command's parser is built.  An argv that names no command gets a
+    parser with no options, whose help lists the commands."""
+    argv = sys.argv[1:] if argv is None else argv
     level = os.environ.get("BRYANTFLUX_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        words = next((tuple(argv[:n]) for n in (2, 1)
+                      if tuple(argv[:n]) in _COMMANDS), ())
+        summary, handler, options = _COMMANDS.get(words) or (
+            "commands, each with its own --help:\n" + "\n".join(
+                "  %-15s%s" % (" ".join(w), entry[0])
+                for w, entry in _COMMANDS.items()), None, ())
+        p = _Parser(prog=" ".join(("bryantflux",) + words),
+                    description=summary,
+                    formatter_class=argparse.RawDescriptionHelpFormatter)
+        for option in options:
+            if option is _FRAME_SOURCE:
+                source = p.add_mutually_exclusive_group(required=True)
+                for flag in option:
+                    source.add_argument(flag)
+            else:
+                p.add_argument(option[0], **option[1])
+        args = p.parse_args(argv[len(words):])
+        return handler(args) if handler else p.error("name a command")
     except (DomainError, ConsistencyError, OSError, ValueError,
             KeyError, MemoryError) as exc:
         # numpy refuses an allocation with a private MemoryError subclass.

@@ -43,6 +43,18 @@ MESH_ARGV = ["mesh", "--rho-min", "0.02", "--rho-max", "0.1",
 # Stands for a mesh file under the test's tmp_path, which a refused run
 # must not create.
 MESH_OUT = "<tmp>/end.obj"
+# One valid argv for each command of the CLI's table, after the words that
+# name it; "<spec>" stands for the README catenoid's spec file.
+COMMAND_ARGVS = {
+    ("crossratio",): ["0", "1+1i", "2", "inf"],
+    ("end", "build"): ["--spec", "<spec>"],
+    ("flux",): ["--end", "<spec>", "--geodesic", "0,inf"],
+    ("verify",): ["--end", "<spec>", "--samples", "64", "--geodesics", "2"],
+    ("balance", "two"): ["--mu", "0.5", "--axis", "0,inf", "--b2", "0"],
+    ("balance", "three"): ["--sigma", "1,1,1"],
+    ("mesh",): MESH_ARGV[1:] + ["--radial", "2", "--angular", "3",
+                                "--end", "<spec>"],
+}
 # Radii at which the README catenoid's entries overflow: the half-space
 # vertices would read -inf and 1e160.
 MESH_OVERFLOW_ARGV = ["mesh", "--rho-min", "1e-320", "--rho-max", "1e-310",
@@ -462,13 +474,59 @@ class TestMesh:
         assert not out_path.exists()
 
 
+class TestCommandTable:
+    def test_every_command_has_an_argv(self):
+        assert set(COMMAND_ARGVS) == set(bryantflux.cli._COMMANDS)
+
+    @pytest.mark.parametrize("words", list(COMMAND_ARGVS), ids=" ".join)
+    def test_one_parser_per_run(self, words, catenoid_json, monkeypatch,
+                                capsys):
+        """A run builds the parser of its command alone, not a tree of
+        every command's parsers."""
+        progs = []
+
+        class Counted(bryantflux.cli._Parser):
+            def __init__(self, *args, **kwargs):
+                progs.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bryantflux.cli, "_Parser", Counted)
+        argv = list(words) + [catenoid_json if a == "<spec>" else a
+                              for a in COMMAND_ARGVS[words]]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert progs == [" ".join(("bryantflux",) + words)]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["end", "--help"], ["balance", "--help"]]
+        + [list(words) + ["--help"] for words in COMMAND_ARGVS],
+        ids=lambda argv: " ".join(argv))
     def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 0
         assert "usage: bryantflux" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        [], ["end"], ["balance"], ["bogus"], ["end", "bogus"],
+        ["balance", "four"]], ids=lambda argv: " ".join(argv) or "empty")
+    def test_no_command_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv, text", [
+        (["crossratio", "abc", "0", "1", "2"], "abc"),
+        (["balance", "two", "--mu", "0.5", "--axis", "0,zz", "--b2", "0"],
+         "zz"),
+        (["balance", "three", "--sigma", "a,1,1"], "a"),
+    ], ids=["point", "axis-point", "sigma"])
+    def test_malformed_number_names_its_text(self, argv, text, capsys):
+        assert run(argv) == 2
+        assert repr(text) in json.loads(capsys.readouterr().err)["message"]
 
     def test_missing_file_error_json(self, capsys):
         code = run(["flux", "--end", "/nonexistent/end.json",
@@ -561,6 +619,13 @@ class TestErrors:
         (None, ["verify", "--rho", "x"], "DomainError"),
         (None, ["verify", "--samples", "1.5"], "DomainError"),
         (None, ["flux", "--end", "c.json"], "DomainError"),
+        (None, ["crossratio", "abc", "0", "1", "2"], "DomainError"),
+        (CATENOID_SPEC, ["flux", "--geodesic", "x,1"], "DomainError"),
+        (None, ["balance", "two", "--mu", "0.5", "--axis", "0,zz",
+                "--b2", "0"], "DomainError"),
+        (None, ["balance", "three", "--sigma", "1,1,1", "--boundaries",
+                "1,q,2"], "DomainError"),
+        (None, ["balance", "three", "--sigma", "a,1,1"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--radial", "0"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--radial", "1"], "DomainError"),
         (CATENOID_SPEC, MESH_ARGV + ["--angular", "-3"], "DomainError"),
@@ -592,7 +657,10 @@ class TestErrors:
             "verify-roundoff-1e-12", "verify-roundoff-1e-60",
             "verify-geodesics-zero", "verify-geodesics-negative",
             "argparse-mu-abc", "argparse-rho-x", "argparse-samples-float",
-            "argparse-flux-no-geodesic", "mesh-radial-0", "mesh-radial-1",
+            "argparse-flux-no-geodesic", "crossratio-malformed",
+            "geodesic-malformed", "balance-axis-malformed",
+            "balance-boundaries-malformed", "balance-sigma-malformed",
+            "mesh-radial-0", "mesh-radial-1",
             "mesh-angular-negative", "mesh-angular-2", "mesh-rho-min-nan",
             "mesh-rho-max-nan", "mesh-rho-min-negative", "mesh-overflow",
             "mesh-overflow-ball", "order-1e12-memory",

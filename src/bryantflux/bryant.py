@@ -279,9 +279,12 @@ def _check_radius(frame: BryantFrame, rho: float):
                           % (rho, frame.validity_radius))
 
 
-def _zeta_w(a, b, c, d):
-    w = 1.0 / (np.abs(a) ** 2 + np.abs(b) ** 2)
-    return (np.conj(a) * c + np.conj(b) * d) * w, w
+def _zeta_w(a, b, c, d, out=None):
+    """zeta and w from the entries' values, written into the arrays
+    out = (zeta, w) when given."""
+    zeta, w = out or (None, None)
+    w = np.divide(1.0, np.abs(a) ** 2 + np.abs(b) ** 2, out=w)
+    return np.multiply(np.conj(a) * c + np.conj(b) * d, w, out=zeta), w
 
 
 def transform_frame(p: IsometrySL2, frame: BryantFrame) -> BryantFrame:

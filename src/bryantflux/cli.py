@@ -33,11 +33,11 @@ from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
 from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
-from .flux import (circle_samples, flux_for_geodesic, flux_result_json,
-                   flux_triple, roundoff_bound)
+from .flux import (_field_flux, _field_roundoff, circle_samples,
+                   flux_for_geodesic, flux_result_json, flux_triple)
 from .geometry import (INF, Geodesic, cross_ratio, is_inf, parse_complex,
                        parse_real)
-from .killing import KillingField
+from .killing import KillingField, field_polynomial
 from .series import DEFAULT_ORDER, QuadratureGrid, eval_branch
 
 log = logging.getLogger("bryantflux")
@@ -173,14 +173,16 @@ def _cmd_verify(args):
             pts[1] = complex(rng.normal(), rng.normal())
         geod = Geodesic(pts[0], pts[1])
         for kind in ("translation", "rotation"):
-            defect = abs(flux_for_geodesic(samples.triple, geod, kind)
-                         - flux_for_geodesic(triple, geod, kind))
+            # The field's quadratic, formed once for both triples and the
+            # bound.
+            c = field_polynomial(KillingField(kind, geod))
+            defect = abs(_field_flux(c, samples.triple)
+                         - _field_flux(c, triple))
             if not math.isfinite(defect):
                 raise DomainError("quadrature on |z| = %g gave a non-finite "
                                   "flux" % args.rho)
             worst = max(worst, defect)
-            bound = max(bound, roundoff_bound(samples,
-                                              KillingField(kind, geod)))
+            bound = max(bound, _field_roundoff(c, samples))
     if not bound < 1e-5:
         raise DomainError("quadrature on |z| = %g is lost to round-off "
                           "(bound %.3e)" % (args.rho, bound))

@@ -33,6 +33,10 @@ derivatives are made of products conj(x) y of two values from one
 column, in which the factors cancel.  The samples, and the sums formed
 from them, are taken one slice of nodes of that block at a time
 (_SLICE), so that a call holds the block and one slice's temporaries.
+In a slice, zeta and its two derivatives are the rows of one array, w
+and its two derivatives those of another, and the three moment terms
+those of a third, written in place, so the finiteness check is two
+reductions and the six sums are three calls.
 
 The integrand is linear in the coefficients of the field's quadratic
 V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
@@ -42,7 +46,10 @@ flux_for_geodesic applies to a triple, for the triple (M2, -M1, M0):
 the quadrature gives the residue triple, computed numerically, and
 every field's flux is read from either triple by that one function, in
 O(1).  Each moment carries a bound on the round-off of its sum, and
-roundoff_bound gives the one a field's flux inherits.
+roundoff_bound gives the one a field's flux inherits.  Both read the
+field's quadratic, which a caller that pairs one field with several
+triples, as the CLI's verify does, forms once and passes to
+_field_flux and _field_roundoff.
 
 The moments are formed from zeta, w and their derivatives as they are,
 and are not to be simplified with det F = 1: that identity collapses q
@@ -230,7 +237,13 @@ def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
     reads minus the imaginary part.  It serves the residue triple and
     the quadrature's (CircleSamples.triple) alike.
     """
-    c0, c1, c2 = field_polynomial(KillingField(kind, g))
+    return _field_flux(field_polynomial(KillingField(kind, g)), t)
+
+
+def _field_flux(c, t: FluxTriple) -> float:
+    """Re(c0 phi2 - c1 phi1 + c2 phi0): the flux, read from the triple t,
+    of the field whose quadratic has the coefficients c = (c0, c1, c2)."""
+    c0, c1, c2 = c
     return float((c0 * t.phi2 - c1 * t.phi1 + c2 * t.phi0).real)
 
 
@@ -303,13 +316,15 @@ class CircleSamples:
 
 
 # Nodes per slice of circle_samples.  A slice's samples and moment
-# temporaries peak at about 13 arrays of 16 bytes a node, 0.2 MB at 1024
+# temporaries peak at about 14 arrays of 16 bytes a node, 0.22 MB at 1024
 # nodes.  Over in-process verify ops at N = 4096 (x86-64 Linux, glibc),
 # the whole circle's 0.8 MB of temporaries next to its 0.5 MB block cost
 # about 118 minor faults an op, as freed memory went back to the system
 # and was faulted in again on the next call; slices of 1024 or 2048 nodes
-# cost none.  Each slice adds about 80 numpy calls (about 0.08 ms), and
-# 1024 keeps a slice's temporaries a quarter of the size that faulted.
+# cost none.  Each slice makes about 73 numpy calls, 48 for its samples
+# and 25 for its sums, and takes about 0.043 ms at 16 nodes and 0.105 ms
+# at 1024 (timeit best, shared 2-core x86-64 host); 1024 keeps a slice's
+# temporaries a quarter of the size that faulted.
 _SLICE = 1024
 
 
@@ -327,14 +342,20 @@ def _moment_sums(rho, zeta, w, derivs):
     and term j is the j-th of these three.
     """
     dzeta_drho, dw_drho, dzeta_dtau, _ = derivs
+    terms = np.empty((3, len(w)), dtype=complex)
+    q, t1, t2 = terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = (1j * np.conj(dzeta_dtau) - rho * np.conj(dzeta_drho)) / (w * w)
+        np.multiply(1j, np.conj(dzeta_dtau, out=q), out=q)
+        q -= rho * np.conj(dzeta_drho)
+        q /= w * w
         r = rho * dw_drho / w
         qz = q * zeta
-        terms = (q, qz - r, (qz - 2.0 * r) * zeta + rho * dzeta_drho
-                 - 2j * np.log(w) * dzeta_dtau)
-        return np.array([t.sum() for t in terms]
-                        + [np.abs(t).sum() for t in terms])
+        np.subtract(qz, r, out=t1)
+        np.subtract(qz, 2.0 * r, out=t2)
+        t2 *= zeta
+        t2 += rho * dzeta_drho
+        t2 -= 2j * np.log(w) * dzeta_dtau
+        return np.concatenate((terms.sum(axis=1), np.abs(terms).sum(axis=1)))
 
 
 def _moments(rho, n, parts):
@@ -385,25 +406,30 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid,
     if block is None:
         block = _entry_block(frame, grid)
     a, b, c, d, da, db, dc, dd = block
+    # zeta, d_rho zeta, d_tau zeta and w, d_rho w, d_tau w, by rows.
+    zetas = np.empty((3, block.shape[1]), dtype=complex)
+    ws = np.empty((3, block.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        zeta, w = _zeta_w(a, b, c, d)
+        zeta, w = _zeta_w(a, b, c, d, out=(zetas[0], ws[0]))
         ca, cb = np.conj(a), np.conj(b)
         s = ca * da + cb * db
         p = np.conj(da) * c + np.conj(db) * d
         q = ca * dc + cb * dd
-
-        def moved(dsum, dnum):
-            # (d zeta, d w) from the moves of |A|^2 + |B|^2 and of
-            # conj(A) C + conj(B) D.
-            return w * (dnum - zeta * dsum), -w * w * dsum
-
-        derivs = moved(2.0 * s.real, p + q) \
-            + moved(-2.0 * rho * s.imag, 1j * rho * (q - p))
+        for dzeta, dw, dsum, dnum in (
+                (zetas[1], ws[1], 2.0 * s.real, p + q),
+                (zetas[2], ws[2], -2.0 * rho * s.imag, 1j * rho * (q - p))):
+            # (d zeta, d w) = (w (dnum - zeta dsum), -w w dsum) from the
+            # moves of |A|^2 + |B|^2 and of conj(A) C + conj(B) D.
+            np.subtract(dnum, np.multiply(zeta, dsum, out=dzeta), out=dzeta)
+            np.multiply(w, dzeta, out=dzeta)
+            np.negative(w, out=dw)
+            dw *= w
+            dw *= dsum
     # A non-finite entry value reaches zeta, w or a derivative, so the
     # returned arrays cover the block as well as overflow after it.
-    if not all(np.isfinite(x).all() for x in (zeta, w) + derivs):
+    if not (np.isfinite(zetas).all() and np.isfinite(ws).all()):
         raise DomainError("samples on |z| = %g are not finite" % rho)
-    return zeta, w, derivs
+    return zeta, w, (zetas[1], ws[1], zetas[2], ws[2])
 
 
 def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
@@ -430,7 +456,13 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
 def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
     """|c0| b0 + |c1| b1 + |c2| b2: the round-off that the moments' sums
     allow in flux_for_geodesic(samples.triple, ...) for the field k."""
-    c0, c1, c2 = field_polynomial(k)
+    return _field_roundoff(field_polynomial(k), samples)
+
+
+def _field_roundoff(c, samples: CircleSamples) -> float:
+    """roundoff_bound for the field whose quadratic has the coefficients
+    c = (c0, c1, c2)."""
+    c0, c1, c2 = c
     b2, b1, b0 = samples.roundoff
     return abs(c0) * b0 + abs(c1) * b1 + abs(c2) * b2
 

@@ -8,7 +8,9 @@ accumulated monotonically from 0, never reduced mod 2*pi.  eval_branch,
 the package's one evaluator, evaluates a sequence of series at rho times
 the N-th roots of unity, for any N >= 1, as one block by one inverse FFT
 of the scaled coefficients, in place, and returns the values without
-their branch factors e^(i lambda tau).  That is exact for what the
+their branch factors e^(i lambda tau).  It scales every row's
+coefficients at once, by one power and one multiply masked to each
+row's terms up to its last nonzero one.  That is exact for what the
 package forms from them: a Bryant frame's columns are aligned
 (bryant.BryantFrame), and every product of the immersion is of two
 values from one column, whose factors cancel.  The tests keep a Horner
@@ -172,22 +174,37 @@ def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
     The sum is an inverse DFT of the a_k rho^(o+k), unscaled, up to the
     last nonzero a_k, so that an exact frame's zero tail adds no nan
     where its powers overflow: each goes into bin k mod n, and bins are
-    summed when K + 1 > n, which is exact since omega^n = 1.  One inverse
-    FFT over the block sums every row, in O(n log n) per row, against
-    O(n K) for a Horner sum, and writes the values over the scaled
-    coefficients (out=, numpy 2.0 or later), bitwise as a fresh result
-    would hold them: the block is the call's one array of n columns, so
-    a large n costs one buffer of (rows, n), not two.  n is any positive
-    integer; QuadratureGrid's power-of-two rule belongs to the
-    quadrature, not to this evaluation.
+    summed when K + 1 > n, which is exact since omega^n = 1.  The rows
+    are scaled together, copied into one array padded with zeros to the
+    longest: one power and one multiply over every row's terms, each
+    masked (where=) to the terms up to the row's last nonzero a_k.  One
+    inverse FFT over the block sums every row, in O(n log n) per row,
+    against O(n K) for a Horner sum, and writes the values over the
+    scaled coefficients (out=, numpy 2.0 or later), bitwise as a fresh
+    result would hold them: the block is the call's one array of n
+    columns, so a large n costs one buffer of (rows, n), not two.  n is
+    any positive integer; QuadratureGrid's power-of-two rule belongs to
+    the quadrature, not to this evaluation.
     """
+    size = max((len(a.coeffs) for a in series), default=0)
+    coeffs = np.zeros((len(series), size), dtype=complex)
+    for row, a in zip(coeffs, series):
+        row[:len(a.coeffs)] = a.coeffs
+    # live[r, k]: a_k is at or before row r's last nonzero coefficient.
+    # Powers are formed there only, so a zero tail's cannot overflow or
+    # warn.
+    live = np.logical_or.accumulate(coeffs[:, ::-1] != 0, axis=1)[:, ::-1]
+    k = np.arange(size)
+    powers = np.power(rho, np.array([a.offset for a in series])[:, None] + k,
+                      where=live, out=np.empty(coeffs.shape))
     block = np.zeros((len(series), n), dtype=complex)
-    for row, a in zip(block, series):
-        nonzero = np.flatnonzero(a.coeffs)
-        k = np.arange(nonzero[-1] + 1 if len(nonzero) else 0)
-        vals = a.coeffs[:len(k)] * rho ** (a.offset + k)
-        if len(k) > n:
-            np.add.at(row, k % n, vals)
-        else:
-            row[:len(k)] = vals
+    if size <= n:
+        np.multiply(coeffs, powers, out=block[:, :size], where=live)
+    else:
+        np.multiply(coeffs, powers, out=coeffs, where=live)
+        for row, vals, terms in zip(block, coeffs, live.sum(axis=1)):
+            if terms > n:
+                np.add.at(row, k[:terms] % n, vals[:terms])
+            else:
+                row[:terms] = vals[:terms]
     return np.fft.ifft(block, axis=1, norm="forward", out=block)

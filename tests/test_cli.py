@@ -248,6 +248,26 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("geodesics", [1, 5])
+    def test_one_field_polynomial_per_field(self, geodesics, catenoid_json,
+                                            capsys, monkeypatch):
+        """Each geodesic's two fields form their quadratics once each, for
+        both triples' fluxes and the round-off bound."""
+        calls = []
+        field_polynomial = bryantflux.killing.field_polynomial
+
+        def counted(k):
+            calls.append(k)
+            return field_polynomial(k)
+
+        for module in (bryantflux.killing, bryantflux.flux, bryantflux.cli):
+            monkeypatch.setattr(module, "field_polynomial", counted,
+                                raising=False)
+        code, _ = run_json(capsys, ["verify", "--end", catenoid_json,
+                                    "--geodesics", str(geodesics)])
+        assert code == 0
+        assert len(calls) == 2 * geodesics
+
     def test_far_translated_cousin(self, tmp_path, capsys):
         # The exact cousin on the axis (1e3, infinity) keeps the standard
         # frame's infinite radius, so rho = 0.01 is not refused; its flux

@@ -225,20 +225,58 @@ class TestEvaluation:
     @pytest.mark.parametrize("rho", [0.02, 0.5])
     @pytest.mark.parametrize("samples", [16, 256])
     def test_fft_rows_match_horner(self, rho, samples):
-        # Order 69 at N = 16 folds 70 coefficients into 16 bins.
+        # Order 69 at N = 16 folds 70 coefficients into 16 bins.  Series
+        # of one offset and one length stop at different last nonzero
+        # coefficients, with a zero inside one of them; at N = 16 the
+        # order-128 pair folds one row (61 terms) and not the other (6
+        # terms).
         rng = np.random.default_rng(11)
-        series = [S(offset, rng.normal(size=k + 1)
-                    + 1j * rng.normal(size=k + 1))
-                  for offset, k in [(-2.3, 20), (-2.0, 20), (0.0, 8),
-                                    (3.0, 5), (0.5, 69), (-0.75, 69)]]
+
+        def draw(k, last=None):
+            c = rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)
+            c[k if last is None else last + 1:] = 0.0
+            return c
+
+        gapped = draw(20, last=15)
+        gapped[9] = 0.0
+        series = [S(offset, draw(k, last))
+                  for offset, k, last in [
+                      (-2.3, 20, None), (-2.0, 20, None), (0.0, 8, None),
+                      (3.0, 5, None), (0.5, 69, None), (-0.75, 69, None),
+                      (-2.3, 20, 7), (-0.75, 69, 40), (-0.5, 128, 5),
+                      (-0.5, 128, 60)]] + [S(-2.3, gapped)]
         grid = QuadratureGrid(rho, samples)
         rows = eval_branch(series, grid.rho, grid.samples)
         assert rows.shape == (len(series), samples)
         for row, a in zip(rows, series):
+            # One call per row gives the block's row, bit for bit.
+            assert eval_branch([a], grid.rho, grid.samples)[0].tobytes() \
+                == row.tobytes()
             # The rows lack the branch factor, which the reference keeps.
             row = row * np.exp(1j * a.offset * grid.taus)
             ref = eval_at(a, grid.rho, grid.taus)
             assert np.max(np.abs(row - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("samples", [16, 256])
+    def test_rows_of_one_offset_past_overflow(self, samples):
+        # Two rows of one offset and one length whose zero tails lie where
+        # rho^(o+k) overflows, from k = 104 on: each row is scaled only up
+        # to its own last nonzero coefficient, as one call per row scales
+        # it, and adds no 0 * inf = nan.
+        rng = np.random.default_rng(12)
+        coeffs = np.zeros(129, dtype=complex)
+        coeffs[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        series = [GeneralizedSeries.monomial(-0.5, 2.0, order=128),
+                  S(-0.5, coeffs)]
+        grid = QuadratureGrid(1e3, samples)
+        rows = eval_branch(series, grid.rho, grid.samples)
+        for row, a in zip(rows, series):
+            assert eval_branch([a], grid.rho, grid.samples)[0].tobytes() \
+                == row.tobytes()
+        assert np.allclose(rows[0], 2.0 * 1e3 ** -0.5, rtol=1e-15, atol=0.0)
+        ref = eval_at(series[1], grid.rho, grid.taus)
+        row = rows[1] * np.exp(-0.5j * grid.taus)
+        assert np.max(np.abs(row - ref)) < 1e-14 * np.max(np.abs(ref))
 
     def test_circle_samples_is_one_block_evaluation(self, monkeypatch):
         import bryantflux.bryant

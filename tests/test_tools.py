@@ -1,9 +1,12 @@
-"""The scripts under tools/, run as scripts: code_lines.py on small
-packages, same_outputs.py, ab_builds.py and ab_quadrature.py on the
-package's own source tree; the outputs same_outputs.py compares for one
-spec are also read in process."""
+"""The scripts under tools/: code_lines.py run as a script on small
+packages, ab_builds.py and ab_quadrature.py run as scripts on the
+package's own source tree, and same_outputs.py in process, as its main
+compares two trees, with the package's own tree's outputs computed once
+per session; the outputs it compares for one spec are also read one by
+one."""
 
 import importlib.util
+import json
 import re
 import shutil
 import subprocess
@@ -94,19 +97,6 @@ def test_several_directories_and_a_grand_total(tmp_path):
         ["two/total", "2"], ["total", "3"]]
 
 
-def same_outputs(parent, change):
-    """(exit code, stdout) of same_outputs.py on two source trees."""
-    out = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(parent),
-                          str(change)], capture_output=True, text=True)
-    return out.returncode, out.stdout
-
-
-def test_same_outputs_of_the_tree_and_itself():
-    code, out = same_outputs(ROOT / "src", ROOT / "src")
-    assert code == 0
-    assert out == "712 specs: every output bitwise equal\n"
-
-
 def load_tool():
     """same_outputs.py imported as a module."""
     spec = importlib.util.spec_from_file_location("same_outputs",
@@ -114,6 +104,62 @@ def load_tool():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
+
+
+@pytest.fixture(scope="session")
+def tree_outputs():
+    """same_outputs.py's outputs of the package's own source tree,
+    computed once per session: each comparison below takes them as its
+    parent."""
+    return load_tool().tree_outputs(ROOT / "src", "bryantflux_tree")
+
+
+def same_outputs(parent, change):
+    """(exit code, stdout) of same_outputs.py on a tree whose outputs are
+    ``parent`` and the source tree ``change``, computed in process as the
+    script computes them."""
+    tool = load_tool()
+    code, text = tool.report(parent, tool.tree_outputs(change,
+                                                       "bryantflux_change"))
+    return code, text + "\n"
+
+
+def test_same_outputs_of_the_tree_and_itself(tree_outputs):
+    code, out = same_outputs(tree_outputs, ROOT / "src")
+    assert code == 0
+    assert out == "712 specs: every output bitwise equal\n"
+
+
+def test_same_outputs_script_prints_its_usage():
+    """Run as a script without two trees, it prints how to run it and
+    exits 2."""
+    out = subprocess.run([sys.executable, str(SAME_OUTPUTS)],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == ("Run from the repository root:\n\n"
+                          "    python tools/same_outputs.py PARENT_SRC "
+                          "CHANGE_SRC\n")
+
+
+def test_same_outputs_compares_the_cli_runs(tmp_path):
+    """Each verify-shaped spec gives the three verify runs and then the
+    two mesh runs, each an exit code and the OBJ text it wrote: 8 rings
+    of 16 vertices, in one model and the other."""
+    import bryantflux
+
+    tool = load_tool()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tool.VERIFY_SPECS[2]))
+    out = tool.cli_outputs(bryantflux, str(path))
+    assert [name for name, _ in out] == [
+        "verify --rho 0.02", "verify --rho 0.1", "verify --samples 4096",
+        "mesh --model halfspace", "mesh --model ball"]
+    (_, (code, halfspace)), (_, (ball_code, ball)) = out[3:]
+    assert code == ball_code == 0
+    for obj in (halfspace, ball):
+        assert sum(line.startswith("v ") for line in obj.splitlines()) \
+            == 8 * 16
+    assert halfspace != ball
 
 
 def test_same_outputs_compares_the_descriptor():
@@ -147,12 +193,12 @@ def changed_copy(tmp_path, module, old, new):
 
 
 @pytest.fixture(scope="module")
-def four_pi_report(tmp_path_factory):
+def four_pi_report(tmp_path_factory, tree_outputs):
     """same_outputs.py's (exit code, stdout) on a copy whose residue scale
     4 pi is one ulp of 4 larger."""
     change = changed_copy(tmp_path_factory.mktemp("four_pi"), "flux",
                           "4.0 * math.pi", "4.000000000000001 * math.pi")
-    return same_outputs(ROOT / "src", change)
+    return same_outputs(tree_outputs, change)
 
 
 def test_same_outputs_reports_a_changed_constant(four_pi_report):
@@ -178,23 +224,24 @@ def test_same_outputs_counts_every_output_that_differs(four_pi_report):
     assert "frame_to_json" not in out
 
 
-def test_same_outputs_reports_a_changed_quadrature(tmp_path):
+def test_same_outputs_reports_a_changed_quadrature(tmp_path, tree_outputs):
     """A copy whose trapezoid weight 2 pi / N is one ulp of 2 larger
     differs in its first quadrature triple, after equal residues."""
     change = changed_copy(tmp_path, "flux", "scale = 2.0 * math.pi / n",
                           "scale = 2.0000000000000004 * math.pi / n")
-    code, out = same_outputs(ROOT / "src", change)
+    code, out = same_outputs(tree_outputs, change)
     assert code == 1
     assert out.startswith("first difference: circle_samples of ")
 
 
-def test_same_outputs_reports_a_changed_geodesic_draw(tmp_path):
+def test_same_outputs_reports_a_changed_geodesic_draw(tmp_path,
+                                                     tree_outputs):
     """A copy whose verify draws its geodesics from the next seed differs
     in the CLI's verify output of every run, and in no other output."""
     change = changed_copy(tmp_path, "cli",
                           "np.random.default_rng(args.seed)",
                           "np.random.default_rng(args.seed + 1)")
-    code, out = same_outputs(ROOT / "src", change)
+    code, out = same_outputs(tree_outputs, change)
     assert code == 1
     assert out.startswith("first difference: verify --rho 0.02 of ")
     for name, tally in zip(("verify --rho 0.02", "verify --rho 0.1",

@@ -43,7 +43,11 @@ with --samples 256 at --rho 0.02 and 0.1, as the outputs named
 quadrature sums its moments over several slices of nodes, as
 ``verify --samples 4096``.  It compares each run's exit code and
 standard output, bit for bit: the benchmark's digits read those numbers,
-which ulp-level changes to the samples move.
+which ulp-level changes to the samples move.  On the same three specs it
+runs the CLI's mesh with --model halfspace and with --model ball, as the
+outputs ``mesh --model M``, on 8 rings of 16 nodes from rho 0.02 to 0.1,
+fewer nodes than the terms, so that eval_branch folds them into its
+bins: it compares each run's exit code and OBJ text, bit for bit.
 
 Each output that raises is compared as the class and message of its
 error.  Only public names are used, so any two trees of the package can
@@ -53,6 +57,11 @@ where it differs of those where either tree has it (``defects: 12 of 616
 specs``), and exits 1; otherwise it prints the number of specs compared
 and exits 0.  A change that moves one output on purpose so shows that no
 other moved.
+
+In process, tree_outputs(src, name) gives one tree's outputs and
+report(parent, change) compares two such lists, as main does: a caller
+that compares several trees with one can compute that one's outputs
+once.
 """
 
 import contextlib
@@ -63,6 +72,7 @@ import logging
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +114,12 @@ VERIFY_RUNS = (
     ("verify --rho 0.1", ["--rho", "0.1", "--samples", "256"]),
     ("verify --samples 4096", ["--rho", "0.1", "--samples", "4096"]),
 )
+# Each spec's mesh runs past --end and --out, on 8 rings of 16 nodes: the
+# default order's 33 terms fold into 16 bins.
+MESH_ARGV = ["--rho-min", "0.02", "--rho-max", "0.1", "--radial", "8",
+             "--angular", "16"]
+MESH_RUNS = tuple(("mesh --model %s" % model, ["--model", model])
+                  for model in ("halfspace", "ball"))
 
 # An output that one tree has for a spec and the other has not.
 MISSING = object()
@@ -242,10 +258,11 @@ def outputs(pkg, handler, spec, order, bound=False):
     return out
 
 
-def verify_outputs(pkg, path):
-    """(name, value) pairs of the CLI's verify on the spec file at
-    ``path``, one per run of VERIFY_RUNS: its exit code and standard
-    output."""
+def cli_outputs(pkg, path):
+    """(name, value) pairs of the CLI on the spec file at ``path``: one
+    per run of VERIFY_RUNS, its exit code and standard output, and one
+    per run of MESH_RUNS, its exit code and the OBJ text it wrote (None
+    when it wrote no file)."""
     run = importlib.import_module(pkg.__name__ + ".cli").run
     out = []
     for name, argv in VERIFY_RUNS:
@@ -253,6 +270,12 @@ def verify_outputs(pkg, path):
         with contextlib.redirect_stdout(text):
             code = run(["verify", "--end", path] + argv + VERIFY_ARGV)
         out.append((name, (code, text.getvalue())))
+    obj = Path(path).with_suffix(".obj")
+    for name, argv in MESH_RUNS:
+        obj.unlink(missing_ok=True)
+        code = run(["mesh", "--end", path, "--out", str(obj)] + argv
+                   + MESH_ARGV)
+        out.append((name, (code, obj.read_text() if obj.exists() else None)))
     return out
 
 
@@ -263,63 +286,94 @@ def load(src: Path, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
-        return 2
-    sys.dont_write_bytecode = True
+def tree_outputs(src, name):
+    """The outputs of the package under ``src``, imported as ``name``: a
+    list of (where, [(output name, value), ...]) pairs, one per grid spec
+    and then one per spec of VERIFY_SPECS for its CLI runs.  The package
+    is imported from a temporary copy and dropped from sys.modules
+    afterwards, and the bryantflux logger is restored, so that a process
+    can compute several trees' outputs, one name at a time.  Warnings
+    are ignored: they change no output."""
     log = logging.getLogger("bryantflux")
+    saved = log.level, log.propagate
     log.setLevel(logging.DEBUG)
     log.propagate = False
     handler = _Defects()
     log.addHandler(handler)
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        pkgs = [load(Path(src), name, Path(tmp)) for src, name in
-                zip(argv, ("bryantflux_parent", "bryantflux_change"))]
-        bound = all(hasattr(pkg.FluxTriple, "residue_bound") for pkg in pkgs)
-        n, first = 0, None
-        # For each output name: [specs where it differs, specs that have it]
-        tally = {}
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sys.path.insert(0, tmp)
+            try:
+                pkg = load(Path(src), name, Path(tmp))
+                bound = hasattr(pkg.FluxTriple, "residue_bound")
+                got = [("%r at order %d" % (spec, order),
+                        outputs(pkg, handler, spec, order, bound))
+                       for spec, order in specs()]
+                for i, spec in enumerate(VERIFY_SPECS):
+                    path = Path(tmp) / ("verify%d.json" % i)
+                    path.write_text(json.dumps(spec))
+                    got.append((repr(spec), cli_outputs(pkg, str(path))))
+            finally:
+                sys.path.remove(tmp)
+                for module in [m for m in sys.modules
+                               if m == name or m.startswith(name + ".")]:
+                    del sys.modules[module]
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
+    return got
 
-        def compare(where, got):
-            """Record the two trees' (name, value) lists of one spec."""
-            nonlocal first
-            # Both lists of a grid spec start with the canonical frame and
-            # end with the defects, and a refused build differs from a
-            # built one in the name of its second output, so the first
-            # unequal pair exists whenever the lists differ.
-            if first is None:
-                first = next(("first difference: %s of %s\nparent: %s\n"
-                              "change: %s" % (name, where, a, b)
-                              for (name, a), (other, b) in zip(*got)
-                              if (name, a) != (other, b)), None)
-            parent, change = map(dict, got)
-            for name in {**parent, **change}:
-                count = tally.setdefault(name, [0, 0])
-                count[0] += (parent.get(name, MISSING)
-                             != change.get(name, MISSING))
-                count[1] += 1
 
-        for spec, order in specs():
-            compare("%r at order %d" % (spec, order),
-                    [outputs(pkg, handler, spec, order, bound)
-                     for pkg in pkgs])
-            n += 1
-        for i, spec in enumerate(VERIFY_SPECS):
-            path = Path(tmp) / ("verify%d.json" % i)
-            path.write_text(json.dumps(spec))
-            compare(repr(spec), [verify_outputs(pkg, str(path))
-                                 for pkg in pkgs])
+def report(parent, change):
+    """(exit code, text) of the comparison of two trees' tree_outputs.
+    A tree with no residue bound gives no such output, and then neither
+    tree's is compared."""
+    if not all(any(name == "residue_bound" for _, out in tree
+                   for name, _ in out) for tree in (parent, change)):
+        parent, change = ([(where, [(name, v) for name, v in out
+                                    if name != "residue_bound"])
+                           for where, out in tree]
+                          for tree in (parent, change))
+    first = None
+    # For each output name: [specs where it differs, specs that have it]
+    tally = {}
+    for (where, a), (_, b) in zip(parent, change, strict=True):
+        # Both lists of a grid spec start with the canonical frame and end
+        # with the defects, and a refused build differs from a built one
+        # in the name of its second output, so the first unequal pair
+        # exists whenever the lists differ.
+        if first is None:
+            first = next(("first difference: %s of %s\nparent: %s\n"
+                          "change: %s" % (name, where, x, y)
+                          for (name, x), (other, y) in zip(a, b)
+                          if (name, x) != (other, y)), None)
+        a, b = dict(a), dict(b)
+        for name in {**a, **b}:
+            count = tally.setdefault(name, [0, 0])
+            count[0] += a.get(name, MISSING) != b.get(name, MISSING)
+            count[1] += 1
     if first is None:
-        print("%d specs: every output bitwise equal" % n)
-        return 0
-    print(first)
-    for name, (differ, have) in tally.items():
-        if differ:
-            print("%s: %d of %d specs" % (name, differ, have))
-    return 1
+        return 0, "%d specs: every output bitwise equal" % (
+            len(parent) - len(VERIFY_SPECS))
+    return 1, "\n".join([first] + [
+        "%s: %d of %d specs" % (name, differ, have)
+        for name, (differ, have) in tally.items() if differ])
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True
+    code, text = report(*(tree_outputs(src, name) for src, name in
+                          zip(argv, ("bryantflux_parent",
+                                     "bryantflux_change"))))
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
 from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
-from .flux import (_field_flux, _field_roundoff, circle_samples,
+from .flux import (circle_samples, field_flux, field_roundoff,
                    flux_for_geodesic, flux_result_json, flux_triple)
 from .geometry import (INF, Geodesic, cross_ratio, is_inf, parse_complex,
                        parse_real)
@@ -159,7 +159,7 @@ def _cmd_verify(args):
         raise DomainError("--geodesics must be at least 1")
     frame = _load_frame(args)
     triple = _certified_triple(frame)
-    samples = circle_samples(frame, QuadratureGrid(args.rho, args.samples))
+    quad = circle_samples(frame, QuadratureGrid(args.rho, args.samples))
     rng = np.random.default_rng(args.seed)
     worst = bound = 0.0
     for i in range(args.geodesics):
@@ -176,17 +176,15 @@ def _cmd_verify(args):
             # The field's quadratic, formed once for both triples and the
             # bound.
             c = field_polynomial(KillingField(kind, geod))
-            defect = abs(_field_flux(c, samples.triple)
-                         - _field_flux(c, triple))
+            defect = abs(field_flux(quad, c) - field_flux(triple, c))
             if not math.isfinite(defect):
                 raise DomainError("quadrature on |z| = %g gave a non-finite "
                                   "flux" % args.rho)
             worst = max(worst, defect)
-            bound = max(bound, _field_roundoff(c, samples))
+            bound = max(bound, field_roundoff(quad, c))
     if not bound < 1e-5:
         raise DomainError("quadrature on |z| = %g is lost to round-off "
                           "(bound %.3e)" % (args.rho, bound))
-    quad = samples.triple
     triple_defect = max(abs(quad.phi0 - triple.phi0),
                         abs(quad.phi1 - triple.phi1),
                         abs(quad.phi2 - triple.phi2))
@@ -367,7 +365,7 @@ def run(argv=None) -> int:
         args = p.parse_args(argv[len(words):])
         return handler(args) if handler else p.error("name a command")
     except (DomainError, ConsistencyError, OSError, ValueError,
-            KeyError, MemoryError) as exc:
+            KeyError, MemoryError, RecursionError) as exc:
         # numpy refuses an allocation with a private MemoryError subclass.
         kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
         json.dump({"error": kind.__name__, "message": str(exc)}, sys.stderr)

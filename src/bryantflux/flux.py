@@ -16,9 +16,9 @@ the residues of the formed products, which the tests form in series
 arithmetic: no product or derivative series is formed here, and the
 cost does not grow with the order.  A frame whose columns stop before
 that index is refused, not read as a zero triple.  The triple carries
-a bound on its round-off (FluxTriple.residue_bound), large where a
-residue's two sums cancel; the CLI refuses a triple whose bound is not
-small next to it.
+a bound on the round-off of each component (FluxTriple.roundoff; their
+largest is FluxTriple.residue_bound), large where a residue's two sums
+cancel; the CLI refuses a triple whose bound is not small next to it.
 
 circle_samples integrates the defining boundary integral by the
 trapezoid rule on one circle |z| = rho, with exact derivatives, and
@@ -41,15 +41,14 @@ reductions and the six sums are three calls.
 The integrand is linear in the coefficients of the field's quadratic
 V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
 circle_samples sums three complex moments (M0, M1, M2) once per circle,
-and a field's flux is Re(c0 M0 + c1 M1 + c2 M2).  That is the pairing
-flux_for_geodesic applies to a triple, for the triple (M2, -M1, M0):
-the quadrature gives the residue triple, computed numerically, and
-every field's flux is read from either triple by that one function, in
-O(1).  Each moment carries a bound on the round-off of its sum, and
-roundoff_bound gives the one a field's flux inherits.  Both read the
-field's quadratic, which a caller that pairs one field with several
-triples, as the CLI's verify does, forms once and passes to
-_field_flux and _field_roundoff.
+and a field's flux is Re(c0 M0 + c1 M1 + c2 M2).  circle_samples returns
+them as a FluxTriple, (M2, -M1, M0) with the round-off bounds of their
+sums: the quadrature gives the residue triple, computed numerically, in
+the same record.  field_flux pairs a field's quadratic with any triple,
+in O(1), and field_roundoff with the triple's bounds, giving the bound
+that the field's flux inherits; flux_for_geodesic forms the quadratic
+and applies field_flux.  A caller that pairs one field with several
+triples, as the CLI's verify does, forms the quadratic once.
 
 The moments are formed from zeta, w and their derivatives as they are,
 and are not to be simplified with det F = 1: that identity collapses q
@@ -79,14 +78,19 @@ from .series import (QuadratureGrid, _derivative_factors, _residue_index,
 
 @dataclass(frozen=True)
 class FluxTriple:
-    """(phi0, phi1, phi2) and, for a residue triple, the bound on the
-    round-off of its components (flux_triple), which equality ignores;
-    None where no bound was formed."""
+    """(phi0, phi1, phi2) and the bounds on the round-off of the three
+    components, in that order (flux_triple, circle_samples), which
+    equality ignores; None where no bound was formed."""
 
     phi0: complex
     phi1: complex
     phi2: complex
-    residue_bound: Optional[float] = field(default=None, compare=False)
+    roundoff: Optional[tuple] = field(default=None, compare=False)
+
+    @property
+    def residue_bound(self) -> Optional[float]:
+        """The largest of the components' round-off bounds, or None."""
+        return None if self.roundoff is None else max(self.roundoff)
 
 
 @dataclass(frozen=True)
@@ -181,16 +185,16 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     operand of the longer column ascending), as the formed product's
     z^-1 coefficient is, so the values are bitwise those of the residues
     of the formed products.  When idx < 0 all three one-forms are
-    holomorphic and the triple is exactly 0, with a bound of 0.  A frame
+    holomorphic and the triple is exactly 0, with bounds of 0.  A frame
     truncated before idx, a residue that overflows, or an offset sum
     that is not finite raises DomainError.
 
-    The triple carries residue_bound, the largest over its components of
-    the bound on their round-off (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, sections 3.1 and 3.6): gamma_(idx+8)
-    times 4 pi times the same two sums taken on the moduli of the rows,
-    which the block holds as its rows 8-15, so that the one np.matmul
-    forms them with the six sums.  The index counts the idx + 1 terms of a complex
+    The triple carries, as roundoff, the bound on each component's
+    round-off (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sections 3.1 and 3.6): gamma_(idx+8) times 4 pi times the same
+    two sums taken on the moduli of the rows, which the block holds as
+    its rows 8-15, so that the one np.matmul forms them with the six
+    sums.  The index counts the idx + 1 terms of a complex
     dot product (gamma_(n+2) for n terms), the difference of the two,
     the two roundings in each derivative row's factors and the two of
     the scaling by 4 pi.  It bounds the rounding of the sums from the
@@ -203,7 +207,7 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     # The offset of D dC, with dC's offset as differentiate forms it.
     idx = _residue_index(o2 + _snap(o1 - 1.0))
     if idx < 0:
-        return FluxTriple(0j, 0j, 0j, 0.0)
+        return FluxTriple(0j, 0j, 0j, (0.0, 0.0, 0.0))
     if idx >= min(n1, n2):
         raise DomainError("the frame is truncated before the residues of "
                           "its one-forms: z^-1 is at index %d of columns of "
@@ -221,9 +225,9 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     res = [4.0 * math.pi * ((s[i] + 0j) - (s[i + 1] + 0j)) for i in (0, 2, 4)]
     if not all(cmath.isfinite(r) for r in res):
         raise DomainError("the flux residues overflow: they are not finite")
-    bound = 4.0 * math.pi * _gamma(idx + 8) * max(
-        s[6].real + s[7].real, s[8].real + s[9].real, s[10].real + s[11].real)
-    return FluxTriple(*res, bound)
+    k = 4.0 * math.pi * _gamma(idx + 8)
+    return FluxTriple(*res, tuple(k * (s[i].real + s[i + 1].real)
+                                  for i in (6, 8, 10)))
 
 
 def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
@@ -234,17 +238,25 @@ def flux_for_geodesic(t: FluxTriple, g: Geodesic, kind: str) -> float:
     For a translation that is the real part of
     (phi2 C D + phi1 (C+D) + phi0)/(C-D) for finite C and D, with limits
     -(phi1 + phi2 C) at D = inf and phi1 + phi2 D at C = inf; a rotation
-    reads minus the imaginary part.  It serves the residue triple and
-    the quadrature's (CircleSamples.triple) alike.
+    reads minus the imaginary part.  It serves the residue triple
+    (flux_triple) and the quadrature's (circle_samples) alike.
     """
-    return _field_flux(field_polynomial(KillingField(kind, g)), t)
+    return field_flux(t, field_polynomial(KillingField(kind, g)))
 
 
-def _field_flux(c, t: FluxTriple) -> float:
+def field_flux(t: FluxTriple, c) -> float:
     """Re(c0 phi2 - c1 phi1 + c2 phi0): the flux, read from the triple t,
     of the field whose quadratic has the coefficients c = (c0, c1, c2)."""
     c0, c1, c2 = c
     return float((c0 * t.phi2 - c1 * t.phi1 + c2 * t.phi0).real)
+
+
+def field_roundoff(t: FluxTriple, c) -> float:
+    """|c0| r2 + |c1| r1 + |c2| r0 for the round-off bounds (r0, r1, r2)
+    of t's components: the round-off that they allow in field_flux(t, c)."""
+    c0, c1, c2 = c
+    r0, r1, r2 = t.roundoff
+    return abs(c0) * r2 + abs(c1) * r1 + abs(c2) * r0
 
 
 # -- end-type closed forms --------------------------------------------------
@@ -305,16 +317,6 @@ def horospherical_polynomial(kappa: complex,
 
 # -- numerical quadrature route ---------------------------------------------
 
-@dataclass(frozen=True)
-class CircleSamples:
-    """The quadrature's flux triple (M2, -M1, M0) on one circle and the
-    round-off bounds (b2, b1, b0) of its components.  The samples it is
-    summed from are not kept: _immersion_derivatives forms them."""
-
-    triple: FluxTriple
-    roundoff: tuple
-
-
 # Nodes per slice of circle_samples.  A slice's samples and moment
 # temporaries peak at about 14 arrays of 16 bytes a node, 0.22 MB at 1024
 # nodes.  Over in-process verify ops at N = 4096 (x86-64 Linux, glibc),
@@ -359,7 +361,7 @@ def _moment_sums(rho, zeta, w, derivs):
 
 
 def _moments(rho, n, parts):
-    """The triple (M2, -M1, M0) of trapezoid sums over n nodes and the
+    """The triple (M2, -M1, M0) of trapezoid sums over n nodes, with the
     round-off bounds (b2, b1, b0) of its components, from the _moment_sums
     of the circle's slices, added in order: M_j is the sum of the j-th
     term times 2 pi / n, and its bound eps times the sum of the term's
@@ -373,7 +375,7 @@ def _moments(rho, n, parts):
         bounds = tuple(float(s.real * eps_scale) for s in sums[3:])
     if not all(map(cmath.isfinite, (m0, m1, m2) + bounds)):
         raise DomainError("flux moments on |z| = %g are not finite" % rho)
-    return FluxTriple(m2, -m1, m0), bounds[::-1]
+    return FluxTriple(m2, -m1, m0, bounds[::-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -387,11 +389,9 @@ def _entry_block(frame: BryantFrame, grid: QuadratureGrid) -> np.ndarray:
                        grid.rho, grid.samples)
 
 
-def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid,
-                           block: Optional[np.ndarray] = None):
+def _immersion_derivatives(rho: float, block: np.ndarray):
     """zeta, w and (d_rho zeta, d_rho w, d_tau zeta, d_tau w) at the nodes
-    of ``block``, columns of the grid's _entry_block; by default the whole
-    circle's, evaluated here.
+    of ``block``, columns of an _entry_block on |z| = rho.
 
     E moves by e^(i tau) E'(z) along rho and by i z E'(z) along tau.  The
     branch factor of E' is that of E divided by e^(i tau), which the move
@@ -402,9 +402,6 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid,
     column products s, p and q give both directions.  A sample that
     overflows or is not finite raises DomainError.
     """
-    rho = grid.rho
-    if block is None:
-        block = _entry_block(frame, grid)
     a, b, c, d, da, db, dc, dd = block
     # zeta, d_rho zeta, d_tau zeta and w, d_rho w, d_tau w, by rows.
     zetas = np.empty((3, block.shape[1]), dtype=complex)
@@ -432,12 +429,12 @@ def _immersion_derivatives(frame: BryantFrame, grid: QuadratureGrid,
     return zeta, w, (zetas[1], ws[1], zetas[2], ws[2])
 
 
-def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
+def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> FluxTriple:
     """Sample X = (zeta, w) on |z| = rho with radial and angular derivatives
     (_immersion_derivatives), and sum the three flux moments over the
-    circle into the quadrature's flux triple and its round-off bounds
-    (_moments), which are all the record keeps.  A sample or moment that
-    overflows or is not finite raises DomainError.
+    circle into the quadrature's flux triple and the round-off bounds of
+    its components (_moments); the samples are not kept.  A sample or
+    moment that overflows or is not finite raises DomainError.
 
     The entries are evaluated once, as one block that eval_branch inverts
     in place; the samples and the moments' sums are formed one slice of
@@ -447,24 +444,10 @@ def circle_samples(frame: BryantFrame, grid: QuadratureGrid) -> CircleSamples:
     """
     _check_radius(frame, grid.rho)
     block = _entry_block(frame, grid)
-    return CircleSamples(*_moments(grid.rho, grid.samples, (
+    return _moments(grid.rho, grid.samples, (
         _moment_sums(grid.rho, *_immersion_derivatives(
-            frame, grid, block[:, start:start + _SLICE]))
-        for start in range(0, grid.samples, _SLICE))))
-
-
-def roundoff_bound(samples: CircleSamples, k: KillingField) -> float:
-    """|c0| b0 + |c1| b1 + |c2| b2: the round-off that the moments' sums
-    allow in flux_for_geodesic(samples.triple, ...) for the field k."""
-    return _field_roundoff(field_polynomial(k), samples)
-
-
-def _field_roundoff(c, samples: CircleSamples) -> float:
-    """roundoff_bound for the field whose quadratic has the coefficients
-    c = (c0, c1, c2)."""
-    c0, c1, c2 = c
-    b2, b1, b0 = samples.roundoff
-    return abs(c0) * b0 + abs(c1) * b1 + abs(c2) * b2
+            grid.rho, block[:, start:start + _SLICE]))
+        for start in range(0, grid.samples, _SLICE)))
 
 
 # -- serialization ----------------------------------------------------------

@@ -23,7 +23,7 @@ from bryantflux import (BalanceProblem, Catenoidal, FluxMatrix,
                         horosphere_frame, horospherical_polynomial,
                         is_inf, polynomial_sum,
                         three_end_axes, two_end_solve)
-from bryantflux.flux import _immersion_derivatives
+from bryantflux.flux import _entry_block, _immersion_derivatives
 
 from conftest import (make_h, random_geodesic,
                       translated_catenoidal_frame)
@@ -66,7 +66,7 @@ def test_01_cousin_axis_flux_three_routes(criteria):
         frame = catenoid_cousin_frame(mu)
         by_triple = flux_for_geodesic(flux_triple(frame), axis, "translation")
         by_form = catenoidal_closed_form(mu, 0.0, INF, axis, "translation")
-        by_quad = flux_for_geodesic(circle_samples(frame, grid).triple, axis,
+        by_quad = flux_for_geodesic(circle_samples(frame, grid), axis,
                                     "translation")
         ok &= abs(by_triple - target) < 1e-10
         ok &= abs(by_form - by_triple) < 1e-10
@@ -106,7 +106,7 @@ def test_03_cross_ratio_flux_law(criteria):
         for kind in ("translation", "rotation"):
             closed = catenoidal_closed_form(mu, zc, INF, g, kind)
             by_triple = flux_for_geodesic(t, g, kind)
-            quad = flux_for_geodesic(samples.triple, g, kind)
+            quad = flux_for_geodesic(samples, g, kind)
             ok &= abs(closed - by_triple) < 1e-9
             ok &= abs(quad - closed) < 1e-9
     criteria.report(3, "cross-ratio flux law on random geodesics", ok)
@@ -133,7 +133,7 @@ def test_04_horospherical_kappa_law(criteria):
     samples = circle_samples(f3, QuadratureGrid(0.3, 1024))
     for g in (Geodesic(1.0, -1.0), Geodesic(0.5 + 0.5j, INF)):
         for kind in ("translation", "rotation"):
-            ok &= abs(flux_for_geodesic(samples.triple, g, kind)) < 1e-6
+            ok &= abs(flux_for_geodesic(samples, g, kind)) < 1e-6
     criteria.report(4, "horospherical flux coefficient law", ok)
 
 
@@ -145,7 +145,7 @@ def test_05_horosphere_zero_flux(criteria):
     for _ in range(10):
         g = random_geodesic(rng)
         kind = "translation" if rng.random() < 0.5 else "rotation"
-        ok &= abs(flux_for_geodesic(samples.triple, g, kind)) < 1e-7
+        ok &= abs(flux_for_geodesic(samples, g, kind)) < 1e-7
     criteria.report(5, "horosphere flux vanishes", ok)
 
 
@@ -264,7 +264,7 @@ def test_09_homology_and_gauge_invariance(criteria):
     frame = canonical_catenoidal_frame(0.5, make_h(0.5, (0.0, 0.05)))
     g = Geodesic(1.0, -1.0)
     vals = [flux_for_geodesic(circle_samples(
-        frame, QuadratureGrid(rho, 1024)).triple, g, "translation")
+        frame, QuadratureGrid(rho, 1024)), g, "translation")
             for rho in (0.05, 0.1, 0.15)]
     ok = max(vals) - min(vals) < 1e-5
 
@@ -274,7 +274,7 @@ def test_09_homology_and_gauge_invariance(criteria):
     # loop; the metric dual of u dv, which is not closed, adds twice the
     # area the loop encloses in the (u, v) plane.
     zeta, w, (_, _, dzeta_dtau, dw_dtau) = _immersion_derivatives(
-        frame, QuadratureGrid(0.1, 1024))
+        0.1, _entry_block(frame, QuadratureGrid(0.1, 1024)))
     u, v = zeta.real, zeta.imag
 
     def gauge_invariant(za, zb):

@@ -10,7 +10,7 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         catenoid_cousin_frame,
                         frame_from_json, frame_to_json, horosphere_frame,
                         transform_frame)
-from bryantflux.flux import _immersion_derivatives
+from bryantflux.flux import _entry_block, _immersion_derivatives
 from bryantflux.series import differentiate
 
 from conftest import frame_defects, make_h
@@ -154,7 +154,7 @@ class TestDerivedForms:
         dzeta_drho = (ring[-2] - 8.0 * ring[-1]
                       + 8.0 * ring[1] - ring[2]) / (12.0 * h)
         _, w, (_, _, dzeta_dtau, _) = _immersion_derivatives(
-            perturbed_frame, grid)
+            rho, _entry_block(perturbed_frame, grid))
         z = rho * np.exp(1j * taus)
         dzbar = (rho * dzeta_drho + 1j * dzeta_dtau) / (2.0 * np.conj(z))
         lhs = np.conj(dzbar) / w ** 2

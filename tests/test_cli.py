@@ -35,6 +35,9 @@ H0_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": 1e200,
 RESIDUE_OVERFLOW_SPEC = {"type": "horospherical", "mu": 2, "h0": [0.5, 0.0],
                          "h_perturbation": [1.0, 0.5],
                          "boundary": [0.3, 1e200]}
+# JSON text nested past the decoder's recursion limit, which json.dumps
+# cannot write: it raises RecursionError when read.
+NESTED_JSON = "[" * 100000 + "]" * 100000
 
 
 # A mesh run short of its grid flags; nothing is written when it fails.
@@ -267,6 +270,30 @@ class TestVerify:
                                     "--geodesics", str(geodesics)])
         assert code == 0
         assert len(calls) == 2 * geodesics
+
+    @pytest.mark.parametrize("geodesics", [1, 5])
+    def test_one_pairing_for_both_triples(self, geodesics, catenoid_json,
+                                          capsys, monkeypatch):
+        """Each geodesic's two fields read their fluxes from the residue
+        and the quadrature triple by field_flux, and the round-off bound
+        from the quadrature's by field_roundoff."""
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        for name in ("field_flux", "field_roundoff"):
+            counted = counting(name, getattr(bryantflux.flux, name))
+            for module in (bryantflux.flux, bryantflux.cli):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        code, _ = run_json(capsys, ["verify", "--end", catenoid_json,
+                                    "--geodesics", str(geodesics)])
+        assert code == 0
+        assert (calls.count("field_flux"), calls.count("field_roundoff")) \
+            == (4 * geodesics, 2 * geodesics)
 
     def test_far_translated_cousin(self, tmp_path, capsys):
         # The exact cousin on the axis (1e3, infinity) keeps the standard
@@ -664,6 +691,9 @@ class TestErrors:
         (dict(CATENOID_SPEC, order=1e12), ["flux"], "MemoryError"),
         (CATENOID_SPEC, ["verify", "--samples", str(2 ** 40)],
          "MemoryError"),
+        (NESTED_JSON, ["end", "build", "--spec"], "RecursionError"),
+        (NESTED_JSON, ["flux"], "RecursionError"),
+        (NESTED_JSON, ["flux", "--frame"], "RecursionError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
             "frame-doubled-a", "frame-doubled-a-huge-top",
             "frame-radius-zero", "frame-radius-negative",
@@ -688,15 +718,17 @@ class TestErrors:
             "mesh-angular-negative", "mesh-angular-2", "mesh-rho-min-nan",
             "mesh-rho-max-nan", "mesh-rho-min-negative", "mesh-overflow",
             "mesh-overflow-ball", "order-1e12-memory",
-            "verify-samples-2-40-memory"])
+            "verify-samples-2-40-memory", "end-build-spec-nested",
+            "flux-end-nested", "flux-frame-nested"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         mesh_out = tmp_path / "end.obj"
         argv = [str(mesh_out) if a == MESH_OUT else a for a in argv]
         if spec is not None:
             path = tmp_path / "spec.json"
-            path.write_text(json.dumps(spec))
-            if argv[-1] == "--frame":
+            path.write_text(spec if isinstance(spec, str)
+                            else json.dumps(spec))
+            if argv[-1] in ("--frame", "--spec"):
                 argv = argv + [str(path)]
             else:
                 argv = argv + ["--end", str(path)]

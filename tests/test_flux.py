@@ -17,7 +17,7 @@ from bryantflux import (BryantFrame, DomainError,
                         horospherical_polynomial, mobius_boundary,
                         transform_frame)
 import bryantflux.flux
-from bryantflux.flux import (_SLICE, CircleSamples, _immersion_derivatives,
+from bryantflux.flux import (_SLICE, _entry_block, _immersion_derivatives,
                              _moment_sums, _moments, flux_result_json)
 from bryantflux.killing import KillingField, field_polynomial
 from bryantflux.series import differentiate
@@ -174,12 +174,14 @@ class TestResidueRoute:
     def test_holomorphic_forms_give_an_exact_zero(self):
         """Entries moved up by z^3 make all three one-forms holomorphic
         (z^-1 at index -5): the triple is exactly 0, as the formed
-        series' residues are, and nothing is refused."""
+        series' residues are, with round-off bounds of 0, and nothing is
+        refused."""
         frame, _ = build_end(RESIDUE_ROUTE_SPECS[0])
         up = BryantFrame(*(GeneralizedSeries(e.offset + 3.0, e.coeffs)
                            for e in frame.entries()), frame.validity_radius)
         t = flux_triple(up)
         assert [t.phi0, t.phi1, t.phi2] == _residues_of_forms(up) == [0j] * 3
+        assert t.roundoff == (0.0, 0.0, 0.0)
 
     @staticmethod
     def _unequal_columns(spec, n1, n2, shift):
@@ -543,19 +545,19 @@ VERTICAL = Geodesic(0.0, INF)
 class TestFluxNumeric:
     def test_cousin_vertical_translation(self):
         t = circle_samples(catenoid_cousin_frame(0.5),
-                           QuadratureGrid(0.1, 1024)).triple
+                           QuadratureGrid(0.1, 1024))
         assert abs(flux_for_geodesic(t, VERTICAL, "translation")
                    - 0.75 * PI) < 1e-6
 
     def test_cousin_vertical_rotation(self):
         t = circle_samples(catenoid_cousin_frame(0.5),
-                           QuadratureGrid(0.1, 1024)).triple
+                           QuadratureGrid(0.1, 1024))
         assert abs(flux_for_geodesic(t, VERTICAL, "rotation")) < 1e-8
 
     def test_horosphere_any_field(self):
         # zeta = 1/z is steep near the puncture; the exact derivatives
         # keep the oracle at round-off there too.
-        t = circle_samples(horosphere_frame(), QuadratureGrid(0.5, 256)).triple
+        t = circle_samples(horosphere_frame(), QuadratureGrid(0.5, 256))
         for g, kind in ((VERTICAL, "translation"),
                         (Geodesic(1.0, -1.0), "rotation"),
                         (Geodesic(0.5 + 0.5j, 2.0), "translation")):
@@ -564,7 +566,7 @@ class TestFluxNumeric:
     def test_rho_independence(self, perturbed_frame):
         g = Geodesic(1.0, -1.0)
         v1, v2 = (flux_for_geodesic(circle_samples(
-            perturbed_frame, QuadratureGrid(rho, 512)).triple, g,
+            perturbed_frame, QuadratureGrid(rho, 512)), g,
             "translation") for rho in (0.05, 0.1))
         assert abs(v1 - v2) < 1e-6
 
@@ -577,7 +579,7 @@ class TestFluxNumeric:
             circle_samples(frame, QuadratureGrid(0.5, 64))
 
     def test_antisymmetry_numeric(self, perturbed_frame):
-        t = circle_samples(perturbed_frame, QuadratureGrid(0.1, 512)).triple
+        t = circle_samples(perturbed_frame, QuadratureGrid(0.1, 512))
         g = Geodesic(0.8, -1.3 + 0.4j)
         for kind in ("translation", "rotation"):
             a = flux_for_geodesic(t, g, kind)
@@ -602,7 +604,8 @@ class TestSamplesWithoutBranchFactors:
         assert len(offsets) == 2
         assert all(o != round(o) for o in offsets)
         grid = QuadratureGrid(0.5 * frame.validity_radius, samples)
-        zeta, w, derivs = _immersion_derivatives(frame, grid)
+        zeta, w, derivs = _immersion_derivatives(grid.rho,
+                                                 _entry_block(frame, grid))
         got = (zeta, w) + derivs
         # Measured at most 7e-15 of each array's largest modulus.
         for x, ref in zip(got, immersion_derivatives(frame, grid)):
@@ -627,7 +630,7 @@ class TestOracleEquivalence:
         for _ in range(20):
             g = random_geodesic(rng)
             for kind in ("translation", "rotation"):
-                numeric = flux_for_geodesic(samples.triple, g, kind)
+                numeric = flux_for_geodesic(samples, g, kind)
                 closed = flux_for_geodesic(t, g, kind)
                 assert abs(numeric - closed) < 1e-10
 
@@ -643,8 +646,8 @@ class TestOracleEquivalence:
             img = Geodesic(mobius_boundary(p, g.start),
                            mobius_boundary(p, g.end))
             for kind in ("translation", "rotation"):
-                before = flux_for_geodesic(s0.triple, g, kind)
-                after = flux_for_geodesic(s1.triple, img, kind)
+                before = flux_for_geodesic(s0, g, kind)
+                after = flux_for_geodesic(s1, img, kind)
                 assert abs(before - after) < 1e-6 * max(1.0, abs(before))
 
 
@@ -676,12 +679,13 @@ class TestMomentRoute:
         builder, rho = MOMENT_ENDS[end]
         frame, grid = builder(), QuadratureGrid(rho, 1024)
         samples = circle_samples(frame, grid)
-        immersion = _immersion_derivatives(frame, grid)
+        immersion = _immersion_derivatives(
+            grid.rho, _entry_block(frame, grid))
         for g in moment_geodesics(np.random.default_rng(17)):
             for kind in ("translation", "rotation"):
                 k = KillingField(kind, g)
                 want = per_field_flux(immersion, grid.rho, k)
-                got = flux_for_geodesic(samples.triple, g, kind)
+                got = flux_for_geodesic(samples, g, kind)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("end", sorted(MOMENT_ENDS))
@@ -691,7 +695,7 @@ class TestMomentRoute:
         # linear functional of the residue triple.
         builder, rho = MOMENT_ENDS[end]
         frame = builder()
-        q = circle_samples(frame, QuadratureGrid(rho, 1024)).triple
+        q = circle_samples(frame, QuadratureGrid(rho, 1024))
         t = flux_triple(frame)
         scale = max(1.0, abs(t.phi0), abs(t.phi1), abs(t.phi2))
         triple_close(t, (q.phi0, q.phi1, q.phi2), tol=1e-12 * scale)
@@ -718,18 +722,43 @@ class TestMomentRoute:
                                       <= 1e-12 * np.maximum(1.0, np.abs(y)))
 
 
+class TestFluxRecord:
+    """Both routes return one record, a FluxTriple with one round-off
+    bound per component, read by one pairing."""
+
+    @pytest.mark.parametrize("route", ["flux_triple", "circle_samples"])
+    @pytest.mark.parametrize("end", sorted(MOMENT_ENDS))
+    def test_both_routes_give_a_flux_triple(self, route, end):
+        builder, rho = MOMENT_ENDS[end]
+        frame = builder()
+        t = (flux_triple(frame) if route == "flux_triple"
+             else circle_samples(frame, QuadratureGrid(rho, 256)))
+        assert type(t) is FluxTriple
+        assert len(t.roundoff) == 3
+        for b in t.roundoff:
+            assert type(b) is float and math.isfinite(b) and b >= 0.0
+        assert t.residue_bound == max(t.roundoff)
+
+    def test_equality_ignores_the_bounds(self):
+        t = FluxTriple(0.5 + 0.1j, -0.3, 0.2 - 0.4j)
+        assert t.roundoff is None and t.residue_bound is None
+        assert FluxTriple(t.phi0, t.phi1, t.phi2, (1.0, 2.0, 3.0)) == t
+        assert FluxTriple(t.phi0, t.phi1, t.phi2, (0.0, 0.0, 0.0)) \
+            != FluxTriple(t.phi0, t.phi1, 0.0, (0.0, 0.0, 0.0))
+
+
 def one_pass(frame, grid):
     """The quadrature's record from the whole circle's samples, summed as
     one slice."""
-    return CircleSamples(*_moments(grid.rho, grid.samples, [_moment_sums(
-        grid.rho, *_immersion_derivatives(frame, grid))]))
+    return _moments(grid.rho, grid.samples, [_moment_sums(
+        grid.rho, *_immersion_derivatives(grid.rho,
+                                          _entry_block(frame, grid)))])
 
 
-def hex_bits(samples):
-    """A CircleSamples record's triple and bounds as exact hex."""
-    t = samples.triple
+def hex_bits(t):
+    """A quadrature triple and its bounds as exact hex."""
     return [x.hex() for v in (t.phi0, t.phi1, t.phi2)
-            for x in (v.real, v.imag)] + [b.hex() for b in samples.roundoff]
+            for x in (v.real, v.imag)] + [b.hex() for b in t.roundoff]
 
 
 class TestSlices:
@@ -756,9 +785,8 @@ class TestSlices:
         builder, rho = MOMENT_ENDS[end]
         frame, grid = builder(), QuadratureGrid(rho, samples)
         got, want = circle_samples(frame, grid), one_pass(frame, grid)
-        t = want.triple
-        scale = max(1.0, abs(t.phi0), abs(t.phi1), abs(t.phi2))
-        triple_close(got.triple, (t.phi0, t.phi1, t.phi2),
+        scale = max(1.0, abs(want.phi0), abs(want.phi1), abs(want.phi2))
+        triple_close(got, (want.phi0, want.phi1, want.phi2),
                      tol=1e-13 * scale)
         for got_b, want_b in zip(got.roundoff, want.roundoff, strict=True):
             assert abs(got_b - want_b) <= 1e-13 * want_b
@@ -801,7 +829,7 @@ class TestWhiteBoxIntegrand:
         grid = QuadratureGrid(0.1, 128)
         rho = grid.rho
         zeta, w, (dzeta_drho, dw_drho, dzeta_dtau, dw_dtau) = \
-            _immersion_derivatives(frame, grid)
+            _immersion_derivatives(rho, _entry_block(frame, grid))
         z = rho * np.exp(1j * grid.taus)
         log_w = np.log(w)
         dtau_log_w = dw_dtau / w

@@ -381,11 +381,11 @@ class TestStructure:
         assert calls == []
 
     def test_quadrature_record_and_slotted_grid(self):
-        """The quadrature's record keeps its triple and round-off bounds,
-        and a grid has no __dict__."""
+        """The quadrature's record, a FluxTriple, keeps its triple and
+        round-off bounds, and a grid has no __dict__."""
         from bryantflux import flux
-        assert [f.name for f in dataclasses.fields(flux.CircleSamples)] \
-            == ["triple", "roundoff"]
+        assert [f.name for f in dataclasses.fields(flux.FluxTriple)] \
+            == ["phi0", "phi1", "phi2", "roundoff"]
         assert not hasattr(QuadratureGrid(0.1, 64), "__dict__")
 
     def test_offset_snapping(self):

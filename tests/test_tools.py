@@ -234,6 +234,36 @@ def test_same_outputs_reports_a_changed_quadrature(tmp_path, tree_outputs):
     assert out.startswith("first difference: circle_samples of ")
 
 
+def test_same_outputs_reads_the_older_quadrature_record(tmp_path,
+                                                       monkeypatch):
+    """A copy whose circle_samples returns the older record's shape, the
+    triple as ``triple`` next to its ``roundoff``, gives the tree's
+    outputs bit for bit on every spec of the grid at order 8."""
+    import bryantflux
+
+    tool = load_tool()
+    change = changed_copy(tmp_path / "src", "__init__",
+                          '__version__ = "0.1.0"',
+                          "def circle_samples(frame, grid, "
+                          "_quadrature=circle_samples):\n"
+                          "    import types\n"
+                          "    t = _quadrature(frame, grid)\n"
+                          "    return types.SimpleNamespace(triple=FluxTriple("
+                          "t.phi0, t.phi1, t.phi2), roundoff=t.roundoff)\n"
+                          '__version__ = "0.1.0"')
+    monkeypatch.syspath_prepend(str(tmp_path))
+    older = tool.load(change, "bryantflux_older", tmp_path)
+    assert not isinstance(older.circle_samples(
+        older.catenoid_cousin_frame(0.5), older.QuadratureGrid(0.1, 64)),
+        older.FluxTriple)
+    handler = tool._Defects()
+    specs = [spec for spec, order in tool.specs() if order == 8]
+    assert specs
+    for spec in specs:
+        assert tool.outputs(older, handler, spec, 8, True) \
+            == tool.outputs(bryantflux, handler, spec, 8, True)
+
+
 def test_same_outputs_reports_a_changed_geodesic_draw(tmp_path,
                                                      tree_outputs):
     """A copy whose verify draws its geodesics from the next seed differs

@@ -31,7 +31,9 @@ and 128; perturbations 1e-2 to 10.  For each spec it compares, bit for bit:
 - the triple's residue bound (FluxTriple.residue_bound), where both
   trees' FluxTriple has one;
 - the quadrature's triple and round-off bounds (circle_samples) on 64
-  nodes of one circle inside the validity radius;
+  nodes of one circle inside the validity radius, read from the
+  FluxTriple it returns or, in older trees, from a record that holds the
+  triple as ``triple`` next to its ``roundoff``;
 - the det, null and omega defects that the builds log at DEBUG.
 
 It also runs the CLI's verify (cli.run) of both trees on three specs
@@ -220,7 +222,8 @@ def samples(pkg, frame):
     """The quadrature's triple and round-off bounds on one circle."""
     rho = min(MAX_RHO, 0.5 * frame.validity_radius)
     s = pkg.circle_samples(frame, pkg.QuadratureGrid(rho, SAMPLES))
-    return _triple_bits(s.triple) + [_bits(b) for b in s.roundoff]
+    return _triple_bits(getattr(s, "triple", s)) + [
+        _bits(b) for b in s.roundoff]
 
 
 def outputs(pkg, handler, spec, order, bound=False):

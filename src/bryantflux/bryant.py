@@ -11,11 +11,16 @@ _columns is the one place that aligns, from the entries' bare arrays:
 the constructor, which takes the four entries as series, aligns by it,
 and so does ends, from the rows of a solve, with no series for an
 entry; from_columns takes columns that are aligned already, and A to D
-are series on the columns' arrays.  Placing a frame
-(transform_frame) and reading its residues (flux.flux_triple) then
-combine the columns' arrays index by index, with no intermediate
-series: transform_frame places each column by one broadcast of P's two
-columns against the column's two arrays.  Checking a frame
+are series on the columns' arrays, for callers: the package reads none.
+Placing a frame (transform_frame), writing it (frame_to_json) and
+reading its residues (flux.flux_triple) then combine the columns'
+arrays index by index, with no intermediate series: transform_frame
+places each column by one broadcast of P's two columns against the
+column's two arrays.  _frame_rows is the one layout of a frame's rows:
+A, C, B, D and then their term-wise derivatives dA, dC, dB, dD, written
+into one array that the caller gives, as wide as it chooses, by one
+product for the derivatives; the frame checks, flux.flux_triple,
+flux._entry_block and the CLI's mesh all read it.  Checking a frame
 (checked_frame, by _identity_terms) refuses a coefficient that is not
 finite, wherever it lies, and then forms, for each product of an
 identity, only the coefficients that the identity's window keeps, each
@@ -29,8 +34,8 @@ bitwise equal to them.  The immersion into the half-space model is
     zeta = (conj(A) C + conj(B) D) / (|A|^2 + |B|^2),   w = 1 / (|A|^2 + |B|^2),
 
 which _zeta_w forms from the entries' values; flux.circle_samples and
-the CLI's mesh evaluate the entries with series.eval_branch, which drops
-each value's branch factor e^(i lambda tau).  zeta and w need none:
+the CLI's mesh evaluate the frame's rows with series.eval_branch, which
+drops each value's branch factor e^(i lambda tau).  zeta and w need none:
 each of their products is of two entries of one column, at one offset,
 whose factors cancel.  The three single-valued one-forms B dA - A dB,
 C dB - D dA and D dC - C dD carry all flux information
@@ -119,6 +124,28 @@ def _check_finite(what: str, *arrays: np.ndarray):
                           % what)
 
 
+def _frame_rows(columns, out: np.ndarray) -> tuple:
+    """The offsets of the frame rows A, C, B, D, dA, dC, dB, dD, which it
+    writes into out[:8] from the columns ((o1, A, C), (o2, B, D)): each
+    entry's leading coefficients, as many as a row of ``out`` holds, and
+    the term-wise derivatives of those rows, by one product with the
+    factors (offset + k) (series._derivative_factors), as differentiate
+    forms them.  A derivative's offset is _snap(offset - 1.0), as
+    differentiate's is.  The terms of a row past its entry's length are
+    left as the caller gave them, zeros where rows of a shorter column
+    are padded.  It holds no np.errstate: a caller that must not warn
+    holds one or checks the columns finite first.  The one place that
+    lays out and differentiates a frame's rows."""
+    (o1, a, c), (o2, b, d) = columns
+    size = out.shape[1]
+    out[0, :len(a)], out[1, :len(a)] = a[:size], c[:size]
+    out[2, :len(b)], out[3, :len(b)] = b[:size], d[:size]
+    np.multiply(_derivative_factors((o1, o1, o2, o2), size), out[:4],
+                out=out[4:8])
+    d1, d2 = _snap(o1 - 1.0), _snap(o2 - 1.0)
+    return o1, o1, o2, o2, d1, d1, d2, d2
+
+
 # The right-hand side of AD - BC = 1, read-only; complex, as the
 # residual is, so that subtracting it casts nothing.
 _ONE = np.ones(1, dtype=complex)
@@ -135,44 +162,41 @@ def _identity_terms(columns, omega=None, scale: bool = False):
     (_check_finite): the windows need not read it, and no residual of it
     means anything.
 
-    One pass over the columns' bare arrays: the columns' arrays and their
-    derivatives are padded once, with n - 1 zeros in front, into one
-    block, so that each product is one np.convolve(pad(x), y, "valid")
-    of the leading coefficients it needs (_leading_product) and forms
-    only the coefficients its window keeps.  The columns are aligned, so
-    the two products of each identity share an offset and a length and
-    are subtracted coefficient by coefficient, with the operands in the
-    formulas' order, by one np.subtract into the window; the right-hand
-    side (1, 0 or omega) is then subtracted in place where it falls in
-    that window, which is widened down to it when it starts lower.  Each
-    residual coefficient sums the products of the formula written in
-    GeneralizedSeries, and products with the padding's zeros, in another
-    order, so the two agree within the round-off of a dot product of the
-    product's length, not bitwise.  With ``scale``, every operand's
-    coefficients are replaced by their moduli, each difference by a sum
-    and the right-hand side by zeros, which gives, in the same layout,
-    the coefficient-wise size |x| * |y| + |u| * |v| of the two products
-    x y and u v that cancel in each residual coefficient.
+    One pass over the columns' bare arrays: the frame rows (_frame_rows),
+    the columns' arrays and their derivatives, are padded once, with
+    n - 1 zeros in front, into one block, so that each product is one
+    np.convolve(pad(x), y, "valid") of the leading coefficients it needs
+    (_leading_product) and forms only the coefficients its window keeps.
+    The columns are aligned, so the two products of each identity share
+    an offset and a length and are subtracted coefficient by coefficient,
+    with the operands in the formulas' order, by one np.subtract into the
+    window; the right-hand side (1, 0 or omega) is then subtracted in
+    place where it falls in that window, which is widened down to it
+    when it starts lower.  Each residual coefficient sums the products of
+    the formula written in GeneralizedSeries, and products with the
+    padding's zeros, in another order, so the two agree within the
+    round-off of a dot product of the product's length, not bitwise.
+    With ``scale``, every operand's coefficients are replaced by their
+    moduli, each difference by a sum and the right-hand side by zeros,
+    which gives, in the same layout, the coefficient-wise size
+    |x| * |y| + |u| * |v| of the two products x y and u v that cancel in
+    each residual coefficient.
     """
-    (o1, a, c), (o2, b, d) = columns
+    (_, a, c), (_, b, d) = columns
     n1, n2 = len(a), len(b)
     n, m = max(n1, n2), min(n1, n2)
-    # Rows A, C, B, D and then their derivatives, each after n - 1 zeros;
-    # a shorter column's rows end in zeros, which no window reads.
+    _check_finite("the frame", a, c, b, d)
+    # The frame rows (_frame_rows), each after n - 1 zeros; a shorter
+    # column's rows end in zeros, which no window reads.
     block = np.zeros((8, 2 * n - 1), dtype=complex)
-    pads = block[:, n - 1:]
-    pads[0, :n1], pads[1, :n1], pads[2, :n2], pads[3, :n2] = a, c, b, d
-    _check_finite("the frame", block[:4])
-    np.multiply(_derivative_factors((o1, o1, o2, o2), n), pads[:4],
-                out=pads[4:])
+    o1, _, o2, _, d1, _, d2, _ = _frame_rows(columns, block[:, n - 1:])
     if scale:
         block = np.abs(block)
-    d1 = _snap(o1 - 1.0)
     # Each identity as the offset of its products, their length and the
     # offset of its right-hand side, and then as the rows x, y, u and v of
     # x y - u v and the coefficients of that side; 0 is subtracted as
     # nothing, since x - 0 is x.
-    heads = [(o1 + o2, m, 0.0), (d1 + _snap(o2 - 1.0), m, 0.0)]
+    heads = [(o1 + o2, m, 0.0), (d1 + d2, m, 0.0)]
     terms = [(0, 3, 2, 1, _ONE), (4, 7, 6, 5, None)]
     if omega is not None:
         heads.append((o1 + d1, n1, omega.offset))
@@ -321,9 +345,9 @@ def _series_from_json(obj) -> GeneralizedSeries:
 
 
 def frame_to_json(frame: BryantFrame) -> str:
-    entries = {k: {"offset": e.offset,
-                   "coeffs": [[c.real, c.imag] for c in e.coeffs]}
-               for k, e in zip("ABCD", frame.entries())}
+    (o1, a, c), (o2, b, d) = frame.columns
+    entries = {k: {"offset": o, "coeffs": [[z.real, z.imag] for z in x]}
+               for k, o, x in zip("ABCD", (o1, o2, o1, o2), (a, b, c, d))}
     return json.dumps({**entries, "validity_radius": frame.validity_radius})
 
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .balance import (ConcurrencyResult, concurrency_check, three_end_axes,
                       two_end_solve)
-from .bryant import _check_radius, _zeta_w, frame_from_json, frame_to_json
+from .bryant import (_check_radius, _frame_rows, _zeta_w, frame_from_json,
+                     frame_to_json)
 from .ends import Catenoidal, build_end
 from .errors import ConsistencyError, DomainError
 from .flux import (circle_samples, field_flux, field_roundoff,
@@ -107,7 +108,9 @@ def _write(text, path=None):
 
 
 def _emit(obj, path=None):
-    _write(json.dumps(obj, indent=2), path)
+    """The JSON document of ``obj`` through _write.  A number in it that
+    is not finite is a ValueError, raised before anything is written."""
+    _write(json.dumps(obj, indent=2, allow_nan=False), path)
 
 
 def _cmd_crossratio(args):
@@ -249,29 +252,30 @@ def _cmd_mesh(args):
             raise DomainError("--rho-min and --rho-max must be finite and "
                               "positive, got %r" % rho)
     frame = _load_frame(args)
+    rows = np.zeros((8, max(len(x) for _, x, _ in frame.columns)), complex)
     lines = []
-    # Ring nodes are rho times the --angular-th roots of unity.
-    for rho in np.geomspace(args.rho_min, args.rho_max, args.radial):
-        _check_radius(frame, rho)
-        with np.errstate(all="ignore"):
-            zeta, w = _zeta_w(*eval_branch(frame.entries(), rho,
-                                                args.angular))
+    # Overflow is left to the vertices' check.
+    with np.errstate(all="ignore"):
+        offsets = _frame_rows(frame.columns, rows)
+        # Ring nodes are rho times the --angular-th roots of unity.
+        for rho in np.geomspace(args.rho_min, args.rho_max, args.radial):
+            _check_radius(frame, rho)
+            a, c, b, d = eval_branch(offsets[:4], rows[:4], rho, args.angular)
+            zeta, w = _zeta_w(a, b, c, d)
             ring = (zeta.real, zeta.imag, w)
             if args.model == "ball":
                 ring = _to_ball(*ring)
-        if not np.isfinite(ring).all():
-            raise DomainError("mesh vertices on |z| = %g are not finite"
-                              % rho)
-        lines += ["v %.9g %.9g %.9g" % vertex for vertex in zip(*ring)]
+            if not np.isfinite(ring).all():
+                raise DomainError("mesh vertices on |z| = %g are not finite"
+                                  % rho)
+            lines += ["v %.9g %.9g %.9g" % vertex for vertex in zip(*ring)]
     m = args.angular
     for i in range(args.radial - 1):
         for j in range(m):
-            a = i * m + j + 1
-            b = i * m + (j + 1) % m + 1
-            c = (i + 1) * m + (j + 1) % m + 1
-            d = (i + 1) * m + j + 1
-            lines.append("f %d %d %d" % (a, b, c))
-            lines.append("f %d %d %d" % (a, c, d))
+            # Vertices a and b on ring i, and a + m and b + m on ring i + 1.
+            a, b = i * m + j + 1, i * m + (j + 1) % m + 1
+            lines.append("f %d %d %d" % (a, b, b + m))
+            lines.append("f %d %d %d" % (a, b + m, a + m))
     _write("\n".join(lines), args.out)
     log.info("wrote %d vertices to %s", args.radial * m, args.out)
     return 0

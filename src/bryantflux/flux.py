@@ -24,19 +24,21 @@ circle_samples integrates the defining boundary integral by the
 trapezoid rule on one circle |z| = rho, with exact derivatives, and
 shares no residue machinery with flux_triple; it is the oracle the
 residue formulas are tested against.  The nodes are rho times the N-th
-roots of unity, so the four frame entries and their term-wise
-derivatives are evaluated there as one block by one inverse FFT
-(series.eval_branch), in O(N log N) rather than O(N K) per entry, and
-without their branch factors e^(i lambda tau).  That is exact: the
-frame's columns are aligned (bryant.BryantFrame), and zeta, w and their
-derivatives are made of products conj(x) y of two values from one
-column, in which the factors cancel.  The samples, and the sums formed
-from them, are taken one slice of nodes of that block at a time
-(_SLICE), so that a call holds the block and one slice's temporaries.
-In a slice, zeta and its two derivatives are the rows of one array, w
-and its two derivatives those of another, and the three moment terms
-those of a third, written in place, so the finiteness check is two
-reductions and the six sums are three calls.
+roots of unity, so the frame rows, the four entries and their term-wise
+derivatives in column order (bryant._frame_rows), are evaluated there
+as one block by one inverse FFT (_entry_block, by series.eval_branch),
+in O(N log N) rather than O(N K) per entry, and without their branch
+factors e^(i lambda tau); _immersion_derivatives reads the block in
+that order.  That is exact: the frame's columns are aligned
+(bryant.BryantFrame), and zeta, w and their derivatives are made of
+products conj(x) y of two values from one column, in which the factors
+cancel.  The samples, and the sums formed from them, are taken one
+slice of nodes of that block at a time (_SLICE), so that a call holds
+the block and one slice's temporaries.  In a slice, zeta and its two
+derivatives are the rows of one array, w and its two derivatives those
+of another, and the three moment terms those of a third, written in
+place, so the finiteness check is two reductions and the six sums are
+three calls.
 
 The integrand is linear in the coefficients of the field's quadratic
 V = c0 + c1 zeta + c2 zeta^2 (killing.field_polynomial), so
@@ -67,13 +69,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bryant import BryantFrame, _check_radius, _zeta_w
+from .bryant import BryantFrame, _check_radius, _frame_rows, _zeta_w
 from .errors import DomainError
 from .geometry import ExtendedComplex, Geodesic, _bracket, _homogeneous, \
     cross_ratio
 from .killing import ROTATION, TRANSLATION, KillingField, field_polynomial
-from .series import (QuadratureGrid, _derivative_factors, _residue_index,
-                     _snap, differentiate, eval_branch)
+from .series import QuadratureGrid, _residue_index, _snap, eval_branch
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,15 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     pairs, and only those leading coefficients are differentiated: neither
     the one-forms nor the derivative series are formed, so the cost does
     not grow with the order.  The leading coefficients and their
-    derivatives are the rows of one block, and the six sums are one
-    np.matmul of a stack of its rows with a stack of its rows reversed,
-    each sum one dot product of two rows in np.convolve's order (the
-    operand of the longer column ascending), as the formed product's
-    z^-1 coefficient is, so the values are bitwise those of the residues
-    of the formed products.  When idx < 0 all three one-forms are
-    holomorphic and the triple is exactly 0, with bounds of 0.  A frame
-    truncated before idx, a residue that overflows, or an offset sum
-    that is not finite raises DomainError.
+    derivatives are the frame rows (bryant._frame_rows) of one block, and
+    the six sums are one np.matmul of a stack of its rows with a stack of
+    its rows reversed, each sum one dot product of two rows in
+    np.convolve's order (the operand of the longer column ascending), as
+    the formed product's z^-1 coefficient is, so the values are bitwise
+    those of the residues of the formed products.  When idx < 0 all three
+    one-forms are holomorphic and the triple is exactly 0, with bounds of
+    0.  A frame truncated before idx, a residue that overflows, or an
+    offset sum that is not finite raises DomainError.
 
     The triple carries, as roundoff, the bound on each component's
     round-off (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -202,7 +203,7 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
     where the two sums cancel, as phi1's do at small catenoidal mu, it
     is large next to the triple.
     """
-    (o1, a, c), (o2, b, d) = frame.columns
+    (o1, a, _), (o2, b, _) = frame.columns
     n1, n2 = len(a), len(b)
     # The offset of D dC, with dC's offset as differentiate forms it.
     idx = _residue_index(o2 + _snap(o1 - 1.0))
@@ -214,10 +215,8 @@ def flux_triple(frame: BryantFrame) -> FluxTriple:
                           "%d and %d coefficients" % (idx, n1, n2))
     m = idx + 1
     block = np.empty((16, m), dtype=complex)
-    block[0], block[1], block[2], block[3] = a[:m], c[:m], b[:m], d[:m]
-    np.multiply(_derivative_factors((o1, o1, o2, o2), m), block[:4],
-                out=block[4:8])
-    block[8:] = np.abs(block[:8])
+    _frame_rows(frame.columns, block)
+    np.abs(block[:8], out=block[8:])
     left, right = _SUM_ROWS[(n1 > n2) - (n1 < n2)]
     s = np.matmul(block[left, None],
                   block[right, ::-1, None]).ravel().tolist()
@@ -380,18 +379,19 @@ def _moments(rho, n, parts):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _entry_block(frame: BryantFrame, grid: QuadratureGrid) -> np.ndarray:
-    """The four entries E and their term-wise derivatives E' on the grid,
-    as one 8-row block by one inverse FFT on the roots of unity
+    """The frame rows A, C, B, D, dA, dC, dB, dD (bryant._frame_rows) on
+    the grid, as one 8-row block by one inverse FFT on the roots of unity
     (series.eval_branch), without branch factors.  A value that overflows
     is left to the samples' check (_immersion_derivatives)."""
-    entries = frame.entries()
-    return eval_branch(entries + tuple(map(differentiate, entries)),
-                       grid.rho, grid.samples)
+    rows = np.zeros((8, max(len(x) for _, x, _ in frame.columns)), complex)
+    return eval_branch(_frame_rows(frame.columns, rows), rows, grid.rho,
+                       grid.samples)
 
 
 def _immersion_derivatives(rho: float, block: np.ndarray):
     """zeta, w and (d_rho zeta, d_rho w, d_tau zeta, d_tau w) at the nodes
-    of ``block``, columns of an _entry_block on |z| = rho.
+    of ``block``, columns of an _entry_block on |z| = rho, whose rows are
+    A, C, B, D and then dA, dC, dB, dD (bryant._frame_rows).
 
     E moves by e^(i tau) E'(z) along rho and by i z E'(z) along tau.  The
     branch factor of E' is that of E divided by e^(i tau), which the move
@@ -402,7 +402,7 @@ def _immersion_derivatives(rho: float, block: np.ndarray):
     column products s, p and q give both directions.  A sample that
     overflows or is not finite raises DomainError.
     """
-    a, b, c, d, da, db, dc, dd = block
+    a, c, b, d, da, dc, db, dd = block
     # zeta, d_rho zeta, d_tau zeta and w, d_rho w, d_tau w, by rows.
     zetas = np.empty((3, block.shape[1]), dtype=complex)
     ws = np.empty((3, block.shape[1]))

@@ -5,22 +5,25 @@ an integer are snapped to that integer at construction, and an offset
 that is not finite is a DomainError.  On a circle a series lies on the
 continuous branch z^lambda = rho^lambda e^(i lambda tau), with tau
 accumulated monotonically from 0, never reduced mod 2*pi.  eval_branch,
-the package's one evaluator, evaluates a sequence of series at rho times
-the N-th roots of unity, for any N >= 1, as one block by one inverse FFT
-of the scaled coefficients, in place, and returns the values without
-their branch factors e^(i lambda tau).  It scales every row's
-coefficients at once, by one power and one multiply masked to each
-row's terms up to its last nonzero one.  That is exact for what the
-package forms from them: a Bryant frame's columns are aligned
-(bryant.BryantFrame), and every product of the immersion is of two
-values from one column, whose factors cancel.  The tests keep a Horner
-sum with the branch factor at arbitrary angles as its reference.  A
-series has no arithmetic: the package combines bare coefficient arrays.
-The rule of series addition is written once, on those arrays (_aligned):
-bryant aligns a frame's columns by it, and the frame checks and the flux
-residues read those columns' arrays and differentiate them term by term
-with the factors (offset + k) that _derivative_factors forms, as
-differentiate does.
+the package's one evaluator, takes bare rows: the offsets of the series
+and their coefficients as the rows of one 2-D array, which it only
+reads.  It evaluates them at rho times the N-th roots of unity, for any
+N >= 1, as one block by one inverse FFT of the scaled coefficients, in
+place, and returns the values without their branch factors
+e^(i lambda tau).  It scales every row's coefficients at once, by one
+power and one multiply masked to each row's terms up to its last
+nonzero one.  That is exact for what the package forms from them: a
+Bryant frame's columns are aligned (bryant.BryantFrame), and every
+product of the immersion is of two values from one column, whose
+factors cancel.  The tests keep a Horner sum with the branch factor at
+arbitrary angles as its reference.  A series has no arithmetic: the
+package combines bare coefficient arrays.  The rule of series addition
+is written once, on those arrays (_aligned): bryant aligns a frame's
+columns by it, and lays out their arrays and their term-wise
+derivatives, with the factors (offset + k) that _derivative_factors
+forms, as differentiate does, as one set of rows (bryant._frame_rows),
+which the frame checks, the flux residues, the quadrature and the mesh
+read.  No series is formed from a built frame.
 _residue_index gives the index of z^-1 at an integer offset to
 flux.flux_triple, the package's one residue reader.  Sums, products and
 the residues of formed series are the tests' oracle, which those
@@ -31,7 +34,6 @@ or a gap between two, is an integer.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -115,9 +117,9 @@ def _derivative_factors(offsets, n: int) -> np.ndarray:
     """The factors (offset + k), k < n, of a term-wise derivative, one row
     per offset, complex: a product with complex coefficients would cast
     float factors, at a cost.  The one place that forms them, for
-    differentiate and for the frame checks and the flux residues on bare
-    arrays; a caller that must not warn checks its coefficients finite
-    before it multiplies."""
+    differentiate and for a frame's rows on bare arrays
+    (bryant._frame_rows); a caller that must not warn checks its
+    coefficients finite before it multiplies."""
     return np.arange(n, dtype=complex) + np.array(offsets,
                                                   dtype=complex)[:, None]
 
@@ -155,13 +157,15 @@ class QuadratureGrid:
         return 2.0 * np.pi * np.arange(self.samples) / self.samples
 
 
-def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
+def eval_branch(offsets, coeffs: np.ndarray, rho: float,
                 n: int) -> np.ndarray:
-    """Values of each series at the n nodes rho omega^j, omega =
-    e^(2 pi i / n), each without its branch factor, as a (rows, n)
-    array: row r holds sum_k a_k rho^(o+k) omega^(jk) for series r of
+    """Values at the n nodes rho omega^j, omega = e^(2 pi i / n), of the
+    series whose offsets are ``offsets`` and whose coefficients are the
+    rows of the 2-D array ``coeffs``, each row padded with zeros to the
+    array's width, each value without its branch factor, as a (rows, n)
+    array: row r holds sum_k a_k rho^(o+k) omega^(jk) for row r of
     offset o, the value on the continuous branch (tau_j = 2 pi j / n,
-    taken from 0 up) times e^(-i o tau_j).
+    taken from 0 up) times e^(-i o tau_j).  ``coeffs`` is only read.
 
     The factor is dropped because the package needs none: a product
     conj(x) y of two values at one offset, as every product within a
@@ -175,34 +179,31 @@ def eval_branch(series: Sequence[GeneralizedSeries], rho: float,
     last nonzero a_k, so that an exact frame's zero tail adds no nan
     where its powers overflow: each goes into bin k mod n, and bins are
     summed when K + 1 > n, which is exact since omega^n = 1.  The rows
-    are scaled together, copied into one array padded with zeros to the
-    longest: one power and one multiply over every row's terms, each
-    masked (where=) to the terms up to the row's last nonzero a_k.  One
-    inverse FFT over the block sums every row, in O(n log n) per row,
-    against O(n K) for a Horner sum, and writes the values over the
-    scaled coefficients (out=, numpy 2.0 or later), bitwise as a fresh
-    result would hold them: the block is the call's one array of n
+    are scaled together: one power and one multiply over every row's
+    terms, each masked (where=) to the terms up to the row's last nonzero
+    a_k.  One inverse FFT over the block sums every row, in O(n log n)
+    per row, against O(n K) for a Horner sum, and writes the values over
+    the scaled coefficients (out=, numpy 2.0 or later), bitwise as a
+    fresh result would hold them: the block is the call's one array of n
     columns, so a large n costs one buffer of (rows, n), not two.  n is
     any positive integer; QuadratureGrid's power-of-two rule belongs to
     the quadrature, not to this evaluation.
     """
-    size = max((len(a.coeffs) for a in series), default=0)
-    coeffs = np.zeros((len(series), size), dtype=complex)
-    for row, a in zip(coeffs, series):
-        row[:len(a.coeffs)] = a.coeffs
     # live[r, k]: a_k is at or before row r's last nonzero coefficient.
     # Powers are formed there only, so a zero tail's cannot overflow or
     # warn.
     live = np.logical_or.accumulate(coeffs[:, ::-1] != 0, axis=1)[:, ::-1]
+    size = coeffs.shape[1]
     k = np.arange(size)
-    powers = np.power(rho, np.array([a.offset for a in series])[:, None] + k,
-                      where=live, out=np.empty(coeffs.shape))
-    block = np.zeros((len(series), n), dtype=complex)
+    powers = np.power(rho, np.array(offsets)[:, None] + k, where=live,
+                      out=np.empty(coeffs.shape))
+    block = np.zeros((len(coeffs), n), dtype=complex)
     if size <= n:
         np.multiply(coeffs, powers, out=block[:, :size], where=live)
     else:
-        np.multiply(coeffs, powers, out=coeffs, where=live)
-        for row, vals, terms in zip(block, coeffs, live.sum(axis=1)):
+        scaled = np.multiply(coeffs, powers, out=np.empty_like(coeffs),
+                             where=live)
+        for row, vals, terms in zip(block, scaled, live.sum(axis=1)):
             if terms > n:
                 np.add.at(row, k[:terms] % n, vals[:terms])
             else:

@@ -146,6 +146,17 @@ def eval_at(a: GeneralizedSeries, rho: float, taus: np.ndarray) -> np.ndarray:
     return (rho ** a.offset) * np.exp(1j * a.offset * taus) * poly
 
 
+def stacked(series):
+    """(offsets, rows) of a sequence of series, as series.eval_branch reads
+    them: the series' offsets, and their coefficients as the rows of one
+    array, each padded with zeros to the longest."""
+    rows = np.zeros((len(series), max(len(a.coeffs) for a in series)),
+                    dtype=complex)
+    for row, a in zip(rows, series):
+        row[:len(a.coeffs)] = a.coeffs
+    return [a.offset for a in series], rows
+
+
 def series_sum(x: GeneralizedSeries, y: GeneralizedSeries):
     """x + y by index arithmetic, the reference for series addition: the
     sum starts as zeros at the lower offset, as long as the lower absolute
@@ -174,7 +185,7 @@ def radius_estimate(a: GeneralizedSeries) -> float:
 def trapezoid_residue(a: GeneralizedSeries, grid: QuadratureGrid) -> complex:
     """Residue via the periodic trapezoid rule; cross-oracle for residue().
     eval_branch drops the branch factor, which is put back here."""
-    vals = eval_branch([a], grid.rho, grid.samples)[0] \
+    vals = eval_branch(*stacked([a]), grid.rho, grid.samples)[0] \
         * np.exp(1j * a.offset * grid.taus)
     z = grid.rho * np.exp(1j * grid.taus)
     return complex(np.sum(vals * 1j * z) * (2.0 * np.pi / grid.samples) / (2j * np.pi))

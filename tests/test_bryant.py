@@ -7,9 +7,12 @@ from bryantflux import (BryantFrame, ConsistencyError, DomainError,
                         GeneralizedSeries, IsometrySL2, QuadratureGrid,
                         build_end, canonical_catenoidal_frame,
                         canonical_horospherical_frame,
-                        catenoid_cousin_frame,
-                        frame_from_json, frame_to_json, horosphere_frame,
-                        transform_frame)
+                        catenoid_cousin_frame, circle_samples,
+                        flux_triple, frame_from_json, frame_to_json,
+                        horosphere_frame, transform_frame)
+import bryantflux.cli
+from bryantflux.bryant import _frame_rows, checked_frame
+from bryantflux.cli import run
 from bryantflux.flux import _entry_block, _immersion_derivatives
 from bryantflux.series import differentiate
 
@@ -17,7 +20,7 @@ from conftest import frame_defects, make_h
 from oracles import (WeierstrassData, add, apply_isometry, derived_forms,
                      eval_at, immersion, immersion_samples, mul, neg,
                      normalized, one_forms, residue, series_div,
-                     series_isclose)
+                     series_isclose, stacked)
 
 
 def horo_frame_mu2():
@@ -250,6 +253,90 @@ class TestColumns:
         assert f == f and f != g
         assert hash(f) == hash(f)
         assert len({f, g, f}) == 2
+
+
+# Built ends whose frames TestFrameRows also cuts one column of, so that
+# the columns differ in length.
+ROW_ENDS = {
+    "horospherical-inf": {"type": "horospherical", "mu": 2,
+                          "h0": [0.5, 0.0], "h_perturbation": [1.0],
+                          "boundary": "inf"},
+    "horospherical-finite": {"type": "horospherical", "mu": 2,
+                             "h0": [0.5, 0.0], "h_perturbation": [1.0],
+                             "boundary": [0.2, -0.3]},
+    "catenoidal-a-inf": {"type": "catenoidal", "mu": 0.5,
+                         "axis": [[0.3, 0.1], "inf"],
+                         "h_perturbation": [0.0, 0.3]},
+}
+# Each frame of TestFrameRows: a built end, as built or with its first or
+# second column cut to 20 coefficients, or an exact frame.
+ROW_FRAMES = [(end, cut) for end in ROW_ENDS for cut in (None, 0, 1)] + [
+    ("cousin", None), ("horosphere", None)]
+
+
+def row_frame(end, cut):
+    """The frame that ROW_FRAMES names."""
+    if end == "cousin":
+        return catenoid_cousin_frame(0.5)
+    if end == "horosphere":
+        return horosphere_frame()
+    frame = build_end(ROW_ENDS[end])[0]
+    if cut is None:
+        return frame
+    columns = list(frame.columns)
+    o, x, y = columns[cut]
+    columns[cut] = (o, x[:20], y[:20])
+    return BryantFrame.from_columns(tuple(columns), frame.validity_radius)
+
+
+class TestFrameRows:
+    """bryant._frame_rows, the one layout of a frame's rows, against the
+    series route: entries() in column order, A, C, B, D, then differentiate
+    of each, zero-padded to the longest (oracles.stacked)."""
+
+    @pytest.mark.parametrize("size", [None, 5, 1],
+                             ids=["full", "size-5", "size-1"])
+    @pytest.mark.parametrize("end, cut", ROW_FRAMES, ids=[
+        end + ("" if cut is None else "-cut-%d" % cut)
+        for end, cut in ROW_FRAMES])
+    def test_rows_are_the_series_route(self, end, cut, size):
+        frame = row_frame(end, cut)
+        A, B, C, D = frame.entries()
+        if cut is not None:
+            assert len(frame.columns[cut][1]) < len(frame.columns[1 - cut][1])
+        entries = (A, C, B, D)
+        offsets, rows = stacked(entries + tuple(map(differentiate, entries)))
+        # A size below the columns' length, as flux_triple's block has,
+        # keeps each row's leading coefficients.
+        out = np.zeros((8, size or rows.shape[1]), dtype=complex)
+        got = _frame_rows(frame.columns, out)
+        assert np.array(got).tobytes() == np.array(offsets).tobytes()
+        assert out.tobytes() == rows[:, :out.shape[1]].tobytes()
+
+    @pytest.mark.parametrize("end", sorted(ROW_ENDS))
+    def test_no_series_is_formed_from_a_built_frame(self, end, monkeypatch,
+                                                    tmp_path):
+        """The residue and quadrature routes, the frame check and the
+        CLI's mesh read a built frame's columns: no GeneralizedSeries is
+        formed."""
+        frame = build_end(ROW_ENDS[end])[0]
+        rho = min(0.05, 0.5 * frame.validity_radius)
+        formed = []
+        init = GeneralizedSeries.__init__
+
+        def counted(self, *args):
+            formed.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(bryantflux.cli, "_load_frame", lambda args: frame)
+        monkeypatch.setattr(GeneralizedSeries, "__init__", counted)
+        circle_samples(frame, QuadratureGrid(rho, 64))
+        flux_triple(frame)
+        checked_frame(frame)
+        assert run(["mesh", "--end", "unread.json", "--rho-min", str(rho / 2),
+                    "--rho-max", str(rho), "--radial", "2", "--angular", "8",
+                    "--out", str(tmp_path / "end.obj")]) == 0
+        assert formed == []
 
 
 class TestTransformFrame:

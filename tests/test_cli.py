@@ -694,6 +694,13 @@ class TestErrors:
         (NESTED_JSON, ["end", "build", "--spec"], "RecursionError"),
         (NESTED_JSON, ["flux"], "RecursionError"),
         (NESTED_JSON, ["flux", "--frame"], "RecursionError"),
+        # Outputs that are not finite: 1/[c, d] overflows in the field's
+        # quadratic and is multiplied by 0, and the cross-ratio's
+        # brackets overflow.
+        (dict(CATENOID_SPEC, axis=[[0.3, 0.1], "inf"]),
+         ["flux", "--geodesic", "0,1e-320"], "ValueError"),
+        (None, ["crossratio", "1e308", "-1e308", "1e308i", "0"],
+         "ValueError"),
     ], ids=["axis-number", "spec-list", "perturbation-string",
             "frame-doubled-a", "frame-doubled-a-huge-top",
             "frame-radius-zero", "frame-radius-negative",
@@ -719,7 +726,8 @@ class TestErrors:
             "mesh-rho-max-nan", "mesh-rho-min-negative", "mesh-overflow",
             "mesh-overflow-ball", "order-1e12-memory",
             "verify-samples-2-40-memory", "end-build-spec-nested",
-            "flux-end-nested", "flux-frame-nested"])
+            "flux-end-nested", "flux-frame-nested", "flux-value-nan",
+            "crossratio-value-nan"])
     def test_bad_input_exits_2_with_one_json_error(self, spec, argv, error,
                                                    tmp_path, capsys):
         mesh_out = tmp_path / "end.obj"

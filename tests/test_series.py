@@ -13,7 +13,7 @@ from bryantflux import (BryantFrame, DomainError, GeneralizedSeries,
 
 from oracles import (add, eval_at, mul, normalized, product_residue,
                      radius_estimate, residue, series_div, series_isclose,
-                     series_sum, trapezoid_residue)
+                     series_sum, stacked, trapezoid_residue)
 
 
 def S(offset, coeffs):
@@ -107,8 +107,8 @@ class TestArithmetic:
         grid = QuadratureGrid(0.05, 32)
         # Rows lack their branch factors, and the factors of a and b
         # multiply to that of their product, so the rows compare directly.
-        lhs, a_vals, b_vals = eval_branch([mul(a, b), a, b], grid.rho,
-                                         grid.samples)
+        lhs, a_vals, b_vals = eval_branch(*stacked([mul(a, b), a, b]),
+                                         grid.rho, grid.samples)
         # mul(a, b) keeps the terms a_i b_j with i + j <= K = 5, so the defect
         # is at most the size of the others, sum |a_i| |b_j| rho^(o+i+j)
         # over i + j > K, plus round-off: 64 eps times the size of all
@@ -213,13 +213,14 @@ class TestProductResidue:
 
 class TestEvaluation:
     def test_constant_series(self):
-        assert np.allclose(eval_branch([S(0.0, [1.0])], 0.3, 16), 1.0)
+        assert np.allclose(eval_branch(*stacked([S(0.0, [1.0])]), 0.3, 16),
+                           1.0)
 
     def test_zero_tail_past_overflow(self):
         # rho^(o+k) overflows from k = 104 on, where the coefficients are
         # zeros: they add nothing, not 0 * inf = nan.
-        row = eval_branch([GeneralizedSeries.monomial(-0.5, 2.0, order=128)],
-                          1e3, 16)[0]
+        row = eval_branch(*stacked([GeneralizedSeries.monomial(
+            -0.5, 2.0, order=128)]), 1e3, 16)[0]
         assert np.allclose(row, 2.0 * 1e3 ** -0.5, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("rho", [0.02, 0.5])
@@ -246,11 +247,12 @@ class TestEvaluation:
                       (-2.3, 20, 7), (-0.75, 69, 40), (-0.5, 128, 5),
                       (-0.5, 128, 60)]] + [S(-2.3, gapped)]
         grid = QuadratureGrid(rho, samples)
-        rows = eval_branch(series, grid.rho, grid.samples)
+        rows = eval_branch(*stacked(series), grid.rho, grid.samples)
         assert rows.shape == (len(series), samples)
         for row, a in zip(rows, series):
             # One call per row gives the block's row, bit for bit.
-            assert eval_branch([a], grid.rho, grid.samples)[0].tobytes() \
+            assert eval_branch(*stacked([a]), grid.rho,
+                               grid.samples)[0].tobytes() \
                 == row.tobytes()
             # The rows lack the branch factor, which the reference keeps.
             row = row * np.exp(1j * a.offset * grid.taus)
@@ -269,14 +271,30 @@ class TestEvaluation:
         series = [GeneralizedSeries.monomial(-0.5, 2.0, order=128),
                   S(-0.5, coeffs)]
         grid = QuadratureGrid(1e3, samples)
-        rows = eval_branch(series, grid.rho, grid.samples)
+        rows = eval_branch(*stacked(series), grid.rho, grid.samples)
         for row, a in zip(rows, series):
-            assert eval_branch([a], grid.rho, grid.samples)[0].tobytes() \
+            assert eval_branch(*stacked([a]), grid.rho,
+                               grid.samples)[0].tobytes() \
                 == row.tobytes()
         assert np.allclose(rows[0], 2.0 * 1e3 ** -0.5, rtol=1e-15, atol=0.0)
         ref = eval_at(series[1], grid.rho, grid.taus)
         row = rows[1] * np.exp(-0.5j * grid.taus)
         assert np.max(np.abs(row - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("samples", [16, 256])
+    def test_coefficients_are_only_read(self, samples):
+        # At N = 16 the rows' 70 terms fold into 16 bins (K + 1 > n), which
+        # scales them into an array of the call's own; at N = 256 they go
+        # straight into the block.
+        rng = np.random.default_rng(13)
+        coeffs = rng.normal(size=(3, 70)) + 1j * rng.normal(size=(3, 70))
+        coeffs[1, 40:] = 0.0
+        before = coeffs.copy()
+        rows = eval_branch([-0.5, 0.0, 1.0], coeffs, 0.3, samples)
+        assert coeffs.tobytes() == before.tobytes()
+        series = [S(o, c) for o, c in zip([-0.5, 0.0, 1.0], before)]
+        assert rows.tobytes() == eval_branch(*stacked(series), 0.3,
+                                             samples).tobytes()
 
     def test_circle_samples_is_one_block_evaluation(self, monkeypatch):
         import bryantflux.bryant

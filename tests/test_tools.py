@@ -142,9 +142,10 @@ def test_same_outputs_script_prints_its_usage():
 
 
 def test_same_outputs_compares_the_cli_runs(tmp_path):
-    """Each verify-shaped spec gives the three verify runs and then the
-    two mesh runs, each an exit code and the OBJ text it wrote: 8 rings
-    of 16 vertices, in one model and the other."""
+    """Each verify-shaped spec gives the three verify runs, the four flux
+    runs, each an exit code and a JSON document, and then the two mesh
+    runs, each an exit code and the OBJ text it wrote: 8 rings of 16
+    vertices, in one model and the other."""
     import bryantflux
 
     tool = load_tool()
@@ -153,8 +154,15 @@ def test_same_outputs_compares_the_cli_runs(tmp_path):
     out = tool.cli_outputs(bryantflux, str(path))
     assert [name for name, _ in out] == [
         "verify --rho 0.02", "verify --rho 0.1", "verify --samples 4096",
+        "flux --kind translation --geodesic 0.5-0.2i,inf",
+        "flux --kind translation --geodesic 0.1+0.3i,-0.6+0.2i",
+        "flux --kind rotation --geodesic 0.5-0.2i,inf",
+        "flux --kind rotation --geodesic 0.1+0.3i,-0.6+0.2i",
         "mesh --model halfspace", "mesh --model ball"]
-    (_, (code, halfspace)), (_, (ball_code, ball)) = out[3:]
+    for _, (code, text) in out[3:7]:
+        assert code == 0
+        assert set(json.loads(text)) >= {"phi0", "residue_bound", "value"}
+    (_, (code, halfspace)), (_, (ball_code, ball)) = out[7:]
     assert code == ball_code == 0
     for obj in (halfspace, ball):
         assert sum(line.startswith("v ") for line in obj.splitlines()) \
@@ -212,12 +220,15 @@ def test_same_outputs_counts_every_output_that_differs(four_pi_report):
     """After the first difference (three lines), one count per output
     that differs anywhere: the copy's triples and their residue bounds,
     which 4 pi scales too, the verify runs, which print the triple's
-    bound and defects, and not its frames."""
+    bound and defects, the flux runs, which print the triple and the
+    field's flux, and not its frames."""
     code, out = four_pi_report
     assert code == 1
+    tool = load_tool()
     for name, tally in zip(("flux_triple", "residue_bound",
                             "verify --rho 0.02", "verify --rho 0.1",
-                            "verify --samples 4096"),
+                            "verify --samples 4096")
+                           + tuple(name for name, _ in tool.FLUX_RUNS),
                            out.splitlines()[3:], strict=True):
         assert re.fullmatch(re.escape(name) + r": [1-9]\d* of [1-9]\d* specs",
                             tally)

@@ -43,10 +43,15 @@ horospherical end of mu 2 at a finite point, with --geodesics 4 --seed 7:
 with --samples 256 at --rho 0.02 and 0.1, as the outputs named
 ``verify --rho R``, and with --samples 4096 at --rho 0.1, where the
 quadrature sums its moments over several slices of nodes, as
-``verify --samples 4096``.  It compares each run's exit code and
-standard output, bit for bit: the benchmark's digits read those numbers,
-which ulp-level changes to the samples move.  On the same three specs it
-runs the CLI's mesh with --model halfspace and with --model ball, as the
+``verify --samples 4096``.  On the same three specs it runs the CLI's
+flux, the residue route, with --kind translation and with --kind
+rotation, along a geodesic with an infinite endpoint and along one with
+two finite endpoints, as the outputs ``flux --kind K --geodesic G``.  It
+compares each verify and flux run's exit code and standard output, bit
+for bit: the benchmark's digits read those numbers, which ulp-level
+changes to the samples move, and an output number that is not finite is
+an exit of 2 with nothing on stdout.  On the same three specs it runs
+the CLI's mesh with --model halfspace and with --model ball, as the
 outputs ``mesh --model M``, on 8 rings of 16 nodes from rho 0.02 to 0.1,
 fewer nodes than the terms, so that eval_branch folds them into its
 bins: it compares each run's exit code and OBJ text, bit for bit.
@@ -116,6 +121,13 @@ VERIFY_RUNS = (
     ("verify --rho 0.1", ["--rho", "0.1", "--samples", "256"]),
     ("verify --samples 4096", ["--rho", "0.1", "--samples", "4096"]),
 )
+# Each spec's flux runs past --end: each kind of field along a geodesic
+# with an infinite endpoint and along one with two finite endpoints.
+FLUX_RUNS = tuple(
+    ("flux --kind %s --geodesic %s" % (kind, geodesic),
+     ["--kind", kind, "--geodesic", geodesic])
+    for kind in ("translation", "rotation")
+    for geodesic in ("0.5-0.2i,inf", "0.1+0.3i,-0.6+0.2i"))
 # Each spec's mesh runs past --end and --out, on 8 rings of 16 nodes: the
 # default order's 33 terms fold into 16 bins.
 MESH_ARGV = ["--rho-min", "0.02", "--rho-max", "0.1", "--radial", "8",
@@ -263,15 +275,19 @@ def outputs(pkg, handler, spec, order, bound=False):
 
 def cli_outputs(pkg, path):
     """(name, value) pairs of the CLI on the spec file at ``path``: one
-    per run of VERIFY_RUNS, its exit code and standard output, and one
-    per run of MESH_RUNS, its exit code and the OBJ text it wrote (None
-    when it wrote no file)."""
+    per run of VERIFY_RUNS and of FLUX_RUNS, its exit code and standard
+    output, and one per run of MESH_RUNS, its exit code and the OBJ text
+    it wrote (None when it wrote no file)."""
     run = importlib.import_module(pkg.__name__ + ".cli").run
     out = []
-    for name, argv in VERIFY_RUNS:
+    runs = [(name, ["verify", "--end", path] + argv + VERIFY_ARGV)
+            for name, argv in VERIFY_RUNS]
+    runs += [(name, ["flux", "--end", path] + argv)
+             for name, argv in FLUX_RUNS]
+    for name, argv in runs:
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            code = run(["verify", "--end", path] + argv + VERIFY_ARGV)
+            code = run(argv)
         out.append((name, (code, text.getvalue())))
     obj = Path(path).with_suffix(".obj")
     for name, argv in MESH_RUNS:
